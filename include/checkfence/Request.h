@@ -254,7 +254,12 @@ public:
     return *this;
   }
   /// Run the non-incremental reference pipeline (one fresh solver per
-  /// query) instead of the session engine.
+  /// query) instead of the session engine, for every check the request
+  /// runs: check(), every matrix/sweep cell, every weakestModels() step
+  /// and every synthesize() candidate (explore ignores it). Fresh checks
+  /// share nothing - no pooled session, no mined specification reused
+  /// across lattice points or fence variants - so they serve as the
+  /// independent differential reference.
   Request &freshPipeline(bool Enable = true) {
     Fresh = Enable;
     return *this;

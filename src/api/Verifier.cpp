@@ -13,6 +13,7 @@
 #include "trans/Flattener.h"
 #include "engine/CheckSession.h"
 #include "engine/MatrixRunner.h"
+#include "engine/SpecStore.h"
 #include "engine/WeakestModelSearch.h"
 #include "explore/Explore.h"
 #include "frontend/Lowering.h"
@@ -253,6 +254,7 @@ struct Verifier::Impl {
     // The worker budget lives on the request's stack frame; a pooled
     // session must not carry the dangling pointer into its next lease.
     S->setParallelism(checker::CheckOptions{}.PortfolioWidth, nullptr);
+    S->setSpecStore(nullptr); // request-scoped too
     std::lock_guard<std::mutex> Lock(PoolMu);
     auto &Idle = Pool[Key];
     if (Idle.size() >= MaxIdlePerKey || IdleSessions >= MaxIdleTotal)
@@ -467,10 +469,15 @@ Report Verifier::matrix(const Request &Req, EventSink *Sink,
   // workers from it, and each cell's check portfolio borrows whatever is
   // left - never cells x width threads.
   support::WorkerBudget Budget(Self->jobsFor(Req) - 1);
+  // The cells of one program differ in model only, so they mine each
+  // specification once; the store dies with the request.
+  engine::SpecStore Specs;
 
   harness::RunOptions Base;
   Base.Check = Opts;
   Base.Check.Budget = &Budget;
+  Base.Check.Specs = Req.Fresh ? nullptr : &Specs;
+  Base.Fresh = Req.Fresh;
   Base.StripFences = Req.StripAllFences;
   for (int Line : Req.StripLines)
     Base.StripFenceLines.insert(Line);
@@ -545,10 +552,13 @@ WeakestOutcome Verifier::weakestModels(const Request &Req,
   // frontier), so the whole `--jobs` allowance goes to each cell's
   // portfolio.
   support::WorkerBudget Budget(Self->jobsFor(Req) - 1);
+  engine::SpecStore Specs; // shared by every step of the walk
 
   harness::RunOptions Base;
   Base.Check = Opts;
   Base.Check.Budget = &Budget;
+  Base.Check.Specs = Req.Fresh ? nullptr : &Specs;
+  Base.Fresh = Req.Fresh;
   Base.StripFences = Req.StripAllFences;
   for (int Line : Req.StripLines)
     Base.StripFenceLines.insert(Line);
@@ -659,6 +669,11 @@ SynthOutcome Verifier::synthesize(const Request &Req, EventSink *Sink,
   support::WorkerBudget Budget(SO.Jobs - 1);
   SO.Budget = &Budget;
   SO.Check.Budget = &Budget;
+  // Every candidate placement differs in fences only: one mine per
+  // (test, bounds) serves the whole search.
+  engine::SpecStore Specs;
+  SO.Check.Specs = Req.Fresh ? nullptr : &Specs;
+  SO.Fresh = Req.Fresh;
 
   RunControl Control = RunControl::make(Token, Req.DeadlineSeconds);
   SO.Check.Hooks =

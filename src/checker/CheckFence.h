@@ -33,6 +33,9 @@
 #include <optional>
 
 namespace checkfence {
+namespace engine {
+class SpecStore;
+}
 namespace checker {
 
 /// Optional instrumentation and cooperative-cancellation hooks threaded
@@ -106,6 +109,13 @@ struct CheckOptions {
   /// none are available. Per-request state like Hooks: never owned, never
   /// fingerprinted. May be null (no extra workers).
   support::WorkerBudget *Budget = nullptr;
+  /// Mined specifications shared by every check of one request (lattice
+  /// points, fence variants): a check whose fence-blind program, mining
+  /// bounds and encoding options match a published specification reuses
+  /// it instead of mining (engine/SpecStore.h). Refset and budgeted
+  /// checks bypass it. Per-request state like Budget: never owned, never
+  /// fingerprinted, ignored by runCheckFresh. May be null (always mine).
+  engine::SpecStore *Specs = nullptr;
 };
 
 enum class CheckStatus {

@@ -11,6 +11,8 @@
 #include "checker/SpecMiner.h"
 #include "memmodel/ReadsFromOracle.h"
 #include "obs/Trace.h"
+#include "support/Fingerprint.h"
+#include "support/Format.h"
 #include "support/Json.h"
 #include "support/Timing.h"
 
@@ -61,6 +63,22 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
   bool HaveSpec = false;
   trans::LoopBounds SpecForBounds;
 
+  // Request-scoped specifications shared across lattice points and fence
+  // variants. Refset checks bypass the store (their mining encoding
+  // doubles as the reference program's bound probe), and so do budgeted
+  // checks (whether a budgeted mine completes depends on solver
+  // history). The key's program and option part is fixed for this call;
+  // only the mining bounds vary per round.
+  SpecStore *Specs =
+      !SpecProg && Opts.ConflictBudget < 0 ? Opts.Specs : nullptr;
+  std::string SpecKeyPrefix;
+  if (Specs)
+    SpecKeyPrefix =
+        support::fenceBlindFingerprint(MineProg, ThreadProcs) +
+        formatString("|order=%d|range=%d|maxobs=%zu",
+                     static_cast<int>(Opts.Order), Opts.RangeAnalysis ? 1 : 0,
+                     Opts.MaxObservations);
+
   // Arm the portfolio for this call. A conflict budget forces serial
   // solving: an Unknown (budget exhausted) verdict must not depend on
   // which racer got furthest.
@@ -103,34 +121,49 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
 
     // Phase 1: specification mining under the Serial model. Skipped when
     // the mined program's bounds are unchanged - re-enumerating would
-    // reproduce the identical observation set.
+    // reproduce the identical observation set - and when the request's
+    // spec store already holds the set for these bounds.
     if (!HaveSpec || SpecForBounds != MineBounds) {
-      obs::Span MineSpan("engine", "mine");
-      Timer MineTimer;
-      if (!MineEnc || MineEncBounds != MineBounds) {
-        obs::Span EncodeSpan("engine", "encode:mine");
-        MineEnc = &MineCtx.encode(MineProg, ThreadProcs, MineBounds,
-                                  MineCfg);
-        MineEncBounds = MineBounds;
-        Result.Stats.MiningEncodeSeconds += MineEnc->stats().EncodeSeconds;
+      std::string SpecKey;
+      SpecStore::SpecPtr Shared;
+      if (Specs) {
+        SpecKey = SpecStore::key(SpecKeyPrefix, MineBounds);
+        Shared = Specs->find(SpecKey);
       }
-      double SolveBefore = MineEnc->stats().SolveSeconds;
-      MiningOutcome Mined =
-          mineSpecification(MineCtx, *MineEnc,
-                            MineEnc->withinBoundsAssumptions(),
-                            Opts.MaxObservations);
-      Result.Stats.MiningSeconds += MineTimer.seconds();
-      Result.Stats.MiningSolveSeconds +=
-          MineEnc->stats().SolveSeconds - SolveBefore;
-      if (!Mined.Ok)
-        return Finish(CheckStatus::Error, Mined.Error);
-      if (Mined.SequentialBug) {
-        Result.Counterexample = Mined.BugTrace;
-        return Finish(
-            CheckStatus::SequentialBug,
-            "a serial execution raises an error (see counterexample)");
+      if (Shared) {
+        obs::Span ReuseSpan("engine", "spec_reuse");
+        Result.Spec = *Shared;
+      } else {
+        obs::Span MineSpan("engine", "mine");
+        Timer MineTimer;
+        if (!MineEnc || MineEncBounds != MineBounds) {
+          obs::Span EncodeSpan("engine", "encode:mine");
+          MineEnc = &MineCtx.encode(MineProg, ThreadProcs, MineBounds,
+                                    MineCfg);
+          MineEncBounds = MineBounds;
+          Result.Stats.MiningEncodeSeconds +=
+              MineEnc->stats().EncodeSeconds;
+        }
+        double SolveBefore = MineEnc->stats().SolveSeconds;
+        MiningOutcome Mined =
+            mineSpecification(MineCtx, *MineEnc,
+                              MineEnc->withinBoundsAssumptions(),
+                              Opts.MaxObservations);
+        Result.Stats.MiningSeconds += MineTimer.seconds();
+        Result.Stats.MiningSolveSeconds +=
+            MineEnc->stats().SolveSeconds - SolveBefore;
+        if (!Mined.Ok)
+          return Finish(CheckStatus::Error, Mined.Error);
+        if (Mined.SequentialBug) {
+          Result.Counterexample = Mined.BugTrace;
+          return Finish(
+              CheckStatus::SequentialBug,
+              "a serial execution raises an error (see counterexample)");
+        }
+        if (Specs)
+          Specs->publish(SpecKey, Mined.Spec);
+        Result.Spec = std::move(Mined.Spec);
       }
-      Result.Spec = std::move(Mined.Spec);
       Result.Stats.ObservationCount = static_cast<int>(Result.Spec.size());
       HaveSpec = true;
       SpecForBounds = MineBounds;

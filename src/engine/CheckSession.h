@@ -21,6 +21,11 @@
 ///  * Mining is skipped entirely when the mined program's bounds did not
 ///    change since the last completed enumeration - the re-run would
 ///    reproduce the identical observation set.
+///  * Mining is also skipped when the request's SpecStore (if any) holds
+///    the specification already: the serial observation set depends on
+///    neither the target model nor fence placement, so every lattice
+///    point and fence variant of a request mines each (fence-blind
+///    program, bounds) once. Refset and budgeted checks always mine.
 ///
 /// Per-round solver-size snapshots are recorded so tests can assert the
 /// no-reset property directly.
@@ -33,6 +38,7 @@
 #include "checker/CheckFence.h"
 #include "checker/SolveContext.h"
 #include "engine/Portfolio.h"
+#include "engine/SpecStore.h"
 
 #include <vector>
 
@@ -73,6 +79,11 @@ public:
     Opts.PortfolioWidth = PortfolioWidth;
     Opts.Budget = Budget;
   }
+
+  /// Replaces the request's specification store for subsequent check()
+  /// calls. Per-request state like the worker budget: pools MUST clear
+  /// it when a request ends - it points at request-owned storage.
+  void setSpecStore(SpecStore *Specs) { Opts.Specs = Specs; }
 
   /// One entry per completed bound iteration, across all check() calls.
   const std::vector<SessionSnapshot> &snapshots() const {

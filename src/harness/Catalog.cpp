@@ -175,8 +175,9 @@ checkfence::harness::runTest(const std::string &ImplSource,
     (void)SpecThreads; // same names by construction
   }
 
-  return checker::runCheck(Impl, Threads, Opts.Check,
-                           UseSpec ? &SpecProg : nullptr);
+  const lsl::Program *Spec = UseSpec ? &SpecProg : nullptr;
+  return Opts.Fresh ? checker::runCheckFresh(Impl, Threads, Opts.Check, Spec)
+                    : checker::runCheck(Impl, Threads, Opts.Check, Spec);
 }
 
 std::vector<engine::MatrixCell> checkfence::harness::expandMatrix(

@@ -60,13 +60,16 @@ OpAlphabet alphabetFor(const std::string &Kind);
 /// End-to-end convenience: compile \p ImplSource (CheckFence-C), build
 /// \p Test, and run the full check. \p Defines selects #ifdef variants.
 /// If \p SpecSource is non-empty, the specification is mined from it
-/// instead (the "refset" mode).
+/// instead (the "refset" mode). \p Fresh runs the non-incremental
+/// reference pipeline (checker::runCheckFresh) instead of the session
+/// engine; it ignores Check.Specs.
 struct RunOptions {
   checker::CheckOptions Check;
   std::set<std::string> Defines;
   bool StripFences = false;
   std::set<int> StripFenceLines;
   std::string SpecSource;
+  bool Fresh = false;
 };
 
 checker::CheckResult runTest(const std::string &ImplSource,

@@ -83,6 +83,10 @@ struct SynthOptions {
   bool SeedFromAnalysis = true;
   /// Drop fences that are not needed by any test (necessity check).
   bool Minimize = true;
+  /// Run every check on the non-incremental reference pipeline
+  /// (checker::runCheckFresh) instead of the session engine; it ignores
+  /// Check.Specs.
+  bool Fresh = false;
   /// Worker threads for the minimization pass (each removal candidate
   /// re-checks every test; the per-test checks run in parallel). The
   /// repair loop itself is inherently sequential (each placement depends

@@ -11,8 +11,11 @@ static std::string indentStr(int Indent) {
   return std::string(static_cast<size_t>(Indent) * 2, ' ');
 }
 
-std::string checkfence::lsl::printStmt(const Proc &P, const Stmt *S,
-                                       int Indent) {
+/// The one renderer behind printStmt and printProgramFenceBlind. Fence
+/// blind renders skip Fence statements and tag every block with its
+/// source line (loop-bound keys name it; see trans::Flattener).
+static std::string renderStmt(const Proc &P, const Stmt *S, int Indent,
+                              bool FenceBlind) {
   std::string Pad = indentStr(Indent);
   auto Rn = [&](Reg R) { return P.regName(R); };
 
@@ -44,11 +47,13 @@ std::string checkfence::lsl::printStmt(const Proc &P, const Stmt *S,
     return Pad + formatString("*%s = %s\n", Rn(S->Addr).c_str(),
                               Rn(S->Args[0]).c_str());
   case StmtKind::Fence:
+    if (FenceBlind)
+      return "";
     return Pad + formatString("fence %s\n", fenceKindName(S->FenceK));
   case StmtKind::Atomic: {
     std::string Out = Pad + "atomic {\n";
     for (const Stmt *C : S->Body)
-      Out += printStmt(P, C, Indent + 1);
+      Out += renderStmt(P, C, Indent + 1, FenceBlind);
     return Out + Pad + "}\n";
   }
   case StmtKind::Call: {
@@ -62,9 +67,12 @@ std::string checkfence::lsl::printStmt(const Proc &P, const Stmt *S,
                               joinStrings(Rs, ", ").c_str());
   }
   case StmtKind::Block: {
-    std::string Out = Pad + formatString("t%d: {\n", S->BlockTag);
+    std::string Out =
+        Pad + (FenceBlind ? formatString("t%d@%d: {\n", S->BlockTag,
+                                         S->Loc.Line)
+                          : formatString("t%d: {\n", S->BlockTag));
     for (const Stmt *C : S->Body)
-      Out += printStmt(P, C, Indent + 1);
+      Out += renderStmt(P, C, Indent + 1, FenceBlind);
     return Out + Pad + "}\n";
   }
   case StmtKind::Break:
@@ -88,7 +96,12 @@ std::string checkfence::lsl::printStmt(const Proc &P, const Stmt *S,
   return Pad + "<bad-stmt>\n";
 }
 
-std::string checkfence::lsl::printProc(const Proc &P) {
+std::string checkfence::lsl::printStmt(const Proc &P, const Stmt *S,
+                                       int Indent) {
+  return renderStmt(P, S, Indent, /*FenceBlind=*/false);
+}
+
+static std::string renderProc(const Proc &P, bool FenceBlind) {
   std::vector<std::string> Params, Rets;
   for (int I = 0; I < P.NumParams; ++I)
     Params.push_back(P.regName(I));
@@ -99,11 +112,15 @@ std::string checkfence::lsl::printProc(const Proc &P) {
                    joinStrings(Params, ", ").c_str(),
                    joinStrings(Rets, ", ").c_str());
   for (const Stmt *S : P.Body)
-    Out += printStmt(P, S, 1);
+    Out += renderStmt(P, S, 1, FenceBlind);
   return Out + "}\n";
 }
 
-std::string checkfence::lsl::printProgram(const Program &Prog) {
+std::string checkfence::lsl::printProc(const Proc &P) {
+  return renderProc(P, /*FenceBlind=*/false);
+}
+
+static std::string renderProgram(const Program &Prog, bool FenceBlind) {
   std::string Out;
   if (!Prog.globals().empty()) {
     Out += "globals:";
@@ -112,8 +129,16 @@ std::string checkfence::lsl::printProgram(const Program &Prog) {
     Out += "\n\n";
   }
   for (const auto &[Name, P] : Prog.procs())
-    Out += printProc(*P) + "\n";
+    Out += renderProc(*P, FenceBlind) + "\n";
   return Out;
+}
+
+std::string checkfence::lsl::printProgram(const Program &Prog) {
+  return renderProgram(Prog, /*FenceBlind=*/false);
+}
+
+std::string checkfence::lsl::printProgramFenceBlind(const Program &Prog) {
+  return renderProgram(Prog, /*FenceBlind=*/true);
 }
 
 //===----------------------------------------------------------------------===//

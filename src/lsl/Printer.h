@@ -25,6 +25,13 @@ std::string printProc(const Proc &P);
 /// Renders all procedures of a program.
 std::string printProgram(const Program &Prog);
 
+/// printProgram with every Fence statement skipped and every block
+/// tagged with its source line. Two programs that differ only in fence
+/// placement render identically; loop-bound keys (which name block
+/// lines) mean the same loops in both. Keys serial-model artifacts,
+/// which fences cannot affect (support::fenceBlindFingerprint).
+std::string printProgramFenceBlind(const Program &Prog);
+
 /// Renders \p Prog back as CheckFence-C source. Supported is the
 /// *explore fragment*: scalar int globals and straight-line procedures
 /// built from global stores (constant / register / register + constant),

@@ -38,3 +38,11 @@ std::string checkfence::support::loweredProgramFingerprint(
     Blob += lsl::printProgram(*Spec);
   return fnv1aHex(Blob);
 }
+
+std::string checkfence::support::fenceBlindFingerprint(
+    const lsl::Program &Prog, const std::vector<std::string> &Threads) {
+  std::string Blob = lsl::printProgramFenceBlind(Prog);
+  Blob += '\x1f';
+  Blob += joinStrings(Threads, ",");
+  return fnv1aHex(Blob);
+}

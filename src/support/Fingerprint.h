@@ -10,7 +10,8 @@
 /// pool, and the explore corpus. FNV-1a over the *lowered* program text
 /// (lsl::printProgram), so any semantic change - a removed fence, a
 /// flipped define, a different test - changes the fingerprint while
-/// whitespace-only source differences do not.
+/// whitespace-only source differences do not. A fence-blind variant
+/// keys work that fence placement cannot affect.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,6 +40,14 @@ std::string fnv1aHex(const std::string &Data);
 std::string loweredProgramFingerprint(const lsl::Program &Impl,
                                       const std::vector<std::string> &Threads,
                                       const lsl::Program *Spec = nullptr);
+
+/// Fingerprint of \p Prog modulo fence placement, plus the test-thread
+/// procedure names (lsl::printProgramFenceBlind). Keys serial-model
+/// artifacts - the mined specification - that fences cannot change, so
+/// fenced, stripped and partially fenced variants of one program share
+/// them (engine::SpecStore).
+std::string fenceBlindFingerprint(const lsl::Program &Prog,
+                                  const std::vector<std::string> &Threads);
 
 } // namespace support
 } // namespace checkfence

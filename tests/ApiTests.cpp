@@ -17,13 +17,17 @@
 
 #include "engine/MatrixRunner.h"
 #include "harness/Catalog.h"
+#include "obs/Trace.h"
+#include "support/JsonParse.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <tuple>
 
 using namespace checkfence;
 
@@ -158,6 +162,106 @@ TEST(ApiJson, SweepRunsTheFullLattice) {
   EXPECT_EQ(Cells[0].Impl, "treiber");
   EXPECT_EQ(Cells[0].Test, "U0");
   EXPECT_EQ(Cells[0].Model, "serial"); // lattice is strongest-first
+}
+
+/// Runs \p Fn under an in-process tracer; the number of session-engine
+/// rounds it ran (the fresh pipeline records none).
+template <typename Fn> size_t engineRounds(Fn &&Run) {
+  obs::Tracer T;
+  {
+    obs::TraceContext Ctx(&T);
+    Run();
+  }
+  size_t Rounds = 0;
+  for (const obs::TraceEvent &E : T.events())
+    Rounds += E.Cat == "engine" && E.Name == "round";
+  return Rounds;
+}
+
+/// One parsed cell of a report's timing-free JSON.
+struct SweepCell {
+  std::string Model, Status, Counterexample;
+  long long Observations = -1;
+};
+
+std::vector<SweepCell> sweepCells(const Report &R) {
+  support::JsonValue Doc;
+  std::string Err;
+  EXPECT_TRUE(support::parseJson(R.json(false), Doc, Err)) << Err;
+  std::vector<SweepCell> Out;
+  if (const support::JsonValue *Cells = Doc.find("cells"))
+    for (const support::JsonValue &C : Cells->Items) {
+      SweepCell Cell;
+      Cell.Model = C.find("model")->asString();
+      Cell.Status = C.find("status")->asString();
+      if (const support::JsonValue *V = C.find("counterexample"))
+        Cell.Counterexample = V->asString();
+      Cell.Observations = std::stoll(C.find("observations")->NumText);
+      Out.push_back(Cell);
+    }
+  return Out;
+}
+
+TEST(ApiJson, SweepWithSharedSpecsMatchesFreshPipeline) {
+  // Sweeps share mined specifications across lattice points; the fresh
+  // pipeline mines every cell from scratch on fresh solvers. Verdicts,
+  // observation counts and counterexample presence must agree. Which
+  // witness a failing cell reports is the solver's choice (the fresh
+  // pipeline's solvers see other clauses), so each side's counterexample
+  // observation must instead lie outside the serial specification.
+  for (auto [Impl, Test, Strip] :
+       {std::tuple<const char *, const char *, bool>{"msn", "T0", true},
+        {"lazylist", "Sac", false}}) {
+    SCOPED_TRACE(std::string(Impl) + "/" + Test);
+    Verifier V;
+    Request Req =
+        Request::sweep().impls({Impl}).tests({Test}).jobs(1).noCache();
+    if (Strip)
+      Req.stripFences();
+    Report Shared, Fresh;
+    EXPECT_GT(engineRounds([&] { Shared = V.matrix(Req); }), 0u);
+    EXPECT_EQ(engineRounds(
+                  [&] { Fresh = V.matrix(Request(Req).freshPipeline()); }),
+              0u);
+    ASSERT_TRUE(Shared.allCompleted());
+    ASSERT_TRUE(Fresh.allCompleted());
+
+    Request Serial = Request::check(Impl, Test).model("serial").noCache();
+    if (Strip)
+      Serial.stripFences();
+    Result Spec = V.check(Serial.freshPipeline());
+    ASSERT_EQ(Spec.Verdict, Status::Pass) << Spec.Message;
+    auto InSpec = [&](const std::string &Obs) {
+      return std::find(Spec.Observations.begin(), Spec.Observations.end(),
+                       Obs) != Spec.Observations.end();
+    };
+
+    std::vector<SweepCell> S = sweepCells(Shared), F = sweepCells(Fresh);
+    ASSERT_EQ(S.size(), memmodel::latticeModels().size());
+    ASSERT_EQ(S.size(), F.size());
+    for (size_t I = 0; I < S.size(); ++I) {
+      SCOPED_TRACE(S[I].Model);
+      EXPECT_EQ(S[I].Model, F[I].Model);
+      EXPECT_EQ(S[I].Status, F[I].Status);
+      EXPECT_EQ(S[I].Observations, F[I].Observations);
+      EXPECT_EQ(S[I].Counterexample.empty(), F[I].Counterexample.empty());
+      for (const SweepCell *C : {&S[I], &F[I]})
+        if (!C->Counterexample.empty())
+          EXPECT_FALSE(InSpec(C->Counterexample)) << C->Counterexample;
+    }
+    EXPECT_TRUE(InSpec(Spec.Observations.front())); // renderings match
+  }
+}
+
+TEST(ApiJson, SharedSpecSweepIsIdenticalAcrossJobCounts) {
+  // Lazy-list bounds grow, so cells publish and look up grown-bound
+  // specifications - concurrently at jobs(4).
+  Verifier V;
+  Request Req = Request::sweep().impls({"lazylist"}).tests({"Sac"});
+  Report R1 = V.matrix(Request(Req).jobs(1));
+  Report R4 = V.matrix(Request(Req).jobs(4));
+  ASSERT_TRUE(R1.allCompleted());
+  EXPECT_EQ(R1.json(false), R4.json(false));
 }
 
 TEST(ApiJson, MatrixErrorsAreReported) {
@@ -433,6 +537,33 @@ TEST(ApiWeakest, ActiveSearchOverNamedModels) {
   // plus one inferred.
   EXPECT_EQ(O.CellsRun + O.CellsInferred, 2);
   EXPECT_GE(O.CellsInferred, 1);
+}
+
+TEST(ApiFresh, WeakestAndSynthesisHonourFreshPipeline) {
+  Verifier V;
+  Request W = Request::weakestModel("msn", "T0").stripFences();
+  WeakestOutcome Sess, Fresh;
+  EXPECT_GT(engineRounds([&] { Sess = V.weakestModels(W); }), 0u);
+  EXPECT_EQ(engineRounds([&] {
+              Fresh = V.weakestModels(Request(W).freshPipeline());
+            }),
+            0u);
+  ASSERT_TRUE(Sess.Ok && Fresh.Ok) << Sess.Error << Fresh.Error;
+  EXPECT_EQ(Sess.Weakest, Fresh.Weakest);
+  EXPECT_EQ(Sess.CellsRun, Fresh.CellsRun);
+
+  Request S = Request::synthesis("msn", "T0").model("relaxed");
+  SynthOutcome SS, SF;
+  EXPECT_GT(engineRounds([&] { SS = V.synthesize(S); }), 0u);
+  EXPECT_EQ(
+      engineRounds([&] { SF = V.synthesize(Request(S).freshPipeline()); }),
+      0u);
+  ASSERT_TRUE(SS.Success && SF.Success) << SS.Message << SF.Message;
+  ASSERT_EQ(SS.Fences.size(), SF.Fences.size());
+  for (size_t I = 0; I < SS.Fences.size(); ++I) {
+    EXPECT_EQ(SS.Fences[I].Line, SF.Fences[I].Line);
+    EXPECT_EQ(SS.Fences[I].Kind, SF.Fences[I].Kind);
+  }
 }
 
 TEST(ApiLitmus, StoreBufferingReachability) {

@@ -12,10 +12,14 @@
 
 #include "engine/CheckSession.h"
 #include "engine/MatrixRunner.h"
+#include "engine/SpecStore.h"
 #include "frontend/Lowering.h"
 #include "harness/Catalog.h"
 #include "impls/Impls.h"
+#include "lsl/Printer.h"
+#include "obs/Trace.h"
 #include "sat/CnfStore.h"
+#include "support/Fingerprint.h"
 #include "support/WorkerBudget.h"
 
 #include "checkfence/checkfence.h"
@@ -23,6 +27,8 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <map>
+#include <mutex>
 
 using namespace checkfence;
 using namespace checkfence::checker;
@@ -428,6 +434,227 @@ TEST(ProblemEncodingArtifact, CnfStoreReplayReproducesTheProblem) {
   // queue's primed-free T0 has no unrollable loops beyond its bounds, so
   // the probe must be unsatisfiable.
   EXPECT_EQ(S.solve(Enc.probeAssumptions()), sat::SolveResult::Unsat);
+}
+
+//===----------------------------------------------------------------------===//
+// The request-scoped spec store: mining once must be a pure optimization.
+//===----------------------------------------------------------------------===//
+
+std::vector<MatrixCell> latticeCells(const std::string &Impl,
+                                     const std::string &Test) {
+  return expandMatrix({Impl}, {Test}, memmodel::latticeModels());
+}
+
+/// Every cell of a lattice sweep with or without a shared spec store, at
+/// one job and at four (concurrent publishes): identical timing-free
+/// reports, and the store answered the lattice points it could.
+void expectStoreKeepsLatticeReport(const std::string &Impl,
+                                   const std::string &Test, bool Strip) {
+  SCOPED_TRACE(Impl + "/" + Test + (Strip ? " stripped" : " fenced"));
+  std::vector<MatrixCell> Cells = latticeCells(Impl, Test);
+  RunOptions Base;
+  Base.StripFences = Strip;
+  MatrixReport Plain = MatrixRunner(1).run(Cells, catalogCellRunner(Base));
+  const std::string Want = Plain.json(/*IncludeTimings=*/false);
+  for (int Jobs : {1, 4}) {
+    SpecStore Specs;
+    RunOptions Shared = Base;
+    Shared.Check.Specs = &Specs;
+    MatrixReport R =
+        MatrixRunner(Jobs).run(Cells, catalogCellRunner(Shared));
+    EXPECT_EQ(R.json(/*IncludeTimings=*/false), Want) << "jobs " << Jobs;
+    EXPECT_GE(Specs.size(), 1u);
+    EXPECT_LT(Specs.size(), Cells.size()) << "no lattice point was shared";
+    if (Jobs == 1)
+      EXPECT_GT(Specs.hits(), 0u);
+  }
+}
+
+TEST(SpecStore, LatticeReportIsIdenticalWithAndWithoutStore) {
+  for (bool Strip : {false, true}) {
+    expectStoreKeepsLatticeReport("ms2", "T0", Strip);
+    expectStoreKeepsLatticeReport("msn", "T0", Strip);
+    expectStoreKeepsLatticeReport("lazylist", "Sac", Strip);
+  }
+}
+
+TEST(SpecStore, FencedAndStrippedSpecsAgreeForEveryCatalogImpl) {
+  // The store's soundness premise: fences are no-ops under the serial
+  // model, so at equal bounds the fenced and stripped programs mine the
+  // same observation set - and their fence-blind fingerprints agree.
+  const std::map<std::string, std::string> TestFor = {
+      {"queue", "T0"}, {"set", "Sac"}, {"deque", "D0"}, {"stack", "U0"}};
+  for (const impls::ImplInfo &Info : impls::allImpls()) {
+    SCOPED_TRACE(Info.Name);
+    lsl::Program Fenced, Stripped;
+    ASSERT_TRUE(compileInto(impls::sourceFor(Info.Name), Fenced));
+    frontend::LoweringOptions LO;
+    LO.StripFences = true;
+    frontend::DiagEngine Diags;
+    ASSERT_TRUE(frontend::compileC(impls::sourceFor(Info.Name), {},
+                                   Stripped, Diags, LO));
+    TestSpec Spec = testByName(TestFor.at(Info.Kind));
+    std::vector<std::string> Threads = buildTestThreads(Fenced, Spec);
+    ASSERT_EQ(Threads, buildTestThreads(Stripped, Spec));
+    EXPECT_EQ(support::fenceBlindFingerprint(Fenced, Threads),
+              support::fenceBlindFingerprint(Stripped, Threads));
+    if (lsl::printProgram(Fenced) == lsl::printProgram(Stripped))
+      ADD_FAILURE() << "implementation has no fences to strip";
+
+    // The initial bounds and grown ones: the final bounds of an sc check
+    // (snark fails there, the others pass with every loop unrolled far
+    // enough).
+    CheckOptions Opts;
+    Opts.Model = memmodel::ModelParams::sc();
+    CheckResult Probe = runCheck(Fenced, Threads, Opts);
+    ASSERT_TRUE(Probe.Status == CheckStatus::Pass ||
+                Probe.Status == CheckStatus::Fail)
+        << Probe.Message;
+    ProblemConfig Cfg;
+    Cfg.Model = memmodel::ModelParams::serial();
+    const trans::LoopBounds Initial, &Final = Probe.FinalBounds;
+    for (const trans::LoopBounds *Bounds : {&Initial, &Final}) {
+      EncodedProblem F(Fenced, Threads, *Bounds, Cfg);
+      EncodedProblem S(Stripped, Threads, *Bounds, Cfg);
+      MiningOutcome MF = mineSpecification(F);
+      MiningOutcome MS = mineSpecification(S);
+      ASSERT_TRUE(MF.Ok) << MF.Error;
+      ASSERT_TRUE(MS.Ok) << MS.Error;
+      EXPECT_EQ(MF.SequentialBug, MS.SequentialBug);
+      EXPECT_EQ(MF.Spec, MS.Spec);
+      if (Bounds == &Final)
+        EXPECT_FALSE(MF.Spec.empty()) << "final bounds mine nothing";
+    }
+  }
+}
+
+TEST(SpecStore, NeverPublishesSequentialBugsOrErrors) {
+  // The buggy lazy list mines cleanly at its initial bounds (those sets
+  // are published) and hits the sequential bug once its loops grow: the
+  // store holds exactly the clean mines, and a second run still finds
+  // the bug instead of being served a set for the buggy bounds.
+  SpecStore Specs;
+  RunOptions Bug;
+  Bug.Defines.insert("LAZYLIST_INIT_BUG");
+  Bug.Check.Specs = &Specs;
+  int CleanMines = 0;
+  Bug.Check.Hooks.OnObservationsMined = [&](int) { ++CleanMines; };
+  for (int Run = 0; Run < 2; ++Run) {
+    CheckResult R = runTest(impls::sourceFor("lazylist"),
+                            testByName("Sac"), Bug);
+    EXPECT_EQ(R.Status, CheckStatus::SequentialBug) << R.Message;
+    EXPECT_TRUE(R.Counterexample.has_value());
+    if (Run == 0)
+      EXPECT_EQ(Specs.size(), static_cast<size_t>(CleanMines));
+  }
+  EXPECT_EQ(Specs.hits(), static_cast<size_t>(CleanMines) / 2);
+
+  // The observation cap turns mining into an Error outcome.
+  SpecStore Capped;
+  RunOptions Cap;
+  Cap.Check.MaxObservations = 1;
+  Cap.Check.Specs = &Capped;
+  for (int Run = 0; Run < 2; ++Run) {
+    CheckResult R = runTest(impls::sourceFor("ms2"), testByName("T0"), Cap);
+    EXPECT_EQ(R.Status, CheckStatus::Error);
+  }
+  EXPECT_EQ(Capped.size(), 0u);
+  EXPECT_EQ(Capped.hits(), 0u);
+}
+
+TEST(SpecStore, RefsetAndBudgetedChecksBypassTheStore) {
+  SpecStore Specs;
+  RunOptions Refset;
+  Refset.SpecSource = impls::referenceFor("queue");
+  Refset.Check.Model = memmodel::ModelParams::tso();
+  Refset.Check.Specs = &Specs;
+  RunOptions Budgeted;
+  Budgeted.Check.Model = memmodel::ModelParams::tso();
+  Budgeted.Check.ConflictBudget = 1 << 20;
+  Budgeted.Check.Specs = &Specs;
+  for (const RunOptions *O : {&Refset, &Budgeted}) {
+    CheckResult R = runTest(impls::sourceFor("msn"), testByName("T0"), *O);
+    EXPECT_EQ(R.Status, CheckStatus::Pass) << R.Message;
+  }
+  EXPECT_EQ(Specs.size(), 0u);
+
+  // Bypassing covers lookups too: with the spec published by an
+  // unbudgeted check, a budgeted one still mines for itself.
+  RunOptions Plain = Budgeted;
+  Plain.Check.ConflictBudget = -1;
+  runTest(impls::sourceFor("msn"), testByName("T0"), Plain);
+  ASSERT_GE(Specs.size(), 1u);
+  const size_t Published = Specs.size();
+  int Mined = 0;
+  Budgeted.Check.Hooks.OnObservationsMined = [&](int) { ++Mined; };
+  CheckResult R =
+      runTest(impls::sourceFor("msn"), testByName("T0"), Budgeted);
+  EXPECT_EQ(R.Status, CheckStatus::Pass) << R.Message;
+  EXPECT_GT(Mined, 0);
+  EXPECT_EQ(Specs.hits(), 0u);
+  EXPECT_EQ(Specs.size(), Published);
+}
+
+TEST(SpecStore, ObservationsMinedFiresAsOftenAsWithoutStore) {
+  for (bool Strip : {false, true}) {
+    SCOPED_TRACE(Strip ? "stripped" : "fenced");
+    std::vector<MatrixCell> Cells = latticeCells("msn", "T0");
+    auto Count = [&](SpecStore *Specs) {
+      std::mutex Mu;
+      std::vector<int> Counts;
+      RunOptions Base;
+      Base.StripFences = Strip;
+      Base.Check.Specs = Specs;
+      Base.Check.Hooks.OnObservationsMined = [&](int N) {
+        std::lock_guard<std::mutex> Lock(Mu);
+        Counts.push_back(N);
+      };
+      MatrixRunner(1).run(Cells, catalogCellRunner(Base));
+      return Counts;
+    };
+    SpecStore Specs;
+    std::vector<int> Without = Count(nullptr);
+    std::vector<int> With = Count(&Specs);
+    EXPECT_EQ(With, Without);
+    EXPECT_GE(Without.size(), Cells.size());
+  }
+}
+
+TEST(SpecStore, TraceShowsReuseInsteadOfMining) {
+  obs::Tracer T;
+  SpecStore Specs;
+  {
+    obs::TraceContext Ctx(&T);
+    RunOptions Base;
+    Base.Check.Specs = &Specs;
+    MatrixRunner(1).run(latticeCells("ms2", "T0"), catalogCellRunner(Base));
+  }
+  size_t Mines = 0, Reuses = 0;
+  for (const obs::TraceEvent &E : T.events()) {
+    Mines += E.Cat == "engine" && E.Name == "mine";
+    Reuses += E.Cat == "engine" && E.Name == "spec_reuse";
+  }
+  EXPECT_EQ(Mines, Specs.size()) << "engine:mine must mean a real mine";
+  EXPECT_EQ(Reuses, Specs.hits());
+  EXPECT_GT(Reuses, 0u);
+}
+
+TEST(SpecStore, KeySeparatesBoundsAndPrefixes) {
+  trans::LoopBounds A, B;
+  B["main/b1@10"] = 2;
+  EXPECT_NE(SpecStore::key("p", A), SpecStore::key("p", B));
+  EXPECT_NE(SpecStore::key("p", B), SpecStore::key("q", B));
+  SpecStore Specs;
+  EXPECT_EQ(Specs.find(SpecStore::key("p", B)), nullptr);
+  ObservationSet One;
+  One.insert(Observation{false, {lsl::Value::integer(1)}});
+  Specs.publish(SpecStore::key("p", B), One);
+  Specs.publish(SpecStore::key("p", B), ObservationSet{}); // first wins
+  SpecStore::SpecPtr Hit = Specs.find(SpecStore::key("p", B));
+  ASSERT_NE(Hit, nullptr);
+  EXPECT_EQ(*Hit, One);
+  EXPECT_EQ(Specs.size(), 1u);
+  EXPECT_EQ(Specs.hits(), 1u);
 }
 
 } // namespace
