@@ -1,4 +1,4 @@
-//===--- bench_matrix.cpp - matrix-runner + portfolio trajectory ------------===//
+//===--- bench_matrix.cpp - matrix-runner trajectory ------------------------===//
 //
 // Part of the CheckFence reproduction (PLDI'07).
 //
@@ -7,16 +7,12 @@
 //
 //  * the Fig. 8 queue-family matrix at one worker and at N workers
 //    (inter-cell parallelism),
-//  * per-cell fresh-vs-session engine comparisons (incrementality win),
-//  * one hard cell at portfolio width 1 vs width 4 (intra-check racing),
-//    asserting that verdicts, observation sets, and timing-free JSON are
-//    byte-identical across widths.
+//  * per-cell fresh-vs-session engine comparisons (incrementality win).
 //
 // `--json PATH` writes the shared bench schema (see BenchUtil.h) that
 // scripts/bench_compare.py gates CI on; `--seed N` is recorded (the
-// workload itself is deterministic). CF_BENCH_FULL=1 widens the matrix
-// and hardens the portfolio cell; CF_BENCH_JOBS overrides the parallel
-// job count (default 4).
+// workload itself is deterministic). CF_BENCH_FULL=1 widens the matrix;
+// CF_BENCH_JOBS overrides the parallel job count (default 4).
 //
 //===----------------------------------------------------------------------===//
 
@@ -67,48 +63,6 @@ std::string benchFreshVsSession(const char *Impl, const char *Test,
   return Buf;
 }
 
-/// The hard-cell portfolio trajectory: one check at width 1 and one at
-/// width 4 (with a 4-worker budget), through separate Verifiers so
-/// neither leg starts on a warmed session pool.
-struct PortfolioProbe {
-  bool Ok = false;
-  bool VerdictsMatch = false;
-  bool ReportsIdentical = false; ///< timing-free JSON, byte compare
-  double Width1Seconds = 0;
-  double Width4Seconds = 0;
-  double Speedup = 0;
-  unsigned long long LearntsExported = 0;
-  unsigned long long LearntsImported = 0;
-  int RacesWon = 0;
-  const char *Verdict = "";
-};
-
-PortfolioProbe benchPortfolio(const char *Impl, const char *Test,
-                              const char *Model) {
-  Request Base = Request::check(Impl, Test).model(Model).noCache();
-  Verifier V1;
-  Result W1 = V1.check(Request(Base).jobs(1).portfolioWidth(1));
-  Verifier V4;
-  Result W4 = V4.check(Request(Base).jobs(4).portfolioWidth(4));
-
-  PortfolioProbe P;
-  if (W1.Verdict == Status::Error || W4.Verdict == Status::Error)
-    return P;
-  P.Ok = true;
-  P.VerdictsMatch =
-      W1.Verdict == W4.Verdict && W1.Observations == W4.Observations;
-  P.ReportsIdentical = W1.json(/*IncludeTimings=*/false) ==
-                       W4.json(/*IncludeTimings=*/false);
-  P.Width1Seconds = W1.Stats.TotalSeconds;
-  P.Width4Seconds = W4.Stats.TotalSeconds;
-  P.Speedup = P.Width4Seconds > 0 ? P.Width1Seconds / P.Width4Seconds : 0;
-  P.LearntsExported = W4.Stats.LearntsExported;
-  P.LearntsImported = W4.Stats.LearntsImported;
-  P.RacesWon = W4.Stats.RacesWon;
-  P.Verdict = statusName(W1.Verdict);
-  return P;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -157,34 +111,14 @@ int main(int argc, char **argv) {
     Fragments.push_back(
         benchFreshVsSession("msn", "Ti2", "sc", SumFresh, SumSession));
 
-  // The portfolio's hard cell: msn under the weakest lattice point. The
-  // full grid uses Ti2 (minutes of UNSAT proving); the default uses Tpc2
-  // to keep the bench CI-sized.
-  const char *HardTest = Full ? "Ti2" : "Tpc2";
-  PortfolioProbe Pf = benchPortfolio("msn", HardTest, "relaxed");
-
   // One parseable document: the per-cell engine comparison plus the
-  // parallel-matrix and portfolio trajectories.
+  // parallel-matrix trajectory.
   std::printf("{\n  \"bench\": \"checkfence-matrix\",\n"
               "  \"fresh_vs_session\": [\n");
   for (size_t I = 0; I < Fragments.size(); ++I)
     std::printf("    %s%s\n", Fragments[I].c_str(),
                 I + 1 < Fragments.size() ? "," : "");
   std::printf("  ],\n");
-  std::printf("  \"portfolio\": {\n    \"impl\": \"msn\",\n"
-              "    \"test\": \"%s\",\n    \"model\": \"relaxed\",\n"
-              "    \"verdict\": \"%s\",\n"
-              "    \"width1_seconds\": %.3f,\n"
-              "    \"width4_seconds\": %.3f,\n    \"speedup\": %.3f,\n"
-              "    \"verdicts_match\": %s,\n"
-              "    \"reports_identical\": %s,\n"
-              "    \"learnts_exported\": %llu,\n"
-              "    \"learnts_imported\": %llu,\n"
-              "    \"races_won\": %d\n  },\n",
-              HardTest, Pf.Verdict, Pf.Width1Seconds, Pf.Width4Seconds,
-              Pf.Speedup, Pf.VerdictsMatch ? "true" : "false",
-              Pf.ReportsIdentical ? "true" : "false", Pf.LearntsExported,
-              Pf.LearntsImported, Pf.RacesWon);
   std::printf("  \"matrix\": {\n    \"cells\": %d,\n"
               "    \"jobs\": %d,\n    \"sequential_wall_seconds\": %.3f,\n"
               "    \"parallel_wall_seconds\": %.3f,\n"
@@ -199,9 +133,8 @@ int main(int argc, char **argv) {
   // clocks are recorded but not gated (baselines travel across
   // machines); the gates are result-equality and the cells count.
   benchutil::BenchReport R("matrix", BO);
-  R.context("hard_cell", std::string("msn/") + HardTest + "/relaxed")
-      .context("host_cores",
-               std::to_string(std::thread::hardware_concurrency()));
+  R.context("host_cores",
+            std::to_string(std::thread::hardware_concurrency()));
   R.metric("matrix_cells", static_cast<double>(Par.cellCount()), "cells",
            /*Gate=*/true, "equal")
       .metric("matrix_all_completed", Par.allCompleted() ? 1 : 0, "bool",
@@ -215,22 +148,9 @@ int main(int argc, char **argv) {
               "higher")
       .metric("session_speedup",
               SumSession > 0 ? SumFresh / SumSession : 0, "ratio",
-              /*Gate=*/true, "higher")
-      .metric("portfolio_verdicts_match", Pf.VerdictsMatch ? 1 : 0,
-              "bool", /*Gate=*/true, "equal")
-      .metric("portfolio_reports_identical", Pf.ReportsIdentical ? 1 : 0,
-              "bool", /*Gate=*/true, "equal")
-      .metric("portfolio_width1_seconds", Pf.Width1Seconds, "seconds")
-      .metric("portfolio_width4_seconds", Pf.Width4Seconds, "seconds")
-      .metric("portfolio_speedup", Pf.Speedup, "ratio", /*Gate=*/true,
-              "higher")
-      .metric("portfolio_learnts_imported",
-              static_cast<double>(Pf.LearntsImported), "clauses");
+              /*Gate=*/true, "higher");
   if (!R.write(BO))
     return 64;
 
-  return Seq.allCompleted() && Par.allCompleted() && Pf.Ok &&
-                 Pf.VerdictsMatch && Pf.ReportsIdentical
-             ? 0
-             : 1;
+  return Seq.allCompleted() && Par.allCompleted() ? 0 : 1;
 }

@@ -264,20 +264,13 @@ public:
     Fresh = Enable;
     return *this;
   }
-  /// Worker threads for matrix cells / synthesis minimization
-  /// (0 = the Verifier's configured default). One budget: intra-check
-  /// portfolio helpers draw from the same allowance, so N is the total
-  /// thread count however the work is shaped.
+  /// Worker threads for the request's one parallel layer: matrix cells,
+  /// synthesis minimization re-checks, explore scenarios or analysis
+  /// model rows (0 = the Verifier's configured default). Each check runs
+  /// on one solver on one thread; single checks and weakest-model walks
+  /// ignore this.
   Request &jobs(int N) {
     Jobs = N;
-    return *this;
-  }
-  /// Intra-check solver portfolio width: 1 = strictly serial, N > 1 =
-  /// race up to N diversified solvers per hard query, 0 (default) = auto,
-  /// one racer per jobs() worker the budget can spare. Verdicts,
-  /// observation sets, and timing-free JSON are identical at any width.
-  Request &portfolioWidth(int N) {
-    PortfolioWidth = N;
     return *this;
   }
   /// Use the polynomial reads-from oracle where eligible (default on):
@@ -419,7 +412,6 @@ public:
   std::optional<long long> ConflictBudget;
   bool Fresh = false;
   int Jobs = 0;
-  int PortfolioWidth = 0;
   bool UseFastOracle = true;
 
   double DeadlineSeconds = 0;

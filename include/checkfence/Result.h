@@ -73,11 +73,8 @@ struct ResultStats {
   double IncludeSeconds = 0;
   double ProbeSeconds = 0;
   double TotalSeconds = 0;
-  /// Portfolio counters (zero at portfolioWidth 1): learnt clauses
-  /// shared between racing solvers and races a helper won over the
-  /// incremental primary.
-  unsigned long long LearntsExported = 0;
-  unsigned long long LearntsImported = 0;
+  /// Always 0: every check runs on one solver, so no query is raced.
+  /// Kept only so existing readers of this field still compile.
   int RacesWon = 0;
   /// Reads-from oracle pruning (zero with fastOracle(false) or on
   /// ineligible models/programs): inclusion rounds the polynomial
@@ -213,8 +210,10 @@ struct SynthOutcome {
 
   /// {"schema_version", "success", "message", "checks", "seconds",
   ///  "repair_seconds", "minimize_seconds",
-  ///  "fences": [{"line", "kind"}]}
-  std::string json() const;
+  ///  "fences": [{"line", "kind"}]}. With \p IncludeTimings false the
+  /// three "*seconds" fields are left out and the bytes depend only on
+  /// the search's outcome.
+  std::string json(bool IncludeTimings = true) const;
 };
 
 /// One row of an analysis report: the delay set of a lattice point and

@@ -164,13 +164,9 @@ bool checkfence::api::checkOptionsFrom(const Request &Req,
     Out.MaxProbes = *Req.MaxProbes;
   if (Req.ConflictBudget)
     Out.ConflictBudget = *Req.ConflictBudget;
-  // Parallelism shapes wall time, never results (width-invariance is the
-  // engine's contract), so it stays out of optionsFingerprint - cached
-  // results and pooled sessions are shared across widths.
-  Out.PortfolioWidth = Req.PortfolioWidth;
-  // Same contract for oracle pruning: it only decides which machinery
-  // produces the (identical) answer, so it is not part of a run's
-  // identity either.
+  // Oracle pruning only decides which machinery produces the (identical)
+  // answer, so it stays out of optionsFingerprint - cached results and
+  // pooled sessions are shared either way.
   Out.OraclePrune = Req.UseFastOracle;
   // The static robustness pruner shares the oracle's contract (and its
   // request switch): identical results, so never fingerprinted.
@@ -223,11 +219,6 @@ Result checkfence::api::convertResult(const checker::CheckResult &R,
   Out.Stats.IncludeSeconds = S.IncludeSeconds;
   Out.Stats.ProbeSeconds = S.ProbeSeconds;
   Out.Stats.TotalSeconds = S.TotalSeconds;
-  Out.Stats.LearntsExported =
-      static_cast<unsigned long long>(S.LearntsExported);
-  Out.Stats.LearntsImported =
-      static_cast<unsigned long long>(S.LearntsImported);
-  Out.Stats.RacesWon = S.RacesWonByHelper;
   Out.Stats.OracleAttempts = S.OracleAttempts;
   Out.Stats.OracleDischarges = S.OracleDischarges;
   Out.Stats.OracleSeconds = S.OracleSeconds;
@@ -281,9 +272,6 @@ std::string checkfence::api::renderSingleCellJson(const Result &R,
     F.MiningSeconds = R.Stats.MiningSeconds;
     F.IncludeSeconds = R.Stats.IncludeSeconds;
     F.ProbeSeconds = R.Stats.ProbeSeconds;
-    F.LearntsExported = R.Stats.LearntsExported;
-    F.LearntsImported = R.Stats.LearntsImported;
-    F.RacesWon = R.Stats.RacesWon;
     F.OracleAttempts = R.Stats.OracleAttempts;
     F.OracleDischarges = R.Stats.OracleDischarges;
     F.OracleSeconds = R.Stats.OracleSeconds;

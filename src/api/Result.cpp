@@ -138,15 +138,16 @@ std::string Report::table() const {
 // SynthOutcome
 //===----------------------------------------------------------------------===//
 
-std::string SynthOutcome::json() const {
+std::string SynthOutcome::json(bool IncludeTimings) const {
   support::JsonObject Obj;
   Obj.field("schema_version", JsonSchemaVersion)
       .field("success", Success)
       .field("message", Message)
-      .field("checks", ChecksRun)
-      .fixed("seconds", TotalSeconds)
-      .fixed("repair_seconds", RepairSeconds)
-      .fixed("minimize_seconds", MinimizeSeconds);
+      .field("checks", ChecksRun);
+  if (IncludeTimings)
+    Obj.fixed("seconds", TotalSeconds)
+        .fixed("repair_seconds", RepairSeconds)
+        .fixed("minimize_seconds", MinimizeSeconds);
   support::JsonArray Arr;
   for (const SynthFence &F : Fences) {
     support::JsonObject Fence;

@@ -251,10 +251,9 @@ struct Verifier::Impl {
     if (S->totalClauses() > MaxSessionClauses)
       return; // retired: grown past useful reuse size
     S->setHooks(checker::CheckHooks{}); // drop request-scoped callbacks
-    // The worker budget lives on the request's stack frame; a pooled
+    // The spec store lives on the request's stack frame; a pooled
     // session must not carry the dangling pointer into its next lease.
-    S->setParallelism(checker::CheckOptions{}.PortfolioWidth, nullptr);
-    S->setSpecStore(nullptr); // request-scoped too
+    S->setSpecStore(nullptr);
     std::lock_guard<std::mutex> Lock(PoolMu);
     auto &Idle = Pool[Key];
     if (Idle.size() >= MaxIdlePerKey || IdleSessions >= MaxIdleTotal)
@@ -390,12 +389,6 @@ Result Verifier::check(const Request &Req, EventSink *Sink,
   RunControl Control = RunControl::make(Token, Req.DeadlineSeconds);
   Opts.Hooks = makeHooks(Label, Sink, Control);
 
-  // One worker budget for the whole request: `--jobs N` buys N threads
-  // total, and the check's portfolio helpers are the only other layer
-  // here. Outlives the run (stack), cleared on session return.
-  support::WorkerBudget Budget(Self->jobsFor(Req) - 1);
-  Opts.Budget = &Budget;
-
   checker::CheckResult R;
   if (Req.Fresh) {
     R = checker::runCheckFresh(Case.Impl, Case.Threads, Opts,
@@ -419,7 +412,6 @@ Result Verifier::check(const Request &Req, EventSink *Sink,
       Session = Self->leaseSession(PoolKey, Opts);
     }
     Session->setHooks(Opts.Hooks);
-    Session->setParallelism(Opts.PortfolioWidth, &Budget);
     R = Session->check(Case.Impl, Case.Threads,
                        Case.HasSpec ? &Case.Spec : nullptr);
     Self->returnSession(PoolKey, std::move(Session));
@@ -465,17 +457,12 @@ Report Verifier::matrix(const Request &Req, EventSink *Sink,
   if (Cells.empty())
     return Fail("matrix is empty (check impls/tests)");
 
-  // One budget for both parallel layers: the cell fan-out borrows extra
-  // workers from it, and each cell's check portfolio borrows whatever is
-  // left - never cells x width threads.
-  support::WorkerBudget Budget(Self->jobsFor(Req) - 1);
   // The cells of one program differ in model only, so they mine each
   // specification once; the store dies with the request.
   engine::SpecStore Specs;
 
   harness::RunOptions Base;
   Base.Check = Opts;
-  Base.Check.Budget = &Budget;
   Base.Check.Specs = Req.Fresh ? nullptr : &Specs;
   Base.Fresh = Req.Fresh;
   Base.StripFences = Req.StripAllFences;
@@ -512,9 +499,7 @@ Report Verifier::matrix(const Request &Req, EventSink *Sink,
   };
 
   auto Rep = std::make_shared<engine::MatrixReport>(
-      engine::MatrixRunner(Self->jobsFor(Req))
-          .withBudget(&Budget)
-          .run(Cells, Fn));
+      engine::MatrixRunner(Self->jobsFor(Req)).run(Cells, Fn));
   Status Overall =
       Control.stopRequested()
           ? Status::Cancelled
@@ -548,15 +533,12 @@ WeakestOutcome Verifier::weakestModels(const Request &Req,
   if (!checkOptionsFrom(Req, Opts, Out.Error))
     return Out;
 
-  // The lattice walk itself is sequential (each verdict prunes the next
-  // frontier), so the whole `--jobs` allowance goes to each cell's
-  // portfolio.
-  support::WorkerBudget Budget(Self->jobsFor(Req) - 1);
+  // The lattice walk is sequential (each verdict prunes the next
+  // frontier) and runs on the calling thread.
   engine::SpecStore Specs; // shared by every step of the walk
 
   harness::RunOptions Base;
   Base.Check = Opts;
-  Base.Check.Budget = &Budget;
   Base.Check.Specs = Req.Fresh ? nullptr : &Specs;
   Base.Fresh = Req.Fresh;
   Base.StripFences = Req.StripAllFences;
@@ -665,10 +647,6 @@ SynthOutcome Verifier::synthesize(const Request &Req, EventSink *Sink,
     SO.MaxFences = *Req.SynthMaxFences;
   SO.Minimize = Req.SynthMinimize;
   SO.Jobs = Self->jobsFor(Req);
-  // Shared by the minimization fan-out and every check's portfolio.
-  support::WorkerBudget Budget(SO.Jobs - 1);
-  SO.Budget = &Budget;
-  SO.Check.Budget = &Budget;
   // Every candidate placement differs in fences only: one mine per
   // (test, bounds) serves the whole search.
   engine::SpecStore Specs;

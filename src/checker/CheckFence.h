@@ -27,7 +27,6 @@
 #include "checker/Encoder.h"
 #include "checker/InclusionChecker.h"
 #include "checker/SpecMiner.h"
-#include "support/WorkerBudget.h"
 
 #include <functional>
 #include <optional>
@@ -72,16 +71,6 @@ struct CheckOptions {
   /// Streaming/cancellation hooks. Not part of a run's identity: caches
   /// and session pools must ignore this field when fingerprinting options.
   CheckHooks Hooks;
-  /// Intra-check solver portfolio width: 1 runs strictly serial; N > 1
-  /// races up to N diversified solvers (with learnt-clause sharing and
-  /// first-winner cancellation) on each hard inclusion/probe query; 0
-  /// means "auto" - one racer per worker the shared budget can spare.
-  /// Verdicts, mined observation sets, and timing-free JSON are identical
-  /// at any width, so this field - like Hooks - is NOT part of a run's
-  /// identity and must be ignored by fingerprints. Forced to 1 when
-  /// ConflictBudget >= 0 (budget-exhaustion verdicts must not depend on
-  /// racing luck).
-  int PortfolioWidth = 1;
   /// Discharge inclusion checks with the polynomial reads-from oracle
   /// where it applies (readsFromEligible() target models whose flattened
   /// problem fits the oracle's fragment): when every reachable
@@ -89,7 +78,7 @@ struct CheckOptions {
   /// the SAT inclusion query is Unsat by construction and is skipped.
   /// Any other oracle outcome falls through to the SAT path unchanged,
   /// so verdicts, mined observation sets, and timing-free JSON are
-  /// identical either way - like PortfolioWidth, this field is NOT part
+  /// identical either way - like Hooks, this field is NOT part
   /// of a run's identity and must be ignored by fingerprints. The fresh
   /// reference pipeline ignores it (it stays a pure-SAT differential
   /// baseline).
@@ -104,16 +93,11 @@ struct CheckOptions {
   /// must be ignored by fingerprints. The fresh reference pipeline
   /// ignores it.
   bool AnalysisPrune = true;
-  /// Worker slots shared with the matrix runner and fence synthesis; the
-  /// portfolio borrows helper threads from here and runs serially when
-  /// none are available. Per-request state like Hooks: never owned, never
-  /// fingerprinted. May be null (no extra workers).
-  support::WorkerBudget *Budget = nullptr;
   /// Mined specifications shared by every check of one request (lattice
   /// points, fence variants): a check whose fence-blind program, mining
   /// bounds and encoding options match a published specification reuses
   /// it instead of mining (engine/SpecStore.h). Refset and budgeted
-  /// checks bypass it. Per-request state like Budget: never owned, never
+  /// checks bypass it. Per-request state like Hooks: never owned, never
   /// fingerprinted, ignored by runCheckFresh. May be null (always mine).
   engine::SpecStore *Specs = nullptr;
 };
@@ -146,11 +130,6 @@ struct CheckStats {
   // all bound iterations; include covers the inclusion phase end to end).
   double EncodeSeconds = 0;
   double IncludeSeconds = 0;
-  // Portfolio counters, summed over every raced query of the run.
-  uint64_t LearntsExported = 0;
-  uint64_t LearntsImported = 0;
-  int RacesRun = 0;
-  int RacesWonByHelper = 0;
   // Reads-from oracle pruning (timed JSON only; timing-free JSON must
   // not depend on whether the oracle or the SAT solver answered).
   int OracleAttempts = 0;

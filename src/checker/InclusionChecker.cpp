@@ -71,36 +71,3 @@ PreparedInclusion checkfence::checker::prepareInclusion(
   P.Assumptions.push_back(Act);
   return P;
 }
-
-InclusionOutcome checkfence::checker::checkInclusion(
-    SolveContext &Ctx, ProblemEncoding &Enc, const ObservationSet &Spec,
-    const std::vector<sat::Lit> &Assumptions) {
-  InclusionOutcome Out;
-  PreparedInclusion P = prepareInclusion(Ctx, Enc, Spec, Assumptions);
-  if (!P.Ok) {
-    Out.Error = P.Error;
-    return Out;
-  }
-  if (P.Trivial) {
-    Out.Ok = true;
-    Out.Pass = true;
-    return Out;
-  }
-
-  sat::SolveResult R = Ctx.solveUnder(P.Assumptions);
-  switch (R) {
-  case sat::SolveResult::Unknown:
-    Out.Error = "solver budget exhausted during inclusion check";
-    return Out;
-  case sat::SolveResult::Unsat:
-    Out.Ok = true;
-    Out.Pass = true;
-    return Out;
-  case sat::SolveResult::Sat:
-    Out.Ok = true;
-    Out.Pass = false;
-    Out.Counterexample = Enc.decodeTrace(Ctx.solver());
-    return Out;
-  }
-  return Out;
-}

@@ -33,20 +33,11 @@ struct InclusionOutcome {
 InclusionOutcome checkInclusion(EncodedProblem &Prob,
                                 const ObservationSet &Spec);
 
-/// Incremental variant: checks inclusion on \p Enc inside \p Ctx, solving
-/// under \p Assumptions (normally Enc.withinBoundsAssumptions()). The
-/// specification's mismatch clauses are gated by a fresh activation
-/// literal, so the context's solver stays usable for the bound probe and
-/// later re-checks afterwards.
-InclusionOutcome checkInclusion(SolveContext &Ctx, ProblemEncoding &Enc,
-                                const ObservationSet &Spec,
-                                const std::vector<sat::Lit> &Assumptions);
-
-/// The encoding half of the incremental inclusion check, split out so the
-/// session engine can hand the solve itself to a racing solver portfolio:
-/// installs the activation-gated mismatch clauses for \p Spec and returns
-/// the assumption set (input assumptions + the activation literal) the
-/// solve must run under.
+/// The encoding half of the incremental inclusion check on \p Enc inside
+/// \p Ctx: installs the mismatch clauses for \p Spec, gated by a fresh
+/// activation literal so the context's solver stays usable for the bound
+/// probe and later re-checks, and returns the assumption set (\p
+/// Assumptions + the activation literal) the session solves under.
 struct PreparedInclusion {
   bool Ok = false;     ///< encoding usable (Error holds the message if not)
   std::string Error;

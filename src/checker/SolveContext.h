@@ -25,7 +25,6 @@
 #define CHECKFENCE_CHECKER_SOLVECONTEXT_H
 
 #include "checker/Encoder.h"
-#include "sat/CnfStore.h"
 
 #include <memory>
 #include <vector>
@@ -35,15 +34,7 @@ namespace checker {
 
 class SolveContext {
 public:
-  /// With \p MirrorCnf set, every variable and clause fed to the solver is
-  /// also recorded into a CnfStore, preserving variable numbering. The
-  /// portfolio engine replays that store (incrementally, via cursors) into
-  /// replica solvers that race the primary, and into the deterministic
-  /// shadow solver whose models feed all decoded artifacts.
-  explicit SolveContext(bool MirrorCnf = false)
-      : Mirror(MirrorCnf ? std::make_unique<MirrorSink>(Solver) : nullptr),
-        Cnf(Mirror ? static_cast<sat::ClauseSink &>(*Mirror)
-                   : static_cast<sat::ClauseSink &>(Solver)) {}
+  SolveContext() : Cnf(Solver) {}
 
   SolveContext(const SolveContext &) = delete;
   SolveContext &operator=(const SolveContext &) = delete;
@@ -51,11 +42,6 @@ public:
   sat::Solver &solver() { return Solver; }
   const sat::Solver &solver() const { return Solver; }
   encode::CnfBuilder &cnf() { return Cnf; }
-
-  /// The mirrored CNF, or nullptr when constructed without mirroring.
-  const sat::CnfStore *mirror() const {
-    return Mirror ? &Mirror->Store : nullptr;
-  }
 
   /// Appends a new encoding of the given problem to this context's solver.
   /// Previous encodings stay in the clause database (their activation
@@ -97,24 +83,8 @@ public:
   double solveSeconds() const { return SolveSecs; }
 
 private:
-  /// Tee sink: forwards to the live solver while recording into a store.
-  struct MirrorSink : sat::ClauseSink {
-    explicit MirrorSink(sat::Solver &S) : S(S) {}
-    sat::Var newVar() override {
-      Store.newVar();
-      return S.newVar();
-    }
-    bool addClause(const std::vector<sat::Lit> &Lits) override {
-      Store.addClause(Lits);
-      return S.addClause(Lits);
-    }
-    sat::Solver &S;
-    sat::CnfStore Store;
-  };
-
   sat::Solver Solver;
-  std::unique_ptr<MirrorSink> Mirror; ///< before Cnf: CnfBuilder's ctor emits
-  encode::CnfBuilder Cnf;
+  encode::CnfBuilder Cnf; ///< after Solver: its ctor emits into Solver
   std::vector<std::unique_ptr<ProblemEncoding>> Encodings;
   double SolveSecs = 0;
   int64_t PhaseBudget = -1; ///< per-phase allowance from the last encode()

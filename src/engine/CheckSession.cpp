@@ -79,25 +79,9 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
                      static_cast<int>(Opts.Order), Opts.RangeAnalysis ? 1 : 0,
                      Opts.MaxObservations);
 
-  // Arm the portfolio for this call. A conflict budget forces serial
-  // solving: an Unknown (budget exhausted) verdict must not depend on
-  // which racer got furthest.
-  Portfolio.configure(CheckCtx.mirror(),
-                      Opts.ConflictBudget >= 0 ? 1 : Opts.PortfolioWidth,
-                      Opts.Budget);
-  const PortfolioStats PortfolioBefore = Portfolio.stats();
-
   auto Finish = [&](CheckStatus Status, const std::string &Msg) {
     Result.Status = Status;
     Result.Message = Msg;
-    const PortfolioStats &PS = Portfolio.stats();
-    Result.Stats.LearntsExported =
-        PS.LearntsExported - PortfolioBefore.LearntsExported;
-    Result.Stats.LearntsImported =
-        PS.LearntsImported - PortfolioBefore.LearntsImported;
-    Result.Stats.RacesRun = PS.RacesRun - PortfolioBefore.RacesRun;
-    Result.Stats.RacesWonByHelper =
-        PS.RacesWonByHelper - PortfolioBefore.RacesWonByHelper;
     Result.Stats.TotalSeconds = Total.seconds();
     return Result;
   };
@@ -276,11 +260,6 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
                       "all executions are observationally serial");
       }
     }
-    // The round's first bound probe is an independent query on the same
-    // encoding; with helpers available the portfolio overlaps it with the
-    // inclusion solve and hands the answer to phase 3.
-    bool RoundProbed = false;
-    sat::SolveResult RoundProbeR = sat::SolveResult::Unknown;
     {
       obs::Span IncludeSpan("engine", "include");
       Timer IncludeTimer;
@@ -295,17 +274,12 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       } else if (Prep.Trivial) {
         Pass = true;
       } else {
-        std::vector<sat::Lit> ProbeAssumps = CheckEnc->probeAssumptions();
-        RaceOutcome Race =
-            Portfolio.solve(CheckCtx, Prep.Assumptions, &ProbeAssumps);
-        if (Race.SecondaryDone) {
-          RoundProbed = true;
-          RoundProbeR = Race.Secondary;
-        }
-        if (Race.Primary == sat::SolveResult::Unknown)
+        obs::Span SolveSpan("solver", "solve");
+        sat::SolveResult R = CheckCtx.solveUnder(Prep.Assumptions);
+        if (R == sat::SolveResult::Unknown)
           IncError = "solver budget exhausted during inclusion check";
         else
-          Pass = Race.Primary == sat::SolveResult::Unsat;
+          Pass = R == sat::SolveResult::Unsat;
       }
       // Report this inclusion check's own solving effort; the shared
       // encoding's counters also accumulate probe solves (those are
@@ -317,15 +291,8 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       if (!IncError.empty())
         return Finish(CheckStatus::Error, IncError);
       if (!Pass) {
-        // Counterexamples hold regardless of bounds (Sec. 3.3). Decode
-        // from the canonical shadow solve, not from whichever racer won:
-        // the reported trace must be identical at any portfolio width.
-        if (Portfolio.canonicalSolve(Prep.Assumptions) !=
-            sat::SolveResult::Sat)
-          return Finish(CheckStatus::Error,
-                        "canonical replay diverged on inclusion check");
-        Result.Counterexample =
-            CheckEnc->decodeTrace(Portfolio.shadowSolver());
+        // Counterexamples hold regardless of bounds (Sec. 3.3).
+        Result.Counterexample = CheckEnc->decodeTrace(CheckCtx.solver());
         Result.FinalBounds = Bounds;
         snapshot(Iter + 1);
         return Finish(CheckStatus::Fail,
@@ -346,14 +313,11 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       Timer ProbeTimer;
       if (!CheckEnc->ok())
         return Finish(CheckStatus::Error, CheckEnc->error());
+      CheckCtx.beginPhase(); // each probe gets its own conflict allowance
       sat::SolveResult R;
-      if (RoundProbed) {
-        // Answered already, overlapped with the inclusion solve.
-        R = RoundProbeR;
-        RoundProbed = false;
-      } else {
-        CheckCtx.beginPhase(); // each probe gets its own conflict allowance
-        R = Portfolio.solve(CheckCtx, CheckEnc->probeAssumptions()).Primary;
+      {
+        obs::Span SolveSpan("solver", "solve");
+        R = CheckCtx.solveUnder(CheckEnc->probeAssumptions());
       }
       Result.Stats.ProbeSeconds += ProbeTimer.seconds();
       if (R == sat::SolveResult::Unknown)
@@ -361,16 +325,9 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
                       "solver budget exhausted during bound probe");
       if (R == sat::SolveResult::Unsat)
         break;
-      // Grow the loops marked in the canonical shadow model rather than
-      // in whichever racer happened to answer: the bound trajectory (and
-      // everything downstream of it) must be identical at any width.
-      if (Portfolio.canonicalSolve(CheckEnc->probeAssumptions()) !=
-          sat::SolveResult::Sat)
-        return Finish(CheckStatus::Error,
-                      "canonical replay diverged on bound probe");
       bool GrewThisProbe = false;
       for (const std::string &Key :
-           CheckEnc->exceededLoops(Portfolio.shadowSolver())) {
+           CheckEnc->exceededLoops(CheckCtx.solver())) {
         int &B = Bounds[Key];
         B = (B == 0 ? 1 : B) + 1;
         GrewThisProbe = true;

@@ -37,7 +37,6 @@
 
 #include "checker/CheckFence.h"
 #include "checker/SolveContext.h"
-#include "engine/Portfolio.h"
 #include "engine/SpecStore.h"
 
 #include <vector>
@@ -71,18 +70,9 @@ public:
   /// identity, so pools reusing a session swap them in here.
   void setHooks(const checker::CheckHooks &Hooks) { Opts.Hooks = Hooks; }
 
-  /// Replaces the portfolio width and shared worker budget for subsequent
-  /// check() calls. Like hooks, parallelism is per-request state (results
-  /// are width-invariant by contract); pools MUST clear the budget
-  /// pointer when a request ends - it points at request-owned storage.
-  void setParallelism(int PortfolioWidth, support::WorkerBudget *Budget) {
-    Opts.PortfolioWidth = PortfolioWidth;
-    Opts.Budget = Budget;
-  }
-
   /// Replaces the request's specification store for subsequent check()
-  /// calls. Per-request state like the worker budget: pools MUST clear
-  /// it when a request ends - it points at request-owned storage.
+  /// calls. Per-request state like hooks: pools MUST clear it when a
+  /// request ends - it points at request-owned storage.
   void setSpecStore(SpecStore *Specs) { Opts.Specs = Specs; }
 
   /// One entry per completed bound iteration, across all check() calls.
@@ -105,11 +95,8 @@ private:
   void snapshot(int Round);
 
   checker::CheckOptions Opts;
-  checker::SolveContext MineCtx; ///< Serial model: mining + refset probe
-  /// Target model: inclusion + probe. Mirrored so the portfolio can
-  /// replay replicas and the canonical shadow solver from its CNF.
-  checker::SolveContext CheckCtx{/*MirrorCnf=*/true};
-  SolverPortfolio Portfolio; ///< racing replicas + canonical shadow
+  checker::SolveContext MineCtx;  ///< Serial model: mining + refset probe
+  checker::SolveContext CheckCtx; ///< Target model: inclusion + probe
   std::vector<SessionSnapshot> Snapshots;
 };
 

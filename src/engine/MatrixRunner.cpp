@@ -12,6 +12,7 @@
 #include "support/Json.h"
 #include "support/Timing.h"
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <thread>
@@ -22,20 +23,9 @@ using checker::CheckStatus;
 
 void checkfence::engine::parallelFor(
     int Jobs, size_t Count, const std::function<void(size_t)> &Body) {
-  parallelFor(nullptr, Jobs, Count, Body);
-}
-
-void checkfence::engine::parallelFor(
-    support::WorkerBudget *Budget, int MaxWorkers, size_t Count,
-    const std::function<void(size_t)> &Body) {
-  // The calling thread is always one worker; borrow the extras.
-  int WantExtra = MaxWorkers - 1;
-  if (static_cast<size_t>(MaxWorkers) > Count)
-    WantExtra = static_cast<int>(Count) - 1;
-  int Extra = 0;
-  if (WantExtra > 0)
-    Extra = Budget ? Budget->tryAcquire(WantExtra) : WantExtra;
-  if (Extra <= 0) {
+  // The calling thread is always one worker; spawn the extras.
+  size_t Workers = Jobs < 1 ? 1 : std::min(static_cast<size_t>(Jobs), Count);
+  if (Workers <= 1) {
     for (size_t I = 0; I < Count; ++I)
       Body(I);
     return;
@@ -54,14 +44,12 @@ void checkfence::engine::parallelFor(
     }
   };
   std::vector<std::thread> Pool;
-  Pool.reserve(Extra);
-  for (int W = 0; W < Extra; ++W)
+  Pool.reserve(Workers - 1);
+  for (size_t W = 1; W < Workers; ++W)
     Pool.emplace_back(Work);
   Work();
   for (std::thread &T : Pool)
     T.join();
-  if (Budget)
-    Budget->release(Extra);
 }
 
 std::string MatrixCell::label() const {
@@ -118,9 +106,6 @@ checkfence::engine::renderReportCell(const ReportCellFields &F) {
         .fixed("mining_seconds", F.MiningSeconds)
         .fixed("include_seconds", F.IncludeSeconds)
         .fixed("probe_seconds", F.ProbeSeconds)
-        .field("learnts_exported", F.LearntsExported)
-        .field("learnts_imported", F.LearntsImported)
-        .field("races_won", F.RacesWon)
         .field("oracle_attempts", F.OracleAttempts)
         .field("oracle_discharges", F.OracleDischarges)
         .fixed("oracle_seconds", F.OracleSeconds)
@@ -176,11 +161,6 @@ std::string MatrixReport::json(bool IncludeTimings) const {
       F.MiningSeconds = R.Stats.MiningSeconds;
       F.IncludeSeconds = R.Stats.IncludeSeconds;
       F.ProbeSeconds = R.Stats.ProbeSeconds;
-      F.LearntsExported =
-          static_cast<unsigned long long>(R.Stats.LearntsExported);
-      F.LearntsImported =
-          static_cast<unsigned long long>(R.Stats.LearntsImported);
-      F.RacesWon = R.Stats.RacesWonByHelper;
       F.OracleAttempts = R.Stats.OracleAttempts;
       F.OracleDischarges = R.Stats.OracleDischarges;
       F.OracleSeconds = R.Stats.OracleSeconds;
@@ -247,7 +227,7 @@ MatrixReport MatrixRunner::run(const std::vector<MatrixCell> &Cells,
   Report.Jobs = Jobs;
   Report.Cells.resize(Cells.size());
   Timer Wall;
-  parallelFor(Budget, Jobs, Cells.size(), [&](size_t I) {
+  parallelFor(Jobs, Cells.size(), [&](size_t I) {
     obs::Span CellSpan("matrix",
                        [&] { return "cell:" + Cells[I].label(); });
     Timer CellTimer;

@@ -24,7 +24,6 @@
 #define CHECKFENCE_ENGINE_MATRIXRUNNER_H
 
 #include "checker/CheckFence.h"
-#include "support/WorkerBudget.h"
 
 #include <functional>
 #include <string>
@@ -38,15 +37,6 @@ namespace engine {
 /// \p Body must be safe to call concurrently for distinct indices.
 void parallelFor(int Jobs, size_t Count,
                  const std::function<void(size_t)> &Body);
-
-/// Budget-sharing variant: the calling thread always works, and up to
-/// MaxWorkers-1 extra threads are borrowed non-blockingly from \p Budget
-/// (all of them when Budget is null). Slots are returned when the loop
-/// finishes, so nested layers - matrix cells running check portfolios,
-/// fence minimization running checks - share one `--jobs` allowance
-/// instead of multiplying it.
-void parallelFor(support::WorkerBudget *Budget, int MaxWorkers,
-                 size_t Count, const std::function<void(size_t)> &Body);
 
 /// The schema_version stamped into every JSON report (matrix and single
 /// checks share one schema; see docs/API.md).
@@ -78,9 +68,6 @@ struct ReportCellFields {
   double MiningSeconds = 0;
   double IncludeSeconds = 0;
   double ProbeSeconds = 0;
-  unsigned long long LearntsExported = 0;
-  unsigned long long LearntsImported = 0;
-  int RacesWon = 0;
   int OracleAttempts = 0;
   int OracleDischarges = 0;
   double OracleSeconds = 0;
@@ -142,14 +129,6 @@ class MatrixRunner {
 public:
   explicit MatrixRunner(int Jobs) : Jobs(Jobs < 1 ? 1 : Jobs) {}
 
-  /// Draws worker threads from a shared budget instead of spawning its
-  /// own Jobs-sized pool, so cell-level and portfolio-level parallelism
-  /// cannot oversubscribe the `--jobs` allowance between them.
-  MatrixRunner &withBudget(support::WorkerBudget *B) {
-    Budget = B;
-    return *this;
-  }
-
   /// Runs every cell through \p Run on the worker pool and aggregates
   /// deterministically (results land at their cell's index).
   MatrixReport run(const std::vector<MatrixCell> &Cells,
@@ -157,7 +136,6 @@ public:
 
 private:
   int Jobs;
-  support::WorkerBudget *Budget = nullptr;
 };
 
 } // namespace engine

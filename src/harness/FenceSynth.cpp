@@ -334,8 +334,7 @@ checkfence::harness::synthesizeFences(const std::string &ImplSource,
   // Necessity pass: drop any fence whose removal keeps all tests passing.
   // Candidates are tried one at a time (each removal changes the baseline
   // for the next), but the per-test re-checks of one candidate are
-  // independent and fan out across the shared worker budget (each check
-  // additionally racing its portfolio within the same budget).
+  // independent and fan out across Opts.Jobs worker threads.
   Timer MinimizeTimer;
   if (Opts.Minimize) {
     obs::Span MinimizeSpan("synth", "minimize");
@@ -343,7 +342,7 @@ checkfence::harness::synthesizeFences(const std::string &ImplSource,
       std::vector<FencePlacement> Without = Placed;
       Without.erase(Without.begin() + I);
       std::atomic<bool> AnyFail{false};
-      engine::parallelFor(Opts.Budget, Opts.Jobs, Tests.size(), [&](size_t T) {
+      engine::parallelFor(Opts.Jobs, Tests.size(), [&](size_t T) {
         if (AnyFail.load())
           return; // a sibling already refuted this removal
         if (!RunOnce(Tests[T], Without).passed())

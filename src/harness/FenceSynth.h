@@ -32,7 +32,6 @@
 #define CHECKFENCE_HARNESS_FENCESYNTH_H
 
 #include "harness/Catalog.h"
-#include "support/WorkerBudget.h"
 
 #include <climits>
 #include <string>
@@ -90,14 +89,8 @@ struct SynthOptions {
   /// Worker threads for the minimization pass (each removal candidate
   /// re-checks every test; the per-test checks run in parallel). The
   /// repair loop itself is inherently sequential (each placement depends
-  /// on the previous counterexample) - but its checks still exploit
-  /// Check.PortfolioWidth, so a lone hard check saturates the budget.
+  /// on the previous counterexample) and runs on the calling thread.
   int Jobs = 1;
-  /// Worker budget shared with every other parallel layer of the request.
-  /// The minimization fan-out and the per-check portfolios (via
-  /// Check.Budget) draw from the same pool, so synthesis never runs more
-  /// than `--jobs` threads in total. May be null.
-  support::WorkerBudget *Budget = nullptr;
 };
 
 struct SynthResult {

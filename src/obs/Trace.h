@@ -20,9 +20,9 @@
 //
 // Installation is per-thread via a thread-local current-tracer pointer.
 // `TraceContext` installs a tracer for a scope (RAII); thread fan-out
-// points (engine::parallelFor, the solver portfolio, server shard
-// workers) capture the parent's tracer and reinstall it in each worker
-// so spans from all threads land in the same trace.
+// points (engine::parallelFor, server shard workers) capture the
+// parent's tracer and reinstall it in each worker so spans from all
+// threads land in the same trace.
 //
 //===----------------------------------------------------------------------===//
 

@@ -10,17 +10,10 @@ using namespace checkfence;
 using namespace checkfence::sat;
 
 bool CnfStore::replayInto(ClauseSink &Sink) const {
-  ReplayCursor Cur;
-  return replayInto(Sink, Cur);
-}
-
-bool CnfStore::replayInto(ClauseSink &Sink, ReplayCursor &Cur) const {
-  for (int V = Cur.NextVar; V < Formula.NumVars; ++V)
+  for (int V = 0; V < Formula.NumVars; ++V)
     Sink.newVar();
-  Cur.NextVar = Formula.NumVars;
   bool Ok = true;
-  for (std::size_t I = Cur.NextClause; I < Formula.Clauses.size(); ++I)
-    Ok = Sink.addClause(Formula.Clauses[I]) && Ok;
-  Cur.NextClause = Formula.Clauses.size();
+  for (const std::vector<Lit> &C : Formula.Clauses)
+    Ok = Sink.addClause(C) && Ok;
   return Ok;
 }

@@ -7,9 +7,9 @@
 /// \file
 /// A ClauseSink that records variables and clauses instead of solving them.
 /// The checker's ProblemEncoding can be built against a CnfStore to obtain a
-/// pure CNF artifact (exportable as DIMACS, replayable into any number of
-/// solvers) with the decode maps kept separately - the solver-free half of
-/// the encoding/solving split.
+/// pure CNF artifact (exportable as DIMACS, replayable into a solver) with
+/// the decode maps kept separately - the solver-free half of the
+/// encoding/solving split.
 ///
 /// Replaying into a fresh solver preserves variable numbering, so decode
 /// maps recorded against the store remain valid against the replayed
@@ -46,19 +46,6 @@ public:
   /// order. When \p Sink starts empty this reproduces the store's variable
   /// numbering exactly. Returns false if the sink reported unsatisfiability.
   bool replayInto(ClauseSink &Sink) const;
-
-  /// Position inside a store for incremental replay: how many variables
-  /// and clauses a sink has already consumed.
-  struct ReplayCursor {
-    int NextVar = 0;
-    std::size_t NextClause = 0;
-  };
-
-  /// Replays only the suffix recorded since \p Cur, then advances the
-  /// cursor. A persistent replica solver calls this before every race to
-  /// catch up with the primary's appends without rebuilding its database.
-  /// Returns false if the sink reported unsatisfiability.
-  bool replayInto(ClauseSink &Sink, ReplayCursor &Cur) const;
 
 private:
   Cnf Formula;

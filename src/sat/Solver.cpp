@@ -49,7 +49,7 @@ Solver::~Solver() {
 Var Solver::newVar() {
   Var V = static_cast<Var>(Assigns.size());
   Assigns.push_back(LBool::Undef);
-  Polarity.push_back(static_cast<char>(DefaultPhase));
+  Polarity.push_back(0);
   Seen.push_back(0);
   VarInfo.push_back(VarData());
   Activity.push_back(0.0);
@@ -335,25 +335,7 @@ void Solver::rebuildOrderHeap() {
   }
 }
 
-double Solver::nextRandom() {
-  // xorshift64; good enough for decision diversification.
-  if (RandSeed == 0)
-    RandSeed = 88172645463325252ull;
-  RandSeed ^= RandSeed << 13;
-  RandSeed ^= RandSeed >> 7;
-  RandSeed ^= RandSeed << 17;
-  return static_cast<double>(RandSeed >> 11) * (1.0 / 9007199254740992.0);
-}
-
 Lit Solver::pickBranchLit() {
-  if (RandomVarFreq > 0 && !heapEmpty() && nextRandom() < RandomVarFreq) {
-    // Random pick (variable stays heap-resident; the VSIDS loop below
-    // drops assigned variables lazily anyway).
-    Var V = Heap[static_cast<size_t>(nextRandom() *
-                                     static_cast<double>(Heap.size()))];
-    if (value(V) == LBool::Undef)
-      return Lit::make(V, !Polarity[V]);
-  }
   while (!heapEmpty()) {
     Var V = heapRemoveMin();
     if (value(V) == LBool::Undef)
@@ -525,11 +507,6 @@ SolveResult Solver::search(int64_t ConflictsBeforeRestart) {
   std::vector<Lit> Learnt;
 
   for (;;) {
-    if (Interrupt && Interrupt->load(std::memory_order_relaxed)) {
-      Interrupted = true;
-      cancelUntil(0);
-      return SolveResult::Unknown;
-    }
     Clause *Conflict = propagate();
     if (Conflict != nullptr) {
       // Conflict.
@@ -545,11 +522,6 @@ SolveResult Solver::search(int64_t ConflictsBeforeRestart) {
       analyze(Conflict, Learnt, BtLevel);
       if (Proof)
         Proof->addDerived(Learnt);
-      if (OnLearnt &&
-          Learnt.size() <= static_cast<size_t>(ShareMaxLits)) {
-        OnLearnt(Learnt);
-        ++Stats.LearntsExported;
-      }
       cancelUntil(BtLevel);
       if (Learnt.size() == 1) {
         uncheckedEnqueue(Learnt[0], nullptr);
@@ -622,58 +594,9 @@ static int64_t lubyNumber(int64_t I) {
   return (int64_t)1 << (K - 1);
 }
 
-/// Adopts clauses learnt by other solvers over the same problem-clause
-/// database. Runs at decision level 0 with the standard level-0
-/// simplification; an empty import proves top-level unsatisfiability.
-bool Solver::importShared() {
-  assert(decisionLevel() == 0);
-  if (!FetchShared || Proof)
-    return Ok;
-  ImportBuf.clear();
-  FetchShared(ImportBuf);
-  for (std::vector<Lit> &Ls : ImportBuf) {
-    if (!Ok)
-      return false;
-    bool Drop = false;
-    size_t J = 0;
-    for (Lit L : Ls) {
-      if (L.var() >= numVars() || value(L) == LBool::True) {
-        Drop = true; // unknown variable (stale share) or satisfied
-        break;
-      }
-      if (value(L) == LBool::Undef)
-        Ls[J++] = L;
-    }
-    if (Drop)
-      continue;
-    Ls.resize(J);
-    if (Ls.empty()) {
-      Ok = false;
-      return false;
-    }
-    if (Ls.size() == 1) {
-      if (value(Ls[0]) == LBool::Undef) {
-        uncheckedEnqueue(Ls[0], nullptr);
-        if (propagate() != nullptr) {
-          Ok = false;
-          return false;
-        }
-      }
-    } else {
-      Clause *C = allocClause(Ls, /*Learnt=*/true);
-      Learnts.push_back(C);
-      attachClause(C);
-      claBumpActivity(C);
-    }
-    ++Stats.LearntsImported;
-  }
-  return Ok;
-}
-
 SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
   cancelUntil(0);
   ConflictVec.clear();
-  Interrupted = false;
   if (!Ok)
     return SolveResult::Unsat;
 
@@ -684,14 +607,8 @@ SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {
 
   SolveResult Result = SolveResult::Unknown;
   for (int64_t RestartIdx = 0; Result == SolveResult::Unknown; ++RestartIdx) {
-    if (!importShared()) {
-      Result = SolveResult::Unsat;
-      break;
-    }
     int64_t Budget = lubyNumber(RestartIdx) * 100;
     Result = search(Budget);
-    if (Interrupted && Result == SolveResult::Unknown)
-      break;
     if (ConflictBudget >= 0 &&
         Stats.Conflicts >= static_cast<uint64_t>(ConflictBudget) &&
         Result == SolveResult::Unknown)

@@ -18,11 +18,9 @@
 #ifndef CHECKFENCE_SAT_SOLVER_H
 #define CHECKFENCE_SAT_SOLVER_H
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -120,9 +118,6 @@ struct SolverStats {
   uint64_t Restarts = 0;
   uint64_t LearntLiterals = 0;
   uint64_t MinimizedLiterals = 0;
-  /// Learnt clauses handed to OnLearnt / adopted via FetchShared.
-  uint64_t LearntsExported = 0;
-  uint64_t LearntsImported = 0;
 };
 
 /// CDCL SAT solver. Typical use:
@@ -190,42 +185,6 @@ public:
   /// If >= 0, search gives up (returns Unknown) after this many conflicts.
   int64_t ConflictBudget = -1;
 
-  /// Default polarity for fresh variables when no saved phase exists.
-  bool DefaultPhase = false;
-
-  // --- Portfolio hooks (engine::SolverPortfolio) ------------------------
-  // All default-off; with every hook unset the solver's behavior is
-  // bit-identical to a hook-free build.
-
-  /// Cooperative interrupt: while the pointed-to flag is true, solve()
-  /// returns Unknown at the next propagation-fixpoint boundary. The flag
-  /// may be set from another thread; pass nullptr to detach.
-  void setInterrupt(const std::atomic<bool> *Flag) { Interrupt = Flag; }
-  /// True when the last solve() returned Unknown because of the interrupt
-  /// flag rather than the conflict budget.
-  bool wasInterrupted() const { return Interrupted; }
-
-  /// Export hook: called (on the solving thread) for every learnt clause
-  /// of at most ShareMaxLits literals, right after it is derived. Racing
-  /// solvers with identical problem-clause databases may adopt such
-  /// clauses soundly - they are implied by the database alone (assumption
-  /// dependence surfaces as negated assumption literals inside the
-  /// clause).
-  std::function<void(const std::vector<Lit> &)> OnLearnt;
-  int ShareMaxLits = 8;
-
-  /// Import hook: drained at every restart (decision level 0). The callee
-  /// appends clauses learnt elsewhere; each is adopted after level-0
-  /// simplification. Ignored while proof logging is active (imports have
-  /// no local derivation to log).
-  std::function<void(std::vector<std::vector<Lit>> &)> FetchShared;
-
-  /// Probability of replacing a VSIDS decision with a random heap pick;
-  /// 0 keeps branching fully deterministic. Seeded by RandSeed - give
-  /// portfolio members distinct seeds to diversify their search paths.
-  double RandomVarFreq = 0;
-  uint64_t RandSeed = 88172645463325252ull;
-
   /// Starts recording a DRAT-style clausal proof (sat/Proof.h) of every
   /// clause added or derived from now on. Call before adding clauses so
   /// the log sees the whole problem.
@@ -274,8 +233,6 @@ private:
   bool litRedundant(Lit L, uint32_t AbstractLevels);
   SolveResult search(int64_t ConflictsBeforeRestart);
   Lit pickBranchLit();
-  bool importShared();
-  double nextRandom();
   void reduceDB();
   void rebuildOrderHeap();
 
@@ -327,10 +284,6 @@ private:
   size_t WatchBytes = 0;
 
   std::unique_ptr<ProofLog> Proof;
-
-  const std::atomic<bool> *Interrupt = nullptr;
-  bool Interrupted = false;
-  std::vector<std::vector<Lit>> ImportBuf;
 
   SolverStats Stats;
 

@@ -172,7 +172,6 @@ std::string checkfence::server::encodeRequest(const Request &Req) {
     O.field("conflictBudget", *Req.ConflictBudget);
   O.field("fresh", Req.Fresh);
   O.field("jobs", Req.Jobs);
-  O.field("portfolioWidth", Req.PortfolioWidth);
   O.field("fastOracle", Req.UseFastOracle);
   O.raw("deadlineSeconds", wireDouble(Req.DeadlineSeconds));
   O.field("useCache", Req.UseCache);
@@ -251,7 +250,6 @@ bool checkfence::server::decodeRequest(const JsonValue &V, Request &Out,
     Out.ConflictBudget = F->asI64();
   Out.Fresh = boolean(V, "fresh", false);
   Out.Jobs = integer(V, "jobs");
-  Out.PortfolioWidth = integer(V, "portfolioWidth");
   Out.UseFastOracle = boolean(V, "fastOracle", true);
   Out.DeadlineSeconds = dbl(V, "deadlineSeconds");
   Out.UseCache = boolean(V, "useCache", true);
@@ -299,9 +297,6 @@ std::string checkfence::server::encodeResult(const Result &R) {
   S.raw("includeSeconds", wireDouble(R.Stats.IncludeSeconds));
   S.raw("probeSeconds", wireDouble(R.Stats.ProbeSeconds));
   S.raw("totalSeconds", wireDouble(R.Stats.TotalSeconds));
-  S.field("learntsExported", R.Stats.LearntsExported);
-  S.field("learntsImported", R.Stats.LearntsImported);
-  S.field("racesWon", R.Stats.RacesWon);
   S.field("oracleAttempts", R.Stats.OracleAttempts);
   S.field("oracleDischarges", R.Stats.OracleDischarges);
   S.raw("oracleSeconds", wireDouble(R.Stats.OracleSeconds));
@@ -355,11 +350,6 @@ bool checkfence::server::decodeResult(const JsonValue &V, Result &Out,
     Out.Stats.IncludeSeconds = dbl(*St, "includeSeconds");
     Out.Stats.ProbeSeconds = dbl(*St, "probeSeconds");
     Out.Stats.TotalSeconds = dbl(*St, "totalSeconds");
-    if (const JsonValue *F = St->find("learntsExported"))
-      Out.Stats.LearntsExported = F->asU64();
-    if (const JsonValue *F = St->find("learntsImported"))
-      Out.Stats.LearntsImported = F->asU64();
-    Out.Stats.RacesWon = integer(*St, "racesWon");
     Out.Stats.OracleAttempts = integer(*St, "oracleAttempts");
     Out.Stats.OracleDischarges = integer(*St, "oracleDischarges");
     Out.Stats.OracleSeconds = dbl(*St, "oracleSeconds");

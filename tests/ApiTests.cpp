@@ -566,6 +566,25 @@ TEST(ApiFresh, WeakestAndSynthesisHonourFreshPipeline) {
   }
 }
 
+TEST(ApiSynthesis, TimingFreeJsonIsReproducible) {
+  // Two fresh Verifiers run the same search; without timings the
+  // rendered outcome must match byte for byte and carry no "*seconds"
+  // field.
+  auto Run = [] {
+    Verifier V;
+    return V.synthesize(
+        Request::synthesis("msn", "T0").model("relaxed").jobs(1));
+  };
+  SynthOutcome A = Run();
+  SynthOutcome B = Run();
+  ASSERT_TRUE(A.Success) << A.Message;
+  EXPECT_EQ(A.json(/*IncludeTimings=*/false),
+            B.json(/*IncludeTimings=*/false));
+  EXPECT_EQ(A.json(/*IncludeTimings=*/false).find("seconds"),
+            std::string::npos);
+  EXPECT_NE(A.json().find("\"repair_seconds\""), std::string::npos);
+}
+
 TEST(ApiLitmus, StoreBufferingReachability) {
   Verifier V;
   const char *Sb = R"(

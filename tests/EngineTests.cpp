@@ -20,7 +20,6 @@
 #include "obs/Trace.h"
 #include "sat/CnfStore.h"
 #include "support/Fingerprint.h"
-#include "support/WorkerBudget.h"
 
 #include "checkfence/checkfence.h"
 
@@ -192,19 +191,28 @@ TEST(MatrixRunner, TimingFreeReportIsIdenticalAcrossJobCounts) {
       {memmodel::ModelParams::sc(), memmodel::ModelParams::relaxed()});
   ASSERT_EQ(Cells.size(), 4u);
 
-  RunOptions Base;
-  MatrixReport Seq = MatrixRunner(1).run(Cells, catalogCellRunner(Base));
-  MatrixReport Par = MatrixRunner(4).run(Cells, catalogCellRunner(Base));
+  // Fenced and stripped: the stripped relaxed cells Fail, so the
+  // comparison also covers counterexamples decoded from the session's
+  // own solver.
+  RunOptions Stripped;
+  Stripped.StripFences = true;
+  for (const RunOptions &Base : {RunOptions(), Stripped}) {
+    SCOPED_TRACE(Base.StripFences ? "stripped" : "fenced");
+    MatrixReport Seq = MatrixRunner(1).run(Cells, catalogCellRunner(Base));
+    MatrixReport Par = MatrixRunner(4).run(Cells, catalogCellRunner(Base));
 
-  ASSERT_EQ(Seq.Cells.size(), Par.Cells.size());
-  EXPECT_TRUE(Seq.allCompleted());
-  EXPECT_TRUE(Par.allCompleted());
-  EXPECT_EQ(Seq.json(/*IncludeTimings=*/false),
-            Par.json(/*IncludeTimings=*/false));
-  // Cell order follows the input matrix regardless of completion order.
-  for (size_t I = 0; I < Cells.size(); ++I) {
-    EXPECT_EQ(Par.Cells[I].Cell.label(), Cells[I].label());
-    EXPECT_EQ(Par.Cells[I].Result.Status, Seq.Cells[I].Result.Status);
+    ASSERT_EQ(Seq.Cells.size(), Par.Cells.size());
+    EXPECT_TRUE(Seq.allCompleted());
+    EXPECT_TRUE(Par.allCompleted());
+    EXPECT_EQ(Seq.json(/*IncludeTimings=*/false),
+              Par.json(/*IncludeTimings=*/false));
+    // Cell order follows the input matrix regardless of completion order.
+    for (size_t I = 0; I < Cells.size(); ++I) {
+      EXPECT_EQ(Par.Cells[I].Cell.label(), Cells[I].label());
+      EXPECT_EQ(Par.Cells[I].Result.Status, Seq.Cells[I].Result.Status);
+    }
+    if (Base.StripFences)
+      EXPECT_GT(Seq.countWithStatus(CheckStatus::Fail), 0);
   }
 }
 
@@ -235,169 +243,6 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   parallelFor(8, Hits.size(), [&](size_t I) { ++Hits[I]; });
   for (size_t I = 0; I < Hits.size(); ++I)
     EXPECT_EQ(Hits[I], 1) << "index " << I;
-}
-
-//===----------------------------------------------------------------------===//
-// The solver portfolio: racing must be a pure optimization.
-//===----------------------------------------------------------------------===//
-
-/// Runs one cell serially and raced (width 4, three extra workers) and
-/// asserts identical verdicts and mined observation sets.
-void expectPortfolioMatchesSerial(const std::string &Impl,
-                                  const std::string &Test,
-                                  memmodel::ModelParams Model) {
-  lsl::Program Prog;
-  ASSERT_TRUE(compileInto(impls::sourceFor(Impl), Prog));
-  std::vector<std::string> Threads =
-      buildTestThreads(Prog, testByName(Test));
-
-  CheckOptions Opts;
-  Opts.Model = Model;
-  CheckSession Serial(Opts);
-  CheckResult RS = Serial.check(Prog, Threads);
-
-  support::WorkerBudget Budget(3);
-  CheckOptions Raced = Opts;
-  Raced.PortfolioWidth = 4;
-  Raced.Budget = &Budget;
-  CheckSession Racing(Raced);
-  CheckResult RR = Racing.check(Prog, Threads);
-
-  SCOPED_TRACE(Impl + "/" + Test + " on " + memmodel::modelName(Model));
-  EXPECT_EQ(RR.Status, RS.Status)
-      << "raced: " << RR.Message << " / serial: " << RS.Message;
-  EXPECT_EQ(RR.Spec, RS.Spec);
-  EXPECT_EQ(Budget.available(), Budget.totalWorkers())
-      << "portfolio leaked budget slots";
-  if (RS.Status == CheckStatus::Fail) {
-    // Canonical artifacts: the counterexample is decoded from the shadow
-    // solver, so even the specific witness is width-invariant.
-    ASSERT_TRUE(RR.Counterexample.has_value());
-    ASSERT_TRUE(RS.Counterexample.has_value());
-    EXPECT_EQ(RR.Counterexample->Obs, RS.Counterexample->Obs);
-  }
-}
-
-TEST(PortfolioEquivalence, SerialAndRacedAgreeAcrossLattice) {
-  // Catalog implementations x lattice points, covering Pass cells with
-  // bound growth (msn/T0 relaxed), set-kind cells, and the strongest /
-  // weakest models.
-  for (memmodel::ModelParams M :
-       {memmodel::ModelParams::sc(), memmodel::ModelParams::tso(),
-        memmodel::ModelParams::relaxed()}) {
-    expectPortfolioMatchesSerial("msn", "T0", M);
-    expectPortfolioMatchesSerial("lazylist", "Sac", M);
-  }
-  expectPortfolioMatchesSerial("ms2", "Tpc2",
-                               memmodel::ModelParams::pso());
-}
-
-TEST(PortfolioEquivalence, FailingCellKeepsItsCounterexampleWhenRaced) {
-  // A Fail cell: fences stripped under Relaxed. The raced run must
-  // reproduce the serial counterexample observation exactly.
-  frontend::LoweringOptions LO;
-  LO.StripFences = true;
-  frontend::DiagEngine Diags;
-  lsl::Program Stripped;
-  ASSERT_TRUE(frontend::compileC(impls::sourceFor("msn"), {}, Stripped,
-                                 Diags, LO));
-  std::vector<std::string> Threads =
-      buildTestThreads(Stripped, testByName("T0"));
-
-  CheckOptions Opts;
-  Opts.Model = memmodel::ModelParams::relaxed();
-  CheckSession Serial(Opts);
-  CheckResult RS = Serial.check(Stripped, Threads);
-  ASSERT_EQ(RS.Status, CheckStatus::Fail);
-
-  support::WorkerBudget Budget(3);
-  CheckOptions Raced = Opts;
-  Raced.PortfolioWidth = 4;
-  Raced.Budget = &Budget;
-  CheckSession Racing(Raced);
-  CheckResult RR = Racing.check(Stripped, Threads);
-  ASSERT_EQ(RR.Status, CheckStatus::Fail);
-  ASSERT_TRUE(RR.Counterexample.has_value());
-  EXPECT_EQ(RR.Counterexample->Obs, RS.Counterexample->Obs);
-  ASSERT_EQ(RR.Counterexample->MemoryOrder.size(),
-            RS.Counterexample->MemoryOrder.size());
-  for (size_t I = 0; I < RS.Counterexample->MemoryOrder.size(); ++I) {
-    EXPECT_EQ(RR.Counterexample->MemoryOrder[I].Thread,
-              RS.Counterexample->MemoryOrder[I].Thread);
-    EXPECT_EQ(RR.Counterexample->MemoryOrder[I].PoIndex,
-              RS.Counterexample->MemoryOrder[I].PoIndex);
-  }
-}
-
-TEST(PortfolioEquivalence, TimingFreeJsonIsByteIdenticalAcrossWidths) {
-  // Through the public API: the full rendered report (verdict, spec,
-  // counterexample, bounds - everything except timings and portfolio
-  // counters) must not depend on the portfolio width. Each width gets
-  // its own Verifier: a pooled session's solver state accumulates
-  // across checks, so only first-check-on-a-fresh-session runs are
-  // comparable byte for byte.
-  for (const char *ImplTest : {"pass", "fail"}) {
-    bool Fail = std::string(ImplTest) == "fail";
-    auto Run = [&](int Width) {
-      Request R = Request::check("msn", "T0").model("relaxed").noCache();
-      if (Fail)
-        R.stripFences();
-      Verifier V;
-      return V.check(R.jobs(4).portfolioWidth(Width));
-    };
-    Result W1 = Run(1);
-    Result W2 = Run(2);
-    Result W4 = Run(4);
-    ASSERT_NE(W1.Verdict, Status::Error) << W1.Message;
-    EXPECT_EQ(W1.json(/*IncludeTimings=*/false),
-              W2.json(/*IncludeTimings=*/false));
-    EXPECT_EQ(W1.json(/*IncludeTimings=*/false),
-              W4.json(/*IncludeTimings=*/false));
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// WorkerBudget: one shared allowance, no oversubscription.
-//===----------------------------------------------------------------------===//
-
-TEST(WorkerBudget, AcquireReleaseAccounting) {
-  support::WorkerBudget B(3);
-  EXPECT_EQ(B.totalWorkers(), 3);
-  EXPECT_EQ(B.tryAcquire(2), 2);
-  EXPECT_EQ(B.tryAcquire(5), 1) << "must clamp to what is available";
-  EXPECT_EQ(B.tryAcquire(1), 0) << "drained budget must not block";
-  B.release(3);
-  EXPECT_EQ(B.available(), 3);
-  EXPECT_EQ(B.peakHeld(), 3);
-  // Degenerate budgets are inert.
-  support::WorkerBudget Zero(0);
-  EXPECT_EQ(Zero.tryAcquire(4), 0);
-}
-
-TEST(WorkerBudget, MatrixAndPortfolioShareOneAllowance) {
-  // Regression test for the --jobs oversubscription bug: 4 cells with
-  // width-4 portfolios under a 4-worker request must never hold more
-  // than 3 extra threads in total (not cells x width).
-  std::vector<MatrixCell> Cells = expandMatrix(
-      {"ms2", "msn"}, {"T0"},
-      {memmodel::ModelParams::sc(), memmodel::ModelParams::relaxed()});
-  ASSERT_EQ(Cells.size(), 4u);
-
-  support::WorkerBudget Budget(3);
-  RunOptions Base;
-  Base.Check.PortfolioWidth = 4;
-  Base.Check.Budget = &Budget;
-  MatrixReport Par = MatrixRunner(4).withBudget(&Budget).run(
-      Cells, catalogCellRunner(Base));
-  EXPECT_TRUE(Par.allCompleted());
-  EXPECT_LE(Budget.peakHeld(), Budget.totalWorkers());
-  EXPECT_EQ(Budget.available(), Budget.totalWorkers())
-      << "some layer leaked worker slots";
-
-  // And the shared-budget run is still deterministic against serial.
-  MatrixReport Seq = MatrixRunner(1).run(Cells, catalogCellRunner(RunOptions()));
-  EXPECT_EQ(Seq.json(/*IncludeTimings=*/false),
-            Par.json(/*IncludeTimings=*/false));
 }
 
 //===----------------------------------------------------------------------===//

@@ -80,14 +80,9 @@ void usage() {
       "  --no-shrink          keep divergent scenarios unshrunk\n"
       "  --corpus DIR         persist seen-scenario fingerprints and\n"
       "                       shrunk repros in DIR across runs\n"
-      "  --jobs N             total worker threads: matrix cells, synth\n"
-      "                       minimization, explore scenarios, and check\n"
-      "                       portfolios all share the one allowance\n"
-      "  --portfolio W        intra-check solver portfolio width: 1 =\n"
-      "                       serial, W > 1 = race up to W diversified\n"
-      "                       solvers per hard query, 0 = auto (one per\n"
-      "                       spare --jobs worker). Verdicts and\n"
-      "                       timing-free JSON are identical at any W\n"
+      "  --jobs N             worker threads for matrix cells, synth\n"
+      "                       minimization, explore scenarios or analyze\n"
+      "                       rows; each check runs on one solver\n"
       "  --no-fast-oracle     disable the polynomial reads-from oracle:\n"
       "                       checks skip SAT-pruning and explore falls\n"
       "                       back to the brute-force enumerator on all\n"
@@ -399,8 +394,6 @@ int main(int argc, char **argv) {
       MatrixModels = splitList(Next());
     } else if (A == "--jobs") {
       Req.jobs(std::atoi(Next().c_str()));
-    } else if (A == "--portfolio") {
-      Req.portfolioWidth(std::atoi(Next().c_str()));
     } else if (A == "--no-fast-oracle") {
       Req.fastOracle(false);
     } else if (A == "--oracle-sample") {
@@ -593,9 +586,9 @@ int main(int argc, char **argv) {
         return remoteFail(S);
     } else {
       RS.Outcome = Local().synthesize(Req, nullptr, Token);
-      RS.Json = RS.Outcome.json();
     }
-    return emitSynth(RS.Outcome, RS.Json, JsonPath, Quiet);
+    return emitSynth(RS.Outcome, RS.Outcome.json(!NoTimings), JsonPath,
+                     Quiet);
   }
 
   Result R;
