@@ -257,9 +257,9 @@ public:
   /// query) instead of the session engine, for every check the request
   /// runs: check(), every matrix/sweep cell, every weakestModels() step
   /// and every synthesize() candidate (explore ignores it). Fresh checks
-  /// share nothing - no pooled session, no mined specification reused
-  /// across lattice points or fence variants - so they serve as the
-  /// independent differential reference.
+  /// share nothing - no mined specification is reused across lattice
+  /// points or fence variants - so they serve as the independent
+  /// differential reference.
   Request &freshPipeline(bool Enable = true) {
     Fresh = Enable;
     return *this;

@@ -9,9 +9,9 @@
 /// CheckServer is the embeddable core of the `checkfenced` daemon: an
 /// HTTP/1.1 + JSON-RPC 2.0 front over the Verifier API. Requests land in
 /// a bounded priority queue and fan out over worker shards; each shard
-/// owns one Verifier (and with it a warm session pool) while all shards
-/// fill one shared result cache. `/metrics` exposes the live counters in
-/// Prometheus text format, `/status` as JSON.
+/// owns one Verifier while all shards fill one shared result cache.
+/// `/metrics` exposes the live counters in Prometheus text format,
+/// `/status` as JSON.
 ///
 /// Byte-identity contract: a request dispatched through the daemon (see
 /// RemoteVerifier in checkfence/Remote.h) produces the same timing-free
@@ -40,9 +40,10 @@ struct ServerConfig {
   /// authentication, so exposing it wider is an explicit decision.
   std::string BindAddress = "127.0.0.1";
   /// Worker shards. Each shard runs one request at a time on its own
-  /// Verifier, so this is also the maximum number of in-flight requests;
-  /// requests hash to shards by program identity for warm-session
-  /// affinity.
+  /// Verifier, so this is also the maximum number of in-flight requests.
+  /// Requests hash to shards by program identity: identical concurrent
+  /// misses queue on one shard, so the second is answered from the shared
+  /// cache instead of being checked twice.
   int Shards = 2;
   /// Verifier worker threads per shard (VerifierConfig::Jobs). Requests
   /// cannot raise this: a remote jobs() value is clamped to the shard's
@@ -80,7 +81,7 @@ struct ServerStats {
   size_t Queued = 0;   ///< requests waiting for a shard
   size_t InFlight = 0; ///< requests running on a shard
   CacheStats Cache;    ///< shared result cache, all shards
-  PoolStats Pool;      ///< warm-session pools, summed over shards
+  PoolStats Pool;      ///< always zero (see PoolStats)
 };
 
 /// The daemon core. start() spawns the listener, watcher, and shard

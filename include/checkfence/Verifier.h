@@ -6,12 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Verifier is the service front of the engine: it owns a pool of
-/// incremental check sessions (persistent SAT solvers, reused across
-/// requests with identical options), a cross-run result cache, and a
-/// worker pool for batched matrices. It is safe to share one Verifier
-/// across threads; individual requests run synchronously on the calling
-/// thread (matrix cells fan out onto workers).
+/// The Verifier is the service front of the engine: it owns a cross-run
+/// result cache and a worker pool for batched matrices. Every check runs
+/// on its own fresh incremental session (persistent SAT solvers that live
+/// for that one check), so an uncached re-run reproduces its timing-free
+/// result byte for byte. It is safe to share one Verifier across threads;
+/// individual requests run synchronously on the calling thread (matrix
+/// cells fan out onto workers).
 ///
 /// The cache is keyed by (program fingerprint, model, engine options).
 /// A hit returns the stored result without running anything - the
@@ -107,12 +108,11 @@ struct VerifierConfig {
   SharedResultCache SharedCache;
 };
 
-/// Session-pool observability counters (the `/metrics` surface of the
-/// checkfenced server; see docs/SERVER.md).
+/// Always zero: every check runs on a fresh session and no session is
+/// kept between checks. Kept only so existing readers of these fields
+/// still compile.
 struct PoolStats {
-  size_t IdleSessions = 0; ///< warm sessions parked in the pool
-  /// Total CNF clauses held by those idle sessions' persistent solvers -
-  /// a proxy for the pool's solver memory.
+  size_t IdleSessions = 0;
   unsigned long long IdleClauses = 0;
 };
 
@@ -155,15 +155,14 @@ public:
   AnalysisOutcome analyze(const Request &Req);
 
   /// Runs a randomized differential exploration (Request::explore):
-  /// seeded scenario generation, per-model oracle cross-checks on this
-  /// Verifier's session pool, divergence shrinking, and corpus
-  /// persistence. See docs/EXPLORE.md.
+  /// seeded scenario generation, per-model oracle cross-checks through
+  /// this Verifier, divergence shrinking, and corpus persistence. See
+  /// docs/EXPLORE.md.
   ExploreOutcome explore(const Request &Req, EventSink *Sink = nullptr,
                          CancelToken Token = CancelToken());
 
   CacheStats cacheStats() const;
-  /// Occupancy of the warm-session pool (idle sessions and the clauses
-  /// their persistent solvers hold) - a live service's memory signal.
+  /// Always zero (see PoolStats).
   PoolStats poolStats() const;
   void clearCache();
   /// Persists the cache now (to \p Path, or the configured CachePath).

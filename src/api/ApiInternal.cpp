@@ -165,8 +165,8 @@ bool checkfence::api::checkOptionsFrom(const Request &Req,
   if (Req.ConflictBudget)
     Out.ConflictBudget = *Req.ConflictBudget;
   // Oracle pruning only decides which machinery produces the (identical)
-  // answer, so it stays out of optionsFingerprint - cached results and
-  // pooled sessions are shared either way.
+  // answer, so it stays out of optionsFingerprint - cached results are
+  // shared either way.
   Out.OraclePrune = Req.UseFastOracle;
   // The static robustness pruner shares the oracle's contract (and its
   // request switch): identical results, so never fingerprinted.

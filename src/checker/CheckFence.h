@@ -68,8 +68,8 @@ struct CheckOptions {
   /// Starting per-loop bounds (e.g. the FinalBounds of a previous run, to
   /// skip the lazy-unrolling phase as the paper's Fig. 10 timings do).
   trans::LoopBounds InitialBounds;
-  /// Streaming/cancellation hooks. Not part of a run's identity: caches
-  /// and session pools must ignore this field when fingerprinting options.
+  /// Streaming/cancellation hooks. Not part of a run's identity: the
+  /// result cache must ignore this field when fingerprinting options.
   CheckHooks Hooks;
   /// Discharge inclusion checks with the polynomial reads-from oracle
   /// where it applies (readsFromEligible() target models whose flattened
@@ -98,7 +98,9 @@ struct CheckOptions {
   /// bounds and encoding options match a published specification reuses
   /// it instead of mining (engine/SpecStore.h). Refset and budgeted
   /// checks bypass it. Per-request state like Hooks: never owned, never
-  /// fingerprinted, ignored by runCheckFresh. May be null (always mine).
+  /// fingerprinted, ignored by runCheckFresh. The store outlives every
+  /// check of its request, and each check's session ends with the check.
+  /// May be null (always mine).
   engine::SpecStore *Specs = nullptr;
 };
 

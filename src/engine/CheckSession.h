@@ -58,38 +58,21 @@ class CheckSession {
 public:
   explicit CheckSession(const checker::CheckOptions &Opts) : Opts(Opts) {}
 
-  /// Runs the full check on this session's persistent contexts. May be
-  /// called repeatedly (e.g. by fence synthesis on program variants);
-  /// every call appends to the same solvers.
+  /// Runs the full check on this session's persistent contexts. One
+  /// check per session: the solvers keep the check's encodings, so a
+  /// second call would run on a grown formula. Callers construct a fresh
+  /// session per check (checker::runCheck does).
   checker::CheckResult check(const lsl::Program &ImplProg,
                              const std::vector<std::string> &ThreadProcs,
                              const lsl::Program *SpecProg = nullptr);
 
-  /// Replaces the streaming/cancellation hooks for subsequent check()
-  /// calls. Hooks are per-request state, not part of a session's
-  /// identity, so pools reusing a session swap them in here.
-  void setHooks(const checker::CheckHooks &Hooks) { Opts.Hooks = Hooks; }
-
-  /// Replaces the request's specification store for subsequent check()
-  /// calls. Per-request state like hooks: pools MUST clear it when a
-  /// request ends - it points at request-owned storage.
-  void setSpecStore(SpecStore *Specs) { Opts.Specs = Specs; }
-
-  /// One entry per completed bound iteration, across all check() calls.
+  /// One entry per completed bound iteration.
   const std::vector<SessionSnapshot> &snapshots() const {
     return Snapshots;
   }
 
   const checker::SolveContext &mineContext() const { return MineCtx; }
   const checker::SolveContext &checkContext() const { return CheckCtx; }
-
-  /// Total problem clauses across both persistent solvers. Grows
-  /// monotonically over the session's lifetime; pools use it to retire
-  /// sessions instead of reusing them into pathological sizes.
-  size_t totalClauses() const {
-    return MineCtx.solver().numClauses() +
-           CheckCtx.solver().numClauses();
-  }
 
 private:
   void snapshot(int Round);

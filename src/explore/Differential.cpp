@@ -278,7 +278,7 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Symbolic scenarios: checker verdicts on the Verifier's session pool.
+// Symbolic scenarios: checker verdicts, one fresh session per check.
 //===----------------------------------------------------------------------===//
 
 ScenarioOutcome DifferentialRunner::runSymbolic(const Scenario &S) const {

@@ -17,10 +17,11 @@
 ///    must also nest along the lattice order (stronger subset-of
 ///    weaker).
 ///  * \b Symbolic scenarios: the full checker verdict per model point,
-///    run on the Verifier's session pool; verdicts must be monotone
-///    along the lattice (pass under a weaker model implies pass under
-///    every stronger one) and sequential-bug verdicts must agree across
-///    models. The serial mined specification is additionally compared
+///    one uncached Verifier::check (a fresh session) each, so a re-check
+///    while shrinking reproduces the original run; verdicts must be
+///    monotone along the lattice (pass under a weaker model implies pass
+///    under every stronger one) and sequential-bug verdicts must agree
+///    across models. The serial mined specification is additionally compared
 ///    against the ReferenceExecutor at invocation granularity.
 ///
 /// Any disagreement, unexpected engine error, or broken invariant is

@@ -249,7 +249,7 @@ struct CheckServer::Impl {
   obs::Counter *MServed, *MRejected, *MCancelled, *MErrors, *MAccepted;
   obs::Gauge *MQueued, *MInFlight;
   obs::Counter *MCacheHits, *MCacheMisses, *MCacheSeeded;
-  obs::Gauge *MCacheEntries, *MSessionsIdle, *MSessionClauses;
+  obs::Gauge *MCacheEntries;
   obs::Counter *MCells, *MScenarios;
   obs::HistogramFamily *RequestSeconds;
   obs::HistogramFamily *QueueWaitSeconds;
@@ -280,12 +280,6 @@ struct CheckServer::Impl {
     MCacheSeeded =
         &Reg.counter("checkfence_cache_bounds_seeded_total",
                      "runs whose bounds were seeded from the cache");
-    MSessionsIdle =
-        &Reg.gauge("checkfence_sessions_idle",
-                   "warm sessions parked in the shard pools");
-    MSessionClauses =
-        &Reg.gauge("checkfence_session_clauses",
-                   "CNF clauses held by idle sessions' solvers");
     MCells = &Reg.counter("checkfence_cells_completed_total",
                           "matrix cells completed");
     MScenarios = &Reg.counter("checkfence_scenarios_checked_total",
@@ -323,8 +317,10 @@ struct CheckServer::Impl {
   //===------------------------------------------------------------===//
 
   size_t shardFor(const Request &Req) const {
-    // Warm-session affinity: identical programs land on the same shard,
-    // so its Verifier's session pool and bounds seeding stay hot.
+    // Identical programs land on the same shard, so identical concurrent
+    // misses queue behind each other and the second is answered from the
+    // shared cache instead of being checked twice. (Bounds seeding needs
+    // no affinity: it reads the shared cache from any shard.)
     std::string Key = Req.ImplName + '\x1f' + Req.SourceText + '\x1f' +
                       Req.TestName + '\x1f' + Req.Notation;
     for (const std::string &D : Req.Defines)
@@ -680,8 +676,6 @@ struct CheckServer::Impl {
     MCacheMisses->set(S.Cache.Misses);
     MCacheEntries->set(static_cast<int64_t>(S.Cache.Entries));
     MCacheSeeded->set(S.Cache.BoundsSeeded);
-    MSessionsIdle->set(static_cast<int64_t>(S.Pool.IdleSessions));
-    MSessionClauses->set(static_cast<int64_t>(S.Pool.IdleClauses));
     MCells->set(S.CellsCompleted);
     MScenarios->set(S.ScenariosChecked);
   }
@@ -699,10 +693,6 @@ struct CheckServer::Impl {
         .field("misses", static_cast<unsigned long long>(S.Cache.Misses))
         .field("boundsSeeded",
                static_cast<unsigned long long>(S.Cache.BoundsSeeded));
-    JsonObject Pool;
-    Pool.field("idleSessions",
-               static_cast<unsigned long long>(S.Pool.IdleSessions))
-        .field("idleClauses", S.Pool.IdleClauses);
     JsonObject O;
     O.field("version", versionString());
     O.field("schema", JsonSchemaVersion);
@@ -720,7 +710,6 @@ struct CheckServer::Impl {
     O.field("scenariosChecked", S.ScenariosChecked);
     O.field("draining", Stopping.load());
     O.raw("cache", Cache.str());
-    O.raw("pool", Pool.str());
     O.raw("queueWaitSeconds", histogramSummaries(*QueueWaitSeconds));
     O.raw("requestSeconds", histogramSummaries(*RequestSeconds));
     return O.str() + "\n";
@@ -757,11 +746,6 @@ struct CheckServer::Impl {
     S.CellsCompleted = Sink.Cells.load();
     S.ScenariosChecked = Sink.Scenarios.load();
     S.Cache = Shared.stats();
-    for (const auto &Sh : Shards) {
-      PoolStats P = Sh->V->poolStats();
-      S.Pool.IdleSessions += P.IdleSessions;
-      S.Pool.IdleClauses += P.IdleClauses;
-    }
     return S;
   }
 

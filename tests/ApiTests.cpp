@@ -480,6 +480,26 @@ TEST(ApiCache, NoCacheBypasses) {
   EXPECT_FALSE(R.FromCache);
 }
 
+TEST(ApiCache, UncachedRepeatsMatchAFreshVerifier) {
+  // noCache() promises cold-run reproducibility: however often one
+  // Verifier has run a request, its timing-free JSON (SAT sizes,
+  // counterexample) matches a fresh Verifier's byte for byte.
+  const Request Cases[] = {
+      Request::check("snark", "D0").model("sc").noCache(),
+      Request::check("msn", "T0").model("relaxed").stripFences().noCache(),
+  };
+  for (const Request &Req : Cases) {
+    SCOPED_TRACE(Req.ImplName + " " + Req.TestName);
+    Result Cold = Verifier().check(Req);
+    ASSERT_NE(Cold.Verdict, Status::Error) << Cold.Message;
+    Verifier V;
+    for (int Run = 1; Run <= 3; ++Run) {
+      SCOPED_TRACE("run " + std::to_string(Run));
+      EXPECT_EQ(V.check(Req).json(false), Cold.json(false));
+    }
+  }
+}
+
 TEST(ApiCache, UnparseableCacheFileIsNotClobbered) {
   std::string Path = testing::TempDir() + "cf_api_not_a_cache.txt";
   {

@@ -39,8 +39,9 @@ void usage() {
       "  --port N                 listen port (default 8417, 0 = ephemeral)\n"
       "  --bind ADDR              bind address (default 127.0.0.1)\n"
       "  --shards N               worker shards = max in-flight requests\n"
-      "                           (default 2); each shard owns a Verifier\n"
-      "                           and its warm session pool\n"
+      "                           (default 2); each shard owns a Verifier;\n"
+      "                           identical programs share a shard, so a\n"
+      "                           concurrent repeat is a cache hit\n"
       "  --jobs N                 Verifier worker threads per shard\n"
       "                           (default 1)\n"
       "  --queue-depth N          queued requests beyond this are rejected\n"
