@@ -264,7 +264,9 @@ public:
     Fresh = Enable;
     return *this;
   }
-  /// Worker threads for the request's one parallel layer: matrix cells,
+  /// Worker threads for the request's one parallel layer: matrix
+  /// programs (the cells sharing impl and test, which run in sequence so
+  /// stronger lattice points can seed weaker ones' loop bounds),
   /// synthesis minimization re-checks, explore scenarios or analysis
   /// model rows (0 = the Verifier's configured default). Each check runs
   /// on one solver on one thread; single checks and weakest-model walks

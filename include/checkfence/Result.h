@@ -63,6 +63,8 @@ struct ResultStats {
   int UnrolledInstrs = 0;   ///< final inclusion problem size
   int Loads = 0;
   int Stores = 0;
+  /// SAT size of the final inclusion instance alone (Fig. 10): each
+  /// unrolling is solved on its own solver.
   int SatVars = 0;
   unsigned long long SatClauses = 0;
   double EncodeSeconds = 0;
@@ -131,10 +133,13 @@ struct Result {
   /// Versioned JSON: the same shape as a one-cell matrix report. With
   /// \p IncludeTimings false the bytes are machine-independent and a
   /// cache hit reproduces the original run's bytes exactly. Note that a
-  /// cache-*seeded* run (initial bounds taken from an earlier pass of
-  /// the same program) may settle on different bound/encoding statistics
-  /// than a cold run; use noCache() or VerifierConfig::ReuseBounds =
-  /// false when strict cold-run reproducibility matters.
+  /// seeded run - a single check whose initial bounds came from an
+  /// earlier pass of the same program in the cache, or a matrix cell
+  /// seeded by its program's stronger passing lattice points - may
+  /// settle on different bound/encoding statistics (fewer rounds, a
+  /// larger final instance, another counterexample) than a cold run,
+  /// never on a different verdict. Use noCache() or
+  /// VerifierConfig::ReuseBounds = false for cold single checks.
   std::string json(bool IncludeTimings = true) const;
 };
 

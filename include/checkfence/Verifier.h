@@ -90,7 +90,7 @@ private:
 };
 
 struct VerifierConfig {
-  /// Default worker-thread count for matrix cells and synthesis
+  /// Default worker-thread count for matrix programs and synthesis
   /// minimization when the request does not set its own (minimum 1).
   int Jobs = 1;
   /// Enable the in-memory cross-run result cache.
@@ -98,9 +98,12 @@ struct VerifierConfig {
   /// When non-empty: load the cache from this file on construction and
   /// save it back on destruction (and on saveCache()).
   std::string CachePath;
-  /// Seed a run's initial loop bounds from a previous passing run of the
-  /// same program (single checks only; matrix cells always start clean
-  /// so reports stay byte-identical across job counts and cache states).
+  /// Seed a single check's initial loop bounds from a previous passing
+  /// run of the same program found in the result cache. Matrix and sweep
+  /// cells never consult the cache: they are seeded only from stronger
+  /// passing lattice points of their own program within the request
+  /// (whatever this flag says), so their reports stay byte-identical
+  /// across job counts and cache states.
   bool ReuseBounds = true;
   /// When valid: use this shared cache instead of a private one. The
   /// Verifier then never loads or saves CachePath - persistence belongs

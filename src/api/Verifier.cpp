@@ -392,9 +392,11 @@ Report Verifier::matrix(const Request &Req, EventSink *Sink,
   std::atomic<size_t> Finished{0};
   const size_t Total = Cells.size();
 
-  // Matrix cells deliberately skip the result cache and bounds seeding:
-  // each cell runs clean so the timing-free report stays byte-identical
-  // across job counts and cache states.
+  // Matrix cells skip the result cache and its cross-request bounds
+  // seeding, so the timing-free report stays byte-identical across cache
+  // states. The runner seeds a cell only from its own program's stronger
+  // passing cells, which run before it on the same job, so the report is
+  // byte-identical across job counts too (freshPipeline() never seeds).
   engine::CellFn Fn =
       [Base, Sink, Control, &Finished,
        Total](const engine::MatrixCell &Cell) -> checker::CheckResult {

@@ -167,8 +167,9 @@ struct CheckResult {
 /// must define the same thread procedures and observation layout).
 ///
 /// This is a thin wrapper over engine::CheckSession, the incremental
-/// session engine that keeps one persistent solver per memory model across
-/// the mine/include/probe phases and the bound iterations.
+/// session engine that solves each unrolling on one solver shared by its
+/// mine/include/probe phases, and re-encodes on a fresh solver when a
+/// loop bound grows.
 CheckResult runCheck(const lsl::Program &ImplProg,
                      const std::vector<std::string> &ThreadProcs,
                      const CheckOptions &Opts,

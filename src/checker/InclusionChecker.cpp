@@ -44,9 +44,9 @@ checkfence::checker::checkInclusion(EncodedProblem &Prob,
 }
 
 PreparedInclusion checkfence::checker::prepareInclusion(
-    SolveContext &Ctx, ProblemEncoding &Enc, const ObservationSet &Spec,
-    const std::vector<sat::Lit> &Assumptions) {
+    SolveContext &Ctx, const ObservationSet &Spec) {
   PreparedInclusion P;
+  ProblemEncoding &Enc = Ctx.encoding();
   if (!Enc.ok()) {
     P.Error = Enc.error();
     return P;
@@ -67,7 +67,7 @@ PreparedInclusion checkfence::checker::prepareInclusion(
     P.Trivial = true;
     return P;
   }
-  P.Assumptions = Assumptions;
+  P.Assumptions = Enc.withinBoundsAssumptions();
   P.Assumptions.push_back(Act);
   return P;
 }

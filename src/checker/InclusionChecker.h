@@ -33,11 +33,11 @@ struct InclusionOutcome {
 InclusionOutcome checkInclusion(EncodedProblem &Prob,
                                 const ObservationSet &Spec);
 
-/// The encoding half of the incremental inclusion check on \p Enc inside
-/// \p Ctx: installs the mismatch clauses for \p Spec, gated by a fresh
-/// activation literal so the context's solver stays usable for the bound
-/// probe and later re-checks, and returns the assumption set (\p
-/// Assumptions + the activation literal) the session solves under.
+/// The encoding half of the incremental inclusion check on \p Ctx:
+/// installs the mismatch clauses for \p Spec, gated by a fresh activation
+/// literal so the context's solver stays usable for the bound probe, and
+/// returns the assumption set (the encoding's within-bounds assumptions
+/// plus the activation literal) the session solves under.
 struct PreparedInclusion {
   bool Ok = false;     ///< encoding usable (Error holds the message if not)
   std::string Error;
@@ -45,9 +45,8 @@ struct PreparedInclusion {
   std::vector<sat::Lit> Assumptions;
 };
 
-PreparedInclusion prepareInclusion(SolveContext &Ctx, ProblemEncoding &Enc,
-                                   const ObservationSet &Spec,
-                                   const std::vector<sat::Lit> &Assumptions);
+PreparedInclusion prepareInclusion(SolveContext &Ctx,
+                                   const ObservationSet &Spec);
 
 } // namespace checker
 } // namespace checkfence

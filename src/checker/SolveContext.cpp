@@ -1,4 +1,4 @@
-//===--- SolveContext.cpp - persistent incremental solving -------------------===//
+//===--- SolveContext.cpp - one encoding on its own solver -------------------===//
 //
 // Part of the CheckFence reproduction (PLDI'07).
 //
@@ -11,39 +11,29 @@
 using namespace checkfence;
 using namespace checkfence::checker;
 
-ProblemEncoding &
-SolveContext::encode(const lsl::Program &Prog,
-                     const std::vector<std::string> &ThreadProcs,
-                     const trans::LoopBounds &Bounds,
-                     const ProblemConfig &Cfg) {
-  Encodings.push_back(std::make_unique<ProblemEncoding>(
-      Cnf, Prog, ThreadProcs, Bounds, Cfg));
-  // The solver's budget counts lifetime conflicts; remember the per-phase
-  // allowance and arm it (phases re-arm again via beginPhase()).
-  PhaseBudget = Cfg.ConflictBudget;
+SolveContext::SolveContext(const lsl::Program &Prog,
+                           const std::vector<std::string> &ThreadProcs,
+                           const trans::LoopBounds &Bounds,
+                           const ProblemConfig &Cfg)
+    : Cnf(Solver), Enc(Cnf, Prog, ThreadProcs, Bounds, Cfg),
+      PhaseBudget(Cfg.ConflictBudget) {
   beginPhase();
-  EncodeStats &Stats = Encodings.back()->stats();
-  // Cumulative solver size: these grow monotonically across encodings,
-  // which is exactly the property the session tests assert.
+  // The solver holds this encoding alone: its size is the instance's.
+  EncodeStats &Stats = Enc.stats();
   Stats.SatVars = Solver.numVars();
   Stats.SatClauses = Solver.numClauses();
   Stats.SolverMemBytes = Solver.memoryBytes();
-  return *Encodings.back();
 }
 
 sat::SolveResult
 SolveContext::solveUnder(const std::vector<sat::Lit> &Assumptions) {
   Timer T;
   sat::SolveResult R = Solver.solve(Assumptions);
-  double Secs = T.seconds();
-  SolveSecs += Secs;
-  if (!Encodings.empty()) {
-    EncodeStats &Stats = Encodings.back()->stats();
-    Stats.SolveSeconds += Secs;
-    Stats.SolveCalls += 1;
-    Stats.LearntClauses = Solver.numLearnts();
-    Stats.SolverMemBytes =
-        std::max(Stats.SolverMemBytes, Solver.memoryBytes());
-  }
+  EncodeStats &Stats = Enc.stats();
+  Stats.SolveSeconds += T.seconds();
+  Stats.SolveCalls += 1;
+  Stats.LearntClauses = Solver.numLearnts();
+  Stats.SolverMemBytes =
+      std::max(Stats.SolverMemBytes, Solver.memoryBytes());
   return R;
 }

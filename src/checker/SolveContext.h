@@ -1,18 +1,25 @@
-//===--- SolveContext.h - persistent incremental solving --------*- C++ -*-==//
+//===--- SolveContext.h - one encoding on its own solver --------*- C++ -*-==//
 //
 // Part of the CheckFence reproduction (PLDI'07).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The solver-owning half of the encoding/solving split: one sat::Solver
-/// plus one CnfBuilder that live across a *sequence* of related
-/// ProblemEncodings. Successive encodings (the lazy-unrolling bound
-/// iterations of Sec. 3.3, or the mine/include/probe phases of one bound
-/// round) append variables and clauses to the same solver instead of
-/// rebuilding the world; phase selection happens through assumptions over
-/// the encodings' activation literals, so learnt clauses, saved phases, and
-/// variable activities carry over between re-solves.
+/// The solver-owning half of the encoding/solving split: one sat::Solver,
+/// one CnfBuilder and exactly one ProblemEncoding. The phases that share
+/// an unrolling (mining and the refset probe on the serial context; the
+/// inclusion check and the bound probe on the target-model context) run
+/// on one context and select their mode through assumptions over the
+/// encoding's activation literals, so learnt clauses, saved phases and
+/// variable activities carry over between those re-solves.
+///
+/// When lazy unrolling (Sec. 3.3) grows a loop bound, the session builds
+/// a fresh context for the new unrolling and drops the old one. The
+/// re-encoding uses fresh variables, so nothing learnt on the old
+/// unrolling could help it; keeping the old clauses would only make
+/// every later answer assign their variables too. A context's size
+/// statistics are therefore those of the instance it solves (the Fig. 10
+/// SAT size), never a sum over the unrollings tried.
 ///
 /// Retractable clause groups (specification mismatch sets, mining blocking
 /// sets) are gated by activation literals from newActivation(): a group
@@ -26,7 +33,6 @@
 
 #include "checker/Encoder.h"
 
-#include <memory>
 #include <vector>
 
 namespace checkfence {
@@ -34,31 +40,17 @@ namespace checker {
 
 class SolveContext {
 public:
-  SolveContext() : Cnf(Solver) {}
+  /// Encodes the problem into this context's fresh solver and arms the
+  /// first phase's conflict budget.
+  SolveContext(const lsl::Program &Prog,
+               const std::vector<std::string> &ThreadProcs,
+               const trans::LoopBounds &Bounds, const ProblemConfig &Cfg);
 
   SolveContext(const SolveContext &) = delete;
   SolveContext &operator=(const SolveContext &) = delete;
 
   sat::Solver &solver() { return Solver; }
-  const sat::Solver &solver() const { return Solver; }
-  encode::CnfBuilder &cnf() { return Cnf; }
-
-  /// Appends a new encoding of the given problem to this context's solver.
-  /// Previous encodings stay in the clause database (their activation
-  /// literals simply stop being assumed); the solver is never reset. The
-  /// returned reference stays valid for the context's lifetime.
-  ProblemEncoding &encode(const lsl::Program &Prog,
-                          const std::vector<std::string> &ThreadProcs,
-                          const trans::LoopBounds &Bounds,
-                          const ProblemConfig &Cfg);
-
-  /// The most recent encoding. Must not be called before encode().
-  ProblemEncoding &current() {
-    assert(!Encodings.empty() && "no encoding in this context");
-    return *Encodings.back();
-  }
-
-  size_t numEncodings() const { return Encodings.size(); }
+  ProblemEncoding &encoding() { return Enc; }
 
   /// A fresh literal for gating a retractable clause group.
   sat::Lit newActivation() { return Cnf.fresh(); }
@@ -66,7 +58,7 @@ public:
   /// Re-arms the conflict budget for a new phase (mining enumeration,
   /// inclusion check, or one probe solve). The from-scratch pipeline gives
   /// every phase a fresh solver and hence a fresh allowance; this restores
-  /// that semantics on the persistent solver, whose conflict counter never
+  /// that semantics on the shared solver, whose conflict counter never
   /// resets.
   void beginPhase() {
     Solver.ConflictBudget =
@@ -76,18 +68,14 @@ public:
   }
 
   /// Solves under the given assumptions; accumulates solve time and call
-  /// count into the current encoding's stats.
+  /// count into the encoding's stats.
   sat::SolveResult solveUnder(const std::vector<sat::Lit> &Assumptions);
-
-  /// Total solve seconds across all solveUnder calls on this context.
-  double solveSeconds() const { return SolveSecs; }
 
 private:
   sat::Solver Solver;
   encode::CnfBuilder Cnf; ///< after Solver: its ctor emits into Solver
-  std::vector<std::unique_ptr<ProblemEncoding>> Encodings;
-  double SolveSecs = 0;
-  int64_t PhaseBudget = -1; ///< per-phase allowance from the last encode()
+  ProblemEncoding Enc;    ///< after Cnf: encodes through it
+  int64_t PhaseBudget = -1; ///< per-phase allowance (ConflictBudget)
 };
 
 } // namespace checker

@@ -45,9 +45,9 @@ MiningOutcome checkfence::checker::mineSpecification(EncodedProblem &Prob,
 }
 
 MiningOutcome checkfence::checker::mineSpecification(
-    SolveContext &Ctx, ProblemEncoding &Enc,
-    const std::vector<sat::Lit> &Assumptions, size_t MaxObservations) {
+    SolveContext &Ctx, size_t MaxObservations) {
   MiningOutcome Out;
+  ProblemEncoding &Enc = Ctx.encoding();
   if (!Enc.ok()) {
     Out.Error = Enc.error();
     return Out;
@@ -58,7 +58,7 @@ MiningOutcome checkfence::checker::mineSpecification(
   // once mining is over the literal is never assumed again and the blocked
   // region is released (the probe must be able to revisit any observation).
   sat::Lit Act = Ctx.newActivation();
-  std::vector<sat::Lit> SolveAssumptions = Assumptions;
+  std::vector<sat::Lit> SolveAssumptions = Enc.withinBoundsAssumptions();
   SolveAssumptions.push_back(Act);
 
   for (;;) {

@@ -38,12 +38,11 @@ struct MiningOutcome {
 MiningOutcome mineSpecification(EncodedProblem &Prob,
                                 size_t MaxObservations = 1 << 20);
 
-/// Incremental variant: mines on \p Enc inside \p Ctx, solving under
-/// \p Assumptions (normally Enc.withinBoundsAssumptions()). The blocking
-/// clauses are gated by a fresh activation literal, so the context's
-/// solver stays usable for other phases (e.g. the bound probe) afterwards.
-MiningOutcome mineSpecification(SolveContext &Ctx, ProblemEncoding &Enc,
-                                const std::vector<sat::Lit> &Assumptions,
+/// Incremental variant: mines the executions within \p Ctx's loop
+/// bounds. The blocking clauses are gated by a fresh activation literal,
+/// so the context's solver stays usable for other phases (e.g. the bound
+/// probe) afterwards.
+MiningOutcome mineSpecification(SolveContext &Ctx,
                                 size_t MaxObservations = 1 << 20);
 
 } // namespace checker

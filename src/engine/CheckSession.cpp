@@ -8,7 +8,9 @@
 
 #include "analysis/CriticalCycles.h"
 #include "checker/InclusionChecker.h"
+#include "checker/SolveContext.h"
 #include "checker/SpecMiner.h"
+#include "engine/SpecStore.h"
 #include "memmodel/ReadsFromOracle.h"
 #include "obs/Trace.h"
 #include "support/Fingerprint.h"
@@ -20,19 +22,9 @@ using namespace checkfence;
 using namespace checkfence::engine;
 using namespace checkfence::checker;
 
-void CheckSession::snapshot(int Round) {
-  SessionSnapshot S;
-  S.Round = Round;
-  S.MineVars = MineCtx.solver().numVars();
-  S.MineClauses = MineCtx.solver().numClauses();
-  S.CheckVars = CheckCtx.solver().numVars();
-  S.CheckClauses = CheckCtx.solver().numClauses();
-  Snapshots.push_back(S);
-}
-
 CheckResult CheckSession::check(const lsl::Program &ImplProg,
                                 const std::vector<std::string> &ThreadProcs,
-                                const lsl::Program *SpecProg) {
+                                const lsl::Program *SpecProg) const {
   Timer Total;
   CheckResult Result;
   trans::LoopBounds Bounds = Opts.InitialBounds; // implementation bounds
@@ -50,13 +42,17 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
   ProblemConfig CheckCfg = MineCfg;
   CheckCfg.Model = Opts.Model;
 
-  // Encoding reuse state for this call: the live encoding of each context
-  // and the bounds it was built for. Encodings are only rebuilt when their
-  // program's bounds changed; rebuilding appends to the same solver.
-  ProblemEncoding *MineEnc = nullptr;
-  trans::LoopBounds MineEncBounds;
-  ProblemEncoding *CheckEnc = nullptr;
-  trans::LoopBounds CheckEncBounds;
+  // The live unrolling of each model. A context is only rebuilt when its
+  // program's bounds changed, and a rebuild replaces it: the old
+  // unrolling shares no variables with the new one, so the solver keeps
+  // only the instance it is on (emplace destroys the old context before
+  // building the new one).
+  std::optional<SolveContext> MineCtx;
+  std::optional<SolveContext> CheckCtx;
+  auto EncodeCheck = [&] {
+    CheckCtx.emplace(ImplProg, ThreadProcs, Bounds, CheckCfg);
+    Result.Stats.EncodeSeconds += CheckCtx->encoding().stats().EncodeSeconds;
+  };
 
   // Mining result cache: (bounds of the mined program) -> spec already in
   // Result.Spec. Valid while the mined program's bounds are unchanged.
@@ -120,22 +116,19 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       } else {
         obs::Span MineSpan("engine", "mine");
         Timer MineTimer;
-        if (!MineEnc || MineEncBounds != MineBounds) {
+        if (!MineCtx || MineCtx->encoding().bounds() != MineBounds) {
           obs::Span EncodeSpan("engine", "encode:mine");
-          MineEnc = &MineCtx.encode(MineProg, ThreadProcs, MineBounds,
-                                    MineCfg);
-          MineEncBounds = MineBounds;
+          MineCtx.emplace(MineProg, ThreadProcs, MineBounds, MineCfg);
           Result.Stats.MiningEncodeSeconds +=
-              MineEnc->stats().EncodeSeconds;
+              MineCtx->encoding().stats().EncodeSeconds;
         }
-        double SolveBefore = MineEnc->stats().SolveSeconds;
+        const EncodeStats &MineStats = MineCtx->encoding().stats();
+        double SolveBefore = MineStats.SolveSeconds;
         MiningOutcome Mined =
-            mineSpecification(MineCtx, *MineEnc,
-                              MineEnc->withinBoundsAssumptions(),
-                              Opts.MaxObservations);
+            mineSpecification(*MineCtx, Opts.MaxObservations);
         Result.Stats.MiningSeconds += MineTimer.seconds();
         Result.Stats.MiningSolveSeconds +=
-            MineEnc->stats().SolveSeconds - SolveBefore;
+            MineStats.SolveSeconds - SolveBefore;
         if (!Mined.Ok)
           return Finish(CheckStatus::Error, Mined.Error);
         if (Mined.SequentialBug) {
@@ -160,12 +153,11 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
     // Phase 2: inclusion check under the target model. Shares its encoding
     // with the bound probe of this round (and reuses the final probe
     // encoding of the previous round when the bounds stabilized there).
-    if (!CheckEnc || CheckEncBounds != Bounds) {
+    if (!CheckCtx || CheckCtx->encoding().bounds() != Bounds) {
       obs::Span EncodeSpan("engine", "encode");
-      CheckEnc = &CheckCtx.encode(ImplProg, ThreadProcs, Bounds, CheckCfg);
-      CheckEncBounds = Bounds;
-      Result.Stats.EncodeSeconds += CheckEnc->stats().EncodeSeconds;
+      EncodeCheck();
     }
+    ProblemEncoding *CheckEnc = &CheckCtx->encoding();
     // Phase 2a: reads-from oracle pruning. On eligible target models the
     // polynomial oracle decides fragment-sized problems exactly; when
     // every reachable observation is non-erroneous and already in the
@@ -203,7 +195,6 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
         Result.Stats.Inclusion.SolveSeconds = 0;
         Result.Stats.Inclusion.SolveCalls = 0;
         Result.FinalBounds = Bounds;
-        snapshot(Iter + 1);
         return Finish(CheckStatus::Pass,
                       "all executions are observationally serial");
       }
@@ -255,7 +246,6 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
         Result.Stats.Inclusion.SolveSeconds = 0;
         Result.Stats.Inclusion.SolveCalls = 0;
         Result.FinalBounds = Bounds;
-        snapshot(Iter + 1);
         return Finish(CheckStatus::Pass,
                       "all executions are observationally serial");
       }
@@ -264,9 +254,7 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       obs::Span IncludeSpan("engine", "include");
       Timer IncludeTimer;
       EncodeStats Before = CheckEnc->stats();
-      PreparedInclusion Prep =
-          prepareInclusion(CheckCtx, *CheckEnc, Result.Spec,
-                           CheckEnc->withinBoundsAssumptions());
+      PreparedInclusion Prep = prepareInclusion(*CheckCtx, Result.Spec);
       bool Pass = false;
       std::string IncError;
       if (!Prep.Ok) {
@@ -275,7 +263,7 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
         Pass = true;
       } else {
         obs::Span SolveSpan("solver", "solve");
-        sat::SolveResult R = CheckCtx.solveUnder(Prep.Assumptions);
+        sat::SolveResult R = CheckCtx->solveUnder(Prep.Assumptions);
         if (R == sat::SolveResult::Unknown)
           IncError = "solver budget exhausted during inclusion check";
         else
@@ -292,9 +280,8 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
         return Finish(CheckStatus::Error, IncError);
       if (!Pass) {
         // Counterexamples hold regardless of bounds (Sec. 3.3).
-        Result.Counterexample = CheckEnc->decodeTrace(CheckCtx.solver());
+        Result.Counterexample = CheckEnc->decodeTrace(CheckCtx->solver());
         Result.FinalBounds = Bounds;
-        snapshot(Iter + 1);
         return Finish(CheckStatus::Fail,
                       "inclusion check found a counterexample");
       }
@@ -303,8 +290,8 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
     // Phase 3: probe for executions that exceed the current loop bounds,
     // growing exactly the exceeded loop instances until none remain (or
     // the probe budget runs out). The probe re-solves the inclusion
-    // encoding under the probe activation literal; each growth appends a
-    // re-unrolled encoding to the same solver.
+    // encoding under the probe activation literal; each growth replaces
+    // the context with a fresh one holding the re-unrolled program.
     bool Grown = false;
     while (ProbesLeft-- > 0) {
       if (CancelRequested())
@@ -313,11 +300,11 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       Timer ProbeTimer;
       if (!CheckEnc->ok())
         return Finish(CheckStatus::Error, CheckEnc->error());
-      CheckCtx.beginPhase(); // each probe gets its own conflict allowance
+      CheckCtx->beginPhase(); // each probe gets its own conflict allowance
       sat::SolveResult R;
       {
         obs::Span SolveSpan("solver", "solve");
-        R = CheckCtx.solveUnder(CheckEnc->probeAssumptions());
+        R = CheckCtx->solveUnder(CheckEnc->probeAssumptions());
       }
       Result.Stats.ProbeSeconds += ProbeTimer.seconds();
       if (R == sat::SolveResult::Unknown)
@@ -327,7 +314,7 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
         break;
       bool GrewThisProbe = false;
       for (const std::string &Key :
-           CheckEnc->exceededLoops(CheckCtx.solver())) {
+           CheckEnc->exceededLoops(CheckCtx->solver())) {
         int &B = Bounds[Key];
         B = (B == 0 ? 1 : B) + 1;
         GrewThisProbe = true;
@@ -338,13 +325,11 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
         return Finish(CheckStatus::Error,
                       "bound probe satisfiable but no mark decoded");
       Grown = true;
-      CheckEnc = &CheckCtx.encode(ImplProg, ThreadProcs, Bounds, CheckCfg);
-      CheckEncBounds = Bounds;
-      Result.Stats.EncodeSeconds += CheckEnc->stats().EncodeSeconds;
+      EncodeCheck();
+      CheckEnc = &CheckCtx->encoding();
     }
     if (ProbesLeft < 0) {
       Result.FinalBounds = Bounds;
-      snapshot(Iter + 1);
       return Finish(CheckStatus::BoundsExhausted,
                     "loop bounds kept growing past the probe limit");
     }
@@ -352,12 +337,12 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
     // Probe the reference program separately when mining from it: the
     // mining encoding doubles as the probe (its blocking clauses were
     // activation-gated and are no longer assumed).
-    if (!Grown && SpecProg && MineEnc && MineEnc->ok()) {
-      MineCtx.beginPhase();
-      if (MineCtx.solveUnder(MineEnc->probeAssumptions()) ==
+    if (!Grown && SpecProg && MineCtx && MineCtx->encoding().ok()) {
+      MineCtx->beginPhase();
+      if (MineCtx->solveUnder(MineCtx->encoding().probeAssumptions()) ==
           sat::SolveResult::Sat) {
         for (const std::string &Key :
-             MineEnc->exceededLoops(MineCtx.solver())) {
+             MineCtx->encoding().exceededLoops(MineCtx->solver())) {
           int &B = SpecBounds[Key];
           B = (B == 0 ? 1 : B) + 1;
           Grown = true;
@@ -365,7 +350,6 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       }
     }
 
-    snapshot(Iter + 1);
     if (!Grown) {
       Result.FinalBounds = Bounds;
       return Finish(CheckStatus::Pass,

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -226,15 +227,47 @@ MatrixReport MatrixRunner::run(const std::vector<MatrixCell> &Cells,
   MatrixReport Report;
   Report.Jobs = Jobs;
   Report.Cells.resize(Cells.size());
+
+  // One job per program: the cell indices sharing (impl, test), in
+  // first-appearance order.
+  std::vector<std::vector<size_t>> Programs;
+  std::map<std::pair<std::string, std::string>, size_t> ProgramOf;
+  for (size_t I = 0; I < Cells.size(); ++I) {
+    auto [It, New] =
+        ProgramOf.try_emplace({Cells[I].Impl, Cells[I].Test}, Programs.size());
+    if (New)
+      Programs.emplace_back();
+    Programs[It->second].push_back(I);
+  }
+
   Timer Wall;
-  parallelFor(Jobs, Cells.size(), [&](size_t I) {
-    obs::Span CellSpan("matrix",
-                       [&] { return "cell:" + Cells[I].label(); });
-    Timer CellTimer;
-    MatrixCellResult &Out = Report.Cells[I];
-    Out.Cell = Cells[I];
-    Out.Result = Run(Cells[I]);
-    Out.Seconds = CellTimer.seconds();
+  parallelFor(Jobs, Programs.size(), [&](size_t P) {
+    const std::vector<size_t> &Members = Programs[P];
+    std::vector<memmodel::ModelParams> Models;
+    for (size_t I : Members)
+      Models.push_back(Cells[I].Model);
+    std::vector<size_t> Done; // this program's finished cells
+    for (size_t K : memmodel::strengthOrder(Models, /*StrongestFirst=*/true)) {
+      const size_t I = Members[K];
+      MatrixCell Cell = Cells[I];
+      for (size_t J : Done) {
+        const MatrixCellResult &Prev = Report.Cells[J];
+        if (Prev.Result.Status != CheckStatus::Pass ||
+            !memmodel::atLeastAsStrong(Prev.Cell.Model, Cell.Model))
+          continue;
+        for (const auto &[Loop, Bound] : Prev.Result.FinalBounds) {
+          int &Seed = Cell.SeedBounds[Loop];
+          Seed = std::max(Seed, Bound);
+        }
+      }
+      obs::Span CellSpan("matrix", [&] { return "cell:" + Cell.label(); });
+      Timer CellTimer;
+      MatrixCellResult &Out = Report.Cells[I];
+      Out.Cell = Cells[I];
+      Out.Result = Run(Cell);
+      Out.Seconds = CellTimer.seconds();
+      Done.push_back(I);
+    }
   });
   Report.WallSeconds = Wall.seconds();
   return Report;

@@ -8,9 +8,13 @@
 /// The paper's evaluation (Fig. 10/11) is a matrix: every implementation
 /// against every applicable Fig. 8 test under every memory model of
 /// interest. MatrixRunner executes such a matrix across a worker thread
-/// pool. Cells are independent (each runs its own CheckSession), results
-/// are aggregated by cell index, and the report is deterministic: the same
-/// matrix yields byte-identical timing-free JSON at any job count.
+/// pool, one job per program: the cells sharing an (impl, test) pair run
+/// in sequence, strongest model first, and each starts from the loop
+/// bounds its program's stronger passing cells already proved sufficient
+/// (MatrixCell::SeedBounds). Results are aggregated by cell index, and
+/// the report is deterministic: a cell's seed depends only on its own
+/// program's earlier cells, so the same matrix yields byte-identical
+/// timing-free JSON at any job count.
 ///
 /// The engine layer does not know how to turn cell names into programs -
 /// that is the harness's job (harness::catalogCellRunner); the runner just
@@ -93,6 +97,13 @@ struct MatrixCell {
   /// Defaults to the one CheckOptions default so a default-model change
   /// cannot skew only some callers.
   memmodel::ModelParams Model = checker::CheckOptions{}.Model;
+  /// Loop bounds the check may start from. MatrixRunner::run sets them to
+  /// the pointwise max of FinalBounds over the program's earlier passing
+  /// cells whose model is at least as strong: a stronger model's
+  /// executions are a subset of this one's, so a passing cell needs those
+  /// bounds anyway, and the last probe still proves the bounds
+  /// sufficient. The cell function decides whether to apply them.
+  trans::LoopBounds SeedBounds;
 
   std::string label() const;
 };
@@ -129,8 +140,11 @@ class MatrixRunner {
 public:
   explicit MatrixRunner(int Jobs) : Jobs(Jobs < 1 ? 1 : Jobs) {}
 
-  /// Runs every cell through \p Run on the worker pool and aggregates
-  /// deterministically (results land at their cell's index).
+  /// Runs every cell through \p Run and aggregates deterministically
+  /// (results land at their cell's index). The worker pool runs programs
+  /// - the cells sharing Impl and Test - in parallel; a program's cells
+  /// run in sequence, strongest model first (memmodel::strengthOrder),
+  /// with SeedBounds filled from the program's stronger passing cells.
   MatrixReport run(const std::vector<MatrixCell> &Cells,
                    const CellFn &Run) const;
 

@@ -9,7 +9,6 @@
 #include "support/Format.h"
 #include "support/Json.h"
 
-#include <algorithm>
 #include <sstream>
 
 using namespace checkfence;
@@ -121,28 +120,10 @@ checkfence::engine::weakestTable(const std::vector<WeakestSummary> &Summaries) {
   return OS.str();
 }
 
-WeakestModelSearch::WeakestModelSearch(std::vector<ModelParams> Lattice)
-    : Lattice(std::move(Lattice)) {
-  // Weakest-first: stable topological order by counting strictly stronger
-  // lattice members. Counts are precomputed against the original vector -
-  // a comparator must not read the container being sorted mid-sort - and
-  // stable_sort keeps incomparable points in given order, so results are
-  // deterministic for a fixed lattice vector.
-  std::vector<std::pair<int, ModelParams>> Keyed;
-  Keyed.reserve(this->Lattice.size());
-  for (const ModelParams &M : this->Lattice) {
-    int Stronger = 0;
-    for (const ModelParams &O : this->Lattice)
-      Stronger += memmodel::strictlyStronger(O, M);
-    Keyed.emplace_back(Stronger, M);
-  }
-  std::stable_sort(Keyed.begin(), Keyed.end(),
-                   [](const std::pair<int, ModelParams> &A,
-                      const std::pair<int, ModelParams> &B) {
-                     return A.first > B.first;
-                   });
-  for (size_t I = 0; I < Keyed.size(); ++I)
-    this->Lattice[I] = Keyed[I].second;
+WeakestModelSearch::WeakestModelSearch(
+    const std::vector<ModelParams> &Given) {
+  for (size_t I : memmodel::strengthOrder(Given, /*StrongestFirst=*/false))
+    Lattice.push_back(Given[I]);
 }
 
 WeakestSummary WeakestModelSearch::run(const std::string &Impl,

@@ -79,11 +79,12 @@ std::string weakestTable(const std::vector<WeakestSummary> &Summaries);
 /// whose verdict monotonicity cannot infer.
 class WeakestModelSearch {
 public:
-  /// \p Lattice is checked weakest-first regardless of its given order
-  /// (the strongest-first convention of memmodel::latticeModels is
-  /// normalized internally; relative order of incomparable points is
-  /// kept).
-  explicit WeakestModelSearch(std::vector<memmodel::ModelParams> Lattice);
+  /// The \p Given lattice is checked weakest-first regardless of its
+  /// order (memmodel::strengthOrder normalizes the strongest-first
+  /// convention of memmodel::latticeModels; relative order of
+  /// incomparable points is kept).
+  explicit WeakestModelSearch(
+      const std::vector<memmodel::ModelParams> &Given);
 
   /// Runs the search; \p Run is invoked with cells whose Impl/Test are
   /// \p Impl / \p Test and whose Model walks the lattice.

@@ -10,6 +10,7 @@
 #include "impls/Impls.h"
 #include "obs/Log.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -247,6 +248,11 @@ checkfence::harness::catalogCellRunner(const RunOptions &Base) {
     Spec.Name = E->Name;
     RunOptions Opts = Base;
     Opts.Check.Model = Cell.Model;
+    if (!Opts.Fresh) // the reference pipeline starts from Base's bounds
+      for (const auto &[Loop, Bound] : Cell.SeedBounds) {
+        int &Initial = Opts.Check.InitialBounds[Loop];
+        Initial = std::max(Initial, Bound);
+      }
     return runTest(impls::sourceFor(Cell.Impl), Spec, Opts);
   };
 }

@@ -87,7 +87,9 @@ expandMatrix(const std::vector<std::string> &Impls,
 
 /// A thread-safe engine::CellFn that resolves cell names against the
 /// implementation table and the Fig. 8 catalog and runs the full check
-/// with \p Base options (the cell's model overrides Base.Check.Model).
+/// with \p Base options (the cell's model overrides Base.Check.Model, and
+/// its SeedBounds raise Base.Check.InitialBounds pointwise unless
+/// Base.Fresh selects the reference pipeline, which never seeds).
 /// Unknown names produce CheckStatus::Error results instead of aborting.
 engine::CellFn catalogCellRunner(const RunOptions &Base);
 

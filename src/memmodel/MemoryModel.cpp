@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cctype>
+#include <numeric>
 #include <sstream>
 
 using namespace checkfence;
@@ -213,6 +214,26 @@ bool checkfence::memmodel::atLeastAsStrong(const ModelParams &A,
 bool checkfence::memmodel::strictlyStronger(const ModelParams &A,
                                             const ModelParams &B) {
   return atLeastAsStrong(A, B) && !atLeastAsStrong(B, A);
+}
+
+std::vector<size_t>
+checkfence::memmodel::strengthOrder(const std::vector<ModelParams> &Models,
+                                    bool StrongestFirst) {
+  // A model strictly stronger than M has strictly fewer strictly stronger
+  // members than M, so sorting by that count is a topological order. The
+  // counts are computed up front (a comparator must not read the vector
+  // being sorted) and stable_sort keeps incomparable models in place.
+  std::vector<int> Stronger(Models.size(), 0);
+  for (size_t I = 0; I < Models.size(); ++I)
+    for (const ModelParams &O : Models)
+      Stronger[I] += strictlyStronger(O, Models[I]);
+  std::vector<size_t> Order(Models.size());
+  std::iota(Order.begin(), Order.end(), 0);
+  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+    return StrongestFirst ? Stronger[A] < Stronger[B]
+                          : Stronger[A] > Stronger[B];
+  });
+  return Order;
 }
 
 //===----------------------------------------------------------------------===//

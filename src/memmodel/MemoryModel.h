@@ -221,6 +221,13 @@ bool atLeastAsStrong(const ModelParams &A, const ModelParams &B);
 /// Strict version: atLeastAsStrong(A, B) but not the converse.
 bool strictlyStronger(const ModelParams &A, const ModelParams &B);
 
+/// The indices of \p Models in a stable topological order of the lattice
+/// order: strongest first, or weakest first when \p StrongestFirst is
+/// false. Incomparable models keep their given relative order, so the
+/// result is deterministic for a fixed vector.
+std::vector<size_t> strengthOrder(const std::vector<ModelParams> &Models,
+                                  bool StrongestFirst);
+
 /// Emits the memory-model formula Theta for a FlatProgram into the CNF
 /// being built by a ValueEncoder.
 class MemoryModelEncoder {

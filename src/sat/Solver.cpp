@@ -582,16 +582,20 @@ SolveResult Solver::search(int64_t ConflictsBeforeRestart) {
   }
 }
 
-/// Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
-static int64_t lubyNumber(int64_t I) {
-  int64_t K = 1;
-  while ((((int64_t)1 << K) - 1) < I + 1)
-    ++K;
-  while ((((int64_t)1 << K) - 1) != I + 1) {
-    --K;
-    I = I - (((int64_t)1 << K) - 1);
+int64_t checkfence::sat::lubyNumber(int64_t I) {
+  // Find the smallest complete subsequence (of size 2^k - 1) containing
+  // index I, then descend into the half that holds it.
+  int64_t Size = 1, Seq = 0;
+  while (Size < I + 1) {
+    ++Seq;
+    Size = 2 * Size + 1;
   }
-  return (int64_t)1 << (K - 1);
+  while (Size - 1 != I) {
+    Size = (Size - 1) >> 1;
+    --Seq;
+    I = I % Size;
+  }
+  return static_cast<int64_t>(1) << Seq;
 }
 
 SolveResult Solver::solve(const std::vector<Lit> &Assumptions) {

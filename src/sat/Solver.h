@@ -120,6 +120,11 @@ struct SolverStats {
   uint64_t MinimizedLiterals = 0;
 };
 
+/// The Luby restart sequence 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... at 0-based
+/// index \p I (MiniSat's luby() with base 2). solve() restarts after
+/// lubyNumber(k) * 100 conflicts in its k-th restart interval.
+int64_t lubyNumber(int64_t I);
+
 /// CDCL SAT solver. Typical use:
 /// \code
 ///   Solver S;

@@ -182,6 +182,7 @@ template <typename Fn> size_t engineRounds(Fn &&Run) {
 struct SweepCell {
   std::string Model, Status, Counterexample;
   long long Observations = -1;
+  int BoundIterations = -1;
 };
 
 std::vector<SweepCell> sweepCells(const Report &R) {
@@ -197,6 +198,7 @@ std::vector<SweepCell> sweepCells(const Report &R) {
       if (const support::JsonValue *V = C.find("counterexample"))
         Cell.Counterexample = V->asString();
       Cell.Observations = std::stoll(C.find("observations")->NumText);
+      Cell.BoundIterations = C.find("bound_iterations")->asInt();
       Out.push_back(Cell);
     }
   return Out;
@@ -251,6 +253,40 @@ TEST(ApiJson, SweepWithSharedSpecsMatchesFreshPipeline) {
     }
     EXPECT_TRUE(InSpec(Spec.Observations.front())); // renderings match
   }
+}
+
+TEST(ApiJson, SweepSeedsBoundsFromStrongerPassingPoints) {
+  // A sweep starts each lattice point from the final bounds of its
+  // program's stronger passing points. Against independent cold single
+  // checks (no cache, no cross-request seeding): the same verdict at
+  // every point, never more bound rounds, and fewer rounds in total.
+  VerifierConfig Cold;
+  Cold.ReuseBounds = false;
+  Verifier V(Cold);
+  int SweepRounds = 0, SingleRounds = 0;
+  for (auto [Impl, Test] : {std::pair<const char *, const char *>{"msn", "T0"},
+                            {"lazylist", "Sac"},
+                            {"harris", "Sac"}})
+    for (bool Strip : {false, true}) {
+      SCOPED_TRACE(std::string(Impl) + "/" + Test +
+                   (Strip ? " stripped" : " fenced"));
+      Request Sweep =
+          Request::sweep().impls({Impl}).tests({Test}).jobs(1).noCache();
+      Sweep.stripFences(Strip);
+      Report Rep = V.matrix(Sweep);
+      ASSERT_TRUE(Rep.allCompleted());
+      for (const SweepCell &C : sweepCells(Rep)) {
+        SCOPED_TRACE(C.Model);
+        Request One = Request::check(Impl, Test).model(C.Model).noCache();
+        One.stripFences(Strip);
+        Result R = V.check(One);
+        EXPECT_EQ(C.Status, statusName(R.Verdict));
+        EXPECT_LE(C.BoundIterations, R.Stats.BoundIterations);
+        SweepRounds += C.BoundIterations;
+        SingleRounds += R.Stats.BoundIterations;
+      }
+    }
+  EXPECT_LT(SweepRounds, SingleRounds);
 }
 
 TEST(ApiJson, SharedSpecSweepIsIdenticalAcrossJobCounts) {

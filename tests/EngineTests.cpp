@@ -4,9 +4,8 @@
 //
 // The session engine must be a pure optimization: for any cell it returns
 // the same verdict and the same mined observation set as the from-scratch
-// pipeline, while keeping one persistent solver per memory model whose
-// variable/clause counts only ever grow across the mine/include/probe
-// phases and the lazy-unrolling bound iterations.
+// pipeline, while solving each unrolling on one solver shared by its
+// mine/include/probe phases.
 //
 //===----------------------------------------------------------------------===//
 
@@ -142,13 +141,14 @@ TEST(SessionEquivalence, RefspecModeMatches) {
 }
 
 //===----------------------------------------------------------------------===//
-// The no-reset property: one persistent solver across phases and bounds.
+// One solver per encoding: a check solves only the unrolling it is on.
 //===----------------------------------------------------------------------===//
 
-TEST(SessionSolverGrowth, VarsAndClausesGrowMonotonically) {
-  // msn T0 on Relaxed needs a bound growth round (retry loops), so the
-  // session runs >= 2 bound iterations and >= 2 inclusion encodings - all
-  // on the same target-model solver.
+TEST(SessionSolver, ReportsTheFinalInstanceSize) {
+  // msn T0 on Relaxed grows its retry loops, so the check re-encodes at
+  // least once. The grown unrolling replaces the old one on a fresh
+  // solver, so the reported SAT size is exactly that of a one-shot
+  // encoding at the final bounds (Fig. 10), not a sum over unrollings.
   lsl::Program Prog;
   ASSERT_TRUE(compileInto(impls::sourceFor("msn"), Prog));
   TestSpec Spec = testByName("T0");
@@ -156,29 +156,20 @@ TEST(SessionSolverGrowth, VarsAndClausesGrowMonotonically) {
 
   CheckOptions Opts;
   Opts.Model = memmodel::ModelParams::relaxed();
-  CheckSession Session(Opts);
-  CheckResult R = Session.check(Prog, Threads);
+  int Grown = 0;
+  Opts.Hooks.OnBoundGrown = [&](const std::string &, int) { ++Grown; };
+  CheckResult R = CheckSession(Opts).check(Prog, Threads);
   ASSERT_EQ(R.Status, CheckStatus::Pass) << R.Message;
+  ASSERT_GT(Grown, 0) << "expected a bound-growth round";
 
-  const std::vector<SessionSnapshot> &Snaps = Session.snapshots();
-  ASSERT_GE(Snaps.size(), 2u) << "expected a bound-growth round";
-  for (size_t I = 1; I < Snaps.size(); ++I) {
-    // Monotone, never reset.
-    EXPECT_GE(Snaps[I].CheckVars, Snaps[I - 1].CheckVars);
-    EXPECT_GE(Snaps[I].CheckClauses, Snaps[I - 1].CheckClauses);
-    EXPECT_GE(Snaps[I].MineVars, Snaps[I - 1].MineVars);
-    EXPECT_GE(Snaps[I].MineClauses, Snaps[I - 1].MineClauses);
-  }
-  // The growth round appended a re-unrolled encoding: strictly more vars.
-  EXPECT_GT(Snaps.back().CheckVars, Snaps.front().CheckVars);
-
-  // The snapshots describe the live solvers, not copies.
-  EXPECT_EQ(Session.checkContext().solver().numVars(),
-            Snaps.back().CheckVars);
-  EXPECT_EQ(Session.mineContext().solver().numVars(),
-            Snaps.back().MineVars);
-  // Inclusion + probe + re-encoded inclusion all went through one context.
-  EXPECT_GE(Session.checkContext().numEncodings(), 2u);
+  ProblemConfig Cfg;
+  Cfg.Model = Opts.Model;
+  EncodedProblem OneShot(Prog, Threads, R.FinalBounds, Cfg);
+  ASSERT_TRUE(OneShot.ok()) << OneShot.error();
+  EXPECT_EQ(R.Stats.Inclusion.UnrolledInstrs,
+            OneShot.stats().UnrolledInstrs);
+  EXPECT_EQ(R.Stats.Inclusion.SatVars, OneShot.stats().SatVars);
+  EXPECT_EQ(R.Stats.Inclusion.SatClauses, OneShot.stats().SatClauses);
 }
 
 //===----------------------------------------------------------------------===//
@@ -213,6 +204,61 @@ TEST(MatrixRunner, TimingFreeReportIsIdenticalAcrossJobCounts) {
     }
     if (Base.StripFences)
       EXPECT_GT(Seq.countWithStatus(CheckStatus::Fail), 0);
+  }
+}
+
+TEST(MatrixRunner, SeedsEachProgramFromItsStrongerPassingCells) {
+  // Two programs, models given weakest first. Each program's cells must
+  // run strongest first, and each starts from the pointwise max of the
+  // final bounds of its own program's stronger passing cells - never a
+  // failing cell's, never another program's.
+  using memmodel::ModelParams;
+  const std::vector<ModelParams> Models = {
+      ModelParams::relaxed(), ModelParams::tso(), ModelParams::sc(),
+      ModelParams::serial()};
+  std::vector<MatrixCell> Cells;
+  for (const char *Impl : {"a", "b"})
+    for (const ModelParams &M : Models) {
+      MatrixCell C;
+      C.Impl = Impl;
+      C.Test = "T0";
+      C.Model = M;
+      Cells.push_back(C);
+    }
+  const std::map<std::string, trans::LoopBounds> Final = {
+      {"serial", {{"L", 2}}}, {"sc", {{"L", 3}, {"M", 2}}},
+      {"tso", {{"L", 9}}}, {"relaxed", {{"L", 4}}}};
+  std::mutex Mu;
+  std::map<std::string, std::vector<std::string>> Order;
+  std::map<std::string, trans::LoopBounds> Seeds;
+  CellFn Fake = [&](const MatrixCell &Cell) {
+    const std::string Model = memmodel::modelName(Cell.Model);
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Order[Cell.Impl].push_back(Model);
+      Seeds[Cell.Impl + ":" + Model] = Cell.SeedBounds;
+    }
+    CheckResult R;
+    R.Status = Model == "tso" ? CheckStatus::Fail : CheckStatus::Pass;
+    R.FinalBounds = Final.at(Model);
+    return R;
+  };
+  MatrixReport Report = MatrixRunner(2).run(Cells, Fake);
+  ASSERT_EQ(Report.Cells.size(), Cells.size());
+  for (size_t I = 0; I < Cells.size(); ++I)
+    EXPECT_EQ(Report.Cells[I].Cell.label(), Cells[I].label());
+
+  const std::vector<std::string> Strongest = {"serial", "sc", "tso",
+                                              "relaxed"};
+  const trans::LoopBounds SerialAndSc = {{"L", 3}, {"M", 2}};
+  for (const char *Impl : {"a", "b"}) {
+    SCOPED_TRACE(Impl);
+    const std::string P = Impl;
+    EXPECT_EQ(Order[P], Strongest);
+    EXPECT_EQ(Seeds[P + ":serial"], trans::LoopBounds());
+    EXPECT_EQ(Seeds[P + ":sc"], Final.at("serial"));
+    EXPECT_EQ(Seeds[P + ":tso"], SerialAndSc);
+    EXPECT_EQ(Seeds[P + ":relaxed"], SerialAndSc); // tso failed
   }
 }
 

@@ -186,6 +186,39 @@ TEST(SatSolver, PigeonHole5Into4IsUnsat) {
   EXPECT_GT(S.stats().Conflicts, 0u);
 }
 
+TEST(SatSolver, LubySequenceMatchesMiniSat) {
+  const int64_t Want[] = {1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8};
+  for (int64_t I = 0; I < 15; ++I)
+    EXPECT_EQ(lubyNumber(I), Want[I]) << "index " << I;
+  // Deep indices stay positive powers of two (the sequence never stops
+  // restarting): index 2^k - 2 closes a subsequence with 2^(k-1).
+  EXPECT_EQ(lubyNumber(62), 32);
+  EXPECT_EQ(lubyNumber(1022), 512);
+}
+
+TEST(SatSolver, HardUnsatInstanceKeepsRestarting) {
+  // PHP(8,7) needs thousands of conflicts; with a Luby schedule of
+  // 100-conflict units the search restarts well past the first cycle.
+  Solver S;
+  const int P = 8, H = 7;
+  std::vector<std::vector<Var>> X(P, std::vector<Var>(H));
+  for (auto &Row : X)
+    for (Var &V : Row)
+      V = S.newVar();
+  for (int I = 0; I < P; ++I) {
+    std::vector<Lit> C;
+    for (int J = 0; J < H; ++J)
+      C.push_back(pos(X[I][J]));
+    S.addClause(C);
+  }
+  for (int J = 0; J < H; ++J)
+    for (int I1 = 0; I1 < P; ++I1)
+      for (int I2 = I1 + 1; I2 < P; ++I2)
+        S.addClause(neg(X[I1][J]), neg(X[I2][J]));
+  EXPECT_EQ(S.solve(), SolveResult::Unsat);
+  EXPECT_GT(S.stats().Restarts, 10u);
+}
+
 TEST(SatSolver, AssumptionsSatAndUnsat) {
   Solver S;
   Var A = S.newVar(), B = S.newVar();

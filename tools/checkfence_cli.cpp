@@ -80,9 +80,11 @@ void usage() {
       "  --no-shrink          keep divergent scenarios unshrunk\n"
       "  --corpus DIR         persist seen-scenario fingerprints and\n"
       "                       shrunk repros in DIR across runs\n"
-      "  --jobs N             worker threads for matrix cells, synth\n"
-      "                       minimization, explore scenarios or analyze\n"
-      "                       rows; each check runs on one solver\n"
+      "  --jobs N             worker threads for matrix programs (a\n"
+      "                       program's cells run strongest model\n"
+      "                       first), synth minimization, explore\n"
+      "                       scenarios or analyze rows; each check\n"
+      "                       runs on one solver\n"
       "  --no-fast-oracle     disable the polynomial reads-from oracle:\n"
       "                       checks skip SAT-pruning and explore falls\n"
       "                       back to the brute-force enumerator on all\n"
