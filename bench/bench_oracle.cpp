@@ -34,7 +34,7 @@
 
 #include "checkfence/checkfence.h"
 
-#include "checker/Encoder.h"
+#include "checker/SolveContext.h"
 #include "explore/Explore.h"
 #include "frontend/Lowering.h"
 #include "harness/TestSpec.h"
@@ -60,7 +60,7 @@ double now() {
 /// One (program, model) cell of the raw-throughput workload, encoded
 /// once up front so the timed loops measure only the oracles.
 struct Cell {
-  std::unique_ptr<checker::EncodedProblem> Prob;
+  std::unique_ptr<checker::SolveContext> Ctx;
   memmodel::ModelParams Model;
 };
 
@@ -107,13 +107,14 @@ int main(int argc, char **argv) {
     for (const memmodel::ModelParams &M : Models) {
       checker::ProblemConfig Cfg;
       Cfg.Model = M;
-      auto Prob = std::make_unique<checker::EncodedProblem>(
+      auto Ctx = std::make_unique<checker::SolveContext>(
           Prog, Threads, trans::LoopBounds{}, Cfg);
-      if (!Prob->ok()) {
-        std::fprintf(stderr, "scenario %d: %s\n", I, Prob->error().c_str());
+      if (!Ctx->encoding().ok()) {
+        std::fprintf(stderr, "scenario %d: %s\n", I,
+                     Ctx->encoding().error().c_str());
         return 1;
       }
-      Cells.push_back({std::move(Prob), M});
+      Cells.push_back({std::move(Ctx), M});
     }
   }
 
@@ -124,7 +125,8 @@ int main(int argc, char **argv) {
   for (const Cell &C : Cells) {
     memmodel::ReadsFromOptions RO;
     RO.Model = C.Model;
-    RfResults.push_back(memmodel::checkReadsFrom(C.Prob->flat(), RO));
+    RfResults.push_back(
+        memmodel::checkReadsFrom(C.Ctx->encoding().flat(), RO));
   }
   const double RfSeconds = now() - T0;
 
@@ -135,7 +137,8 @@ int main(int argc, char **argv) {
   for (const Cell &C : Cells) {
     memmodel::AxiomaticOptions AO;
     AO.Model = C.Model;
-    EnumResults.push_back(memmodel::enumerateAxiomatic(C.Prob->flat(), AO));
+    EnumResults.push_back(
+        memmodel::enumerateAxiomatic(C.Ctx->encoding().flat(), AO));
   }
   const double EnumSeconds = now() - T0;
 

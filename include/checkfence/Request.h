@@ -196,7 +196,8 @@ public:
     LitmusThreads.push_back(std::move(Proc));
     return *this;
   }
-  /// The expected observe() values, in observation order.
+  /// The expected observe() values, in observation order: one per
+  /// observation slot, or observable() answers with an error.
   Request &expect(std::vector<long long> Values) {
     ExpectedValues = std::move(Values);
     return *this;

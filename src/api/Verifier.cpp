@@ -9,7 +9,7 @@
 #include "analysis/CriticalCycles.h"
 #include "api/ApiInternal.h"
 #include "api/Cache.h"
-#include "checker/Encoder.h"
+#include "checker/SolveContext.h"
 #include "trans/Flattener.h"
 #include "engine/MatrixRunner.h"
 #include "engine/SpecStore.h"
@@ -800,16 +800,23 @@ LitmusOutcome Verifier::observable(const Request &Req) {
   Cfg.Order = Opts.Order;
   Cfg.RangeAnalysis = Opts.RangeAnalysis;
   Cfg.ConflictBudget = Opts.ConflictBudget;
-  checker::EncodedProblem Prob(Prog, Threads, {}, Cfg);
+  checker::SolveContext Ctx(Prog, Threads, {}, Cfg);
+  checker::ProblemEncoding &Enc = Ctx.encoding();
+  if (!Enc.ok()) {
+    Out.Error = Enc.error();
+    return Out;
+  }
+  const size_t Slots = Enc.flat().Observations.size();
+  if (Req.ExpectedValues.size() != Slots) {
+    Out.Error = formatString("litmus expects %zu observed values, got %zu",
+                             Slots, Req.ExpectedValues.size());
+    return Out;
+  }
   checker::Observation O;
   for (long long V : Req.ExpectedValues)
     O.Values.push_back(lsl::Value::integer(V));
-  Prob.requireObservation(O);
-  if (!Prob.ok()) {
-    Out.Error = Prob.error();
-    return Out;
-  }
-  sat::SolveResult R = Prob.solve();
+  Enc.requireObservation(O);
+  sat::SolveResult R = Ctx.solve();
   if (R == sat::SolveResult::Unknown) {
     Out.Error = "solver budget exhausted";
     return Out;

@@ -45,6 +45,15 @@ CheckResult checkfence::checker::runCheckFresh(
   trans::LoopBounds Bounds = Opts.InitialBounds; // implementation bounds
   trans::LoopBounds SpecBounds; // reference-program bounds (refset mode)
   int ProbesLeft = Opts.MaxProbes;
+  const lsl::Program &MineProg = SpecProg ? *SpecProg : ImplProg;
+
+  ProblemConfig MineCfg;
+  MineCfg.Model = memmodel::ModelParams::serial();
+  MineCfg.Order = Opts.Order;
+  MineCfg.RangeAnalysis = Opts.RangeAnalysis;
+  MineCfg.ConflictBudget = Opts.ConflictBudget;
+  ProblemConfig CheckCfg = MineCfg;
+  CheckCfg.Model = Opts.Model;
 
   const CheckHooks &Hooks = Opts.Hooks;
   auto CancelRequested = [&] {
@@ -65,21 +74,15 @@ CheckResult checkfence::checker::runCheckFresh(
       Hooks.OnRoundStarted(Iter + 1);
 
     // Phase 1: specification mining under the Serial model.
-    ProblemConfig MineCfg;
-    MineCfg.Model = memmodel::ModelParams::serial();
-    MineCfg.Order = Opts.Order;
-    MineCfg.RangeAnalysis = Opts.RangeAnalysis;
-    MineCfg.ConflictBudget = Opts.ConflictBudget;
-    const lsl::Program &MineProg = SpecProg ? *SpecProg : ImplProg;
     trans::LoopBounds &MineBounds = SpecProg ? SpecBounds : Bounds;
     {
       Timer MineTimer;
-      EncodedProblem MineProb(MineProg, ThreadProcs, MineBounds, MineCfg);
-      MiningOutcome Mined =
-          mineSpecification(MineProb, Opts.MaxObservations);
+      SolveContext MineCtx(MineProg, ThreadProcs, MineBounds, MineCfg);
+      MiningOutcome Mined = mineSpecification(MineCtx, Opts.MaxObservations);
+      const EncodeStats &MineStats = MineCtx.encoding().stats();
       Result.Stats.MiningSeconds += MineTimer.seconds();
-      Result.Stats.MiningEncodeSeconds += MineProb.stats().EncodeSeconds;
-      Result.Stats.MiningSolveSeconds += MineProb.stats().SolveSeconds;
+      Result.Stats.MiningEncodeSeconds += MineStats.EncodeSeconds;
+      Result.Stats.MiningSolveSeconds += MineStats.SolveSeconds;
       if (!Mined.Ok) {
         Result.Status = CheckStatus::Error;
         Result.Message = Mined.Error;
@@ -103,15 +106,10 @@ CheckResult checkfence::checker::runCheckFresh(
       return Cancel();
 
     // Phase 2: inclusion check under the target model.
-    ProblemConfig IncCfg;
-    IncCfg.Model = Opts.Model;
-    IncCfg.Order = Opts.Order;
-    IncCfg.RangeAnalysis = Opts.RangeAnalysis;
-    IncCfg.ConflictBudget = Opts.ConflictBudget;
     {
-      EncodedProblem IncProb(ImplProg, ThreadProcs, Bounds, IncCfg);
-      InclusionOutcome Inc = checkInclusion(IncProb, Result.Spec);
-      Result.Stats.Inclusion = IncProb.stats();
+      SolveContext IncCtx(ImplProg, ThreadProcs, Bounds, CheckCfg);
+      InclusionOutcome Inc = checkInclusion(IncCtx, Result.Spec);
+      Result.Stats.Inclusion = IncCtx.encoding().stats();
       if (!Inc.Ok) {
         Result.Status = CheckStatus::Error;
         Result.Message = Inc.Error;
@@ -132,24 +130,19 @@ CheckResult checkfence::checker::runCheckFresh(
     // growing exactly the exceeded loop instances until none remain (or
     // the probe budget runs out). Mining and inclusion then re-run once
     // over the stabilized bounds.
-    ProblemConfig ProbeCfg;
-    ProbeCfg.Model = Opts.Model;
-    ProbeCfg.Order = Opts.Order;
-    ProbeCfg.RangeAnalysis = Opts.RangeAnalysis;
-    ProbeCfg.ProbeBounds = true;
-    ProbeCfg.ConflictBudget = Opts.ConflictBudget;
     bool Grown = false;
     while (ProbesLeft-- > 0) {
       if (CancelRequested())
         return Cancel();
       Timer ProbeTimer;
-      EncodedProblem Probe(ImplProg, ThreadProcs, Bounds, ProbeCfg);
-      if (!Probe.ok()) {
+      SolveContext Probe(ImplProg, ThreadProcs, Bounds, CheckCfg);
+      const ProblemEncoding &Enc = Probe.encoding();
+      if (!Enc.ok()) {
         Result.Status = CheckStatus::Error;
-        Result.Message = Probe.error();
+        Result.Message = Enc.error();
         return Result;
       }
-      sat::SolveResult R = Probe.solve();
+      sat::SolveResult R = Probe.solveUnder(Enc.probeAssumptions());
       Result.Stats.ProbeSeconds += ProbeTimer.seconds();
       if (R == sat::SolveResult::Unknown) {
         Result.Status = CheckStatus::Error;
@@ -159,7 +152,7 @@ CheckResult checkfence::checker::runCheckFresh(
       if (R == sat::SolveResult::Unsat)
         break;
       bool GrewThisProbe = false;
-      for (const std::string &Key : Probe.exceededLoops()) {
+      for (const std::string &Key : Enc.exceededLoops(Probe.solver())) {
         int &B = Bounds[Key];
         B = (B == 0 ? 1 : B) + 1;
         GrewThisProbe = true;
@@ -183,12 +176,11 @@ CheckResult checkfence::checker::runCheckFresh(
 
     // Probe the reference program separately when mining from it.
     if (!Grown && SpecProg) {
-      ProblemConfig SpecProbeCfg = ProbeCfg;
-      SpecProbeCfg.Model = memmodel::ModelParams::serial();
-      EncodedProblem Probe(*SpecProg, ThreadProcs, SpecBounds,
-                           SpecProbeCfg);
-      if (Probe.ok() && Probe.solve() == sat::SolveResult::Sat) {
-        for (const std::string &Key : Probe.exceededLoops()) {
+      SolveContext Probe(*SpecProg, ThreadProcs, SpecBounds, MineCfg);
+      const ProblemEncoding &Enc = Probe.encoding();
+      if (Enc.ok() &&
+          Probe.solveUnder(Enc.probeAssumptions()) == sat::SolveResult::Sat) {
+        for (const std::string &Key : Enc.exceededLoops(Probe.solver())) {
           int &B = SpecBounds[Key];
           B = (B == 0 ? 1 : B) + 1;
           Grown = true;

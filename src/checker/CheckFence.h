@@ -175,11 +175,11 @@ CheckResult runCheck(const lsl::Program &ImplProg,
                      const CheckOptions &Opts,
                      const lsl::Program *SpecProg = nullptr);
 
-/// The non-incremental reference pipeline: a fresh EncodedProblem (with a
-/// fresh solver) for every phase and every bound iteration, exactly as the
-/// paper's original workflow re-ran zChaff per query. Kept for the
-/// differential tests that pin the session engine's results to it, and as
-/// the ProofLog-compatible path.
+/// The non-incremental reference pipeline: a fresh SolveContext (with a
+/// fresh solver) for every phase and every probe, exactly as the paper's
+/// original workflow re-ran zChaff per query. It shares no solver between
+/// queries, and is kept for the differential tests that pin the session
+/// engine's results to it.
 CheckResult runCheckFresh(const lsl::Program &ImplProg,
                           const std::vector<std::string> &ThreadProcs,
                           const CheckOptions &Opts,

@@ -14,10 +14,6 @@ using namespace checkfence::checker;
 using namespace checkfence::encode;
 using namespace checkfence::trans;
 
-//===----------------------------------------------------------------------===//
-// ProblemEncoding
-//===----------------------------------------------------------------------===//
-
 ProblemEncoding::ProblemEncoding(CnfBuilder &CnfB, const lsl::Program &Prog,
                                  const std::vector<std::string> &ThreadProcs,
                                  const LoopBounds &LoopBoundsIn,
@@ -171,8 +167,8 @@ Observation ProblemEncoding::decodeObservation(const sat::Solver &S) const {
   return O;
 }
 
-std::vector<sat::Lit>
-ProblemEncoding::mismatchClause(const Observation &O) {
+bool ProblemEncoding::addMismatch(const Observation &O,
+                                  sat::Lit Activation) {
   std::vector<Lit> Clause;
   // Error-flag component.
   Clause.push_back(O.Error ? ~ErrorLit : ErrorLit);
@@ -184,25 +180,19 @@ ProblemEncoding::mismatchClause(const Observation &O) {
       continue; // this component always matches; cannot contribute
     Clause.push_back(~Match);
   }
-  return Clause;
-}
-
-bool ProblemEncoding::addMismatch(const Observation &O,
-                                  sat::Lit Activation) {
-  std::vector<Lit> Clause = mismatchClause(O);
   if (Activation != sat::LitUndef)
     Clause.push_back(~Activation);
-  return Cnf->sink().addClause(Clause);
+  return Cnf->solver().addClause(Clause);
 }
 
 bool ProblemEncoding::requireObservation(const Observation &O) {
-  sat::ClauseSink &Sink = Cnf->sink();
-  bool Ok = Sink.addClause(O.Error ? ErrorLit : ~ErrorLit);
-  assert(O.Values.size() == Flat.Observations.size() &&
-         "observation arity mismatch");
+  if (O.Values.size() != Flat.Observations.size())
+    return false;
+  sat::Solver &S = Cnf->solver();
+  bool Ok = S.addClause(O.Error ? ErrorLit : ~ErrorLit);
   for (size_t I = 0; I < Flat.Observations.size(); ++I) {
     Lit Match = Values->eqConstLit(Flat.Observations[I].Val, O.Values[I]);
-    Ok = Sink.addClause(Match) && Ok;
+    Ok = S.addClause(Match) && Ok;
   }
   return Ok;
 }
@@ -248,45 +238,4 @@ ProblemEncoding::exceededLoops(const sat::Solver &S) const {
     if (S.modelValue(M.L) == sat::LBool::True)
       Keys.push_back(M.Key);
   return Keys;
-}
-
-//===----------------------------------------------------------------------===//
-// EncodedProblem
-//===----------------------------------------------------------------------===//
-
-EncodedProblem::EncodedProblem(const lsl::Program &Prog,
-                               const std::vector<std::string> &ThreadProcs,
-                               const LoopBounds &Bounds,
-                               const ProblemConfig &Cfg)
-    : ProbeMode(Cfg.ProbeBounds) {
-  if (Cfg.ProofLog)
-    Solver.enableProofLog();
-  Cnf = std::make_unique<CnfBuilder>(Solver);
-  Enc = std::make_unique<ProblemEncoding>(*Cnf, Prog, ThreadProcs, Bounds,
-                                          Cfg);
-  // One-shot problems never retract their mode, so the mode literals are
-  // hard-asserted here. This reproduces the classic CNF exactly (keeping
-  // Unsat answers refutations of the formula alone, as the proof log and
-  // its RUP checker require) instead of solving under assumptions.
-  if (Enc->ok())
-    for (sat::Lit A : ProbeMode ? Enc->probeAssumptions()
-                                : Enc->withinBoundsAssumptions())
-      Solver.addClause(A);
-  Solver.ConflictBudget = Cfg.ConflictBudget;
-  EncodeStats &Stats = Enc->stats();
-  Stats.SatVars = Solver.numVars();
-  Stats.SatClauses = Solver.numClauses();
-  Stats.SolverMemBytes = Solver.memoryBytes();
-}
-
-sat::SolveResult EncodedProblem::solve() {
-  Timer T;
-  sat::SolveResult R = Solver.solve();
-  EncodeStats &Stats = Enc->stats();
-  Stats.SolveSeconds += T.seconds();
-  Stats.SolveCalls += 1;
-  Stats.LearntClauses = Solver.numLearnts();
-  Stats.SolverMemBytes =
-      std::max(Stats.SolverMemBytes, Solver.memoryBytes());
-  return R;
 }

@@ -11,23 +11,13 @@
 /// conditions (assumes as hard constraints, asserts and runtime-type checks
 /// as the error flag), the loop-bound marks, and the observation vector.
 ///
-/// The encoding is split into two halves:
-///
-///  * ProblemEncoding - the pure CNF artifact plus its decode maps. Clauses
-///    flow through a CnfBuilder into whatever sat::ClauseSink the builder
-///    wraps (a live solver, or a CnfStore for a solver-free artifact); no
-///    solver is owned. Loop-bound probe marks and mismatch-clause groups
-///    are not hard-asserted - they are controlled by activation literals so
-///    one encoding serves within-bounds checking, the bound probe, and
-///    retractable specification constraints on a single incremental solver.
-///
-///  * EncodedProblem - the classic one-shot composition (own solver + one
-///    encoding), kept as the convenience entry point for tests, litmus
-///    runs, and the non-incremental reference pipeline.
-///
-/// The same encoding serves specification mining (Serial model, iterate
-/// with blocking clauses), inclusion checking (weak model, mismatch clauses
-/// for every specification element), and the lazy-unrolling bound probe.
+/// ProblemEncoding is the formula plus its decode maps. Its clauses flow
+/// through a CnfBuilder straight into the solver of the SolveContext
+/// (checker/SolveContext.h) that owns it. The loop-bound probe marks and
+/// the mismatch-clause groups are gated by activation literals instead of
+/// hard-asserted, so one encoding serves specification mining (Serial
+/// model, blocking clauses), inclusion checking (weak model, a mismatch
+/// clause per specification element) and the lazy-unrolling bound probe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,10 +43,6 @@ struct ProblemConfig {
   /// Use the range-analysis results to fix constants, minimize widths, and
   /// prune aliases (Fig. 11c ablation switch).
   bool RangeAnalysis = true;
-  /// For the one-shot EncodedProblem: solve() targets the bound-exceed
-  /// probe instead of within-bounds checking. (ProblemEncoding always
-  /// encodes both modes; assumptions select one per solve call.)
-  bool ProbeBounds = false;
   /// Give up (Unknown) after this many conflicts; -1 = no budget.
   int64_t ConflictBudget = -1;
   /// Record a DRAT-style clausal proof (sat/Proof.h); an Unsat inclusion
@@ -78,10 +64,9 @@ struct EncodeStats {
   uint64_t LearntClauses = 0; ///< learnt clauses live after the last solve
 };
 
-/// The solver-free half: flat program, range info, value/model encoders
-/// (the decode maps), the error flag, and the activation literals. All
-/// clauses go through the CnfBuilder handed to the constructor; the caller
-/// decides whether that builder wraps a live solver or a CnfStore.
+/// The decode-map half of a SolveContext: flat program, range info,
+/// value/model encoders, the error flag, and the activation literals. All
+/// clauses go through the CnfBuilder handed to the constructor.
 class ProblemEncoding {
 public:
   ProblemEncoding(encode::CnfBuilder &Cnf, const lsl::Program &Prog,
@@ -102,25 +87,21 @@ public:
   /// non-restricted mark fires").
   std::vector<sat::Lit> probeAssumptions() const { return {ProbeAct}; }
 
-  /// The probe activation literal itself.
-  sat::Lit probeActivation() const { return ProbeAct; }
-
   /// Decodes the observation of the current model (after Sat).
   Observation decodeObservation(const sat::Solver &S) const;
 
-  /// Clause asserting "observation != O" (used both as the mining blocking
-  /// clause and as the inclusion-check constraint). May create comparator
-  /// gates through the CnfBuilder.
-  std::vector<sat::Lit> mismatchClause(const Observation &O);
-
-  /// Adds the mismatch clause; with a defined \p Activation the clause only
-  /// binds while that literal is assumed (retractable constraint group).
-  /// Returns false if the sink became unsat.
+  /// Adds the clause "observation != O" (the mining blocking clause and
+  /// the inclusion-check constraint); it may create comparator gates. With
+  /// a defined \p Activation the clause only binds while that literal is
+  /// assumed (retractable constraint group). Returns false if the solver
+  /// became unsat.
   bool addMismatch(const Observation &O,
                    sat::Lit Activation = sat::LitUndef);
 
   /// Constrains the problem to executions with exactly observation \p O
   /// (used by the litmus tests: "is this outcome reachable?"). Hard.
+  /// Returns false, adding nothing, when \p O does not have one value per
+  /// observation slot; otherwise false if the solver became unsat.
   bool requireObservation(const Observation &O);
 
   /// Decodes a full counterexample trace (after Sat).
@@ -138,7 +119,6 @@ public:
   const EncodeStats &stats() const { return Stats; }
   EncodeStats &stats() { return Stats; }
   std::vector<std::string> observationLabels() const;
-  encode::CnfBuilder &cnf() { return *Cnf; }
 
 private:
   void encodeChecksAndBounds(const ProblemConfig &Cfg);
@@ -170,54 +150,6 @@ private:
 
   EncodeStats Stats;
   std::string ErrorMsg;
-};
-
-/// One fully encoded test problem with its own solver - the one-shot
-/// composition used by litmus runs, the test suites, and the
-/// non-incremental reference pipeline (checker::runCheckFresh).
-class EncodedProblem {
-public:
-  EncodedProblem(const lsl::Program &Prog,
-                 const std::vector<std::string> &ThreadProcs,
-                 const trans::LoopBounds &Bounds, const ProblemConfig &Cfg);
-
-  bool ok() const { return Enc->ok(); }
-  const std::string &error() const { return Enc->error(); }
-
-  /// Solves under this problem's mode (within-bounds, or the probe when
-  /// ProblemConfig::ProbeBounds was set); accumulates solve time.
-  sat::SolveResult solve();
-
-  Observation decodeObservation() { return Enc->decodeObservation(Solver); }
-  std::vector<sat::Lit> mismatchClause(const Observation &O) {
-    return Enc->mismatchClause(O);
-  }
-  bool addMismatch(const Observation &O) { return Enc->addMismatch(O); }
-  bool requireObservation(const Observation &O) {
-    return Enc->requireObservation(O);
-  }
-  Trace decodeTrace() { return Enc->decodeTrace(Solver); }
-  std::vector<std::string> exceededLoops() {
-    return Enc->exceededLoops(Solver);
-  }
-
-  const trans::FlatProgram &flat() const { return Enc->flat(); }
-  const EncodeStats &stats() const { return Enc->stats(); }
-  std::vector<std::string> observationLabels() const {
-    return Enc->observationLabels();
-  }
-
-  ProblemEncoding &encoding() { return *Enc; }
-  sat::Solver &solver() { return Solver; }
-
-  /// The recorded proof (nullptr unless ProblemConfig::ProofLog was set).
-  const sat::ProofLog *proofLog() const { return Solver.proofLog(); }
-
-private:
-  sat::Solver Solver;
-  std::unique_ptr<encode::CnfBuilder> Cnf;
-  std::unique_ptr<ProblemEncoding> Enc;
-  bool ProbeMode = false;
 };
 
 } // namespace checker

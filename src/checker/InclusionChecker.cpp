@@ -2,54 +2,18 @@
 
 #include "checker/InclusionChecker.h"
 
+#include "obs/Trace.h"
+
 using namespace checkfence;
 using namespace checkfence::checker;
 
-InclusionOutcome
-checkfence::checker::checkInclusion(EncodedProblem &Prob,
-                                    const ObservationSet &Spec) {
-  InclusionOutcome Out;
-  if (!Prob.ok()) {
-    Out.Error = Prob.error();
-    return Out;
-  }
-
-  bool Consistent = true;
-  for (const Observation &O : Spec)
-    Consistent = Prob.addMismatch(O) && Consistent;
-  if (!Consistent) {
-    // The constraints alone are unsatisfiable: no execution escapes the
-    // specification.
-    Out.Ok = true;
-    Out.Pass = true;
-    return Out;
-  }
-
-  sat::SolveResult R = Prob.solve();
-  switch (R) {
-  case sat::SolveResult::Unknown:
-    Out.Error = "solver budget exhausted during inclusion check";
-    return Out;
-  case sat::SolveResult::Unsat:
-    Out.Ok = true;
-    Out.Pass = true;
-    return Out;
-  case sat::SolveResult::Sat:
-    Out.Ok = true;
-    Out.Pass = false;
-    Out.Counterexample = Prob.decodeTrace();
-    return Out;
-  }
-  return Out;
-}
-
-PreparedInclusion checkfence::checker::prepareInclusion(
+InclusionOutcome checkfence::checker::checkInclusion(
     SolveContext &Ctx, const ObservationSet &Spec) {
-  PreparedInclusion P;
+  InclusionOutcome Out;
   ProblemEncoding &Enc = Ctx.encoding();
   if (!Enc.ok()) {
-    P.Error = Enc.error();
-    return P;
+    Out.Error = Enc.error();
+    return Out;
   }
 
   Ctx.beginPhase();
@@ -60,14 +24,28 @@ PreparedInclusion checkfence::checker::prepareInclusion(
   bool Consistent = true;
   for (const Observation &O : Spec)
     Consistent = Enc.addMismatch(O, Act) && Consistent;
-  P.Ok = true;
   if (!Consistent) {
     // The constraints alone are unsatisfiable: no execution escapes the
     // specification.
-    P.Trivial = true;
-    return P;
+    Out.Ok = true;
+    Out.Pass = true;
+    return Out;
   }
-  P.Assumptions = Enc.withinBoundsAssumptions();
-  P.Assumptions.push_back(Act);
-  return P;
+  std::vector<sat::Lit> Assumptions = Enc.withinBoundsAssumptions();
+  Assumptions.push_back(Act);
+
+  sat::SolveResult R;
+  {
+    obs::Span SolveSpan("solver", "solve");
+    R = Ctx.solveUnder(Assumptions);
+  }
+  if (R == sat::SolveResult::Unknown) {
+    Out.Error = "solver budget exhausted during inclusion check";
+    return Out;
+  }
+  Out.Ok = true;
+  Out.Pass = R == sat::SolveResult::Unsat;
+  if (!Out.Pass)
+    Out.Counterexample = Enc.decodeTrace(Ctx.solver());
+  return Out;
 }

@@ -28,25 +28,13 @@ struct InclusionOutcome {
   std::optional<Trace> Counterexample;
 };
 
-/// Runs the inclusion check of \p Spec on \p Prob (built with the target
-/// memory model).
-InclusionOutcome checkInclusion(EncodedProblem &Prob,
+/// Runs the inclusion check of \p Spec on \p Ctx (built with the target
+/// memory model): installs a mismatch clause per specification element,
+/// gated by a fresh activation literal so the context's solver stays
+/// usable for the bound probe, solves within the loop bounds, and decodes
+/// the counterexample of a Sat answer.
+InclusionOutcome checkInclusion(SolveContext &Ctx,
                                 const ObservationSet &Spec);
-
-/// The encoding half of the incremental inclusion check on \p Ctx:
-/// installs the mismatch clauses for \p Spec, gated by a fresh activation
-/// literal so the context's solver stays usable for the bound probe, and
-/// returns the assumption set (the encoding's within-bounds assumptions
-/// plus the activation literal) the session solves under.
-struct PreparedInclusion {
-  bool Ok = false;     ///< encoding usable (Error holds the message if not)
-  std::string Error;
-  bool Trivial = false; ///< mismatch clauses alone are unsat: trivially Pass
-  std::vector<sat::Lit> Assumptions;
-};
-
-PreparedInclusion prepareInclusion(SolveContext &Ctx,
-                                   const ObservationSet &Spec);
 
 } // namespace checker
 } // namespace checkfence

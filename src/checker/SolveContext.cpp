@@ -15,7 +15,8 @@ SolveContext::SolveContext(const lsl::Program &Prog,
                            const std::vector<std::string> &ThreadProcs,
                            const trans::LoopBounds &Bounds,
                            const ProblemConfig &Cfg)
-    : Cnf(Solver), Enc(Cnf, Prog, ThreadProcs, Bounds, Cfg),
+    : Solver(Cfg.ProofLog), Cnf(Solver),
+      Enc(Cnf, Prog, ThreadProcs, Bounds, Cfg),
       PhaseBudget(Cfg.ConflictBudget) {
   beginPhase();
   // The solver holds this encoding alone: its size is the instance's.

@@ -5,13 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The solver-owning half of the encoding/solving split: one sat::Solver,
-/// one CnfBuilder and exactly one ProblemEncoding. The phases that share
-/// an unrolling (mining and the refset probe on the serial context; the
-/// inclusion check and the bound probe on the target-model context) run
-/// on one context and select their mode through assumptions over the
-/// encoding's activation literals, so learnt clauses, saved phases and
-/// variable activities carry over between those re-solves.
+/// The only type that owns a solver and an encoding: one sat::Solver, one
+/// CnfBuilder and exactly one ProblemEncoding. Every SAT question about a
+/// test - specification mining, the inclusion check, the bound probe,
+/// litmus reachability - is asked of a SolveContext, selecting its mode
+/// through assumptions over the encoding's activation literals. The
+/// session engine runs the phases that share an unrolling (mining and the
+/// refset probe on the serial context; the inclusion check and the bound
+/// probe on the target-model context) on one context, so learnt clauses,
+/// saved phases and variable activities carry over between those
+/// re-solves. One-shot callers, including the reference pipeline
+/// (runCheckFresh), build a fresh context per query.
 ///
 /// When lazy unrolling (Sec. 3.3) grows a loop bound, the session builds
 /// a fresh context for the new unrolling and drops the old one. The
@@ -40,8 +44,9 @@ namespace checker {
 
 class SolveContext {
 public:
-  /// Encodes the problem into this context's fresh solver and arms the
-  /// first phase's conflict budget.
+  /// Encodes the problem into this context's fresh solver (logging a proof
+  /// from the first clause when ProblemConfig::ProofLog is set) and arms
+  /// the first phase's conflict budget.
   SolveContext(const lsl::Program &Prog,
                const std::vector<std::string> &ThreadProcs,
                const trans::LoopBounds &Bounds, const ProblemConfig &Cfg);
@@ -70,6 +75,12 @@ public:
   /// Solves under the given assumptions; accumulates solve time and call
   /// count into the encoding's stats.
   sat::SolveResult solveUnder(const std::vector<sat::Lit> &Assumptions);
+
+  /// Solves for executions within the loop bounds. The bound probe is
+  /// solveUnder(encoding().probeAssumptions()).
+  sat::SolveResult solve() {
+    return solveUnder(Enc.withinBoundsAssumptions());
+  }
 
 private:
   sat::Solver Solver;

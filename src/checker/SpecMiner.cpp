@@ -5,45 +5,6 @@
 using namespace checkfence;
 using namespace checkfence::checker;
 
-MiningOutcome checkfence::checker::mineSpecification(EncodedProblem &Prob,
-                                                     size_t MaxObservations) {
-  MiningOutcome Out;
-  if (!Prob.ok()) {
-    Out.Error = Prob.error();
-    return Out;
-  }
-
-  for (;;) {
-    sat::SolveResult R = Prob.solve();
-    if (R == sat::SolveResult::Unknown) {
-      Out.Error = "solver budget exhausted during specification mining";
-      return Out;
-    }
-    if (R == sat::SolveResult::Unsat)
-      break;
-
-    ++Out.Iterations;
-    Observation O = Prob.decodeObservation();
-    if (O.Error) {
-      // A serial execution misbehaves: report the sequential bug.
-      Out.SequentialBug = true;
-      Out.BugTrace = Prob.decodeTrace();
-      Out.Ok = true;
-      return Out;
-    }
-    Out.Spec.insert(O);
-    if (Out.Spec.size() > MaxObservations) {
-      Out.Error = "observation set exceeds the configured limit";
-      return Out;
-    }
-    if (!Prob.addMismatch(O))
-      break; // blocking clause made the formula unsat: enumeration done
-  }
-
-  Out.Ok = true;
-  return Out;
-}
-
 MiningOutcome checkfence::checker::mineSpecification(
     SolveContext &Ctx, size_t MaxObservations) {
   MiningOutcome Out;

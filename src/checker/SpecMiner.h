@@ -33,15 +33,11 @@ struct MiningOutcome {
   std::optional<Trace> BugTrace;
 };
 
-/// Mines the observation set on \p Prob (which must have been built with
-/// the Serial model). \p MaxObservations caps runaway enumerations.
-MiningOutcome mineSpecification(EncodedProblem &Prob,
-                                size_t MaxObservations = 1 << 20);
-
-/// Incremental variant: mines the executions within \p Ctx's loop
-/// bounds. The blocking clauses are gated by a fresh activation literal,
-/// so the context's solver stays usable for other phases (e.g. the bound
-/// probe) afterwards.
+/// Mines the observation set of the executions within \p Ctx's loop
+/// bounds (\p Ctx must have been built with the Serial model).
+/// \p MaxObservations caps runaway enumerations. The blocking clauses are
+/// gated by a fresh activation literal, so the context's solver stays
+/// usable for other phases (e.g. the bound probe) afterwards.
 MiningOutcome mineSpecification(SolveContext &Ctx,
                                 size_t MaxObservations = 1 << 20);
 

@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Builds CNF incrementally into any sat::ClauseSink (a live solver or a
-/// CnfStore artifact): fresh variables, constant literals, and
-/// Tseitin-encoded gates (and/or/xor/ite) with structural hashing so
-/// identical subcircuits share literals.
+/// Builds CNF incrementally into a live sat::Solver: fresh variables,
+/// constant literals, and Tseitin-encoded gates (and/or/xor/ite) with
+/// structural hashing so identical subcircuits share literals. Every
+/// clause goes straight to the solver; nothing is buffered.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,16 +28,16 @@ namespace encode {
 using sat::Lit;
 using sat::Var;
 
-/// Incremental CNF builder over a clause sink.
+/// Incremental CNF builder over a solver.
 class CnfBuilder {
 public:
-  explicit CnfBuilder(sat::ClauseSink &S) : S(S) {
+  explicit CnfBuilder(sat::Solver &S) : S(S) {
     Var T = S.newVar();
     True = Lit::make(T);
     S.addClause(True);
   }
 
-  sat::ClauseSink &sink() { return S; }
+  sat::Solver &solver() { return S; }
 
   Lit trueLit() const { return True; }
   Lit falseLit() const { return ~True; }
@@ -79,7 +79,7 @@ public:
   uint64_t numClausesAdded() const { return ClausesAdded; }
 
 private:
-  sat::ClauseSink &S;
+  sat::Solver &S;
   Lit True;
   uint64_t ClausesAdded = 0;
 

@@ -254,21 +254,7 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       obs::Span IncludeSpan("engine", "include");
       Timer IncludeTimer;
       EncodeStats Before = CheckEnc->stats();
-      PreparedInclusion Prep = prepareInclusion(*CheckCtx, Result.Spec);
-      bool Pass = false;
-      std::string IncError;
-      if (!Prep.Ok) {
-        IncError = Prep.Error;
-      } else if (Prep.Trivial) {
-        Pass = true;
-      } else {
-        obs::Span SolveSpan("solver", "solve");
-        sat::SolveResult R = CheckCtx->solveUnder(Prep.Assumptions);
-        if (R == sat::SolveResult::Unknown)
-          IncError = "solver budget exhausted during inclusion check";
-        else
-          Pass = R == sat::SolveResult::Unsat;
-      }
+      InclusionOutcome Inc = checkInclusion(*CheckCtx, Result.Spec);
       // Report this inclusion check's own solving effort; the shared
       // encoding's counters also accumulate probe solves (those are
       // charged to ProbeSeconds).
@@ -276,11 +262,11 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
       Result.Stats.Inclusion.SolveSeconds -= Before.SolveSeconds;
       Result.Stats.Inclusion.SolveCalls -= Before.SolveCalls;
       Result.Stats.IncludeSeconds += IncludeTimer.seconds();
-      if (!IncError.empty())
-        return Finish(CheckStatus::Error, IncError);
-      if (!Pass) {
+      if (!Inc.Ok)
+        return Finish(CheckStatus::Error, Inc.Error);
+      if (!Inc.Pass) {
         // Counterexamples hold regardless of bounds (Sec. 3.3).
-        Result.Counterexample = CheckEnc->decodeTrace(CheckCtx->solver());
+        Result.Counterexample = std::move(Inc.Counterexample);
         Result.FinalBounds = Bounds;
         return Finish(CheckStatus::Fail,
                       "inclusion check found a counterexample");

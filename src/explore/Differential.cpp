@@ -6,7 +6,6 @@
 
 #include "explore/Differential.h"
 
-#include "checker/Encoder.h"
 #include "checker/SpecMiner.h"
 #include "frontend/Lowering.h"
 #include "harness/Catalog.h"
@@ -142,9 +141,10 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
 
     checker::ProblemConfig Cfg;
     Cfg.Model = M;
-    checker::EncodedProblem Prob(Prog, Threads, {}, Cfg);
-    if (!Prob.ok()) {
-      Out.Divergences.push_back({"engine-error", Name, Prob.error()});
+    checker::SolveContext Ctx(Prog, Threads, {}, Cfg);
+    const checker::ProblemEncoding &Enc = Ctx.encoding();
+    if (!Enc.ok()) {
+      Out.Divergences.push_back({"engine-error", Name, Enc.error()});
       continue;
     }
 
@@ -161,7 +161,7 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
       RO.Model = M;
       RO.MaxAssignments = Opts.OracleMaxOrders;
       memmodel::ReadsFromResult RF =
-          memmodel::checkReadsFrom(Prob.flat(), RO);
+          memmodel::checkReadsFrom(Enc.flat(), RO);
       if (RF.Ok) {
         OracleObs = std::move(RF.Observations);
         // Differential reference: re-run the enumerator on a sampled
@@ -174,7 +174,7 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
           AO.Model = M;
           AO.MaxOrders = Opts.OracleMaxOrders;
           memmodel::AxiomaticResult Slow =
-              memmodel::enumerateAxiomatic(Prob.flat(), AO);
+              memmodel::enumerateAxiomatic(Enc.flat(), AO);
           if (Slow.Ok && Slow.Observations != OracleObs) {
             Out.Divergences.push_back(
                 {"oracle-vs-enumerator", Name,
@@ -191,7 +191,7 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
       AO.Model = M;
       AO.MaxOrders = Opts.OracleMaxOrders;
       memmodel::AxiomaticResult Oracle =
-          memmodel::enumerateAxiomatic(Prob.flat(), AO);
+          memmodel::enumerateAxiomatic(Enc.flat(), AO);
       if (Oracle.Ok)
         OracleObs = std::move(Oracle.Observations);
       else
@@ -204,7 +204,7 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
       continue;
     }
 
-    checker::MiningOutcome Mined = checker::mineSpecification(Prob);
+    checker::MiningOutcome Mined = checker::mineSpecification(Ctx);
     if (!Mined.Ok && !Mined.SequentialBug) {
       Out.Divergences.push_back({"engine-error", Name, Mined.Error});
       continue;
@@ -241,7 +241,7 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
       memmodel::RefOptions RO;
       RO.MaxSteps = Opts.RefMaxSteps;
       std::set<memmodel::RefObservation> Interleaved =
-          memmodel::enumerateExecutions(Prob.flat(), RO);
+          memmodel::enumerateExecutions(Enc.flat(), RO);
       if (FromSat != Interleaved) {
         Out.Divergences.push_back(
             {"sat-vs-reference", Name,
@@ -395,12 +395,13 @@ ScenarioOutcome DifferentialRunner::runSymbolic(const Scenario &S) const {
   checker::ProblemConfig Cfg;
   Cfg.Model = memmodel::ModelParams::serial();
   Cfg.ConflictBudget = Opts.EngineConflictBudget;
-  checker::EncodedProblem Prob(Prog, Threads, {}, Cfg);
-  if (!Prob.ok()) {
-    Out.Divergences.push_back({"engine-error", "serial", Prob.error()});
+  checker::SolveContext Ctx(Prog, Threads, {}, Cfg);
+  const checker::ProblemEncoding &Enc = Ctx.encoding();
+  if (!Enc.ok()) {
+    Out.Divergences.push_back({"engine-error", "serial", Enc.error()});
     return Out;
   }
-  checker::MiningOutcome Mined = checker::mineSpecification(Prob);
+  checker::MiningOutcome Mined = checker::mineSpecification(Ctx);
   if (!Mined.Ok && !Mined.SequentialBug) {
     if (Mined.Error.find("solver budget exhausted") != std::string::npos)
       Out.Skips.push_back("serial: solver-budget-exhausted");
@@ -412,7 +413,7 @@ ScenarioOutcome DifferentialRunner::runSymbolic(const Scenario &S) const {
   RO.InvocationGranularity = true;
   RO.MaxSteps = Opts.RefMaxSteps;
   std::set<memmodel::RefObservation> RefSet =
-      memmodel::enumerateExecutions(Prob.flat(), RO);
+      memmodel::enumerateExecutions(Enc.flat(), RO);
   const bool RefErr = hasError(RefSet);
   if (Mined.SequentialBug != RefErr) {
     Out.Divergences.push_back(

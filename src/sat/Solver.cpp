@@ -32,10 +32,8 @@ struct Solver::Clause {
   }
 };
 
-Solver::Solver() = default;
-
-void Solver::enableProofLog() {
-  if (!Proof)
+Solver::Solver(bool LogProof) {
+  if (LogProof)
     Proof = std::make_unique<ProofLog>();
 }
 

@@ -13,6 +13,10 @@
 /// incremental solving under assumptions (required by the specification
 /// mining loop, which repeatedly re-solves with added blocking clauses).
 ///
+/// The encoders build straight into a Solver through encode::CnfBuilder;
+/// no CNF is stored anywhere else. checker::SolveContext owns the one
+/// Solver each encoded problem is solved on.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHECKFENCE_SAT_SOLVER_H
@@ -87,29 +91,6 @@ inline LBool negate(LBool B) {
 /// Result of a solve() call.
 enum class SolveResult { Sat, Unsat, Unknown };
 
-/// Anything that accepts fresh variables and clauses: the live Solver, or a
-/// CnfStore (sat/CnfStore.h) capturing a solver-free CNF artifact that can
-/// later be replayed into a solver. The encoding layers (encode/, memmodel/,
-/// checker/) build against this interface so the same encoder can target
-/// either destination.
-class ClauseSink {
-public:
-  virtual ~ClauseSink() = default;
-
-  /// Creates a fresh variable and returns it.
-  virtual Var newVar() = 0;
-
-  /// Adds a clause. Returns false if the sink is now known unsatisfiable
-  /// (always true for pure stores, which do no reasoning).
-  virtual bool addClause(const std::vector<Lit> &Lits) = 0;
-
-  bool addClause(Lit A) { return addClause(std::vector<Lit>{A}); }
-  bool addClause(Lit A, Lit B) { return addClause(std::vector<Lit>{A, B}); }
-  bool addClause(Lit A, Lit B, Lit C) {
-    return addClause(std::vector<Lit>{A, B, C});
-  }
-};
-
 /// Aggregate counters exposed for the statistics tables (Fig. 10).
 struct SolverStats {
   uint64_t Conflicts = 0;
@@ -134,23 +115,29 @@ int64_t lubyNumber(int64_t I);
 /// \endcode
 /// After solve() returns, more clauses and variables may be added and
 /// solve() called again (incremental use).
-class Solver : public ClauseSink {
+class Solver {
 public:
-  Solver();
-  ~Solver() override;
+  /// With \p LogProof the solver records a DRAT-style clausal proof
+  /// (sat/Proof.h) of every clause added or derived, from the first one.
+  explicit Solver(bool LogProof = false);
+  ~Solver();
 
   Solver(const Solver &) = delete;
   Solver &operator=(const Solver &) = delete;
 
   /// Creates a fresh variable and returns it.
-  Var newVar() override;
+  Var newVar();
 
   int numVars() const { return static_cast<int>(Assigns.size()); }
 
   /// Adds a clause. Returns false if the solver is now known unsatisfiable
   /// (e.g. the clause is empty after level-0 simplification).
-  bool addClause(const std::vector<Lit> &Lits) override;
-  using ClauseSink::addClause;
+  bool addClause(const std::vector<Lit> &Lits);
+  bool addClause(Lit A) { return addClause(std::vector<Lit>{A}); }
+  bool addClause(Lit A, Lit B) { return addClause(std::vector<Lit>{A, B}); }
+  bool addClause(Lit A, Lit B, Lit C) {
+    return addClause(std::vector<Lit>{A, B, C});
+  }
 
   /// Solves under the given assumptions. Assumptions are temporary unit
   /// clauses for this call only.
@@ -190,11 +177,7 @@ public:
   /// If >= 0, search gives up (returns Unknown) after this many conflicts.
   int64_t ConflictBudget = -1;
 
-  /// Starts recording a DRAT-style clausal proof (sat/Proof.h) of every
-  /// clause added or derived from now on. Call before adding clauses so
-  /// the log sees the whole problem.
-  void enableProofLog();
-  /// The recorded proof, or nullptr when logging was never enabled.
+  /// The recorded proof, or nullptr unless constructed with LogProof.
   const ProofLog *proofLog() const { return Proof.get(); }
 
 private:

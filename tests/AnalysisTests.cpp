@@ -26,7 +26,7 @@
 
 #include "analysis/CriticalCycles.h"
 #include "checker/CheckFence.h"
-#include "checker/Encoder.h"
+#include "checker/SolveContext.h"
 #include "explore/Generator.h"
 #include "frontend/Lowering.h"
 #include "harness/Catalog.h"
@@ -44,11 +44,11 @@ using namespace checkfence;
 namespace {
 
 /// Compile + build test threads + encode, returning the FlatProgram via
-/// EncodedProblem (the same flattening every checker layer sees).
+/// SolveContext (the same flattening every checker layer sees).
 struct FlatCase {
   lsl::Program Prog;
   std::vector<std::string> Threads;
-  std::unique_ptr<checker::EncodedProblem> Prob;
+  std::unique_ptr<checker::SolveContext> Ctx;
 
   bool build(const std::string &Source, const std::vector<int> &Args) {
     frontend::DiagEngine Diags;
@@ -63,18 +63,18 @@ struct FlatCase {
           "t" + std::to_string(T) + "_op", Args[T], false, false}});
     Threads = harness::buildTestThreads(Prog, Spec);
     checker::ProblemConfig Cfg;
-    Prob = std::make_unique<checker::EncodedProblem>(Prog, Threads,
-                                                     trans::LoopBounds{}, Cfg);
-    if (!Prob->ok()) {
-      ADD_FAILURE() << "encode failed: " << Prob->error();
+    Ctx = std::make_unique<checker::SolveContext>(Prog, Threads,
+                                                  trans::LoopBounds{}, Cfg);
+    if (!Ctx->encoding().ok()) {
+      ADD_FAILURE() << "encode failed: " << Ctx->encoding().error();
       return false;
     }
     return true;
   }
 
   analysis::RobustnessResult analyze(const memmodel::ModelParams &M) {
-    trans::RangeInfo R = trans::analyzeRanges(Prob->flat());
-    return analysis::analyzeRobustness(Prob->flat(), R, M);
+    trans::RangeInfo R = trans::analyzeRanges(Ctx->encoding().flat());
+    return analysis::analyzeRobustness(Ctx->encoding().flat(), R, M);
   }
 };
 
@@ -248,7 +248,7 @@ TEST(AnalysisDifferential, RobustImpliesScEqualObservations64Seeds) {
     memmodel::AxiomaticOptions ScOpts;
     ScOpts.Model = memmodel::ModelParams::sc();
     memmodel::AxiomaticResult ScObs =
-        memmodel::enumerateAxiomatic(C.Prob->flat(), ScOpts);
+        memmodel::enumerateAxiomatic(C.Ctx->encoding().flat(), ScOpts);
 
     for (const memmodel::ModelParams &M : memmodel::latticeModels()) {
       if (!analysis::analysisEligible(M))
@@ -260,7 +260,7 @@ TEST(AnalysisDifferential, RobustImpliesScEqualObservations64Seeds) {
       memmodel::AxiomaticOptions MOpts;
       MOpts.Model = M;
       memmodel::AxiomaticResult MObs =
-          memmodel::enumerateAxiomatic(C.Prob->flat(), MOpts);
+          memmodel::enumerateAxiomatic(C.Ctx->encoding().flat(), MOpts);
       if (!ScObs.Ok || !MObs.Ok)
         continue; // outside the enumerator fragment (or over budget)
       ++Compared;

@@ -660,6 +660,41 @@ void t2_op(void) { y = 1; observe(x); }
   EXPECT_TRUE(Rlx.Reachable);
 }
 
+TEST(ApiLitmus, MalformedRequestsAreErrorsNotCrashes) {
+  Verifier V;
+  const char *Sb = R"(
+extern void observe(int v);
+int x; int y;
+void init_op(void) { x = 0; y = 0; }
+void t1_op(void) { x = 1; observe(y); }
+void t2_op(void) { y = 1; observe(x); }
+)";
+  Request Both = Request::litmus(Sb).thread("t1_op").thread("t2_op");
+  const std::vector<long long> Twelve(12, 0);
+  const struct {
+    const char *Label;
+    Request Req;
+    const char *Message;
+  } Cases[] = {
+      {"no expect", Request(Both).model("relaxed"),
+       "litmus expects 2 observed values, got 0"},
+      {"missing thread",
+       Request::litmus(Sb).thread("t1_op").thread("t9_op").expect({0, 0}),
+       "t9_op"},
+      {"too few values", Request(Both).expect({0}),
+       "litmus expects 2 observed values, got 1"},
+      {"too many values", Request(Both).expect(Twelve),
+       "litmus expects 2 observed values, got 12"},
+  };
+  for (const auto &C : Cases) {
+    SCOPED_TRACE(C.Label);
+    LitmusOutcome Out = V.observable(C.Req);
+    EXPECT_FALSE(Out.Ok);
+    EXPECT_FALSE(Out.Reachable);
+    EXPECT_NE(Out.Error.find(C.Message), std::string::npos) << Out.Error;
+  }
+}
+
 TEST(ApiCatalog, ListingsArePopulated) {
   EXPECT_EQ(listImplementations().size(), 6u);
   EXPECT_FALSE(listTests().empty());

@@ -14,7 +14,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "checker/Encoder.h"
 #include "checker/SpecMiner.h"
 #include "frontend/Lowering.h"
 #include "harness/TestSpec.h"
@@ -94,16 +93,17 @@ int compareAllModels(const std::string &Source,
   for (memmodel::ModelParams Model : allFive()) {
     ProblemConfig Cfg;
     Cfg.Model = Model;
-    EncodedProblem Prob(Prog, Threads, {}, Cfg);
-    if (!Prob.ok()) {
-      ADD_FAILURE() << Label << ": " << Prob.error();
+    SolveContext Ctx(Prog, Threads, {}, Cfg);
+    ProblemEncoding &Enc = Ctx.encoding();
+    if (!Enc.ok()) {
+      ADD_FAILURE() << Label << ": " << Enc.error();
       return Compared;
     }
 
     memmodel::AxiomaticOptions AO;
     AO.Model = Model;
     memmodel::AxiomaticResult Oracle =
-        memmodel::enumerateAxiomatic(Prob.flat(), AO);
+        memmodel::enumerateAxiomatic(Enc.flat(), AO);
     if (!Oracle.Ok && Oracle.Error == "cyclic value dependency")
       continue; // thin-air shape: the enumerator cannot decide it
     if (!Oracle.Ok) {
@@ -111,7 +111,7 @@ int compareAllModels(const std::string &Source,
       return Compared;
     }
 
-    MiningOutcome Mined = mineSpecification(Prob);
+    MiningOutcome Mined = mineSpecification(Ctx);
     if (!Mined.Ok && !Mined.SequentialBug) {
       ADD_FAILURE() << Label << ": miner: " << Mined.Error;
       return Compared;
@@ -286,22 +286,23 @@ int compareBufferMachine(const std::string &Source,
   for (memmodel::ModelParams Model : {TSO, PSO}) {
     ProblemConfig Cfg;
     Cfg.Model = Model;
-    EncodedProblem Prob(Prog, Threads, {}, Cfg);
-    if (!Prob.ok()) {
-      ADD_FAILURE() << Label << ": " << Prob.error();
+    SolveContext Ctx(Prog, Threads, {}, Cfg);
+    ProblemEncoding &Enc = Ctx.encoding();
+    if (!Enc.ok()) {
+      ADD_FAILURE() << Label << ": " << Enc.error();
       return Compared;
     }
 
     memmodel::StoreBufferOptions BO;
     BO.Model = Model;
     memmodel::StoreBufferResult Machine =
-        memmodel::enumerateStoreBuffer(Prob.flat(), BO);
+        memmodel::enumerateStoreBuffer(Enc.flat(), BO);
     if (!Machine.Ok) {
       ADD_FAILURE() << Label << ": machine: " << Machine.Error;
       return Compared;
     }
 
-    MiningOutcome Mined = mineSpecification(Prob);
+    MiningOutcome Mined = mineSpecification(Ctx);
     if (!Mined.Ok && !Mined.SequentialBug) {
       ADD_FAILURE() << Label << ": miner: " << Mined.Error;
       return Compared;

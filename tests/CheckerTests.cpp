@@ -83,16 +83,17 @@ void crossValidateSpec(const std::string &Source, const std::string &Test) {
   // SAT-based mining.
   ProblemConfig Cfg;
   Cfg.Model = memmodel::ModelParams::serial();
-  EncodedProblem Prob(Prog, Threads, {}, Cfg);
-  ASSERT_TRUE(Prob.ok()) << Prob.error();
-  MiningOutcome Mined = mineSpecification(Prob);
+  SolveContext Ctx(Prog, Threads, {}, Cfg);
+  ProblemEncoding &Enc = Ctx.encoding();
+  ASSERT_TRUE(Enc.ok()) << Enc.error();
+  MiningOutcome Mined = mineSpecification(Ctx);
   ASSERT_TRUE(Mined.Ok) << Mined.Error;
   ASSERT_FALSE(Mined.SequentialBug);
 
   // Explicit-state enumeration of the same flat program.
   memmodel::RefOptions RO;
   RO.InvocationGranularity = true;
-  auto RefSet = memmodel::enumerateExecutions(Prob.flat(), RO);
+  auto RefSet = memmodel::enumerateExecutions(Enc.flat(), RO);
 
   std::set<Observation> RefObs;
   for (const memmodel::RefObservation &O : RefSet) {

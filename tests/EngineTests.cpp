@@ -17,7 +17,6 @@
 #include "impls/Impls.h"
 #include "lsl/Printer.h"
 #include "obs/Trace.h"
-#include "sat/CnfStore.h"
 #include "support/Fingerprint.h"
 
 #include "checkfence/checkfence.h"
@@ -68,7 +67,16 @@ void expectSessionMatchesFresh(const std::string &Source,
   EXPECT_EQ(Inc.Spec, Fresh.Spec);
   // Note: FinalBounds may legitimately differ - a satisfiable probe's
   // model (and hence which loop instances grow first) depends on solver
-  // state. Verdict and observation set may not.
+  // state. Verdict and observation set may not. At equal final bounds
+  // both pipelines encode the final instance through the same class, so
+  // its size must match too.
+  if (Inc.FinalBounds == Fresh.FinalBounds) {
+    EXPECT_EQ(Inc.Stats.Inclusion.SatVars, Fresh.Stats.Inclusion.SatVars);
+    EXPECT_EQ(Inc.Stats.Inclusion.SatClauses,
+              Fresh.Stats.Inclusion.SatClauses);
+    EXPECT_EQ(Inc.Stats.Inclusion.UnrolledInstrs,
+              Fresh.Stats.Inclusion.UnrolledInstrs);
+  }
 }
 
 TEST(SessionEquivalence, RefQueueT0AllModels) {
@@ -164,12 +172,12 @@ TEST(SessionSolver, ReportsTheFinalInstanceSize) {
 
   ProblemConfig Cfg;
   Cfg.Model = Opts.Model;
-  EncodedProblem OneShot(Prog, Threads, R.FinalBounds, Cfg);
-  ASSERT_TRUE(OneShot.ok()) << OneShot.error();
-  EXPECT_EQ(R.Stats.Inclusion.UnrolledInstrs,
-            OneShot.stats().UnrolledInstrs);
-  EXPECT_EQ(R.Stats.Inclusion.SatVars, OneShot.stats().SatVars);
-  EXPECT_EQ(R.Stats.Inclusion.SatClauses, OneShot.stats().SatClauses);
+  SolveContext OneShot(Prog, Threads, R.FinalBounds, Cfg);
+  const ProblemEncoding &Enc = OneShot.encoding();
+  ASSERT_TRUE(Enc.ok()) << Enc.error();
+  EXPECT_EQ(R.Stats.Inclusion.UnrolledInstrs, Enc.stats().UnrolledInstrs);
+  EXPECT_EQ(R.Stats.Inclusion.SatVars, Enc.stats().SatVars);
+  EXPECT_EQ(R.Stats.Inclusion.SatClauses, Enc.stats().SatClauses);
 }
 
 //===----------------------------------------------------------------------===//
@@ -292,42 +300,6 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
 }
 
 //===----------------------------------------------------------------------===//
-// The solver-free encoding artifact.
-//===----------------------------------------------------------------------===//
-
-TEST(ProblemEncodingArtifact, CnfStoreReplayReproducesTheProblem) {
-  lsl::Program Prog;
-  ASSERT_TRUE(compileInto(impls::referenceFor("queue"), Prog));
-  TestSpec Spec = testByName("T0");
-  std::vector<std::string> Threads = buildTestThreads(Prog, Spec);
-
-  ProblemConfig Cfg;
-  Cfg.Model = memmodel::ModelParams::serial();
-
-  // Capture the encoding into a pure store - no solver involved.
-  sat::CnfStore Store;
-  encode::CnfBuilder Cnf(Store);
-  ProblemEncoding Enc(Cnf, Prog, Threads, {}, Cfg);
-  ASSERT_TRUE(Enc.ok()) << Enc.error();
-  EXPECT_GT(Store.numVars(), 0);
-  EXPECT_GT(Store.numClauses(), 0u);
-
-  // Replay preserves variable numbering, so the artifact's decode maps
-  // apply to the replayed solver's models.
-  sat::Solver S;
-  ASSERT_TRUE(Store.replayInto(S));
-  EXPECT_EQ(S.numVars(), Store.numVars());
-  ASSERT_EQ(S.solve(Enc.withinBoundsAssumptions()), sat::SolveResult::Sat);
-  Observation O = Enc.decodeObservation(S);
-  EXPECT_EQ(O.Values.size(), Enc.observationLabels().size());
-
-  // The probe activation works on the replayed solver too: the reference
-  // queue's primed-free T0 has no unrollable loops beyond its bounds, so
-  // the probe must be unsatisfiable.
-  EXPECT_EQ(S.solve(Enc.probeAssumptions()), sat::SolveResult::Unsat);
-}
-
-//===----------------------------------------------------------------------===//
 // The request-scoped spec store: mining once must be a pure optimization.
 //===----------------------------------------------------------------------===//
 
@@ -405,8 +377,8 @@ TEST(SpecStore, FencedAndStrippedSpecsAgreeForEveryCatalogImpl) {
     Cfg.Model = memmodel::ModelParams::serial();
     const trans::LoopBounds Initial, &Final = Probe.FinalBounds;
     for (const trans::LoopBounds *Bounds : {&Initial, &Final}) {
-      EncodedProblem F(Fenced, Threads, *Bounds, Cfg);
-      EncodedProblem S(Stripped, Threads, *Bounds, Cfg);
+      SolveContext F(Fenced, Threads, *Bounds, Cfg);
+      SolveContext S(Stripped, Threads, *Bounds, Cfg);
       MiningOutcome MF = mineSpecification(F);
       MiningOutcome MS = mineSpecification(S);
       ASSERT_TRUE(MF.Ok) << MF.Error;

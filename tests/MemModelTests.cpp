@@ -14,7 +14,6 @@
 
 #include "frontend/Lowering.h"
 #include "harness/TestSpec.h"
-#include "checker/Encoder.h"
 #include "checker/SpecMiner.h"
 
 #include <algorithm>
@@ -46,15 +45,16 @@ bool reachable(const std::string &Source,
 
   ProblemConfig Cfg;
   Cfg.Model = Model;
-  EncodedProblem Prob(Prog, Threads, {}, Cfg);
-  EXPECT_TRUE(Prob.ok()) << Prob.error();
+  SolveContext Ctx(Prog, Threads, {}, Cfg);
+  ProblemEncoding &Enc = Ctx.encoding();
+  EXPECT_TRUE(Enc.ok()) << Enc.error();
 
   Observation O;
   O.Error = OutcomeError;
   O.Values = Outcome;
-  if (!Prob.requireObservation(O))
+  if (!Enc.requireObservation(O))
     return false;
-  return Prob.solve() == sat::SolveResult::Sat;
+  return Ctx.solve() == sat::SolveResult::Sat;
 }
 
 constexpr auto SC = memmodel::ModelParams::sc();
@@ -452,12 +452,13 @@ TEST(LitmusTsoPso, PublicationFenceRestoresPso) {
   std::vector<std::string> Threads = buildTestThreads(Prog, Spec);
   ProblemConfig Cfg;
   Cfg.Model = PSO;
-  EncodedProblem Prob(Prog, Threads, {}, Cfg);
-  ASSERT_TRUE(Prob.ok()) << Prob.error();
+  SolveContext Ctx(Prog, Threads, {}, Cfg);
+  ProblemEncoding &Enc = Ctx.encoding();
+  ASSERT_TRUE(Enc.ok()) << Enc.error();
   Observation O;
   O.Values = {IV(1), Value::undef()};
-  Prob.requireObservation(O);
-  EXPECT_NE(Prob.solve(), sat::SolveResult::Sat);
+  Enc.requireObservation(O);
+  EXPECT_NE(Ctx.solve(), sat::SolveResult::Sat);
 }
 
 //===----------------------------------------------------------------------===//
@@ -523,12 +524,13 @@ TEST_P(OrderModeAgreement, SameVerdicts) {
       Cfg.Model = Model;
       Cfg.Order = Mode == 0 ? encode::OrderMode::Pairwise
                             : encode::OrderMode::Rank;
-      EncodedProblem Prob(Prog, Threads, {}, Cfg);
-      ASSERT_TRUE(Prob.ok()) << Prob.error();
+      SolveContext Ctx(Prog, Threads, {}, Cfg);
+      ProblemEncoding &Enc = Ctx.encoding();
+      ASSERT_TRUE(Enc.ok()) << Enc.error();
       Observation O;
       O.Values = C.Obs;
-      Prob.requireObservation(O);
-      Results[Mode] = Prob.solve() == sat::SolveResult::Sat;
+      Enc.requireObservation(O);
+      Results[Mode] = Ctx.solve() == sat::SolveResult::Sat;
     }
     EXPECT_EQ(Results[0], Results[1]);
   }
@@ -568,9 +570,10 @@ TEST_P(ModelHierarchy, ObservationSetsAreNested) {
   for (memmodel::ModelParams K : Chain) {
     ProblemConfig Cfg;
     Cfg.Model = K;
-    EncodedProblem Prob(Prog, Threads, {}, Cfg);
-    ASSERT_TRUE(Prob.ok()) << Prob.error();
-    MiningOutcome M = mineSpecification(Prob);
+    SolveContext Ctx(Prog, Threads, {}, Cfg);
+    ProblemEncoding &Enc = Ctx.encoding();
+    ASSERT_TRUE(Enc.ok()) << Enc.error();
+    MiningOutcome M = mineSpecification(Ctx);
     ASSERT_TRUE(M.Ok || M.SequentialBug) << M.Error;
     Sets.push_back(M.Spec);
   }

@@ -18,7 +18,6 @@
 
 #include "checkfence/checkfence.h"
 
-#include "checker/Encoder.h"
 #include "checker/SpecMiner.h"
 #include "explore/Differential.h"
 #include "frontend/Lowering.h"
@@ -97,20 +96,21 @@ int compareOracles(const std::string &Source,
   for (const memmodel::ModelParams &Model : eligibleModels()) {
     ProblemConfig Cfg;
     Cfg.Model = Model;
-    EncodedProblem Prob(Prog, Threads, {}, Cfg);
-    if (!Prob.ok()) {
-      ADD_FAILURE() << Label << ": " << Prob.error();
+    SolveContext Ctx(Prog, Threads, {}, Cfg);
+    ProblemEncoding &Enc = Ctx.encoding();
+    if (!Enc.ok()) {
+      ADD_FAILURE() << Label << ": " << Enc.error();
       return Compared;
     }
 
     memmodel::ReadsFromOptions RO;
     RO.Model = Model;
     memmodel::ReadsFromResult RF =
-        memmodel::checkReadsFrom(Prob.flat(), RO);
+        memmodel::checkReadsFrom(Enc.flat(), RO);
     memmodel::AxiomaticOptions AO;
     AO.Model = Model;
     memmodel::AxiomaticResult Slow =
-        memmodel::enumerateAxiomatic(Prob.flat(), AO);
+        memmodel::enumerateAxiomatic(Enc.flat(), AO);
 
     // Fragment/skip agreement is part of the contract: the explore
     // report must not depend on which oracle ran.
@@ -134,7 +134,7 @@ int compareOracles(const std::string &Source,
 
     if (Model == memmodel::ModelParams::sc()) {
       std::set<memmodel::RefObservation> Interleaved =
-          memmodel::enumerateExecutions(Prob.flat(), memmodel::RefOptions{});
+          memmodel::enumerateExecutions(Enc.flat(), memmodel::RefOptions{});
       EXPECT_EQ(RF.Observations, Interleaved)
           << Label << " disagrees with the reference executor under sc"
           << "\n  reads-from: " << show(RF.Observations)
@@ -414,17 +414,18 @@ TEST(OracleSkips, GuardDependsOnLoad) {
       compileLitmus(GuardDependsSource, {{"t0_op"}, {"t1_op"}});
   ProblemConfig Cfg;
   Cfg.Model = memmodel::ModelParams::sc();
-  EncodedProblem Prob(L.Prog, L.Threads, {}, Cfg);
-  ASSERT_TRUE(Prob.ok()) << Prob.error();
+  SolveContext Ctx(L.Prog, L.Threads, {}, Cfg);
+  ProblemEncoding &Enc = Ctx.encoding();
+  ASSERT_TRUE(Enc.ok()) << Enc.error();
 
   memmodel::ReadsFromResult RF =
-      memmodel::checkReadsFrom(Prob.flat(), {});
+      memmodel::checkReadsFrom(Enc.flat(), {});
   EXPECT_FALSE(RF.Ok);
   EXPECT_EQ(RF.Reason, memmodel::OracleSkip::GuardDependsOnLoad);
   EXPECT_EQ(RF.Error, "guard depends on a load");
 
   memmodel::AxiomaticResult Slow =
-      memmodel::enumerateAxiomatic(Prob.flat(), {});
+      memmodel::enumerateAxiomatic(Enc.flat(), {});
   EXPECT_FALSE(Slow.Ok);
   EXPECT_EQ(Slow.Reason, memmodel::OracleSkip::GuardDependsOnLoad);
   EXPECT_EQ(Slow.Error, RF.Error);
@@ -441,12 +442,13 @@ void t2_op(void) { y = 1; observe(x); }
                                    {{"t1_op"}, {"t2_op"}});
   ProblemConfig Cfg;
   Cfg.Model = memmodel::ModelParams::sc();
-  EncodedProblem Prob(L.Prog, L.Threads, {}, Cfg);
-  ASSERT_TRUE(Prob.ok()) << Prob.error();
+  SolveContext Ctx(L.Prog, L.Threads, {}, Cfg);
+  ProblemEncoding &Enc = Ctx.encoding();
+  ASSERT_TRUE(Enc.ok()) << Enc.error();
 
   memmodel::ReadsFromOptions RO;
   RO.MaxAssignments = 1;
-  memmodel::ReadsFromResult RF = memmodel::checkReadsFrom(Prob.flat(), RO);
+  memmodel::ReadsFromResult RF = memmodel::checkReadsFrom(Enc.flat(), RO);
   EXPECT_FALSE(RF.Ok);
   EXPECT_EQ(RF.Reason, memmodel::OracleSkip::BudgetExceeded);
   EXPECT_EQ(RF.Error, "search budget exceeded");
@@ -454,7 +456,7 @@ void t2_op(void) { y = 1; observe(x); }
   memmodel::AxiomaticOptions AO;
   AO.MaxOrders = 1;
   memmodel::AxiomaticResult Slow =
-      memmodel::enumerateAxiomatic(Prob.flat(), AO);
+      memmodel::enumerateAxiomatic(Enc.flat(), AO);
   EXPECT_FALSE(Slow.Ok);
   EXPECT_EQ(Slow.Reason, memmodel::OracleSkip::BudgetExceeded);
   EXPECT_EQ(Slow.Error, RF.Error);

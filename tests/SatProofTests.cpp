@@ -14,7 +14,6 @@
 
 #include "sat/Proof.h"
 
-#include "checker/Encoder.h"
 #include "checker/SpecMiner.h"
 #include "frontend/Lowering.h"
 #include "harness/Catalog.h"
@@ -57,8 +56,7 @@ void addPigeonhole(Solver &S, int Holes) {
 class PigeonholeProof : public ::testing::TestWithParam<int> {};
 
 TEST_P(PigeonholeProof, RefutationValidates) {
-  Solver S;
-  S.enableProofLog();
+  Solver S(/*LogProof=*/true);
   addPigeonhole(S, GetParam());
   ASSERT_EQ(S.solve(), SolveResult::Unsat);
   ASSERT_NE(S.proofLog(), nullptr);
@@ -95,8 +93,7 @@ TEST_P(RandomProof, UnsatRunsValidateSatRunsModel) {
   // Near the 3-SAT phase transition (ratio ~5) small instances split
   // between Sat and Unsat; both outcomes are checked.
   auto Cnf = randomCnf(GetParam(), 20, 100);
-  Solver S;
-  S.enableProofLog();
+  Solver S(/*LogProof=*/true);
   for (Var V = 0; V < 20; ++V)
     S.newVar();
   bool Consistent = true;
@@ -123,8 +120,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, RandomProof, ::testing::Range(0u, 32u));
 TEST(SatProof, IncrementalBlockingLoopValidates) {
   // The specification-mining pattern: enumerate models, blocking each,
   // until Unsat; the proof must account for all blocking clauses.
-  Solver S;
-  S.enableProofLog();
+  Solver S(/*LogProof=*/true);
   const int N = 6;
   for (Var V = 0; V < N; ++V)
     S.newVar();
@@ -148,8 +144,7 @@ TEST(SatProof, AssumptionConflictIsLogged) {
   // a -> b, b -> c; assuming a and ~c is inconsistent. The derived clause
   // over the negated assumptions validates without an empty clause, and
   // the formula itself stays satisfiable.
-  Solver S;
-  S.enableProofLog();
+  Solver S(/*LogProof=*/true);
   Var A = S.newVar(), B = S.newVar(), C = S.newVar();
   S.addClause(mk(A, true), mk(B));
   S.addClause(mk(B, true), mk(C));
@@ -199,8 +194,7 @@ TEST(SatProof, ValidHandProofAccepted) {
 }
 
 TEST(SatProof, DratTextExport) {
-  Solver S;
-  S.enableProofLog();
+  Solver S(/*LogProof=*/true);
   addPigeonhole(S, 3);
   ASSERT_EQ(S.solve(), SolveResult::Unsat);
   std::string Text = S.proofLog()->toDratText();
@@ -228,24 +222,31 @@ TEST(SatProof, InclusionCheckPassIsCertified) {
   // Mine the specification under Serial...
   ProblemConfig SerialCfg;
   SerialCfg.Model = memmodel::ModelParams::serial();
-  EncodedProblem SerialProb(Prog, Threads, {}, SerialCfg);
-  ASSERT_TRUE(SerialProb.ok()) << SerialProb.error();
-  MiningOutcome Spec = mineSpecification(SerialProb);
+  SolveContext SerialCtx(Prog, Threads, {}, SerialCfg);
+  ASSERT_TRUE(SerialCtx.encoding().ok()) << SerialCtx.encoding().error();
+  MiningOutcome Spec = mineSpecification(SerialCtx);
   ASSERT_TRUE(Spec.Ok) << Spec.Error;
 
-  // ...then run the inclusion check on Relaxed with proof logging.
+  // ...then run the inclusion check on Relaxed with proof logging. The
+  // mismatch clauses and the within-bounds literals are hard-asserted, so
+  // the Unsat answer refutes the clause database alone and the proof must
+  // derive the empty clause.
   ProblemConfig Cfg;
   Cfg.Model = memmodel::ModelParams::relaxed();
   Cfg.ProofLog = true;
-  EncodedProblem Prob(Prog, Threads, {}, Cfg);
-  ASSERT_TRUE(Prob.ok()) << Prob.error();
+  SolveContext Ctx(Prog, Threads, {}, Cfg);
+  ProblemEncoding &Enc = Ctx.encoding();
+  ASSERT_TRUE(Enc.ok()) << Enc.error();
   for (const Observation &O : Spec.Spec)
-    Prob.addMismatch(O);
-  ASSERT_EQ(Prob.solve(), SolveResult::Unsat)
+    Enc.addMismatch(O);
+  for (Lit A : Enc.withinBoundsAssumptions())
+    Ctx.solver().addClause(A);
+  ASSERT_EQ(Ctx.solveUnder({}), SolveResult::Unsat)
       << "fenced treiber must pass U0 on Relaxed";
 
-  ASSERT_NE(Prob.proofLog(), nullptr);
-  RupChecker::Outcome O = RupChecker::check(*Prob.proofLog(), true);
+  const ProofLog *Proof = Ctx.solver().proofLog();
+  ASSERT_NE(Proof, nullptr);
+  RupChecker::Outcome O = RupChecker::check(*Proof, true);
   EXPECT_TRUE(O.Ok) << O.Error;
   EXPECT_GT(O.CheckedDerivations, 0u);
 }

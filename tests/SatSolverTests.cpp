@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "sat/Dimacs.h"
 #include "sat/Solver.h"
 
 #include "gtest/gtest.h"
@@ -18,6 +17,24 @@ namespace {
 
 Lit pos(Var V) { return Lit::make(V); }
 Lit neg(Var V) { return Lit::make(V, true); }
+
+/// A raw CNF over variables 0..NumVars-1, shared by the reference solver
+/// and the solver under test.
+struct Cnf {
+  int NumVars = 0;
+  std::vector<std::vector<Lit>> Clauses;
+  void addClause(std::vector<Lit> Ls) { Clauses.push_back(std::move(Ls)); }
+};
+
+/// Loads \p F into \p S; false if the solver became unsatisfiable.
+bool loadIntoSolver(const Cnf &F, Solver &S) {
+  while (S.numVars() < F.NumVars)
+    S.newVar();
+  bool Ok = true;
+  for (const std::vector<Lit> &C : F.Clauses)
+    Ok = S.addClause(C) && Ok;
+  return Ok && S.okay();
+}
 
 //===----------------------------------------------------------------------===//
 // Reference solver: a tiny recursive DPLL used as the oracle in property
@@ -299,31 +316,6 @@ TEST(SatSolver, MemoryAccounting) {
   size_t Before = S.memoryBytes();
   S.addClause(pos(A), pos(B), pos(C));
   EXPECT_GT(S.memoryBytes(), Before);
-}
-
-//===----------------------------------------------------------------------===//
-// DIMACS round-trip
-//===----------------------------------------------------------------------===//
-
-TEST(Dimacs, RoundTrip) {
-  Cnf F;
-  F.NumVars = 3;
-  F.addClause({pos(0), neg(1)});
-  F.addClause({pos(2)});
-  std::string Text = writeDimacs(F);
-  Cnf G;
-  ASSERT_TRUE(parseDimacs(Text, G));
-  EXPECT_EQ(G.NumVars, 3);
-  ASSERT_EQ(G.Clauses.size(), 2u);
-  EXPECT_EQ(G.Clauses[0], F.Clauses[0]);
-  EXPECT_EQ(G.Clauses[1], F.Clauses[1]);
-}
-
-TEST(Dimacs, ParseWithComments) {
-  Cnf G;
-  ASSERT_TRUE(parseDimacs("c hello\np cnf 2 2\n1 -2 0\n2 0\n", G));
-  EXPECT_EQ(G.NumVars, 2);
-  EXPECT_EQ(G.Clauses.size(), 2u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -6,8 +6,8 @@
 // client (Remote.h) against an in-process daemon on an ephemeral port:
 // remote-vs-local result identity for every request kind, admission
 // control (429 + Retry-After), per-request deadline clamping, client
-// disconnect cancellation, the /metrics and /status surfaces, graceful
-// drain, and cross-restart cache persistence.
+// disconnect cancellation, the /metrics and /status surfaces, survival of
+// malformed requests, graceful drain, and cross-restart cache persistence.
 //
 //===----------------------------------------------------------------------===//
 
@@ -409,6 +409,50 @@ TEST(ServerObservability, ProtocolErrorsAreWellFormed) {
   H = httpRequest("127.0.0.1", Port, "GET", "/rpc", "", {});
   ASSERT_TRUE(H.Ok);
   EXPECT_EQ(H.StatusCode, 405);
+}
+
+TEST(ServerRobustness, MalformedLitmusLeavesTheDaemonServing) {
+  ServerConfig Cfg;
+  Cfg.Port = 0;
+  CheckServer S(Cfg);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  int Port = S.port();
+
+  const char *Sb = R"(
+extern void observe(int v);
+int x; int y;
+void init_op(void) { x = 0; y = 0; }
+void t1_op(void) { x = 1; observe(y); }
+void t2_op(void) { y = 1; observe(x); }
+)";
+  Request Litmus = Request::litmus(Sb).thread("t1_op").thread("t2_op");
+  // Posts \p Req and returns the JSON-RPC result object.
+  auto Post = [&](const Request &Req, int Id, support::JsonValue &Result) {
+    HttpResult H = httpRequest(
+        "127.0.0.1", Port, "POST", "/rpc",
+        rpcRequest("checkfence.litmus", encodeRequest(Req), Id), {});
+    ASSERT_TRUE(H.Ok) << H.Error;
+    ASSERT_EQ(H.StatusCode, 200) << H.Body;
+    support::JsonValue Doc;
+    std::string ParseError;
+    ASSERT_TRUE(support::parseJson(H.Body, Doc, ParseError)) << ParseError;
+    ASSERT_NE(Doc.find("result"), nullptr) << H.Body;
+    Result = *Doc.find("result");
+  };
+
+  // No expect(): the request names no observed values at all.
+  support::JsonValue R;
+  ASSERT_NO_FATAL_FAILURE(Post(Litmus, 1, R));
+  EXPECT_FALSE(R.find("ok")->asBool());
+  EXPECT_EQ(R.find("error")->asString(),
+            "litmus expects 2 observed values, got 0");
+
+  // The daemon still answers the next connection.
+  ASSERT_NO_FATAL_FAILURE(
+      Post(Request(Litmus).expect({0, 0}).model("sc"), 2, R));
+  EXPECT_TRUE(R.find("ok")->asBool()) << R.find("error")->asString();
+  EXPECT_FALSE(R.find("reachable")->asBool());
 }
 
 //===----------------------------------------------------------------------===//
