@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The shared (impl, test) grid and single-cell runner used by the
-/// engine-layer benches. Split from BenchUtil.h because these helpers
-/// reach into src/ (harness, impls) - the public-API benches
-/// (bench_matrix, bench_fences, bench_explore) must not include this
+/// The single-cell runner used by the engine-layer benches. Split from
+/// BenchUtil.h because it reaches into src/ (harness, impls) - the
+/// public-API benches (bench_matrix, bench_explore) must not include this
 /// header, and CI's boundary grep enforces that.
 ///
 //===----------------------------------------------------------------------===//
@@ -22,35 +21,8 @@
 #include "impls/Impls.h"
 
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace benchutil {
-
-/// The (impl, test) pairs exercised by the Fig. 10-style benches. The
-/// quick subset keeps every bench binary under a few minutes.
-inline std::vector<std::pair<std::string, std::string>> benchGrid() {
-  using P = std::pair<std::string, std::string>;
-  std::vector<P> Quick = {
-      {"ms2", "T0"},      {"ms2", "Tpc2"}, {"ms2", "Ti2"},
-      {"msn", "T0"},      {"msn", "Tpc2"},
-      {"lazylist", "Sac"}, {"lazylist", "Sar"},
-      {"harris", "Sac"},  {"harris", "Sar"},
-      {"snark", "Da"},    {"snark", "D0"},
-  };
-  if (!fullRun())
-    return Quick;
-  std::vector<P> Full = Quick;
-  for (const char *T : {"T1", "Tpc3", "Ti3", "T53"})
-    Full.push_back({"ms2", T});
-  for (const char *T : {"Ti2", "Tpc3"})
-    Full.push_back({"msn", T});
-  for (const char *T : {"Sacr", "Saa"})
-    Full.push_back({"lazylist", T});
-  Full.push_back({"harris", "Saa"});
-  Full.push_back({"snark", "Db"});
-  return Full;
-}
 
 /// Runs a catalog test on an implementation and returns the result.
 inline checkfence::checker::CheckResult

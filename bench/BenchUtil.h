@@ -10,8 +10,8 @@
 /// tooling (scripts/bench_compare.py, the CI perf job) consumes.
 ///
 /// Deliberately public-safe: standard library only, no src/ includes, so
-/// the public-API benches (bench_matrix, bench_fences, bench_explore) can
-/// use it without crossing the API boundary. Engine-layer helpers live in
+/// the public-API benches (bench_matrix, bench_explore) can use it
+/// without crossing the API boundary. Engine-layer helpers live in
 /// BenchGrid.h instead.
 ///
 /// Schema (bench_schema_version 1):

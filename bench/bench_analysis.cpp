@@ -13,8 +13,8 @@
 //     and A/Bs every cell against a run with the pruner disabled: the
 //     verdicts and timing-free stats must be identical (gated).
 //
-//  2. Fence-synthesis seeding: the bench_synth workloads are synthesized
-//     twice, with and without analysis seeding. The final minimized
+//  2. Fence-synthesis seeding: msn T0, ms2 T0 and treiber U0 are
+//     synthesized twice, with and without analysis seeding. The final minimized
 //     placements must be identical (gated) and the seeded run must cost
 //     strictly fewer checker runs in total (gated) - seeding only steers
 //     each round away from placements no critical cycle runs through

@@ -232,11 +232,6 @@ public:
   // Engine options (unset = library default)
   //===--------------------------------------------------------------===//
 
-  /// Rank-based memory-order encoding instead of the pairwise one.
-  Request &rankOrder(bool Enable = true) {
-    UseRankOrder = Enable;
-    return *this;
-  }
   /// Disable range-analysis optimizations (the Fig. 11c ablation).
   Request &rangeAnalysis(bool Enable) {
     UseRangeAnalysis = Enable;
@@ -408,7 +403,6 @@ public:
   std::vector<int> StripLines;
   bool UseRefSpec = false;
 
-  std::optional<bool> UseRankOrder;
   std::optional<bool> UseRangeAnalysis;
   std::optional<int> MaxBoundIterations;
   std::optional<int> MaxProbes;

@@ -153,9 +153,6 @@ bool checkfence::api::checkOptionsFrom(const Request &Req,
     }
     Out.Model = *M;
   }
-  if (Req.UseRankOrder)
-    Out.Order = *Req.UseRankOrder ? encode::OrderMode::Rank
-                                  : encode::OrderMode::Pairwise;
   if (Req.UseRangeAnalysis)
     Out.RangeAnalysis = *Req.UseRangeAnalysis;
   if (Req.MaxBoundIterations)
@@ -177,8 +174,7 @@ bool checkfence::api::checkOptionsFrom(const Request &Req,
 std::string checkfence::api::optionsFingerprint(
     const checker::CheckOptions &O, bool Fresh) {
   return formatString(
-      "%s|ord%d|ra%d|it%d|pr%d|cb%lld|obs%llu|%s",
-      O.Model.str().c_str(), static_cast<int>(O.Order),
+      "%s|ra%d|it%d|pr%d|cb%lld|obs%llu|%s", O.Model.str().c_str(),
       O.RangeAnalysis ? 1 : 0, O.MaxBoundIterations, O.MaxProbes,
       static_cast<long long>(O.ConflictBudget),
       static_cast<unsigned long long>(O.MaxObservations),

@@ -27,7 +27,7 @@ namespace {
 /// a different release is rejected on load (verdicts may have changed),
 /// not replayed. Verifier then avoids clobbering the unrecognized file.
 std::string fileHeader() {
-  return std::string("checkfence-result-cache 1 ") + versionString();
+  return std::string("checkfence-result-cache 2 ") + versionString();
 }
 
 std::optional<Status> statusFromName(const std::string &Name) {

@@ -112,6 +112,22 @@ void fireVerdict(EventSink *Sink, const std::string &Label, Status S,
     Sink->onVerdict({Label, S, Message, FromCache});
 }
 
+/// The run options of one catalog cell: \p Base plus the cell's progress
+/// hooks and, when \p RefSpec, the reference implementation of the
+/// cell's data-type kind to mine the specification from. An unknown
+/// implementation keeps Base's empty SpecSource (referenceFor aborts on
+/// unknown kinds); catalogCellRunner reports it as an error cell.
+harness::RunOptions cellOptions(const harness::RunOptions &Base,
+                                bool RefSpec, const engine::MatrixCell &Cell,
+                                EventSink *Sink, const RunControl &Control) {
+  harness::RunOptions O = Base;
+  O.Check.Hooks = makeHooks(Cell.label(), Sink, Control);
+  if (RefSpec)
+    if (const impls::ImplInfo *Info = impls::findImpl(Cell.Impl))
+      O.SpecSource = impls::referenceFor(Info->Kind);
+  return O;
+}
+
 /// A ready-made Cancelled result for cells whose run was never started
 /// (the stop request arrived first) - skips the per-cell compile.
 checker::CheckResult cancelledCell() {
@@ -398,7 +414,7 @@ Report Verifier::matrix(const Request &Req, EventSink *Sink,
   // passing cells, which run before it on the same job, so the report is
   // byte-identical across job counts too (freshPipeline() never seeds).
   engine::CellFn Fn =
-      [Base, Sink, Control, &Finished,
+      [Base, RefSpec = Req.UseRefSpec, Sink, Control, &Finished,
        Total](const engine::MatrixCell &Cell) -> checker::CheckResult {
     if (Control.stopRequested()) {
       // Skipped cells still complete the progress contract: Finished
@@ -408,10 +424,9 @@ Report Verifier::matrix(const Request &Req, EventSink *Sink,
                               Total, Status::Cancelled, 0});
       return cancelledCell();
     }
-    harness::RunOptions O = Base;
-    O.Check.Hooks = makeHooks(Cell.label(), Sink, Control);
     Timer T;
-    checker::CheckResult R = harness::catalogCellRunner(O)(Cell);
+    checker::CheckResult R = harness::catalogCellRunner(
+        cellOptions(Base, RefSpec, Cell, Sink, Control))(Cell);
     if (Sink)
       Sink->onCellFinished({Cell.label(), Finished.fetch_add(1) + 1,
                             Total, toStatus(R.Status), T.seconds()});
@@ -468,13 +483,12 @@ WeakestOutcome Verifier::weakestModels(const Request &Req,
 
   RunControl Control = RunControl::make(Token, Req.DeadlineSeconds);
   engine::CellFn Fn =
-      [Base, Sink,
+      [Base, RefSpec = Req.UseRefSpec, Sink,
        Control](const engine::MatrixCell &Cell) -> checker::CheckResult {
     if (Control.stopRequested())
       return cancelledCell();
-    harness::RunOptions O = Base;
-    O.Check.Hooks = makeHooks(Cell.label(), Sink, Control);
-    return harness::catalogCellRunner(O)(Cell);
+    return harness::catalogCellRunner(
+        cellOptions(Base, RefSpec, Cell, Sink, Control))(Cell);
   };
 
   std::vector<memmodel::ModelParams> Lattice;
@@ -517,6 +531,11 @@ SynthOutcome Verifier::synthesize(const Request &Req, EventSink *Sink,
   checker::CheckOptions Opts;
   if (!checkOptionsFrom(Req, Opts, Out.Message))
     return Fail();
+  // Synthesis always mines from the candidate placement itself.
+  if (Req.UseRefSpec) {
+    Out.Message = "refSpec() is not supported by fence synthesis";
+    return Fail();
+  }
 
   // Resolve the source and the tests (one, or a Tests list).
   Request Probe = Req;
@@ -797,7 +816,6 @@ LitmusOutcome Verifier::observable(const Request &Req) {
 
   checker::ProblemConfig Cfg;
   Cfg.Model = Opts.Model;
-  Cfg.Order = Opts.Order;
   Cfg.RangeAnalysis = Opts.RangeAnalysis;
   Cfg.ConflictBudget = Opts.ConflictBudget;
   checker::SolveContext Ctx(Prog, Threads, {}, Cfg);

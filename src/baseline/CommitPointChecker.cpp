@@ -31,7 +31,7 @@ public:
   bool build(CnfBuilder &Cnf, const lsl::Program &Prog,
              const std::vector<std::string> &Threads,
              const LoopBounds &Bounds, memmodel::ModelParams Model,
-             OrderMode Order, std::string &Err) {
+             std::string &Err) {
     Flattener F(Prog, Flat, Bounds);
     for (size_t T = 0; T < Threads.size(); ++T) {
       if (!F.flattenThread(Threads[T], static_cast<int>(T))) {
@@ -47,7 +47,7 @@ public:
       return false;
     }
     MME = std::make_unique<memmodel::MemoryModelEncoder>(*VE, Flat, Ranges,
-                                                         Model, Order, EO);
+                                                         Model, EO);
     if (!MME->encode()) {
       Err = "memory model encoding failed";
       return false;
@@ -109,10 +109,10 @@ CommitPointResult checkfence::baseline::checkCommitPoints(
 
   SubEncoding Impl, Ref;
   if (!Impl.build(Cnf, ImplProg, ThreadProcs, Opts.Bounds, Opts.Model,
-                  Opts.Order, Result.Error))
+                  Result.Error))
     return Result;
   if (!Ref.build(Cnf, RefProg, ThreadProcs, /*Bounds=*/{},
-                 memmodel::ModelParams::serial(), Opts.Order, Result.Error))
+                 memmodel::ModelParams::serial(), Result.Error))
     return Result;
 
   if (Impl.Flat.CommitMarks.empty()) {

@@ -53,7 +53,6 @@ struct CommitPointResult {
 
 struct CommitPointOptions {
   memmodel::ModelParams Model = memmodel::ModelParams::relaxed();
-  encode::OrderMode Order = encode::OrderMode::Pairwise;
   trans::LoopBounds Bounds; ///< unroll bounds (from a prior run's probe)
   int64_t ConflictBudget = -1;
 };

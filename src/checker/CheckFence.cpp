@@ -49,7 +49,6 @@ CheckResult checkfence::checker::runCheckFresh(
 
   ProblemConfig MineCfg;
   MineCfg.Model = memmodel::ModelParams::serial();
-  MineCfg.Order = Opts.Order;
   MineCfg.RangeAnalysis = Opts.RangeAnalysis;
   MineCfg.ConflictBudget = Opts.ConflictBudget;
   ProblemConfig CheckCfg = MineCfg;

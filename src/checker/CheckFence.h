@@ -56,7 +56,6 @@ struct CheckHooks {
 
 struct CheckOptions {
   memmodel::ModelParams Model = memmodel::ModelParams::relaxed();
-  encode::OrderMode Order = encode::OrderMode::Pairwise;
   bool RangeAnalysis = true;
   /// Outer mine/include/probe rounds (bounds stabilize in round one via
   /// the inner probe loop, so two rounds usually suffice).

@@ -51,7 +51,7 @@ ProblemEncoding::ProblemEncoding(CnfBuilder &CnfB, const lsl::Program &Prog,
 
   // 4. Memory model.
   Model = std::make_unique<memmodel::MemoryModelEncoder>(
-      *Values, Flat, Ranges, Cfg.Model, Cfg.Order, EO);
+      *Values, Flat, Ranges, Cfg.Model, EO);
   if (!Model->encode()) {
     fail("memory model encoding failed for '" +
          memmodel::modelName(Cfg.Model) +

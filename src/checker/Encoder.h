@@ -39,7 +39,6 @@ namespace checker {
 
 struct ProblemConfig {
   memmodel::ModelParams Model = memmodel::ModelParams::relaxed();
-  encode::OrderMode Order = encode::OrderMode::Pairwise;
   /// Use the range-analysis results to fix constants, minimize widths, and
   /// prune aliases (Fig. 11c ablation switch).
   bool RangeAnalysis = true;

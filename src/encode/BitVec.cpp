@@ -157,16 +157,6 @@ BitVec checkfence::encode::bvXor(CnfBuilder &B, const BitVec &A,
   return bitwise(B, A, Bv, &CnfBuilder::xorLit);
 }
 
-void checkfence::encode::bvAssertEq(CnfBuilder &B, const BitVec &A,
-                                    const BitVec &Bv) {
-  int W = std::max(A.width(), Bv.width());
-  BitVec X = zext(B, A, W), Y = zext(B, Bv, W);
-  for (int I = 0; I < W; ++I) {
-    B.addClause(~X.bit(I), Y.bit(I));
-    B.addClause(X.bit(I), ~Y.bit(I));
-  }
-}
-
 uint64_t checkfence::encode::bvModelValue(const sat::Solver &S,
                                           const CnfBuilder &B,
                                           const BitVec &V) {

@@ -68,9 +68,6 @@ BitVec bvAnd(CnfBuilder &B, const BitVec &A, const BitVec &Bv);
 BitVec bvOr(CnfBuilder &B, const BitVec &A, const BitVec &Bv);
 BitVec bvXor(CnfBuilder &B, const BitVec &A, const BitVec &Bv);
 
-/// Asserts a == b (widths aligned).
-void bvAssertEq(CnfBuilder &B, const BitVec &A, const BitVec &Bv);
-
 /// Decodes the model value of \p V from the solver after a Sat result.
 uint64_t bvModelValue(const sat::Solver &S, const CnfBuilder &B,
                       const BitVec &V);

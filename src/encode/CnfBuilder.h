@@ -49,10 +49,7 @@ public:
 
   Lit fresh() { return Lit::make(S.newVar()); }
 
-  void addClause(const std::vector<Lit> &C) {
-    ClausesAdded++;
-    S.addClause(C);
-  }
+  void addClause(const std::vector<Lit> &C) { S.addClause(C); }
   void addClause(Lit A) { addClause(std::vector<Lit>{A}); }
   void addClause(Lit A, Lit B) { addClause(std::vector<Lit>{A, B}); }
   void addClause(Lit A, Lit B, Lit C) { addClause(std::vector<Lit>{A, B, C}); }
@@ -76,12 +73,9 @@ public:
   /// Asserts (A && B) -> C.
   void implies(Lit A, Lit B, Lit C) { addClause(~A, ~B, C); }
 
-  uint64_t numClausesAdded() const { return ClausesAdded; }
-
 private:
   sat::Solver &S;
   Lit True;
-  uint64_t ClausesAdded = 0;
 
   // Structural hashing of gates: key = (op, min, max) for commutative ops,
   // (op, a, b, c) for ite.

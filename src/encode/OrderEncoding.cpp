@@ -6,18 +6,15 @@
 
 #include "encode/OrderEncoding.h"
 
-#include "encode/BitVec.h"
-#include "trans/RangeAnalysis.h"
-
 #include <cassert>
 
 using namespace checkfence;
 using namespace checkfence::encode;
 
 MemoryOrder::MemoryOrder(CnfBuilder &B, std::vector<AccessInfo> Accesses,
-                         OrderMode Mode, bool SerialOps,
+                         bool SerialOps,
                          const std::vector<std::pair<int, int>> &ForcedPairs)
-    : B(B), Accs(std::move(Accesses)), Mode(Mode), SerialOps(SerialOps) {
+    : B(B), Accs(std::move(Accesses)) {
   // Map accesses to units.
   UnitOf.resize(Accs.size());
   if (SerialOps) {
@@ -52,10 +49,7 @@ MemoryOrder::MemoryOrder(CnfBuilder &B, std::vector<AccessInfo> Accesses,
   }
 
   UnitBefore.assign(static_cast<size_t>(NumUnits) * NumUnits, Lit());
-  if (Mode == OrderMode::Pairwise)
-    buildPairwise(UnitForced);
-  else
-    buildRank(UnitForced);
+  buildPairwise(UnitForced);
 }
 
 void MemoryOrder::buildPairwise(
@@ -92,7 +86,6 @@ void MemoryOrder::buildPairwise(
         L = B.falseLit();
       } else {
         L = B.fresh();
-        ++OrderVars;
       }
       setUnitBefore(I, J, L);
     }
@@ -125,32 +118,6 @@ void MemoryOrder::buildPairwise(
       }
     }
 }
-
-void MemoryOrder::buildRank(const std::vector<std::pair<int, int>> &Forced) {
-  const int N = NumUnits;
-  if (N == 0)
-    return;
-  int W = trans::RangeInfo::bitsFor(N > 1 ? N - 1 : 1);
-
-  std::vector<BitVec> Ranks;
-  Ranks.reserve(N);
-  for (int I = 0; I < N; ++I)
-    Ranks.push_back(BitVec::fresh(B, W));
-  OrderVars = N * W;
-
-  // before(i,j) := rank_i < rank_j; distinct ranks keep the order total.
-  for (int I = 0; I < N; ++I)
-    for (int J = I + 1; J < N; ++J) {
-      Lit L = bvUlt(B, Ranks[I], Ranks[J]);
-      setUnitBefore(I, J, L);
-      B.addClause(~bvEq(B, Ranks[I], Ranks[J]));
-    }
-
-  for (auto [A, Bx] : Forced)
-    B.addClause(unitBefore(A, Bx));
-}
-
-int MemoryOrder::groupOf(int Access) const { return UnitOf[Access]; }
 
 Lit MemoryOrder::before(int A, int Bx) const {
   assert(A != Bx && "order is irreflexive");

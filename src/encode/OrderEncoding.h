@@ -6,14 +6,9 @@
 ///
 /// \file
 /// Encodes the total memory order <M over the memory accesses of an
-/// execution (Sec. 3.2.1 auxiliary variables, item 1):
-///
-///  * \b Pairwise (the paper's encoding): one boolean Mxy per access pair,
-///    antisymmetry by literal sharing, transitivity by explicit clauses
-///    (quadratic variables, cubic clauses).
-///  * \b Rank (our ablation, E12 in DESIGN.md): a rank bitvector per access
-///    with pairwise-distinct values; Mxy is a comparator output and
-///    transitivity is free.
+/// execution (Sec. 3.2.1 auxiliary variables, item 1) the way the paper
+/// does: one boolean Mxy per access pair, antisymmetry by literal sharing,
+/// transitivity by explicit clauses (quadratic variables, cubic clauses).
 ///
 /// Orders can operate at \e access granularity or, for the Serial "memory
 /// model" (Sec. 2.3.2), at \e operation-invocation granularity: accesses of
@@ -38,8 +33,6 @@
 namespace checkfence {
 namespace encode {
 
-enum class OrderMode { Pairwise, Rank };
-
 /// Per-access metadata the order encoder needs.
 struct AccessInfo {
   int Thread = 0;
@@ -53,8 +46,7 @@ public:
   /// \p SerialOps selects invocation granularity; in that mode accesses
   /// with the same Group are ordered by (Thread, IndexInThread).
   /// \p ForcedPairs are (a, b) access-index pairs with a <M b required.
-  MemoryOrder(CnfBuilder &B, std::vector<AccessInfo> Accesses,
-              OrderMode Mode, bool SerialOps,
+  MemoryOrder(CnfBuilder &B, std::vector<AccessInfo> Accesses, bool SerialOps,
               const std::vector<std::pair<int, int>> &ForcedPairs);
 
   /// Literal for "access A is ordered before access B" (A != B).
@@ -62,24 +54,11 @@ public:
 
   int numAccesses() const { return static_cast<int>(Accs.size()); }
 
-  /// Statistics: variables/clauses contributed by the order relation are
-  /// visible through the underlying CnfBuilder; this reports the number of
-  /// order variables created (for the Fig. 10-style tables).
-  int numOrderVars() const { return OrderVars; }
-
 private:
   void buildPairwise(const std::vector<std::pair<int, int>> &Forced);
-  void buildRank(const std::vector<std::pair<int, int>> &Forced);
-
-  // Group-level helpers (serial mode).
-  int groupOf(int Access) const;
-  Lit groupBefore(int GA, int GB) const;
 
   CnfBuilder &B;
   std::vector<AccessInfo> Accs;
-  OrderMode Mode;
-  bool SerialOps;
-  int OrderVars = 0;
 
   // Unit granularity: in serial mode, units are groups; otherwise units
   // are accesses. UnitOf maps access -> unit.

@@ -35,7 +35,6 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
 
   ProblemConfig MineCfg;
   MineCfg.Model = memmodel::ModelParams::serial();
-  MineCfg.Order = Opts.Order;
   MineCfg.RangeAnalysis = Opts.RangeAnalysis;
   MineCfg.ConflictBudget = Opts.ConflictBudget;
 
@@ -71,8 +70,7 @@ CheckResult CheckSession::check(const lsl::Program &ImplProg,
   if (Specs)
     SpecKeyPrefix =
         support::fenceBlindFingerprint(MineProg, ThreadProcs) +
-        formatString("|order=%d|range=%d|maxobs=%zu",
-                     static_cast<int>(Opts.Order), Opts.RangeAnalysis ? 1 : 0,
+        formatString("|range=%d|maxobs=%zu", Opts.RangeAnalysis ? 1 : 0,
                      Opts.MaxObservations);
 
   auto Finish = [&](CheckStatus Status, const std::string &Msg) {

@@ -49,13 +49,6 @@ struct TestSpec {
   std::vector<OpSpec> Init; ///< runs in the init thread, after init_op
   std::vector<std::vector<OpSpec>> Threads;
 
-  int numOperations() const {
-    int N = static_cast<int>(Init.size());
-    for (const auto &T : Threads)
-      N += static_cast<int>(T.size());
-    return N;
-  }
-
   /// Structural equality: the operation sequences only. Name is display
   /// metadata (the notation does not carry it), so parse(render(spec))
   /// compares equal to spec regardless of naming.

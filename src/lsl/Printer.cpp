@@ -11,7 +11,7 @@ static std::string indentStr(int Indent) {
   return std::string(static_cast<size_t>(Indent) * 2, ' ');
 }
 
-/// The one renderer behind printStmt and printProgramFenceBlind. Fence
+/// The one renderer behind printProgram and printProgramFenceBlind. Fence
 /// blind renders skip Fence statements and tag every block with its
 /// source line (loop-bound keys name it; see trans::Flattener).
 static std::string renderStmt(const Proc &P, const Stmt *S, int Indent,
@@ -96,11 +96,6 @@ static std::string renderStmt(const Proc &P, const Stmt *S, int Indent,
   return Pad + "<bad-stmt>\n";
 }
 
-std::string checkfence::lsl::printStmt(const Proc &P, const Stmt *S,
-                                       int Indent) {
-  return renderStmt(P, S, Indent, /*FenceBlind=*/false);
-}
-
 static std::string renderProc(const Proc &P, bool FenceBlind) {
   std::vector<std::string> Params, Rets;
   for (int I = 0; I < P.NumParams; ++I)
@@ -114,10 +109,6 @@ static std::string renderProc(const Proc &P, bool FenceBlind) {
   for (const Stmt *S : P.Body)
     Out += renderStmt(P, S, 1, FenceBlind);
   return Out + "}\n";
-}
-
-std::string checkfence::lsl::printProc(const Proc &P) {
-  return renderProc(P, /*FenceBlind=*/false);
 }
 
 static std::string renderProgram(const Program &Prog, bool FenceBlind) {

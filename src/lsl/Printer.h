@@ -16,12 +16,6 @@
 namespace checkfence {
 namespace lsl {
 
-/// Renders a single statement tree (multi-line for blocks).
-std::string printStmt(const Proc &P, const Stmt *S, int Indent = 0);
-
-/// Renders a whole procedure.
-std::string printProc(const Proc &P);
-
 /// Renders all procedures of a program.
 std::string printProgram(const Program &Prog);
 

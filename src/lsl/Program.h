@@ -93,8 +93,7 @@ public:
   /// below this).
   uint32_t heapBase() const { return static_cast<uint32_t>(Globals.size()); }
 
-  /// Number of distinct allocation sites handed out so far.
-  int numAllocSites() const { return NumAllocSites; }
+  /// A fresh allocation-site number.
   int newAllocSite() { return NumAllocSites++; }
 
 private:

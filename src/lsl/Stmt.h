@@ -95,7 +95,6 @@ struct Stmt {
   std::vector<Stmt *> Body;     // Block/Atomic children
   int AllocSite = -1;           // Alloc
 
-  bool definesReg() const { return Def != RegNone; }
   bool isBlockLike() const {
     return K == StmtKind::Block || K == StmtKind::Atomic;
   }

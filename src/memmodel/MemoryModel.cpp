@@ -148,13 +148,6 @@ checkfence::memmodel::modelFromName(const std::string &Name) {
   return P;
 }
 
-const std::vector<ModelParams> &checkfence::memmodel::allModels() {
-  static const std::vector<ModelParams> Models = {
-      ModelParams::sc(), ModelParams::tso(), ModelParams::pso(),
-      ModelParams::relaxed()};
-  return Models;
-}
-
 const std::vector<ModelParams> &checkfence::memmodel::latticeModels() {
   static const std::vector<ModelParams> Models = [] {
     auto Pt = [](const char *S) {
@@ -243,9 +236,9 @@ checkfence::memmodel::strengthOrder(const std::vector<ModelParams> &Models,
 MemoryModelEncoder::MemoryModelEncoder(ValueEncoder &VE,
                                        const FlatProgram &P,
                                        const RangeInfo &R,
-                                       const ModelParams &M, OrderMode OM,
+                                       const ModelParams &M,
                                        const EncodeOptions &EO)
-    : VE(VE), Cnf(VE.cnf()), P(P), R(R), Params(M), OMode(OM), EOpts(EO) {
+    : VE(VE), Cnf(VE.cnf()), P(P), R(R), Params(M), EOpts(EO) {
   EventAccess.assign(P.Events.size(), -1);
   for (size_t I = 0; I < P.Events.size(); ++I) {
     if (!P.Events[I].isAccess())
@@ -573,7 +566,7 @@ bool MemoryModelEncoder::encode() {
 
   std::vector<std::pair<int, int>> Forced;
   collectForcedPairs(Forced);
-  Order = std::make_unique<MemoryOrder>(Cnf, std::move(Infos), OMode,
+  Order = std::make_unique<MemoryOrder>(Cnf, std::move(Infos),
                                         Params.SerialOps, Forced);
 
   emitConditionalOrderAxioms();

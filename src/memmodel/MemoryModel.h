@@ -201,10 +201,6 @@ std::string modelName(const ModelParams &P);
 /// see the file comment for the grammar); std::nullopt on syntax errors.
 std::optional<ModelParams> modelFromName(const std::string &Name);
 
-/// The classic four-model sweep (sc, tso, pso, relaxed), strongest first -
-/// the default model axis of the paper's evaluation tables.
-const std::vector<ModelParams> &allModels();
-
 /// The lattice sweep: the named points plus the unnamed intermediate
 /// points worth checking, strongest first. Used by `--models lattice` and
 /// the weakest-passing-model search.
@@ -234,7 +230,7 @@ class MemoryModelEncoder {
 public:
   MemoryModelEncoder(encode::ValueEncoder &VE, const trans::FlatProgram &P,
                      const trans::RangeInfo &R, const ModelParams &M,
-                     encode::OrderMode OM, const encode::EncodeOptions &EO);
+                     const encode::EncodeOptions &EO);
 
   /// Encodes everything; returns false on unsupported input (currently:
   /// non-multi-copy-atomic models).
@@ -269,7 +265,6 @@ private:
   const trans::FlatProgram &P;
   const trans::RangeInfo &R;
   ModelParams Params;
-  encode::OrderMode OMode;
   encode::EncodeOptions EOpts;
 
   std::vector<int> EventAccess; // event -> access (-1 for fences)

@@ -57,7 +57,6 @@ public:
   }
   void addDerived(const std::vector<Lit> &C) {
     Events.push_back({EventKind::Derived, C});
-    ++NumDerived;
     if (C.empty())
       HasEmpty = true;
   }
@@ -66,7 +65,6 @@ public:
   }
 
   const std::vector<Event> &events() const { return Events; }
-  size_t numDerived() const { return NumDerived; }
   /// True once the empty clause was derived (the refutation is complete).
   bool hasEmptyClause() const { return HasEmpty; }
 
@@ -77,7 +75,6 @@ public:
 
 private:
   std::vector<Event> Events;
-  size_t NumDerived = 0;
   bool HasEmpty = false;
 };
 

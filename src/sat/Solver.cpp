@@ -59,11 +59,6 @@ Var Solver::newVar() {
   return V;
 }
 
-size_t Solver::numFixedVars() const {
-  size_t N = TrailLim.empty() ? Trail.size() : TrailLim[0];
-  return N;
-}
-
 Solver::Clause *Solver::allocClause(const std::vector<Lit> &Lits,
                                     bool Learnt) {
   size_t Bytes = Clause::bytesFor(Lits.size());

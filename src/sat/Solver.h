@@ -166,8 +166,6 @@ public:
   /// level-0 units).
   std::size_t numClauses() const { return Clauses.size(); }
   std::size_t numLearnts() const { return Learnts.size(); }
-  /// Number of level-0 fixed variables.
-  size_t numFixedVars() const;
   /// Approximate bytes held by the clause database and watcher lists;
   /// stands in for the "zchaff memory" column of Fig. 10.
   size_t memoryBytes() const { return AllocatedBytes + WatchBytes; }

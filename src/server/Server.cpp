@@ -77,6 +77,8 @@ public:
 /// Polls sockets whose requests are queued or running; a peer that
 /// closes (or resets) its connection cancels the matching token, so an
 /// abandoned request stops consuming a shard at the next phase boundary.
+/// Each poll pass runs under the mutex, so once unwatch() returns no pass
+/// touches the fd and its owner may close it (or the kernel reuse it).
 class DisconnectWatcher {
 public:
   void watch(int Fd, CancelToken Token) {
@@ -109,32 +111,33 @@ private:
 
   void run() {
     while (!Stopping.load()) {
-      std::vector<Entry> Snapshot;
-      {
-        std::lock_guard<std::mutex> Lock(Mu);
-        Snapshot = Watched;
-      }
-      for (const Entry &E : Snapshot) {
-        struct pollfd P;
-        P.fd = E.Fd;
-        P.events = POLLIN;
-        P.revents = 0;
-        if (::poll(&P, 1, 0) <= 0)
-          continue;
-        if (P.revents & (POLLERR | POLLHUP | POLLNVAL)) {
-          E.Token.cancel();
-          continue;
-        }
-        if (P.revents & POLLIN) {
-          // Readable on a connection that already sent its request
-          // means EOF (the protocol is one request per connection);
-          // peek to distinguish it from stray bytes.
-          char C;
-          if (::recv(E.Fd, &C, 1, MSG_PEEK | MSG_DONTWAIT) == 0)
-            E.Token.cancel();
-        }
-      }
+      pollOnce();
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  }
+
+  /// One non-blocking pass over the watched fds.
+  void pollOnce() {
+    std::lock_guard<std::mutex> Lock(Mu);
+    for (const Entry &E : Watched) {
+      struct pollfd P;
+      P.fd = E.Fd;
+      P.events = POLLIN;
+      P.revents = 0;
+      if (::poll(&P, 1, 0) <= 0)
+        continue;
+      if (P.revents & (POLLERR | POLLHUP | POLLNVAL)) {
+        E.Token.cancel();
+        continue;
+      }
+      if (P.revents & POLLIN) {
+        // Readable on a connection that already sent its request
+        // means EOF (the protocol is one request per connection);
+        // peek to distinguish it from stray bytes.
+        char C;
+        if (::recv(E.Fd, &C, 1, MSG_PEEK | MSG_DONTWAIT) == 0)
+          E.Token.cancel();
+      }
     }
   }
 

@@ -110,27 +110,6 @@ std::string checkfence::server::wireDouble(double V) {
   return formatString("%.17g", V);
 }
 
-const char *checkfence::server::methodForKind(Request::Kind K) {
-  switch (K) {
-  case Request::Kind::Check:
-    return "checkfence.check";
-  case Request::Kind::Matrix:
-  case Request::Kind::Sweep:
-    return "checkfence.matrix";
-  case Request::Kind::WeakestModel:
-    return "checkfence.weakestModel";
-  case Request::Kind::Synthesis:
-    return "checkfence.synthesize";
-  case Request::Kind::Litmus:
-    return "checkfence.litmus";
-  case Request::Kind::Explore:
-    return "checkfence.explore";
-  case Request::Kind::Analyze:
-    return "checkfence.analyze";
-  }
-  return "checkfence.check";
-}
-
 std::string checkfence::server::encodeRequest(const Request &Req) {
   JsonObject O;
   O.field("kind", kindName(Req.RequestKind));
@@ -160,8 +139,6 @@ std::string checkfence::server::encodeRequest(const Request &Req) {
     O.raw("stripLines", A.str());
   }
   O.field("refSpec", Req.UseRefSpec);
-  if (Req.UseRankOrder)
-    O.field("rankOrder", *Req.UseRankOrder);
   if (Req.UseRangeAnalysis)
     O.field("rangeAnalysis", *Req.UseRangeAnalysis);
   if (Req.MaxBoundIterations)
@@ -238,8 +215,6 @@ bool checkfence::server::decodeRequest(const JsonValue &V, Request &Out,
     for (const JsonValue &Item : A->Items)
       Out.StripLines.push_back(Item.asInt());
   Out.UseRefSpec = boolean(V, "refSpec", false);
-  if (const JsonValue *F = member(V, "rankOrder"))
-    Out.UseRankOrder = F->asBool();
   if (const JsonValue *F = member(V, "rangeAnalysis"))
     Out.UseRangeAnalysis = F->asBool();
   if (const JsonValue *F = member(V, "maxBoundIterations"))

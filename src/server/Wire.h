@@ -33,9 +33,6 @@ namespace server {
 /// double through text.
 std::string wireDouble(double V);
 
-/// The JSON-RPC method implementing \p K ("checkfence.check", ...).
-const char *methodForKind(Request::Kind K);
-
 /// Request <-> params object.
 std::string encodeRequest(const Request &Req);
 bool decodeRequest(const support::JsonValue &V, Request &Out,

@@ -37,18 +37,6 @@ std::string checkfence::joinStrings(const std::vector<std::string> &Parts,
   return Result;
 }
 
-std::string checkfence::replaceAll(std::string S, const std::string &From,
-                                   const std::string &To) {
-  if (From.empty())
-    return S;
-  size_t Pos = 0;
-  while ((Pos = S.find(From, Pos)) != std::string::npos) {
-    S.replace(Pos, From.size(), To);
-    Pos += To.size();
-  }
-  return S;
-}
-
 std::string checkfence::escapeLine(const std::string &S) {
   std::string Out;
   Out.reserve(S.size());

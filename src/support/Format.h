@@ -31,11 +31,6 @@ std::string formatStringV(const char *Fmt, va_list Args);
 std::string joinStrings(const std::vector<std::string> &Parts,
                         const std::string &Sep);
 
-/// Returns a copy of \p S with every occurrence of \p From replaced by
-/// \p To. Used by the test-notation expander and the documentation dumps.
-std::string replaceAll(std::string S, const std::string &From,
-                       const std::string &To);
-
 /// One-line escaping for free-text fields in the line-oriented
 /// persistence formats (result cache, explore corpus): \n, \t, \\.
 std::string escapeLine(const std::string &S);

@@ -40,7 +40,6 @@ public:
   std::vector<JsonValue> Items;
   std::vector<std::pair<std::string, JsonValue>> Members;
 
-  bool isNull() const { return ValueKind == Kind::Null; }
   bool isBool() const { return ValueKind == Kind::Bool; }
   bool isNumber() const { return ValueKind == Kind::Number; }
   bool isString() const { return ValueKind == Kind::String; }

@@ -308,6 +308,32 @@ TEST(ApiJson, MatrixErrorsAreReported) {
   EXPECT_EQ(R.cellCount(), 0u);
 }
 
+TEST(ApiJson, MatrixCellsHonourRefSpec) {
+  // The lazy list without its 'marked' initialization is sequentially
+  // buggy: mined from itself it is a SEQUENTIAL-BUG, mined from the
+  // reference set it fails inclusion. A matrix cell mines from wherever
+  // the single check does.
+  Verifier V;
+  Result Single = V.check(Request::check("lazylist", "Sac")
+                              .model("sc")
+                              .define("LAZYLIST_INIT_BUG")
+                              .refSpec()
+                              .noCache());
+  EXPECT_EQ(Single.Verdict, Status::Fail) << Single.Message;
+
+  Request Mat = Request::matrix()
+                    .impls({"lazylist"})
+                    .tests({"Sac"})
+                    .models({"sc"})
+                    .define("LAZYLIST_INIT_BUG");
+  Report Own = V.matrix(Mat);
+  Report Ref = V.matrix(Request(Mat).refSpec());
+  ASSERT_EQ(Own.cellCount(), 1u);
+  ASSERT_EQ(Ref.cellCount(), 1u);
+  EXPECT_EQ(Own.cells()[0].Verdict, Status::SequentialBug);
+  EXPECT_EQ(Ref.cells()[0].Verdict, Single.Verdict);
+}
+
 //===----------------------------------------------------------------------===//
 // Exit codes and status names
 //===----------------------------------------------------------------------===//
@@ -639,6 +665,15 @@ TEST(ApiSynthesis, TimingFreeJsonIsReproducible) {
   EXPECT_EQ(A.json(/*IncludeTimings=*/false).find("seconds"),
             std::string::npos);
   EXPECT_NE(A.json().find("\"repair_seconds\""), std::string::npos);
+}
+
+TEST(ApiSynthesis, RefSpecIsAnError) {
+  // Synthesis mines from each candidate placement; a refSpec() request
+  // is refused rather than silently ignored.
+  Verifier V;
+  SynthOutcome S = V.synthesize(Request::synthesis("msn", "T0").refSpec());
+  EXPECT_FALSE(S.Success);
+  EXPECT_NE(S.Message.find("refSpec()"), std::string::npos) << S.Message;
 }
 
 TEST(ApiLitmus, StoreBufferingReachability) {

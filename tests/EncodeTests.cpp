@@ -176,14 +176,13 @@ std::vector<AccessInfo> makeAccesses(int PerThread, int Threads) {
   return Out;
 }
 
-class OrderProperty
-    : public ::testing::TestWithParam<std::pair<OrderMode, int>> {};
+class OrderProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(OrderProperty, IsATotalOrder) {
-  auto [Mode, N] = GetParam();
+  int N = GetParam();
   Solver S;
   CnfBuilder B(S);
-  MemoryOrder M(B, makeAccesses(N, 1), Mode, /*SerialOps=*/false, {});
+  MemoryOrder M(B, makeAccesses(N, 1), /*SerialOps=*/false, {});
   ASSERT_EQ(S.solve(), SolveResult::Sat);
 
   auto Before = [&](int I, int J) {
@@ -211,13 +210,13 @@ TEST_P(OrderProperty, IsATotalOrder) {
 }
 
 TEST_P(OrderProperty, ForcedPairsHold) {
-  auto [Mode, N] = GetParam();
+  int N = GetParam();
   if (N < 3)
     return;
   Solver S;
   CnfBuilder B(S);
   std::vector<std::pair<int, int>> Forced = {{2, 1}, {1, 0}};
-  MemoryOrder M(B, makeAccesses(N, 1), Mode, false, Forced);
+  MemoryOrder M(B, makeAccesses(N, 1), false, Forced);
   ASSERT_EQ(S.solve(), SolveResult::Sat);
   auto True = [&](Lit L) {
     return B.isTrue(L) || (!B.isFalse(L) && S.modelValue(L) == LBool::True);
@@ -228,26 +227,19 @@ TEST_P(OrderProperty, ForcedPairsHold) {
 }
 
 TEST_P(OrderProperty, CyclicForcingIsUnsat) {
-  auto [Mode, N] = GetParam();
+  int N = GetParam();
   if (N < 2)
     return;
   Solver S;
   CnfBuilder B(S);
-  MemoryOrder M(B, makeAccesses(N, 1), Mode, false, {});
+  MemoryOrder M(B, makeAccesses(N, 1), false, {});
   // Force a 2-cycle dynamically; the solver must refuse.
   bool Ok = S.addClause(M.before(0, 1));
   Ok = S.addClause(M.before(1, 0)) && Ok;
   EXPECT_TRUE(!Ok || S.solve() == SolveResult::Unsat);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, OrderProperty,
-    ::testing::Values(std::make_pair(OrderMode::Pairwise, 3),
-                      std::make_pair(OrderMode::Pairwise, 5),
-                      std::make_pair(OrderMode::Pairwise, 7),
-                      std::make_pair(OrderMode::Rank, 3),
-                      std::make_pair(OrderMode::Rank, 5),
-                      std::make_pair(OrderMode::Rank, 7)));
+INSTANTIATE_TEST_SUITE_P(Sweep, OrderProperty, ::testing::Values(3, 5, 7));
 
 TEST(Order, SerialModeGroupsAtomic) {
   // Two groups of two accesses each: the groups order as units.
@@ -258,7 +250,7 @@ TEST(Order, SerialModeGroupsAtomic) {
   Accs[1] = {0, 1, 0};
   Accs[2] = {1, 0, 1};
   Accs[3] = {1, 1, 1};
-  MemoryOrder M(B, Accs, OrderMode::Pairwise, /*SerialOps=*/true, {});
+  MemoryOrder M(B, Accs, /*SerialOps=*/true, {});
   ASSERT_EQ(S.solve(), SolveResult::Sat);
   // Intra-group: program order constants.
   EXPECT_TRUE(B.isTrue(M.before(0, 1)));

@@ -489,57 +489,6 @@ TEST(Litmus, LostUpdateImpossibleOnSerial) {
 }
 
 //===----------------------------------------------------------------------===//
-// Rank-based order encoding agrees with the pairwise encoding (E12).
-//===----------------------------------------------------------------------===//
-
-class OrderModeAgreement
-    : public ::testing::TestWithParam<memmodel::ModelParams> {};
-
-TEST_P(OrderModeAgreement, SameVerdicts) {
-  memmodel::ModelParams Model = GetParam();
-  struct Case {
-    const char *Src;
-    std::vector<std::string> Ops;
-    std::vector<Value> Obs;
-  };
-  std::vector<Case> Cases = {
-      {SbSource, {"t1_op", "t2_op"}, {IV(0), IV(0)}},
-      {MpSource, {"producer_op", "consumer_op"}, {IV(1), IV(0)}},
-      {LbSource, {"t1_op", "t2_op"}, {IV(1), IV(1)}},
-      {SameAddrSource, {"writer_op", "reader_op"}, {IV(1), IV(0)}},
-  };
-  for (const Case &C : Cases) {
-    frontend::DiagEngine Diags;
-    lsl::Program Prog;
-    ASSERT_TRUE(frontend::compileC(C.Src, {}, Prog, Diags));
-    TestSpec Spec;
-    Spec.Name = "agree";
-    for (const std::string &Op : C.Ops)
-      Spec.Threads.push_back({OpSpec{Op, 0, false, false}});
-    std::vector<std::string> Threads = buildTestThreads(Prog, Spec);
-
-    bool Results[2];
-    for (int Mode = 0; Mode < 2; ++Mode) {
-      ProblemConfig Cfg;
-      Cfg.Model = Model;
-      Cfg.Order = Mode == 0 ? encode::OrderMode::Pairwise
-                            : encode::OrderMode::Rank;
-      SolveContext Ctx(Prog, Threads, {}, Cfg);
-      ProblemEncoding &Enc = Ctx.encoding();
-      ASSERT_TRUE(Enc.ok()) << Enc.error();
-      Observation O;
-      O.Values = C.Obs;
-      Enc.requireObservation(O);
-      Results[Mode] = Ctx.solve() == sat::SolveResult::Sat;
-    }
-    EXPECT_EQ(Results[0], Results[1]);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Models, OrderModeAgreement,
-                         ::testing::Values(SC, TSO, PSO, RLX, SER));
-
-//===----------------------------------------------------------------------===//
 // Model strength hierarchy (Sec. 2.3.3): Serial is stronger than SC,
 // which is stronger than TSO, than PSO, than Relaxed. Stronger models
 // allow fewer executions, so their observation sets must be nested.

@@ -53,7 +53,6 @@ void usage() {
       "  --strip-line N       remove the fence on line N (repeatable)\n"
       "  --define NAME        preprocessor define\n"
       "  --refspec            mine the spec from the reference impl\n"
-      "  --rank-order         rank-based order encoding\n"
       "  --no-range           disable range-analysis optimizations\n"
       "  --kind queue|set|deque|stack  type for --file/--notation\n"
       "  --spec               print the mined observation set\n"
@@ -360,8 +359,6 @@ int main(int argc, char **argv) {
       Req.define(Next());
     } else if (A == "--refspec") {
       Req.refSpec();
-    } else if (A == "--rank-order") {
-      Req.rankOrder();
     } else if (A == "--no-range") {
       Req.rangeAnalysis(false);
     } else if (A == "--file") {
