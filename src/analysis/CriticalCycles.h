@@ -38,7 +38,7 @@
 /// approximation (may-alias conflicts, guard-blind program order), so
 /// "robust" is trustworthy while "not robust" may be a false alarm.
 ///
-/// Consumers: the CheckSession phase-0 pruner (discharge the SAT
+/// Consumers: checker::runCheck's phase-0 pruner (discharge the SAT
 /// inclusion loop on robust cells), FenceSynth (seed candidate placements
 /// from cycle cuts), and the `--analyze` lint surface (witness cycles and
 /// per-lattice-point verdicts). See docs/ANALYSIS.md.

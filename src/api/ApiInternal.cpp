@@ -7,14 +7,9 @@
 #include "api/ApiInternal.h"
 
 #include "engine/MatrixRunner.h"
-#include "frontend/Lowering.h"
-#include "harness/Catalog.h"
 #include "impls/Impls.h"
-#include "support/Fingerprint.h"
 #include "support/Format.h"
 #include "support/Json.h"
-
-#include <set>
 
 using namespace checkfence;
 using namespace checkfence::api;
@@ -35,10 +30,6 @@ Status checkfence::api::toStatus(checker::CheckStatus S) {
     return Status::Cancelled;
   }
   return Status::Error;
-}
-
-static bool knownKind(const std::string &K) {
-  return K == "queue" || K == "set" || K == "deque" || K == "stack";
 }
 
 CompiledCase checkfence::api::buildCase(const Request &Req) {
@@ -67,76 +58,44 @@ CompiledCase checkfence::api::buildCase(const Request &Req) {
 
   // Resolve the test.
   if (!Req.Notation.empty()) {
-    if (!knownKind(Case.KindStr)) {
+    harness::OpAlphabet Alphabet = harness::alphabetFor(Case.KindStr);
+    if (Alphabet.empty()) {
       Case.Error = Case.KindStr.empty()
                        ? "notation tests require dataType()"
                        : "unknown data-type kind '" + Case.KindStr + "'";
       return Case;
     }
     std::string Err;
-    if (!harness::parseTestNotation(Req.Notation,
-                                    harness::alphabetFor(Case.KindStr),
-                                    Case.Test, Err)) {
+    if (!harness::parseTestNotation(Req.Notation, Alphabet, Case.Test,
+                                    Err)) {
       Case.Error = "bad test notation: " + Err;
       return Case;
     }
     Case.Test.Name = "custom";
   } else if (!Req.TestName.empty()) {
-    const harness::CatalogEntry *E =
-        harness::findCatalogEntry(Req.TestName);
-    if (!E) {
-      Case.Error = "unknown catalog test '" + Req.TestName + "'";
+    if (!harness::catalogTest(Req.TestName, Case.Test, Case.Error))
       return Case;
-    }
-    std::string Err;
-    if (!harness::parseTestNotation(E->Notation,
-                                    harness::alphabetFor(E->Kind),
-                                    Case.Test, Err)) {
-      Case.Error =
-          "catalog test " + Req.TestName + " failed to parse: " + Err;
-      return Case;
-    }
-    Case.Test.Name = E->Name;
   } else {
     Case.Error = "request names no test (test() or notation())";
     return Case;
   }
 
-  // Compile the implementation with the requested variant.
-  frontend::LoweringOptions LO;
-  LO.StripFences = Req.StripAllFences;
-  for (int Line : Req.StripLines)
-    LO.StripFenceLines.insert(Line);
-  std::set<std::string> Defines(Req.Defines.begin(), Req.Defines.end());
-
-  frontend::DiagEngine Diags;
-  if (!frontend::compileC(Source, Defines, Case.Impl, Diags, LO)) {
-    Case.Error = "frontend error:\n" + Diags.str();
-    return Case;
-  }
-  Case.Threads = harness::buildTestThreads(Case.Impl, Case.Test);
-
-  // Optional reference implementation for refset specification mining.
+  // Compile the implementation with the requested variant, plus the
+  // reference implementation for refset specification mining.
+  harness::RunOptions Opts;
+  Opts.StripFences = Req.StripAllFences;
+  Opts.StripFenceLines.insert(Req.StripLines.begin(), Req.StripLines.end());
+  Opts.Defines.insert(Req.Defines.begin(), Req.Defines.end());
   if (Req.UseRefSpec) {
-    if (!knownKind(Case.KindStr)) {
+    if (harness::alphabetFor(Case.KindStr).empty()) {
       Case.Error = "refSpec() requires a known data-type kind";
       return Case;
     }
-    frontend::DiagEngine SpecDiags;
-    if (!frontend::compileC(impls::referenceFor(Case.KindStr), Defines,
-                            Case.Spec, SpecDiags,
-                            frontend::LoweringOptions())) {
-      Case.Error = "frontend error in reference:\n" + SpecDiags.str();
-      return Case;
-    }
-    harness::buildTestThreads(Case.Spec, Case.Test);
-    Case.HasSpec = true;
+    Opts.SpecSource = impls::referenceFor(Case.KindStr);
   }
-
-  // Fingerprint the lowered programs (not the source text): stripping a
-  // fence, flipping a define, or changing the test all land here.
-  Case.ProgramFp = support::loweredProgramFingerprint(
-      Case.Impl, Case.Threads, Case.HasSpec ? &Case.Spec : nullptr);
+  if (!harness::compileTest(Source, Case.Test, Opts, Case.Compiled,
+                            Case.Error))
+    return Case;
   Case.Ok = true;
   return Case;
 }
@@ -161,6 +120,7 @@ bool checkfence::api::checkOptionsFrom(const Request &Req,
     Out.MaxProbes = *Req.MaxProbes;
   if (Req.ConflictBudget)
     Out.ConflictBudget = *Req.ConflictBudget;
+  Out.Fresh = Req.Fresh;
   // Oracle pruning only decides which machinery produces the (identical)
   // answer, so it stays out of optionsFingerprint - cached results are
   // shared either way.
@@ -172,13 +132,13 @@ bool checkfence::api::checkOptionsFrom(const Request &Req,
 }
 
 std::string checkfence::api::optionsFingerprint(
-    const checker::CheckOptions &O, bool Fresh) {
+    const checker::CheckOptions &O) {
   return formatString(
       "%s|ra%d|it%d|pr%d|cb%lld|obs%llu|%s", O.Model.str().c_str(),
       O.RangeAnalysis ? 1 : 0, O.MaxBoundIterations, O.MaxProbes,
       static_cast<long long>(O.ConflictBudget),
       static_cast<unsigned long long>(O.MaxObservations),
-      Fresh ? "fresh" : "session");
+      O.Fresh ? "fresh" : "session");
 }
 
 Result checkfence::api::convertResult(const checker::CheckResult &R,

@@ -19,7 +19,7 @@
 #include "checkfence/Result.h"
 
 #include "checker/CheckFence.h"
-#include "harness/TestSpec.h"
+#include "harness/Catalog.h"
 
 #include <cstdint>
 #include <string>
@@ -36,20 +36,11 @@ struct CompiledCase {
   bool Ok = false;
   std::string Error;
 
-  lsl::Program Impl;
-  std::vector<std::string> Threads;
-  bool HasSpec = false;
-  lsl::Program Spec;
-
+  harness::CompiledTest Compiled;
   harness::TestSpec Test;
   std::string ImplLabel; ///< display name ("msn" or "<source>")
   std::string KindStr;   ///< data-type kind when known
   std::string FullSource; ///< prelude + implementation (for synthesis)
-
-  /// Fingerprint of the *lowered* programs (implementation, thread
-  /// procedures, optional reference): any semantic change - a removed
-  /// fence, a define, a different test - changes it.
-  std::string ProgramFp;
 };
 
 /// Resolves a check/synthesis request's implementation, test, variant
@@ -64,8 +55,7 @@ bool checkOptionsFrom(const Request &Req, checker::CheckOptions &Out,
 
 /// Deterministic options fingerprint for result-cache keys. Ignores
 /// Hooks and InitialBounds (per-request state).
-std::string optionsFingerprint(const checker::CheckOptions &O,
-                               bool Fresh);
+std::string optionsFingerprint(const checker::CheckOptions &O);
 
 /// Converts an engine result; \p ImplLabel / \p TestName / \p ModelName
 /// become the result's identity fields.

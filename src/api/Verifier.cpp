@@ -15,11 +15,11 @@
 #include "engine/SpecStore.h"
 #include "engine/WeakestModelSearch.h"
 #include "explore/Explore.h"
-#include "frontend/Lowering.h"
 #include "harness/Catalog.h"
 #include "harness/FenceSynth.h"
 #include "impls/Impls.h"
 #include "obs/Trace.h"
+#include "support/Fingerprint.h"
 #include "support/Format.h"
 #include "support/Timing.h"
 
@@ -28,7 +28,6 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
-#include <set>
 #include <vector>
 
 using namespace checkfence;
@@ -112,22 +111,6 @@ void fireVerdict(EventSink *Sink, const std::string &Label, Status S,
     Sink->onVerdict({Label, S, Message, FromCache});
 }
 
-/// The run options of one catalog cell: \p Base plus the cell's progress
-/// hooks and, when \p RefSpec, the reference implementation of the
-/// cell's data-type kind to mine the specification from. An unknown
-/// implementation keeps Base's empty SpecSource (referenceFor aborts on
-/// unknown kinds); catalogCellRunner reports it as an error cell.
-harness::RunOptions cellOptions(const harness::RunOptions &Base,
-                                bool RefSpec, const engine::MatrixCell &Cell,
-                                EventSink *Sink, const RunControl &Control) {
-  harness::RunOptions O = Base;
-  O.Check.Hooks = makeHooks(Cell.label(), Sink, Control);
-  if (RefSpec)
-    if (const impls::ImplInfo *Info = impls::findImpl(Cell.Impl))
-      O.SpecSource = impls::referenceFor(Info->Kind);
-  return O;
-}
-
 /// A ready-made Cancelled result for cells whose run was never started
 /// (the stop request arrived first) - skips the per-cell compile.
 checker::CheckResult cancelledCell() {
@@ -135,6 +118,34 @@ checker::CheckResult cancelledCell() {
   R.Status = checker::CheckStatus::Cancelled;
   R.Message = "check cancelled";
   return R;
+}
+
+/// The check of one catalog cell for matrix and weakest-model requests:
+/// catalogCellRunner over \p Opts and the request's compile options, plus
+/// the request's stop check, the cell's progress hooks and, for
+/// refSpec(), the reference implementation of the cell's data-type kind
+/// to mine the specification from. An unknown implementation keeps an
+/// empty SpecSource (referenceFor aborts on unknown kinds);
+/// catalogCellRunner reports it as an error cell.
+engine::CellFn cellRunner(const Request &Req,
+                          const checker::CheckOptions &Opts, EventSink *Sink,
+                          const RunControl &Control) {
+  harness::RunOptions Base;
+  Base.Check = Opts;
+  Base.StripFences = Req.StripAllFences;
+  Base.StripFenceLines.insert(Req.StripLines.begin(), Req.StripLines.end());
+  Base.Defines.insert(Req.Defines.begin(), Req.Defines.end());
+  return [Base, RefSpec = Req.UseRefSpec, Sink,
+          Control](const engine::MatrixCell &Cell) -> checker::CheckResult {
+    if (Control.stopRequested())
+      return cancelledCell();
+    harness::RunOptions O = Base;
+    O.Check.Hooks = makeHooks(Cell.label(), Sink, Control);
+    if (RefSpec)
+      if (const impls::ImplInfo *Info = impls::findImpl(Cell.Impl))
+        O.SpecSource = impls::referenceFor(Info->Kind);
+    return harness::catalogCellRunner(O)(Cell);
+  };
 }
 
 /// Expands model-axis strings ("tso", "po:ll,fwd", "all", "lattice");
@@ -317,11 +328,15 @@ Result Verifier::check(const Request &Req, EventSink *Sink,
   if (!Case.Ok)
     return failRequest(Req, Sink, Case.Error);
 
+  const harness::CompiledTest &C = Case.Compiled;
   const std::string ModelStr = memmodel::modelName(Opts.Model);
   const std::string Label =
       Case.ImplLabel + ":" + Case.Test.Name + ":" + ModelStr;
-  const std::string Key =
-      Case.ProgramFp + "|" + optionsFingerprint(Opts, Req.Fresh);
+  // Fingerprint the lowered programs (not the source text): stripping a
+  // fence, flipping a define, or changing the test all land here.
+  const std::string ProgramFp =
+      support::loweredProgramFingerprint(C.Impl, C.Threads, C.spec());
+  const std::string Key = ProgramFp + "|" + optionsFingerprint(Opts);
   const bool Caching = Self->Cfg.EnableCache && Req.UseCache;
 
   if (Caching) {
@@ -332,7 +347,7 @@ Result Verifier::check(const Request &Req, EventSink *Sink,
     // Miss with a matching program fingerprint: seed the lazy unrolling
     // from the earlier passing run's final bounds (Fig. 10 workflow).
     if (Self->Cfg.ReuseBounds) {
-      if (auto Bounds = Self->Cache->boundsFor(Case.ProgramFp)) {
+      if (auto Bounds = Self->Cache->boundsFor(ProgramFp)) {
         for (const auto &[Loop, Bound] : *Bounds)
           Opts.InitialBounds[Loop] = Bound;
         Self->Cache->noteSeed();
@@ -346,17 +361,15 @@ Result Verifier::check(const Request &Req, EventSink *Sink,
   // One fresh session per check: a check never sees solver state left by
   // another, so a noCache() re-run reproduces its timing-free JSON byte
   // for byte. Sharing across checks is the result cache's job.
-  const lsl::Program *Spec = Case.HasSpec ? &Case.Spec : nullptr;
   checker::CheckResult R =
-      Req.Fresh ? checker::runCheckFresh(Case.Impl, Case.Threads, Opts, Spec)
-                : checker::runCheck(Case.Impl, Case.Threads, Opts, Spec);
+      checker::runCheck(C.Impl, C.Threads, Opts, C.spec());
 
   Result Out = convertResult(R, Case.ImplLabel, Case.Test.Name, ModelStr);
   if (Out.Verdict == Status::Cancelled && Control.expired() &&
       !Token.cancelled())
     Out.Message = "deadline exceeded";
   if (Caching && Out.Verdict != Status::Cancelled)
-    Self->Cache->insert(Key, Case.ProgramFp, Out);
+    Self->Cache->insert(Key, ProgramFp, Out);
   fireVerdict(Sink, Label, Out.Verdict, Out.Message, false);
   return Out;
 }
@@ -394,17 +407,10 @@ Report Verifier::matrix(const Request &Req, EventSink *Sink,
   // The cells of one program differ in model only, so they mine each
   // specification once; the store dies with the request.
   engine::SpecStore Specs;
-
-  harness::RunOptions Base;
-  Base.Check = Opts;
-  Base.Check.Specs = Req.Fresh ? nullptr : &Specs;
-  Base.Fresh = Req.Fresh;
-  Base.StripFences = Req.StripAllFences;
-  for (int Line : Req.StripLines)
-    Base.StripFenceLines.insert(Line);
-  Base.Defines.insert(Req.Defines.begin(), Req.Defines.end());
+  Opts.Specs = &Specs;
 
   RunControl Control = RunControl::make(Token, Req.DeadlineSeconds);
+  engine::CellFn Run = cellRunner(Req, Opts, Sink, Control);
   std::atomic<size_t> Finished{0};
   const size_t Total = Cells.size();
 
@@ -414,7 +420,7 @@ Report Verifier::matrix(const Request &Req, EventSink *Sink,
   // passing cells, which run before it on the same job, so the report is
   // byte-identical across job counts too (freshPipeline() never seeds).
   engine::CellFn Fn =
-      [Base, RefSpec = Req.UseRefSpec, Sink, Control, &Finished,
+      [&Run, Sink, Control, &Finished,
        Total](const engine::MatrixCell &Cell) -> checker::CheckResult {
     if (Control.stopRequested()) {
       // Skipped cells still complete the progress contract: Finished
@@ -425,8 +431,7 @@ Report Verifier::matrix(const Request &Req, EventSink *Sink,
       return cancelledCell();
     }
     Timer T;
-    checker::CheckResult R = harness::catalogCellRunner(
-        cellOptions(Base, RefSpec, Cell, Sink, Control))(Cell);
+    checker::CheckResult R = Run(Cell);
     if (Sink)
       Sink->onCellFinished({Cell.label(), Finished.fetch_add(1) + 1,
                             Total, toStatus(R.Status), T.seconds()});
@@ -456,52 +461,42 @@ WeakestOutcome Verifier::weakestModels(const Request &Req,
   WeakestOutcome Out;
   Out.Impl = Req.ImplName;
   Out.Test = Req.TestName;
+  // One terminal verdict per request, setup failures included (see
+  // failRequest).
+  const std::string Label = Req.ImplName + ":" + Req.TestName + ":weakest";
+  auto Fail = [&]() -> WeakestOutcome & {
+    fireVerdict(Sink, Label, Status::Error, Out.Error, false);
+    return Out;
+  };
   if (!impls::findImpl(Req.ImplName)) {
     Out.Error = "unknown implementation '" + Req.ImplName + "'";
-    return Out;
+    return Fail();
   }
   if (!harness::findCatalogEntry(Req.TestName)) {
     Out.Error = "unknown catalog test '" + Req.TestName + "'";
-    return Out;
+    return Fail();
   }
   checker::CheckOptions Opts;
   if (!checkOptionsFrom(Req, Opts, Out.Error))
-    return Out;
+    return Fail();
 
   // The lattice walk is sequential (each verdict prunes the next
   // frontier) and runs on the calling thread.
   engine::SpecStore Specs; // shared by every step of the walk
-
-  harness::RunOptions Base;
-  Base.Check = Opts;
-  Base.Check.Specs = Req.Fresh ? nullptr : &Specs;
-  Base.Fresh = Req.Fresh;
-  Base.StripFences = Req.StripAllFences;
-  for (int Line : Req.StripLines)
-    Base.StripFenceLines.insert(Line);
-  Base.Defines.insert(Req.Defines.begin(), Req.Defines.end());
-
+  Opts.Specs = &Specs;
   RunControl Control = RunControl::make(Token, Req.DeadlineSeconds);
-  engine::CellFn Fn =
-      [Base, RefSpec = Req.UseRefSpec, Sink,
-       Control](const engine::MatrixCell &Cell) -> checker::CheckResult {
-    if (Control.stopRequested())
-      return cancelledCell();
-    return harness::catalogCellRunner(
-        cellOptions(Base, RefSpec, Cell, Sink, Control))(Cell);
-  };
 
   std::vector<memmodel::ModelParams> Lattice;
   if (!Req.Models.empty()) {
     if (!resolveModelAxis(Req.Models, Opts.Model, Lattice, Out.Error))
-      return Out;
+      return Fail();
   } else {
     Lattice = memmodel::latticeModels();
   }
 
   engine::WeakestSummary S =
-      engine::WeakestModelSearch(Lattice).run(Req.ImplName, Req.TestName,
-                                              Fn);
+      engine::WeakestModelSearch(Lattice).run(
+          Req.ImplName, Req.TestName, cellRunner(Req, Opts, Sink, Control));
   for (const memmodel::ModelParams &M : S.Weakest)
     Out.Weakest.push_back(memmodel::modelName(M));
   Out.ModelsPassed = S.ModelsPassed;
@@ -510,6 +505,10 @@ WeakestOutcome Verifier::weakestModels(const Request &Req,
   Out.CellsInferred = S.CellsInferred;
   Out.Cancelled = Control.stopRequested();
   Out.Ok = true;
+  fireVerdict(Sink, Label, Out.Cancelled ? Status::Cancelled : Status::Pass,
+              formatString("%d of %d models pass", Out.ModelsPassed,
+                           Out.ModelsChecked),
+              false);
   return Out;
 }
 
@@ -559,19 +558,9 @@ SynthOutcome Verifier::synthesize(const Request &Req, EventSink *Sink,
     Tests.push_back(Case.Test);
   } else {
     for (const std::string &Name : TestNames) {
-      const harness::CatalogEntry *E = harness::findCatalogEntry(Name);
-      if (!E) {
-        Out.Message = "unknown catalog test '" + Name + "'";
-        return Fail();
-      }
       harness::TestSpec Spec;
-      std::string Err;
-      if (!harness::parseTestNotation(
-              E->Notation, harness::alphabetFor(E->Kind), Spec, Err)) {
-        Out.Message = "catalog test " + Name + " failed to parse: " + Err;
+      if (!harness::catalogTest(Name, Spec, Out.Message))
         return Fail();
-      }
-      Spec.Name = E->Name;
       Tests.push_back(std::move(Spec));
     }
   }
@@ -589,8 +578,7 @@ SynthOutcome Verifier::synthesize(const Request &Req, EventSink *Sink,
   // Every candidate placement differs in fences only: one mine per
   // (test, bounds) serves the whole search.
   engine::SpecStore Specs;
-  SO.Check.Specs = Req.Fresh ? nullptr : &Specs;
-  SO.Fresh = Req.Fresh;
+  SO.Check.Specs = &Specs;
 
   RunControl Control = RunControl::make(Token, Req.DeadlineSeconds);
   SO.Check.Hooks =
@@ -667,9 +655,10 @@ AnalysisOutcome Verifier::analyze(const Request &Req) {
   // static pairs, so the verdict is bound-independent.
   trans::FlatProgram Flat;
   trans::LoopBounds Bounds = checker::CheckOptions{}.InitialBounds;
-  trans::Flattener F(Case.Impl, Flat, Bounds); // Flattener keeps a ref
-  for (size_t T = 0; T < Case.Threads.size(); ++T)
-    if (!F.flattenThread(Case.Threads[T], static_cast<int>(T))) {
+  const harness::CompiledTest &C = Case.Compiled;
+  trans::Flattener F(C.Impl, Flat, Bounds); // Flattener keeps a ref
+  for (size_t T = 0; T < C.Threads.size(); ++T)
+    if (!F.flattenThread(C.Threads[T], static_cast<int>(T))) {
       Out.Error = "flattening failed: " + F.error();
       return Out;
     }
@@ -800,25 +789,21 @@ LitmusOutcome Verifier::observable(const Request &Req) {
     return Out;
   }
 
-  frontend::DiagEngine Diags;
-  lsl::Program Prog;
-  std::set<std::string> Defines(Req.Defines.begin(), Req.Defines.end());
-  if (!frontend::compileC(Req.SourceText, Defines, Prog, Diags)) {
-    Out.Error = "frontend error:\n" + Diags.str();
-    return Out;
-  }
   harness::TestSpec Spec;
   Spec.Name = "litmus";
   for (const std::string &Op : Req.LitmusThreads)
     Spec.Threads.push_back({harness::OpSpec{Op, 0, false, false}});
-  std::vector<std::string> Threads =
-      harness::buildTestThreads(Prog, Spec);
+  harness::RunOptions RO;
+  RO.Defines.insert(Req.Defines.begin(), Req.Defines.end());
+  harness::CompiledTest C;
+  if (!harness::compileTest(Req.SourceText, Spec, RO, C, Out.Error))
+    return Out;
 
   checker::ProblemConfig Cfg;
   Cfg.Model = Opts.Model;
   Cfg.RangeAnalysis = Opts.RangeAnalysis;
   Cfg.ConflictBudget = Opts.ConflictBudget;
-  checker::SolveContext Ctx(Prog, Threads, {}, Cfg);
+  checker::SolveContext Ctx(C.Impl, C.Threads, {}, Cfg);
   checker::ProblemEncoding &Enc = Ctx.encoding();
   if (!Enc.ok()) {
     Out.Error = Enc.error();

@@ -101,6 +101,10 @@ struct CheckOptions {
   /// check of its request, and each check's session ends with the check.
   /// May be null (always mine).
   engine::SpecStore *Specs = nullptr;
+  /// Run the non-incremental reference pipeline (runCheckFresh) instead
+  /// of the session engine. Part of a run's identity: the result cache
+  /// keys fresh and session runs apart.
+  bool Fresh = false;
 };
 
 enum class CheckStatus {
@@ -163,12 +167,31 @@ struct CheckResult {
 /// Runs the full check. \p ThreadProcs lists the test thread procedures
 /// (index 0 is the initialization thread). If \p SpecProg is non-null the
 /// specification is mined from it instead of \p ImplProg (both programs
-/// must define the same thread procedures and observation layout).
+/// must define the same thread procedures and observation layout). With
+/// Opts.Fresh it runs runCheckFresh instead.
 ///
-/// This is a thin wrapper over engine::CheckSession, the incremental
-/// session engine that solves each unrolling on one solver shared by its
-/// mine/include/probe phases, and re-encodes on a fresh solver when a
-/// loop bound grows.
+/// The session engine drives the mine -> include -> probe iteration on
+/// two kinds of SolveContext - the Serial model (specification mining and
+/// refset probing) and the target model (inclusion checks and bound
+/// probes) - each holding the one unrolling it is on:
+///
+///  * The inclusion check and the bound probe of one round share a single
+///    encoding; assumptions over activation literals switch between
+///    "within bounds + specification" and "some bound exceeded".
+///  * When lazy unrolling grows a loop bound, the new unrolling is encoded
+///    on a fresh context and the old one is dropped: the re-encoding
+///    shares no variables with it, so no learnt clause could carry over,
+///    and the solver only ever holds the live instance.
+///  * Mining is skipped entirely when the mined program's bounds did not
+///    change since the last completed enumeration - the re-run would
+///    reproduce the identical observation set.
+///  * Mining is also skipped when Opts.Specs holds the specification
+///    already: the serial observation set depends on neither the target
+///    model nor fence placement, so every lattice point and fence variant
+///    of a request mines each (fence-blind program, bounds) once. Refset
+///    and budgeted checks always mine.
+///
+/// Every solver a check builds lives only for the check.
 CheckResult runCheck(const lsl::Program &ImplProg,
                      const std::vector<std::string> &ThreadProcs,
                      const CheckOptions &Opts,

@@ -13,11 +13,11 @@
 /// synthesis) therefore needs each specification only once.
 ///
 /// SpecStore holds those specifications for the lifetime of one request.
-/// CheckSession::check looks a key up before mining and publishes what it
+/// checker::runCheck looks a key up before mining and publishes what it
 /// mined on a miss. A key names everything the observation set depends
 /// on: the fence-blind lowered program and test threads
 /// (support::fenceBlindFingerprint), the mining loop bounds, and the
-/// encoding options (order encoding, range analysis, observation cap).
+/// encoding options (range analysis, observation cap).
 /// Only complete, clean enumerations are published - never a sequential
 /// bug or an error - and the published sets are immutable, so a hit is
 /// exactly what a fresh mine would enumerate.

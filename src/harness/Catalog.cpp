@@ -11,7 +11,6 @@
 #include "obs/Log.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -58,7 +57,6 @@ OpAlphabet checkfence::harness::alphabetFor(const std::string &Kind) {
     return dequeAlphabet();
   if (Kind == "stack")
     return stackAlphabet();
-  assert(false && "unknown data-type kind");
   return {};
 }
 
@@ -125,60 +123,68 @@ checkfence::harness::findCatalogEntry(const std::string &Name) {
   return nullptr;
 }
 
-TestSpec checkfence::harness::testByName(const std::string &Name) {
-  if (const CatalogEntry *E = findCatalogEntry(Name)) {
-    TestSpec Spec;
-    std::string Err;
-    if (!parseTestNotation(E->Notation, alphabetFor(E->Kind), Spec, Err)) {
-      obs::logf(obs::LogLevel::Error, "harness",
-                "catalog test %s failed to parse: %s", Name.c_str(),
-                Err.c_str());
-      std::abort();
-    }
-    Spec.Name = Name;
-    return Spec;
+bool checkfence::harness::catalogTest(const std::string &Name, TestSpec &Out,
+                                      std::string &Error) {
+  const CatalogEntry *E = findCatalogEntry(Name);
+  if (!E) {
+    Error = "unknown catalog test '" + Name + "'";
+    return false;
   }
-  obs::logf(obs::LogLevel::Error, "harness", "unknown catalog test '%s'",
-            Name.c_str());
-  std::abort();
+  std::string Err;
+  if (!parseTestNotation(E->Notation, alphabetFor(E->Kind), Out, Err)) {
+    Error = "catalog test " + Name + " failed to parse: " + Err;
+    return false;
+  }
+  Out.Name = Name;
+  return true;
+}
+
+TestSpec checkfence::harness::testByName(const std::string &Name) {
+  TestSpec Spec;
+  std::string Error;
+  if (!catalogTest(Name, Spec, Error)) {
+    obs::logf(obs::LogLevel::Error, "harness", "%s", Error.c_str());
+    std::abort();
+  }
+  return Spec;
+}
+
+bool checkfence::harness::compileTest(const std::string &Source,
+                                      const TestSpec &Test,
+                                      const RunOptions &Opts,
+                                      CompiledTest &Out, std::string &Error) {
+  frontend::LoweringOptions LO;
+  LO.StripFences = Opts.StripFences;
+  LO.StripFenceLines = Opts.StripFenceLines;
+  frontend::DiagEngine Diags;
+  if (!frontend::compileC(Source, Opts.Defines, Out.Impl, Diags, LO)) {
+    Error = "frontend error:\n" + Diags.str();
+    return false;
+  }
+  Out.Threads = buildTestThreads(Out.Impl, Test);
+
+  if (!Opts.SpecSource.empty()) {
+    frontend::DiagEngine SpecDiags;
+    if (!frontend::compileC(Opts.SpecSource, Opts.Defines, Out.Spec.emplace(),
+                            SpecDiags)) {
+      Error = "frontend error in reference:\n" + SpecDiags.str();
+      return false;
+    }
+    buildTestThreads(*Out.Spec, Test); // same names by construction
+  }
+  return true;
 }
 
 checker::CheckResult
 checkfence::harness::runTest(const std::string &ImplSource,
                              const TestSpec &Test, const RunOptions &Opts) {
+  CompiledTest C;
   checker::CheckResult Result;
-
-  frontend::LoweringOptions LO;
-  LO.StripFences = Opts.StripFences;
-  LO.StripFenceLines = Opts.StripFenceLines;
-
-  frontend::DiagEngine Diags;
-  lsl::Program Impl;
-  if (!frontend::compileC(ImplSource, Opts.Defines, Impl, Diags, LO)) {
+  if (!compileTest(ImplSource, Test, Opts, C, Result.Message)) {
     Result.Status = checker::CheckStatus::Error;
-    Result.Message = "frontend error:\n" + Diags.str();
     return Result;
   }
-  std::vector<std::string> Threads = buildTestThreads(Impl, Test);
-
-  lsl::Program SpecProg;
-  bool UseSpec = !Opts.SpecSource.empty();
-  if (UseSpec) {
-    frontend::DiagEngine SpecDiags;
-    if (!frontend::compileC(Opts.SpecSource, Opts.Defines, SpecProg,
-                            SpecDiags, frontend::LoweringOptions())) {
-      Result.Status = checker::CheckStatus::Error;
-      Result.Message = "frontend error in reference:\n" + SpecDiags.str();
-      return Result;
-    }
-    std::vector<std::string> SpecThreads =
-        buildTestThreads(SpecProg, Test);
-    (void)SpecThreads; // same names by construction
-  }
-
-  const lsl::Program *Spec = UseSpec ? &SpecProg : nullptr;
-  return Opts.Fresh ? checker::runCheckFresh(Impl, Threads, Opts.Check, Spec)
-                    : checker::runCheck(Impl, Threads, Opts.Check, Spec);
+  return checker::runCheck(C.Impl, C.Threads, Opts.Check, C.spec());
 }
 
 std::vector<engine::MatrixCell> checkfence::harness::expandMatrix(
@@ -232,23 +238,14 @@ checkfence::harness::catalogCellRunner(const RunOptions &Base) {
       R.Message = "unknown implementation '" + Cell.Impl + "'";
       return R;
     }
-    const CatalogEntry *E = findCatalogEntry(Cell.Test);
-    if (!E) {
-      R.Status = checker::CheckStatus::Error;
-      R.Message = "unknown catalog test '" + Cell.Test + "'";
-      return R;
-    }
     TestSpec Spec;
-    std::string Err;
-    if (!parseTestNotation(E->Notation, alphabetFor(E->Kind), Spec, Err)) {
+    if (!catalogTest(Cell.Test, Spec, R.Message)) {
       R.Status = checker::CheckStatus::Error;
-      R.Message = "catalog test " + Cell.Test + " failed to parse: " + Err;
       return R;
     }
-    Spec.Name = E->Name;
     RunOptions Opts = Base;
     Opts.Check.Model = Cell.Model;
-    if (!Opts.Fresh) // the reference pipeline starts from Base's bounds
+    if (!Opts.Check.Fresh) // the reference pipeline starts from Base's bounds
       for (const auto &[Loop, Bound] : Cell.SeedBounds) {
         int &Initial = Opts.Check.InitialBounds[Loop];
         Initial = std::max(Initial, Bound);

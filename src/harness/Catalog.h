@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The symbolic tests of Fig. 8 (queue, set, and deque families) and the
-/// operation alphabets used to write them, plus a convenience wrapper that
-/// compiles an implementation, builds a test, and runs the full check.
+/// operation alphabets used to write them, plus the one compile step of a
+/// check (an implementation with a test's threads) and a convenience
+/// wrapper that compiles and runs the full check.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 #include "engine/MatrixRunner.h"
 #include "harness/TestSpec.h"
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -47,31 +49,53 @@ const std::vector<CatalogEntry> &paperTests();
 /// paper (currently the Treiber stack).
 const std::vector<CatalogEntry> &extensionTests();
 
-/// Parses a catalog test by name (paper tests first, then extensions);
-/// aborts on unknown names (programming error in callers).
+/// Parses the catalog test \p Name (paper tests first, then extensions)
+/// into \p Out. False + \p Error on an unknown name or a notation that
+/// fails to parse.
+bool catalogTest(const std::string &Name, TestSpec &Out, std::string &Error);
+
+/// catalogTest for names known to exist; aborts on unknown names
+/// (programming error in callers).
 TestSpec testByName(const std::string &Name);
 
 /// Looks a catalog test up by name; nullptr for unknown names.
 const CatalogEntry *findCatalogEntry(const std::string &Name);
 
-/// Alphabet for a data-type kind ("queue"/"set"/"deque"/"stack").
+/// Alphabet for a data-type kind ("queue"/"set"/"deque"/"stack"); empty
+/// for an unknown kind.
 OpAlphabet alphabetFor(const std::string &Kind);
 
-/// End-to-end convenience: compile \p ImplSource (CheckFence-C), build
-/// \p Test, and run the full check. \p Defines selects #ifdef variants.
-/// If \p SpecSource is non-empty, the specification is mined from it
-/// instead (the "refset" mode). \p Fresh runs the non-incremental
-/// reference pipeline (checker::runCheckFresh) instead of the session
-/// engine; it ignores Check.Specs.
+/// How to compile and check a test: \p Defines selects #ifdef variants,
+/// StripFences/StripFenceLines drop the implementation's fence() calls,
+/// and a non-empty \p SpecSource is the implementation the specification
+/// is mined from instead (the "refset" mode).
 struct RunOptions {
   checker::CheckOptions Check;
   std::set<std::string> Defines;
   bool StripFences = false;
   std::set<int> StripFenceLines;
   std::string SpecSource;
-  bool Fresh = false;
 };
 
+/// An implementation compiled together with a test's thread procedures,
+/// plus the compiled reference implementation in refset mode.
+struct CompiledTest {
+  lsl::Program Impl;
+  std::vector<std::string> Threads;
+  std::optional<lsl::Program> Spec;
+
+  /// The program to mine the specification from, or nullptr for Impl.
+  const lsl::Program *spec() const { return Spec ? &*Spec : nullptr; }
+};
+
+/// Compiles \p Source (CheckFence-C) with Opts' defines and fence
+/// stripping, builds \p Test's threads into it, and compiles and threads
+/// Opts.SpecSource when set. False + \p Error on a frontend error.
+bool compileTest(const std::string &Source, const TestSpec &Test,
+                 const RunOptions &Opts, CompiledTest &Out,
+                 std::string &Error);
+
+/// End-to-end convenience: compileTest, then checker::runCheck.
 checker::CheckResult runTest(const std::string &ImplSource,
                              const TestSpec &Test, const RunOptions &Opts);
 
@@ -89,7 +113,7 @@ expandMatrix(const std::vector<std::string> &Impls,
 /// implementation table and the Fig. 8 catalog and runs the full check
 /// with \p Base options (the cell's model overrides Base.Check.Model, and
 /// its SeedBounds raise Base.Check.InitialBounds pointwise unless
-/// Base.Fresh selects the reference pipeline, which never seeds).
+/// Base.Check.Fresh selects the reference pipeline, which never seeds).
 /// Unknown names produce CheckStatus::Error results instead of aborting.
 engine::CellFn catalogCellRunner(const RunOptions &Base);
 

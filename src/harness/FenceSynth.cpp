@@ -186,10 +186,10 @@ checkfence::harness::synthesizeFences(const std::string &ImplSource,
   Timer Total;
   std::atomic<int> ChecksRun{0};
 
-  // Thread-safe: compiles its own program and runs its own CheckSession,
-  // so the minimization pass can fan these out across workers. Every
-  // candidate differs from the others in fences only, so with a spec
-  // store in Check.Specs they mine each specification once.
+  // Thread-safe: compiles its own program and runs its own check, so the
+  // minimization pass can fan these out across workers. Every candidate
+  // differs from the others in fences only, so with a spec store in
+  // Check.Specs they mine each specification once.
   auto RunOnce = [&](const TestSpec &Test,
                      const std::vector<FencePlacement> &Fences)
       -> CheckResult {
@@ -206,8 +206,7 @@ checkfence::harness::synthesizeFences(const std::string &ImplSource,
     }
     applyFencePlacements(Impl, Fences);
     std::vector<std::string> Threads = buildTestThreads(Impl, Test);
-    return Opts.Fresh ? checker::runCheckFresh(Impl, Threads, Opts.Check)
-                      : checker::runCheck(Impl, Threads, Opts.Check);
+    return checker::runCheck(Impl, Threads, Opts.Check);
   };
 
   auto Fail = [&](const std::string &Msg) {

@@ -459,7 +459,29 @@ TEST(ApiEvents, InvalidRequestsStillProduceAVerdictEvent) {
   V.check(Request::check("no-such-impl", "T0"), &Sink);
   V.matrix(Request::matrix().models({"bogus"}), &Sink);
   V.synthesize(Request::synthesis("ms2", "NoSuchTest"), &Sink);
-  EXPECT_EQ(Sink.Verdicts, 3); // one terminal event per failed request
+  V.weakestModels(Request::weakestModel("no-such-impl", "T0"), &Sink);
+  V.weakestModels(Request::weakestModel("ms2", "T0").models({"bogus"}),
+                  &Sink);
+  EXPECT_EQ(Sink.Verdicts, 5); // one terminal event per failed request
+}
+
+TEST(ApiEvents, WeakestModelSearchEndsWithOneVerdict) {
+  struct LastVerdictSink : CountingSink {
+    VerdictEvent Last;
+    void onVerdict(const VerdictEvent &E) override {
+      CountingSink::onVerdict(E);
+      Last = E;
+    }
+  };
+  Verifier V;
+  LastVerdictSink Sink;
+  WeakestOutcome W = V.weakestModels(
+      Request::weakestModel("ms2", "T0").models({"sc", "tso"}), &Sink);
+  ASSERT_TRUE(W.Ok) << W.Error;
+  EXPECT_EQ(Sink.Verdicts, 1);
+  EXPECT_EQ(Sink.Last.Label, "ms2:T0:weakest");
+  EXPECT_EQ(Sink.Last.Verdict, Status::Pass);
+  EXPECT_EQ(Sink.Last.Message, "2 of 2 models pass");
 }
 
 TEST(ApiEvents, MatrixStreamsCellCompletions) {

@@ -9,7 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "engine/CheckSession.h"
+#include "checker/CheckFence.h"
 #include "engine/MatrixRunner.h"
 #include "engine/SpecStore.h"
 #include "frontend/Lowering.h"
@@ -58,8 +58,7 @@ void expectSessionMatchesFresh(const std::string &Source,
 
   CheckResult Fresh = runCheckFresh(Prog, Threads, Opts);
 
-  CheckSession Session(Opts);
-  CheckResult Inc = Session.check(Prog, Threads);
+  CheckResult Inc = runCheck(Prog, Threads, Opts);
 
   SCOPED_TRACE(Test + " on " + memmodel::modelName(Model));
   EXPECT_EQ(Inc.Status, Fresh.Status)
@@ -116,8 +115,7 @@ TEST(SessionEquivalence, MsnT0RelaxedWithAndWithoutFences) {
   CheckOptions Opts;
   Opts.Model = memmodel::ModelParams::relaxed();
   CheckResult Fresh = runCheckFresh(Stripped, Threads, Opts);
-  CheckSession Session(Opts);
-  CheckResult Inc = Session.check(Stripped, Threads);
+  CheckResult Inc = runCheck(Stripped, Threads, Opts);
   EXPECT_EQ(Fresh.Status, CheckStatus::Fail);
   EXPECT_EQ(Inc.Status, CheckStatus::Fail);
   ASSERT_TRUE(Inc.Counterexample.has_value());
@@ -141,11 +139,46 @@ TEST(SessionEquivalence, RefspecModeMatches) {
   CheckOptions Opts;
   Opts.Model = memmodel::ModelParams::relaxed();
   CheckResult Fresh = runCheckFresh(Impl, Threads, Opts, &Ref);
-  CheckSession Session(Opts);
-  CheckResult Inc = Session.check(Impl, Threads, &Ref);
+  CheckResult Inc = runCheck(Impl, Threads, Opts, &Ref);
   EXPECT_EQ(Inc.Status, Fresh.Status)
       << "session: " << Inc.Message << " / fresh: " << Fresh.Message;
   EXPECT_EQ(Inc.Spec, Fresh.Spec);
+}
+
+TEST(SessionEquivalence, FreshOptionRunsTheReferencePipeline) {
+  // CheckOptions::Fresh makes runCheck run runCheckFresh: the same
+  // verdict, spec, final bounds and round count, and none of the session
+  // engine's round spans (which the session engine does record).
+  lsl::Program Prog;
+  ASSERT_TRUE(compileInto(impls::sourceFor("msn"), Prog));
+  std::vector<std::string> Threads = buildTestThreads(Prog, testByName("T0"));
+  CheckOptions Opts;
+  Opts.Model = memmodel::ModelParams::relaxed();
+  Opts.Fresh = true;
+  CheckResult Ref = runCheckFresh(Prog, Threads, Opts);
+
+  auto RoundSpans = [&](const CheckOptions &O, CheckResult &R) {
+    obs::Tracer T;
+    {
+      obs::TraceContext Ctx(&T);
+      R = runCheck(Prog, Threads, O);
+    }
+    size_t Rounds = 0;
+    for (const obs::TraceEvent &E : T.events())
+      Rounds += E.Cat == "engine" && E.Name == "round";
+    return Rounds;
+  };
+  CheckResult R;
+  EXPECT_EQ(RoundSpans(Opts, R), 0u);
+  EXPECT_EQ(R.Status, Ref.Status) << R.Message << " / " << Ref.Message;
+  EXPECT_EQ(R.Spec, Ref.Spec);
+  EXPECT_EQ(R.FinalBounds, Ref.FinalBounds);
+  EXPECT_EQ(R.Stats.BoundIterations, Ref.Stats.BoundIterations);
+
+  Opts.Fresh = false;
+  CheckResult Session;
+  EXPECT_GT(RoundSpans(Opts, Session), 0u);
+  EXPECT_EQ(Session.Status, Ref.Status);
 }
 
 //===----------------------------------------------------------------------===//
@@ -166,7 +199,7 @@ TEST(SessionSolver, ReportsTheFinalInstanceSize) {
   Opts.Model = memmodel::ModelParams::relaxed();
   int Grown = 0;
   Opts.Hooks.OnBoundGrown = [&](const std::string &, int) { ++Grown; };
-  CheckResult R = CheckSession(Opts).check(Prog, Threads);
+  CheckResult R = runCheck(Prog, Threads, Opts);
   ASSERT_EQ(R.Status, CheckStatus::Pass) << R.Message;
   ASSERT_GT(Grown, 0) << "expected a bound-growth round";
 
