@@ -49,10 +49,11 @@ public:
 
   Lit fresh() { return Lit::make(S.newVar()); }
 
+  /// Short clauses go to the solver as stack arrays; no vector is built.
   void addClause(const std::vector<Lit> &C) { S.addClause(C); }
-  void addClause(Lit A) { addClause(std::vector<Lit>{A}); }
-  void addClause(Lit A, Lit B) { addClause(std::vector<Lit>{A, B}); }
-  void addClause(Lit A, Lit B, Lit C) { addClause(std::vector<Lit>{A, B, C}); }
+  void addClause(Lit A) { S.addClause(A); }
+  void addClause(Lit A, Lit B) { S.addClause(A, B); }
+  void addClause(Lit A, Lit B, Lit C) { S.addClause(A, B, C); }
 
   /// y <-> a && b
   Lit andLit(Lit A, Lit B);

@@ -9,40 +9,19 @@
 #include "sat/Proof.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 using namespace checkfence;
 using namespace checkfence::sat;
 
-/// In-memory clause layout: a small header followed by the literal array.
-/// Clauses are allocated with malloc so the solver works without exceptions.
-struct Solver::Clause {
-  uint32_t Size;
-  uint8_t Learnt;
-  uint8_t Deleted;
-  float Activity;
-  Lit Lits[1]; // actually Size entries
-
-  Lit &operator[](size_t I) { return Lits[I]; }
-  const Lit &operator[](size_t I) const { return Lits[I]; }
-
-  static size_t bytesFor(size_t NumLits) {
-    return sizeof(Clause) + (NumLits > 0 ? NumLits - 1 : 0) * sizeof(Lit);
-  }
-};
-
 Solver::Solver(bool LogProof) {
   if (LogProof)
     Proof = std::make_unique<ProofLog>();
 }
 
-Solver::~Solver() {
-  for (Clause *C : Clauses)
-    freeClause(C);
-  for (Clause *C : Learnts)
-    freeClause(C);
-}
+Solver::~Solver() = default;
 
 Var Solver::newVar() {
   Var V = static_cast<Var>(Assigns.size());
@@ -59,114 +38,180 @@ Var Solver::newVar() {
   return V;
 }
 
-Solver::Clause *Solver::allocClause(const std::vector<Lit> &Lits,
-                                    bool Learnt) {
-  size_t Bytes = Clause::bytesFor(Lits.size());
-  Clause *C = static_cast<Clause *>(std::malloc(Bytes));
-  assert(C && "out of memory allocating clause");
-  C->Size = static_cast<uint32_t>(Lits.size());
-  C->Learnt = Learnt;
-  C->Deleted = 0;
-  C->Activity = 0;
-  std::memcpy(C->Lits, Lits.data(), Lits.size() * sizeof(Lit));
-  AllocatedBytes += Bytes;
+float Solver::activity(CRef C) const {
+  assert(isLearnt(C) && "only learnt clauses carry an activity");
+  float A = 0;
+  std::memcpy(&A, &Arena[C + 1 + clauseSize(C)], sizeof(A));
+  return A;
+}
+
+void Solver::setActivity(CRef C, float A) {
+  assert(isLearnt(C) && "only learnt clauses carry an activity");
+  std::memcpy(&Arena[C + 1 + clauseSize(C)], &A, sizeof(A));
+}
+
+Solver::CRef Solver::allocClause(const Lit *Lits, size_t N, bool Learnt) {
+  assert(N >= 2 && "unit and empty clauses are not stored");
+  // The header keeps 30 bits of size, and a watcher keeps 31 bits of
+  // reference. A database past either limit cannot be addressed; like
+  // running out of memory, that ends the process.
+  size_t Words = 1 + N + static_cast<size_t>(Learnt);
+  if (N >= (size_t(1) << 30) || Arena.size() + Words > (size_t(1) << 31)) {
+    std::fputs("sat::Solver: clause database exceeds 2^31 words\n", stderr);
+    std::abort();
+  }
+  auto C = static_cast<CRef>(Arena.size());
+  Arena.resize(Arena.size() + Words);
+  Arena[C] = static_cast<uint32_t>(N) << 2 | static_cast<uint32_t>(Learnt);
+  uint32_t *Ls = clauseLits(C);
+  for (size_t I = 0; I < N; ++I)
+    Ls[I] = litWord(Lits[I]);
+  if (Learnt)
+    setActivity(C, 0);
   return C;
 }
 
-void Solver::freeClause(Clause *C) {
-  AllocatedBytes -= Clause::bytesFor(C->Size);
-  std::free(C);
-}
-
-void Solver::attachClause(Clause *C) {
-  assert(C->Size >= 2 && "cannot watch a unit clause");
-  Watches[(~(*C)[0]).Code].push_back(Watcher{C, (*C)[1]});
-  Watches[(~(*C)[1]).Code].push_back(Watcher{C, (*C)[0]});
+void Solver::attachClause(CRef C) {
+  assert(clauseSize(C) >= 2 && "cannot watch a unit clause");
+  uint32_t Ref = C << 1 | static_cast<uint32_t>(clauseSize(C) == 2);
+  Lit L0 = clauseLit(C, 0), L1 = clauseLit(C, 1);
+  Watches[(~L0).Code].push_back(Watcher{Ref, L1});
+  Watches[(~L1).Code].push_back(Watcher{Ref, L0});
   WatchBytes += 2 * sizeof(Watcher);
 }
 
-void Solver::detachClause(Clause *C) {
+void Solver::detachClause(CRef C) {
   auto Strip = [&](Lit W) {
     std::vector<Watcher> &WS = Watches[(~W).Code];
     for (size_t I = 0; I < WS.size(); ++I) {
-      if (WS[I].C == C) {
+      if (WS[I].cref() == C) {
         WS[I] = WS.back();
         WS.pop_back();
         break;
       }
     }
   };
-  Strip((*C)[0]);
-  Strip((*C)[1]);
+  Strip(clauseLit(C, 0));
+  Strip(clauseLit(C, 1));
   WatchBytes -= 2 * sizeof(Watcher);
 }
 
-bool Solver::locked(const Clause *C) const {
-  Var V = (*C)[0].var();
-  return value((*C)[0]) == LBool::True && VarInfo[V].Reason == C;
+bool Solver::locked(CRef C) const {
+  Lit First = clauseLit(C, 0);
+  return value(First) == LBool::True && VarInfo[First.var()].Reason == C;
 }
 
-void Solver::removeClause(Clause *C) {
+void Solver::removeClause(CRef C) {
   detachClause(C);
   if (locked(C))
-    VarInfo[(*C)[0].var()].Reason = nullptr;
-  C->Deleted = 1;
-  freeClause(C);
+    VarInfo[clauseLit(C, 0).var()].Reason = CRefUndef;
+  Arena[C] |= 2;
+  WastedWords += clauseWords(clauseSize(C), isLearnt(C));
 }
 
-bool Solver::addClause(const std::vector<Lit> &Lits) {
+std::vector<Lit> Solver::clauseLitVector(CRef C) const {
+  std::vector<Lit> Out;
+  Out.reserve(clauseSize(C));
+  for (uint32_t I = 0; I < clauseSize(C); ++I)
+    Out.push_back(clauseLit(C, I));
+  return Out;
+}
+
+Solver::CRef Solver::reasonFor(Var V) {
+  CRef R = VarInfo[V].Reason;
+  assert(R != CRefUndef && "variable has no reason clause");
+  uint32_t *Ls = clauseLits(R);
+  if (clauseSize(R) == 2 && wordLit(Ls[1]).var() == V)
+    std::swap(Ls[0], Ls[1]);
+  assert(wordLit(Ls[0]).var() == V && "reason does not imply its variable");
+  return R;
+}
+
+void Solver::compactArena() {
+  std::vector<uint32_t> To;
+  To.reserve(Arena.size() - WastedWords);
+  // Copy the live clauses in arena order; each old clause's first literal
+  // word is overwritten with its new reference.
+  for (size_t Pos = 0; Pos < Arena.size();) {
+    auto C = static_cast<CRef>(Pos);
+    uint32_t Words = clauseWords(clauseSize(C), isLearnt(C));
+    if (!isDeleted(C)) {
+      auto NewRef = static_cast<CRef>(To.size());
+      To.insert(To.end(), Arena.begin() + C, Arena.begin() + C + Words);
+      Arena[C + 1] = NewRef;
+    }
+    Pos += Words;
+  }
+  auto Reloc = [&](CRef C) {
+    assert(!isDeleted(C) && "reference to a deleted clause");
+    return Arena[C + 1];
+  };
+  for (CRef &C : Clauses)
+    C = Reloc(C);
+  for (CRef &C : Learnts)
+    C = Reloc(C);
+  for (std::vector<Watcher> &WS : Watches)
+    for (Watcher &W : WS)
+      W.Ref = Reloc(W.cref()) << 1 | (W.Ref & 1);
+  // An assigned variable's reason is locked, hence live. An unassigned
+  // variable keeps the reason of its last assignment, which is never read
+  // again; it is relocated, or cleared if its clause was deleted, so every
+  // reason stays a valid reference.
+  for (VarData &D : VarInfo)
+    if (D.Reason != CRefUndef)
+      D.Reason = isDeleted(D.Reason) ? CRefUndef : Reloc(D.Reason);
+  Arena.swap(To);
+  WastedWords = 0;
+  ++Stats.Compactions;
+}
+
+bool Solver::addClause(const Lit *Lits, size_t N) {
   assert(decisionLevel() == 0 && "clauses must be added at level 0");
   if (!Ok)
     return false;
   if (Proof)
-    Proof->addInput(Lits);
+    Proof->addInput(std::vector<Lit>(Lits, Lits + N));
 
-  // Simplify: sort, strip duplicates and false literals, detect tautology.
-  std::vector<Lit> Ls(Lits);
-  std::sort(Ls.begin(), Ls.end());
-  std::vector<Lit> Out;
+  // Simplify in place: sort, strip duplicates and false literals, detect
+  // tautology.
+  AddScratch.assign(Lits, Lits + N);
+  std::sort(AddScratch.begin(), AddScratch.end());
+  size_t Out = 0;
   Lit Prev = LitUndef;
-  for (Lit L : Ls) {
+  for (Lit L : AddScratch) {
     assert(L.var() < numVars() && "literal over unknown variable");
     if (value(L) == LBool::True || L == ~Prev)
       return true; // satisfied or tautological
     if (value(L) != LBool::False && L != Prev)
-      Out.push_back(L);
+      AddScratch[Out++] = L;
     Prev = L;
   }
 
-  if (Out.empty()) {
+  if (Out == 0) {
     Ok = false;
     if (Proof)
       Proof->addDerived({});
     return false;
   }
-  if (Out.size() == 1) {
-    uncheckedEnqueue(Out[0], nullptr);
-    Ok = (propagate() == nullptr);
+  if (Out == 1) {
+    uncheckedEnqueue(AddScratch[0], CRefUndef);
+    Ok = (propagate() == CRefUndef);
     if (!Ok && Proof)
       Proof->addDerived({});
     return Ok;
   }
-  Clause *C = allocClause(Out, /*Learnt=*/false);
+  CRef C = allocClause(AddScratch.data(), Out, /*Learnt=*/false);
   Clauses.push_back(C);
   attachClause(C);
   return true;
 }
 
-void Solver::uncheckedEnqueue(Lit L, Clause *Reason) {
+void Solver::uncheckedEnqueue(Lit L, CRef Reason) {
   assert(value(L) == LBool::Undef && "enqueue of assigned literal");
   Assigns[L.var()] = boolToLBool(!L.negated());
   VarInfo[L.var()].Reason = Reason;
   VarInfo[L.var()].Level = decisionLevel();
   Trail.push_back(L);
-}
-
-bool Solver::enqueue(Lit L, Clause *Reason) {
-  if (value(L) != LBool::Undef)
-    return value(L) == LBool::True;
-  uncheckedEnqueue(L, Reason);
-  return true;
 }
 
 void Solver::cancelUntil(int Level) {
@@ -185,39 +230,61 @@ void Solver::cancelUntil(int Level) {
   TrailLim.resize(Level);
 }
 
-Solver::Clause *Solver::propagate() {
-  Clause *Conflict = nullptr;
+Solver::CRef Solver::propagate() {
+  CRef Conflict = CRefUndef;
   while (QHead < Trail.size()) {
-    Lit P = Trail[QHead++]; // P is true; visit watchers of ~P... (see below)
+    Lit P = Trail[QHead++]; // P is true; visit the watchers of clauses with ~P
     ++Stats.Propagations;
+    Lit FalseLit = ~P;
     std::vector<Watcher> &WS = Watches[P.Code];
-    size_t I = 0, J = 0;
-    while (I < WS.size()) {
-      Watcher W = WS[I++];
+    Watcher *I = WS.data(), *J = I, *End = I + WS.size();
+    while (I != End) {
+      Watcher W = *I++;
       // Blocker optimization: clause already satisfied.
-      if (value(W.Blocker) == LBool::True) {
-        WS[J++] = W;
+      LBool BlockerValue = value(W.Blocker);
+      if (BlockerValue == LBool::True) {
+        *J++ = W;
         continue;
       }
-      Clause &C = *W.C;
+      if (W.binary()) {
+        // The blocker is the other literal: the clause is unit or
+        // conflicting, decided without reading it. A conflict is written
+        // out as [other, ~P], the order the long-clause path leaves, since
+        // analyze() reads a conflict's literals in order.
+        *J++ = W;
+        if (BlockerValue == LBool::False) {
+          Conflict = W.cref();
+          uint32_t *Ls = clauseLits(Conflict);
+          Ls[0] = litWord(W.Blocker);
+          Ls[1] = litWord(FalseLit);
+          QHead = Trail.size();
+          while (I != End)
+            *J++ = *I++;
+        } else {
+          uncheckedEnqueue(W.Blocker, W.cref());
+        }
+        continue;
+      }
+      CRef C = W.cref();
+      uint32_t *Ls = clauseLits(C);
       // Normalize: make sure the false literal (~P) is at position 1.
-      Lit FalseLit = ~P;
-      if (C[0] == FalseLit)
-        std::swap(C[0], C[1]);
-      assert(C[1] == FalseLit && "watched literal invariant broken");
+      if (Ls[0] == litWord(FalseLit))
+        std::swap(Ls[0], Ls[1]);
+      assert(Ls[1] == litWord(FalseLit) && "watched literal invariant broken");
 
-      Lit First = C[0];
+      Lit First = wordLit(Ls[0]);
       if (First != W.Blocker && value(First) == LBool::True) {
-        WS[J++] = Watcher{&C, First};
+        *J++ = Watcher{W.Ref, First};
         continue;
       }
 
-      // Look for a new literal to watch.
+      // Look for a new literal to watch. The new watch list is never WS:
+      // its literal is not false, and ~P is.
       bool FoundWatch = false;
-      for (uint32_t K = 2; K < C.Size; ++K) {
-        if (value(C[K]) != LBool::False) {
-          std::swap(C[1], C[K]);
-          Watches[(~C[1]).Code].push_back(Watcher{&C, First});
+      for (uint32_t K = 2, Size = clauseSize(C); K < Size; ++K) {
+        if (value(wordLit(Ls[K])) != LBool::False) {
+          std::swap(Ls[1], Ls[K]);
+          Watches[(~wordLit(Ls[1])).Code].push_back(Watcher{W.Ref, First});
           FoundWatch = true;
           break;
         }
@@ -226,18 +293,18 @@ Solver::Clause *Solver::propagate() {
         continue;
 
       // Clause is unit or conflicting.
-      WS[J++] = Watcher{&C, First};
+      *J++ = Watcher{W.Ref, First};
       if (value(First) == LBool::False) {
-        Conflict = &C;
+        Conflict = C;
         QHead = Trail.size();
-        while (I < WS.size())
-          WS[J++] = WS[I++];
+        while (I != End)
+          *J++ = *I++;
       } else {
-        uncheckedEnqueue(First, &C);
+        uncheckedEnqueue(First, C);
       }
     }
-    WS.resize(J);
-    if (Conflict)
+    WS.resize(static_cast<size_t>(J - WS.data()));
+    if (Conflict != CRefUndef)
       break;
   }
   return Conflict;
@@ -256,11 +323,12 @@ void Solver::varBumpActivity(Var V) {
 
 void Solver::varDecayActivity() { VarInc *= (1.0 / 0.95); }
 
-void Solver::claBumpActivity(Clause *C) {
-  C->Activity += static_cast<float>(ClaInc);
-  if (C->Activity > 1e20f) {
-    for (Clause *L : Learnts)
-      L->Activity *= 1e-20f;
+void Solver::claBumpActivity(CRef C) {
+  float A = activity(C) + static_cast<float>(ClaInc);
+  setActivity(C, A);
+  if (A > 1e20f) {
+    for (CRef L : Learnts)
+      setActivity(L, activity(L) * 1e-20f);
     ClaInc *= 1e-20;
   }
 }
@@ -339,7 +407,7 @@ Lit Solver::pickBranchLit() {
 
 /// First-UIP conflict analysis producing an asserting learnt clause and the
 /// backtrack level, with recursive clause minimization.
-void Solver::analyze(Clause *Conflict, std::vector<Lit> &OutLearnt,
+void Solver::analyze(CRef Conflict, std::vector<Lit> &OutLearnt,
                      int &OutBtLevel) {
   int PathCount = 0;
   Lit P = LitUndef;
@@ -347,13 +415,14 @@ void Solver::analyze(Clause *Conflict, std::vector<Lit> &OutLearnt,
   OutLearnt.push_back(LitUndef); // slot for the asserting literal
   size_t Index = Trail.size();
 
-  Clause *Reason = Conflict;
+  CRef Reason = Conflict;
   do {
-    assert(Reason && "reached decision without exhausting paths");
-    if (Reason->Learnt)
+    assert(Reason != CRefUndef && "reached decision without exhausting paths");
+    if (isLearnt(Reason))
       claBumpActivity(Reason);
-    for (uint32_t I = (P == LitUndef ? 0 : 1); I < Reason->Size; ++I) {
-      Lit Q = (*Reason)[I];
+    for (uint32_t I = (P == LitUndef ? 0 : 1), Size = clauseSize(Reason);
+         I < Size; ++I) {
+      Lit Q = clauseLit(Reason, I);
       Var V = Q.var();
       if (Seen[V] || VarInfo[V].Level == 0)
         continue;
@@ -368,9 +437,10 @@ void Solver::analyze(Clause *Conflict, std::vector<Lit> &OutLearnt,
     while (!Seen[Trail[--Index].var()]) {
     }
     P = Trail[Index];
-    Reason = VarInfo[P.var()].Reason;
     Seen[P.var()] = 0;
     --PathCount;
+    if (PathCount > 0)
+      Reason = reasonFor(P.var());
   } while (PathCount > 0);
   OutLearnt[0] = ~P;
 
@@ -382,7 +452,7 @@ void Solver::analyze(Clause *Conflict, std::vector<Lit> &OutLearnt,
   size_t KeepJ = 1;
   for (size_t I = 1; I < OutLearnt.size(); ++I) {
     Var V = OutLearnt[I].var();
-    if (VarInfo[V].Reason == nullptr ||
+    if (VarInfo[V].Reason == CRefUndef ||
         !litRedundant(OutLearnt[I], AbstractLevels))
       OutLearnt[KeepJ++] = OutLearnt[I];
   }
@@ -419,14 +489,13 @@ bool Solver::litRedundant(Lit L, uint32_t AbstractLevels) {
   while (!AnalyzeStack.empty()) {
     Lit Cur = AnalyzeStack.back();
     AnalyzeStack.pop_back();
-    assert(VarInfo[Cur.var()].Reason != nullptr);
-    Clause &C = *VarInfo[Cur.var()].Reason;
-    for (uint32_t I = 1; I < C.Size; ++I) {
-      Lit Q = C[I];
+    CRef C = reasonFor(Cur.var());
+    for (uint32_t I = 1, Size = clauseSize(C); I < Size; ++I) {
+      Lit Q = clauseLit(C, I);
       Var V = Q.var();
       if (Seen[V] || VarInfo[V].Level == 0)
         continue;
-      if (VarInfo[V].Reason != nullptr &&
+      if (VarInfo[V].Reason != CRefUndef &&
           ((1u << (VarInfo[V].Level & 31)) & AbstractLevels) != 0) {
         Seen[V] = 1;
         AnalyzeStack.push_back(Q);
@@ -456,14 +525,16 @@ void Solver::analyzeFinal(Lit P, std::vector<Lit> &OutConflict) {
     Var V = Trail[I].var();
     if (!Seen[V])
       continue;
-    if (VarInfo[V].Reason == nullptr) {
+    if (VarInfo[V].Reason == CRefUndef) {
       assert(VarInfo[V].Level > 0);
       OutConflict.push_back(~Trail[I]);
     } else {
-      Clause &C = *VarInfo[V].Reason;
-      for (uint32_t K = 1; K < C.Size; ++K)
-        if (VarInfo[C[K].var()].Level > 0)
-          Seen[C[K].var()] = 1;
+      CRef C = reasonFor(V);
+      for (uint32_t K = 1, Size = clauseSize(C); K < Size; ++K) {
+        Var Q = clauseLit(C, K).var();
+        if (VarInfo[Q].Level > 0)
+          Seen[Q] = 1;
+      }
     }
     Seen[V] = 0;
   }
@@ -473,35 +544,37 @@ void Solver::analyzeFinal(Lit P, std::vector<Lit> &OutConflict) {
 void Solver::reduceDB() {
   // Remove roughly half of the learnt clauses, lowest activity first;
   // keep binary and locked (reason) clauses.
-  std::sort(Learnts.begin(), Learnts.end(), [](Clause *A, Clause *B) {
-    if ((A->Size > 2) != (B->Size > 2))
-      return A->Size > 2;
-    return A->Activity < B->Activity;
+  std::sort(Learnts.begin(), Learnts.end(), [this](CRef A, CRef B) {
+    if ((clauseSize(A) > 2) != (clauseSize(B) > 2))
+      return clauseSize(A) > 2;
+    return activity(A) < activity(B);
   });
   size_t I = 0, J = 0;
   double ExtraLim = ClaInc / std::max<size_t>(Learnts.size(), 1);
   for (; I < Learnts.size(); ++I) {
-    Clause *C = Learnts[I];
-    if (C->Size > 2 && !locked(C) &&
-        (I < Learnts.size() / 2 || C->Activity < ExtraLim)) {
+    CRef C = Learnts[I];
+    if (clauseSize(C) > 2 && !locked(C) &&
+        (I < Learnts.size() / 2 || activity(C) < ExtraLim)) {
       if (Proof)
-        Proof->addDelete(std::vector<Lit>(&(*C)[0], &(*C)[0] + C->Size));
+        Proof->addDelete(clauseLitVector(C));
       removeClause(C);
     }
     else
       Learnts[J++] = C;
   }
   Learnts.resize(J);
+  if (WastedWords * 5 > Arena.size())
+    compactArena();
 }
 
 SolveResult Solver::search(int64_t ConflictsBeforeRestart) {
   assert(Ok);
   int64_t ConflictCount = 0;
-  std::vector<Lit> Learnt;
+  std::vector<Lit> &Learnt = LearntScratch;
 
   for (;;) {
-    Clause *Conflict = propagate();
-    if (Conflict != nullptr) {
+    CRef Conflict = propagate();
+    if (Conflict != CRefUndef) {
       // Conflict.
       ++Stats.Conflicts;
       ++ConflictCount;
@@ -517,9 +590,9 @@ SolveResult Solver::search(int64_t ConflictsBeforeRestart) {
         Proof->addDerived(Learnt);
       cancelUntil(BtLevel);
       if (Learnt.size() == 1) {
-        uncheckedEnqueue(Learnt[0], nullptr);
+        uncheckedEnqueue(Learnt[0], CRefUndef);
       } else {
-        Clause *C = allocClause(Learnt, /*Learnt=*/true);
+        CRef C = allocClause(Learnt.data(), Learnt.size(), /*Learnt=*/true);
         Learnts.push_back(C);
         attachClause(C);
         claBumpActivity(C);
@@ -571,7 +644,7 @@ SolveResult Solver::search(int64_t ConflictsBeforeRestart) {
         return SolveResult::Sat; // all variables assigned
     }
     newDecisionLevel();
-    uncheckedEnqueue(Next, nullptr);
+    uncheckedEnqueue(Next, CRefUndef);
   }
 }
 

@@ -13,6 +13,33 @@
 /// incremental solving under assumptions (required by the specification
 /// mining loop, which repeatedly re-solves with added blocking clauses).
 ///
+/// Clause storage. Every clause, problem or learnt, lives in one
+/// contiguous arena of 32-bit words and is named by a 32-bit clause
+/// reference (CRef), the word offset of its header. A clause is a header
+/// word (size, learnt and deleted bits), its literals, and for learnt
+/// clauses one trailing activity word. Adding a clause appends to the
+/// arena; no clause is allocated on its own, and addClause() simplifies
+/// in a member scratch buffer, so clause intake does not touch the heap
+/// once the arena and the buffers have grown.
+///
+/// Binary watches. A watcher is a reference with a binary bit plus a
+/// blocker literal. For a binary clause the blocker is the other literal,
+/// so propagate() satisfies, implies or refutes it from the watcher alone
+/// and never reads its arena words. Binary watchers stay in the same
+/// per-literal lists as the long ones, in attach order, so propagation
+/// visits clauses in the same order as if every clause were long. Since
+/// propagate() leaves a binary clause's literal order alone, conflict
+/// analysis swaps the implied literal into slot 0 when it reads a binary
+/// reason, and a binary conflict is written in the order a long clause
+/// would have.
+///
+/// Compaction. reduceDB() detaches and marks the clauses it drops; their
+/// words stay in the arena until a fifth of it is dead. Then the live
+/// clauses are copied, in arena order, into a fresh arena, and the
+/// problem and learnt lists, every watcher and every variable's reason
+/// are relocated. References are identities only, so compaction never
+/// changes the search.
+///
 /// The encoders build straight into a Solver through encode::CnfBuilder;
 /// no CNF is stored anywhere else. checker::SolveContext owns the one
 /// Solver each encoded problem is solved on.
@@ -99,6 +126,8 @@ struct SolverStats {
   uint64_t Restarts = 0;
   uint64_t LearntLiterals = 0;
   uint64_t MinimizedLiterals = 0;
+  /// Clause-arena compactions after reduceDB() (see the file comment).
+  uint64_t Compactions = 0;
 };
 
 /// The Luby restart sequence 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... at 0-based
@@ -120,7 +149,7 @@ public:
   /// With \p LogProof the solver records a DRAT-style clausal proof
   /// (sat/Proof.h) of every clause added or derived, from the first one.
   explicit Solver(bool LogProof = false);
-  ~Solver();
+  ~Solver(); // out of line: ProofLog is incomplete here
 
   Solver(const Solver &) = delete;
   Solver &operator=(const Solver &) = delete;
@@ -132,11 +161,18 @@ public:
 
   /// Adds a clause. Returns false if the solver is now known unsatisfiable
   /// (e.g. the clause is empty after level-0 simplification).
-  bool addClause(const std::vector<Lit> &Lits);
-  bool addClause(Lit A) { return addClause(std::vector<Lit>{A}); }
-  bool addClause(Lit A, Lit B) { return addClause(std::vector<Lit>{A, B}); }
+  bool addClause(const Lit *Lits, size_t N);
+  bool addClause(const std::vector<Lit> &Lits) {
+    return addClause(Lits.data(), Lits.size());
+  }
+  bool addClause(Lit A) { return addClause(&A, 1); }
+  bool addClause(Lit A, Lit B) {
+    const Lit Ls[2] = {A, B};
+    return addClause(Ls, 2);
+  }
   bool addClause(Lit A, Lit B, Lit C) {
-    return addClause(std::vector<Lit>{A, B, C});
+    const Lit Ls[3] = {A, B, C};
+    return addClause(Ls, 3);
   }
 
   /// Solves under the given assumptions. Assumptions are temporary unit
@@ -158,17 +194,22 @@ public:
   }
   bool modelTrue(Lit L) const { return modelValue(L) == LBool::True; }
 
-  /// Assumptions that were found inconsistent in the last Unsat answer
-  /// (subset of the assumption set, negated form not applied).
+  /// After an Unsat answer under assumptions: the clause the database
+  /// implies over the failed assumptions, i.e. ~A for each assumption A
+  /// of an inconsistent subset. Empty if the database alone is Unsat.
   const std::vector<Lit> &conflictAssumptions() const { return ConflictVec; }
 
   /// Problem clauses currently in the database (excludes learnt clauses and
   /// level-0 units).
   std::size_t numClauses() const { return Clauses.size(); }
   std::size_t numLearnts() const { return Learnts.size(); }
-  /// Approximate bytes held by the clause database and watcher lists;
-  /// stands in for the "zchaff memory" column of Fig. 10.
-  size_t memoryBytes() const { return AllocatedBytes + WatchBytes; }
+  /// Approximate bytes held by the clause database and watcher lists:
+  /// the arena's words in use (dead clauses included until the next
+  /// compaction) plus two watchers per attached clause. Stands in for the
+  /// "zchaff memory" column of Fig. 10.
+  size_t memoryBytes() const {
+    return Arena.size() * sizeof(uint32_t) + WatchBytes;
+  }
 
   const SolverStats &stats() const { return Stats; }
 
@@ -179,25 +220,61 @@ public:
   const ProofLog *proofLog() const { return Proof.get(); }
 
 private:
-  struct Clause; // defined in Solver.cpp
+  /// A clause reference: the arena offset of the clause's header word.
+  using CRef = uint32_t;
+  static constexpr CRef CRefUndef = UINT32_MAX;
 
+  /// Watches a clause for the negation of one of its two watched
+  /// literals. Ref is the clause reference shifted left by one, with the
+  /// low bit set for a binary clause; Blocker is a literal of the clause
+  /// whose truth satisfies it (for a binary clause, the other literal).
   struct Watcher {
-    Clause *C;
+    uint32_t Ref;
     Lit Blocker;
+
+    CRef cref() const { return Ref >> 1; }
+    bool binary() const { return (Ref & 1) != 0; }
   };
 
   struct VarData {
-    Clause *Reason = nullptr;
+    CRef Reason = CRefUndef;
     int Level = 0;
   };
 
+  // Clause arena. Header word: size << 2 | deleted << 1 | learnt.
+  uint32_t clauseSize(CRef C) const { return Arena[C] >> 2; }
+  bool isLearnt(CRef C) const { return (Arena[C] & 1) != 0; }
+  bool isDeleted(CRef C) const { return (Arena[C] & 2) != 0; }
+  /// Words a clause of \p Size literals occupies (header, literals and
+  /// the activity word of a learnt clause).
+  static uint32_t clauseWords(uint32_t Size, bool Learnt) {
+    return 1 + Size + static_cast<uint32_t>(Learnt);
+  }
+  uint32_t *clauseLits(CRef C) { return &Arena[C + 1]; }
+  static Lit wordLit(uint32_t W) {
+    Lit L;
+    L.Code = static_cast<int>(W);
+    return L;
+  }
+  static uint32_t litWord(Lit L) { return static_cast<uint32_t>(L.Code); }
+  Lit clauseLit(CRef C, uint32_t I) const { return wordLit(Arena[C + 1 + I]); }
+  float activity(CRef C) const;
+  void setActivity(CRef C, float A);
+
   // Clause management.
-  Clause *allocClause(const std::vector<Lit> &Lits, bool Learnt);
-  void freeClause(Clause *C);
-  void attachClause(Clause *C);
-  void detachClause(Clause *C);
-  void removeClause(Clause *C);
-  bool locked(const Clause *C) const;
+  CRef allocClause(const Lit *Lits, size_t N, bool Learnt);
+  void attachClause(CRef C);
+  void detachClause(CRef C);
+  void removeClause(CRef C);
+  bool locked(CRef C) const;
+  /// The clause's literals in arena order, for the proof log.
+  std::vector<Lit> clauseLitVector(CRef C) const;
+  /// \p V's reason clause, with \p V's literal moved into slot 0 if the
+  /// clause is binary (propagate() does not order binary clauses).
+  CRef reasonFor(Var V);
+  /// Copies the live clauses into a fresh arena and relocates every
+  /// reference to them.
+  void compactArena();
 
   // Assignment trail.
   LBool value(Var V) const { return Assigns[V]; }
@@ -207,14 +284,12 @@ private:
   }
   int decisionLevel() const { return static_cast<int>(TrailLim.size()); }
   void newDecisionLevel() { TrailLim.push_back(Trail.size()); }
-  void uncheckedEnqueue(Lit L, Clause *Reason);
-  bool enqueue(Lit L, Clause *Reason);
+  void uncheckedEnqueue(Lit L, CRef Reason);
   void cancelUntil(int Level);
 
   // Search.
-  Clause *propagate();
-  void analyze(Clause *Conflict, std::vector<Lit> &OutLearnt,
-               int &OutBtLevel);
+  CRef propagate();
+  void analyze(CRef Conflict, std::vector<Lit> &OutLearnt, int &OutBtLevel);
   void analyzeFinal(Lit P, std::vector<Lit> &OutConflict);
   bool litRedundant(Lit L, uint32_t AbstractLevels);
   SolveResult search(int64_t ConflictsBeforeRestart);
@@ -225,7 +300,7 @@ private:
   // VSIDS.
   void varBumpActivity(Var V);
   void varDecayActivity();
-  void claBumpActivity(Clause *C);
+  void claBumpActivity(CRef C);
   void claDecayActivity();
   void heapInsert(Var V);
   void heapDecrease(Var V);
@@ -240,8 +315,10 @@ private:
 
   // State.
   bool Ok = true;
-  std::vector<Clause *> Clauses;
-  std::vector<Clause *> Learnts;
+  std::vector<uint32_t> Arena;
+  size_t WastedWords = 0; ///< words of deleted clauses still in Arena
+  std::vector<CRef> Clauses;
+  std::vector<CRef> Learnts;
   std::vector<std::vector<Watcher>> Watches; // indexed by Lit::Code
   std::vector<LBool> Assigns;
   std::vector<char> Polarity;
@@ -266,14 +343,15 @@ private:
   double LearntSizeFactor = 1.0 / 3.0;
   double LearntSizeInc = 1.1;
 
-  size_t AllocatedBytes = 0;
   size_t WatchBytes = 0;
 
   std::unique_ptr<ProofLog> Proof;
 
   SolverStats Stats;
 
-  // Scratch for analyze().
+  // Scratch for addClause(), search() and analyze().
+  std::vector<Lit> AddScratch;
+  std::vector<Lit> LearntScratch;
   std::vector<Lit> AnalyzeStack;
   std::vector<Lit> AnalyzeToClear;
 };

@@ -8,12 +8,14 @@
 // validated by an independent reverse-unit-propagation checker. These
 // tests cover crafted UNSAT families, random sweeps, the incremental
 // blocking-clause pattern the miner uses, assumption conflicts, rejection
-// of tampered proofs, and a full CheckFence inclusion check.
+// of tampered proofs, a full CheckFence inclusion check, and certificates
+// for the final queries behind known PASS verdicts.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sat/Proof.h"
 
+#include "checker/CheckFence.h"
 #include "checker/SpecMiner.h"
 #include "frontend/Lowering.h"
 #include "harness/Catalog.h"
@@ -250,5 +252,85 @@ TEST(SatProof, InclusionCheckPassIsCertified) {
   EXPECT_TRUE(O.Ok) << O.Error;
   EXPECT_GT(O.CheckedDerivations, 0u);
 }
+
+//===----------------------------------------------------------------------===//
+// Certified PASS verdicts: a solver change must not turn a FAIL into a
+// PASS unnoticed.
+//===----------------------------------------------------------------------===//
+
+/// Solves \p Ctx, whose assumptions were all hard-asserted, and demands a
+/// refutation of the clause database that RUP-checks.
+void expectCertifiedUnsat(checker::SolveContext &Ctx, const char *What) {
+  ASSERT_EQ(Ctx.solveUnder({}), SolveResult::Unsat) << What;
+  const ProofLog *Proof = Ctx.solver().proofLog();
+  ASSERT_NE(Proof, nullptr);
+  RupChecker::Outcome O = RupChecker::check(*Proof, true);
+  EXPECT_TRUE(O.Ok) << What << ": " << O.Error;
+}
+
+struct PassCell {
+  const char *Impl;
+  const char *Test;
+};
+
+void PrintTo(const PassCell &Cell, std::ostream *OS) {
+  *OS << Cell.Impl << " " << Cell.Test;
+}
+
+class CertifiedPass : public ::testing::TestWithParam<PassCell> {};
+
+/// Runs a fenced catalog cell known to pass on Relaxed, then rebuilds the
+/// two queries its PASS rests on from runCheck's own FinalBounds and Spec,
+/// each on a fresh proof-logging context with every assumption
+/// hard-asserted: the inclusion check (mismatch clauses plus the
+/// within-bounds literals) and the final bound probe (the probe
+/// activation). Both must be refuted with a proof that validates.
+TEST_P(CertifiedPass, InclusionAndFinalProbeAreRefuted) {
+  using namespace checkfence::checker;
+  const PassCell &Cell = GetParam();
+  harness::RunOptions Opts;
+  Opts.Check.Model = memmodel::ModelParams::relaxed();
+  harness::CompiledTest Compiled;
+  std::string Error;
+  ASSERT_TRUE(harness::compileTest(impls::sourceFor(Cell.Impl),
+                                   harness::testByName(Cell.Test), Opts,
+                                   Compiled, Error))
+      << Error;
+  CheckResult Result = runCheck(Compiled.Impl, Compiled.Threads, Opts.Check);
+  ASSERT_EQ(Result.Status, CheckStatus::Pass) << Result.Message;
+
+  ProblemConfig Cfg;
+  Cfg.Model = Opts.Check.Model;
+  Cfg.ProofLog = true;
+  {
+    SolveContext Ctx(Compiled.Impl, Compiled.Threads, Result.FinalBounds,
+                     Cfg);
+    ProblemEncoding &Enc = Ctx.encoding();
+    ASSERT_TRUE(Enc.ok()) << Enc.error();
+    for (const Observation &O : Result.Spec)
+      Enc.addMismatch(O);
+    for (Lit A : Enc.withinBoundsAssumptions())
+      Ctx.solver().addClause(A);
+    expectCertifiedUnsat(Ctx, "inclusion check");
+  }
+  {
+    SolveContext Ctx(Compiled.Impl, Compiled.Threads, Result.FinalBounds,
+                     Cfg);
+    ProblemEncoding &Enc = Ctx.encoding();
+    ASSERT_TRUE(Enc.ok()) << Enc.error();
+    for (Lit A : Enc.probeAssumptions())
+      Ctx.solver().addClause(A);
+    expectCertifiedUnsat(Ctx, "final bound probe");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Relaxed, CertifiedPass,
+    ::testing::Values(PassCell{"ms2", "T0"}, PassCell{"msn", "T0"},
+                      PassCell{"treiber", "U0"}, PassCell{"lazylist", "Sac"},
+                      PassCell{"harris", "Sac"}),
+    [](const ::testing::TestParamInfo<PassCell> &Info) {
+      return std::string(Info.param.Impl) + "_" + Info.param.Test;
+    });
 
 } // namespace

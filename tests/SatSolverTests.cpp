@@ -6,8 +6,11 @@
 
 #include "sat/Solver.h"
 
+#include "sat/Proof.h"
+
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <random>
 
 using namespace checkfence;
@@ -316,6 +319,153 @@ TEST(SatSolver, MemoryAccounting) {
   size_t Before = S.memoryBytes();
   S.addClause(pos(A), pos(B), pos(C));
   EXPECT_GT(S.memoryBytes(), Before);
+}
+
+//===----------------------------------------------------------------------===//
+// Clause arena: compaction after reduceDB() and binary reasons.
+//===----------------------------------------------------------------------===//
+
+/// A random 3-CNF with five clauses per variable: unsatisfiable with high
+/// probability, and at 250 variables it takes thousands of conflicts.
+std::vector<std::vector<Lit>> random3Cnf(unsigned Seed, int NumVars) {
+  std::mt19937 Rng(Seed);
+  std::vector<std::vector<Lit>> Out;
+  for (int I = 0; I < 5 * NumVars; ++I) {
+    std::vector<Lit> C;
+    for (int K = 0; K < 3; ++K) {
+      auto V = static_cast<Var>(Rng() % NumVars);
+      bool Neg = (Rng() & 1) != 0;
+      C.push_back(Lit::make(V, Neg));
+    }
+    Out.push_back(C);
+  }
+  return Out;
+}
+
+/// Solves in slices of \p Slice conflicts until the answer is known. Each
+/// solve() call resets the learnt-clause limit, so the learnts kept from
+/// earlier slices trigger reduceDB(), and with it arena compaction, the
+/// way the specification miner's repeated re-solves do. \p AfterSlice
+/// runs after every slice with the memoryBytes() and compaction count
+/// from before it.
+template <typename Fn>
+SolveResult solveInSlices(Solver &S, const std::vector<Lit> &Assumptions,
+                          int64_t Slice, Fn &&AfterSlice) {
+  SolveResult R = SolveResult::Unknown;
+  do {
+    size_t BytesBefore = S.memoryBytes();
+    uint64_t CompactionsBefore = S.stats().Compactions;
+    S.ConflictBudget = static_cast<int64_t>(S.stats().Conflicts) + Slice;
+    R = S.solve(Assumptions);
+    AfterSlice(BytesBefore, CompactionsBefore);
+  } while (R == SolveResult::Unknown);
+  S.ConflictBudget = -1;
+  return R;
+}
+
+SolveResult solveInSlices(Solver &S, const std::vector<Lit> &Assumptions,
+                          int64_t Slice) {
+  return solveInSlices(S, Assumptions, Slice, [](size_t, uint64_t) {});
+}
+
+TEST(SatSolverArena, RefutationAcrossCompactionsValidates) {
+  // Several compactions, each of which must release memory, and a proof
+  // across all of them that RUP-checks.
+  Solver S(/*LogProof=*/true);
+  for (Var V = 0; V < 250; ++V)
+    S.newVar();
+  for (const std::vector<Lit> &C : random3Cnf(1, 250))
+    ASSERT_TRUE(S.addClause(C));
+  int CompactingSlices = 0;
+  auto MemoryFalls = [&](size_t BytesBefore, uint64_t CompactionsBefore) {
+    if (S.stats().Compactions == CompactionsBefore)
+      return;
+    ++CompactingSlices;
+    EXPECT_LT(S.memoryBytes(), BytesBefore);
+  };
+  ASSERT_EQ(solveInSlices(S, {}, 200, MemoryFalls), SolveResult::Unsat);
+  EXPECT_GE(S.stats().Compactions, 3u);
+  EXPECT_GE(CompactingSlices, 3);
+  RupChecker::Outcome O =
+      RupChecker::check(*S.proofLog(), /*RequireEmptyClause=*/true);
+  EXPECT_TRUE(O.Ok) << O.Error;
+}
+
+TEST(SatSolverArena, IncrementalSolvingAfterCompaction) {
+  // The same formula, every clause gated by Act: Unsat under Act, with
+  // the solver left usable. Clauses added after the compactions and the
+  // learnts that survived them must still give right answers.
+  Solver S(/*LogProof=*/true);
+  for (Var V = 0; V < 250; ++V)
+    S.newVar();
+  Var Act = S.newVar();
+  std::vector<std::vector<Lit>> Cnf = random3Cnf(1, 250);
+  for (std::vector<Lit> C : Cnf) {
+    C.push_back(neg(Act));
+    ASSERT_TRUE(S.addClause(C));
+  }
+  ASSERT_EQ(solveInSlices(S, {pos(Act)}, 200), SolveResult::Unsat);
+  ASSERT_GE(S.stats().Compactions, 1u);
+  ASSERT_TRUE(S.okay());
+  EXPECT_EQ(S.conflictAssumptions(), std::vector<Lit>{neg(Act)});
+
+  // A new implication chain Y0 -> ... -> Y9 -> x0, with Y0 asserted.
+  std::vector<Var> Y(10);
+  for (Var &V : Y)
+    V = S.newVar();
+  ASSERT_TRUE(S.addClause(pos(Y[0])));
+  for (size_t I = 0; I + 1 < Y.size(); ++I)
+    ASSERT_TRUE(S.addClause(neg(Y[I]), pos(Y[I + 1])));
+  ASSERT_TRUE(S.addClause(neg(Y.back()), pos(0)));
+  ASSERT_EQ(S.solve(), SolveResult::Sat);
+  EXPECT_EQ(S.modelValue(Act), LBool::False) << "Act forces a refutation";
+  for (Var V : Y)
+    EXPECT_EQ(S.modelValue(V), LBool::True);
+  EXPECT_EQ(S.modelValue(Var(0)), LBool::True);
+
+  // Asserting Act for good turns the assumption refutation into a proof
+  // of the empty clause.
+  bool Consistent = S.addClause(pos(Act));
+  EXPECT_EQ(Consistent ? S.solve() : SolveResult::Unsat, SolveResult::Unsat);
+  RupChecker::Outcome O =
+      RupChecker::check(*S.proofLog(), /*RequireEmptyClause=*/true);
+  EXPECT_TRUE(O.Ok) << O.Error;
+}
+
+TEST(SatSolverArena, BinaryReasonChainsGiveExactAssumptionConflict) {
+  // A -> P1 -> ... -> P6 and B -> Q1 -> ... -> Q6 as binary clauses,
+  // then P6 & Q6 -> Z. Assuming A, Y, B, ~Z fails, and analyzeFinal()
+  // must walk both chains back to their decisions. The P chain runs over
+  // increasing variables, so each implied literal sorts into slot 1 of
+  // its clause; the Q chain runs over decreasing ones, so it sorts into
+  // slot 0. Y is irrelevant and must not be reported.
+  Solver S;
+  Var A = S.newVar(), B = S.newVar(), Y = S.newVar(), Z = S.newVar();
+  std::vector<Var> P(6), Q(6);
+  for (Var &V : P)
+    V = S.newVar();
+  for (Var &V : Q)
+    V = S.newVar();
+  std::reverse(Q.begin(), Q.end());
+  S.addClause(neg(A), pos(P[0]));
+  S.addClause(neg(B), pos(Q[0]));
+  for (size_t I = 0; I + 1 < P.size(); ++I) {
+    S.addClause(neg(P[I]), pos(P[I + 1]));
+    S.addClause(neg(Q[I]), pos(Q[I + 1]));
+  }
+  S.addClause(neg(P.back()), neg(Q.back()), pos(Z));
+  S.addClause(pos(Y), pos(Z), pos(A)); // mentions Y, implies nothing here
+
+  ASSERT_EQ(S.solve({pos(A), pos(Y), pos(B), neg(Z)}), SolveResult::Unsat);
+  std::vector<Lit> Got = S.conflictAssumptions();
+  std::vector<Lit> Want = {neg(A), neg(B), pos(Z)};
+  std::sort(Got.begin(), Got.end());
+  std::sort(Want.begin(), Want.end());
+  EXPECT_EQ(Got, Want);
+
+  // Each chain alone is consistent; the conflict needs both.
+  EXPECT_EQ(S.solve({pos(A), pos(Y), neg(Z)}), SolveResult::Sat);
+  EXPECT_EQ(S.solve({pos(B), pos(Y), neg(Z)}), SolveResult::Sat);
 }
 
 //===----------------------------------------------------------------------===//
