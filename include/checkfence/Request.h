@@ -271,11 +271,11 @@ public:
     Jobs = N;
     return *this;
   }
-  /// Use the polynomial reads-from oracle where eligible (default on):
-  /// in checks it discharges candidate observations before the SAT
-  /// solver, in explore it replaces the brute-force enumerator on
-  /// eligible lattice points. Verdicts, observation sets, and
-  /// timing-free JSON are identical either way; see docs/ORACLES.md.
+  /// Explore: use the polynomial reads-from oracle where eligible
+  /// (default on) in place of the brute-force enumerator. Verdicts,
+  /// observation sets, and timing-free JSON are identical either way;
+  /// see docs/ORACLES.md. Checks ignore it: every inclusion query is
+  /// answered by SAT.
   Request &fastOracle(bool Enable = true) {
     UseFastOracle = Enable;
     return *this;

@@ -78,18 +78,12 @@ struct ResultStats {
   /// Always 0: every check runs on one solver, so no query is raced.
   /// Kept only so existing readers of this field still compile.
   int RacesWon = 0;
-  /// Reads-from oracle pruning (zero with fastOracle(false) or on
-  /// ineligible models/programs): inclusion rounds the polynomial
-  /// oracle attempted and the ones it discharged without a SAT solve.
-  /// Timed JSON only - timing-free JSON must not depend on whether the
-  /// oracle or the solver answered.
+  /// Always 0: every inclusion query is answered by SAT, so no check is
+  /// discharged by the reads-from oracle or the robustness analysis.
+  /// Kept only so existing readers of these fields still compile.
   int OracleAttempts = 0;
   int OracleDischarges = 0;
   double OracleSeconds = 0;
-  /// Critical-cycle robustness pruning (zero with fastOracle(false) or
-  /// on ineligible models): inclusion rounds the static analysis
-  /// attempted and the ones it discharged without a SAT solve. Timed
-  /// JSON only, like the oracle counters above.
   int AnalysisAttempts = 0;
   int AnalysisDischarges = 0;
   double AnalysisSeconds = 0;

@@ -64,13 +64,13 @@ struct ModelDesc {
   std::string Descriptor; ///< canonical lattice descriptor ("po:...")
   std::string Note;       ///< one-line description
   /// The polynomial reads-from oracle covers this point: explore uses it
-  /// as the primary litmus oracle and checks prune SAT inclusion queries
-  /// with it (see docs/ORACLES.md). False = brute-force oracles only.
+  /// as the primary litmus oracle (see docs/ORACLES.md). False =
+  /// brute-force oracles only.
   bool FastOracle = false;
   /// The static critical-cycle robustness analysis covers this point
   /// (multi-copy atomic, per-access granularity): `--analyze` produces a
-  /// verdict for it and checks can discharge robust programs without SAT
-  /// (see docs/ANALYSIS.md).
+  /// verdict for it and synthesis steering uses it (see
+  /// docs/ANALYSIS.md).
   bool Analysis = false;
 };
 

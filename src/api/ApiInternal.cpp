@@ -121,13 +121,6 @@ bool checkfence::api::checkOptionsFrom(const Request &Req,
   if (Req.ConflictBudget)
     Out.ConflictBudget = *Req.ConflictBudget;
   Out.Fresh = Req.Fresh;
-  // Oracle pruning only decides which machinery produces the (identical)
-  // answer, so it stays out of optionsFingerprint - cached results are
-  // shared either way.
-  Out.OraclePrune = Req.UseFastOracle;
-  // The static robustness pruner shares the oracle's contract (and its
-  // request switch): identical results, so never fingerprinted.
-  Out.AnalysisPrune = Req.UseFastOracle;
   return true;
 }
 
@@ -175,12 +168,6 @@ Result checkfence::api::convertResult(const checker::CheckResult &R,
   Out.Stats.IncludeSeconds = S.IncludeSeconds;
   Out.Stats.ProbeSeconds = S.ProbeSeconds;
   Out.Stats.TotalSeconds = S.TotalSeconds;
-  Out.Stats.OracleAttempts = S.OracleAttempts;
-  Out.Stats.OracleDischarges = S.OracleDischarges;
-  Out.Stats.OracleSeconds = S.OracleSeconds;
-  Out.Stats.AnalysisAttempts = S.AnalysisAttempts;
-  Out.Stats.AnalysisDischarges = S.AnalysisDischarges;
-  Out.Stats.AnalysisSeconds = S.AnalysisSeconds;
   for (const auto &[Loop, Bound] : R.FinalBounds)
     Out.FinalBounds[Loop] = Bound;
   return Out;
@@ -228,12 +215,6 @@ std::string checkfence::api::renderSingleCellJson(const Result &R,
     F.MiningSeconds = R.Stats.MiningSeconds;
     F.IncludeSeconds = R.Stats.IncludeSeconds;
     F.ProbeSeconds = R.Stats.ProbeSeconds;
-    F.OracleAttempts = R.Stats.OracleAttempts;
-    F.OracleDischarges = R.Stats.OracleDischarges;
-    F.OracleSeconds = R.Stats.OracleSeconds;
-    F.AnalysisAttempts = R.Stats.AnalysisAttempts;
-    F.AnalysisDischarges = R.Stats.AnalysisDischarges;
-    F.AnalysisSeconds = R.Stats.AnalysisSeconds;
   }
   OS += "    " + engine::renderReportCell(F) + "\n";
   OS += "  ]\n";

@@ -6,10 +6,8 @@
 
 #include "checker/CheckFence.h"
 
-#include "analysis/CriticalCycles.h"
 #include "checker/SolveContext.h"
 #include "engine/SpecStore.h"
-#include "memmodel/ReadsFromOracle.h"
 #include "obs/Trace.h"
 #include "support/Fingerprint.h"
 #include "support/Format.h"
@@ -20,16 +18,14 @@ using namespace checkfence;
 using namespace checkfence::checker;
 using engine::SpecStore;
 
-/// True when the reads-from oracle decided the problem and every
-/// observation it enumerated is error-free and inside \p Spec.
-static bool oracleWithinSpec(const memmodel::ReadsFromResult &RF,
-                             const ObservationSet &Spec) {
-  if (!RF.Ok)
-    return false;
-  for (const memmodel::RefObservation &O : RF.Observations)
-    if (O.Error || !Spec.count(Observation{false, O.Values}))
-      return false;
-  return true;
+/// The one exit of both pipelines: sets the verdict and the run's wall
+/// clock, so every status - errors included - reports its TotalSeconds.
+static CheckResult finish(CheckResult &Result, const Timer &Total,
+                          CheckStatus Status, const std::string &Msg) {
+  Result.Status = Status;
+  Result.Message = Msg;
+  Result.Stats.TotalSeconds = Total.seconds();
+  return std::move(Result);
 }
 
 CheckResult checkfence::checker::runCheck(
@@ -60,10 +56,6 @@ CheckResult checkfence::checker::runCheck(
   // building the new one).
   std::optional<SolveContext> MineCtx;
   std::optional<SolveContext> CheckCtx;
-  auto EncodeCheck = [&] {
-    CheckCtx.emplace(ImplProg, ThreadProcs, Bounds, CheckCfg);
-    Result.Stats.EncodeSeconds += CheckCtx->encoding().stats().EncodeSeconds;
-  };
 
   // Mining result cache: (bounds of the mined program) -> spec already in
   // Result.Spec. Valid while the mined program's bounds are unchanged.
@@ -85,25 +77,6 @@ CheckResult checkfence::checker::runCheck(
         formatString("|range=%d|maxobs=%zu", Opts.RangeAnalysis ? 1 : 0,
                      Opts.MaxObservations);
 
-  auto Finish = [&](CheckStatus Status, const std::string &Msg) {
-    Result.Status = Status;
-    Result.Message = Msg;
-    Result.Stats.TotalSeconds = Total.seconds();
-    return Result;
-  };
-
-  // A pruner proved this round's inclusion query and every bound probe
-  // Unsat without solving: the bounds are final, and the reported stats
-  // keep their SAT-path sizes with this round's solve deltas zeroed.
-  auto Discharge = [&] {
-    Result.Stats.Inclusion = CheckCtx->encoding().stats();
-    Result.Stats.Inclusion.SolveSeconds = 0;
-    Result.Stats.Inclusion.SolveCalls = 0;
-    Result.FinalBounds = Bounds;
-    return Finish(CheckStatus::Pass,
-                  "all executions are observationally serial");
-  };
-
   const CheckHooks &Hooks = Opts.Hooks;
   auto CancelRequested = [&] {
     return Hooks.Cancelled && Hooks.Cancelled();
@@ -112,7 +85,7 @@ CheckResult checkfence::checker::runCheck(
   for (int Iter = 0; Iter < Opts.MaxBoundIterations; ++Iter) {
     Result.Stats.BoundIterations = Iter + 1;
     if (CancelRequested())
-      return Finish(CheckStatus::Cancelled, "check cancelled");
+      return finish(Result, Total, CheckStatus::Cancelled, "check cancelled");
     if (Hooks.OnRoundStarted)
       Hooks.OnRoundStarted(Iter + 1);
     obs::Span RoundSpan("engine", "round");
@@ -141,22 +114,16 @@ CheckResult checkfence::checker::runCheck(
         if (!MineCtx || MineCtx->encoding().bounds() != MineBounds) {
           obs::Span EncodeSpan("engine", "encode:mine");
           MineCtx.emplace(MineProg, ThreadProcs, MineBounds, MineCfg);
-          Result.Stats.MiningEncodeSeconds +=
-              MineCtx->encoding().stats().EncodeSeconds;
         }
-        const EncodeStats &MineStats = MineCtx->encoding().stats();
-        double SolveBefore = MineStats.SolveSeconds;
         MiningOutcome Mined =
             mineSpecification(*MineCtx, Opts.MaxObservations);
         Result.Stats.MiningSeconds += MineTimer.seconds();
-        Result.Stats.MiningSolveSeconds +=
-            MineStats.SolveSeconds - SolveBefore;
         if (!Mined.Ok)
-          return Finish(CheckStatus::Error, Mined.Error);
+          return finish(Result, Total, CheckStatus::Error, Mined.Error);
         if (Mined.SequentialBug) {
           Result.Counterexample = Mined.BugTrace;
-          return Finish(
-              CheckStatus::SequentialBug,
+          return finish(
+              Result, Total, CheckStatus::SequentialBug,
               "a serial execution raises an error (see counterexample)");
         }
         if (Specs)
@@ -170,79 +137,16 @@ CheckResult checkfence::checker::runCheck(
         Hooks.OnObservationsMined(Result.Stats.ObservationCount);
     }
     if (CancelRequested())
-      return Finish(CheckStatus::Cancelled, "check cancelled");
+      return finish(Result, Total, CheckStatus::Cancelled, "check cancelled");
 
     // Phase 2: inclusion check under the target model. Shares its encoding
     // with the bound probe of this round (and reuses the final probe
     // encoding of the previous round when the bounds stabilized there).
     if (!CheckCtx || CheckCtx->encoding().bounds() != Bounds) {
       obs::Span EncodeSpan("engine", "encode");
-      EncodeCheck();
+      CheckCtx.emplace(ImplProg, ThreadProcs, Bounds, CheckCfg);
     }
     ProblemEncoding *CheckEnc = &CheckCtx->encoding();
-    // Phase 2a: reads-from oracle pruning. On eligible target models the
-    // polynomial oracle decides fragment-sized problems exactly; when
-    // every reachable observation is non-erroneous and already in the
-    // mined specification, the inclusion query is Unsat by construction
-    // (the mismatch clauses include the error flag), and - the oracle's
-    // fragment admits only statically in-bounds programs - every bound
-    // probe is Unsat too, so the check finishes here with the bounds
-    // final. Counterexamples and refset mining are never short-circuited
-    // (refset spec bounds may still need growing): any other outcome
-    // falls through to the SAT path unchanged. The reported stats keep
-    // their SAT-path values - SatVars/SatClauses freeze at encode end,
-    // and this round's solve deltas are genuinely zero.
-    if (Opts.OraclePrune && !SpecProg &&
-        memmodel::readsFromEligible(CheckCfg.Model) && CheckEnc->ok()) {
-      obs::Span OracleSpan("engine", "oracle_prune");
-      Timer OracleTimer;
-      ++Result.Stats.OracleAttempts;
-      memmodel::ReadsFromOptions RO;
-      RO.Model = CheckCfg.Model;
-      bool Discharged = oracleWithinSpec(
-          memmodel::checkReadsFrom(CheckEnc->flat(), RO), Result.Spec);
-      Result.Stats.OracleSeconds += OracleTimer.seconds();
-      if (Discharged) {
-        ++Result.Stats.OracleDischarges;
-        return Discharge();
-      }
-    }
-    // Phase 0 (static): critical-cycle robustness pruning for the lattice
-    // points the reads-from oracle does not serve (rmo/relaxed and the
-    // other descriptors missing ll+ls order). When the delay-set analysis
-    // proves the flat program robust - no critical cycle and no coherence
-    // hazard survives the existing fences - every execution under the
-    // target model is observationally sequentially consistent, so the
-    // weak-model verdict is inherited from sc: the sc observation set
-    // (enumerated by the reads-from oracle, for which sc is always
-    // eligible) being non-erroneous and inside the mined specification
-    // makes the inclusion query Unsat by construction, and the oracle
-    // fragment admits only statically in-bounds programs, so every bound
-    // probe is Unsat too. Any other outcome - non-robust program,
-    // fragment reject, or an sc observation outside the spec - falls
-    // through to the SAT path unchanged, keeping timing-free JSON
-    // byte-identical (see docs/ANALYSIS.md for the soundness argument).
-    if (Opts.AnalysisPrune && !SpecProg && CheckEnc->ok() &&
-        analysis::analysisEligible(CheckCfg.Model) &&
-        !memmodel::readsFromEligible(CheckCfg.Model)) {
-      obs::Span AnalysisSpan("engine", "analysis_prune");
-      Timer AnalysisTimer;
-      ++Result.Stats.AnalysisAttempts;
-      analysis::RobustnessResult RR = analysis::analyzeRobustness(
-          CheckEnc->flat(), CheckEnc->ranges(), CheckCfg.Model);
-      bool Discharged = RR.Robust;
-      if (Discharged) {
-        memmodel::ReadsFromOptions RO;
-        RO.Model = memmodel::ModelParams::sc();
-        Discharged = oracleWithinSpec(
-            memmodel::checkReadsFrom(CheckEnc->flat(), RO), Result.Spec);
-      }
-      Result.Stats.AnalysisSeconds += AnalysisTimer.seconds();
-      if (Discharged) {
-        ++Result.Stats.AnalysisDischarges;
-        return Discharge();
-      }
-    }
     {
       obs::Span IncludeSpan("engine", "include");
       Timer IncludeTimer;
@@ -256,12 +160,12 @@ CheckResult checkfence::checker::runCheck(
       Result.Stats.Inclusion.SolveCalls -= Before.SolveCalls;
       Result.Stats.IncludeSeconds += IncludeTimer.seconds();
       if (!Inc.Ok)
-        return Finish(CheckStatus::Error, Inc.Error);
+        return finish(Result, Total, CheckStatus::Error, Inc.Error);
       if (!Inc.Pass) {
         // Counterexamples hold regardless of bounds (Sec. 3.3).
         Result.Counterexample = std::move(Inc.Counterexample);
         Result.FinalBounds = Bounds;
-        return Finish(CheckStatus::Fail,
+        return finish(Result, Total, CheckStatus::Fail,
                       "inclusion check found a counterexample");
       }
     }
@@ -274,11 +178,11 @@ CheckResult checkfence::checker::runCheck(
     bool Grown = false;
     while (ProbesLeft-- > 0) {
       if (CancelRequested())
-        return Finish(CheckStatus::Cancelled, "check cancelled");
+        return finish(Result, Total, CheckStatus::Cancelled, "check cancelled");
       obs::Span ProbeSpan("engine", "probe");
       Timer ProbeTimer;
       if (!CheckEnc->ok())
-        return Finish(CheckStatus::Error, CheckEnc->error());
+        return finish(Result, Total, CheckStatus::Error, CheckEnc->error());
       CheckCtx->beginPhase(); // each probe gets its own conflict allowance
       sat::SolveResult R;
       {
@@ -287,7 +191,7 @@ CheckResult checkfence::checker::runCheck(
       }
       Result.Stats.ProbeSeconds += ProbeTimer.seconds();
       if (R == sat::SolveResult::Unknown)
-        return Finish(CheckStatus::Error,
+        return finish(Result, Total, CheckStatus::Error,
                       "solver budget exhausted during bound probe");
       if (R == sat::SolveResult::Unsat)
         break;
@@ -301,15 +205,15 @@ CheckResult checkfence::checker::runCheck(
           Hooks.OnBoundGrown(Key, B);
       }
       if (!GrewThisProbe)
-        return Finish(CheckStatus::Error,
+        return finish(Result, Total, CheckStatus::Error,
                       "bound probe satisfiable but no mark decoded");
       Grown = true;
-      EncodeCheck();
+      CheckCtx.emplace(ImplProg, ThreadProcs, Bounds, CheckCfg);
       CheckEnc = &CheckCtx->encoding();
     }
     if (ProbesLeft < 0) {
       Result.FinalBounds = Bounds;
-      return Finish(CheckStatus::BoundsExhausted,
+      return finish(Result, Total, CheckStatus::BoundsExhausted,
                     "loop bounds kept growing past the probe limit");
     }
 
@@ -331,13 +235,13 @@ CheckResult checkfence::checker::runCheck(
 
     if (!Grown) {
       Result.FinalBounds = Bounds;
-      return Finish(CheckStatus::Pass,
+      return finish(Result, Total, CheckStatus::Pass,
                     "all executions are observationally serial");
     }
   }
 
   Result.FinalBounds = Bounds;
-  return Finish(CheckStatus::BoundsExhausted,
+  return finish(Result, Total, CheckStatus::BoundsExhausted,
                 "loop bounds kept growing past the iteration limit");
 }
 
@@ -381,17 +285,11 @@ CheckResult checkfence::checker::runCheckFresh(
   auto CancelRequested = [&] {
     return Hooks.Cancelled && Hooks.Cancelled();
   };
-  auto Cancel = [&] {
-    Result.Status = CheckStatus::Cancelled;
-    Result.Message = "check cancelled";
-    Result.Stats.TotalSeconds = Total.seconds();
-    return Result;
-  };
 
   for (int Iter = 0; Iter < Opts.MaxBoundIterations; ++Iter) {
     Result.Stats.BoundIterations = Iter + 1;
     if (CancelRequested())
-      return Cancel();
+      return finish(Result, Total, CheckStatus::Cancelled, "check cancelled");
     if (Hooks.OnRoundStarted)
       Hooks.OnRoundStarted(Iter + 1);
 
@@ -401,22 +299,14 @@ CheckResult checkfence::checker::runCheckFresh(
       Timer MineTimer;
       SolveContext MineCtx(MineProg, ThreadProcs, MineBounds, MineCfg);
       MiningOutcome Mined = mineSpecification(MineCtx, Opts.MaxObservations);
-      const EncodeStats &MineStats = MineCtx.encoding().stats();
       Result.Stats.MiningSeconds += MineTimer.seconds();
-      Result.Stats.MiningEncodeSeconds += MineStats.EncodeSeconds;
-      Result.Stats.MiningSolveSeconds += MineStats.SolveSeconds;
-      if (!Mined.Ok) {
-        Result.Status = CheckStatus::Error;
-        Result.Message = Mined.Error;
-        return Result;
-      }
+      if (!Mined.Ok)
+        return finish(Result, Total, CheckStatus::Error, Mined.Error);
       if (Mined.SequentialBug) {
-        Result.Status = CheckStatus::SequentialBug;
-        Result.Message =
-            "a serial execution raises an error (see counterexample)";
         Result.Counterexample = Mined.BugTrace;
-        Result.Stats.TotalSeconds = Total.seconds();
-        return Result;
+        return finish(
+            Result, Total, CheckStatus::SequentialBug,
+            "a serial execution raises an error (see counterexample)");
       }
       Result.Spec = std::move(Mined.Spec);
       Result.Stats.ObservationCount =
@@ -425,26 +315,21 @@ CheckResult checkfence::checker::runCheckFresh(
         Hooks.OnObservationsMined(Result.Stats.ObservationCount);
     }
     if (CancelRequested())
-      return Cancel();
+      return finish(Result, Total, CheckStatus::Cancelled, "check cancelled");
 
     // Phase 2: inclusion check under the target model.
     {
       SolveContext IncCtx(ImplProg, ThreadProcs, Bounds, CheckCfg);
       InclusionOutcome Inc = checkInclusion(IncCtx, Result.Spec);
       Result.Stats.Inclusion = IncCtx.encoding().stats();
-      if (!Inc.Ok) {
-        Result.Status = CheckStatus::Error;
-        Result.Message = Inc.Error;
-        return Result;
-      }
+      if (!Inc.Ok)
+        return finish(Result, Total, CheckStatus::Error, Inc.Error);
       if (!Inc.Pass) {
         // Counterexamples hold regardless of bounds (Sec. 3.3).
-        Result.Status = CheckStatus::Fail;
-        Result.Message = "inclusion check found a counterexample";
-        Result.Counterexample = Inc.Counterexample;
+        Result.Counterexample = std::move(Inc.Counterexample);
         Result.FinalBounds = Bounds;
-        Result.Stats.TotalSeconds = Total.seconds();
-        return Result;
+        return finish(Result, Total, CheckStatus::Fail,
+                      "inclusion check found a counterexample");
       }
     }
 
@@ -455,22 +340,17 @@ CheckResult checkfence::checker::runCheckFresh(
     bool Grown = false;
     while (ProbesLeft-- > 0) {
       if (CancelRequested())
-        return Cancel();
+        return finish(Result, Total, CheckStatus::Cancelled, "check cancelled");
       Timer ProbeTimer;
       SolveContext Probe(ImplProg, ThreadProcs, Bounds, CheckCfg);
       const ProblemEncoding &Enc = Probe.encoding();
-      if (!Enc.ok()) {
-        Result.Status = CheckStatus::Error;
-        Result.Message = Enc.error();
-        return Result;
-      }
+      if (!Enc.ok())
+        return finish(Result, Total, CheckStatus::Error, Enc.error());
       sat::SolveResult R = Probe.solveUnder(Enc.probeAssumptions());
       Result.Stats.ProbeSeconds += ProbeTimer.seconds();
-      if (R == sat::SolveResult::Unknown) {
-        Result.Status = CheckStatus::Error;
-        Result.Message = "solver budget exhausted during bound probe";
-        return Result;
-      }
+      if (R == sat::SolveResult::Unknown)
+        return finish(Result, Total, CheckStatus::Error,
+                      "solver budget exhausted during bound probe");
       if (R == sat::SolveResult::Unsat)
         break;
       bool GrewThisProbe = false;
@@ -481,19 +361,15 @@ CheckResult checkfence::checker::runCheckFresh(
         if (Hooks.OnBoundGrown)
           Hooks.OnBoundGrown(Key, B);
       }
-      if (!GrewThisProbe) {
-        Result.Status = CheckStatus::Error;
-        Result.Message = "bound probe satisfiable but no mark decoded";
-        return Result;
-      }
+      if (!GrewThisProbe)
+        return finish(Result, Total, CheckStatus::Error,
+                      "bound probe satisfiable but no mark decoded");
       Grown = true;
     }
     if (ProbesLeft < 0) {
-      Result.Status = CheckStatus::BoundsExhausted;
-      Result.Message = "loop bounds kept growing past the probe limit";
       Result.FinalBounds = Bounds;
-      Result.Stats.TotalSeconds = Total.seconds();
-      return Result;
+      return finish(Result, Total, CheckStatus::BoundsExhausted,
+                    "loop bounds kept growing past the probe limit");
     }
 
     // Probe the reference program separately when mining from it.
@@ -511,17 +387,13 @@ CheckResult checkfence::checker::runCheckFresh(
     }
 
     if (!Grown) {
-      Result.Status = CheckStatus::Pass;
-      Result.Message = "all executions are observationally serial";
       Result.FinalBounds = Bounds;
-      Result.Stats.TotalSeconds = Total.seconds();
-      return Result;
+      return finish(Result, Total, CheckStatus::Pass,
+                    "all executions are observationally serial");
     }
   }
 
-  Result.Status = CheckStatus::BoundsExhausted;
-  Result.Message = "loop bounds kept growing past the iteration limit";
   Result.FinalBounds = Bounds;
-  Result.Stats.TotalSeconds = Total.seconds();
-  return Result;
+  return finish(Result, Total, CheckStatus::BoundsExhausted,
+                "loop bounds kept growing past the iteration limit");
 }

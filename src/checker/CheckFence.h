@@ -70,28 +70,6 @@ struct CheckOptions {
   /// Streaming/cancellation hooks. Not part of a run's identity: the
   /// result cache must ignore this field when fingerprinting options.
   CheckHooks Hooks;
-  /// Discharge inclusion checks with the polynomial reads-from oracle
-  /// where it applies (readsFromEligible() target models whose flattened
-  /// problem fits the oracle's fragment): when every reachable
-  /// observation is non-erroneous and inside the mined specification,
-  /// the SAT inclusion query is Unsat by construction and is skipped.
-  /// Any other oracle outcome falls through to the SAT path unchanged,
-  /// so verdicts, mined observation sets, and timing-free JSON are
-  /// identical either way - like Hooks, this field is NOT part
-  /// of a run's identity and must be ignored by fingerprints. The fresh
-  /// reference pipeline ignores it (it stays a pure-SAT differential
-  /// baseline).
-  bool OraclePrune = true;
-  /// Discharge inclusion checks with the static critical-cycle robustness
-  /// analysis (analysis/CriticalCycles.h) on the lattice points the
-  /// reads-from oracle does not serve: when the flattened program is
-  /// provably robust under the target model, the weak-model verdict is
-  /// inherited from sc and the SAT loop is skipped. Verdicts, mined
-  /// observation sets, and timing-free JSON are identical either way -
-  /// like OraclePrune, this field is NOT part of a run's identity and
-  /// must be ignored by fingerprints. The fresh reference pipeline
-  /// ignores it.
-  bool AnalysisPrune = true;
   /// Mined specifications shared by every check of one request (lattice
   /// points, fence variants): a check whose fence-blind program, mining
   /// bounds and encoding options match a published specification reuses
@@ -125,26 +103,12 @@ struct CheckStats {
   EncodeStats Inclusion;
   // Specification mining (totals across iterations).
   double MiningSeconds = 0;
-  double MiningEncodeSeconds = 0;
-  double MiningSolveSeconds = 0;
   int ObservationCount = 0;
   // Lazy unrolling.
   int BoundIterations = 0;
   double ProbeSeconds = 0;
-  // Per-phase wall clock (encode covers the target-model encodings across
-  // all bound iterations; include covers the inclusion phase end to end).
-  double EncodeSeconds = 0;
+  // The inclusion phase end to end, across all bound iterations.
   double IncludeSeconds = 0;
-  // Reads-from oracle pruning (timed JSON only; timing-free JSON must
-  // not depend on whether the oracle or the SAT solver answered).
-  int OracleAttempts = 0;
-  int OracleDischarges = 0;
-  double OracleSeconds = 0;
-  // Critical-cycle robustness pruning (timed JSON only, like the oracle
-  // counters above).
-  int AnalysisAttempts = 0;
-  int AnalysisDischarges = 0;
-  double AnalysisSeconds = 0;
   // Whole run.
   double TotalSeconds = 0;
 };

@@ -111,9 +111,6 @@ public:
   std::vector<std::string> exceededLoops(const sat::Solver &S) const;
 
   const trans::FlatProgram &flat() const { return Flat; }
-  /// Range-analysis results for flat() (always computed; the static
-  /// robustness analysis reuses them instead of re-running the pass).
-  const trans::RangeInfo &ranges() const { return Ranges; }
   const trans::LoopBounds &bounds() const { return Bounds; }
   const EncodeStats &stats() const { return Stats; }
   EncodeStats &stats() { return Stats; }

@@ -106,13 +106,7 @@ checkfence::engine::renderReportCell(const ReportCellFields &F) {
         .fixed("solve_seconds", F.SolveSeconds)
         .fixed("mining_seconds", F.MiningSeconds)
         .fixed("include_seconds", F.IncludeSeconds)
-        .fixed("probe_seconds", F.ProbeSeconds)
-        .field("oracle_attempts", F.OracleAttempts)
-        .field("oracle_discharges", F.OracleDischarges)
-        .fixed("oracle_seconds", F.OracleSeconds)
-        .field("analysis_attempts", F.AnalysisAttempts)
-        .field("analysis_discharges", F.AnalysisDischarges)
-        .fixed("analysis_seconds", F.AnalysisSeconds);
+        .fixed("probe_seconds", F.ProbeSeconds);
   return Cell.str();
 }
 
@@ -162,12 +156,6 @@ std::string MatrixReport::json(bool IncludeTimings) const {
       F.MiningSeconds = R.Stats.MiningSeconds;
       F.IncludeSeconds = R.Stats.IncludeSeconds;
       F.ProbeSeconds = R.Stats.ProbeSeconds;
-      F.OracleAttempts = R.Stats.OracleAttempts;
-      F.OracleDischarges = R.Stats.OracleDischarges;
-      F.OracleSeconds = R.Stats.OracleSeconds;
-      F.AnalysisAttempts = R.Stats.AnalysisAttempts;
-      F.AnalysisDischarges = R.Stats.AnalysisDischarges;
-      F.AnalysisSeconds = R.Stats.AnalysisSeconds;
     }
     OS << "    " << renderReportCell(F);
     if (I + 1 < Cells.size())

@@ -72,12 +72,6 @@ struct ReportCellFields {
   double MiningSeconds = 0;
   double IncludeSeconds = 0;
   double ProbeSeconds = 0;
-  int OracleAttempts = 0;
-  int OracleDischarges = 0;
-  double OracleSeconds = 0;
-  int AnalysisAttempts = 0;
-  int AnalysisDischarges = 0;
-  double AnalysisSeconds = 0;
 };
 
 /// Renders one inline cell object of the report schema.

@@ -272,12 +272,6 @@ std::string checkfence::server::encodeResult(const Result &R) {
   S.raw("includeSeconds", wireDouble(R.Stats.IncludeSeconds));
   S.raw("probeSeconds", wireDouble(R.Stats.ProbeSeconds));
   S.raw("totalSeconds", wireDouble(R.Stats.TotalSeconds));
-  S.field("oracleAttempts", R.Stats.OracleAttempts);
-  S.field("oracleDischarges", R.Stats.OracleDischarges);
-  S.raw("oracleSeconds", wireDouble(R.Stats.OracleSeconds));
-  S.field("analysisAttempts", R.Stats.AnalysisAttempts);
-  S.field("analysisDischarges", R.Stats.AnalysisDischarges);
-  S.raw("analysisSeconds", wireDouble(R.Stats.AnalysisSeconds));
   O.raw("stats", S.str());
   {
     JsonArray A;
@@ -325,12 +319,6 @@ bool checkfence::server::decodeResult(const JsonValue &V, Result &Out,
     Out.Stats.IncludeSeconds = dbl(*St, "includeSeconds");
     Out.Stats.ProbeSeconds = dbl(*St, "probeSeconds");
     Out.Stats.TotalSeconds = dbl(*St, "totalSeconds");
-    Out.Stats.OracleAttempts = integer(*St, "oracleAttempts");
-    Out.Stats.OracleDischarges = integer(*St, "oracleDischarges");
-    Out.Stats.OracleSeconds = dbl(*St, "oracleSeconds");
-    Out.Stats.AnalysisAttempts = integer(*St, "analysisAttempts");
-    Out.Stats.AnalysisDischarges = integer(*St, "analysisDischarges");
-    Out.Stats.AnalysisSeconds = dbl(*St, "analysisSeconds");
   }
   if (const JsonValue *B = member(V, "finalBounds"); B && B->isArray())
     for (const JsonValue &Item : B->Items)

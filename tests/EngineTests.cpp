@@ -181,6 +181,24 @@ TEST(SessionEquivalence, FreshOptionRunsTheReferencePipeline) {
   EXPECT_EQ(Session.Status, Ref.Status);
 }
 
+TEST(SessionEquivalence, BudgetErrorsReportTheirTotalTime) {
+  // Both pipelines leave through one exit, so a check that runs out of
+  // its conflict budget still reports how long it ran.
+  lsl::Program Prog;
+  ASSERT_TRUE(compileInto(impls::sourceFor("msn"), Prog));
+  std::vector<std::string> Threads = buildTestThreads(Prog, testByName("T0"));
+  CheckOptions Opts;
+  Opts.Model = memmodel::ModelParams::relaxed();
+  Opts.ConflictBudget = 1;
+  for (bool Fresh : {true, false}) {
+    SCOPED_TRACE(Fresh ? "fresh" : "session");
+    Opts.Fresh = Fresh;
+    CheckResult R = runCheck(Prog, Threads, Opts);
+    EXPECT_EQ(R.Status, CheckStatus::Error) << R.Message;
+    EXPECT_GT(R.Stats.TotalSeconds, 0);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // One solver per encoding: a check solves only the unrolling it is on.
 //===----------------------------------------------------------------------===//

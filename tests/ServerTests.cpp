@@ -4,10 +4,11 @@
 //
 // Covers the verification server (include/checkfence/Server.h) and its
 // client (Remote.h) against an in-process daemon on an ephemeral port:
-// remote-vs-local result identity for every request kind, admission
-// control (429 + Retry-After), per-request deadline clamping, client
-// disconnect cancellation, the /metrics and /status surfaces, survival of
-// malformed requests, graceful drain, and cross-restart cache persistence.
+// decoding of result payloads from older servers, remote-vs-local result
+// identity for every request kind, admission control (429 + Retry-After),
+// per-request deadline clamping, client disconnect cancellation, the
+// /metrics and /status surfaces, survival of malformed requests, graceful
+// drain, and cross-restart cache persistence.
 //
 //===----------------------------------------------------------------------===//
 
@@ -127,6 +128,57 @@ TEST(Server, BadUrlFailsWithoutConnecting) {
   std::string Version;
   int Schema = 0;
   EXPECT_FALSE(RV.version(Version, Schema));
+}
+
+//===----------------------------------------------------------------------===//
+// Wire compatibility with older servers
+//===----------------------------------------------------------------------===//
+
+TEST(WireCompat, OldPrunerStatsDecodeAndAreNoLongerSent) {
+  Result R;
+  R.Verdict = Status::Pass;
+  R.Message = "all executions are observationally serial";
+  R.Impl = "ms2";
+  R.Test = "T0";
+  R.Model = "tso";
+  R.Observations = {"[0 1]", "[1 0]"};
+  R.Stats.ObservationCount = 2;
+  R.Stats.BoundIterations = 1;
+  R.Stats.UnrolledInstrs = 40;
+  R.Stats.SatVars = 300;
+  R.Stats.SatClauses = 900;
+  R.Stats.TotalSeconds = 0.25;
+  R.FinalBounds["loop1"] = 2;
+
+  // An older server still sends the six pruner counters inside "stats";
+  // this one sends none of them.
+  const char *OldKeys[] = {"oracleAttempts",     "oracleDischarges",
+                           "oracleSeconds",      "analysisAttempts",
+                           "analysisDischarges", "analysisSeconds"};
+  std::string Current = encodeResult(R);
+  std::string Old = Current;
+  size_t Open = Old.find('{', Old.find("\"stats\""));
+  ASSERT_NE(Open, std::string::npos);
+  for (const char *Key : OldKeys) {
+    std::string Quoted = std::string("\"") + Key + "\"";
+    EXPECT_FALSE(contains(Current, Quoted)) << Key;
+    Old.insert(Open + 1, Quoted + ": 1, ");
+  }
+
+  auto Decode = [](const std::string &Text, Result &Out) {
+    support::JsonValue Doc;
+    std::string Error;
+    if (!support::parseJson(Text, Doc, Error))
+      return ::testing::AssertionFailure() << "parse: " << Error;
+    if (!decodeResult(Doc, Out, Error))
+      return ::testing::AssertionFailure() << "decode: " << Error;
+    return ::testing::AssertionSuccess();
+  };
+  Result FromCurrent, FromOld;
+  ASSERT_TRUE(Decode(Current, FromCurrent));
+  ASSERT_TRUE(Decode(Old, FromOld));
+  EXPECT_EQ(FromOld.json(false), FromCurrent.json(false));
+  EXPECT_EQ(FromOld.json(false), R.json(false));
 }
 
 //===----------------------------------------------------------------------===//

@@ -84,10 +84,10 @@ void usage() {
       "                       first), synth minimization, explore\n"
       "                       scenarios or analyze rows; each check\n"
       "                       runs on one solver\n"
-      "  --no-fast-oracle     disable the polynomial reads-from oracle:\n"
-      "                       checks skip SAT-pruning and explore falls\n"
-      "                       back to the brute-force enumerator on all\n"
-      "                       models. Results are identical either way\n"
+      "  --no-fast-oracle     explore: disable the polynomial reads-from\n"
+      "                       oracle and fall back to the brute-force\n"
+      "                       enumerator on all models. Results are\n"
+      "                       identical either way\n"
       "  --oracle-sample N    explore: re-run the brute-force enumerator\n"
       "                       as a differential reference on every Nth\n"
       "                       eligible scenario (default 8, 0 = never)\n"
