@@ -57,7 +57,7 @@ int main(int argc, char **argv) {
     std::printf("%-9s %-6s | %12.3f %12.3f | %8.2fx | %s / %s\n",
                 Impl.c_str(), Test.c_str(), TObs, TCp,
                 TObs > 0 ? TCp / TObs : 0.0,
-                checker::checkStatusName(RObs.Status),
+                statusName(RObs.Status),
                 RCp.Ok ? (RCp.Pass ? "PASS" : "FAIL") : RCp.Error.c_str());
     SumObs += TObs;
     SumCommit += TCp;

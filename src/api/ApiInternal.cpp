@@ -14,24 +14,6 @@
 using namespace checkfence;
 using namespace checkfence::api;
 
-Status checkfence::api::toStatus(checker::CheckStatus S) {
-  switch (S) {
-  case checker::CheckStatus::Pass:
-    return Status::Pass;
-  case checker::CheckStatus::Fail:
-    return Status::Fail;
-  case checker::CheckStatus::SequentialBug:
-    return Status::SequentialBug;
-  case checker::CheckStatus::BoundsExhausted:
-    return Status::BoundsExhausted;
-  case checker::CheckStatus::Error:
-    return Status::Error;
-  case checker::CheckStatus::Cancelled:
-    return Status::Cancelled;
-  }
-  return Status::Error;
-}
-
 CompiledCase checkfence::api::buildCase(const Request &Req) {
   CompiledCase Case;
 
@@ -139,7 +121,7 @@ Result checkfence::api::convertResult(const checker::CheckResult &R,
                                       const std::string &TestName,
                                       const std::string &ModelName) {
   Result Out;
-  Out.Verdict = toStatus(R.Status);
+  Out.Verdict = R.Status;
   Out.Message = R.Message;
   Out.Impl = ImplLabel;
   Out.Test = TestName;
@@ -153,23 +135,8 @@ Result checkfence::api::convertResult(const checker::CheckResult &R,
     Out.CounterexampleObservation =
         R.Counterexample->Obs.str(R.Counterexample->ObsLabels);
   }
-  const checker::CheckStats &S = R.Stats;
-  Out.Stats.ObservationCount = S.ObservationCount;
-  Out.Stats.BoundIterations = S.BoundIterations;
-  Out.Stats.UnrolledInstrs = S.Inclusion.UnrolledInstrs;
-  Out.Stats.Loads = S.Inclusion.Loads;
-  Out.Stats.Stores = S.Inclusion.Stores;
-  Out.Stats.SatVars = S.Inclusion.SatVars;
-  Out.Stats.SatClauses =
-      static_cast<unsigned long long>(S.Inclusion.SatClauses);
-  Out.Stats.EncodeSeconds = S.Inclusion.EncodeSeconds;
-  Out.Stats.SolveSeconds = S.Inclusion.SolveSeconds;
-  Out.Stats.MiningSeconds = S.MiningSeconds;
-  Out.Stats.IncludeSeconds = S.IncludeSeconds;
-  Out.Stats.ProbeSeconds = S.ProbeSeconds;
-  Out.Stats.TotalSeconds = S.TotalSeconds;
-  for (const auto &[Loop, Bound] : R.FinalBounds)
-    Out.FinalBounds[Loop] = Bound;
+  Out.Stats = engine::resultStats(R.Stats);
+  Out.FinalBounds = R.FinalBounds;
   return Out;
 }
 
@@ -192,31 +159,9 @@ std::string checkfence::api::renderSingleCellJson(const Result &R,
             Is(Status::Cancelled)) +
         ",\n";
   OS += "  \"cells\": [\n";
-  engine::ReportCellFields F;
-  F.Impl = R.Impl;
-  F.Test = R.Test;
-  F.Model = R.Model;
-  F.StatusName = statusName(R.Verdict);
-  F.Message = R.Message;
-  F.Observations = R.Stats.ObservationCount;
-  F.BoundIterations = R.Stats.BoundIterations;
-  F.UnrolledInstrs = R.Stats.UnrolledInstrs;
-  F.Loads = R.Stats.Loads;
-  F.Stores = R.Stats.Stores;
-  F.SatVars = R.Stats.SatVars;
-  F.SatClauses = R.Stats.SatClauses;
-  F.HasCounterexample = R.HasCounterexample;
-  F.Counterexample = R.CounterexampleObservation;
-  if (IncludeTimings) {
-    F.IncludeTimings = true;
-    F.Seconds = R.Stats.TotalSeconds;
-    F.EncodeSeconds = R.Stats.EncodeSeconds;
-    F.SolveSeconds = R.Stats.SolveSeconds;
-    F.MiningSeconds = R.Stats.MiningSeconds;
-    F.IncludeSeconds = R.Stats.IncludeSeconds;
-    F.ProbeSeconds = R.Stats.ProbeSeconds;
-  }
-  OS += "    " + engine::renderReportCell(F) + "\n";
+  OS += "    " +
+        engine::renderReportCell(R, R.Stats.TotalSeconds, IncludeTimings) +
+        "\n";
   OS += "  ]\n";
   OS += "}\n";
   return OS;

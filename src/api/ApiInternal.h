@@ -28,9 +28,6 @@
 namespace checkfence {
 namespace api {
 
-/// Public Status for an internal CheckStatus.
-Status toStatus(checker::CheckStatus S);
-
 /// A request resolved to compiled programs, ready to check.
 struct CompiledCase {
   bool Ok = false;
@@ -57,8 +54,9 @@ bool checkOptionsFrom(const Request &Req, checker::CheckOptions &Out,
 /// Hooks and InitialBounds (per-request state).
 std::string optionsFingerprint(const checker::CheckOptions &O);
 
-/// Converts an engine result; \p ImplLabel / \p TestName / \p ModelName
-/// become the result's identity fields.
+/// Converts an engine result (stats through engine::resultStats);
+/// \p ImplLabel / \p TestName / \p ModelName become the result's
+/// identity fields.
 Result convertResult(const checker::CheckResult &R,
                      const std::string &ImplLabel,
                      const std::string &TestName,

@@ -6,13 +6,13 @@
 
 #include "api/Cache.h"
 
+#include "api/ResultCodec.h"
 #include "checkfence/checkfence.h"
 #include "support/Format.h"
+#include "support/Json.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -23,34 +23,12 @@ using namespace checkfence::api;
 
 namespace {
 
-/// The file header carries the library version: a persisted cache from
-/// a different release is rejected on load (verdicts may have changed),
-/// not replayed. Verifier then avoids clobbering the unrecognized file.
+/// The file header carries the format and library versions: a cache
+/// from an older format or a different release is rejected on load
+/// (verdicts may have changed), not replayed. Verifier then avoids
+/// clobbering the unrecognized file.
 std::string fileHeader() {
-  return std::string("checkfence-result-cache 2 ") + versionString();
-}
-
-std::optional<Status> statusFromName(const std::string &Name) {
-  for (Status S : {Status::Pass, Status::Fail, Status::SequentialBug,
-                   Status::BoundsExhausted, Status::Error,
-                   Status::Cancelled})
-    if (Name == statusName(S))
-      return S;
-  return std::nullopt;
-}
-
-/// "tag rest-of-line" split; Rest may be empty.
-bool splitTag(const std::string &Line, std::string &Tag,
-              std::string &Rest) {
-  size_t Sp = Line.find(' ');
-  if (Sp == std::string::npos) {
-    Tag = Line;
-    Rest.clear();
-  } else {
-    Tag = Line.substr(0, Sp);
-    Rest = Line.substr(Sp + 1);
-  }
-  return !Tag.empty();
+  return std::string("checkfence-result-cache 3 ") + versionString();
 }
 
 /// Advisory cross-process lock guarding the read-merge-rename persistence
@@ -80,9 +58,11 @@ private:
   int Fd = -1;
 };
 
-/// Parses one cache file into \p Out. False on a missing file, a header
-/// from another library version, or any malformed entry (partial
-/// results are discarded - never half-merge a corrupt file).
+/// Parses one cache file into \p Out: after the header, one line per
+/// entry, {"key": ..., "result": <api::encodeResult>}. False on a missing
+/// file, a header from another format or library version, or any
+/// malformed entry (partial results are discarded - never half-merge a
+/// corrupt file).
 bool parseCacheFile(const std::string &Path,
                     std::map<std::string, Result> &Out) {
   std::ifstream In(Path);
@@ -93,126 +73,20 @@ bool parseCacheFile(const std::string &Path,
     return false;
 
   std::map<std::string, Result> NewEntries;
-  std::string Key;
-  Result R;
-  bool InEntry = false;
-
   while (std::getline(In, Line)) {
     if (Line.empty())
       continue;
-    std::string Tag, Rest;
-    if (!splitTag(Line, Tag, Rest))
+    support::JsonValue Entry;
+    std::string Error;
+    if (!support::parseJson(Line, Entry, Error))
       return false;
-    if (Tag == "entry") {
-      if (InEntry || Rest.empty())
-        return false;
-      Key = Rest;
-      R = Result{};
-      InEntry = true;
-    } else if (!InEntry) {
+    std::string Key = Entry.at("key").asString();
+    const support::JsonValue *R = Entry.find("result");
+    if (Key.empty() || !R || !decodeResult(*R, NewEntries[Key], Error))
       return false;
-    } else if (Tag == "impl") {
-      R.Impl = unescapeLine(Rest);
-    } else if (Tag == "test") {
-      R.Test = unescapeLine(Rest);
-    } else if (Tag == "model") {
-      R.Model = unescapeLine(Rest);
-    } else if (Tag == "status") {
-      auto S = statusFromName(Rest);
-      if (!S)
-        return false;
-      R.Verdict = *S;
-    } else if (Tag == "message") {
-      R.Message = unescapeLine(Rest);
-    } else if (Tag == "stats") {
-      if (std::sscanf(Rest.c_str(), "%d %d %d %d %d %d %llu",
-                      &R.Stats.ObservationCount, &R.Stats.BoundIterations,
-                      &R.Stats.UnrolledInstrs, &R.Stats.Loads,
-                      &R.Stats.Stores, &R.Stats.SatVars,
-                      &R.Stats.SatClauses) != 7)
-        return false;
-    } else if (Tag == "times") {
-      if (std::sscanf(Rest.c_str(), "%lf %lf %lf %lf",
-                      &R.Stats.EncodeSeconds, &R.Stats.SolveSeconds,
-                      &R.Stats.MiningSeconds,
-                      &R.Stats.TotalSeconds) != 4)
-        return false;
-    } else if (Tag == "obs") {
-      size_t N = std::strtoull(Rest.c_str(), nullptr, 10);
-      R.Observations.clear();
-      for (size_t I = 0; I < N; ++I) {
-        if (!std::getline(In, Line) || Line.rfind("o ", 0) != 0)
-          return false;
-        R.Observations.push_back(unescapeLine(Line.substr(2)));
-      }
-    } else if (Tag == "cex") {
-      R.HasCounterexample = Rest == "1";
-    } else if (Tag == "ct") {
-      R.CounterexampleTrace = unescapeLine(Rest);
-    } else if (Tag == "cc") {
-      R.CounterexampleColumns = unescapeLine(Rest);
-    } else if (Tag == "co") {
-      R.CounterexampleObservation = unescapeLine(Rest);
-    } else if (Tag == "bounds") {
-      size_t N = std::strtoull(Rest.c_str(), nullptr, 10);
-      R.FinalBounds.clear();
-      for (size_t I = 0; I < N; ++I) {
-        if (!std::getline(In, Line) || Line.rfind("b ", 0) != 0)
-          return false;
-        int Bound = 0;
-        int Consumed = 0;
-        if (std::sscanf(Line.c_str(), "b %d %n", &Bound, &Consumed) != 1)
-          return false;
-        R.FinalBounds[unescapeLine(Line.substr(Consumed))] = Bound;
-      }
-    } else if (Tag == "end") {
-      NewEntries[Key] = R;
-      InEntry = false;
-    } else {
-      return false; // unknown tag: refuse rather than misread
-    }
   }
-  if (InEntry)
-    return false;
   Out = std::move(NewEntries);
   return true;
-}
-
-/// Renders \p Entries in the line-oriented cache format (header
-/// included). Deterministic: entries print in key order.
-std::string renderCacheFile(const std::map<std::string, Result> &Entries) {
-  std::ostringstream OS;
-  OS << fileHeader() << "\n";
-  for (const auto &[Key, R] : Entries) {
-    OS << "entry " << Key << "\n";
-    OS << "impl " << escapeLine(R.Impl) << "\n";
-    OS << "test " << escapeLine(R.Test) << "\n";
-    OS << "model " << escapeLine(R.Model) << "\n";
-    OS << "status " << statusName(R.Verdict) << "\n";
-    OS << "message " << escapeLine(R.Message) << "\n";
-    OS << formatString("stats %d %d %d %d %d %d %llu\n",
-                       R.Stats.ObservationCount, R.Stats.BoundIterations,
-                       R.Stats.UnrolledInstrs, R.Stats.Loads,
-                       R.Stats.Stores, R.Stats.SatVars,
-                       R.Stats.SatClauses);
-    OS << formatString("times %.6f %.6f %.6f %.6f\n",
-                       R.Stats.EncodeSeconds, R.Stats.SolveSeconds,
-                       R.Stats.MiningSeconds, R.Stats.TotalSeconds);
-    OS << "obs " << R.Observations.size() << "\n";
-    for (const std::string &O : R.Observations)
-      OS << "o " << escapeLine(O) << "\n";
-    OS << "cex " << (R.HasCounterexample ? 1 : 0) << "\n";
-    if (R.HasCounterexample) {
-      OS << "ct " << escapeLine(R.CounterexampleTrace) << "\n";
-      OS << "cc " << escapeLine(R.CounterexampleColumns) << "\n";
-      OS << "co " << escapeLine(R.CounterexampleObservation) << "\n";
-    }
-    OS << "bounds " << R.FinalBounds.size() << "\n";
-    for (const auto &[Loop, Bound] : R.FinalBounds)
-      OS << formatString("b %d ", Bound) << escapeLine(Loop) << "\n";
-    OS << "end\n";
-  }
-  return OS.str();
 }
 
 /// Publishes a passing entry's final bounds under its program
@@ -297,7 +171,13 @@ bool ResultCache::save(const std::string &Path) const {
     std::ofstream Out(Tmp, std::ios::trunc);
     if (!Out)
       return false;
-    Out << renderCacheFile(Union);
+    Out << fileHeader() << "\n";
+    for (const auto &[Key, R] : Union)
+      Out << support::JsonObject()
+                 .field("key", Key)
+                 .raw("result", encodeResult(R))
+                 .str()
+          << "\n";
     if (!Out)
       return false;
   }

@@ -13,8 +13,11 @@
 /// different options seeds its lazy unrolling from them (the paper's
 /// Fig. 10 re-run workflow).
 ///
-/// The cache serializes to a line-oriented text file (load/save), making
-/// it persistent across processes when the Verifier is configured with a
+/// The cache serializes to a text file (load/save): a versioned header
+/// line, then one JSON line per entry holding its key and the Result in
+/// the wire encoding (api/ResultCodec.h), so every field - all six
+/// timings included - survives a reload exactly. This makes the cache
+/// persistent across processes when the Verifier is configured with a
 /// cache path. Thread-safe.
 ///
 /// Persistence is safe for concurrent multi-process use: load() *merges*
@@ -64,8 +67,10 @@ public:
 
   /// Text-file persistence. load() merges the file into the current
   /// contents (in-memory entries win) and is tolerant of missing files
-  /// (returns false, cache left unchanged). save() merges the current
-  /// contents into the file atomically (see the class comment).
+  /// (returns false, cache left unchanged); a file with an older header
+  /// or any malformed entry is refused whole, merging nothing. save()
+  /// merges the current contents into the file atomically (see the class
+  /// comment).
   bool load(const std::string &Path);
   bool save(const std::string &Path) const;
 

@@ -14,12 +14,6 @@
 
 using namespace checkfence;
 
-// Single checks and matrices share one schema; the public constant and
-// the engine's must move together.
-static_assert(JsonSchemaVersion == engine::ReportSchemaVersion,
-              "bump checkfence::JsonSchemaVersion and "
-              "engine::ReportSchemaVersion in lockstep");
-
 const char *checkfence::statusName(Status S) {
   switch (S) {
   case Status::Pass:
@@ -64,28 +58,6 @@ std::string Result::json(bool IncludeTimings) const {
 // Report
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-checker::CheckStatus toInternal(Status S) {
-  switch (S) {
-  case Status::Pass:
-    return checker::CheckStatus::Pass;
-  case Status::Fail:
-    return checker::CheckStatus::Fail;
-  case Status::SequentialBug:
-    return checker::CheckStatus::SequentialBug;
-  case Status::BoundsExhausted:
-    return checker::CheckStatus::BoundsExhausted;
-  case Status::Error:
-    return checker::CheckStatus::Error;
-  case Status::Cancelled:
-    return checker::CheckStatus::Cancelled;
-  }
-  return checker::CheckStatus::Error;
-}
-
-} // namespace
-
 Report Report::makeError(std::string Message) {
   Report R;
   R.Err = std::move(Message);
@@ -101,7 +73,7 @@ int Report::jobs() const { return Rep ? Rep->Jobs : 0; }
 double Report::wallSeconds() const { return Rep ? Rep->WallSeconds : 0; }
 
 int Report::count(Status S) const {
-  return Rep ? Rep->countWithStatus(toInternal(S)) : 0;
+  return Rep ? Rep->countWithStatus(S) : 0;
 }
 
 bool Report::allCompleted() const {
@@ -118,7 +90,7 @@ std::vector<Report::Cell> Report::cells() const {
     Row.Impl = C.Cell.Impl;
     Row.Test = C.Cell.Test;
     Row.Model = memmodel::modelName(C.Cell.Model);
-    Row.Verdict = api::toStatus(C.Result.Status);
+    Row.Verdict = C.Result.Status;
     Row.Message = C.Result.Message;
     Row.Seconds = C.Seconds;
     Out.push_back(std::move(Row));

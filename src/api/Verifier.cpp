@@ -115,7 +115,7 @@ void fireVerdict(EventSink *Sink, const std::string &Label, Status S,
 /// (the stop request arrived first) - skips the per-cell compile.
 checker::CheckResult cancelledCell() {
   checker::CheckResult R;
-  R.Status = checker::CheckStatus::Cancelled;
+  R.Status = Status::Cancelled;
   R.Message = "check cancelled";
   return R;
 }
@@ -434,7 +434,7 @@ Report Verifier::matrix(const Request &Req, EventSink *Sink,
     checker::CheckResult R = Run(Cell);
     if (Sink)
       Sink->onCellFinished({Cell.label(), Finished.fetch_add(1) + 1,
-                            Total, toStatus(R.Status), T.seconds()});
+                            Total, R.Status, T.seconds()});
     return R;
   };
 

@@ -21,8 +21,8 @@ using engine::SpecStore;
 /// The one exit of both pipelines: sets the verdict and the run's wall
 /// clock, so every status - errors included - reports its TotalSeconds.
 static CheckResult finish(CheckResult &Result, const Timer &Total,
-                          CheckStatus Status, const std::string &Msg) {
-  Result.Status = Status;
+                          Status Verdict, const std::string &Msg) {
+  Result.Status = Verdict;
   Result.Message = Msg;
   Result.Stats.TotalSeconds = Total.seconds();
   return std::move(Result);
@@ -85,7 +85,7 @@ CheckResult checkfence::checker::runCheck(
   for (int Iter = 0; Iter < Opts.MaxBoundIterations; ++Iter) {
     Result.Stats.BoundIterations = Iter + 1;
     if (CancelRequested())
-      return finish(Result, Total, CheckStatus::Cancelled, "check cancelled");
+      return finish(Result, Total, Status::Cancelled, "check cancelled");
     if (Hooks.OnRoundStarted)
       Hooks.OnRoundStarted(Iter + 1);
     obs::Span RoundSpan("engine", "round");
@@ -119,11 +119,11 @@ CheckResult checkfence::checker::runCheck(
             mineSpecification(*MineCtx, Opts.MaxObservations);
         Result.Stats.MiningSeconds += MineTimer.seconds();
         if (!Mined.Ok)
-          return finish(Result, Total, CheckStatus::Error, Mined.Error);
+          return finish(Result, Total, Status::Error, Mined.Error);
         if (Mined.SequentialBug) {
           Result.Counterexample = Mined.BugTrace;
           return finish(
-              Result, Total, CheckStatus::SequentialBug,
+              Result, Total, Status::SequentialBug,
               "a serial execution raises an error (see counterexample)");
         }
         if (Specs)
@@ -137,7 +137,7 @@ CheckResult checkfence::checker::runCheck(
         Hooks.OnObservationsMined(Result.Stats.ObservationCount);
     }
     if (CancelRequested())
-      return finish(Result, Total, CheckStatus::Cancelled, "check cancelled");
+      return finish(Result, Total, Status::Cancelled, "check cancelled");
 
     // Phase 2: inclusion check under the target model. Shares its encoding
     // with the bound probe of this round (and reuses the final probe
@@ -160,12 +160,12 @@ CheckResult checkfence::checker::runCheck(
       Result.Stats.Inclusion.SolveCalls -= Before.SolveCalls;
       Result.Stats.IncludeSeconds += IncludeTimer.seconds();
       if (!Inc.Ok)
-        return finish(Result, Total, CheckStatus::Error, Inc.Error);
+        return finish(Result, Total, Status::Error, Inc.Error);
       if (!Inc.Pass) {
         // Counterexamples hold regardless of bounds (Sec. 3.3).
         Result.Counterexample = std::move(Inc.Counterexample);
         Result.FinalBounds = Bounds;
-        return finish(Result, Total, CheckStatus::Fail,
+        return finish(Result, Total, Status::Fail,
                       "inclusion check found a counterexample");
       }
     }
@@ -178,11 +178,11 @@ CheckResult checkfence::checker::runCheck(
     bool Grown = false;
     while (ProbesLeft-- > 0) {
       if (CancelRequested())
-        return finish(Result, Total, CheckStatus::Cancelled, "check cancelled");
+        return finish(Result, Total, Status::Cancelled, "check cancelled");
       obs::Span ProbeSpan("engine", "probe");
       Timer ProbeTimer;
       if (!CheckEnc->ok())
-        return finish(Result, Total, CheckStatus::Error, CheckEnc->error());
+        return finish(Result, Total, Status::Error, CheckEnc->error());
       CheckCtx->beginPhase(); // each probe gets its own conflict allowance
       sat::SolveResult R;
       {
@@ -191,7 +191,7 @@ CheckResult checkfence::checker::runCheck(
       }
       Result.Stats.ProbeSeconds += ProbeTimer.seconds();
       if (R == sat::SolveResult::Unknown)
-        return finish(Result, Total, CheckStatus::Error,
+        return finish(Result, Total, Status::Error,
                       "solver budget exhausted during bound probe");
       if (R == sat::SolveResult::Unsat)
         break;
@@ -205,7 +205,7 @@ CheckResult checkfence::checker::runCheck(
           Hooks.OnBoundGrown(Key, B);
       }
       if (!GrewThisProbe)
-        return finish(Result, Total, CheckStatus::Error,
+        return finish(Result, Total, Status::Error,
                       "bound probe satisfiable but no mark decoded");
       Grown = true;
       CheckCtx.emplace(ImplProg, ThreadProcs, Bounds, CheckCfg);
@@ -213,7 +213,7 @@ CheckResult checkfence::checker::runCheck(
     }
     if (ProbesLeft < 0) {
       Result.FinalBounds = Bounds;
-      return finish(Result, Total, CheckStatus::BoundsExhausted,
+      return finish(Result, Total, Status::BoundsExhausted,
                     "loop bounds kept growing past the probe limit");
     }
 
@@ -235,33 +235,14 @@ CheckResult checkfence::checker::runCheck(
 
     if (!Grown) {
       Result.FinalBounds = Bounds;
-      return finish(Result, Total, CheckStatus::Pass,
+      return finish(Result, Total, Status::Pass,
                     "all executions are observationally serial");
     }
   }
 
   Result.FinalBounds = Bounds;
-  return finish(Result, Total, CheckStatus::BoundsExhausted,
+  return finish(Result, Total, Status::BoundsExhausted,
                 "loop bounds kept growing past the iteration limit");
-}
-
-
-const char *checkfence::checker::checkStatusName(CheckStatus S) {
-  switch (S) {
-  case CheckStatus::Pass:
-    return "PASS";
-  case CheckStatus::Fail:
-    return "FAIL";
-  case CheckStatus::SequentialBug:
-    return "SEQUENTIAL-BUG";
-  case CheckStatus::BoundsExhausted:
-    return "BOUNDS-EXHAUSTED";
-  case CheckStatus::Error:
-    return "ERROR";
-  case CheckStatus::Cancelled:
-    return "CANCELLED";
-  }
-  return "<bad-status>";
 }
 
 CheckResult checkfence::checker::runCheckFresh(
@@ -289,7 +270,7 @@ CheckResult checkfence::checker::runCheckFresh(
   for (int Iter = 0; Iter < Opts.MaxBoundIterations; ++Iter) {
     Result.Stats.BoundIterations = Iter + 1;
     if (CancelRequested())
-      return finish(Result, Total, CheckStatus::Cancelled, "check cancelled");
+      return finish(Result, Total, Status::Cancelled, "check cancelled");
     if (Hooks.OnRoundStarted)
       Hooks.OnRoundStarted(Iter + 1);
 
@@ -301,11 +282,11 @@ CheckResult checkfence::checker::runCheckFresh(
       MiningOutcome Mined = mineSpecification(MineCtx, Opts.MaxObservations);
       Result.Stats.MiningSeconds += MineTimer.seconds();
       if (!Mined.Ok)
-        return finish(Result, Total, CheckStatus::Error, Mined.Error);
+        return finish(Result, Total, Status::Error, Mined.Error);
       if (Mined.SequentialBug) {
         Result.Counterexample = Mined.BugTrace;
         return finish(
-            Result, Total, CheckStatus::SequentialBug,
+            Result, Total, Status::SequentialBug,
             "a serial execution raises an error (see counterexample)");
       }
       Result.Spec = std::move(Mined.Spec);
@@ -315,7 +296,7 @@ CheckResult checkfence::checker::runCheckFresh(
         Hooks.OnObservationsMined(Result.Stats.ObservationCount);
     }
     if (CancelRequested())
-      return finish(Result, Total, CheckStatus::Cancelled, "check cancelled");
+      return finish(Result, Total, Status::Cancelled, "check cancelled");
 
     // Phase 2: inclusion check under the target model.
     {
@@ -323,12 +304,12 @@ CheckResult checkfence::checker::runCheckFresh(
       InclusionOutcome Inc = checkInclusion(IncCtx, Result.Spec);
       Result.Stats.Inclusion = IncCtx.encoding().stats();
       if (!Inc.Ok)
-        return finish(Result, Total, CheckStatus::Error, Inc.Error);
+        return finish(Result, Total, Status::Error, Inc.Error);
       if (!Inc.Pass) {
         // Counterexamples hold regardless of bounds (Sec. 3.3).
         Result.Counterexample = std::move(Inc.Counterexample);
         Result.FinalBounds = Bounds;
-        return finish(Result, Total, CheckStatus::Fail,
+        return finish(Result, Total, Status::Fail,
                       "inclusion check found a counterexample");
       }
     }
@@ -340,16 +321,16 @@ CheckResult checkfence::checker::runCheckFresh(
     bool Grown = false;
     while (ProbesLeft-- > 0) {
       if (CancelRequested())
-        return finish(Result, Total, CheckStatus::Cancelled, "check cancelled");
+        return finish(Result, Total, Status::Cancelled, "check cancelled");
       Timer ProbeTimer;
       SolveContext Probe(ImplProg, ThreadProcs, Bounds, CheckCfg);
       const ProblemEncoding &Enc = Probe.encoding();
       if (!Enc.ok())
-        return finish(Result, Total, CheckStatus::Error, Enc.error());
+        return finish(Result, Total, Status::Error, Enc.error());
       sat::SolveResult R = Probe.solveUnder(Enc.probeAssumptions());
       Result.Stats.ProbeSeconds += ProbeTimer.seconds();
       if (R == sat::SolveResult::Unknown)
-        return finish(Result, Total, CheckStatus::Error,
+        return finish(Result, Total, Status::Error,
                       "solver budget exhausted during bound probe");
       if (R == sat::SolveResult::Unsat)
         break;
@@ -362,13 +343,13 @@ CheckResult checkfence::checker::runCheckFresh(
           Hooks.OnBoundGrown(Key, B);
       }
       if (!GrewThisProbe)
-        return finish(Result, Total, CheckStatus::Error,
+        return finish(Result, Total, Status::Error,
                       "bound probe satisfiable but no mark decoded");
       Grown = true;
     }
     if (ProbesLeft < 0) {
       Result.FinalBounds = Bounds;
-      return finish(Result, Total, CheckStatus::BoundsExhausted,
+      return finish(Result, Total, Status::BoundsExhausted,
                     "loop bounds kept growing past the probe limit");
     }
 
@@ -388,12 +369,12 @@ CheckResult checkfence::checker::runCheckFresh(
 
     if (!Grown) {
       Result.FinalBounds = Bounds;
-      return finish(Result, Total, CheckStatus::Pass,
+      return finish(Result, Total, Status::Pass,
                     "all executions are observationally serial");
     }
   }
 
   Result.FinalBounds = Bounds;
-  return finish(Result, Total, CheckStatus::BoundsExhausted,
+  return finish(Result, Total, Status::BoundsExhausted,
                 "loop bounds kept growing past the iteration limit");
 }

@@ -27,6 +27,7 @@
 #include "checker/Encoder.h"
 #include "checker/InclusionChecker.h"
 #include "checker/SpecMiner.h"
+#include "checkfence/Result.h"
 
 #include <functional>
 #include <optional>
@@ -41,7 +42,7 @@ namespace checker {
 /// through the mine/include/probe loop. Every member may be empty. The
 /// hooks fire between solver calls (never inside one), so cancellation is
 /// cooperative: a run stops at the next phase boundary with
-/// CheckStatus::Cancelled instead of aborting mid-round. Callbacks must be
+/// Status::Cancelled instead of aborting mid-round. Callbacks must be
 /// thread-safe when the same options drive parallel matrix cells.
 struct CheckHooks {
   /// Polled at phase boundaries; return true to stop the run.
@@ -85,17 +86,6 @@ struct CheckOptions {
   bool Fresh = false;
 };
 
-enum class CheckStatus {
-  Pass,            ///< all executions within spec, bounds sufficient
-  Fail,            ///< counterexample found
-  SequentialBug,   ///< a *serial* execution already misbehaves
-  BoundsExhausted, ///< lazy unrolling hit MaxBoundIterations
-  Error,           ///< frontend/encoder/solver problem (see Message)
-  Cancelled,       ///< stopped by CheckHooks::Cancelled (token/deadline)
-};
-
-const char *checkStatusName(CheckStatus S);
-
 /// Aggregate statistics across the whole run (Fig. 10/11 columns).
 struct CheckStats {
   /// Inclusion problem (final iteration). Embeds EncodeStats directly so
@@ -114,17 +104,19 @@ struct CheckStats {
 };
 
 struct CheckResult {
-  CheckStatus Status = CheckStatus::Error;
+  /// The public verdict enum (checkfence/Result.h); Cancelled means
+  /// CheckHooks::Cancelled stopped the run.
+  checkfence::Status Status = checkfence::Status::Error;
   std::string Message;
   ObservationSet Spec;
   std::optional<Trace> Counterexample;
   CheckStats Stats;
   trans::LoopBounds FinalBounds;
 
-  bool passed() const { return Status == CheckStatus::Pass; }
+  bool passed() const { return Status == checkfence::Status::Pass; }
   bool failed() const {
-    return Status == CheckStatus::Fail ||
-           Status == CheckStatus::SequentialBug;
+    return Status == checkfence::Status::Fail ||
+           Status == checkfence::Status::SequentialBug;
   }
 };
 

@@ -20,7 +20,6 @@
 
 using namespace checkfence;
 using namespace checkfence::engine;
-using checker::CheckStatus;
 
 void checkfence::engine::parallelFor(
     int Jobs, size_t Count, const std::function<void(size_t)> &Body) {
@@ -57,7 +56,7 @@ std::string MatrixCell::label() const {
   return Impl + ":" + Test + ":" + memmodel::modelName(Model);
 }
 
-int MatrixReport::countWithStatus(CheckStatus S) const {
+int MatrixReport::countWithStatus(Status S) const {
   int N = 0;
   for (const MatrixCellResult &C : Cells)
     N += C.Result.Status == S;
@@ -65,8 +64,8 @@ int MatrixReport::countWithStatus(CheckStatus S) const {
 }
 
 bool MatrixReport::allCompleted() const {
-  return countWithStatus(CheckStatus::Error) == 0 &&
-         countWithStatus(CheckStatus::Cancelled) == 0;
+  return countWithStatus(Status::Error) == 0 &&
+         countWithStatus(Status::Cancelled) == 0;
 }
 
 std::string checkfence::engine::renderReportSummary(
@@ -83,81 +82,84 @@ std::string checkfence::engine::renderReportSummary(
   return Summary.str();
 }
 
-std::string
-checkfence::engine::renderReportCell(const ReportCellFields &F) {
+ResultStats checkfence::engine::resultStats(const checker::CheckStats &S) {
+  ResultStats Out;
+  Out.ObservationCount = S.ObservationCount;
+  Out.BoundIterations = S.BoundIterations;
+  Out.UnrolledInstrs = S.Inclusion.UnrolledInstrs;
+  Out.Loads = S.Inclusion.Loads;
+  Out.Stores = S.Inclusion.Stores;
+  Out.SatVars = S.Inclusion.SatVars;
+  Out.SatClauses = static_cast<unsigned long long>(S.Inclusion.SatClauses);
+  Out.EncodeSeconds = S.Inclusion.EncodeSeconds;
+  Out.SolveSeconds = S.Inclusion.SolveSeconds;
+  Out.MiningSeconds = S.MiningSeconds;
+  Out.IncludeSeconds = S.IncludeSeconds;
+  Out.ProbeSeconds = S.ProbeSeconds;
+  Out.TotalSeconds = S.TotalSeconds;
+  return Out;
+}
+
+std::string checkfence::engine::renderReportCell(const Result &R,
+                                                 double Seconds,
+                                                 bool IncludeTimings) {
+  const ResultStats &S = R.Stats;
   support::JsonObject Cell;
-  Cell.field("impl", F.Impl)
-      .field("test", F.Test)
-      .field("model", F.Model)
-      .field("status", F.StatusName)
-      .field("message", F.Message)
-      .field("observations", F.Observations)
-      .field("bound_iterations", F.BoundIterations)
-      .field("unrolled_instrs", F.UnrolledInstrs)
-      .field("loads", F.Loads)
-      .field("stores", F.Stores)
-      .field("sat_vars", F.SatVars)
-      .field("sat_clauses", F.SatClauses);
-  if (F.HasCounterexample)
-    Cell.field("counterexample", F.Counterexample);
-  if (F.IncludeTimings)
-    Cell.fixed("seconds", F.Seconds)
-        .fixed("encode_seconds", F.EncodeSeconds)
-        .fixed("solve_seconds", F.SolveSeconds)
-        .fixed("mining_seconds", F.MiningSeconds)
-        .fixed("include_seconds", F.IncludeSeconds)
-        .fixed("probe_seconds", F.ProbeSeconds);
+  Cell.field("impl", R.Impl)
+      .field("test", R.Test)
+      .field("model", R.Model)
+      .field("status", statusName(R.Verdict))
+      .field("message", R.Message)
+      .field("observations", S.ObservationCount)
+      .field("bound_iterations", S.BoundIterations)
+      .field("unrolled_instrs", S.UnrolledInstrs)
+      .field("loads", S.Loads)
+      .field("stores", S.Stores)
+      .field("sat_vars", S.SatVars)
+      .field("sat_clauses", S.SatClauses);
+  if (R.HasCounterexample)
+    Cell.field("counterexample", R.CounterexampleObservation);
+  if (IncludeTimings)
+    Cell.fixed("seconds", Seconds)
+        .fixed("encode_seconds", S.EncodeSeconds)
+        .fixed("solve_seconds", S.SolveSeconds)
+        .fixed("mining_seconds", S.MiningSeconds)
+        .fixed("include_seconds", S.IncludeSeconds)
+        .fixed("probe_seconds", S.ProbeSeconds);
   return Cell.str();
 }
 
 std::string MatrixReport::json(bool IncludeTimings) const {
   std::ostringstream OS;
   OS << "{\n";
-  OS << formatString("  \"schema_version\": %d,\n", ReportSchemaVersion);
+  OS << formatString("  \"schema_version\": %d,\n", JsonSchemaVersion);
   if (IncludeTimings)
     OS << formatString("  \"jobs\": %d,\n  \"wall_seconds\": %.3f,\n",
                        Jobs, WallSeconds);
   OS << "  \"summary\": "
-     << renderReportSummary(countWithStatus(CheckStatus::Pass),
-                            countWithStatus(CheckStatus::Fail),
-                            countWithStatus(CheckStatus::SequentialBug),
-                            countWithStatus(CheckStatus::BoundsExhausted),
-                            countWithStatus(CheckStatus::Error),
-                            countWithStatus(CheckStatus::Cancelled))
+     << renderReportSummary(countWithStatus(Status::Pass),
+                            countWithStatus(Status::Fail),
+                            countWithStatus(Status::SequentialBug),
+                            countWithStatus(Status::BoundsExhausted),
+                            countWithStatus(Status::Error),
+                            countWithStatus(Status::Cancelled))
      << ",\n";
   OS << "  \"cells\": [\n";
   for (size_t I = 0; I < Cells.size(); ++I) {
     const MatrixCellResult &C = Cells[I];
-    const checker::CheckResult &R = C.Result;
-    const checker::EncodeStats &E = R.Stats.Inclusion;
-    ReportCellFields F;
-    F.Impl = C.Cell.Impl;
-    F.Test = C.Cell.Test;
-    F.Model = memmodel::modelName(C.Cell.Model);
-    F.StatusName = checker::checkStatusName(R.Status);
-    F.Message = R.Message;
-    F.Observations = R.Stats.ObservationCount;
-    F.BoundIterations = R.Stats.BoundIterations;
-    F.UnrolledInstrs = E.UnrolledInstrs;
-    F.Loads = E.Loads;
-    F.Stores = E.Stores;
-    F.SatVars = E.SatVars;
-    F.SatClauses = static_cast<unsigned long long>(E.SatClauses);
-    if (R.Counterexample) {
-      F.HasCounterexample = true;
-      F.Counterexample =
-          R.Counterexample->Obs.str(R.Counterexample->ObsLabels);
+    Result R;
+    R.Impl = C.Cell.Impl;
+    R.Test = C.Cell.Test;
+    R.Model = memmodel::modelName(C.Cell.Model);
+    R.Verdict = C.Result.Status;
+    R.Message = C.Result.Message;
+    R.Stats = resultStats(C.Result.Stats);
+    if (C.Result.Counterexample) {
+      R.HasCounterexample = true;
+      R.CounterexampleObservation = C.Result.Counterexample->Obs.str(
+          C.Result.Counterexample->ObsLabels);
     }
-    if (IncludeTimings) {
-      F.IncludeTimings = true;
-      F.Seconds = C.Seconds;
-      F.EncodeSeconds = E.EncodeSeconds;
-      F.SolveSeconds = E.SolveSeconds;
-      F.MiningSeconds = R.Stats.MiningSeconds;
-      F.IncludeSeconds = R.Stats.IncludeSeconds;
-      F.ProbeSeconds = R.Stats.ProbeSeconds;
-    }
-    OS << "    " << renderReportCell(F);
+    OS << "    " << renderReportCell(R, C.Seconds, IncludeTimings);
     if (I + 1 < Cells.size())
       OS << ",";
     OS << "\n";
@@ -187,20 +189,20 @@ std::string MatrixReport::table() const {
     OS << formatString("%-10s %-8s %-8s %-16s %8d %6d %9.2f\n",
                        C.Cell.Impl.c_str(), C.Cell.Test.c_str(),
                        memmodel::modelName(C.Cell.Model).c_str(),
-                       checker::checkStatusName(R.Status),
+                       statusName(R.Status),
                        R.Stats.ObservationCount, R.Stats.BoundIterations,
                        C.Seconds);
   }
-  int Cancelled = countWithStatus(CheckStatus::Cancelled);
+  int Cancelled = countWithStatus(Status::Cancelled);
   std::string CancelledNote =
       Cancelled ? formatString(", %d cancelled", Cancelled) : "";
   OS << formatString("%d cells: %d pass, %d fail, %d error%s (%.2fs "
                      "wall, %d jobs)\n",
                      static_cast<int>(Cells.size()),
-                     countWithStatus(CheckStatus::Pass),
-                     countWithStatus(CheckStatus::Fail) +
-                         countWithStatus(CheckStatus::SequentialBug),
-                     countWithStatus(CheckStatus::Error),
+                     countWithStatus(Status::Pass),
+                     countWithStatus(Status::Fail) +
+                         countWithStatus(Status::SequentialBug),
+                     countWithStatus(Status::Error),
                      CancelledNote.c_str(), WallSeconds, Jobs);
   std::vector<WeakestSummary> Summaries = summarizeReport(*this);
   if (Cells.size() > Summaries.size()) {
@@ -240,7 +242,7 @@ MatrixReport MatrixRunner::run(const std::vector<MatrixCell> &Cells,
       MatrixCell Cell = Cells[I];
       for (size_t J : Done) {
         const MatrixCellResult &Prev = Report.Cells[J];
-        if (Prev.Result.Status != CheckStatus::Pass ||
+        if (Prev.Result.Status != Status::Pass ||
             !memmodel::atLeastAsStrong(Prev.Cell.Model, Cell.Model))
           continue;
         for (const auto &[Loop, Bound] : Prev.Result.FinalBounds) {

@@ -42,40 +42,17 @@ namespace engine {
 void parallelFor(int Jobs, size_t Count,
                  const std::function<void(size_t)> &Body);
 
-/// The schema_version stamped into every JSON report (matrix and single
-/// checks share one schema; see docs/API.md).
-inline constexpr int ReportSchemaVersion = 1;
+/// The public stats record of a check: the one CheckStats -> ResultStats
+/// copy, shared by matrix cells and the facade's single-check results.
+ResultStats resultStats(const checker::CheckStats &S);
 
-/// The per-cell field set of the versioned report schema. One renderer
-/// defines the cell shape for every emitter - matrix cells here, and
-/// the facade's single-check serializer (which holds pre-rendered
-/// strings, not engine objects).
-struct ReportCellFields {
-  std::string Impl;
-  std::string Test;
-  std::string Model;
-  const char *StatusName = "";
-  std::string Message;
-  int Observations = 0;
-  int BoundIterations = 0;
-  int UnrolledInstrs = 0;
-  int Loads = 0;
-  int Stores = 0;
-  int SatVars = 0;
-  unsigned long long SatClauses = 0;
-  bool HasCounterexample = false;
-  std::string Counterexample;
-  bool IncludeTimings = false;
-  double Seconds = 0;
-  double EncodeSeconds = 0;
-  double SolveSeconds = 0;
-  double MiningSeconds = 0;
-  double IncludeSeconds = 0;
-  double ProbeSeconds = 0;
-};
-
-/// Renders one inline cell object of the report schema.
-std::string renderReportCell(const ReportCellFields &F);
+/// Renders one inline cell object of the report schema from a Result's
+/// identity, verdict, message, stats and counterexample observation.
+/// \p Seconds is the cell's wall clock (matrix cells time the cell
+/// function, single checks report the run's TotalSeconds). One renderer
+/// defines the cell shape for every emitter.
+std::string renderReportCell(const Result &R, double Seconds,
+                             bool IncludeTimings);
 
 /// Renders the report's inline summary object. The "cancelled" bucket
 /// appears only when non-zero, keeping uncancelled reports on the
@@ -116,7 +93,7 @@ struct MatrixReport {
   int Jobs = 1;
   double WallSeconds = 0;
 
-  int countWithStatus(checker::CheckStatus S) const;
+  int countWithStatus(Status S) const;
   /// True when every cell ran to a verdict: no Error and no Cancelled
   /// cells.
   bool allCompleted() const;

@@ -60,13 +60,13 @@ checkfence::engine::summarizeReport(const MatrixReport &Report) {
     WeakestSummary &S = Groups[G];
     ++S.CellsRun;
     switch (C.Result.Status) {
-    case checker::CheckStatus::Pass:
+    case Status::Pass:
       ++S.ModelsChecked;
       ++S.ModelsPassed;
       Verdicts[G].push_back({C.Cell.Model, true});
       break;
-    case checker::CheckStatus::Fail:
-    case checker::CheckStatus::SequentialBug:
+    case Status::Fail:
+    case Status::SequentialBug:
       ++S.ModelsChecked;
       Verdicts[G].push_back({C.Cell.Model, false});
       break;
@@ -164,13 +164,13 @@ WeakestSummary WeakestModelSearch::run(const std::string &Impl,
     checker::CheckResult R = Run(Cell);
     ++S.CellsRun;
     switch (R.Status) {
-    case checker::CheckStatus::Pass:
+    case Status::Pass:
       ++S.ModelsChecked;
       ++S.ModelsPassed;
       Known.push_back({M, true});
       break;
-    case checker::CheckStatus::Fail:
-    case checker::CheckStatus::SequentialBug:
+    case Status::Fail:
+    case Status::SequentialBug:
       ++S.ModelsChecked;
       Known.push_back({M, false});
       break;

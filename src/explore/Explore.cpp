@@ -228,8 +228,7 @@ std::string ExploreReport::json(bool IncludeTimings) const {
 
   std::string OS;
   OS += "{\n";
-  OS += formatString("  \"schema_version\": %d,\n",
-                     engine::ReportSchemaVersion);
+  OS += formatString("  \"schema_version\": %d,\n", JsonSchemaVersion);
   OS += "  \"kind\": \"explore\",\n";
   if (!Ok) {
     OS += "  \"error\": " + jsonQuote(Error) + "\n}\n";

@@ -181,7 +181,7 @@ checkfence::harness::runTest(const std::string &ImplSource,
   CompiledTest C;
   checker::CheckResult Result;
   if (!compileTest(ImplSource, Test, Opts, C, Result.Message)) {
-    Result.Status = checker::CheckStatus::Error;
+    Result.Status = Status::Error;
     return Result;
   }
   return checker::runCheck(C.Impl, C.Threads, Opts.Check, C.spec());
@@ -234,13 +234,13 @@ checkfence::harness::catalogCellRunner(const RunOptions &Base) {
   return [Base](const engine::MatrixCell &Cell) -> checker::CheckResult {
     checker::CheckResult R;
     if (!impls::findImpl(Cell.Impl)) {
-      R.Status = checker::CheckStatus::Error;
+      R.Status = Status::Error;
       R.Message = "unknown implementation '" + Cell.Impl + "'";
       return R;
     }
     TestSpec Spec;
     if (!catalogTest(Cell.Test, Spec, R.Message)) {
-      R.Status = checker::CheckStatus::Error;
+      R.Status = Status::Error;
       return R;
     }
     RunOptions Opts = Base;

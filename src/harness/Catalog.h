@@ -114,7 +114,7 @@ expandMatrix(const std::vector<std::string> &Impls,
 /// with \p Base options (the cell's model overrides Base.Check.Model, and
 /// its SeedBounds raise Base.Check.InitialBounds pointwise unless
 /// Base.Check.Fresh selects the reference pipeline, which never seeds).
-/// Unknown names produce CheckStatus::Error results instead of aborting.
+/// Unknown names produce Status::Error results instead of aborting.
 engine::CellFn catalogCellRunner(const RunOptions &Base);
 
 } // namespace harness

@@ -22,7 +22,6 @@
 using namespace checkfence;
 using namespace checkfence::harness;
 using checker::CheckResult;
-using checker::CheckStatus;
 
 std::string checkfence::harness::placementStr(const FencePlacement &P) {
   return formatString("%s fence before line %d", fenceKindName(P.Kind),
@@ -200,7 +199,7 @@ checkfence::harness::synthesizeFences(const std::string &ImplSource,
     lsl::Program Impl;
     CheckResult R;
     if (!frontend::compileC(ImplSource, Opts.Defines, Impl, Diags, LO)) {
-      R.Status = CheckStatus::Error;
+      R.Status = Status::Error;
       R.Message = "frontend error:\n" + Diags.str();
       return R;
     }
@@ -268,18 +267,18 @@ checkfence::harness::synthesizeFences(const std::string &ImplSource,
     for (;;) {
       obs::Span RoundSpan("synth", "repair_round");
       CheckResult R = RunOnce(Test, Placed);
-      if (R.Status == CheckStatus::Pass) {
+      if (R.Status == Status::Pass) {
         Result.Log.push_back(
             formatString("%s: PASS with %d fences", Test.Name.c_str(),
                          static_cast<int>(Placed.size())));
         break;
       }
-      if (R.Status == CheckStatus::SequentialBug)
+      if (R.Status == Status::SequentialBug)
         return Fail(Test.Name +
                     ": implementation misbehaves on a serial execution; "
                     "no fence placement can repair it");
-      if (R.Status != CheckStatus::Fail)
-        return Fail(Test.Name + ": " + checkStatusName(R.Status) + ": " +
+      if (R.Status != Status::Fail)
+        return Fail(Test.Name + ": " + statusName(R.Status) + ": " +
                     R.Message);
       if (!R.Counterexample)
         return Fail(Test.Name + ": counterexample unavailable");

@@ -6,6 +6,7 @@
 
 #include "checkfence/Remote.h"
 
+#include "api/ResultCodec.h"
 #include "obs/Trace.h"
 #include "server/Http.h"
 #include "server/Wire.h"
@@ -159,7 +160,7 @@ RemoteStatus RemoteVerifier::check(const Request &Req, Result &Out) {
   if (!S)
     return S;
   std::string Error;
-  if (!decodeResult(*R, Out, Error)) {
+  if (!api::decodeResult(*R, Out, Error)) {
     S.Ok = false;
     S.Error = Error;
   }

@@ -26,6 +26,8 @@
 #include "checkfence/Server.h"
 
 #include "checkfence/checkfence.h"
+
+#include "api/ResultCodec.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -429,7 +431,7 @@ struct CheckServer::Impl {
       WasCancelled = R.Verdict == Status::Cancelled;
       if (R.Verdict == Status::Error)
         ++Errors;
-      Payload = encodeResult(R);
+      Payload = api::encodeResult(R);
       break;
     }
     case Request::Kind::Matrix:
@@ -481,7 +483,7 @@ struct CheckServer::Impl {
         O.field("run", E.run());
         O.field("skips", E.skips());
         O.field("shrunk", E.shrunk());
-        O.raw("wallSeconds", wireDouble(E.wallSeconds()));
+        O.exact("wallSeconds", E.wallSeconds());
         O.field("json", E.json(true));
         O.field("jsonNoTimings", E.json(false));
         {

@@ -17,55 +17,6 @@ using support::JsonValue;
 
 namespace {
 
-std::string quotedList(const std::vector<std::string> &Items) {
-  JsonArray A;
-  for (const std::string &S : Items)
-    A.item(support::jsonQuote(S));
-  return A.str();
-}
-
-void readStringList(const JsonValue &Obj, const char *Key,
-                    std::vector<std::string> &Out) {
-  const JsonValue *V = Obj.find(Key);
-  if (!V || !V->isArray())
-    return;
-  for (const JsonValue &Item : V->Items)
-    Out.push_back(Item.asString());
-}
-
-const JsonValue *member(const JsonValue &Obj, const char *Key) {
-  return Obj.isObject() ? Obj.find(Key) : nullptr;
-}
-
-std::string str(const JsonValue &Obj, const char *Key) {
-  const JsonValue *V = member(Obj, Key);
-  return V ? V->asString() : std::string();
-}
-
-bool boolean(const JsonValue &Obj, const char *Key, bool Default) {
-  const JsonValue *V = member(Obj, Key);
-  return V ? V->asBool(Default) : Default;
-}
-
-int integer(const JsonValue &Obj, const char *Key, int Default = 0) {
-  const JsonValue *V = member(Obj, Key);
-  return V ? V->asInt(Default) : Default;
-}
-
-double dbl(const JsonValue &Obj, const char *Key, double Default = 0) {
-  const JsonValue *V = member(Obj, Key);
-  return V ? V->asDouble(Default) : Default;
-}
-
-std::optional<Status> statusFromName(const std::string &Name) {
-  for (Status S : {Status::Pass, Status::Fail, Status::SequentialBug,
-                   Status::BoundsExhausted, Status::Error,
-                   Status::Cancelled})
-    if (Name == statusName(S))
-      return S;
-  return std::nullopt;
-}
-
 const char *kindName(Request::Kind K) {
   switch (K) {
   case Request::Kind::Check:
@@ -95,20 +46,14 @@ std::string encodeFences(const std::vector<SynthFence> &Fences) {
   return A.str();
 }
 
-void decodeFences(const JsonValue &Obj, const char *Key,
-                  std::vector<SynthFence> &Out) {
-  const JsonValue *V = member(Obj, Key);
-  if (!V || !V->isArray())
-    return;
-  for (const JsonValue &Item : V->Items)
-    Out.push_back({integer(Item, "line"), str(Item, "kind")});
+std::vector<SynthFence> decodeFences(const JsonValue &Fences) {
+  std::vector<SynthFence> Out;
+  for (const JsonValue &Item : Fences.Items)
+    Out.push_back({Item.at("line").asInt(), Item.at("kind").asString()});
+  return Out;
 }
 
 } // namespace
-
-std::string checkfence::server::wireDouble(double V) {
-  return formatString("%.17g", V);
-}
 
 std::string checkfence::server::encodeRequest(const Request &Req) {
   JsonObject O;
@@ -120,17 +65,17 @@ std::string checkfence::server::encodeRequest(const Request &Req) {
   O.field("test", Req.TestName);
   O.field("notation", Req.Notation);
   O.field("model", Req.ModelName);
-  O.raw("impls", quotedList(Req.Impls));
-  O.raw("tests", quotedList(Req.Tests));
-  O.raw("models", quotedList(Req.Models));
-  O.raw("litmusThreads", quotedList(Req.LitmusThreads));
+  O.strings("impls", Req.Impls);
+  O.strings("tests", Req.Tests);
+  O.strings("models", Req.Models);
+  O.strings("litmusThreads", Req.LitmusThreads);
   {
     JsonArray A;
     for (long long V : Req.ExpectedValues)
       A.item(formatString("%lld", V));
     O.raw("expect", A.str());
   }
-  O.raw("defines", quotedList(Req.Defines));
+  O.strings("defines", Req.Defines);
   O.field("stripFences", Req.StripAllFences);
   {
     JsonArray A;
@@ -150,7 +95,7 @@ std::string checkfence::server::encodeRequest(const Request &Req) {
   O.field("fresh", Req.Fresh);
   O.field("jobs", Req.Jobs);
   O.field("fastOracle", Req.UseFastOracle);
-  O.raw("deadlineSeconds", wireDouble(Req.DeadlineSeconds));
+  O.exact("deadlineSeconds", Req.DeadlineSeconds);
   O.field("useCache", Req.UseCache);
   O.field("traceFile", Req.TraceFile);
   O.field("synthStrip", Req.SynthStrip);
@@ -170,11 +115,12 @@ std::string checkfence::server::encodeRequest(const Request &Req) {
 
 bool checkfence::server::decodeRequest(const JsonValue &V, Request &Out,
                                        std::string &Error) {
+  Out = Request{};
   if (!V.isObject()) {
     Error = "params must be a request object";
     return false;
   }
-  std::string Kind = str(V, "kind");
+  std::string Kind = V.at("kind").asString();
   if (Kind == "check")
     Out.RequestKind = Request::Kind::Check;
   else if (Kind == "matrix")
@@ -195,135 +141,52 @@ bool checkfence::server::decodeRequest(const JsonValue &V, Request &Out,
     Error = "unknown request kind '" + Kind + "'";
     return false;
   }
-  Out.ImplName = str(V, "impl");
-  Out.SourceText = str(V, "source");
-  Out.Label = str(V, "label");
-  Out.DataKind = str(V, "dataKind");
-  Out.TestName = str(V, "test");
-  Out.Notation = str(V, "notation");
-  Out.ModelName = str(V, "model");
-  readStringList(V, "impls", Out.Impls);
-  readStringList(V, "tests", Out.Tests);
-  readStringList(V, "models", Out.Models);
-  readStringList(V, "litmusThreads", Out.LitmusThreads);
-  if (const JsonValue *A = member(V, "expect"); A && A->isArray())
-    for (const JsonValue &Item : A->Items)
-      Out.ExpectedValues.push_back(Item.asI64());
-  readStringList(V, "defines", Out.Defines);
-  Out.StripAllFences = boolean(V, "stripFences", false);
-  if (const JsonValue *A = member(V, "stripLines"); A && A->isArray())
-    for (const JsonValue &Item : A->Items)
-      Out.StripLines.push_back(Item.asInt());
-  Out.UseRefSpec = boolean(V, "refSpec", false);
-  if (const JsonValue *F = member(V, "rangeAnalysis"))
+  Out.ImplName = V.at("impl").asString();
+  Out.SourceText = V.at("source").asString();
+  Out.Label = V.at("label").asString();
+  Out.DataKind = V.at("dataKind").asString();
+  Out.TestName = V.at("test").asString();
+  Out.Notation = V.at("notation").asString();
+  Out.ModelName = V.at("model").asString();
+  Out.Impls = V.at("impls").asStrings();
+  Out.Tests = V.at("tests").asStrings();
+  Out.Models = V.at("models").asStrings();
+  Out.LitmusThreads = V.at("litmusThreads").asStrings();
+  for (const JsonValue &Item : V.at("expect").Items)
+    Out.ExpectedValues.push_back(Item.asI64());
+  Out.Defines = V.at("defines").asStrings();
+  Out.StripAllFences = V.at("stripFences").asBool();
+  for (const JsonValue &Item : V.at("stripLines").Items)
+    Out.StripLines.push_back(Item.asInt());
+  Out.UseRefSpec = V.at("refSpec").asBool();
+  if (const JsonValue *F = V.find("rangeAnalysis"))
     Out.UseRangeAnalysis = F->asBool();
-  if (const JsonValue *F = member(V, "maxBoundIterations"))
+  if (const JsonValue *F = V.find("maxBoundIterations"))
     Out.MaxBoundIterations = F->asInt();
-  if (const JsonValue *F = member(V, "maxProbes"))
+  if (const JsonValue *F = V.find("maxProbes"))
     Out.MaxProbes = F->asInt();
-  if (const JsonValue *F = member(V, "conflictBudget"))
+  if (const JsonValue *F = V.find("conflictBudget"))
     Out.ConflictBudget = F->asI64();
-  Out.Fresh = boolean(V, "fresh", false);
-  Out.Jobs = integer(V, "jobs");
-  Out.UseFastOracle = boolean(V, "fastOracle", true);
-  Out.DeadlineSeconds = dbl(V, "deadlineSeconds");
-  Out.UseCache = boolean(V, "useCache", true);
-  if (const JsonValue *F = member(V, "traceFile"))
+  Out.Fresh = V.at("fresh").asBool();
+  Out.Jobs = V.at("jobs").asInt();
+  Out.UseFastOracle = V.at("fastOracle").asBool(true);
+  Out.DeadlineSeconds = V.at("deadlineSeconds").asDouble();
+  Out.UseCache = V.at("useCache").asBool(true);
+  if (const JsonValue *F = V.find("traceFile"))
     Out.TraceFile = F->asString();
-  Out.SynthStrip = boolean(V, "synthStrip", true);
-  if (const JsonValue *F = member(V, "synthMinLine"))
+  Out.SynthStrip = V.at("synthStrip").asBool(true);
+  if (const JsonValue *F = V.find("synthMinLine"))
     Out.SynthMinLine = F->asInt();
-  if (const JsonValue *F = member(V, "synthMaxFences"))
+  if (const JsonValue *F = V.find("synthMaxFences"))
     Out.SynthMaxFences = F->asInt();
-  Out.SynthMinimize = boolean(V, "synthMinimize", true);
-  if (const JsonValue *F = member(V, "exploreSeed"))
+  Out.SynthMinimize = V.at("synthMinimize").asBool(true);
+  if (const JsonValue *F = V.find("exploreSeed"))
     Out.ExploreSeed = F->asU64(1);
-  Out.ExploreBudget = integer(V, "exploreBudget", 100);
-  Out.ExploreShrink = boolean(V, "exploreShrink", true);
-  Out.CorpusDir = str(V, "corpusDir");
-  Out.OracleSamplePeriod = integer(V, "oracleSamplePeriod", 8);
-  Out.SymbolicPerMille = integer(V, "symbolicPerMille", -1);
-  return true;
-}
-
-std::string checkfence::server::encodeResult(const Result &R) {
-  JsonObject O;
-  O.field("verdict", statusName(R.Verdict));
-  O.field("message", R.Message);
-  O.field("impl", R.Impl);
-  O.field("test", R.Test);
-  O.field("model", R.Model);
-  O.raw("observations", quotedList(R.Observations));
-  O.field("hasCounterexample", R.HasCounterexample);
-  O.field("counterexampleTrace", R.CounterexampleTrace);
-  O.field("counterexampleColumns", R.CounterexampleColumns);
-  O.field("counterexampleObservation", R.CounterexampleObservation);
-  JsonObject S;
-  S.field("observationCount", R.Stats.ObservationCount);
-  S.field("boundIterations", R.Stats.BoundIterations);
-  S.field("unrolledInstrs", R.Stats.UnrolledInstrs);
-  S.field("loads", R.Stats.Loads);
-  S.field("stores", R.Stats.Stores);
-  S.field("satVars", R.Stats.SatVars);
-  S.field("satClauses", R.Stats.SatClauses);
-  S.raw("encodeSeconds", wireDouble(R.Stats.EncodeSeconds));
-  S.raw("solveSeconds", wireDouble(R.Stats.SolveSeconds));
-  S.raw("miningSeconds", wireDouble(R.Stats.MiningSeconds));
-  S.raw("includeSeconds", wireDouble(R.Stats.IncludeSeconds));
-  S.raw("probeSeconds", wireDouble(R.Stats.ProbeSeconds));
-  S.raw("totalSeconds", wireDouble(R.Stats.TotalSeconds));
-  O.raw("stats", S.str());
-  {
-    JsonArray A;
-    for (const auto &[Loop, Bound] : R.FinalBounds)
-      A.item(JsonObject().field("loop", Loop).field("bound", Bound));
-    O.raw("finalBounds", A.str());
-  }
-  O.field("fromCache", R.FromCache);
-  return O.str();
-}
-
-bool checkfence::server::decodeResult(const JsonValue &V, Result &Out,
-                                      std::string &Error) {
-  if (!V.isObject()) {
-    Error = "result payload must be an object";
-    return false;
-  }
-  auto S = statusFromName(str(V, "verdict"));
-  if (!S) {
-    Error = "missing or unknown verdict in result payload";
-    return false;
-  }
-  Out.Verdict = *S;
-  Out.Message = str(V, "message");
-  Out.Impl = str(V, "impl");
-  Out.Test = str(V, "test");
-  Out.Model = str(V, "model");
-  readStringList(V, "observations", Out.Observations);
-  Out.HasCounterexample = boolean(V, "hasCounterexample", false);
-  Out.CounterexampleTrace = str(V, "counterexampleTrace");
-  Out.CounterexampleColumns = str(V, "counterexampleColumns");
-  Out.CounterexampleObservation = str(V, "counterexampleObservation");
-  if (const JsonValue *St = member(V, "stats"); St && St->isObject()) {
-    Out.Stats.ObservationCount = integer(*St, "observationCount");
-    Out.Stats.BoundIterations = integer(*St, "boundIterations");
-    Out.Stats.UnrolledInstrs = integer(*St, "unrolledInstrs");
-    Out.Stats.Loads = integer(*St, "loads");
-    Out.Stats.Stores = integer(*St, "stores");
-    Out.Stats.SatVars = integer(*St, "satVars");
-    if (const JsonValue *F = St->find("satClauses"))
-      Out.Stats.SatClauses = F->asU64();
-    Out.Stats.EncodeSeconds = dbl(*St, "encodeSeconds");
-    Out.Stats.SolveSeconds = dbl(*St, "solveSeconds");
-    Out.Stats.MiningSeconds = dbl(*St, "miningSeconds");
-    Out.Stats.IncludeSeconds = dbl(*St, "includeSeconds");
-    Out.Stats.ProbeSeconds = dbl(*St, "probeSeconds");
-    Out.Stats.TotalSeconds = dbl(*St, "totalSeconds");
-  }
-  if (const JsonValue *B = member(V, "finalBounds"); B && B->isArray())
-    for (const JsonValue &Item : B->Items)
-      Out.FinalBounds[str(Item, "loop")] = integer(Item, "bound");
-  Out.FromCache = boolean(V, "fromCache", false);
+  Out.ExploreBudget = V.at("exploreBudget").asInt(100);
+  Out.ExploreShrink = V.at("exploreShrink").asBool(true);
+  Out.CorpusDir = V.at("corpusDir").asString();
+  Out.OracleSamplePeriod = V.at("oracleSamplePeriod").asInt(8);
+  Out.SymbolicPerMille = V.at("symbolicPerMille").asInt(-1);
   return true;
 }
 
@@ -336,30 +199,31 @@ checkfence::server::encodeSynthOutcome(const SynthOutcome &S) {
   O.raw("fences", encodeFences(S.Fences));
   O.raw("removed", encodeFences(S.Removed));
   O.field("checksRun", S.ChecksRun);
-  O.raw("totalSeconds", wireDouble(S.TotalSeconds));
-  O.raw("repairSeconds", wireDouble(S.RepairSeconds));
-  O.raw("minimizeSeconds", wireDouble(S.MinimizeSeconds));
-  O.raw("log", quotedList(S.Log));
+  O.exact("totalSeconds", S.TotalSeconds);
+  O.exact("repairSeconds", S.RepairSeconds);
+  O.exact("minimizeSeconds", S.MinimizeSeconds);
+  O.strings("log", S.Log);
   return O.str();
 }
 
 bool checkfence::server::decodeSynthOutcome(const JsonValue &V,
                                             SynthOutcome &Out,
                                             std::string &Error) {
+  Out = SynthOutcome{};
   if (!V.isObject()) {
     Error = "synthesis payload must be an object";
     return false;
   }
-  Out.Success = boolean(V, "success", false);
-  Out.Message = str(V, "message");
-  Out.Cancelled = boolean(V, "cancelled", false);
-  decodeFences(V, "fences", Out.Fences);
-  decodeFences(V, "removed", Out.Removed);
-  Out.ChecksRun = integer(V, "checksRun");
-  Out.TotalSeconds = dbl(V, "totalSeconds");
-  Out.RepairSeconds = dbl(V, "repairSeconds");
-  Out.MinimizeSeconds = dbl(V, "minimizeSeconds");
-  readStringList(V, "log", Out.Log);
+  Out.Success = V.at("success").asBool();
+  Out.Message = V.at("message").asString();
+  Out.Cancelled = V.at("cancelled").asBool();
+  Out.Fences = decodeFences(V.at("fences"));
+  Out.Removed = decodeFences(V.at("removed"));
+  Out.ChecksRun = V.at("checksRun").asInt();
+  Out.TotalSeconds = V.at("totalSeconds").asDouble();
+  Out.RepairSeconds = V.at("repairSeconds").asDouble();
+  Out.MinimizeSeconds = V.at("minimizeSeconds").asDouble();
+  Out.Log = V.at("log").asStrings();
   return true;
 }
 
@@ -371,7 +235,7 @@ checkfence::server::encodeWeakestOutcome(const WeakestOutcome &W) {
   O.field("cancelled", W.Cancelled);
   O.field("impl", W.Impl);
   O.field("test", W.Test);
-  O.raw("weakest", quotedList(W.Weakest));
+  O.strings("weakest", W.Weakest);
   O.field("modelsPassed", W.ModelsPassed);
   O.field("modelsChecked", W.ModelsChecked);
   O.field("cellsRun", W.CellsRun);
@@ -382,20 +246,21 @@ checkfence::server::encodeWeakestOutcome(const WeakestOutcome &W) {
 bool checkfence::server::decodeWeakestOutcome(const JsonValue &V,
                                               WeakestOutcome &Out,
                                               std::string &Error) {
+  Out = WeakestOutcome{};
   if (!V.isObject()) {
     Error = "weakest-model payload must be an object";
     return false;
   }
-  Out.Ok = boolean(V, "ok", false);
-  Out.Error = str(V, "error");
-  Out.Cancelled = boolean(V, "cancelled", false);
-  Out.Impl = str(V, "impl");
-  Out.Test = str(V, "test");
-  readStringList(V, "weakest", Out.Weakest);
-  Out.ModelsPassed = integer(V, "modelsPassed");
-  Out.ModelsChecked = integer(V, "modelsChecked");
-  Out.CellsRun = integer(V, "cellsRun");
-  Out.CellsInferred = integer(V, "cellsInferred");
+  Out.Ok = V.at("ok").asBool();
+  Out.Error = V.at("error").asString();
+  Out.Cancelled = V.at("cancelled").asBool();
+  Out.Impl = V.at("impl").asString();
+  Out.Test = V.at("test").asString();
+  Out.Weakest = V.at("weakest").asStrings();
+  Out.ModelsPassed = V.at("modelsPassed").asInt();
+  Out.ModelsChecked = V.at("modelsChecked").asInt();
+  Out.CellsRun = V.at("cellsRun").asInt();
+  Out.CellsInferred = V.at("cellsInferred").asInt();
   return true;
 }
 
@@ -417,18 +282,19 @@ checkfence::server::encodeDivergence(const ExploreDivergence &D) {
 
 bool checkfence::server::decodeDivergence(const JsonValue &V,
                                           ExploreDivergence &Out) {
+  Out = ExploreDivergence{};
   if (!V.isObject())
     return false;
-  Out.Label = str(V, "label");
-  Out.Kind = str(V, "kind");
-  Out.Model = str(V, "model");
-  Out.Detail = str(V, "detail");
-  Out.Shrunk = boolean(V, "shrunk", false);
-  Out.Threads = integer(V, "threads");
-  Out.Ops = integer(V, "ops");
-  Out.Notation = str(V, "notation");
-  Out.Source = str(V, "source");
-  Out.ReproPath = str(V, "reproPath");
+  Out.Label = V.at("label").asString();
+  Out.Kind = V.at("kind").asString();
+  Out.Model = V.at("model").asString();
+  Out.Detail = V.at("detail").asString();
+  Out.Shrunk = V.at("shrunk").asBool();
+  Out.Threads = V.at("threads").asInt();
+  Out.Ops = V.at("ops").asInt();
+  Out.Notation = V.at("notation").asString();
+  Out.Source = V.at("source").asString();
+  Out.ReproPath = V.at("reproPath").asString();
   return true;
 }
 

@@ -7,12 +7,14 @@
 /// \file
 /// Shared encode/decode of the checkfenced JSON-RPC payloads. Both ends
 /// link the same codecs, so the representation question ("which fields
-/// cross the wire, spelled how") lives in exactly one file.
+/// cross the wire, spelled how") has one answer per payload.
 ///
-/// Requests serialize every public Request field; single-check results
-/// serialize every public Result field (the client re-renders locally
-/// and is byte-identical to an in-process run). Doubles travel as %.17g
-/// so they round-trip exactly.
+/// Requests serialize every public Request field. A single-check result
+/// travels as the one Result codec, api::encodeResult (api/ResultCodec.h),
+/// which the persisted result cache shares: the client re-renders it
+/// locally and is byte-identical to an in-process run. Doubles travel as
+/// %.17g (JsonObject::exact) so they round-trip exactly. Every decoder
+/// resets its out-parameter first.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,19 +31,10 @@
 namespace checkfence {
 namespace server {
 
-/// %.17g - the shortest spelling guaranteed to round-trip an IEEE
-/// double through text.
-std::string wireDouble(double V);
-
 /// Request <-> params object.
 std::string encodeRequest(const Request &Req);
 bool decodeRequest(const support::JsonValue &V, Request &Out,
                    std::string &Error);
-
-/// Result <-> result object (full field round-trip).
-std::string encodeResult(const Result &R);
-bool decodeResult(const support::JsonValue &V, Result &Out,
-                  std::string &Error);
 
 /// SynthOutcome <-> object (full field round-trip; the rendered JSON
 /// report travels separately).

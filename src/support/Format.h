@@ -32,7 +32,7 @@ std::string joinStrings(const std::vector<std::string> &Parts,
                         const std::string &Sep);
 
 /// One-line escaping for free-text fields in the line-oriented
-/// persistence formats (result cache, explore corpus): \n, \t, \\.
+/// persistence format of the explore corpus: \n, \t, \\.
 std::string escapeLine(const std::string &S);
 std::string unescapeLine(const std::string &S);
 

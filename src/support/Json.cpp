@@ -82,6 +82,18 @@ JsonObject &JsonObject::fixed(const char *Key, double Value,
   return append(Key, formatString("%.*f", Precision, Value));
 }
 
+JsonObject &JsonObject::exact(const char *Key, double Value) {
+  return append(Key, formatString("%.17g", Value));
+}
+
+JsonObject &JsonObject::strings(const char *Key,
+                                const std::vector<std::string> &Values) {
+  JsonArray A;
+  for (const std::string &V : Values)
+    A.item(jsonQuote(V));
+  return append(Key, A.str());
+}
+
 JsonObject &JsonObject::raw(const char *Key, const std::string &Json) {
   return append(Key, Json);
 }

@@ -17,7 +17,8 @@
 ///    that escaping and field syntax are uniform.
 ///
 /// Formatting is deterministic: doubles always print with an explicit
-/// fixed precision, field order is insertion order.
+/// precision (fixed for reports, %.17g for exact round-trips), field
+/// order is insertion order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +26,7 @@
 #define CHECKFENCE_SUPPORT_JSON_H
 
 #include <string>
+#include <vector>
 
 namespace checkfence {
 namespace support {
@@ -50,6 +52,12 @@ public:
   JsonObject &field(const char *Key, bool Value);
   /// Fixed-precision double ("%.3f" by default - the report convention).
   JsonObject &fixed(const char *Key, double Value, int Precision = 3);
+  /// %.17g - the shortest spelling guaranteed to round-trip an IEEE
+  /// double through text (wire payloads, persisted results).
+  JsonObject &exact(const char *Key, double Value);
+  /// Array of strings (each escaped and quoted).
+  JsonObject &strings(const char *Key,
+                      const std::vector<std::string> &Values);
   /// Pre-rendered JSON (nested object/array).
   JsonObject &raw(const char *Key, const std::string &Json);
 

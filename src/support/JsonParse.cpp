@@ -21,6 +21,12 @@ const JsonValue *JsonValue::find(const std::string &Key) const {
   return Found;
 }
 
+const JsonValue &JsonValue::at(const std::string &Key) const {
+  static const JsonValue Null;
+  const JsonValue *V = find(Key);
+  return V ? *V : Null;
+}
+
 bool JsonValue::asBool(bool Default) const {
   return isBool() ? BoolVal : Default;
 }
@@ -47,6 +53,13 @@ unsigned long long JsonValue::asU64(unsigned long long Default) const {
 
 std::string JsonValue::asString(std::string Default) const {
   return isString() ? Str : Default;
+}
+
+std::vector<std::string> JsonValue::asStrings() const {
+  std::vector<std::string> Out;
+  for (const JsonValue &Item : Items)
+    Out.push_back(Item.asString());
+  return Out;
 }
 
 namespace {

@@ -49,6 +49,9 @@ public:
   /// Member lookup (objects only); nullptr when absent. Last duplicate
   /// wins, matching common JSON semantics.
   const JsonValue *find(const std::string &Key) const;
+  /// find() for typed reads: the member, or a null value (so every
+  /// typed read below returns its default) when absent.
+  const JsonValue &at(const std::string &Key) const;
 
   // Typed reads with defaults; wrong-kind values return the default
   // (callers that must distinguish test the kind first).
@@ -58,6 +61,8 @@ public:
   long long asI64(long long Default = 0) const;
   unsigned long long asU64(unsigned long long Default = 0) const;
   std::string asString(std::string Default = std::string()) const;
+  /// An array's items read with asString(); empty for non-arrays.
+  std::vector<std::string> asStrings() const;
 };
 
 /// Parses \p Text into \p Out. False + \p Error (with an offset) on any

@@ -15,6 +15,7 @@
 
 #include "checkfence/checkfence.h"
 
+#include "api/ResultCodec.h"
 #include "engine/MatrixRunner.h"
 #include "harness/Catalog.h"
 #include "obs/Trace.h"
@@ -26,6 +27,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <tuple>
 
@@ -585,21 +587,55 @@ TEST(ApiCache, UncachedRepeatsMatchAFreshVerifier) {
 }
 
 TEST(ApiCache, UnparseableCacheFileIsNotClobbered) {
+  // Each input is refused whole: nothing of it merges into the cache,
+  // and the Verifier's exit leaves the file byte-identical.
+  const std::string Header =
+      std::string("checkfence-result-cache 3 ") + versionString() + "\n";
+  Result Good;
+  Good.Verdict = Status::Pass;
+  Good.Impl = "ms2";
+  Good.Test = "T0";
+  Good.Model = "sc";
+  Good.Observations = {"[0 1]"};
+  const std::string Entry =
+      R"({"key": "prog1|opts", "result": )" + api::encodeResult(Good) + "}";
+  std::string Truncated = Entry;
+  Truncated.resize(Entry.size() / 2);
+  std::string NoVerdict = Entry;
+  const std::string Verdict = R"("verdict": "PASS", )";
+  ASSERT_NE(NoVerdict.find(Verdict), std::string::npos);
+  NoVerdict.erase(NoVerdict.find(Verdict), Verdict.size());
+  const std::string Inputs[] = {
+      "something that is not a checkfence cache\n",
+      // The previous line-oriented format.
+      std::string("checkfence-result-cache 2 ") + versionString() +
+          "\nentry prog1|opts\nimpl ms2\ntest T0\nmodel sc\nstatus PASS\n"
+          "message ok\nstats 1 1 40 3 3 300 900\n"
+          "times 0.100000 0.200000 0.010000 0.500000\nobs 1\no [0 1]\n"
+          "cex 0\nbounds 0\nend\n",
+      // A good first entry does not save a truncated second one.
+      Header + Entry + "\n" + Truncated,
+      Header + NoVerdict + "\n",
+  };
+
   std::string Path = testing::TempDir() + "cf_api_not_a_cache.txt";
-  {
-    std::ofstream Out(Path);
-    Out << "something that is not a checkfence cache\n";
+  for (const std::string &Input : Inputs) {
+    {
+      std::ofstream Out(Path);
+      Out << Input;
+    }
+    VerifierConfig Cfg;
+    Cfg.CachePath = Path;
+    {
+      Verifier V(Cfg);
+      EXPECT_EQ(V.cacheStats().Entries, 0u) << Input;
+      V.check(Request::check("ms2", "T0").model("sc"));
+    } // destructor must NOT overwrite the unrecognized file
+    std::ifstream In(Path);
+    std::stringstream Kept;
+    Kept << In.rdbuf();
+    EXPECT_EQ(Kept.str(), Input);
   }
-  VerifierConfig Cfg;
-  Cfg.CachePath = Path;
-  {
-    Verifier V(Cfg);
-    V.check(Request::check("ms2", "T0").model("sc"));
-  } // destructor must NOT overwrite the unrecognized file
-  std::ifstream In(Path);
-  std::string Line;
-  ASSERT_TRUE(std::getline(In, Line));
-  EXPECT_EQ(Line, "something that is not a checkfence cache");
   std::remove(Path.c_str());
 }
 
@@ -609,19 +645,54 @@ TEST(ApiCache, PersistsAcrossVerifiers) {
 
   VerifierConfig Cfg;
   Cfg.CachePath = Path;
-  Result R1;
+  const Request Pass = Request::check("ms2", "T0").model("sc");
+  const Request Fail =
+      Request::check("ms2", "T0").model("relaxed").stripFences();
+  Result P1, F1;
   {
     Verifier V(Cfg);
-    R1 = V.check(Request::check("ms2", "T0").model("sc"));
-    ASSERT_EQ(R1.Verdict, Status::Pass);
+    P1 = V.check(Pass);
+    F1 = V.check(Fail);
+    ASSERT_EQ(P1.Verdict, Status::Pass);
+    ASSERT_EQ(F1.Verdict, Status::Fail);
+    ASSERT_TRUE(F1.HasCounterexample);
   } // destructor saves the cache
 
   Verifier V2(Cfg);
-  Result R2 = V2.check(Request::check("ms2", "T0").model("sc"));
-  EXPECT_TRUE(R2.FromCache);
-  EXPECT_EQ(R1.json(false), R2.json(false));
-  EXPECT_EQ(R1.Observations, R2.Observations);
-  EXPECT_EQ(R1.FinalBounds, R2.FinalBounds);
+  for (const auto &[Req, R1] : {std::make_pair(Pass, P1),
+                                std::make_pair(Fail, F1)}) {
+    Result R2 = V2.check(Req);
+    EXPECT_TRUE(R2.FromCache);
+    EXPECT_EQ(R1.json(false), R2.json(false));
+    EXPECT_EQ(R1.Observations, R2.Observations);
+    EXPECT_EQ(R1.FinalBounds, R2.FinalBounds);
+    EXPECT_EQ(R1.HasCounterexample, R2.HasCounterexample);
+    EXPECT_EQ(R1.CounterexampleTrace, R2.CounterexampleTrace);
+    EXPECT_EQ(R1.CounterexampleColumns, R2.CounterexampleColumns);
+    EXPECT_EQ(R1.CounterexampleObservation, R2.CounterexampleObservation);
+    // Every stat reloads exactly, all six timings included.
+    const ResultStats &A = R1.Stats, &B = R2.Stats;
+    EXPECT_EQ(A.ObservationCount, B.ObservationCount);
+    EXPECT_EQ(A.BoundIterations, B.BoundIterations);
+    EXPECT_EQ(A.UnrolledInstrs, B.UnrolledInstrs);
+    EXPECT_EQ(A.Loads, B.Loads);
+    EXPECT_EQ(A.Stores, B.Stores);
+    EXPECT_EQ(A.SatVars, B.SatVars);
+    EXPECT_EQ(A.SatClauses, B.SatClauses);
+    EXPECT_EQ(A.EncodeSeconds, B.EncodeSeconds);
+    EXPECT_EQ(A.SolveSeconds, B.SolveSeconds);
+    EXPECT_EQ(A.MiningSeconds, B.MiningSeconds);
+    EXPECT_EQ(A.IncludeSeconds, B.IncludeSeconds);
+    EXPECT_EQ(A.ProbeSeconds, B.ProbeSeconds);
+    EXPECT_EQ(A.TotalSeconds, B.TotalSeconds);
+    EXPECT_EQ(A.RacesWon, B.RacesWon);
+    EXPECT_EQ(A.OracleAttempts, B.OracleAttempts);
+    EXPECT_EQ(A.OracleDischarges, B.OracleDischarges);
+    EXPECT_EQ(A.OracleSeconds, B.OracleSeconds);
+    EXPECT_EQ(A.AnalysisAttempts, B.AnalysisAttempts);
+    EXPECT_EQ(A.AnalysisDischarges, B.AnalysisDischarges);
+    EXPECT_EQ(A.AnalysisSeconds, B.AnalysisSeconds);
+  }
   std::remove(Path.c_str());
 }
 

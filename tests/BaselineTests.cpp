@@ -95,7 +95,7 @@ TEST(CommitPoint, AgreesWithObservationSetMethod) {
     RO.Check.Model = memmodel::ModelParams::sc();
     checker::CheckResult R1 =
         runTest(impls::sourceFor("msn"), testByName(Test), RO);
-    ASSERT_EQ(R1.Status, checker::CheckStatus::Pass) << Test;
+    ASSERT_EQ(R1.Status, Status::Pass) << Test;
 
     CommitPointOptions CO = scOpts();
     CO.Bounds = R1.FinalBounds;

@@ -38,7 +38,7 @@ TEST(RefImpls, QueueSpecOnT0) {
   // observations: A in {0,1}, X in {2, A}.
   CheckResult R = runTest(impls::referenceFor("queue"), testByName("T0"),
                           scOpts());
-  ASSERT_EQ(R.Status, CheckStatus::Pass) << R.Message;
+  ASSERT_EQ(R.Status, Status::Pass) << R.Message;
   // Observations: (A, X): (0,2), (0,0), (1,2), (1,1).
   EXPECT_EQ(R.Spec.size(), 4u);
   for (const Observation &O : R.Spec) {
@@ -55,7 +55,7 @@ TEST(RefImpls, SetSpecOnSac) {
   // Sac = (a | c): add(v1) in thread 1, contains(v2) in thread 2.
   CheckResult R = runTest(impls::referenceFor("set"), testByName("Sac"),
                           scOpts());
-  ASSERT_EQ(R.Status, CheckStatus::Pass) << R.Message;
+  ASSERT_EQ(R.Status, Status::Pass) << R.Message;
   for (const Observation &O : R.Spec) {
     ASSERT_EQ(O.Values.size(), 4u); // a-arg, a-ret, c-arg, c-ret
     int64_t AddArg = O.Values[0].intValue();
@@ -134,14 +134,14 @@ TEST(CrossValidation, MsnQueueT0) {
 TEST(EndToEnd, MsnPassesT0OnRelaxedWithFences) {
   CheckResult R =
       runTest(impls::sourceFor("msn"), testByName("T0"), relaxedOpts());
-  EXPECT_EQ(R.Status, CheckStatus::Pass) << R.Message;
+  EXPECT_EQ(R.Status, Status::Pass) << R.Message;
 }
 
 TEST(EndToEnd, MsnFailsT0OnRelaxedWithoutFences) {
   RunOptions O = relaxedOpts();
   O.StripFences = true;
   CheckResult R = runTest(impls::sourceFor("msn"), testByName("T0"), O);
-  EXPECT_EQ(R.Status, CheckStatus::Fail) << R.Message;
+  EXPECT_EQ(R.Status, Status::Fail) << R.Message;
   ASSERT_TRUE(R.Counterexample.has_value());
 }
 
@@ -150,7 +150,7 @@ TEST(EndToEnd, MsnPassesT0OnSCWithoutFences) {
   RunOptions O = scOpts();
   O.StripFences = true;
   CheckResult R = runTest(impls::sourceFor("msn"), testByName("T0"), O);
-  EXPECT_EQ(R.Status, CheckStatus::Pass) << R.Message;
+  EXPECT_EQ(R.Status, Status::Pass) << R.Message;
 }
 
 TEST(EndToEnd, LazylistBugFoundOnSac) {
@@ -158,14 +158,14 @@ TEST(EndToEnd, LazylistBugFoundOnSac) {
   O.Defines = {"LAZYLIST_INIT_BUG"};
   CheckResult R =
       runTest(impls::sourceFor("lazylist"), testByName("Sac"), O);
-  EXPECT_EQ(R.Status, CheckStatus::SequentialBug) << R.Message;
+  EXPECT_EQ(R.Status, Status::SequentialBug) << R.Message;
   ASSERT_TRUE(R.Counterexample.has_value());
 }
 
 TEST(EndToEnd, LazylistPassesSacOnRelaxedWithFences) {
   CheckResult R = runTest(impls::sourceFor("lazylist"), testByName("Sac"),
                           relaxedOpts());
-  EXPECT_EQ(R.Status, CheckStatus::Pass) << R.Message;
+  EXPECT_EQ(R.Status, Status::Pass) << R.Message;
 }
 
 } // namespace

@@ -116,8 +116,8 @@ TEST(SessionEquivalence, MsnT0RelaxedWithAndWithoutFences) {
   Opts.Model = memmodel::ModelParams::relaxed();
   CheckResult Fresh = runCheckFresh(Stripped, Threads, Opts);
   CheckResult Inc = runCheck(Stripped, Threads, Opts);
-  EXPECT_EQ(Fresh.Status, CheckStatus::Fail);
-  EXPECT_EQ(Inc.Status, CheckStatus::Fail);
+  EXPECT_EQ(Fresh.Status, Status::Fail);
+  EXPECT_EQ(Inc.Status, Status::Fail);
   ASSERT_TRUE(Inc.Counterexample.has_value());
   // The specific counterexample model may differ between pipelines, but
   // both must exhibit an observation outside the (identical) spec.
@@ -194,7 +194,7 @@ TEST(SessionEquivalence, BudgetErrorsReportTheirTotalTime) {
     SCOPED_TRACE(Fresh ? "fresh" : "session");
     Opts.Fresh = Fresh;
     CheckResult R = runCheck(Prog, Threads, Opts);
-    EXPECT_EQ(R.Status, CheckStatus::Error) << R.Message;
+    EXPECT_EQ(R.Status, Status::Error) << R.Message;
     EXPECT_GT(R.Stats.TotalSeconds, 0);
   }
 }
@@ -218,7 +218,7 @@ TEST(SessionSolver, ReportsTheFinalInstanceSize) {
   int Grown = 0;
   Opts.Hooks.OnBoundGrown = [&](const std::string &, int) { ++Grown; };
   CheckResult R = runCheck(Prog, Threads, Opts);
-  ASSERT_EQ(R.Status, CheckStatus::Pass) << R.Message;
+  ASSERT_EQ(R.Status, Status::Pass) << R.Message;
   ASSERT_GT(Grown, 0) << "expected a bound-growth round";
 
   ProblemConfig Cfg;
@@ -262,7 +262,7 @@ TEST(MatrixRunner, TimingFreeReportIsIdenticalAcrossJobCounts) {
       EXPECT_EQ(Par.Cells[I].Result.Status, Seq.Cells[I].Result.Status);
     }
     if (Base.StripFences)
-      EXPECT_GT(Seq.countWithStatus(CheckStatus::Fail), 0);
+      EXPECT_GT(Seq.countWithStatus(Status::Fail), 0);
   }
 }
 
@@ -298,7 +298,7 @@ TEST(MatrixRunner, SeedsEachProgramFromItsStrongerPassingCells) {
       Seeds[Cell.Impl + ":" + Model] = Cell.SeedBounds;
     }
     CheckResult R;
-    R.Status = Model == "tso" ? CheckStatus::Fail : CheckStatus::Pass;
+    R.Status = Model == "tso" ? Status::Fail : Status::Pass;
     R.FinalBounds = Final.at(Model);
     return R;
   };
@@ -337,7 +337,7 @@ TEST(MatrixRunner, UnknownNamesBecomeErrorCells) {
   MatrixReport Report =
       MatrixRunner(2).run(Cells, catalogCellRunner(RunOptions()));
   ASSERT_EQ(Report.Cells.size(), 1u);
-  EXPECT_EQ(Report.Cells[0].Result.Status, CheckStatus::Error);
+  EXPECT_EQ(Report.Cells[0].Result.Status, Status::Error);
   EXPECT_FALSE(Report.allCompleted());
 }
 
@@ -421,8 +421,8 @@ TEST(SpecStore, FencedAndStrippedSpecsAgreeForEveryCatalogImpl) {
     CheckOptions Opts;
     Opts.Model = memmodel::ModelParams::sc();
     CheckResult Probe = runCheck(Fenced, Threads, Opts);
-    ASSERT_TRUE(Probe.Status == CheckStatus::Pass ||
-                Probe.Status == CheckStatus::Fail)
+    ASSERT_TRUE(Probe.Status == Status::Pass ||
+                Probe.Status == Status::Fail)
         << Probe.Message;
     ProblemConfig Cfg;
     Cfg.Model = memmodel::ModelParams::serial();
@@ -456,7 +456,7 @@ TEST(SpecStore, NeverPublishesSequentialBugsOrErrors) {
   for (int Run = 0; Run < 2; ++Run) {
     CheckResult R = runTest(impls::sourceFor("lazylist"),
                             testByName("Sac"), Bug);
-    EXPECT_EQ(R.Status, CheckStatus::SequentialBug) << R.Message;
+    EXPECT_EQ(R.Status, Status::SequentialBug) << R.Message;
     EXPECT_TRUE(R.Counterexample.has_value());
     if (Run == 0)
       EXPECT_EQ(Specs.size(), static_cast<size_t>(CleanMines));
@@ -470,7 +470,7 @@ TEST(SpecStore, NeverPublishesSequentialBugsOrErrors) {
   Cap.Check.Specs = &Capped;
   for (int Run = 0; Run < 2; ++Run) {
     CheckResult R = runTest(impls::sourceFor("ms2"), testByName("T0"), Cap);
-    EXPECT_EQ(R.Status, CheckStatus::Error);
+    EXPECT_EQ(R.Status, Status::Error);
   }
   EXPECT_EQ(Capped.size(), 0u);
   EXPECT_EQ(Capped.hits(), 0u);
@@ -488,7 +488,7 @@ TEST(SpecStore, RefsetAndBudgetedChecksBypassTheStore) {
   Budgeted.Check.Specs = &Specs;
   for (const RunOptions *O : {&Refset, &Budgeted}) {
     CheckResult R = runTest(impls::sourceFor("msn"), testByName("T0"), *O);
-    EXPECT_EQ(R.Status, CheckStatus::Pass) << R.Message;
+    EXPECT_EQ(R.Status, Status::Pass) << R.Message;
   }
   EXPECT_EQ(Specs.size(), 0u);
 
@@ -503,7 +503,7 @@ TEST(SpecStore, RefsetAndBudgetedChecksBypassTheStore) {
   Budgeted.Check.Hooks.OnObservationsMined = [&](int) { ++Mined; };
   CheckResult R =
       runTest(impls::sourceFor("msn"), testByName("T0"), Budgeted);
-  EXPECT_EQ(R.Status, CheckStatus::Pass) << R.Message;
+  EXPECT_EQ(R.Status, Status::Pass) << R.Message;
   EXPECT_GT(Mined, 0);
   EXPECT_EQ(Specs.hits(), 0u);
   EXPECT_EQ(Specs.size(), Published);

@@ -145,7 +145,7 @@ TEST(FenceSynth, MinimizedPlacementIsNecessary) {
     checker::CheckOptions CO;
     CO.Model = RLX;
     checker::CheckResult C = checker::runCheck(Impl, Threads, CO);
-    EXPECT_EQ(C.Status, checker::CheckStatus::Fail)
+    EXPECT_EQ(C.Status, Status::Fail)
         << "placement stays correct without "
         << placementStr(R.Fences[Drop]);
   }

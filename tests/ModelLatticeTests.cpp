@@ -201,7 +201,7 @@ TEST(ModelLattice, NonMcaPointsAreRejectedByTheEncoder) {
   Opts.Check.Model = NoMca;
   checker::CheckResult R =
       runTest(impls::sourceFor("treiber"), testByName("U0"), Opts);
-  EXPECT_EQ(checker::CheckStatus::Error, R.Status);
+  EXPECT_EQ(Status::Error, R.Status);
   EXPECT_NE(std::string::npos, R.Message.find("multi-copy"))
       << R.Message;
 }
@@ -256,8 +256,8 @@ TEST(WeakestModelSearchTest, ActiveWalkPrunesByMonotonicity) {
     ++Ran;
     checker::CheckResult R;
     R.Status = atLeastAsStrong(Cell.Model, ModelParams::pso())
-                   ? checker::CheckStatus::Pass
-                   : checker::CheckStatus::Fail;
+                   ? Status::Pass
+                   : Status::Fail;
     return R;
   };
   // Feed the lattice strongest-first (its documented order); the search
@@ -304,8 +304,8 @@ void expectMonotone(const std::string &Impl, const std::string &Test,
     Cell.Test = Test;
     Cell.Model = M;
     checker::CheckResult R = Run(Cell);
-    ASSERT_TRUE(R.Status == checker::CheckStatus::Pass ||
-                R.Status == checker::CheckStatus::Fail)
+    ASSERT_TRUE(R.Status == Status::Pass ||
+                R.Status == Status::Fail)
         << Impl << ":" << Test << " on " << modelName(M) << ": "
         << R.Message;
     Verdicts.push_back({M, R.passed()});

@@ -36,7 +36,7 @@ struct GridCase {
   const char *Test;
   memmodel::ModelParams Model;
   bool StripFences;
-  CheckStatus Expected;
+  Status Expected;
 };
 
 class ResultGrid : public ::testing::TestWithParam<GridCase> {};
@@ -55,35 +55,35 @@ INSTANTIATE_TEST_SUITE_P(
     Queues, ResultGrid,
     ::testing::Values(
         // The fenced implementations are correct on Relaxed...
-        GridCase{"msn", "T0", RLX, false, CheckStatus::Pass},
-        GridCase{"msn", "Tpc2", RLX, false, CheckStatus::Pass},
-        GridCase{"ms2", "T0", RLX, false, CheckStatus::Pass},
-        GridCase{"ms2", "Ti2", RLX, false, CheckStatus::Pass},
-        GridCase{"ms2", "T1", RLX, false, CheckStatus::Pass},
+        GridCase{"msn", "T0", RLX, false, Status::Pass},
+        GridCase{"msn", "Tpc2", RLX, false, Status::Pass},
+        GridCase{"ms2", "T0", RLX, false, Status::Pass},
+        GridCase{"ms2", "Ti2", RLX, false, Status::Pass},
+        GridCase{"ms2", "T1", RLX, false, Status::Pass},
         // ...the unfenced ones are not (Sec. 4.2)...
-        GridCase{"msn", "T0", RLX, true, CheckStatus::Fail},
-        GridCase{"ms2", "T0", RLX, true, CheckStatus::Fail},
+        GridCase{"msn", "T0", RLX, true, Status::Fail},
+        GridCase{"ms2", "T0", RLX, true, Status::Fail},
         // ...but are fine under sequential consistency.
-        GridCase{"msn", "T0", SC, true, CheckStatus::Pass},
-        GridCase{"msn", "Tpc2", SC, true, CheckStatus::Pass},
-        GridCase{"ms2", "T1", SC, true, CheckStatus::Pass}));
+        GridCase{"msn", "T0", SC, true, Status::Pass},
+        GridCase{"msn", "Tpc2", SC, true, Status::Pass},
+        GridCase{"ms2", "T1", SC, true, Status::Pass}));
 
 INSTANTIATE_TEST_SUITE_P(
     Sets, ResultGrid,
     ::testing::Values(
-        GridCase{"lazylist", "Sac", RLX, false, CheckStatus::Pass},
-        GridCase{"lazylist", "Sar", RLX, false, CheckStatus::Pass},
-        GridCase{"lazylist", "Sar", RLX, true, CheckStatus::Fail},
-        GridCase{"lazylist", "Sar", SC, true, CheckStatus::Pass},
-        GridCase{"harris", "Sac", RLX, false, CheckStatus::Pass},
-        GridCase{"harris", "Sar", RLX, false, CheckStatus::Pass},
-        GridCase{"harris", "Sar", SC, true, CheckStatus::Pass}));
+        GridCase{"lazylist", "Sac", RLX, false, Status::Pass},
+        GridCase{"lazylist", "Sar", RLX, false, Status::Pass},
+        GridCase{"lazylist", "Sar", RLX, true, Status::Fail},
+        GridCase{"lazylist", "Sar", SC, true, Status::Pass},
+        GridCase{"harris", "Sac", RLX, false, Status::Pass},
+        GridCase{"harris", "Sar", RLX, false, Status::Pass},
+        GridCase{"harris", "Sar", SC, true, Status::Pass}));
 
 INSTANTIATE_TEST_SUITE_P(
     Deques, ResultGrid,
     ::testing::Values(
         // snark misbehaves even under SC: the first known bug, on D0.
-        GridCase{"snark", "D0", SC, false, CheckStatus::Fail},
+        GridCase{"snark", "D0", SC, false, Status::Fail},
         // Da (two pops per side after two pushes) behaves under SC and
         // TSO/PSO, but snark carries no fences (the published algorithm
         // assumed SC), so Relaxed's unordered dependent loads produce a
@@ -91,8 +91,8 @@ INSTANTIATE_TEST_SUITE_P(
         // stripped queue/set implementations. (An earlier notation-
         // parser bug dropped Da's init pushes, making the test run on
         // an empty deque where Relaxed trivially passed.)
-        GridCase{"snark", "Da", SC, false, CheckStatus::Pass},
-        GridCase{"snark", "Da", RLX, false, CheckStatus::Fail}));
+        GridCase{"snark", "Da", SC, false, Status::Pass},
+        GridCase{"snark", "Da", RLX, false, Status::Fail}));
 
 // Sec. 4.2: "An interesting observation is that the implementations we
 // studied required only load-load and store-store fences. On some
@@ -104,24 +104,24 @@ INSTANTIATE_TEST_SUITE_P(
 INSTANTIATE_TEST_SUITE_P(
     TsoPso, ResultGrid,
     ::testing::Values(
-        GridCase{"msn", "T0", TSO, true, CheckStatus::Pass},
-        GridCase{"msn", "Tpc2", TSO, true, CheckStatus::Pass},
-        GridCase{"ms2", "T1", TSO, true, CheckStatus::Pass},
-        GridCase{"lazylist", "Sar", TSO, true, CheckStatus::Pass},
-        GridCase{"harris", "Sac", TSO, true, CheckStatus::Pass},
-        GridCase{"msn", "T0", PSO, true, CheckStatus::Fail},
-        GridCase{"ms2", "T0", PSO, true, CheckStatus::Fail},
+        GridCase{"msn", "T0", TSO, true, Status::Pass},
+        GridCase{"msn", "Tpc2", TSO, true, Status::Pass},
+        GridCase{"ms2", "T1", TSO, true, Status::Pass},
+        GridCase{"lazylist", "Sar", TSO, true, Status::Pass},
+        GridCase{"harris", "Sac", TSO, true, Status::Pass},
+        GridCase{"msn", "T0", PSO, true, Status::Fail},
+        GridCase{"ms2", "T0", PSO, true, Status::Fail},
         // The placed fences restore correctness on PSO as well.
-        GridCase{"msn", "T0", PSO, false, CheckStatus::Pass},
-        GridCase{"ms2", "Ti2", PSO, false, CheckStatus::Pass},
-        GridCase{"harris", "Sac", PSO, false, CheckStatus::Pass}));
+        GridCase{"msn", "T0", PSO, false, Status::Pass},
+        GridCase{"ms2", "Ti2", PSO, false, Status::Pass},
+        GridCase{"harris", "Sac", PSO, false, Status::Pass}));
 
 TEST(Results, LazylistInitBugIsSequential) {
   RunOptions O = model(SC);
   O.Defines = {"LAZYLIST_INIT_BUG"};
   CheckResult R =
       runTest(impls::sourceFor("lazylist"), testByName("Sac"), O);
-  ASSERT_EQ(R.Status, CheckStatus::SequentialBug) << R.Message;
+  ASSERT_EQ(R.Status, Status::SequentialBug) << R.Message;
   ASSERT_TRUE(R.Counterexample.has_value());
   // The trace blames an undefined-value use (the uninitialized field).
   bool Undef = false;
@@ -134,7 +134,7 @@ TEST(Results, LazylistInitBugIsSequential) {
 TEST(Results, SnarkBugObservationNotSerial) {
   RunOptions O = model(SC);
   CheckResult R = runTest(impls::sourceFor("snark"), testByName("D0"), O);
-  ASSERT_EQ(R.Status, CheckStatus::Fail);
+  ASSERT_EQ(R.Status, Status::Fail);
   ASSERT_TRUE(R.Counterexample.has_value());
   // The counterexample's observation must not be in the mined spec.
   EXPECT_EQ(R.Spec.count(R.Counterexample->Obs), 0u);
@@ -155,7 +155,7 @@ TEST(Results, MsnUnfencedFailureIsIncompleteInitialization) {
   RunOptions O = model(RLX);
   O.StripFenceLines = {Line};
   CheckResult R = runTest(Source, testByName("T0"), O);
-  EXPECT_EQ(R.Status, CheckStatus::Fail) << R.Message;
+  EXPECT_EQ(R.Status, Status::Fail) << R.Message;
 }
 
 TEST(Results, SpecificationSizesMatchSemantics) {
@@ -163,7 +163,7 @@ TEST(Results, SpecificationSizesMatchSemantics) {
   // (A in {0,1}) x (X in {A, EMPTY}).
   RunOptions O = model(RLX);
   CheckResult R = runTest(impls::sourceFor("msn"), testByName("T0"), O);
-  ASSERT_EQ(R.Status, CheckStatus::Pass);
+  ASSERT_EQ(R.Status, Status::Pass);
   EXPECT_EQ(R.Spec.size(), 4u);
 
   // Both queue implementations and the reference mine identical
@@ -172,9 +172,9 @@ TEST(Results, SpecificationSizesMatchSemantics) {
   CheckResult B = runTest(impls::sourceFor("ms2"), testByName("Tpc2"), O);
   CheckResult C =
       runTest(impls::referenceFor("queue"), testByName("Tpc2"), model(SC));
-  ASSERT_EQ(A.Status, CheckStatus::Pass);
-  ASSERT_EQ(B.Status, CheckStatus::Pass);
-  ASSERT_EQ(C.Status, CheckStatus::Pass);
+  ASSERT_EQ(A.Status, Status::Pass);
+  ASSERT_EQ(B.Status, Status::Pass);
+  ASSERT_EQ(C.Status, Status::Pass);
   EXPECT_EQ(A.Spec, B.Spec);
   EXPECT_EQ(A.Spec, C.Spec);
 }
@@ -183,12 +183,12 @@ TEST(Results, RefsetMiningGivesSameVerdict) {
   RunOptions O = model(RLX);
   O.SpecSource = impls::referenceFor("queue");
   CheckResult R = runTest(impls::sourceFor("msn"), testByName("T0"), O);
-  EXPECT_EQ(R.Status, CheckStatus::Pass) << R.Message;
+  EXPECT_EQ(R.Status, Status::Pass) << R.Message;
 
   RunOptions OBad = O;
   OBad.StripFences = true;
   CheckResult R2 = runTest(impls::sourceFor("msn"), testByName("T0"), OBad);
-  EXPECT_EQ(R2.Status, CheckStatus::Fail);
+  EXPECT_EQ(R2.Status, Status::Fail);
 }
 
 TEST(Results, PrimedTestsRestrictRetries) {
@@ -196,7 +196,7 @@ TEST(Results, PrimedTestsRestrictRetries) {
   // any bounds (restricted loops are pinned to one iteration).
   RunOptions O = model(RLX);
   CheckResult R = runTest(impls::sourceFor("harris"), testByName("S1"), O);
-  EXPECT_EQ(R.Status, CheckStatus::Pass) << R.Message;
+  EXPECT_EQ(R.Status, Status::Pass) << R.Message;
   EXPECT_LE(R.Stats.BoundIterations, 2);
 }
 

@@ -297,7 +297,7 @@ TEST_P(CertifiedPass, InclusionAndFinalProbeAreRefuted) {
                                    Compiled, Error))
       << Error;
   CheckResult Result = runCheck(Compiled.Impl, Compiled.Threads, Opts.Check);
-  ASSERT_EQ(Result.Status, CheckStatus::Pass) << Result.Message;
+  ASSERT_EQ(Result.Status, Status::Pass) << Result.Message;
 
   ProblemConfig Cfg;
   Cfg.Model = Opts.Check.Model;

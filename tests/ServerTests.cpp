@@ -4,16 +4,18 @@
 //
 // Covers the verification server (include/checkfence/Server.h) and its
 // client (Remote.h) against an in-process daemon on an ephemeral port:
-// decoding of result payloads from older servers, remote-vs-local result
-// identity for every request kind, admission control (429 + Retry-After),
-// per-request deadline clamping, client disconnect cancellation, the
-// /metrics and /status surfaces, survival of malformed requests, graceful
-// drain, and cross-restart cache persistence.
+// decoding of result payloads from older servers and into reused
+// out-parameters, remote-vs-local result identity for every request
+// kind, admission control (429 + Retry-After), per-request deadline
+// clamping, client disconnect cancellation, the /metrics and /status
+// surfaces, survival of malformed requests, graceful drain, and
+// cross-restart cache persistence.
 //
 //===----------------------------------------------------------------------===//
 
 #include "checkfence/checkfence.h"
 
+#include "api/ResultCodec.h"
 #include "server/Http.h"
 #include "server/Wire.h"
 #include "support/JsonParse.h"
@@ -155,7 +157,7 @@ TEST(WireCompat, OldPrunerStatsDecodeAndAreNoLongerSent) {
   const char *OldKeys[] = {"oracleAttempts",     "oracleDischarges",
                            "oracleSeconds",      "analysisAttempts",
                            "analysisDischarges", "analysisSeconds"};
-  std::string Current = encodeResult(R);
+  std::string Current = api::encodeResult(R);
   std::string Old = Current;
   size_t Open = Old.find('{', Old.find("\"stats\""));
   ASSERT_NE(Open, std::string::npos);
@@ -170,7 +172,7 @@ TEST(WireCompat, OldPrunerStatsDecodeAndAreNoLongerSent) {
     std::string Error;
     if (!support::parseJson(Text, Doc, Error))
       return ::testing::AssertionFailure() << "parse: " << Error;
-    if (!decodeResult(Doc, Out, Error))
+    if (!api::decodeResult(Doc, Out, Error))
       return ::testing::AssertionFailure() << "decode: " << Error;
     return ::testing::AssertionSuccess();
   };
@@ -179,6 +181,61 @@ TEST(WireCompat, OldPrunerStatsDecodeAndAreNoLongerSent) {
   ASSERT_TRUE(Decode(Old, FromOld));
   EXPECT_EQ(FromOld.json(false), FromCurrent.json(false));
   EXPECT_EQ(FromOld.json(false), R.json(false));
+}
+
+TEST(WireCompat, DecodersResetAReusedOutParameter) {
+  // A client reusing one out-parameter (RemoteVerifier::check(A, R);
+  // check(B, R)) must read B alone: no list, bound or stat of A may leak
+  // into it, even when B's payload omits those fields.
+  auto Parse = [](const std::string &Text) {
+    support::JsonValue Doc;
+    std::string Error;
+    EXPECT_TRUE(support::parseJson(Text, Doc, Error)) << Error;
+    return Doc;
+  };
+  std::string Error;
+
+  Result A;
+  A.Verdict = Status::Fail;
+  A.Observations = {"[0 1]", "[1 0]"};
+  A.HasCounterexample = true;
+  A.CounterexampleObservation = "[1 1]";
+  A.Stats.SatVars = 7;
+  A.Stats.IncludeSeconds = 0.5;
+  A.FinalBounds["loopA"] = 3;
+  const std::string ResultB =
+      R"({"verdict": "PASS", "observations": ["[0 0]"], )"
+      R"("finalBounds": [{"loop": "loopB", "bound": 2}]})";
+  Result Reused, Fresh;
+  ASSERT_TRUE(api::decodeResult(Parse(api::encodeResult(A)), Reused, Error));
+  ASSERT_TRUE(api::decodeResult(Parse(ResultB), Reused, Error));
+  ASSERT_TRUE(api::decodeResult(Parse(ResultB), Fresh, Error));
+  EXPECT_EQ(api::encodeResult(Reused), api::encodeResult(Fresh));
+
+  SynthOutcome SA;
+  SA.Success = true;
+  SA.Fences = {{12, "store-store"}};
+  SA.Removed = {{30, "load-load"}};
+  SA.Log = {"repair: +store-store@12"};
+  const std::string SynthB =
+      R"({"success": false, "fences": [{"line": 7, "kind": "load-load"}]})";
+  SynthOutcome SReused, SFresh;
+  ASSERT_TRUE(decodeSynthOutcome(Parse(encodeSynthOutcome(SA)), SReused,
+                                 Error));
+  ASSERT_TRUE(decodeSynthOutcome(Parse(SynthB), SReused, Error));
+  ASSERT_TRUE(decodeSynthOutcome(Parse(SynthB), SFresh, Error));
+  EXPECT_EQ(encodeSynthOutcome(SReused), encodeSynthOutcome(SFresh));
+
+  WeakestOutcome WA;
+  WA.Ok = true;
+  WA.Weakest = {"tso", "pso"};
+  const std::string WeakestB = R"({"ok": true, "weakest": ["sc"]})";
+  WeakestOutcome WReused, WFresh;
+  ASSERT_TRUE(decodeWeakestOutcome(Parse(encodeWeakestOutcome(WA)), WReused,
+                                   Error));
+  ASSERT_TRUE(decodeWeakestOutcome(Parse(WeakestB), WReused, Error));
+  ASSERT_TRUE(decodeWeakestOutcome(Parse(WeakestB), WFresh, Error));
+  EXPECT_EQ(encodeWeakestOutcome(WReused), encodeWeakestOutcome(WFresh));
 }
 
 //===----------------------------------------------------------------------===//

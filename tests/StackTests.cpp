@@ -41,7 +41,7 @@ struct GridCase {
   const char *Test;
   memmodel::ModelParams Model;
   bool StripFences;
-  CheckStatus Expected;
+  Status Expected;
 };
 
 class StackGrid : public ::testing::TestWithParam<GridCase> {};
@@ -58,20 +58,20 @@ INSTANTIATE_TEST_SUITE_P(
     Treiber, StackGrid,
     ::testing::Values(
         // The fenced stack is correct everywhere.
-        GridCase{"U0", RLX, false, CheckStatus::Pass},
-        GridCase{"U1", RLX, false, CheckStatus::Pass},
-        GridCase{"Ui2", RLX, false, CheckStatus::Pass},
-        GridCase{"Upc2", PSO, false, CheckStatus::Pass},
+        GridCase{"U0", RLX, false, Status::Pass},
+        GridCase{"U1", RLX, false, Status::Pass},
+        GridCase{"Ui2", RLX, false, Status::Pass},
+        GridCase{"Upc2", PSO, false, Status::Pass},
         // Unfenced: correct on SC and TSO (Sec. 4.2's "automatic fences"
         // observation applies to the stack too)...
-        GridCase{"U0", SC, true, CheckStatus::Pass},
-        GridCase{"U1", SC, true, CheckStatus::Pass},
-        GridCase{"U0", TSO, true, CheckStatus::Pass},
-        GridCase{"Ui2", TSO, true, CheckStatus::Pass},
+        GridCase{"U0", SC, true, Status::Pass},
+        GridCase{"U1", SC, true, Status::Pass},
+        GridCase{"U0", TSO, true, Status::Pass},
+        GridCase{"Ui2", TSO, true, Status::Pass},
         // ...broken once store-store order is relaxed.
-        GridCase{"U0", PSO, true, CheckStatus::Fail},
-        GridCase{"U0", RLX, true, CheckStatus::Fail},
-        GridCase{"U1", RLX, true, CheckStatus::Fail}));
+        GridCase{"U0", PSO, true, Status::Fail},
+        GridCase{"U0", RLX, true, Status::Fail},
+        GridCase{"U1", RLX, true, Status::Fail}));
 
 TEST(Stack, SequentialSemantics) {
   // Mining U0 under Serial gives exactly the atomic-interleaving
@@ -128,7 +128,7 @@ TEST(Stack, UnfencedFailureIsIncompleteInitialization) {
   // pushed (the field read passed the publication CAS), which surfaces
   // as an undefined-value error or a wrong value in the observation.
   CheckResult R = run("U0", RLX, true);
-  ASSERT_EQ(R.Status, CheckStatus::Fail);
+  ASSERT_EQ(R.Status, Status::Fail);
   ASSERT_TRUE(R.Counterexample.has_value());
   const Trace &T = *R.Counterexample;
   bool Undefined = !T.Errors.empty();
