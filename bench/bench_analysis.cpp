@@ -28,17 +28,6 @@
 
 using namespace checkfence;
 
-namespace {
-
-int preludeLines() {
-  int N = 0;
-  for (char C : impls::preludeSource())
-    N += C == '\n';
-  return N;
-}
-
-} // namespace
-
 int main(int argc, char **argv) {
   benchutil::Options BO;
   if (!benchutil::parseBenchArgs(argc, argv, BO))
@@ -65,7 +54,6 @@ int main(int argc, char **argv) {
     for (memmodel::ModelParams Model : SynthModels) {
       harness::SynthOptions Opts;
       Opts.Check.Model = Model;
-      Opts.MinLine = preludeLines() + 1;
       Opts.SeedFromAnalysis = true;
       harness::SynthResult Seeded =
           harness::synthesizeFences(Source, {harness::testByName(W.Test)},

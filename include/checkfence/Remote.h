@@ -87,13 +87,6 @@ struct RemoteExplore {
   std::vector<ExploreDivergence> Divergences;
 };
 
-/// A synthesis outcome as served by the daemon (field-for-field the
-/// public SynthOutcome, plus the server-rendered JSON).
-struct RemoteSynth {
-  SynthOutcome Outcome;
-  std::string Json;
-};
-
 class RemoteVerifier {
 public:
   /// \p BaseUrl like "http://127.0.0.1:8417" (the scheme is optional;
@@ -114,7 +107,7 @@ public:
   RemoteStatus matrix(const Request &Req, RemoteReport &Out);
   RemoteStatus analyze(const Request &Req, RemoteAnalysis &Out);
   RemoteStatus explore(const Request &Req, RemoteExplore &Out);
-  RemoteStatus synthesize(const Request &Req, RemoteSynth &Out);
+  RemoteStatus synthesize(const Request &Req, SynthOutcome &Out);
   RemoteStatus weakestModels(const Request &Req, WeakestOutcome &Out);
 
 private:

@@ -308,14 +308,6 @@ public:
     CorpusDir = std::move(Dir);
     return *this;
   }
-  /// With the fast oracle on, explore re-runs the brute-force
-  /// enumerator as a differential reference on every Nth eligible
-  /// litmus scenario (0 = never). Sampling never changes the report;
-  /// a disagreement surfaces as an "oracle-vs-enumerator" divergence.
-  Request &oracleSamplePeriod(int N) {
-    OracleSamplePeriod = N;
-    return *this;
-  }
   /// Out of 1000 explore scenarios, how many are symbolic catalog
   /// tests; the rest are litmus programs (-1 = the generator default,
   /// currently 300). 0 gives a pure litmus run - the oracle-checked
@@ -350,30 +342,6 @@ public:
   /// See docs/OBSERVABILITY.md.
   Request &traceFile(std::string Path) {
     TraceFile = std::move(Path);
-    return *this;
-  }
-
-  //===--------------------------------------------------------------===//
-  // Synthesis options
-  //===--------------------------------------------------------------===//
-
-  /// Repair the existing placement instead of stripping fences first.
-  Request &synthFromExisting(bool Keep = true) {
-    SynthStrip = !Keep;
-    return *this;
-  }
-  /// Restrict insertions to source lines >= N (default: after the
-  /// prelude).
-  Request &synthMinLine(int N) {
-    SynthMinLine = N;
-    return *this;
-  }
-  Request &synthMaxFences(int N) {
-    SynthMaxFences = N;
-    return *this;
-  }
-  Request &synthMinimize(bool Enable) {
-    SynthMinimize = Enable;
     return *this;
   }
 
@@ -415,16 +383,10 @@ public:
   bool UseCache = true;
   std::string TraceFile;
 
-  bool SynthStrip = true;
-  std::optional<int> SynthMinLine;
-  std::optional<int> SynthMaxFences;
-  bool SynthMinimize = true;
-
   unsigned long long ExploreSeed = 1;
   int ExploreBudget = 100;
   bool ExploreShrink = true;
   std::string CorpusDir;
-  int OracleSamplePeriod = 8;
   int SymbolicPerMille = -1;
 };
 

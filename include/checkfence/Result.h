@@ -132,8 +132,7 @@ struct Result {
   /// seeded by its program's stronger passing lattice points - may
   /// settle on different bound/encoding statistics (fewer rounds, a
   /// larger final instance, another counterexample) than a cold run,
-  /// never on a different verdict. Use noCache() or
-  /// VerifierConfig::ReuseBounds = false for cold single checks.
+  /// never on a different verdict. Use noCache() for cold single checks.
   std::string json(bool IncludeTimings = true) const;
 };
 

@@ -78,7 +78,9 @@ public:
   /// file is missing or not a cache written by this library version.
   bool load(const std::string &Path);
   /// Merges the cache into \p Path atomically (temp file + rename under
-  /// an advisory lock). False on I/O failure or an empty handle.
+  /// an advisory lock). False on I/O failure, an empty handle, or a
+  /// non-empty \p Path that is not a cache written by this library
+  /// version: such a file is never overwritten.
   bool save(const std::string &Path) const;
 
   CacheStats stats() const;
@@ -96,15 +98,9 @@ struct VerifierConfig {
   /// Enable the in-memory cross-run result cache.
   bool EnableCache = true;
   /// When non-empty: load the cache from this file on construction and
-  /// save it back on destruction (and on saveCache()).
+  /// save it back on destruction (and on saveCache()). A non-empty file
+  /// that is not a cache of this library version is left untouched.
   std::string CachePath;
-  /// Seed a single check's initial loop bounds from a previous passing
-  /// run of the same program found in the result cache. Matrix and sweep
-  /// cells never consult the cache: they are seeded only from stronger
-  /// passing lattice points of their own program within the request
-  /// (whatever this flag says), so their reports stay byte-identical
-  /// across job counts and cache states.
-  bool ReuseBounds = true;
   /// When valid: use this shared cache instead of a private one. The
   /// Verifier then never loads or saves CachePath - persistence belongs
   /// to whoever owns the handle (see SharedResultCache).
@@ -169,6 +165,8 @@ public:
   PoolStats poolStats() const;
   void clearCache();
   /// Persists the cache now (to \p Path, or the configured CachePath).
+  /// False, leaving the file alone, when the target is a non-empty file
+  /// that is not a cache of this library version.
   bool saveCache(const std::string &Path = std::string()) const;
 
 private:

@@ -80,14 +80,17 @@ lsl::FenceKind fenceKindFor(bool EarlierIsLoad, bool LaterIsLoad) {
                      : lsl::FenceKind::StoreStore;
 }
 
-/// The innermost source line of \p E inside [MinLine, MaxLine], or -1.
+/// Witness cycles rendered per result (RobustnessResult::Cycles).
+constexpr int MaxCycleWitnesses = 16;
+
+/// The innermost source line of \p E at or after MinLine, or -1.
 /// Accesses inlined from shared builtins attribute to their call sites,
 /// innermost first — the same policy FenceSynth uses for trace entries.
 int attributedLine(const FlatEvent &E, const AnalysisOptions &Opts) {
-  if (E.Loc.Line >= Opts.MinLine && E.Loc.Line <= Opts.MaxLine)
+  if (E.Loc.Line >= Opts.MinLine)
     return E.Loc.Line;
   for (auto It = E.CallLines.rbegin(); It != E.CallLines.rend(); ++It)
-    if (*It >= Opts.MinLine && *It <= Opts.MaxLine)
+    if (*It >= Opts.MinLine)
       return *It;
   return -1;
 }
@@ -413,7 +416,7 @@ checkfence::analysis::analyzeRobustness(const FlatProgram &P,
           ++Cuts[{Line, Kind}];
 
         if (OnCycle &&
-            static_cast<int>(Res.Cycles.size()) < Opts.MaxCycleWitnesses) {
+            static_cast<int>(Res.Cycles.size()) < MaxCycleWitnesses) {
           std::vector<std::pair<int, bool>> Path = shortestPath(G, V, U);
           if (!Path.empty()) {
             CriticalCycle C;

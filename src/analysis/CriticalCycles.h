@@ -52,7 +52,6 @@
 #include "trans/FlatProgram.h"
 #include "trans/RangeAnalysis.h"
 
-#include <climits>
 #include <string>
 #include <vector>
 
@@ -89,15 +88,12 @@ struct DelaySet {
 DelaySet delaySetFor(const memmodel::ModelParams &M);
 
 struct AnalysisOptions {
-  /// Source-line window for suggested cuts (FenceSynth's eligible region);
-  /// accesses attribute through their inline call sites like the trace-
-  /// based candidate mining does. Cuts outside the window are dropped
+  /// First source line for suggested cuts: FenceSynth's eligible region
+  /// (impls::firstImplLine) for prelude-based sources; the default keeps
+  /// every line. Accesses attribute through their inline call sites like
+  /// the trace-based candidate mining does. Cuts before it are dropped
   /// (the verdict is unaffected).
   int MinLine = 0;
-  int MaxLine = INT_MAX;
-  /// Cap on rendered cycle witnesses (the verdict always accounts for
-  /// every delay pair; only the witness list is truncated).
-  int MaxCycleWitnesses = 16;
 };
 
 /// One node of a witness cycle.
@@ -154,10 +150,11 @@ struct RobustnessResult {
   /// overtake (harmful without any inter-thread cycle).
   int CoherenceHazards = 0;
   /// Shortest-path witness per harmful delay pair, deterministic order,
-  /// capped at AnalysisOptions::MaxCycleWitnesses.
+  /// capped at 16 (the verdict always accounts for every delay pair; only
+  /// the witness list is truncated).
   std::vector<CriticalCycle> Cycles;
   /// Deduplicated, sorted cuts covering every harmful pair whose later
-  /// access attributes to a line inside the window.
+  /// access attributes to a line at or after AnalysisOptions::MinLine.
   std::vector<SuggestedCut> Cuts;
   /// Harmful pairs each cut addresses (parallel to Cuts) — the coverage
   /// score the `--analyze` surface ranks suggested cuts by. FenceSynth

@@ -156,10 +156,16 @@ bool ResultCache::save(const std::string &Path) const {
   // Read-merge-rename under the advisory file lock: another process may
   // have added entries since we loaded, and clobbering them would lose
   // results. In-memory entries win on key collisions (they are newer or
-  // identical - keys are content fingerprints).
+  // identical - keys are content fingerprints). A non-empty file that
+  // does not parse is someone else's file, or a cache of another format
+  // or version: never clobber it.
   FileLock Lock(Path);
   std::map<std::string, Result> Union;
-  parseCacheFile(Path, Union); // missing/foreign file: start empty
+  if (!parseCacheFile(Path, Union)) {
+    std::ifstream In(Path);
+    if (In && In.peek() != std::ifstream::traits_type::eof())
+      return false;
+  }
   {
     std::lock_guard<std::mutex> Guard(Mu);
     for (const auto &[Key, R] : Entries)

@@ -70,7 +70,8 @@ public:
   /// (returns false, cache left unchanged); a file with an older header
   /// or any malformed entry is refused whole, merging nothing. save()
   /// merges the current contents into the file atomically (see the class
-  /// comment).
+  /// comment); it refuses (false) to overwrite a non-empty file that
+  /// load() would refuse.
   bool load(const std::string &Path);
   bool save(const std::string &Path) const;
 

@@ -291,24 +291,7 @@ std::vector<std::string> ExploreOutcome::warnings() const {
 }
 
 std::vector<ExploreDivergence> ExploreOutcome::divergences() const {
-  std::vector<ExploreDivergence> Out;
-  if (!Rep)
-    return Out;
-  for (const explore::DivergenceRecord &D : Rep->Divergences) {
-    ExploreDivergence E;
-    E.Label = D.Label;
-    E.Kind = D.Kind;
-    E.Model = D.Model;
-    E.Detail = D.Detail;
-    E.Shrunk = D.Shrunk;
-    E.Threads = D.Threads;
-    E.Ops = D.Ops;
-    E.Notation = D.Notation;
-    E.Source = D.Source;
-    E.ReproPath = D.ReproPath;
-    Out.push_back(std::move(E));
-  }
-  return Out;
+  return Rep ? Rep->Divergences : std::vector<ExploreDivergence>();
 }
 
 std::string ExploreOutcome::json(bool IncludeTimings) const {

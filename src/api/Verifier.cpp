@@ -27,7 +27,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <vector>
 
 using namespace checkfence;
@@ -209,13 +208,6 @@ Result errorResult(const Request &Req, std::string Message) {
   return R;
 }
 
-int preludeLineCount() {
-  int Lines = 0;
-  for (char C : impls::preludeSource())
-    Lines += C == '\n';
-  return Lines;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -231,10 +223,6 @@ struct Verifier::Impl {
   /// Persistence belongs to whoever owns the cache: a Verifier on a
   /// shared handle never loads or saves CachePath.
   bool OwnsCache = true;
-  /// Cleared when CachePath named an existing file we could not parse:
-  /// saving on destruction would clobber it (wrong file, or a future
-  /// cache format) - an explicit saveCache() still can.
-  bool SaveCacheOnExit = true;
 
   int jobsFor(const Request &Req) const {
     int J = Req.Jobs > 0 ? Req.Jobs : Cfg.Jobs;
@@ -252,16 +240,14 @@ Verifier::Verifier(VerifierConfig Config)
     Self->Cache = std::make_shared<ResultCache>();
   }
   if (Self->OwnsCache && Self->Cfg.EnableCache &&
-      !Self->Cfg.CachePath.empty()) {
-    bool Exists = std::ifstream(Self->Cfg.CachePath).good();
-    if (!Self->Cache->load(Self->Cfg.CachePath) && Exists)
-      Self->SaveCacheOnExit = false;
-  }
+      !Self->Cfg.CachePath.empty())
+    Self->Cache->load(Self->Cfg.CachePath);
 }
 
 Verifier::~Verifier() {
+  // save() refuses to overwrite a file that is not a cache.
   if (Self->OwnsCache && Self->Cfg.EnableCache &&
-      !Self->Cfg.CachePath.empty() && Self->SaveCacheOnExit)
+      !Self->Cfg.CachePath.empty())
     Self->Cache->save(Self->Cfg.CachePath);
 }
 
@@ -346,12 +332,10 @@ Result Verifier::check(const Request &Req, EventSink *Sink,
     }
     // Miss with a matching program fingerprint: seed the lazy unrolling
     // from the earlier passing run's final bounds (Fig. 10 workflow).
-    if (Self->Cfg.ReuseBounds) {
-      if (auto Bounds = Self->Cache->boundsFor(ProgramFp)) {
-        for (const auto &[Loop, Bound] : *Bounds)
-          Opts.InitialBounds[Loop] = Bound;
-        Self->Cache->noteSeed();
-      }
+    if (auto Bounds = Self->Cache->boundsFor(ProgramFp)) {
+      for (const auto &[Loop, Bound] : *Bounds)
+        Opts.InitialBounds[Loop] = Bound;
+      Self->Cache->noteSeed();
     }
   }
 
@@ -568,12 +552,6 @@ SynthOutcome Verifier::synthesize(const Request &Req, EventSink *Sink,
   harness::SynthOptions SO;
   SO.Check = Opts;
   SO.Defines.insert(Req.Defines.begin(), Req.Defines.end());
-  SO.StripFences = Req.SynthStrip;
-  SO.MinLine = Req.SynthMinLine ? *Req.SynthMinLine
-                                : preludeLineCount() + 1;
-  if (Req.SynthMaxFences)
-    SO.MaxFences = *Req.SynthMaxFences;
-  SO.Minimize = Req.SynthMinimize;
   SO.Jobs = Self->jobsFor(Req);
   // Every candidate placement differs in fences only: one mine per
   // (test, bounds) serves the whole search.
@@ -669,9 +647,9 @@ AnalysisOutcome Verifier::analyze(const Request &Req) {
     Out.Fences += !E.isAccess();
   }
 
+  // Cuts go where synthesis would place fences: after the prelude.
   analysis::AnalysisOptions AO;
-  AO.MinLine = Req.SynthMinLine ? *Req.SynthMinLine
-                                : preludeLineCount() + 1;
+  AO.MinLine = impls::firstImplLine(Case.FullSource);
 
   // The rows are independent and the results land in indexed slots, so
   // the fan-out is observation-free: any job count produces identical
@@ -733,7 +711,6 @@ ExploreOutcome Verifier::explore(const Request &Req, EventSink *Sink,
   EO.Sink = Sink;
   EO.Token = Token;
   EO.Diff.UseFastOracle = Req.UseFastOracle;
-  EO.Diff.EnumeratorSamplePeriod = Req.OracleSamplePeriod;
   if (Req.SymbolicPerMille >= 0)
     EO.Limits.SymbolicPerMille = Req.SymbolicPerMille;
 

@@ -26,6 +26,25 @@ DifferentialRunner::DifferentialRunner(Verifier &V, DiffOptions Opts)
 
 namespace {
 
+/// Step budget of the ReferenceExecutor's interleaving enumeration.
+constexpr uint64_t RefMaxSteps = 20'000'000;
+/// Engine budgets for symbolic checks (small: generated tests either
+/// converge quickly or are reported as bounds-exhausted skips - the
+/// bounds of converging tests stabilize within the first two
+/// mine/include/probe rounds).
+constexpr int EngineMaxBoundIterations = 2;
+/// Also caps how far lazy unrolling can grow a generated test: every
+/// probe appends a re-unrolling, and unprimed retry loops that never
+/// converge would otherwise inflate the encoding by orders of magnitude
+/// before any budget fires.
+constexpr int EngineMaxProbes = 8;
+/// Conflict budget per engine solve: random unprimed tests can hit
+/// pathologically hard SAT instances (minutes on one scenario);
+/// exhaustion is recorded as a deterministic skip, never a divergence.
+/// Conflict counts are solver-deterministic, so the skip set is
+/// identical at any job count.
+constexpr long long EngineConflictBudget = 200'000;
+
 std::set<memmodel::RefObservation> toRef(const checker::ObservationSet &S) {
   std::set<memmodel::RefObservation> Out;
   for (const checker::Observation &O : S) {
@@ -239,7 +258,7 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
 
     if (M == memmodel::ModelParams::sc()) {
       memmodel::RefOptions RO;
-      RO.MaxSteps = Opts.RefMaxSteps;
+      RO.MaxSteps = RefMaxSteps;
       std::set<memmodel::RefObservation> Interleaved =
           memmodel::enumerateExecutions(Enc.flat(), RO);
       if (FromSat != Interleaved) {
@@ -296,9 +315,9 @@ ScenarioOutcome DifferentialRunner::runSymbolic(const Scenario &S) const {
         .notation(S.Notation)
         .model(M.str())
         .noCache()
-        .maxBoundIterations(Opts.MaxBoundIterations)
-        .maxProbes(Opts.MaxProbes)
-        .conflictBudget(Opts.EngineConflictBudget)
+        .maxBoundIterations(EngineMaxBoundIterations)
+        .maxProbes(EngineMaxProbes)
+        .conflictBudget(EngineConflictBudget)
         .fastOracle(Opts.UseFastOracle);
     if (Opts.HasDeadline)
       Req.deadline(Opts.remainingSeconds());
@@ -394,7 +413,7 @@ ScenarioOutcome DifferentialRunner::runSymbolic(const Scenario &S) const {
       harness::buildTestThreads(Prog, Spec);
   checker::ProblemConfig Cfg;
   Cfg.Model = memmodel::ModelParams::serial();
-  Cfg.ConflictBudget = Opts.EngineConflictBudget;
+  Cfg.ConflictBudget = EngineConflictBudget;
   checker::SolveContext Ctx(Prog, Threads, {}, Cfg);
   const checker::ProblemEncoding &Enc = Ctx.encoding();
   if (!Enc.ok()) {
@@ -411,7 +430,7 @@ ScenarioOutcome DifferentialRunner::runSymbolic(const Scenario &S) const {
   }
   memmodel::RefOptions RO;
   RO.InvocationGranularity = true;
-  RO.MaxSteps = Opts.RefMaxSteps;
+  RO.MaxSteps = RefMaxSteps;
   std::set<memmodel::RefObservation> RefSet =
       memmodel::enumerateExecutions(Enc.flat(), RO);
   const bool RefErr = hasError(RefSet);

@@ -53,9 +53,8 @@ struct DiffOptions {
   /// Lattice points every scenario fans out across. Must be non-empty
   /// and multi-copy atomic (the encoder's supported half-lattice).
   std::vector<memmodel::ModelParams> Models;
-  /// Brute-force budgets; scenarios over budget are skipped, not failed.
+  /// Litmus oracle budget; scenarios over budget are skipped, not failed.
   uint64_t OracleMaxOrders = 20'000'000;
-  uint64_t RefMaxSteps = 20'000'000;
   /// Use the polynomial ReadsFromOracle as the primary litmus oracle on
   /// readsFromEligible() lattice points (sc/tso/pso and the po:
   /// descriptors they cover); ineligible points stay on the
@@ -70,22 +69,6 @@ struct DiffOptions {
   /// otherwise alter the report, so the report is byte-identical across
   /// sample periods.
   int EnumeratorSamplePeriod = 8;
-  /// Engine budgets for symbolic checks (small: generated tests either
-  /// converge quickly or are reported as bounds-exhausted skips - the
-  /// bounds of converging tests stabilize within the first two
-  /// mine/include/probe rounds).
-  int MaxBoundIterations = 2;
-  /// Also caps how far lazy unrolling can grow a generated test: every
-  /// probe appends a re-unrolling, and unprimed retry loops that never
-  /// converge would otherwise inflate the encoding by orders of
-  /// magnitude before any budget fires.
-  int MaxProbes = 8;
-  /// Conflict budget per engine solve: random unprimed tests can hit
-  /// pathologically hard SAT instances (minutes on one scenario);
-  /// exhaustion is recorded as a deterministic skip, never a
-  /// divergence. Conflict counts are solver-deterministic, so the
-  /// skip set is identical at any job count.
-  long long EngineConflictBudget = 200'000;
   /// Cooperative cancellation, polled between models. Token cancels the
   /// inner engine runs too; Stop (optional) is polled alongside it -
   /// the facade routes deadline expiry through it.

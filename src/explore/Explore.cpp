@@ -169,7 +169,7 @@ ExploreReport checkfence::explore::runExplore(Verifier &V,
     if (Opts.Shrink && !Opts.stopRequested()) {
       obs::Span ShrinkSpan("explore",
                            [&] { return "shrink:" + S.label(); });
-      ShrinkResult SR = shrinkScenario(S, V, Diff, Opts.ShrinkLimits);
+      ShrinkResult SR = shrinkScenario(S, V, Diff);
       if (!SR.Repro.Kind.empty()) {
         Min = SR.Min;
         D = SR.Repro;
@@ -181,7 +181,7 @@ ExploreReport checkfence::explore::runExplore(Verifier &V,
       }
     }
 
-    DivergenceRecord DR;
+    ExploreDivergence DR;
     DR.Label = S.label();
     DR.Kind = D.Kind;
     DR.Model = D.Model;
@@ -283,7 +283,7 @@ std::string ExploreReport::json(bool IncludeTimings) const {
   OS += "  ],\n";
   OS += "  \"divergences\": [\n";
   for (size_t I = 0; I < Divergences.size(); ++I) {
-    const DivergenceRecord &D = Divergences[I];
+    const ExploreDivergence &D = Divergences[I];
     JsonObject Cell;
     Cell.field("label", D.Label)
         .field("kind", D.Kind)

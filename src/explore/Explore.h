@@ -22,6 +22,7 @@
 #ifndef CHECKFENCE_EXPLORE_EXPLORE_H
 #define CHECKFENCE_EXPLORE_EXPLORE_H
 
+#include "checkfence/Result.h"
 #include "explore/Corpus.h"
 #include "explore/Differential.h"
 #include "explore/Generator.h"
@@ -41,10 +42,10 @@ struct ExploreOptions {
   /// Persist seen fingerprints and repros here; empty = in-memory only.
   std::string CorpusDir;
   GeneratorLimits Limits;
-  /// Oracle/engine budgets and the test-only injection seam. Models and
-  /// Token are overwritten by the driver from the fields above.
+  /// Oracle budget, reference switch and the test-only injection seam.
+  /// Models and Token are overwritten by the driver from the fields
+  /// above.
   DiffOptions Diff;
-  ShrinkOptions ShrinkLimits;
   /// Streaming progress (onScenarioChecked / onDivergenceFound fire from
   /// worker threads). May be null.
   EventSink *Sink = nullptr;
@@ -68,19 +69,6 @@ struct ScenarioRecord {
   double Seconds = 0;
 };
 
-struct DivergenceRecord {
-  std::string Label;
-  std::string Kind;
-  std::string Model;
-  std::string Detail;
-  bool Shrunk = false;
-  int Threads = 0;
-  int Ops = 0;
-  std::string Notation;  ///< symbolic repros
-  std::string Source;    ///< litmus repros (printer-canonical C)
-  std::string ReproPath; ///< persisted file; empty without a corpus dir
-};
-
 struct ExploreReport {
   bool Ok = true;
   std::string Error;
@@ -98,7 +86,7 @@ struct ExploreReport {
   int Shrunk = 0;        ///< divergences reduced by the shrinker
 
   std::vector<ScenarioRecord> Scenarios;
-  std::vector<DivergenceRecord> Divergences;
+  std::vector<ExploreDivergence> Divergences;
   /// Non-fatal problems (corpus/repro write failures): the run's
   /// verdicts stand, but persistence did not happen as configured.
   std::vector<std::string> Warnings;

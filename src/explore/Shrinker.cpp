@@ -16,6 +16,10 @@ using namespace checkfence::explore;
 
 namespace {
 
+/// Differential re-runs one shrink may spend; the partially shrunk
+/// scenario is returned when they run out.
+constexpr int MaxAttempts = 250;
+
 /// Re-derives the rendered source and thread-argument list after a
 /// structural edit.
 void refreshLitmus(Scenario &S) {
@@ -172,8 +176,7 @@ std::vector<Scenario> symbolicCandidates(const Scenario &S) {
 
 ShrinkResult checkfence::explore::shrinkScenario(const Scenario &S,
                                                  Verifier &V,
-                                                 const DiffOptions &Opts,
-                                                 const ShrinkOptions &SO) {
+                                                 const DiffOptions &Opts) {
   ShrinkResult Res;
   Res.Min = S;
   Res.Models = Opts.Models;
@@ -223,7 +226,7 @@ ShrinkResult checkfence::explore::shrinkScenario(const Scenario &S,
             ? litmusCandidates(Res.Min)
             : symbolicCandidates(Res.Min);
     for (const Scenario &C : Candidates) {
-      if (Res.Attempts >= SO.MaxAttempts) {
+      if (Res.Attempts >= MaxAttempts) {
         Res.HitBudget = true;
         return Res;
       }

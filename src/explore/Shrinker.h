@@ -41,17 +41,12 @@ struct ShrinkResult {
   bool HitBudget = false;
 };
 
-struct ShrinkOptions {
-  int MaxAttempts = 250;
-};
-
 /// Shrinks \p S, whose differential run produced at least one
-/// divergence, re-running candidates on \p Runner's verifier with the
-/// (possibly narrowed) model set. \p Opts is the differential
-/// configuration the divergence was found under.
+/// divergence, re-running candidates on \p V with the (possibly
+/// narrowed) model set, at most 250 re-runs in all. \p Opts is the
+/// differential configuration the divergence was found under.
 ShrinkResult shrinkScenario(const Scenario &S, Verifier &V,
-                            const DiffOptions &Opts,
-                            const ShrinkOptions &SO = ShrinkOptions());
+                            const DiffOptions &Opts);
 
 } // namespace explore
 } // namespace checkfence

@@ -9,6 +9,7 @@
 #include "analysis/CriticalCycles.h"
 #include "engine/MatrixRunner.h"
 #include "frontend/Lowering.h"
+#include "impls/Impls.h"
 #include "obs/Trace.h"
 #include "support/Format.h"
 #include "support/Timing.h"
@@ -87,13 +88,16 @@ int checkfence::harness::applyFencePlacements(
 
 namespace {
 
-/// The innermost source line of \p E that lies in the eligible region, or
-/// -1. Accesses inside shared builtins resolve to their call sites.
-int attributedLine(const checker::TraceEntry &E, const SynthOptions &Opts) {
-  if (E.Loc.Line >= Opts.MinLine && E.Loc.Line <= Opts.MaxLine)
+/// Give up after placing this many fences.
+constexpr int MaxFences = 24;
+
+/// The innermost source line of \p E at or after \p MinLine, or -1.
+/// Accesses inside shared builtins resolve to their call sites.
+int attributedLine(const checker::TraceEntry &E, int MinLine) {
+  if (E.Loc.Line >= MinLine)
     return E.Loc.Line;
   for (auto It = E.CallLines.rbegin(); It != E.CallLines.rend(); ++It)
-    if (*It >= Opts.MinLine && *It <= Opts.MaxLine)
+    if (*It >= MinLine)
       return *It;
   return -1;
 }
@@ -126,7 +130,7 @@ int kindPreference(lsl::FenceKind K) {
 /// inversions of a counterexample trace, scored by how many inversions
 /// each one addresses.
 std::map<FencePlacement, int>
-candidatesFromTrace(const checker::Trace &T, const SynthOptions &Opts,
+candidatesFromTrace(const checker::Trace &T, int MinLine,
                     const std::set<FencePlacement> &Placed) {
   std::map<FencePlacement, int> Cands;
   const std::vector<checker::TraceEntry> &M = T.MemoryOrder;
@@ -142,7 +146,7 @@ candidatesFromTrace(const checker::Trace &T, const SynthOptions &Opts,
         continue;
       const checker::TraceEntry &X = M[J]; // po-earlier, <M-later
       const checker::TraceEntry &Y = M[I]; // po-later, <M-earlier
-      int Line = attributedLine(Y, Opts);
+      int Line = attributedLine(Y, MinLine);
       if (Line < 0)
         continue;
       FencePlacement P;
@@ -184,6 +188,7 @@ checkfence::harness::synthesizeFences(const std::string &ImplSource,
   SynthResult Result;
   Timer Total;
   std::atomic<int> ChecksRun{0};
+  const int MinLine = impls::firstImplLine(ImplSource);
 
   // Thread-safe: compiles its own program and runs its own check, so the
   // minimization pass can fan these out across workers. Every candidate
@@ -194,7 +199,7 @@ checkfence::harness::synthesizeFences(const std::string &ImplSource,
       -> CheckResult {
     ++ChecksRun;
     frontend::LoweringOptions LO;
-    LO.StripFences = Opts.StripFences;
+    LO.StripFences = true;
     frontend::DiagEngine Diags;
     lsl::Program Impl;
     CheckResult R;
@@ -231,7 +236,7 @@ checkfence::harness::synthesizeFences(const std::string &ImplSource,
   auto SeedCuts = [&](const TestSpec &Test) {
     std::set<FencePlacement> Cuts;
     frontend::LoweringOptions LO;
-    LO.StripFences = Opts.StripFences;
+    LO.StripFences = true;
     frontend::DiagEngine Diags;
     lsl::Program Impl;
     if (!frontend::compileC(ImplSource, Opts.Defines, Impl, Diags, LO))
@@ -245,8 +250,7 @@ checkfence::harness::synthesizeFences(const std::string &ImplSource,
         return Cuts;
     trans::RangeInfo Ranges = trans::analyzeRanges(Flat);
     analysis::AnalysisOptions AO;
-    AO.MinLine = Opts.MinLine;
-    AO.MaxLine = Opts.MaxLine;
+    AO.MinLine = MinLine;
     analysis::RobustnessResult RR =
         analysis::analyzeRobustness(Flat, Ranges, Opts.Check.Model, AO);
     for (const analysis::SuggestedCut &C : RR.Cuts) {
@@ -282,12 +286,12 @@ checkfence::harness::synthesizeFences(const std::string &ImplSource,
                     R.Message);
       if (!R.Counterexample)
         return Fail(Test.Name + ": counterexample unavailable");
-      if (static_cast<int>(Placed.size()) >= Opts.MaxFences)
+      if (static_cast<int>(Placed.size()) >= MaxFences)
         return Fail(formatString("fence budget (%d) exhausted on %s",
-                                 Opts.MaxFences, Test.Name.c_str()));
+                                 MaxFences, Test.Name.c_str()));
 
       std::map<FencePlacement, int> Cands =
-          candidatesFromTrace(*R.Counterexample, Opts, PlacedSet);
+          candidatesFromTrace(*R.Counterexample, MinLine, PlacedSet);
       if (Cands.empty())
         return Fail(Test.Name +
                     ": counterexample has no program-order inversion in "
@@ -334,7 +338,7 @@ checkfence::harness::synthesizeFences(const std::string &ImplSource,
   // for the next), but the per-test re-checks of one candidate are
   // independent and fan out across Opts.Jobs worker threads.
   Timer MinimizeTimer;
-  if (Opts.Minimize) {
+  {
     obs::Span MinimizeSpan("synth", "minimize");
     for (size_t I = Placed.size(); I-- > 0;) {
       std::vector<FencePlacement> Without = Placed;

@@ -33,7 +33,6 @@
 
 #include "harness/Catalog.h"
 
-#include <climits>
 #include <string>
 #include <vector>
 
@@ -56,18 +55,13 @@ struct FencePlacement {
 
 std::string placementStr(const FencePlacement &P);
 
+/// Synthesis starts from the implementation with its own fence() calls
+/// stripped, inserts only after the shared prelude
+/// (impls::firstImplLine), gives up after 24 fences, and always ends
+/// with the necessity pass.
 struct SynthOptions {
   checker::CheckOptions Check;
   std::set<std::string> Defines;
-  /// Remove the implementation's own fence() calls first (synthesize from
-  /// scratch). With false, synthesis repairs an existing placement.
-  bool StripFences = true;
-  /// Insertion region: only source lines within [MinLine, MaxLine] are
-  /// eligible (use this to exclude the shared prelude).
-  int MinLine = 0;
-  int MaxLine = INT_MAX;
-  /// Give up after placing this many fences.
-  int MaxFences = 24;
   /// Seed candidate placements from the static critical-cycle analysis
   /// (analysis/CriticalCycles.h): each repair round intersects the
   /// counterexample's candidates with the cuts that address a statically
@@ -80,8 +74,6 @@ struct SynthOptions {
   /// unrestricted pick, so the final placement is the same 1-minimal
   /// result with strictly fewer checker runs on seedable workloads.
   bool SeedFromAnalysis = true;
-  /// Drop fences that are not needed by any test (necessity check).
-  bool Minimize = true;
   /// Worker threads for the minimization pass (each removal candidate
   /// re-checks every test; the per-test checks run in parallel). The
   /// repair loop itself is inherently sequential (each placement depends

@@ -15,6 +15,7 @@
 
 #include "obs/Log.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -89,6 +90,14 @@ int dcas(void *a1, void *a2, unsigned o1, unsigned o2,
   return r;
 }
 )CF";
+}
+
+int checkfence::impls::firstImplLine(const std::string &Source) {
+  static const std::string Prelude = preludeSource();
+  if (Source.compare(0, Prelude.size(), Prelude) != 0)
+    return 1;
+  return static_cast<int>(std::count(Prelude.begin(), Prelude.end(), '\n')) +
+         1;
 }
 
 namespace {

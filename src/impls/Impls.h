@@ -55,6 +55,12 @@ std::string sourceFor(const std::string &Name);
 /// The shared prelude (assert/fence declarations, cas, dcas, locks).
 std::string preludeSource();
 
+/// The first line of \p Source after the shared prelude it starts with
+/// (1 when it does not start with the prelude). Fence synthesis and the
+/// analysis's suggested cuts place fences only from this line on, never
+/// inside the cas/lock builtins.
+int firstImplLine(const std::string &Source);
+
 /// Sequential reference implementation for a data-type kind.
 std::string referenceFor(const std::string &Kind);
 

@@ -263,7 +263,7 @@ RemoteStatus RemoteVerifier::explore(const Request &Req,
 }
 
 RemoteStatus RemoteVerifier::synthesize(const Request &Req,
-                                        RemoteSynth &Out) {
+                                        SynthOutcome &Out) {
   JsonValue Doc;
   const JsonValue *R = nullptr;
   RemoteStatus S =
@@ -273,13 +273,10 @@ RemoteStatus RemoteVerifier::synthesize(const Request &Req,
     return S;
   std::string Error;
   const JsonValue *Outcome = R->find("outcome");
-  if (!Outcome || !decodeSynthOutcome(*Outcome, Out.Outcome, Error)) {
+  if (!Outcome || !decodeSynthOutcome(*Outcome, Out, Error)) {
     S.Ok = false;
     S.Error = Error.empty() ? "missing synthesis outcome" : Error;
-    return S;
   }
-  if (const JsonValue *V = R->find("json"))
-    Out.Json = V->asString();
   return S;
 }
 

@@ -508,10 +508,7 @@ struct CheckServer::Impl {
     case Request::Kind::Synthesis: {
       SynthOutcome S = V.synthesize(Req, &Sink, Token);
       WasCancelled = S.Cancelled;
-      JsonObject O;
-      O.raw("outcome", encodeSynthOutcome(S));
-      O.field("json", S.json());
-      Payload = O.str();
+      Payload = JsonObject().raw("outcome", encodeSynthOutcome(S)).str();
       break;
     }
     case Request::Kind::WeakestModel: {
@@ -954,8 +951,11 @@ void CheckServer::waitStopped() {
     ::close(Self->ListenFd);
     Self->ListenFd = -1;
   }
-  if (!Self->Cfg.CachePath.empty())
-    Self->Shared.save(Self->Cfg.CachePath);
+  if (!Self->Cfg.CachePath.empty() &&
+      !Self->Shared.save(Self->Cfg.CachePath))
+    obs::logf(obs::LogLevel::Warn, "server",
+              "cache not saved: %s is not writable or not a cache",
+              Self->Cfg.CachePath.c_str());
   obs::logf(obs::LogLevel::Info, "server",
             "stopped after %llu requests served",
             static_cast<unsigned long long>(Self->Served.load()));

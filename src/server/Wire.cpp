@@ -98,17 +98,10 @@ std::string checkfence::server::encodeRequest(const Request &Req) {
   O.exact("deadlineSeconds", Req.DeadlineSeconds);
   O.field("useCache", Req.UseCache);
   O.field("traceFile", Req.TraceFile);
-  O.field("synthStrip", Req.SynthStrip);
-  if (Req.SynthMinLine)
-    O.field("synthMinLine", *Req.SynthMinLine);
-  if (Req.SynthMaxFences)
-    O.field("synthMaxFences", *Req.SynthMaxFences);
-  O.field("synthMinimize", Req.SynthMinimize);
   O.field("exploreSeed", static_cast<unsigned long long>(Req.ExploreSeed));
   O.field("exploreBudget", Req.ExploreBudget);
   O.field("exploreShrink", Req.ExploreShrink);
   O.field("corpusDir", Req.CorpusDir);
-  O.field("oracleSamplePeriod", Req.OracleSamplePeriod);
   O.field("symbolicPerMille", Req.SymbolicPerMille);
   return O.str();
 }
@@ -174,18 +167,11 @@ bool checkfence::server::decodeRequest(const JsonValue &V, Request &Out,
   Out.UseCache = V.at("useCache").asBool(true);
   if (const JsonValue *F = V.find("traceFile"))
     Out.TraceFile = F->asString();
-  Out.SynthStrip = V.at("synthStrip").asBool(true);
-  if (const JsonValue *F = V.find("synthMinLine"))
-    Out.SynthMinLine = F->asInt();
-  if (const JsonValue *F = V.find("synthMaxFences"))
-    Out.SynthMaxFences = F->asInt();
-  Out.SynthMinimize = V.at("synthMinimize").asBool(true);
   if (const JsonValue *F = V.find("exploreSeed"))
     Out.ExploreSeed = F->asU64(1);
   Out.ExploreBudget = V.at("exploreBudget").asInt(100);
   Out.ExploreShrink = V.at("exploreShrink").asBool(true);
   Out.CorpusDir = V.at("corpusDir").asString();
-  Out.OracleSamplePeriod = V.at("oracleSamplePeriod").asInt(8);
   Out.SymbolicPerMille = V.at("symbolicPerMille").asInt(-1);
   return true;
 }

@@ -260,11 +260,10 @@ TEST(ApiJson, SweepWithSharedSpecsMatchesFreshPipeline) {
 TEST(ApiJson, SweepSeedsBoundsFromStrongerPassingPoints) {
   // A sweep starts each lattice point from the final bounds of its
   // program's stronger passing points. Against independent cold single
-  // checks (no cache, no cross-request seeding): the same verdict at
-  // every point, never more bound rounds, and fewer rounds in total.
-  VerifierConfig Cold;
-  Cold.ReuseBounds = false;
-  Verifier V(Cold);
+  // checks (noCache() also skips cross-request seeding): the same
+  // verdict at every point, never more bound rounds, and fewer rounds in
+  // total.
+  Verifier V;
   int SweepRounds = 0, SingleRounds = 0;
   for (auto [Impl, Test] : {std::pair<const char *, const char *>{"msn", "T0"},
                             {"lazylist", "Sac"},
@@ -588,7 +587,7 @@ TEST(ApiCache, UncachedRepeatsMatchAFreshVerifier) {
 
 TEST(ApiCache, UnparseableCacheFileIsNotClobbered) {
   // Each input is refused whole: nothing of it merges into the cache,
-  // and the Verifier's exit leaves the file byte-identical.
+  // and neither saveCache() nor the Verifier's exit touches the file.
   const std::string Header =
       std::string("checkfence-result-cache 3 ") + versionString() + "\n";
   Result Good;
@@ -630,6 +629,8 @@ TEST(ApiCache, UnparseableCacheFileIsNotClobbered) {
       Verifier V(Cfg);
       EXPECT_EQ(V.cacheStats().Entries, 0u) << Input;
       V.check(Request::check("ms2", "T0").model("sc"));
+      // An explicit save refuses too.
+      EXPECT_FALSE(V.saveCache()) << Input;
     } // destructor must NOT overwrite the unrecognized file
     std::ifstream In(Path);
     std::stringstream Kept;
@@ -758,6 +759,32 @@ TEST(ApiSynthesis, TimingFreeJsonIsReproducible) {
   EXPECT_EQ(A.json(/*IncludeTimings=*/false).find("seconds"),
             std::string::npos);
   EXPECT_NE(A.json().find("\"repair_seconds\""), std::string::npos);
+}
+
+TEST(ApiSynthesis, FencesAndCutsLandAfterThePrelude) {
+  // Fences belong in the implementation, never inside the prelude's
+  // cas/lock builtins: every synthesized fence and every suggested cut
+  // sits after the prelude's last line.
+  const std::string Prelude = preludeSource();
+  const int PreludeLastLine =
+      static_cast<int>(std::count(Prelude.begin(), Prelude.end(), '\n'));
+  Verifier V;
+  SynthOutcome S =
+      V.synthesize(Request::synthesis("msn", "T0").model("relaxed"));
+  ASSERT_TRUE(S.Success) << S.Message;
+  ASSERT_FALSE(S.Fences.empty());
+  for (const SynthFence &F : S.Fences)
+    EXPECT_GT(F.Line, PreludeLastLine) << F.Kind;
+
+  AnalysisOutcome A = V.analyze(Request::analyze("msn", "T0"));
+  ASSERT_TRUE(A.Ok) << A.Error;
+  size_t Cuts = 0;
+  for (const AnalysisModelRow &Row : A.Models)
+    for (const SynthFence &C : Row.Cuts) {
+      EXPECT_GT(C.Line, PreludeLastLine) << Row.Model << " " << C.Kind;
+      ++Cuts;
+    }
+  EXPECT_GT(Cuts, 0u);
 }
 
 TEST(ApiSynthesis, RefSpecIsAnError) {

@@ -298,7 +298,7 @@ TEST(ExploreShrink, InjectedDivergenceShrinksToMinimalPersistedRepro) {
   ASSERT_FALSE(Rep.Divergences.empty())
       << "seed 1 generates no store of 2 in 12 scenarios?";
 
-  const DivergenceRecord &D = Rep.Divergences.front();
+  const ExploreDivergence &D = Rep.Divergences.front();
   EXPECT_EQ(D.Kind, "injected");
   EXPECT_TRUE(D.Shrunk);
   EXPECT_LE(D.Threads, 2) << D.Source;

@@ -17,8 +17,6 @@
 
 #include "gtest/gtest.h"
 
-#include <algorithm>
-
 using namespace checkfence;
 using namespace checkfence::harness;
 
@@ -29,16 +27,9 @@ constexpr auto TSO = memmodel::ModelParams::tso();
 constexpr auto PSO = memmodel::ModelParams::pso();
 constexpr auto RLX = memmodel::ModelParams::relaxed();
 
-int lineCount(const std::string &S) {
-  return static_cast<int>(std::count(S.begin(), S.end(), '\n'));
-}
-
-/// Synthesis options whose eligible region excludes the shared prelude
-/// (fences belong in the implementation, not inside cas/lock builtins).
-SynthOptions implRegionOptions(memmodel::ModelParams Model) {
+SynthOptions synthOptions(memmodel::ModelParams Model) {
   SynthOptions O;
   O.Check.Model = Model;
-  O.MinLine = lineCount(impls::preludeSource()) + 1;
   return O;
 }
 
@@ -52,7 +43,7 @@ std::string describe(const SynthResult &R) {
 }
 
 TEST(FenceSynth, RepairsMsnOnRelaxed) {
-  SynthOptions O = implRegionOptions(RLX);
+  SynthOptions O = synthOptions(RLX);
   SynthResult R = synthesizeFences(impls::sourceFor("msn"),
                                    {testByName("T0")}, O);
   ASSERT_TRUE(R.Success) << describe(R);
@@ -63,13 +54,14 @@ TEST(FenceSynth, RepairsMsnOnRelaxed) {
   // fences to defeat forwarding, but never needs load-store.
   for (const FencePlacement &P : R.Fences)
     EXPECT_NE(P.Kind, lsl::FenceKind::LoadStore) << placementStr(P);
-  // Every fence is inside the implementation region.
+  // Every fence is inside the implementation region, after the prelude.
   for (const FencePlacement &P : R.Fences)
-    EXPECT_GE(P.Line, O.MinLine) << placementStr(P);
+    EXPECT_GE(P.Line, impls::firstImplLine(impls::sourceFor("msn")))
+        << placementStr(P);
 }
 
 TEST(FenceSynth, RepairsMs2OnRelaxed) {
-  SynthOptions O = implRegionOptions(RLX);
+  SynthOptions O = synthOptions(RLX);
   SynthResult R = synthesizeFences(impls::sourceFor("ms2"),
                                    {testByName("T0")}, O);
   ASSERT_TRUE(R.Success) << describe(R);
@@ -79,7 +71,7 @@ TEST(FenceSynth, RepairsMs2OnRelaxed) {
 TEST(FenceSynth, PsoNeedsNoLoadLoadFences) {
   // PSO preserves load-load and load-store order, so repairs can only
   // involve store-store (publication) and store-load (forwarding) fences.
-  SynthOptions O = implRegionOptions(PSO);
+  SynthOptions O = synthOptions(PSO);
   SynthResult R = synthesizeFences(impls::sourceFor("msn"),
                                    {testByName("T0")}, O);
   ASSERT_TRUE(R.Success) << describe(R);
@@ -93,7 +85,7 @@ TEST(FenceSynth, PsoNeedsNoLoadLoadFences) {
 TEST(FenceSynth, TsoNeedsNothing) {
   // The paper's Sec. 4.2 observation, as seen by the synthesizer: the
   // unfenced queue is already correct on TSO.
-  SynthOptions O = implRegionOptions(TSO);
+  SynthOptions O = synthOptions(TSO);
   SynthResult R = synthesizeFences(impls::sourceFor("msn"),
                                    {testByName("T0")}, O);
   ASSERT_TRUE(R.Success) << describe(R);
@@ -104,7 +96,7 @@ TEST(FenceSynth, RefusesAlgorithmicBug) {
   // snark's D0 failure exists under sequential consistency, where program
   // order embeds into the memory order: the counterexample contains no
   // inversion, so no fence can address it.
-  SynthOptions O = implRegionOptions(SC);
+  SynthOptions O = synthOptions(SC);
   SynthResult R = synthesizeFences(impls::sourceFor("snark"),
                                    {testByName("D0")}, O);
   ASSERT_FALSE(R.Success) << describe(R);
@@ -113,7 +105,7 @@ TEST(FenceSynth, RefusesAlgorithmicBug) {
 }
 
 TEST(FenceSynth, RefusesSequentialBug) {
-  SynthOptions O = implRegionOptions(RLX);
+  SynthOptions O = synthOptions(RLX);
   O.Defines = {"LAZYLIST_INIT_BUG"};
   SynthResult R = synthesizeFences(impls::sourceFor("lazylist"),
                                    {testByName("Sac")}, O);
@@ -125,7 +117,7 @@ TEST(FenceSynth, RefusesSequentialBug) {
 TEST(FenceSynth, MinimizedPlacementIsNecessary) {
   // Dropping any synthesized fence must re-break some test: re-run the
   // synthesis check loop with each fence removed by hand.
-  SynthOptions O = implRegionOptions(RLX);
+  SynthOptions O = synthOptions(RLX);
   SynthResult R = synthesizeFences(impls::sourceFor("msn"),
                                    {testByName("T0")}, O);
   ASSERT_TRUE(R.Success) << describe(R);

@@ -140,9 +140,6 @@ TEST(Stack, UnfencedFailureIsIncompleteInitialization) {
 TEST(Stack, SynthesizerRediscoversTheFences) {
   SynthOptions O;
   O.Check.Model = RLX;
-  O.MinLine = 1;
-  for (char C : impls::preludeSource())
-    O.MinLine += C == '\n';
   SynthResult R = synthesizeFences(impls::sourceFor("treiber"),
                                    {testByName("U0")}, O);
   ASSERT_TRUE(R.Success) << R.Message;

@@ -88,9 +88,6 @@ void usage() {
       "                       oracle and fall back to the brute-force\n"
       "                       enumerator on all models. Results are\n"
       "                       identical either way\n"
-      "  --oracle-sample N    explore: re-run the brute-force enumerator\n"
-      "                       as a differential reference on every Nth\n"
-      "                       eligible scenario (default 8, 0 = never)\n"
       "  --symbolic N         explore: symbolic catalog tests per 1000\n"
       "                       scenarios, the rest litmus (default 300;\n"
       "                       0 = pure litmus, the oracle fragment)\n"
@@ -242,12 +239,12 @@ int emitAnalysis(const RemoteAnalysis &A, const std::string &JsonPath,
   return 0;
 }
 
-int emitSynth(const SynthOutcome &S, const std::string &Json,
-              const std::string &JsonPath, bool Quiet) {
+int emitSynth(const SynthOutcome &S, const std::string &JsonPath,
+              bool NoTimings, bool Quiet) {
   if (!Quiet)
     for (const std::string &Step : S.Log)
       std::printf("%s\n", Step.c_str());
-  if (!JsonPath.empty() && !writeReport(JsonPath, Json))
+  if (!JsonPath.empty() && !writeReport(JsonPath, S.json(!NoTimings)))
     return ExitUsage;
   if (S.Cancelled) {
     std::printf("SYNTHESIS CANCELLED: %s\n", S.Message.c_str());
@@ -395,8 +392,6 @@ int main(int argc, char **argv) {
       Req.jobs(std::atoi(Next().c_str()));
     } else if (A == "--no-fast-oracle") {
       Req.fastOracle(false);
-    } else if (A == "--oracle-sample") {
-      Req.oracleSamplePeriod(std::atoi(Next().c_str()));
     } else if (A == "--symbolic") {
       Req.symbolicShare(std::atoi(Next().c_str()));
     } else if (A == "--deadline") {
@@ -579,15 +574,14 @@ int main(int argc, char **argv) {
 
   if (Synth) {
     Req.RequestKind = Request::Kind::Synthesis;
-    RemoteSynth RS;
+    SynthOutcome S;
     if (RV) {
-      if (RemoteStatus S = RV->synthesize(Req, RS); !S)
-        return remoteFail(S);
+      if (RemoteStatus St = RV->synthesize(Req, S); !St)
+        return remoteFail(St);
     } else {
-      RS.Outcome = Local().synthesize(Req, nullptr, Token);
+      S = Local().synthesize(Req, nullptr, Token);
     }
-    return emitSynth(RS.Outcome, RS.Outcome.json(!NoTimings), JsonPath,
-                     Quiet);
+    return emitSynth(S, JsonPath, NoTimings, Quiet);
   }
 
   Result R;
