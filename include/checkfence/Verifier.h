@@ -79,8 +79,8 @@ public:
   bool load(const std::string &Path);
   /// Merges the cache into \p Path atomically (temp file + rename under
   /// an advisory lock). False on I/O failure, an empty handle, or a
-  /// non-empty \p Path that is not a cache written by this library
-  /// version: such a file is never overwritten.
+  /// non-empty \p Path that cannot be read or is not a cache written by
+  /// this library version: such a file is never overwritten.
   bool save(const std::string &Path) const;
 
   CacheStats stats() const;

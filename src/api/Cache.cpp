@@ -12,6 +12,7 @@
 #include "support/Json.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include <fcntl.h>
@@ -162,8 +163,10 @@ bool ResultCache::save(const std::string &Path) const {
   FileLock Lock(Path);
   std::map<std::string, Result> Union;
   if (!parseCacheFile(Path, Union)) {
-    std::ifstream In(Path);
-    if (In && In.peek() != std::ifstream::traits_type::eof())
+    // Ask the filesystem, not a second open: a non-empty file this
+    // process cannot read is not ours to replace either.
+    std::error_code EC;
+    if (std::filesystem::file_size(Path, EC) > 0 && !EC)
       return false;
   }
   {

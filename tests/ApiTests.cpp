@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -638,6 +639,35 @@ TEST(ApiCache, UnparseableCacheFileIsNotClobbered) {
     EXPECT_EQ(Kept.str(), Input);
   }
   std::remove(Path.c_str());
+}
+
+TEST(ApiCache, UnreadableCacheFileIsNotClobbered) {
+  // A non-empty file the process cannot read is not replaced either.
+  std::string Path = testing::TempDir() + "cf_api_unreadable_cache.txt";
+  const std::string Input = "not a cache\n";
+  {
+    std::ofstream Out(Path);
+    Out << Input;
+  }
+  namespace fs = std::filesystem;
+  fs::permissions(Path, fs::perms::owner_write);
+  if (std::ifstream(Path)) {
+    fs::remove(Path);
+    GTEST_SKIP() << "file permissions do not bind this process";
+  }
+  {
+    VerifierConfig Cfg;
+    Cfg.CachePath = Path;
+    Verifier V(Cfg);
+    V.check(Request::check("ms2", "T0").model("sc"));
+    EXPECT_FALSE(V.saveCache());
+  }
+  fs::permissions(Path, fs::perms::owner_read | fs::perms::owner_write);
+  std::ifstream In(Path);
+  std::stringstream Kept;
+  Kept << In.rdbuf();
+  EXPECT_EQ(Kept.str(), Input);
+  fs::remove(Path);
 }
 
 TEST(ApiCache, PersistsAcrossVerifiers) {

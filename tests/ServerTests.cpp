@@ -374,9 +374,13 @@ TEST_F(IdentityFixture, ExploreMatchesLocal) {
 }
 
 TEST_F(IdentityFixture, SynthesisOutcomeRoundTrips) {
-  Request Req = Request::check("ms2", "T0").model("sc");
+  // On relaxed the search places three fences and minimizes one away,
+  // so the log and the removed list are not empty.
+  Request Req = Request::check("ms2", "T0").model("relaxed");
   Req.RequestKind = Request::Kind::Synthesis;
   SynthOutcome L = Local.synthesize(Req);
+  ASSERT_FALSE(L.Log.empty());
+  ASSERT_FALSE(L.Removed.empty());
 
   RemoteVerifier RV(urlFor(S));
   SynthOutcome R;
@@ -384,6 +388,14 @@ TEST_F(IdentityFixture, SynthesisOutcomeRoundTrips) {
   ASSERT_TRUE(St) << St.Error;
   EXPECT_TRUE(R.Success) << R.Message;
   EXPECT_EQ(R.json(false), L.json(false));
+  // json() leaves these out; the CLI prints the log in --remote mode.
+  EXPECT_EQ(R.Cancelled, L.Cancelled);
+  EXPECT_EQ(R.Log, L.Log);
+  ASSERT_EQ(R.Removed.size(), L.Removed.size());
+  for (size_t I = 0; I < L.Removed.size(); ++I) {
+    EXPECT_EQ(R.Removed[I].Line, L.Removed[I].Line);
+    EXPECT_EQ(R.Removed[I].Kind, L.Removed[I].Kind);
+  }
 }
 
 //===----------------------------------------------------------------------===//
