@@ -7,9 +7,9 @@
 //
 //  * pure protocol overhead (checkfence.version round trips),
 //  * a mixed first pass (check / matrix / analyze) against a cold
-//    shared cache, then the identical second pass against the warm one,
+//    result cache, then the identical second pass against the warm one,
 //  * remote-vs-local timing-free JSON identity on the check set,
-//  * concurrent-client throughput over the shard pool.
+//  * concurrent-client throughput over the worker pool.
 //
 // `--json PATH` writes the shared bench schema (see BenchUtil.h) that
 // scripts/bench_compare.py gates CI on. The gated metrics are counts
@@ -139,7 +139,7 @@ int main(int argc, char **argv) {
   unsigned long long SecondPassHits = Server.stats().Cache.Hits - HitsBefore;
 
   // -- Concurrent clients hammer the warm cache: pure dispatch + wire
-  // throughput across the shard pool.
+  // throughput across the worker pool.
   const int PerClient = benchutil::fullRun() ? 32 : 12;
   std::vector<std::thread> Threads;
   std::atomic<int> ThroughputFailures{0};

@@ -8,15 +8,16 @@
 /// \file
 /// CheckServer is the embeddable core of the `checkfenced` daemon: an
 /// HTTP/1.1 + JSON-RPC 2.0 front over the Verifier API. Requests land in
-/// a bounded priority queue and fan out over worker shards; each shard
-/// owns one Verifier while all shards fill one shared result cache.
+/// one bounded priority queue; a pool of worker threads pops them and
+/// runs each on the daemon's one Verifier, whose result cache is the
+/// only state requests share.
 /// `/metrics` exposes the live counters in Prometheus text format,
 /// `/status` as JSON.
 ///
 /// Byte-identity contract: a request dispatched through the daemon (see
 /// RemoteVerifier in checkfence/Remote.h) produces the same timing-free
 /// reports, verdicts, and exit codes as the same request run in-process.
-/// The daemon adds no verdict-relevant state - the shared cache already
+/// The daemon adds no verdict-relevant state - the result cache already
 /// guarantees hits are byte-identical to the original run.
 ///
 //===----------------------------------------------------------------------===//
@@ -39,22 +40,20 @@ struct ServerConfig {
   /// Bind address. The default stays loopback-only: the protocol has no
   /// authentication, so exposing it wider is an explicit decision.
   std::string BindAddress = "127.0.0.1";
-  /// Worker shards. Each shard runs one request at a time on its own
-  /// Verifier, so this is also the maximum number of in-flight requests.
-  /// Requests hash to shards by program identity: identical concurrent
-  /// misses queue on one shard, so the second is answered from the shared
-  /// cache instead of being checked twice.
+  /// Worker threads. Each worker runs one request at a time, taking the
+  /// highest-priority queued request next, so this is also the maximum
+  /// number of in-flight requests. All workers share one Verifier.
   int Shards = 2;
-  /// Verifier worker threads per shard (VerifierConfig::Jobs). Requests
-  /// cannot raise this: a remote jobs() value is clamped to the shard's
-  /// allowance.
+  /// Worker threads each request may fan out to (VerifierConfig::Jobs).
+  /// Requests cannot raise this: a remote jobs() value is replaced by
+  /// the daemon's allowance.
   int JobsPerShard = 1;
   /// Admission limit: requests beyond this many queued (not yet
   /// dispatched) are rejected with HTTP 429 + Retry-After.
   int QueueDepth = 64;
-  /// When non-empty: merge this cache file into the shared result cache
-  /// on start() and merge the cache back on shutdown (multi-process
-  /// safe; see SharedResultCache).
+  /// When non-empty: merge this cache file into the result cache on
+  /// start() and merge the cache back on shutdown (multi-process safe;
+  /// see Verifier::loadCache and Verifier::saveCache).
   std::string CachePath;
   /// Hard per-request deadline in seconds (0 = none). A request's own
   /// deadline() still applies when tighter.
@@ -63,13 +62,13 @@ struct ServerConfig {
   /// "warn", "error", or "off". Empty = leave the process-wide level
   /// unchanged (the library default is warn). Applied in start().
   std::string LogLevel;
-  /// Requests whose shard-worker latency exceeds this many seconds are
+  /// Requests whose worker latency exceeds this many seconds are
   /// logged at warn level with their kind and timing (0 = never).
   double SlowRequestSeconds = 10;
 };
 
 /// A point-in-time snapshot of the daemon's counters (the `/metrics`
-/// surface, aggregated over all shards).
+/// surface).
 struct ServerStats {
   unsigned long long Accepted = 0;  ///< connections accepted
   unsigned long long Served = 0;    ///< RPC requests answered
@@ -78,14 +77,14 @@ struct ServerStats {
   unsigned long long Errors = 0;    ///< malformed / failed requests
   unsigned long long CellsCompleted = 0;     ///< matrix cells finished
   unsigned long long ScenariosChecked = 0;   ///< explore scenarios run
-  size_t Queued = 0;   ///< requests waiting for a shard
-  size_t InFlight = 0; ///< requests running on a shard
-  CacheStats Cache;    ///< shared result cache, all shards
+  size_t Queued = 0;   ///< requests waiting for a worker
+  size_t InFlight = 0; ///< requests running on a worker
+  CacheStats Cache;    ///< the result cache
   PoolStats Pool;      ///< always zero (see PoolStats)
 };
 
-/// The daemon core. start() spawns the listener, watcher, and shard
-/// worker threads and returns; requestStop() begins a graceful drain
+/// The daemon core. start() spawns the listener, watcher, and worker
+/// threads and returns; requestStop() begins a graceful drain
 /// (stop accepting, finish queued + in-flight work); waitStopped()
 /// blocks until the drain completes and persists the cache.
 class CheckServer {

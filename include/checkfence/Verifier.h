@@ -10,9 +10,10 @@
 /// result cache and a worker pool for batched matrices. Every check runs
 /// on its own fresh incremental session (persistent SAT solvers that live
 /// for that one check), so an uncached re-run reproduces its timing-free
-/// result byte for byte. It is safe to share one Verifier across threads;
-/// individual requests run synchronously on the calling thread (matrix
-/// cells fan out onto workers).
+/// result byte for byte. It is safe to share one Verifier across threads
+/// (every checkfenced worker runs on one); individual requests run
+/// synchronously on the calling thread (matrix cells fan out onto
+/// workers).
 ///
 /// The cache is keyed by (program fingerprint, model, engine options).
 /// A hit returns the stored result without running anything - the
@@ -37,58 +38,12 @@
 
 namespace checkfence {
 
-namespace api {
-class ResultCache; // internal representation behind SharedResultCache
-}
-
 /// Cache observability counters.
 struct CacheStats {
   size_t Entries = 0;
   size_t Hits = 0;
   size_t Misses = 0;
   size_t BoundsSeeded = 0; ///< runs whose initial bounds came from cache
-};
-
-/// A copyable handle to a result cache that several Verifiers can share:
-/// construct Verifiers whose VerifierConfig::SharedCache holds the same
-/// handle and they hit/fill one cache (the checkfenced server does this
-/// across its shards). An empty (default-constructed) handle means "the
-/// Verifier owns a private cache".
-///
-/// Persistence moves to the handle's owner: a Verifier built on a shared
-/// cache never loads or saves CachePath itself. load() *merges* the file
-/// into the cache (in-memory entries win) and save() merges the cache
-/// into the file via a locked read-merge-rename, so concurrent daemons
-/// and ad-hoc CLI runs can share one cache file without clobbering each
-/// other's entries.
-class SharedResultCache {
-public:
-  /// An empty handle (no cache).
-  SharedResultCache();
-  ~SharedResultCache();
-  SharedResultCache(const SharedResultCache &);
-  SharedResultCache &operator=(const SharedResultCache &);
-
-  /// A handle to a fresh, empty cache.
-  static SharedResultCache create();
-
-  bool valid() const { return Cache != nullptr; }
-
-  /// Merges \p Path into the cache (see class comment). False when the
-  /// file is missing or not a cache written by this library version.
-  bool load(const std::string &Path);
-  /// Merges the cache into \p Path atomically (temp file + rename under
-  /// an advisory lock). False on I/O failure, an empty handle, or a
-  /// non-empty \p Path that cannot be read or is not a cache written by
-  /// this library version: such a file is never overwritten.
-  bool save(const std::string &Path) const;
-
-  CacheStats stats() const;
-  void clear();
-
-private:
-  friend class Verifier;
-  std::shared_ptr<api::ResultCache> Cache;
 };
 
 struct VerifierConfig {
@@ -101,10 +56,6 @@ struct VerifierConfig {
   /// save it back on destruction (and on saveCache()). A non-empty file
   /// that is not a cache of this library version is left untouched.
   std::string CachePath;
-  /// When valid: use this shared cache instead of a private one. The
-  /// Verifier then never loads or saves CachePath - persistence belongs
-  /// to whoever owns the handle (see SharedResultCache).
-  SharedResultCache SharedCache;
 };
 
 /// Always zero: every check runs on a fresh session and no session is
@@ -164,9 +115,15 @@ public:
   /// Always zero (see PoolStats).
   PoolStats poolStats() const;
   void clearCache();
-  /// Persists the cache now (to \p Path, or the configured CachePath).
-  /// False, leaving the file alone, when the target is a non-empty file
-  /// that is not a cache of this library version.
+  /// Merges a cache file (\p Path, or the configured CachePath) into the
+  /// cache; in-memory entries win. False when the file is missing or is
+  /// not a cache of this library version: then nothing is merged.
+  bool loadCache(const std::string &Path = std::string());
+  /// Merges the cache into a file now (\p Path, or the configured
+  /// CachePath) by a locked read-merge-rename, so concurrent processes
+  /// sharing one file keep each other's entries. False, leaving the file
+  /// alone, when the target is a non-empty file that is not a cache of
+  /// this library version.
   bool saveCache(const std::string &Path = std::string()) const;
 
 private:

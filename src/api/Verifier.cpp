@@ -216,13 +216,7 @@ Result errorResult(const Request &Req, std::string Message) {
 
 struct Verifier::Impl {
   VerifierConfig Cfg;
-  /// The result cache: private by default, or the handle from
-  /// VerifierConfig::SharedCache (several Verifiers then fill one cache;
-  /// the checkfenced server shards do this). Never null.
-  std::shared_ptr<ResultCache> Cache;
-  /// Persistence belongs to whoever owns the cache: a Verifier on a
-  /// shared handle never loads or saves CachePath.
-  bool OwnsCache = true;
+  ResultCache Cache;
 
   int jobsFor(const Request &Req) const {
     int J = Req.Jobs > 0 ? Req.Jobs : Cfg.Jobs;
@@ -233,69 +227,35 @@ struct Verifier::Impl {
 Verifier::Verifier(VerifierConfig Config)
     : Self(std::make_unique<Impl>()) {
   Self->Cfg = std::move(Config);
-  if (Self->Cfg.SharedCache.valid()) {
-    Self->Cache = Self->Cfg.SharedCache.Cache;
-    Self->OwnsCache = false;
-  } else {
-    Self->Cache = std::make_shared<ResultCache>();
-  }
-  if (Self->OwnsCache && Self->Cfg.EnableCache &&
-      !Self->Cfg.CachePath.empty())
-    Self->Cache->load(Self->Cfg.CachePath);
+  if (Self->Cfg.EnableCache && !Self->Cfg.CachePath.empty())
+    Self->Cache.load(Self->Cfg.CachePath);
 }
 
 Verifier::~Verifier() {
   // save() refuses to overwrite a file that is not a cache.
-  if (Self->OwnsCache && Self->Cfg.EnableCache &&
-      !Self->Cfg.CachePath.empty())
-    Self->Cache->save(Self->Cfg.CachePath);
+  if (Self->Cfg.EnableCache && !Self->Cfg.CachePath.empty())
+    Self->Cache.save(Self->Cfg.CachePath);
 }
 
-CacheStats Verifier::cacheStats() const { return Self->Cache->stats(); }
+CacheStats Verifier::cacheStats() const { return Self->Cache.stats(); }
 
-void Verifier::clearCache() { Self->Cache->clear(); }
+void Verifier::clearCache() { Self->Cache.clear(); }
+
+bool Verifier::loadCache(const std::string &Path) {
+  std::string Source = Path.empty() ? Self->Cfg.CachePath : Path;
+  if (Source.empty())
+    return false;
+  return Self->Cache.load(Source);
+}
 
 bool Verifier::saveCache(const std::string &Path) const {
   std::string Target = Path.empty() ? Self->Cfg.CachePath : Path;
   if (Target.empty())
     return false;
-  return Self->Cache->save(Target);
+  return Self->Cache.save(Target);
 }
 
 PoolStats Verifier::poolStats() const { return PoolStats{}; }
-
-//===----------------------------------------------------------------------===//
-// SharedResultCache - a copyable handle over api::ResultCache
-//===----------------------------------------------------------------------===//
-
-SharedResultCache::SharedResultCache() = default;
-SharedResultCache::~SharedResultCache() = default;
-SharedResultCache::SharedResultCache(const SharedResultCache &) = default;
-SharedResultCache &
-SharedResultCache::operator=(const SharedResultCache &) = default;
-
-SharedResultCache SharedResultCache::create() {
-  SharedResultCache H;
-  H.Cache = std::make_shared<ResultCache>();
-  return H;
-}
-
-bool SharedResultCache::load(const std::string &Path) {
-  return Cache && Cache->load(Path);
-}
-
-bool SharedResultCache::save(const std::string &Path) const {
-  return Cache && Cache->save(Path);
-}
-
-CacheStats SharedResultCache::stats() const {
-  return Cache ? Cache->stats() : CacheStats{};
-}
-
-void SharedResultCache::clear() {
-  if (Cache)
-    Cache->clear();
-}
 
 //===----------------------------------------------------------------------===//
 // Single checks
@@ -326,16 +286,16 @@ Result Verifier::check(const Request &Req, EventSink *Sink,
   const bool Caching = Self->Cfg.EnableCache && Req.UseCache;
 
   if (Caching) {
-    if (std::optional<Result> Hit = Self->Cache->lookup(Key)) {
+    if (std::optional<Result> Hit = Self->Cache.lookup(Key)) {
       fireVerdict(Sink, Label, Hit->Verdict, Hit->Message, true);
       return *Hit;
     }
     // Miss with a matching program fingerprint: seed the lazy unrolling
     // from the earlier passing run's final bounds (Fig. 10 workflow).
-    if (auto Bounds = Self->Cache->boundsFor(ProgramFp)) {
+    if (auto Bounds = Self->Cache.boundsFor(ProgramFp)) {
       for (const auto &[Loop, Bound] : *Bounds)
         Opts.InitialBounds[Loop] = Bound;
-      Self->Cache->noteSeed();
+      Self->Cache.noteSeed();
     }
   }
 
@@ -353,7 +313,7 @@ Result Verifier::check(const Request &Req, EventSink *Sink,
       !Token.cancelled())
     Out.Message = "deadline exceeded";
   if (Caching && Out.Verdict != Status::Cancelled)
-    Self->Cache->insert(Key, ProgramFp, Out);
+    Self->Cache.insert(Key, ProgramFp, Out);
   fireVerdict(Sink, Label, Out.Verdict, Out.Message, false);
   return Out;
 }

@@ -129,6 +129,11 @@ CheckResult checkfence::checker::runCheck(
         if (Specs)
           Specs->publish(SpecKey, Mined.Spec);
         Result.Spec = std::move(Mined.Spec);
+        // Only a refset check uses the mining context again (as its
+        // reference-program probe); any other check frees that solver
+        // now instead of holding it through the inclusion solve.
+        if (!SpecProg)
+          MineCtx.reset();
       }
       Result.Stats.ObservationCount = static_cast<int>(Result.Spec.size());
       HaveSpec = true;

@@ -273,10 +273,5 @@ std::string MetricsRegistry::renderPrometheus() const {
   return Out;
 }
 
-MetricsRegistry &MetricsRegistry::global() {
-  static MetricsRegistry Reg;
-  return Reg;
-}
-
 } // namespace obs
 } // namespace checkfence

@@ -1,6 +1,6 @@
 //===- obs/Metrics.h - Counters, gauges, histograms, Prometheus text ------===//
 //
-// A small process-wide metrics registry. Three instrument kinds:
+// A small metrics registry. Three instrument kinds:
 //
 //  * Counter   - monotone u64, lock-free increment.
 //  * Gauge     - i64 set/add, lock-free.
@@ -18,9 +18,7 @@
 // *family* shares help/type text across label values of one label key
 // (e.g. checkfence_request_seconds{kind="check"}).
 //
-// The registry is available process-wide via MetricsRegistry::global();
-// components that need isolation (each CheckServer instance, tests) own
-// their own registry instead.
+// Each owner (every CheckServer instance, tests) holds its own registry.
 //
 //===----------------------------------------------------------------------===//
 
@@ -158,9 +156,6 @@ public:
   /// Prometheus text exposition: every instrument with # HELP / # TYPE
   /// headers, in registration order.
   std::string renderPrometheus() const;
-
-  /// The process-wide registry.
-  static MetricsRegistry &global();
 
 private:
   struct Entry {

@@ -29,6 +29,11 @@ namespace server {
 /// an explicit port resolve to). Kept in sync with ServerConfig::Port.
 inline constexpr int ServerDefaultPort = 8417;
 
+/// Seconds checkfenced waits for the next bytes of a request on an
+/// accepted connection before dropping it, so a client that connects and
+/// sends nothing can neither pin a connection thread nor stall a drain.
+inline constexpr int ServerReadTimeoutSeconds = 5;
+
 /// One parsed request. Header names are lowercased.
 struct HttpRequest {
   std::string Method;

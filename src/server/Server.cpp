@@ -7,19 +7,22 @@
 // Thread architecture:
 //
 //   listener ---- accepts, spawns one connection thread per socket
-//   connection -- parses HTTP + JSON-RPC, enqueues a Job on a shard,
+//   connection -- parses HTTP + JSON-RPC, enqueues a Job on the queue,
 //                 blocks on the job's future, writes the response
-//   shard worker (xN) -- pops Jobs by priority, runs them on the
-//                 shard's Verifier (one request at a time per shard;
+//   worker (xN) - pops Jobs from the one queue by priority and runs them
+//                 on the one Verifier (one request at a time per worker;
 //                 intra-request parallelism comes from JobsPerShard)
 //   watcher ----- polls waiting sockets; a client disconnect cancels
 //                 the matching request's CancelToken
 //
-// Admission control happens on the connection thread: when the global
-// queued count reaches QueueDepth the request is answered 429 +
-// Retry-After without ever touching a shard. A graceful drain stops the
-// listener, lets the queues empty (every queued job has a connection
-// thread waiting on it), joins everything, and persists the cache.
+// Admission control happens on the connection thread: when the queued
+// count reaches QueueDepth the request is answered 429 + Retry-After
+// without ever reaching the queue. Accepted sockets carry a receive
+// timeout (ServerReadTimeoutSeconds), so a client that connects and
+// never sends a request is dropped instead of holding its connection
+// thread. A graceful drain stops the listener, lets the queue empty
+// (every queued job has a connection thread waiting on it), joins
+// everything, and persists the cache.
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,7 +57,12 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 using namespace checkfence;
 using namespace checkfence::server;
@@ -64,21 +72,26 @@ using support::JsonValue;
 
 namespace {
 
-/// Thread-safe progress counters fed by every request's EventSink (the
-/// scenarios/cells throughput half of /metrics).
+/// A request that ran at least this long did solver work; the worker
+/// hands the heap memory it freed back to the OS afterwards (see
+/// workerLoop). Shorter requests, such as cache hits, skip that.
+constexpr double TrimAfterSeconds = 0.05;
+
+/// Feeds every request's cell and scenario progress into the registry
+/// counters (the throughput half of /metrics).
 class MetricsSink : public EventSink {
 public:
-  void onCellFinished(const CellFinishedEvent &) override { ++Cells; }
+  void onCellFinished(const CellFinishedEvent &) override { Cells->add(); }
   void onScenarioChecked(const ScenarioCheckedEvent &) override {
-    ++Scenarios;
+    Scenarios->add();
   }
-  std::atomic<unsigned long long> Cells{0};
-  std::atomic<unsigned long long> Scenarios{0};
+  obs::Counter *Cells = nullptr;
+  obs::Counter *Scenarios = nullptr;
 };
 
 /// Polls sockets whose requests are queued or running; a peer that
 /// closes (or resets) its connection cancels the matching token, so an
-/// abandoned request stops consuming a shard at the next phase boundary.
+/// abandoned request stops consuming a worker at the next phase boundary.
 /// Each poll pass runs under the mutex, so once unwatch() returns no pass
 /// touches the fd and its owner may close it (or the kernel reuse it).
 class DisconnectWatcher {
@@ -149,7 +162,7 @@ private:
   std::thread Thread;
 };
 
-/// One queued request: the closure runs on a shard worker and renders
+/// One queued request: the closure runs on a worker and renders
 /// the JSON-RPC response body; the connection thread waits on Done.
 struct Job {
   int Priority = 1; // 0 high, 1 normal, 2 low
@@ -165,14 +178,6 @@ struct Job {
   std::shared_ptr<obs::Tracer> Tracer;
   /// Enqueue instant in the tracer's clock, for the queue_wait span.
   uint64_t EnqueueNs = 0;
-};
-
-struct Shard {
-  std::unique_ptr<Verifier> V;
-  std::thread Worker;
-  std::mutex Mu;
-  std::condition_variable Cv;
-  std::deque<std::unique_ptr<Job>> Queues[3];
 };
 
 int priorityFromName(const std::string &Name) {
@@ -224,8 +229,9 @@ const char *kindShortName(Request::Kind K) {
 
 struct CheckServer::Impl {
   ServerConfig Cfg;
-  SharedResultCache Shared = SharedResultCache::create();
-  std::vector<std::unique_ptr<Shard>> Shards;
+  /// The one Verifier every worker runs on (its result cache is the only
+  /// state requests share). Built by the CheckServer constructor.
+  std::unique_ptr<Verifier> V;
   MetricsSink Sink;
   DisconnectWatcher Watcher;
 
@@ -235,21 +241,26 @@ struct CheckServer::Impl {
 
   std::atomic<bool> Started{false};
   std::atomic<bool> Stopping{false};
+  std::atomic<bool> Drained{false};
+
+  // The work queue: one deque per priority class (0 high, 1 normal,
+  // 2 low), all guarded by QueueMu.
+  std::mutex QueueMu;
+  std::condition_variable QueueCv;
+  std::deque<std::unique_ptr<Job>> Queues[3];
   /// Set only after every connection thread has exited: a worker must
   /// never quit while a connection could still enqueue, or that job
   /// (and its waiting connection) would hang forever.
-  std::atomic<bool> WorkersExit{false};
-  std::atomic<bool> Drained{false};
-
-  // Counters (ServerStats). These atomics stay the source of truth for
-  // snapshot(); the registry mirrors them at scrape time and owns the
-  // series the atomics cannot express (latency/queue-wait histograms).
-  std::atomic<unsigned long long> Accepted{0}, Served{0}, Rejected{0},
-      Cancelled{0}, Errors{0};
+  bool WorkersExit = false;
+  // Written under QueueMu, read lock-free by snapshot().
   std::atomic<size_t> Queued{0}, InFlight{0};
+  /// The worker pool: Cfg.Shards threads popping the queue.
+  std::vector<std::thread> Workers;
 
   // Metrics registry (one per server instance so parallel in-process
-  // servers - the test suites boot several - stay isolated).
+  // servers - the test suites boot several - stay isolated). The
+  // counters are the source of truth for snapshot(); only the queue
+  // gauges and the cache series are mirrored in at scrape time.
   obs::MetricsRegistry Reg;
   obs::Counter *MServed, *MRejected, *MCancelled, *MErrors, *MAccepted;
   obs::Gauge *MQueued, *MInFlight;
@@ -273,9 +284,9 @@ struct CheckServer::Impl {
     MAccepted = &Reg.counter("checkfence_connections_accepted_total",
                              "TCP connections accepted");
     MQueued = &Reg.gauge("checkfence_queue_depth",
-                         "requests waiting for a shard");
+                         "requests waiting for a worker");
     MInFlight = &Reg.gauge("checkfence_inflight",
-                           "requests running on a shard");
+                           "requests running on a worker");
     MCacheHits =
         &Reg.counter("checkfence_cache_hits_total", "result cache hits");
     MCacheMisses = &Reg.counter("checkfence_cache_misses_total",
@@ -285,17 +296,18 @@ struct CheckServer::Impl {
     MCacheSeeded =
         &Reg.counter("checkfence_cache_bounds_seeded_total",
                      "runs whose bounds were seeded from the cache");
-    MCells = &Reg.counter("checkfence_cells_completed_total",
-                          "matrix cells completed");
-    MScenarios = &Reg.counter("checkfence_scenarios_checked_total",
-                              "explore scenarios checked");
+    Sink.Cells = MCells = &Reg.counter("checkfence_cells_completed_total",
+                                       "matrix cells completed");
+    Sink.Scenarios = MScenarios =
+        &Reg.counter("checkfence_scenarios_checked_total",
+                     "explore scenarios checked");
     RequestSeconds = &Reg.histogramFamily(
         "checkfence_request_seconds",
-        "request latency on a shard worker, by request kind", "kind",
+        "request latency on a worker, by request kind", "kind",
         obs::latencyBuckets());
     QueueWaitSeconds = &Reg.histogramFamily(
         "checkfence_queue_wait_seconds",
-        "time from admission to shard dispatch, by priority class",
+        "time from admission to worker pickup, by priority class",
         "priority", obs::latencyBuckets());
     // Pre-create the label values so every series renders (as zeros)
     // from the first scrape and the exposition shape is stable.
@@ -318,60 +330,39 @@ struct CheckServer::Impl {
   ~Impl() = default;
 
   //===------------------------------------------------------------===//
-  // Shard queue
+  // The work queue
   //===------------------------------------------------------------===//
 
-  size_t shardFor(const Request &Req) const {
-    // Identical programs land on the same shard, so identical concurrent
-    // misses queue behind each other and the second is answered from the
-    // shared cache instead of being checked twice. (Bounds seeding needs
-    // no affinity: it reads the shared cache from any shard.)
-    std::string Key = Req.ImplName + '\x1f' + Req.SourceText + '\x1f' +
-                      Req.TestName + '\x1f' + Req.Notation;
-    for (const std::string &D : Req.Defines)
-      Key += '\x1f' + D;
-    return std::hash<std::string>{}(Key) % Shards.size();
-  }
-
   /// False when the queue is full (admission rejection).
-  bool enqueue(size_t ShardIdx, std::unique_ptr<Job> J) {
-    size_t Before = Queued.fetch_add(1);
-    if (Before >= static_cast<size_t>(Cfg.QueueDepth)) {
-      Queued.fetch_sub(1);
-      return false;
-    }
-    Shard &S = *Shards[ShardIdx];
+  bool enqueue(std::unique_ptr<Job> J) {
     {
-      std::lock_guard<std::mutex> Lock(S.Mu);
-      S.Queues[J->Priority].push_back(std::move(J));
+      std::lock_guard<std::mutex> Lock(QueueMu);
+      if (Queued.load() >= static_cast<size_t>(Cfg.QueueDepth))
+        return false;
+      Queued.fetch_add(1);
+      Queues[J->Priority].push_back(std::move(J));
     }
-    S.Cv.notify_one();
+    QueueCv.notify_one();
     return true;
   }
 
-  void workerLoop(Shard &S) {
+  void workerLoop() {
     while (true) {
       std::unique_ptr<Job> J;
       {
-        std::unique_lock<std::mutex> Lock(S.Mu);
-        S.Cv.wait(Lock, [&] {
-          return WorkersExit.load() || !S.Queues[0].empty() ||
-                 !S.Queues[1].empty() || !S.Queues[2].empty();
-        });
-        for (auto &Q : S.Queues)
+        std::unique_lock<std::mutex> Lock(QueueMu);
+        QueueCv.wait(Lock, [&] { return WorkersExit || Queued.load() > 0; });
+        for (auto &Q : Queues)
           if (!Q.empty()) {
             J = std::move(Q.front());
             Q.pop_front();
             break;
           }
-        if (!J) {
-          if (WorkersExit.load())
-            return; // drained: queues empty and no more arrivals
-          continue;
-        }
+        if (!J)
+          return; // drained: queue empty and no more arrivals
+        Queued.fetch_sub(1);
+        InFlight.fetch_add(1);
       }
-      Queued.fetch_sub(1);
-      InFlight.fetch_add(1);
       double Waited = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - J->EnqueuedAt)
                           .count();
@@ -401,16 +392,23 @@ struct CheckServer::Impl {
                   J->KindName, RunSeconds, Cfg.SlowRequestSeconds);
       InFlight.fetch_sub(1);
       J->Done.set_value(std::move(Payload));
+#if defined(__GLIBC__)
+      // Any worker may run any request, so without this every worker's
+      // malloc arena would keep the peak of the largest check it ever
+      // ran, and RSS would follow the traffic history rather than the
+      // live requests. The trim costs about half a millisecond.
+      if (RunSeconds >= TrimAfterSeconds)
+        malloc_trim(0);
+#endif
     }
   }
 
   //===------------------------------------------------------------===//
-  // RPC dispatch (runs on a shard worker)
+  // RPC dispatch (runs on a worker)
   //===------------------------------------------------------------===//
 
-  std::string runRequest(size_t ShardIdx, Request Req, int Id,
-                         CancelToken Token, obs::Tracer *Tracer) {
-    Verifier &V = *Shards[ShardIdx]->V;
+  std::string runRequest(const Request &Req, int Id, CancelToken Token,
+                         obs::Tracer *Tracer) {
     std::string Payload;
     bool WasCancelled = false;
     {
@@ -421,22 +419,18 @@ struct CheckServer::Impl {
     obs::Span DispatchSpan("server", [&] {
       return std::string("dispatch:") + kindShortName(Req.RequestKind);
     });
-    if (DispatchSpan.active())
-      DispatchSpan.args(JsonObject()
-                            .field("shard", static_cast<int>(ShardIdx))
-                            .str());
     switch (Req.RequestKind) {
     case Request::Kind::Check: {
-      Result R = V.check(Req, &Sink, Token);
+      Result R = V->check(Req, &Sink, Token);
       WasCancelled = R.Verdict == Status::Cancelled;
       if (R.Verdict == Status::Error)
-        ++Errors;
+        MErrors->add();
       Payload = api::encodeResult(R);
       break;
     }
     case Request::Kind::Matrix:
     case Request::Kind::Sweep: {
-      Report R = V.matrix(Req, &Sink, Token);
+      Report R = V->matrix(Req, &Sink, Token);
       JsonObject O;
       O.field("ok", R.ok());
       O.field("error", R.error());
@@ -451,13 +445,13 @@ struct CheckServer::Impl {
         O.field("cancelledCells", R.count(Status::Cancelled));
         WasCancelled = R.count(Status::Cancelled) > 0;
       } else {
-        ++Errors;
+        MErrors->add();
       }
       Payload = O.str();
       break;
     }
     case Request::Kind::Analyze: {
-      AnalysisOutcome A = V.analyze(Req);
+      AnalysisOutcome A = V->analyze(Req);
       JsonObject O;
       O.field("ok", A.Ok);
       O.field("error", A.Error);
@@ -465,13 +459,13 @@ struct CheckServer::Impl {
         O.field("table", A.table());
         O.field("json", A.json());
       } else {
-        ++Errors;
+        MErrors->add();
       }
       Payload = O.str();
       break;
     }
     case Request::Kind::Explore: {
-      ExploreOutcome E = V.explore(Req, &Sink, Token);
+      ExploreOutcome E = V->explore(Req, &Sink, Token);
       JsonObject O;
       O.field("ok", E.ok());
       O.field("error", E.error());
@@ -500,29 +494,29 @@ struct CheckServer::Impl {
         }
         WasCancelled = E.cancelled();
       } else {
-        ++Errors;
+        MErrors->add();
       }
       Payload = O.str();
       break;
     }
     case Request::Kind::Synthesis: {
-      SynthOutcome S = V.synthesize(Req, &Sink, Token);
+      SynthOutcome S = V->synthesize(Req, &Sink, Token);
       WasCancelled = S.Cancelled;
       Payload = JsonObject().raw("outcome", encodeSynthOutcome(S)).str();
       break;
     }
     case Request::Kind::WeakestModel: {
-      WeakestOutcome W = V.weakestModels(Req, &Sink, Token);
+      WeakestOutcome W = V->weakestModels(Req, &Sink, Token);
       WasCancelled = W.Cancelled;
       if (!W.Ok)
-        ++Errors;
+        MErrors->add();
       Payload = encodeWeakestOutcome(W);
       break;
     }
     case Request::Kind::Litmus: {
-      LitmusOutcome L = V.observable(Req);
+      LitmusOutcome L = V->observable(Req);
       if (!L.Ok)
-        ++Errors;
+        MErrors->add();
       JsonObject O;
       O.field("ok", L.Ok);
       O.field("reachable", L.Reachable);
@@ -533,8 +527,8 @@ struct CheckServer::Impl {
     }
     }
     if (WasCancelled)
-      ++Cancelled;
-    ++Served;
+      MCancelled->add();
+    MServed->add();
     if (Tracer)
       return rpcResultWithTrace(Payload, Id, Tracer->eventsJson());
     return rpcResult(Payload, Id);
@@ -567,7 +561,7 @@ struct CheckServer::Impl {
       O.field("version", versionString());
       O.field("schema", JsonSchemaVersion);
       Resp.Body = rpcResult(O.str(), Id);
-      ++Served;
+      MServed->add();
       return Resp;
     }
 
@@ -630,23 +624,21 @@ struct CheckServer::Impl {
       ReqTracer = std::make_shared<obs::Tracer>();
 
     CancelToken Token;
-    size_t ShardIdx = shardFor(Req);
     const char *Kind = kindShortName(Req.RequestKind);
     auto J = std::make_unique<Job>();
     J->Priority = Priority;
     J->KindName = Kind;
     J->Tracer = ReqTracer;
-    J->Run = [this, ShardIdx, Req = std::move(Req), Id, Token,
-              ReqTracer] {
-      return runRequest(ShardIdx, Req, Id, Token, ReqTracer.get());
+    J->Run = [this, Req = std::move(Req), Id, Token, ReqTracer] {
+      return runRequest(Req, Id, Token, ReqTracer.get());
     };
     std::future<std::string> Done = J->Done.get_future();
     J->EnqueuedAt = std::chrono::steady_clock::now();
     if (ReqTracer)
       J->EnqueueNs = ReqTracer->nowNs();
 
-    if (!enqueue(ShardIdx, std::move(J))) {
-      ++Rejected;
+    if (!enqueue(std::move(J))) {
+      MRejected->add();
       obs::logf(obs::LogLevel::Warn, "server",
                 "queue full, rejecting %s request (depth %d)", Kind,
                 Cfg.QueueDepth);
@@ -664,22 +656,16 @@ struct CheckServer::Impl {
     return Resp;
   }
 
-  /// Mirror the snapshot-derived values into the registry; the
-  /// histograms are updated live by the worker loop and need no mirror.
+  /// Mirror the values that live outside the registry - the queue
+  /// counts and the Verifier's CacheStats - into it. Counters and
+  /// histograms are updated live and need no mirror.
   void syncRegistry(const ServerStats &S) {
-    MServed->set(S.Served);
-    MRejected->set(S.Rejected);
-    MCancelled->set(S.Cancelled);
-    MErrors->set(S.Errors);
-    MAccepted->set(S.Accepted);
     MQueued->set(static_cast<int64_t>(S.Queued));
     MInFlight->set(static_cast<int64_t>(S.InFlight));
     MCacheHits->set(S.Cache.Hits);
     MCacheMisses->set(S.Cache.Misses);
     MCacheEntries->set(static_cast<int64_t>(S.Cache.Entries));
     MCacheSeeded->set(S.Cache.BoundsSeeded);
-    MCells->set(S.CellsCompleted);
-    MScenarios->set(S.ScenariosChecked);
   }
 
   std::string metricsText() {
@@ -738,16 +724,16 @@ struct CheckServer::Impl {
 
   ServerStats snapshot() {
     ServerStats S;
-    S.Accepted = Accepted.load();
-    S.Served = Served.load();
-    S.Rejected = Rejected.load();
-    S.Cancelled = Cancelled.load();
-    S.Errors = Errors.load();
+    S.Accepted = MAccepted->value();
+    S.Served = MServed->value();
+    S.Rejected = MRejected->value();
+    S.Cancelled = MCancelled->value();
+    S.Errors = MErrors->value();
     S.Queued = Queued.load();
     S.InFlight = InFlight.load();
-    S.CellsCompleted = Sink.Cells.load();
-    S.ScenariosChecked = Sink.Scenarios.load();
-    S.Cache = Shared.stats();
+    S.CellsCompleted = MCells->value();
+    S.ScenariosChecked = MScenarios->value();
+    S.Cache = V->cacheStats();
     return S;
   }
 
@@ -793,7 +779,11 @@ struct CheckServer::Impl {
       int Fd = ::accept(ListenFd, nullptr, nullptr);
       if (Fd < 0)
         continue;
-      ++Accepted;
+      struct timeval Timeout;
+      Timeout.tv_sec = ServerReadTimeoutSeconds;
+      Timeout.tv_usec = 0;
+      ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof Timeout);
+      MAccepted->add();
       reapConnections();
       auto C = std::make_unique<Conn>();
       Conn *Raw = C.get();
@@ -833,6 +823,9 @@ CheckServer::CheckServer(ServerConfig Config)
     Self->Cfg.JobsPerShard = 1;
   if (Self->Cfg.QueueDepth < 1)
     Self->Cfg.QueueDepth = 1;
+  VerifierConfig VC;
+  VC.Jobs = Self->Cfg.JobsPerShard;
+  Self->V = std::make_unique<Verifier>(VC);
 }
 
 CheckServer::~CheckServer() {
@@ -853,16 +846,7 @@ bool CheckServer::start(std::string &Error) {
     obs::setLogLevel(Level);
   }
   if (!Self->Cfg.CachePath.empty())
-    Self->Shared.load(Self->Cfg.CachePath); // absent file: start empty
-
-  for (int I = 0; I < Self->Cfg.Shards; ++I) {
-    auto S = std::make_unique<Shard>();
-    VerifierConfig VC;
-    VC.Jobs = Self->Cfg.JobsPerShard;
-    VC.SharedCache = Self->Shared;
-    S->V = std::make_unique<Verifier>(VC);
-    Self->Shards.push_back(std::move(S));
-  }
+    Self->V->loadCache(Self->Cfg.CachePath); // absent file: start empty
 
   Self->ListenFd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (Self->ListenFd < 0) {
@@ -897,15 +881,13 @@ bool CheckServer::start(std::string &Error) {
                 reinterpret_cast<struct sockaddr *>(&Addr), &Len);
   Self->BoundPort = ntohs(Addr.sin_port);
 
-  for (auto &S : Self->Shards) {
-    Shard *Raw = S.get();
-    S->Worker = std::thread([this, Raw] { Self->workerLoop(*Raw); });
-  }
+  for (int I = 0; I < Self->Cfg.Shards; ++I)
+    Self->Workers.emplace_back([this] { Self->workerLoop(); });
   Self->Watcher.start();
   Self->Listener = std::thread([this] { Self->listenerLoop(); });
   Self->Started.store(true);
   obs::logf(obs::LogLevel::Info, "server",
-            "listening on %s:%d (%d shards, %d jobs/shard, queue depth %d)",
+            "listening on %s:%d (%d workers, %d jobs/request, queue depth %d)",
             Self->Cfg.BindAddress.c_str(), Self->BoundPort,
             Self->Cfg.Shards, Self->Cfg.JobsPerShard, Self->Cfg.QueueDepth);
   return true;
@@ -940,25 +922,26 @@ void CheckServer::waitStopped() {
         C->T.join();
     Self->Conns.clear();
   }
-  Self->WorkersExit.store(true);
-  for (auto &S : Self->Shards) {
-    S->Cv.notify_all();
-    if (S->Worker.joinable())
-      S->Worker.join();
+  {
+    std::lock_guard<std::mutex> Lock(Self->QueueMu);
+    Self->WorkersExit = true;
   }
+  Self->QueueCv.notify_all();
+  for (std::thread &W : Self->Workers)
+    W.join();
   Self->Watcher.stop();
   if (Self->ListenFd >= 0) {
     ::close(Self->ListenFd);
     Self->ListenFd = -1;
   }
   if (!Self->Cfg.CachePath.empty() &&
-      !Self->Shared.save(Self->Cfg.CachePath))
+      !Self->V->saveCache(Self->Cfg.CachePath))
     obs::logf(obs::LogLevel::Warn, "server",
               "cache not saved: %s is not writable or not a cache",
               Self->Cfg.CachePath.c_str());
   obs::logf(obs::LogLevel::Info, "server",
             "stopped after %llu requests served",
-            static_cast<unsigned long long>(Self->Served.load()));
+            static_cast<unsigned long long>(Self->MServed->value()));
 }
 
 ServerStats CheckServer::stats() const { return Self->snapshot(); }

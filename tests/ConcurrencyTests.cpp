@@ -3,14 +3,13 @@
 // Part of the CheckFence reproduction (PLDI'07).
 //
 // The Verifier documents itself as safe to share across threads; the
-// checkfenced server leans on that by pointing every connection of a
-// shard at one instance. These tests hammer that contract - mixed
-// request kinds racing on one Verifier, overlapping program
-// fingerprints contending on the result cache, cancellation
-// of one request mid-flight among unrelated ones, a cache shared
-// between Verifiers, and concurrent persistence to one file - and are
-// run under ThreadSanitizer in CI (the `sanitizers` job), where any
-// data race is fatal rather than flaky.
+// checkfenced server leans on that by running every worker on one
+// instance. These tests hammer that contract - mixed request kinds
+// racing on one Verifier, overlapping program fingerprints contending
+// on the result cache, cancellation of one request mid-flight among
+// unrelated ones, and concurrent persistence to one file racing loads
+// against checks - and are run under ThreadSanitizer in CI (the
+// `sanitizers` job), where any data race is fatal rather than flaky.
 //
 //===----------------------------------------------------------------------===//
 
@@ -132,31 +131,6 @@ TEST(Concurrency, CancellingOneRequestLeavesOthersAlone) {
             Status::Pass);
 }
 
-TEST(Concurrency, SharedCacheAcrossVerifiers) {
-  SharedResultCache Shared = SharedResultCache::create();
-  ASSERT_TRUE(Shared.valid());
-  VerifierConfig Cfg;
-  Cfg.SharedCache = Shared;
-  Verifier A(Cfg), B(Cfg);
-  Request Req = Request::check("ms2", "T0").model("sc");
-
-  std::atomic<int> Mismatches{0};
-  onThreads(4, [&](int I) {
-    Verifier &V = (I % 2) ? A : B;
-    for (int Round = 0; Round < 3; ++Round)
-      if (V.check(Req).Verdict != Status::Pass)
-        ++Mismatches;
-  });
-  EXPECT_EQ(Mismatches, 0);
-  // 12 identical checks over one shared cache: up to one miss per
-  // thread can race the first insert, everything after hits, visible
-  // from both verifiers and the handle alike.
-  EXPECT_EQ(Shared.stats().Entries, 1u);
-  EXPECT_GE(Shared.stats().Hits, 8u);
-  EXPECT_TRUE(A.check(Req).FromCache);
-  EXPECT_TRUE(B.check(Req).FromCache);
-}
-
 TEST(Concurrency, ConcurrentPersistenceToOneFile) {
   std::string Path = testing::TempDir() + "cf_concurrent_cache.txt";
   std::remove(Path.c_str());
@@ -178,21 +152,22 @@ TEST(Concurrency, ConcurrentPersistenceToOneFile) {
   EXPECT_EQ(Failures, 0);
 
   // The merged file holds every thread's entry and stays loadable.
-  SharedResultCache Merged = SharedResultCache::create();
-  ASSERT_TRUE(Merged.load(Path));
-  EXPECT_EQ(Merged.stats().Entries, 4u);
+  Verifier Merged;
+  ASSERT_TRUE(Merged.loadCache(Path));
+  EXPECT_EQ(Merged.cacheStats().Entries, 4u);
 
-  // Concurrent loads into live verifiers race load-merge against checks.
+  // Concurrent loads into one live Verifier race load-merge against the
+  // other threads' checks; each thread's own load precedes its check.
+  Verifier Live;
   onThreads(4, [&](int I) {
-    VerifierConfig Cfg;
-    Cfg.SharedCache = SharedResultCache::create();
-    Cfg.SharedCache.load(Path);
-    Verifier V(Cfg);
-    Result R = V.check(Request::check("ms2", "T0").model(Models[I]));
+    if (!Live.loadCache(Path))
+      ++Failures;
+    Result R = Live.check(Request::check("ms2", "T0").model(Models[I]));
     if (R.Verdict != Status::Pass || !R.FromCache)
       ++Failures;
   });
   EXPECT_EQ(Failures, 0);
+  EXPECT_EQ(Live.cacheStats().Entries, 4u);
   std::remove(Path.c_str());
 }
 

@@ -6,10 +6,11 @@
 // client (Remote.h) against an in-process daemon on an ephemeral port:
 // decoding of result payloads from older servers and into reused
 // out-parameters, remote-vs-local result identity for every request
-// kind, admission control (429 + Retry-After), per-request deadline
+// kind, admission control (429 + Retry-After), independent requests
+// running in parallel on the worker pool, per-request deadline
 // clamping, client disconnect cancellation, the /metrics and /status
-// surfaces, survival of malformed requests, graceful drain, and
-// cross-restart cache persistence.
+// surfaces, survival of malformed requests, graceful drain (also with an
+// idle client connected), and cross-restart cache persistence.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +31,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -420,7 +422,7 @@ TEST(ServerPolicy, MaxRequestSecondsClampsMissingDeadline) {
   EXPECT_EQ(S.stats().Cancelled, 1u);
 }
 
-TEST(ServerPolicy, ShardsShareOneResultCache) {
+TEST(ServerPolicy, WorkersShareOneResultCache) {
   ServerConfig Cfg;
   Cfg.Port = 0;
   Cfg.Shards = 2;
@@ -456,7 +458,7 @@ TEST(ServerQueue, FullQueueRejectsWith429AndDisconnectCancels) {
   std::string Error;
   ASSERT_TRUE(S.start(Error)) << Error;
 
-  // Occupy the single shard with an explore run big enough to outlast
+  // Occupy the single worker with an explore run big enough to outlast
   // the admission checks below (explore polls its cancel token between
   // scenarios, so the hang-up at the end keeps the test bounded).
   Request Slow = Request::check();
@@ -487,12 +489,41 @@ TEST(ServerQueue, FullQueueRejectsWith429AndDisconnectCancels) {
   EXPECT_GE(S.stats().Rejected, 1u);
 
   // Hanging up on the in-flight explore cancels it cooperatively and
-  // frees the shard for the queued check.
+  // frees the worker for the queued check.
   C1.close();
   ASSERT_TRUE(waitStatus(S, [](const std::string &B) {
     return contains(B, "\"cancelled\": 1") && contains(B, "\"queued\": 0");
   }));
   EXPECT_GE(S.stats().Cancelled, 1u);
+}
+
+TEST(ServerQueue, IndependentRequestsRunInParallel) {
+  ServerConfig Cfg;
+  Cfg.Port = 0;
+  Cfg.Shards = 2;
+  CheckServer S(Cfg);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  // Two explore runs - no program, so nothing to tell them apart but the
+  // seed - each big enough to outlast the status polls below.
+  RawConn C[2];
+  for (int I = 0; I < 2; ++I) {
+    Request Slow = Request::check();
+    Slow.RequestKind = Request::Kind::Explore;
+    Slow.seed(I + 1).budget(5000);
+    ASSERT_TRUE(C[I].connectTo(S.port()));
+    ASSERT_TRUE(C[I].sendRpc("checkfence.explore", Slow, I + 1));
+  }
+  // Both workers pick one up: neither waits behind the other.
+  ASSERT_TRUE(waitStatus(
+      S, [](const std::string &B) { return contains(B, "\"inFlight\": 2"); }));
+
+  C[0].close();
+  C[1].close();
+  ASSERT_TRUE(waitStatus(S, [](const std::string &B) {
+    return contains(B, "\"cancelled\": 2") && contains(B, "\"inFlight\": 0");
+  }));
 }
 
 //===----------------------------------------------------------------------===//
@@ -670,6 +701,38 @@ TEST(ServerDrain, DrainNeverClobbersAFileThatIsNotACache) {
   Kept << In.rdbuf();
   EXPECT_EQ(Kept.str(), Foreign);
   std::remove(CachePath.c_str());
+}
+
+TEST(ServerDrain, IdleConnectionDoesNotBlockDrain) {
+  ServerConfig Cfg;
+  Cfg.Port = 0;
+  CheckServer S(Cfg);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  // A client that connects and never sends a byte.
+  RawConn Idle;
+  ASSERT_TRUE(Idle.connectTo(S.port()));
+  for (int I = 0; I < 250 && S.stats().Accepted == 0; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_EQ(S.stats().Accepted, 1u);
+
+  S.requestStop();
+  std::promise<void> Stopped;
+  std::future<void> Done = Stopped.get_future();
+  std::thread Drain([&] {
+    S.waitStopped();
+    Stopped.set_value();
+  });
+  bool InTime =
+      Done.wait_for(std::chrono::seconds(ServerReadTimeoutSeconds + 5)) ==
+      std::future_status::ready;
+  // A drain still waiting on the idle client would hang the test: hang
+  // up so it finishes, and fail instead.
+  if (!InTime)
+    Idle.close();
+  Drain.join();
+  EXPECT_TRUE(InTime) << "drain waited on a connection that sent nothing";
 }
 
 TEST(ServerDrain, StoppedServerRefusesNewConnections) {

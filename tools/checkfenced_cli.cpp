@@ -38,15 +38,15 @@ void usage() {
       "usage: checkfenced [options]\n"
       "  --port N                 listen port (default 8417, 0 = ephemeral)\n"
       "  --bind ADDR              bind address (default 127.0.0.1)\n"
-      "  --shards N               worker shards = max in-flight requests\n"
-      "                           (default 2); each shard owns a Verifier;\n"
-      "                           identical programs share a shard, so a\n"
-      "                           concurrent repeat is a cache hit\n"
-      "  --jobs N                 Verifier worker threads per shard\n"
+      "  --shards N               worker threads = max in-flight requests\n"
+      "                           (default 2); all workers take requests\n"
+      "                           from one priority queue and share one\n"
+      "                           Verifier and its result cache\n"
+      "  --jobs N                 threads each request may fan out to\n"
       "                           (default 1)\n"
       "  --queue-depth N          queued requests beyond this are rejected\n"
       "                           with HTTP 429 + Retry-After (default 64)\n"
-      "  --cache PATH             persist the shared result cache at PATH\n"
+      "  --cache PATH             persist the result cache at PATH\n"
       "                           (merge-on-load, atomic multi-process-safe\n"
       "                           save)\n"
       "  --max-request-seconds S  hard per-request deadline (default: none)\n"
@@ -119,7 +119,7 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "checkfenced: %s\n", Error.c_str());
     return 1;
   }
-  std::printf("checkfenced %s listening on %s:%d (%d shards x %d jobs, "
+  std::printf("checkfenced %s listening on %s:%d (%d workers x %d jobs, "
               "queue %d)\n",
               versionString(), Cfg.BindAddress.c_str(), Server.port(),
               Cfg.Shards < 1 ? 1 : Cfg.Shards,
