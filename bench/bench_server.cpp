@@ -114,8 +114,8 @@ int main(int argc, char **argv) {
                           .impls({"ms2"})
                           .tests({"T0"})
                           .models({"sc", "tso"});
-  RemoteReport Matrix;
-  if (!RV.matrix(MatrixReq, Matrix) || !Matrix.AllCompleted)
+  Report Matrix;
+  if (!RV.matrix(MatrixReq, Matrix) || !Matrix.allCompleted())
     ++PassFailures;
   Request AnalyzeReq = Request::check("ms2", "T0");
   AnalyzeReq.RequestKind = Request::Kind::Analyze;

@@ -9,10 +9,12 @@
 /// RemoteVerifier dispatches Requests to a running checkfenced daemon
 /// (checkfence/Server.h) over HTTP + JSON-RPC and reconstructs the
 /// results. Single checks come back as full checkfence::Result values
-/// (every field round-trips, so local rendering - json(), exit codes -
-/// is byte-identical to an in-process run). Batched kinds come back as
-/// the server-rendered report strings plus the scalar fields a client
-/// needs for exit codes and summaries.
+/// and matrices and sweeps as the same Report a local run returns, a
+/// list of such Results: every field round-trips, so local rendering -
+/// json(), table(), exit codes - is byte-identical to an in-process run.
+/// Analysis and explore runs come back as the server-rendered report
+/// strings plus the scalar fields a client needs for exit codes and
+/// summaries.
 ///
 /// Transport failures are reported out-of-band in RemoteStatus, never
 /// conflated with verification verdicts: a connection refused is not an
@@ -43,20 +45,6 @@ struct RemoteStatus {
   int RetryAfterSeconds = 0;
 
   explicit operator bool() const { return Ok; }
-};
-
-/// A matrix/sweep report as served by the daemon: the rendered table and
-/// JSON plus the fields that drive the CLI exit-code convention.
-struct RemoteReport {
-  bool Ok = false;
-  std::string Error; ///< request-level problem (empty matrix, bad axis)
-  std::string Table;
-  std::string Json;          ///< with timings
-  std::string JsonNoTimings; ///< byte-identical to a local --no-timings run
-  bool AllCompleted = false;
-  size_t CellCount = 0;
-  int ErrorCells = 0;
-  int CancelledCells = 0;
 };
 
 /// An analysis report as served by the daemon.
@@ -104,7 +92,9 @@ public:
   RemoteStatus version(std::string &VersionOut, int &SchemaOut);
 
   RemoteStatus check(const Request &Req, Result &Out);
-  RemoteStatus matrix(const Request &Req, RemoteReport &Out);
+  /// A request-level problem (empty matrix, bad model axis) is a
+  /// transport success whose \p Out is !ok(), as in a local run.
+  RemoteStatus matrix(const Request &Req, Report &Out);
   RemoteStatus analyze(const Request &Req, RemoteAnalysis &Out);
   RemoteStatus explore(const Request &Req, RemoteExplore &Out);
   RemoteStatus synthesize(const Request &Req, SynthOutcome &Out);

@@ -172,11 +172,13 @@ public:
   /// Human-readable fixed-width table.
   std::string table() const;
 
-  /// \internal Constructed by the Verifier.
+  /// \internal Constructed by the Verifier and the wire decoder.
   explicit Report(std::shared_ptr<const engine::MatrixReport> Rep)
       : Rep(std::move(Rep)) {}
   /// \internal
   static Report makeError(std::string Message);
+  /// \internal The engine report behind this view (null when !ok()).
+  const engine::MatrixReport *engineReport() const { return Rep.get(); }
 
 private:
   std::shared_ptr<const engine::MatrixReport> Rep;

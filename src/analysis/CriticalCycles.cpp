@@ -72,14 +72,6 @@ bool mustAlias(const RangeInfo &R, const FlatEvent &A, const FlatEvent &B) {
          SA.Values.begin()->isPtr();
 }
 
-lsl::FenceKind fenceKindFor(bool EarlierIsLoad, bool LaterIsLoad) {
-  if (EarlierIsLoad)
-    return LaterIsLoad ? lsl::FenceKind::LoadLoad
-                       : lsl::FenceKind::LoadStore;
-  return LaterIsLoad ? lsl::FenceKind::StoreLoad
-                     : lsl::FenceKind::StoreStore;
-}
-
 /// Witness cycles rendered per result (RobustnessResult::Cycles).
 constexpr int MaxCycleWitnesses = 16;
 
@@ -403,7 +395,7 @@ checkfence::analysis::analyzeRobustness(const FlatProgram &P,
         // counts the harmful pairs it separates. Scoring only the later
         // access's line would systematically misrank cuts: a fence
         // between two hot lines cuts the pairs of both.
-        lsl::FenceKind Kind = fenceKindFor(EA.isLoad(), EB.isLoad());
+        lsl::FenceKind Kind = lsl::fenceKindFor(EA.isLoad(), EB.isLoad());
         int PrevLine = -1; // lines repeat consecutively; cheap dedup
         std::set<int> PairLines;
         for (size_t K = I + 1; K <= J; ++K) {

@@ -6,10 +6,8 @@
 
 #include "api/ApiInternal.h"
 
-#include "engine/MatrixRunner.h"
 #include "impls/Impls.h"
 #include "support/Format.h"
-#include "support/Json.h"
 
 using namespace checkfence;
 using namespace checkfence::api;
@@ -114,55 +112,4 @@ std::string checkfence::api::optionsFingerprint(
       static_cast<long long>(O.ConflictBudget),
       static_cast<unsigned long long>(O.MaxObservations),
       O.Fresh ? "fresh" : "session");
-}
-
-Result checkfence::api::convertResult(const checker::CheckResult &R,
-                                      const std::string &ImplLabel,
-                                      const std::string &TestName,
-                                      const std::string &ModelName) {
-  Result Out;
-  Out.Verdict = R.Status;
-  Out.Message = R.Message;
-  Out.Impl = ImplLabel;
-  Out.Test = TestName;
-  Out.Model = ModelName;
-  for (const checker::Observation &O : R.Spec)
-    Out.Observations.push_back(O.str());
-  if (R.Counterexample) {
-    Out.HasCounterexample = true;
-    Out.CounterexampleTrace = R.Counterexample->str();
-    Out.CounterexampleColumns = R.Counterexample->columns();
-    Out.CounterexampleObservation =
-        R.Counterexample->Obs.str(R.Counterexample->ObsLabels);
-  }
-  Out.Stats = engine::resultStats(R.Stats);
-  Out.FinalBounds = R.FinalBounds;
-  return Out;
-}
-
-std::string checkfence::api::renderSingleCellJson(const Result &R,
-                                                 bool IncludeTimings) {
-  // The one-cell shape of engine::MatrixReport::json - the summary and
-  // cell bodies come from the same renderers the matrix report uses, so
-  // the schema has a single definition.
-  auto Is = [&](Status S) { return R.Verdict == S ? 1 : 0; };
-  std::string OS;
-  OS += "{\n";
-  OS += formatString("  \"schema_version\": %d,\n", JsonSchemaVersion);
-  if (IncludeTimings)
-    OS += formatString("  \"jobs\": %d,\n  \"wall_seconds\": %.3f,\n", 1,
-                       R.Stats.TotalSeconds);
-  OS += "  \"summary\": " +
-        engine::renderReportSummary(
-            Is(Status::Pass), Is(Status::Fail), Is(Status::SequentialBug),
-            Is(Status::BoundsExhausted), Is(Status::Error),
-            Is(Status::Cancelled)) +
-        ",\n";
-  OS += "  \"cells\": [\n";
-  OS += "    " +
-        engine::renderReportCell(R, R.Stats.TotalSeconds, IncludeTimings) +
-        "\n";
-  OS += "  ]\n";
-  OS += "}\n";
-  return OS;
 }

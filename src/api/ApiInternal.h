@@ -6,9 +6,8 @@
 ///
 /// \file
 /// Internal glue between the public facade (include/checkfence/) and the
-/// engine layers: request resolution (names -> compiled programs),
-/// fingerprinting for the result cache, and the checker::CheckResult ->
-/// checkfence::Result conversion. Not installed.
+/// engine layers: request resolution (names -> compiled programs) and
+/// fingerprinting for the result cache. Not installed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,18 +52,6 @@ bool checkOptionsFrom(const Request &Req, checker::CheckOptions &Out,
 /// Deterministic options fingerprint for result-cache keys. Ignores
 /// Hooks and InitialBounds (per-request state).
 std::string optionsFingerprint(const checker::CheckOptions &O);
-
-/// Converts an engine result (stats through engine::resultStats);
-/// \p ImplLabel / \p TestName / \p ModelName become the result's
-/// identity fields.
-Result convertResult(const checker::CheckResult &R,
-                     const std::string &ImplLabel,
-                     const std::string &TestName,
-                     const std::string &ModelName);
-
-/// Renders the shared one-cell report body used by Result::json (the
-/// exact shape of engine::MatrixReport::json for a single cell).
-std::string renderSingleCellJson(const Result &R, bool IncludeTimings);
 
 } // namespace api
 } // namespace checkfence

@@ -6,7 +6,6 @@
 
 #include "checkfence/Result.h"
 
-#include "api/ApiInternal.h"
 #include "engine/MatrixRunner.h"
 #include "explore/Explore.h"
 #include "support/Format.h"
@@ -51,7 +50,12 @@ int checkfence::exitCodeFor(Status S) {
 }
 
 std::string Result::json(bool IncludeTimings) const {
-  return api::renderSingleCellJson(*this, IncludeTimings);
+  // A one-cell matrix report: the report shell has one renderer. Its
+  // identity fields come from this Result, so the cell stays default.
+  engine::MatrixReport Rep;
+  Rep.WallSeconds = Stats.TotalSeconds;
+  Rep.Cells.push_back({engine::MatrixCell{}, *this, Stats.TotalSeconds});
+  return Rep.json(IncludeTimings);
 }
 
 //===----------------------------------------------------------------------===//
@@ -85,16 +89,9 @@ std::vector<Report::Cell> Report::cells() const {
   if (!Rep)
     return Out;
   Out.reserve(Rep->Cells.size());
-  for (const engine::MatrixCellResult &C : Rep->Cells) {
-    Cell Row;
-    Row.Impl = C.Cell.Impl;
-    Row.Test = C.Cell.Test;
-    Row.Model = memmodel::modelName(C.Cell.Model);
-    Row.Verdict = C.Result.Status;
-    Row.Message = C.Result.Message;
-    Row.Seconds = C.Seconds;
-    Out.push_back(std::move(Row));
-  }
+  for (const engine::MatrixCellResult &C : Rep->Cells)
+    Out.push_back({C.Result.Impl, C.Result.Test, C.Result.Model,
+                   C.Result.Verdict, C.Result.Message, C.Seconds});
   return Out;
 }
 

@@ -6,7 +6,10 @@
 
 #include "api/ResultCodec.h"
 
+#include "engine/MatrixRunner.h"
 #include "support/Json.h"
+
+#include <memory>
 
 using namespace checkfence;
 using support::JsonArray;
@@ -97,5 +100,60 @@ bool checkfence::api::decodeResult(const JsonValue &V, Result &Out,
   for (const JsonValue &Item : V.at("finalBounds").Items)
     Out.FinalBounds[Item.at("loop").asString()] = Item.at("bound").asInt();
   Out.FromCache = V.at("fromCache").asBool();
+  return true;
+}
+
+std::string checkfence::api::encodeReport(const Report &R) {
+  JsonObject O;
+  O.field("ok", R.ok());
+  O.field("error", R.error());
+  if (const engine::MatrixReport *Rep = R.engineReport()) {
+    O.field("jobs", Rep->Jobs);
+    O.exact("wallSeconds", Rep->WallSeconds);
+    JsonArray Cells;
+    for (const engine::MatrixCellResult &C : Rep->Cells)
+      Cells.item(JsonObject()
+                     .exact("seconds", C.Seconds)
+                     .raw("result", encodeResult(C.Result)));
+    O.raw("cells", Cells.str());
+  }
+  return O.str();
+}
+
+bool checkfence::api::decodeReport(const JsonValue &V, Report &Out,
+                                   std::string &Error) {
+  if (!V.isObject()) {
+    Error = "report payload must be an object";
+    return false;
+  }
+  if (!V.at("ok").asBool()) {
+    std::string Message = V.at("error").asString();
+    if (Message.empty()) {
+      Error = "report payload carries neither cells nor an error";
+      return false;
+    }
+    Out = Report::makeError(std::move(Message));
+    return true;
+  }
+  auto Rep = std::make_shared<engine::MatrixReport>();
+  Rep->Jobs = V.at("jobs").asInt();
+  Rep->WallSeconds = V.at("wallSeconds").asDouble();
+  for (const JsonValue &Item : V.at("cells").Items) {
+    engine::MatrixCellResult C;
+    if (!decodeResult(Item.at("result"), C.Result, Error))
+      return false;
+    std::optional<memmodel::ModelParams> M =
+        memmodel::modelFromName(C.Result.Model);
+    if (!M) {
+      Error = "unknown model '" + C.Result.Model + "' in report payload";
+      return false;
+    }
+    C.Cell.Impl = C.Result.Impl;
+    C.Cell.Test = C.Result.Test;
+    C.Cell.Model = *M;
+    C.Seconds = Item.at("seconds").asDouble();
+    Rep->Cells.push_back(std::move(C));
+  }
+  Out = Report(std::move(Rep));
   return true;
 }

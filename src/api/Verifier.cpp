@@ -9,6 +9,7 @@
 #include "analysis/CriticalCycles.h"
 #include "api/ApiInternal.h"
 #include "api/Cache.h"
+#include "api/RunControl.h"
 #include "checker/SolveContext.h"
 #include "trans/Flattener.h"
 #include "engine/MatrixRunner.h"
@@ -26,40 +27,12 @@
 #include <memory>
 
 #include <atomic>
-#include <chrono>
 #include <vector>
 
 using namespace checkfence;
 using namespace checkfence::api;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// Per-request cancellation state: token + optional deadline.
-struct RunControl {
-  CancelToken Token;
-  bool HasDeadline = false;
-  Clock::time_point Deadline;
-
-  static RunControl make(CancelToken Token, double DeadlineSeconds) {
-    RunControl C;
-    C.Token = std::move(Token);
-    if (DeadlineSeconds > 0) {
-      C.HasDeadline = true;
-      C.Deadline = Clock::now() + std::chrono::duration_cast<
-                                      Clock::duration>(
-                                      std::chrono::duration<double>(
-                                          DeadlineSeconds));
-    }
-    return C;
-  }
-
-  bool expired() const {
-    return HasDeadline && Clock::now() >= Deadline;
-  }
-  bool stopRequested() const { return Token.cancelled() || expired(); }
-};
 
 /// Per-request tracing scope. When the request asked for a trace file
 /// this owns a fresh Tracer, installs it for the calling thread (worker
@@ -308,7 +281,8 @@ Result Verifier::check(const Request &Req, EventSink *Sink,
   checker::CheckResult R =
       checker::runCheck(C.Impl, C.Threads, Opts, C.spec());
 
-  Result Out = convertResult(R, Case.ImplLabel, Case.Test.Name, ModelStr);
+  Result Out =
+      engine::convertResult(R, Case.ImplLabel, Case.Test.Name, ModelStr);
   if (Out.Verdict == Status::Cancelled && Control.expired() &&
       !Token.cancelled())
     Out.Message = "deadline exceeded";
@@ -669,7 +643,9 @@ ExploreOutcome Verifier::explore(const Request &Req, EventSink *Sink,
   EO.Shrink = Req.ExploreShrink;
   EO.CorpusDir = Req.CorpusDir;
   EO.Sink = Sink;
-  EO.Token = Token;
+  // One stop check for the driver, the differential runner and, through
+  // the remaining deadline, each inner engine check.
+  EO.Control = RunControl::make(Token, Req.DeadlineSeconds);
   EO.Diff.UseFastOracle = Req.UseFastOracle;
   if (Req.SymbolicPerMille >= 0)
     EO.Limits.SymbolicPerMille = Req.SymbolicPerMille;
@@ -685,15 +661,6 @@ ExploreOutcome Verifier::explore(const Request &Req, EventSink *Sink,
     Rep->Error = Error;
     fireVerdict(Sink, "explore", Status::Error, Error, false);
     return ExploreOutcome(std::move(Rep));
-  }
-
-  RunControl Control = RunControl::make(Token, Req.DeadlineSeconds);
-  EO.Stop = [Control] { return Control.stopRequested(); };
-  if (Control.HasDeadline) {
-    // Also forwarded into each inner engine check, so a slow scenario
-    // stops near the deadline instead of overshooting by its runtime.
-    EO.Diff.HasDeadline = true;
-    EO.Diff.Deadline = Control.Deadline;
   }
 
   auto Rep = std::make_shared<explore::ExploreReport>(

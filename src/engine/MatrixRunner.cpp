@@ -59,7 +59,7 @@ std::string MatrixCell::label() const {
 int MatrixReport::countWithStatus(Status S) const {
   int N = 0;
   for (const MatrixCellResult &C : Cells)
-    N += C.Result.Status == S;
+    N += C.Result.Verdict == S;
   return N;
 }
 
@@ -68,65 +68,42 @@ bool MatrixReport::allCompleted() const {
          countWithStatus(Status::Cancelled) == 0;
 }
 
-std::string checkfence::engine::renderReportSummary(
-    int Pass, int Fail, int SequentialBug, int BoundsExhausted,
-    int Error, int Cancelled) {
-  support::JsonObject Summary;
-  Summary.field("pass", Pass)
-      .field("fail", Fail)
-      .field("sequential_bug", SequentialBug)
-      .field("bounds_exhausted", BoundsExhausted)
-      .field("error", Error);
-  if (Cancelled)
-    Summary.field("cancelled", Cancelled);
-  return Summary.str();
-}
-
-ResultStats checkfence::engine::resultStats(const checker::CheckStats &S) {
-  ResultStats Out;
-  Out.ObservationCount = S.ObservationCount;
-  Out.BoundIterations = S.BoundIterations;
-  Out.UnrolledInstrs = S.Inclusion.UnrolledInstrs;
-  Out.Loads = S.Inclusion.Loads;
-  Out.Stores = S.Inclusion.Stores;
-  Out.SatVars = S.Inclusion.SatVars;
-  Out.SatClauses = static_cast<unsigned long long>(S.Inclusion.SatClauses);
-  Out.EncodeSeconds = S.Inclusion.EncodeSeconds;
-  Out.SolveSeconds = S.Inclusion.SolveSeconds;
-  Out.MiningSeconds = S.MiningSeconds;
-  Out.IncludeSeconds = S.IncludeSeconds;
-  Out.ProbeSeconds = S.ProbeSeconds;
-  Out.TotalSeconds = S.TotalSeconds;
+Result checkfence::engine::convertResult(const checker::CheckResult &R,
+                                         const std::string &Impl,
+                                         const std::string &Test,
+                                         const std::string &Model) {
+  Result Out;
+  Out.Verdict = R.Status;
+  Out.Message = R.Message;
+  Out.Impl = Impl;
+  Out.Test = Test;
+  Out.Model = Model;
+  for (const checker::Observation &O : R.Spec)
+    Out.Observations.push_back(O.str());
+  if (R.Counterexample) {
+    Out.HasCounterexample = true;
+    Out.CounterexampleTrace = R.Counterexample->str();
+    Out.CounterexampleColumns = R.Counterexample->columns();
+    Out.CounterexampleObservation =
+        R.Counterexample->Obs.str(R.Counterexample->ObsLabels);
+  }
+  const checker::CheckStats &S = R.Stats;
+  ResultStats &St = Out.Stats;
+  St.ObservationCount = S.ObservationCount;
+  St.BoundIterations = S.BoundIterations;
+  St.UnrolledInstrs = S.Inclusion.UnrolledInstrs;
+  St.Loads = S.Inclusion.Loads;
+  St.Stores = S.Inclusion.Stores;
+  St.SatVars = S.Inclusion.SatVars;
+  St.SatClauses = static_cast<unsigned long long>(S.Inclusion.SatClauses);
+  St.EncodeSeconds = S.Inclusion.EncodeSeconds;
+  St.SolveSeconds = S.Inclusion.SolveSeconds;
+  St.MiningSeconds = S.MiningSeconds;
+  St.IncludeSeconds = S.IncludeSeconds;
+  St.ProbeSeconds = S.ProbeSeconds;
+  St.TotalSeconds = S.TotalSeconds;
+  Out.FinalBounds = R.FinalBounds;
   return Out;
-}
-
-std::string checkfence::engine::renderReportCell(const Result &R,
-                                                 double Seconds,
-                                                 bool IncludeTimings) {
-  const ResultStats &S = R.Stats;
-  support::JsonObject Cell;
-  Cell.field("impl", R.Impl)
-      .field("test", R.Test)
-      .field("model", R.Model)
-      .field("status", statusName(R.Verdict))
-      .field("message", R.Message)
-      .field("observations", S.ObservationCount)
-      .field("bound_iterations", S.BoundIterations)
-      .field("unrolled_instrs", S.UnrolledInstrs)
-      .field("loads", S.Loads)
-      .field("stores", S.Stores)
-      .field("sat_vars", S.SatVars)
-      .field("sat_clauses", S.SatClauses);
-  if (R.HasCounterexample)
-    Cell.field("counterexample", R.CounterexampleObservation);
-  if (IncludeTimings)
-    Cell.fixed("seconds", Seconds)
-        .fixed("encode_seconds", S.EncodeSeconds)
-        .fixed("solve_seconds", S.SolveSeconds)
-        .fixed("mining_seconds", S.MiningSeconds)
-        .fixed("include_seconds", S.IncludeSeconds)
-        .fixed("probe_seconds", S.ProbeSeconds);
-  return Cell.str();
 }
 
 std::string MatrixReport::json(bool IncludeTimings) const {
@@ -136,33 +113,44 @@ std::string MatrixReport::json(bool IncludeTimings) const {
   if (IncludeTimings)
     OS << formatString("  \"jobs\": %d,\n  \"wall_seconds\": %.3f,\n",
                        Jobs, WallSeconds);
-  OS << "  \"summary\": "
-     << renderReportSummary(countWithStatus(Status::Pass),
-                            countWithStatus(Status::Fail),
-                            countWithStatus(Status::SequentialBug),
-                            countWithStatus(Status::BoundsExhausted),
-                            countWithStatus(Status::Error),
-                            countWithStatus(Status::Cancelled))
-     << ",\n";
+  // The "cancelled" bucket appears only when non-zero, keeping
+  // uncancelled reports on the historical five-field shape.
+  support::JsonObject Summary;
+  Summary.field("pass", countWithStatus(Status::Pass))
+      .field("fail", countWithStatus(Status::Fail))
+      .field("sequential_bug", countWithStatus(Status::SequentialBug))
+      .field("bounds_exhausted", countWithStatus(Status::BoundsExhausted))
+      .field("error", countWithStatus(Status::Error));
+  if (int Cancelled = countWithStatus(Status::Cancelled))
+    Summary.field("cancelled", Cancelled);
+  OS << "  \"summary\": " << Summary.str() << ",\n";
   OS << "  \"cells\": [\n";
   for (size_t I = 0; I < Cells.size(); ++I) {
-    const MatrixCellResult &C = Cells[I];
-    Result R;
-    R.Impl = C.Cell.Impl;
-    R.Test = C.Cell.Test;
-    R.Model = memmodel::modelName(C.Cell.Model);
-    R.Verdict = C.Result.Status;
-    R.Message = C.Result.Message;
-    R.Stats = resultStats(C.Result.Stats);
-    if (C.Result.Counterexample) {
-      R.HasCounterexample = true;
-      R.CounterexampleObservation = C.Result.Counterexample->Obs.str(
-          C.Result.Counterexample->ObsLabels);
-    }
-    OS << "    " << renderReportCell(R, C.Seconds, IncludeTimings);
-    if (I + 1 < Cells.size())
-      OS << ",";
-    OS << "\n";
+    const Result &R = Cells[I].Result;
+    const ResultStats &S = R.Stats;
+    support::JsonObject Cell;
+    Cell.field("impl", R.Impl)
+        .field("test", R.Test)
+        .field("model", R.Model)
+        .field("status", statusName(R.Verdict))
+        .field("message", R.Message)
+        .field("observations", S.ObservationCount)
+        .field("bound_iterations", S.BoundIterations)
+        .field("unrolled_instrs", S.UnrolledInstrs)
+        .field("loads", S.Loads)
+        .field("stores", S.Stores)
+        .field("sat_vars", S.SatVars)
+        .field("sat_clauses", S.SatClauses);
+    if (R.HasCounterexample)
+      Cell.field("counterexample", R.CounterexampleObservation);
+    if (IncludeTimings)
+      Cell.fixed("seconds", Cells[I].Seconds)
+          .fixed("encode_seconds", S.EncodeSeconds)
+          .fixed("solve_seconds", S.SolveSeconds)
+          .fixed("mining_seconds", S.MiningSeconds)
+          .fixed("include_seconds", S.IncludeSeconds)
+          .fixed("probe_seconds", S.ProbeSeconds);
+    OS << "    " << Cell.str() << (I + 1 < Cells.size() ? ",\n" : "\n");
   }
   OS << "  ]";
   // Multi-model sweeps additionally report the weakest passing model per
@@ -185,25 +173,27 @@ std::string MatrixReport::table() const {
   OS << formatString("%-10s %-8s %-8s %-16s %8s %6s %9s\n", "impl", "test",
                      "model", "status", "obs", "iters", "seconds");
   for (const MatrixCellResult &C : Cells) {
-    const checker::CheckResult &R = C.Result;
+    const Result &R = C.Result;
     OS << formatString("%-10s %-8s %-8s %-16s %8d %6d %9.2f\n",
-                       C.Cell.Impl.c_str(), C.Cell.Test.c_str(),
-                       memmodel::modelName(C.Cell.Model).c_str(),
-                       statusName(R.Status),
-                       R.Stats.ObservationCount, R.Stats.BoundIterations,
-                       C.Seconds);
+                       R.Impl.c_str(), R.Test.c_str(), R.Model.c_str(),
+                       statusName(R.Verdict), R.Stats.ObservationCount,
+                       R.Stats.BoundIterations, C.Seconds);
   }
-  int Cancelled = countWithStatus(Status::Cancelled);
-  std::string CancelledNote =
-      Cancelled ? formatString(", %d cancelled", Cancelled) : "";
+  // Optional buckets appear only when non-zero, so the counts always sum
+  // to the cell count without lengthening the common line.
+  std::string Notes;
+  if (int Exhausted = countWithStatus(Status::BoundsExhausted))
+    Notes += formatString(", %d bounds-exhausted", Exhausted);
+  if (int Cancelled = countWithStatus(Status::Cancelled))
+    Notes += formatString(", %d cancelled", Cancelled);
   OS << formatString("%d cells: %d pass, %d fail, %d error%s (%.2fs "
                      "wall, %d jobs)\n",
                      static_cast<int>(Cells.size()),
                      countWithStatus(Status::Pass),
                      countWithStatus(Status::Fail) +
                          countWithStatus(Status::SequentialBug),
-                     countWithStatus(Status::Error),
-                     CancelledNote.c_str(), WallSeconds, Jobs);
+                     countWithStatus(Status::Error), Notes.c_str(),
+                     WallSeconds, Jobs);
   std::vector<WeakestSummary> Summaries = summarizeReport(*this);
   if (Cells.size() > Summaries.size()) {
     OS << "\nweakest passing model per (impl, test):\n";
@@ -242,7 +232,7 @@ MatrixReport MatrixRunner::run(const std::vector<MatrixCell> &Cells,
       MatrixCell Cell = Cells[I];
       for (size_t J : Done) {
         const MatrixCellResult &Prev = Report.Cells[J];
-        if (Prev.Result.Status != Status::Pass ||
+        if (Prev.Result.Verdict != Status::Pass ||
             !memmodel::atLeastAsStrong(Prev.Cell.Model, Cell.Model))
           continue;
         for (const auto &[Loop, Bound] : Prev.Result.FinalBounds) {
@@ -252,10 +242,12 @@ MatrixReport MatrixRunner::run(const std::vector<MatrixCell> &Cells,
       }
       obs::Span CellSpan("matrix", [&] { return "cell:" + Cell.label(); });
       Timer CellTimer;
+      checker::CheckResult R = Run(Cell);
       MatrixCellResult &Out = Report.Cells[I];
-      Out.Cell = Cells[I];
-      Out.Result = Run(Cell);
       Out.Seconds = CellTimer.seconds();
+      Out.Cell = Cells[I];
+      Out.Result = convertResult(R, Cell.Impl, Cell.Test,
+                                 memmodel::modelName(Cell.Model));
       Done.push_back(I);
     }
   });

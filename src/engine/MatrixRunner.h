@@ -42,24 +42,13 @@ namespace engine {
 void parallelFor(int Jobs, size_t Count,
                  const std::function<void(size_t)> &Body);
 
-/// The public stats record of a check: the one CheckStats -> ResultStats
-/// copy, shared by matrix cells and the facade's single-check results.
-ResultStats resultStats(const checker::CheckStats &S);
-
-/// Renders one inline cell object of the report schema from a Result's
-/// identity, verdict, message, stats and counterexample observation.
-/// \p Seconds is the cell's wall clock (matrix cells time the cell
-/// function, single checks report the run's TotalSeconds). One renderer
-/// defines the cell shape for every emitter.
-std::string renderReportCell(const Result &R, double Seconds,
-                             bool IncludeTimings);
-
-/// Renders the report's inline summary object. The "cancelled" bucket
-/// appears only when non-zero, keeping uncancelled reports on the
-/// historical five-field shape byte-for-byte.
-std::string renderReportSummary(int Pass, int Fail, int SequentialBug,
-                                int BoundsExhausted, int Error,
-                                int Cancelled);
+/// The one checker::CheckResult -> public Result conversion, shared by
+/// matrix cells and the facade's single checks: renders the mined
+/// specification and the counterexample, copies the stats into a
+/// ResultStats and takes the identity fields from \p Impl, \p Test and
+/// \p Model (a display name).
+Result convertResult(const checker::CheckResult &R, const std::string &Impl,
+                     const std::string &Test, const std::string &Model);
 
 /// One cell of the evaluation matrix.
 struct MatrixCell {
@@ -82,9 +71,14 @@ struct MatrixCell {
 /// Maps a cell to its check result. Implementations must be thread-safe.
 using CellFn = std::function<checker::CheckResult(const MatrixCell &)>;
 
+/// A finished cell: its public Result, converted once by the runner,
+/// which every reader of the report (json, table, Report::cells(), the
+/// weakest-passing summary, bound seeding, the wire codec) reads. The
+/// cell itself contributes only its model's lattice point; the identity
+/// fields come from the Result.
 struct MatrixCellResult {
   MatrixCell Cell;
-  checker::CheckResult Result;
+  checkfence::Result Result;
   double Seconds = 0;
 };
 
@@ -98,12 +92,15 @@ struct MatrixReport {
   /// cells.
   bool allCompleted() const;
 
-  /// Machine-readable report. With \p IncludeTimings false the output
-  /// depends only on the matrix and the verdicts - byte-identical across
-  /// job counts and machines.
+  /// Machine-readable report: the one renderer of the report schema
+  /// (Result::json is a one-cell report). With \p IncludeTimings false
+  /// the output depends only on the matrix and the verdicts -
+  /// byte-identical across job counts and machines.
   std::string json(bool IncludeTimings = true) const;
 
-  /// Human-readable fixed-width table.
+  /// Human-readable fixed-width table. The summary line counts every
+  /// status; the bounds-exhausted and cancelled counts appear only when
+  /// non-zero.
   std::string table() const;
 };
 
@@ -111,11 +108,13 @@ class MatrixRunner {
 public:
   explicit MatrixRunner(int Jobs) : Jobs(Jobs < 1 ? 1 : Jobs) {}
 
-  /// Runs every cell through \p Run and aggregates deterministically
-  /// (results land at their cell's index). The worker pool runs programs
-  /// - the cells sharing Impl and Test - in parallel; a program's cells
-  /// run in sequence, strongest model first (memmodel::strengthOrder),
-  /// with SeedBounds filled from the program's stronger passing cells.
+  /// Runs every cell through \p Run, converts each result once
+  /// (convertResult; Seconds times \p Run alone) and aggregates
+  /// deterministically (results land at their cell's index). The worker
+  /// pool runs programs - the cells sharing Impl and Test - in parallel;
+  /// a program's cells run in sequence, strongest model first
+  /// (memmodel::strengthOrder), with SeedBounds filled from the
+  /// program's stronger passing cells.
   MatrixReport run(const std::vector<MatrixCell> &Cells,
                    const CellFn &Run) const;
 

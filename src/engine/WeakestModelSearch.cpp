@@ -46,20 +46,21 @@ checkfence::engine::summarizeReport(const MatrixReport &Report) {
   std::vector<WeakestSummary> Groups;
   std::vector<std::vector<ModelVerdict>> Verdicts;
   for (const MatrixCellResult &C : Report.Cells) {
+    const Result &R = C.Result;
     size_t G = 0;
     for (; G < Groups.size(); ++G)
-      if (Groups[G].Impl == C.Cell.Impl && Groups[G].Test == C.Cell.Test)
+      if (Groups[G].Impl == R.Impl && Groups[G].Test == R.Test)
         break;
     if (G == Groups.size()) {
       WeakestSummary S;
-      S.Impl = C.Cell.Impl;
-      S.Test = C.Cell.Test;
+      S.Impl = R.Impl;
+      S.Test = R.Test;
       Groups.push_back(S);
       Verdicts.emplace_back();
     }
     WeakestSummary &S = Groups[G];
     ++S.CellsRun;
-    switch (C.Result.Status) {
+    switch (R.Verdict) {
     case Status::Pass:
       ++S.ModelsChecked;
       ++S.ModelsPassed;

@@ -152,7 +152,7 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
       CleanSets;
 
   for (const memmodel::ModelParams &M : Opts.Models) {
-    if (Opts.stopRequested()) {
+    if (Opts.Control.stopRequested()) {
       Out.Cancelled = true;
       return Out;
     }
@@ -305,7 +305,7 @@ ScenarioOutcome DifferentialRunner::runSymbolic(const Scenario &S) const {
 
   std::vector<std::pair<memmodel::ModelParams, Status>> Verdicts;
   for (const memmodel::ModelParams &M : Opts.Models) {
-    if (Opts.stopRequested()) {
+    if (Opts.Control.stopRequested()) {
       Out.Cancelled = true;
       return Out;
     }
@@ -317,11 +317,10 @@ ScenarioOutcome DifferentialRunner::runSymbolic(const Scenario &S) const {
         .noCache()
         .maxBoundIterations(EngineMaxBoundIterations)
         .maxProbes(EngineMaxProbes)
-        .conflictBudget(EngineConflictBudget)
-        .fastOracle(Opts.UseFastOracle);
-    if (Opts.HasDeadline)
-      Req.deadline(Opts.remainingSeconds());
-    Result R = V.check(Req, nullptr, Opts.Token);
+        .conflictBudget(EngineConflictBudget);
+    if (Opts.Control.HasDeadline)
+      Req.deadline(Opts.Control.remainingSeconds());
+    Result R = V.check(Req, nullptr, Opts.Control.Token);
 
     switch (R.Verdict) {
     case Status::Pass:
@@ -378,7 +377,7 @@ ScenarioOutcome DifferentialRunner::runSymbolic(const Scenario &S) const {
     }
   }
 
-  if (Opts.stopRequested()) {
+  if (Opts.Control.stopRequested()) {
     Out.Cancelled = true;
     return Out;
   }

@@ -33,12 +33,12 @@
 #ifndef CHECKFENCE_EXPLORE_DIFFERENTIAL_H
 #define CHECKFENCE_EXPLORE_DIFFERENTIAL_H
 
+#include "api/RunControl.h"
 #include "checkfence/Events.h"
 #include "checkfence/Verifier.h"
 #include "explore/Generator.h"
 #include "memmodel/MemoryModel.h"
 
-#include <chrono>
 #include <functional>
 #include <string>
 #include <vector>
@@ -69,31 +69,11 @@ struct DiffOptions {
   /// otherwise alter the report, so the report is byte-identical across
   /// sample periods.
   int EnumeratorSamplePeriod = 8;
-  /// Cooperative cancellation, polled between models. Token cancels the
-  /// inner engine runs too; Stop (optional) is polled alongside it -
-  /// the facade routes deadline expiry through it.
-  CancelToken Token;
-  std::function<bool()> Stop;
-  /// Absolute soft deadline (facade-set). Beyond the coarse Stop polls,
-  /// the remaining time is forwarded into each inner engine check so a
-  /// single slow generated check cannot overshoot by its full runtime.
-  bool HasDeadline = false;
-  std::chrono::steady_clock::time_point Deadline{};
-
-  bool stopRequested() const {
-    return Token.cancelled() || (Stop && Stop()) ||
-           (HasDeadline && std::chrono::steady_clock::now() >= Deadline);
-  }
-  /// Seconds until the deadline (0 = no deadline configured). Never
-  /// returns a negative value; expiry shows up via stopRequested().
-  double remainingSeconds() const {
-    if (!HasDeadline)
-      return 0;
-    double S = std::chrono::duration<double>(
-                   Deadline - std::chrono::steady_clock::now())
-                   .count();
-    return S > 0.001 ? S : 0.001;
-  }
+  /// The request's stop check, polled between models. Its token cancels
+  /// the inner engine runs too, and the time left before its deadline is
+  /// forwarded into each inner engine check, so a single slow generated
+  /// check cannot overshoot by its full runtime.
+  api::RunControl Control;
   /// Test seam: when set, a non-empty return is reported as an
   /// "injected" divergence for the scenario (litmus scenarios only; the
   /// argument is the compiled program before thread building). Lets the

@@ -70,7 +70,7 @@ ExploreReport checkfence::explore::runExplore(Verifier &V,
   for (int Index = 0;
        static_cast<int>(Selected.size()) < Opts.Budget && Index < GenCap;
        ++Index) {
-    if (Opts.stopRequested()) {
+    if (Opts.Control.stopRequested()) {
       Rep.Cancelled = true;
       break;
     }
@@ -98,8 +98,7 @@ ExploreReport checkfence::explore::runExplore(Verifier &V,
 
   DiffOptions Diff = Opts.Diff;
   Diff.Models = Models;
-  Diff.Token = Opts.Token;
-  Diff.Stop = Opts.Stop;
+  Diff.Control = Opts.Control;
   DifferentialRunner Runner(V, Diff);
 
   std::vector<ScenarioOutcome> Outcomes(Selected.size());
@@ -107,7 +106,7 @@ ExploreReport checkfence::explore::runExplore(Verifier &V,
   std::atomic<size_t> Finished{0};
   engine::parallelFor(
       Rep.Jobs, Selected.size(), [&](size_t I) {
-        if (Opts.stopRequested()) {
+        if (Opts.Control.stopRequested()) {
           Outcomes[I].Cancelled = true;
           return;
         }
@@ -166,7 +165,7 @@ ExploreReport checkfence::explore::runExplore(Verifier &V,
     Scenario Min = S;
     std::vector<memmodel::ModelParams> ReproModels = Models;
     bool Shrunk = false;
-    if (Opts.Shrink && !Opts.stopRequested()) {
+    if (Opts.Shrink && !Opts.Control.stopRequested()) {
       obs::Span ShrinkSpan("explore",
                            [&] { return "shrink:" + S.label(); });
       ShrinkResult SR = shrinkScenario(S, V, Diff);

@@ -43,20 +43,15 @@ struct ExploreOptions {
   std::string CorpusDir;
   GeneratorLimits Limits;
   /// Oracle budget, reference switch and the test-only injection seam.
-  /// Models and Token are overwritten by the driver from the fields
-  /// above.
+  /// Models and Control are overwritten by the driver from the fields
+  /// of this struct.
   DiffOptions Diff;
   /// Streaming progress (onScenarioChecked / onDivergenceFound fire from
   /// worker threads). May be null.
   EventSink *Sink = nullptr;
-  CancelToken Token;
-  /// Optional extra stop predicate (deadline expiry), polled alongside
-  /// the token at scenario boundaries.
-  std::function<bool()> Stop;
-
-  bool stopRequested() const {
-    return Token.cancelled() || (Stop && Stop());
-  }
+  /// The request's stop check (token and deadline), polled at scenario
+  /// boundaries and handed to the differential runner.
+  api::RunControl Control;
 };
 
 struct ScenarioRecord {

@@ -102,14 +102,6 @@ int attributedLine(const checker::TraceEntry &E, int MinLine) {
   return -1;
 }
 
-lsl::FenceKind fenceKindFor(bool EarlierIsLoad, bool LaterIsLoad) {
-  if (EarlierIsLoad)
-    return LaterIsLoad ? lsl::FenceKind::LoadLoad
-                       : lsl::FenceKind::LoadStore;
-  return LaterIsLoad ? lsl::FenceKind::StoreLoad
-                     : lsl::FenceKind::StoreStore;
-}
-
 /// Ranks fence kinds by how often the paper's algorithms need them
 /// (store-store and load-load account for all placed fences in Sec. 4.2).
 int kindPreference(lsl::FenceKind K) {
@@ -151,7 +143,7 @@ candidatesFromTrace(const checker::Trace &T, int MinLine,
         continue;
       FencePlacement P;
       P.Line = Line;
-      P.Kind = fenceKindFor(!X.IsStore, !Y.IsStore);
+      P.Kind = lsl::fenceKindFor(!X.IsStore, !Y.IsStore);
       if (Placed.count(P))
         continue;
       ++Cands[P];

@@ -296,6 +296,13 @@ const char *checkfence::lsl::fenceKindName(FenceKind K) {
   return "<bad-fence>";
 }
 
+checkfence::lsl::FenceKind
+checkfence::lsl::fenceKindFor(bool EarlierIsLoad, bool LaterIsLoad) {
+  if (EarlierIsLoad)
+    return LaterIsLoad ? FenceKind::LoadLoad : FenceKind::LoadStore;
+  return LaterIsLoad ? FenceKind::StoreLoad : FenceKind::StoreStore;
+}
+
 bool checkfence::lsl::parseFenceKind(const std::string &S, FenceKind &Out) {
   if (S == "load-load")
     Out = FenceKind::LoadLoad;

@@ -153,6 +153,10 @@ enum class FenceKind : uint8_t {
 
 const char *fenceKindName(FenceKind K);
 
+/// The fence kind that orders an earlier access before a later one
+/// (load when \p EarlierIsLoad / \p LaterIsLoad, store otherwise).
+FenceKind fenceKindFor(bool EarlierIsLoad, bool LaterIsLoad);
+
 /// Parses "load-load" etc.; returns false on unknown spelling.
 bool parseFenceKind(const std::string &S, FenceKind &Out);
 

@@ -167,8 +167,7 @@ RemoteStatus RemoteVerifier::check(const Request &Req, Result &Out) {
   return S;
 }
 
-RemoteStatus RemoteVerifier::matrix(const Request &Req,
-                                    RemoteReport &Out) {
+RemoteStatus RemoteVerifier::matrix(const Request &Req, Report &Out) {
   JsonValue Doc;
   const JsonValue *R = nullptr;
   RemoteStatus S =
@@ -176,24 +175,11 @@ RemoteStatus RemoteVerifier::matrix(const Request &Req,
                  Req.TraceFile);
   if (!S)
     return S;
-  auto Str = [&](const char *K) {
-    const JsonValue *V = R->find(K);
-    return V ? V->asString() : std::string();
-  };
-  const JsonValue *Ok = R->find("ok");
-  Out.Ok = Ok && Ok->asBool();
-  Out.Error = Str("error");
-  Out.Table = Str("table");
-  Out.Json = Str("json");
-  Out.JsonNoTimings = Str("jsonNoTimings");
-  if (const JsonValue *V = R->find("allCompleted"))
-    Out.AllCompleted = V->asBool();
-  if (const JsonValue *V = R->find("cellCount"))
-    Out.CellCount = static_cast<size_t>(V->asU64());
-  if (const JsonValue *V = R->find("errorCells"))
-    Out.ErrorCells = V->asInt();
-  if (const JsonValue *V = R->find("cancelledCells"))
-    Out.CancelledCells = V->asInt();
+  std::string Error;
+  if (!api::decodeReport(*R, Out, Error)) {
+    S.Ok = false;
+    S.Error = Error;
+  }
   return S;
 }
 

@@ -8,12 +8,15 @@
 //
 //   listener ---- accepts, spawns one connection thread per socket
 //   connection -- parses HTTP + JSON-RPC, enqueues a Job on the queue,
-//                 blocks on the job's future, writes the response
+//                 waits on the job's future while polling its own socket
+//                 (a client that hangs up cancels the job's CancelToken),
+//                 writes the response
 //   worker (xN) - pops Jobs from the one queue by priority and runs them
 //                 on the one Verifier (one request at a time per worker;
 //                 intra-request parallelism comes from JobsPerShard)
-//   watcher ----- polls waiting sockets; a client disconnect cancels
-//                 the matching request's CancelToken
+//
+// Only a socket's own connection thread ever touches it, so a socket is
+// never polled after it is closed.
 //
 // Admission control happens on the connection thread: when the queued
 // count reaches QueueDepth the request is answered 429 + Retry-After
@@ -89,78 +92,27 @@ public:
   obs::Counter *Scenarios = nullptr;
 };
 
-/// Polls sockets whose requests are queued or running; a peer that
-/// closes (or resets) its connection cancels the matching token, so an
-/// abandoned request stops consuming a worker at the next phase boundary.
-/// Each poll pass runs under the mutex, so once unwatch() returns no pass
-/// touches the fd and its owner may close it (or the kernel reuse it).
-class DisconnectWatcher {
-public:
-  void watch(int Fd, CancelToken Token) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Watched.push_back({Fd, std::move(Token)});
-  }
-  void unwatch(int Fd) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (auto It = Watched.begin(); It != Watched.end(); ++It)
-      if (It->Fd == Fd) {
-        Watched.erase(It);
-        return;
-      }
-  }
+/// How often a connection thread waiting for its job's response checks
+/// whether the client has hung up.
+constexpr std::chrono::milliseconds HangUpPollInterval{50};
 
-  void start() {
-    Thread = std::thread([this] { run(); });
-  }
-  void stop() {
-    Stopping.store(true);
-    if (Thread.joinable())
-      Thread.join();
-  }
-
-private:
-  struct Entry {
-    int Fd;
-    CancelToken Token;
-  };
-
-  void run() {
-    while (!Stopping.load()) {
-      pollOnce();
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  }
-
-  /// One non-blocking pass over the watched fds.
-  void pollOnce() {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (const Entry &E : Watched) {
-      struct pollfd P;
-      P.fd = E.Fd;
-      P.events = POLLIN;
-      P.revents = 0;
-      if (::poll(&P, 1, 0) <= 0)
-        continue;
-      if (P.revents & (POLLERR | POLLHUP | POLLNVAL)) {
-        E.Token.cancel();
-        continue;
-      }
-      if (P.revents & POLLIN) {
-        // Readable on a connection that already sent its request
-        // means EOF (the protocol is one request per connection);
-        // peek to distinguish it from stray bytes.
-        char C;
-        if (::recv(E.Fd, &C, 1, MSG_PEEK | MSG_DONTWAIT) == 0)
-          E.Token.cancel();
-      }
-    }
-  }
-
-  std::mutex Mu;
-  std::vector<Entry> Watched;
-  std::atomic<bool> Stopping{false};
-  std::thread Thread;
-};
+/// True when the peer of \p Fd has closed or reset the connection. The
+/// protocol is one request per connection, so a readable socket whose
+/// request was already read means EOF; the peek tells it from stray
+/// bytes.
+bool peerHungUp(int Fd) {
+  struct pollfd P;
+  P.fd = Fd;
+  P.events = POLLIN;
+  P.revents = 0;
+  if (::poll(&P, 1, 0) <= 0)
+    return false;
+  if (P.revents & (POLLERR | POLLHUP | POLLNVAL))
+    return true;
+  char C;
+  return (P.revents & POLLIN) &&
+         ::recv(Fd, &C, 1, MSG_PEEK | MSG_DONTWAIT) == 0;
+}
 
 /// One queued request: the closure runs on a worker and renders
 /// the JSON-RPC response body; the connection thread waits on Done.
@@ -233,7 +185,6 @@ struct CheckServer::Impl {
   /// state requests share). Built by the CheckServer constructor.
   std::unique_ptr<Verifier> V;
   MetricsSink Sink;
-  DisconnectWatcher Watcher;
 
   int ListenFd = -1;
   int BoundPort = 0;
@@ -431,23 +382,10 @@ struct CheckServer::Impl {
     case Request::Kind::Matrix:
     case Request::Kind::Sweep: {
       Report R = V->matrix(Req, &Sink, Token);
-      JsonObject O;
-      O.field("ok", R.ok());
-      O.field("error", R.error());
-      if (R.ok()) {
-        O.field("table", R.table());
-        O.field("json", R.json(true));
-        O.field("jsonNoTimings", R.json(false));
-        O.field("allCompleted", R.allCompleted());
-        O.field("cellCount",
-                static_cast<unsigned long long>(R.cellCount()));
-        O.field("errorCells", R.count(Status::Error));
-        O.field("cancelledCells", R.count(Status::Cancelled));
-        WasCancelled = R.count(Status::Cancelled) > 0;
-      } else {
+      WasCancelled = R.count(Status::Cancelled) > 0;
+      if (!R.ok())
         MErrors->add();
-      }
-      Payload = O.str();
+      Payload = api::encodeReport(R);
       break;
     }
     case Request::Kind::Analyze: {
@@ -648,11 +586,16 @@ struct CheckServer::Impl {
       return Resp;
     }
 
-    // From here the job WILL run (drain finishes queued work); watch
-    // the socket so a vanished client cancels it instead.
-    Watcher.watch(Fd, Token);
+    // From here the job WILL run (drain finishes queued work). While it
+    // is queued or running, a client that hangs up cancels it, so an
+    // abandoned request stops consuming a worker at its next phase
+    // boundary.
+    while (Done.wait_for(HangUpPollInterval) != std::future_status::ready)
+      if (peerHungUp(Fd)) {
+        Token.cancel();
+        break;
+      }
     Resp.Body = Done.get();
-    Watcher.unwatch(Fd);
     return Resp;
   }
 
@@ -883,7 +826,6 @@ bool CheckServer::start(std::string &Error) {
 
   for (int I = 0; I < Self->Cfg.Shards; ++I)
     Self->Workers.emplace_back([this] { Self->workerLoop(); });
-  Self->Watcher.start();
   Self->Listener = std::thread([this] { Self->listenerLoop(); });
   Self->Started.store(true);
   obs::logf(obs::LogLevel::Info, "server",
@@ -929,7 +871,6 @@ void CheckServer::waitStopped() {
   Self->QueueCv.notify_all();
   for (std::thread &W : Self->Workers)
     W.join();
-  Self->Watcher.stop();
   if (Self->ListenFd >= 0) {
     ::close(Self->ListenFd);
     Self->ListenFd = -1;

@@ -125,10 +125,9 @@ TEST(ApiJson, SingleCheckMatchesOneCellMatrixReport) {
   Cell.Impl = "ms2";
   Cell.Test = "T0";
   Cell.Model = memmodel::ModelParams::sc();
-  engine::MatrixReport Rep;
-  Rep.Cells.resize(1);
-  Rep.Cells[0].Cell = Cell;
-  Rep.Cells[0].Result = harness::catalogCellRunner(Opts)(Cell);
+  engine::MatrixReport Rep =
+      engine::MatrixRunner(1).run({Cell}, harness::catalogCellRunner(Opts));
+  ASSERT_EQ(Rep.Cells.size(), 1u);
   EXPECT_EQ(R.json(false), Rep.json(false));
 }
 
@@ -300,6 +299,33 @@ TEST(ApiJson, SharedSpecSweepIsIdenticalAcrossJobCounts) {
   Report R4 = V.matrix(Request(Req).jobs(4));
   ASSERT_TRUE(R1.allCompleted());
   EXPECT_EQ(R1.json(false), R4.json(false));
+}
+
+TEST(ApiJson, TableSummaryCountsEveryCell) {
+  // One probe is not enough for msn's loops: its cell exhausts the
+  // bounds while ms2's passes. The summary line must still account for
+  // every cell.
+  Verifier V;
+  Report R = V.matrix(Request::matrix()
+                          .impls({"ms2", "msn"})
+                          .tests({"T0"})
+                          .models({"sc"})
+                          .maxProbes(1));
+  ASSERT_TRUE(R.ok()) << R.error();
+  ASSERT_EQ(R.count(Status::BoundsExhausted), 1);
+  const std::string Table = R.table();
+  const size_t At = Table.find(" cells: ");
+  ASSERT_NE(At, std::string::npos) << Table;
+  const size_t LineStart = Table.rfind('\n', At) + 1;
+  const std::string Counts =
+      Table.substr(At + 8, Table.find(" (", At) - (At + 8));
+  EXPECT_NE(Counts.find("1 bounds-exhausted"), std::string::npos) << Counts;
+  int Sum = 0;
+  std::istringstream In(Counts);
+  for (std::string Item; std::getline(In, Item, ',');)
+    Sum += std::atoi(Item.c_str());
+  EXPECT_EQ(Sum, std::atoi(Table.c_str() + LineStart)) << Table;
+  EXPECT_EQ(Sum, static_cast<int>(R.cellCount()));
 }
 
 TEST(ApiJson, MatrixErrorsAreReported) {

@@ -259,7 +259,7 @@ TEST(MatrixRunner, TimingFreeReportIsIdenticalAcrossJobCounts) {
     // Cell order follows the input matrix regardless of completion order.
     for (size_t I = 0; I < Cells.size(); ++I) {
       EXPECT_EQ(Par.Cells[I].Cell.label(), Cells[I].label());
-      EXPECT_EQ(Par.Cells[I].Result.Status, Seq.Cells[I].Result.Status);
+      EXPECT_EQ(Par.Cells[I].Result.Verdict, Seq.Cells[I].Result.Verdict);
     }
     if (Base.StripFences)
       EXPECT_GT(Seq.countWithStatus(Status::Fail), 0);
@@ -337,7 +337,7 @@ TEST(MatrixRunner, UnknownNamesBecomeErrorCells) {
   MatrixReport Report =
       MatrixRunner(2).run(Cells, catalogCellRunner(RunOptions()));
   ASSERT_EQ(Report.Cells.size(), 1u);
-  EXPECT_EQ(Report.Cells[0].Result.Status, Status::Error);
+  EXPECT_EQ(Report.Cells[0].Result.Verdict, Status::Error);
   EXPECT_FALSE(Report.allCompleted());
 }
 

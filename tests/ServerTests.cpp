@@ -8,9 +8,10 @@
 // out-parameters, remote-vs-local result identity for every request
 // kind, admission control (429 + Retry-After), independent requests
 // running in parallel on the worker pool, per-request deadline
-// clamping, client disconnect cancellation, the /metrics and /status
-// surfaces, survival of malformed requests, graceful drain (also with an
-// idle client connected), and cross-restart cache persistence.
+// clamping, client disconnect cancellation (of running and of queued
+// requests), the /metrics and /status surfaces, survival of malformed
+// requests, graceful drain (also with an idle client connected), and
+// cross-restart cache persistence.
 //
 //===----------------------------------------------------------------------===//
 
@@ -319,6 +320,41 @@ TEST_F(IdentityFixture, CheckRoundTripsEveryField) {
   EXPECT_EQ(R.json(false), L.json(false));
 }
 
+/// A remote report equals the local run of the same request in
+/// everything but its timings.
+void expectSameReport(const Report &Remote, const Report &Local) {
+  ASSERT_EQ(Remote.ok(), Local.ok());
+  EXPECT_EQ(Remote.error(), Local.error());
+  EXPECT_EQ(Remote.json(false), Local.json(false));
+  std::vector<Report::Cell> RC = Remote.cells(), LC = Local.cells();
+  ASSERT_EQ(RC.size(), LC.size());
+  for (size_t I = 0; I < RC.size(); ++I) {
+    SCOPED_TRACE(I);
+    EXPECT_EQ(RC[I].Impl, LC[I].Impl);
+    EXPECT_EQ(RC[I].Test, LC[I].Test);
+    EXPECT_EQ(RC[I].Model, LC[I].Model);
+    EXPECT_EQ(RC[I].Verdict, LC[I].Verdict);
+    EXPECT_EQ(RC[I].Message, LC[I].Message);
+  }
+  for (Status St : {Status::Pass, Status::Fail, Status::SequentialBug,
+                    Status::BoundsExhausted, Status::Error,
+                    Status::Cancelled})
+    EXPECT_EQ(Remote.count(St), Local.count(St)) << statusName(St);
+  EXPECT_EQ(Remote.allCompleted(), Local.allCompleted());
+}
+
+/// Runs \p Req locally and through the daemon; the two must agree.
+Report expectRemoteMatchesLocal(const CheckServer &S, Verifier &Local,
+                                const Request &Req) {
+  Report L = Local.matrix(Req);
+  RemoteVerifier RV(urlFor(S));
+  Report R;
+  RemoteStatus St = RV.matrix(Req, R);
+  EXPECT_TRUE(St) << St.Error;
+  expectSameReport(R, L);
+  return R;
+}
+
 TEST_F(IdentityFixture, MatrixReportMatchesLocal) {
   Request Req = Request::matrix()
                     .impls({"ms2"})
@@ -326,17 +362,60 @@ TEST_F(IdentityFixture, MatrixReportMatchesLocal) {
                     .models({"sc", "tso"});
   Report L = Local.matrix(Req);
   ASSERT_TRUE(L.ok());
+  Report R = expectRemoteMatchesLocal(S, Local, Req);
+  ASSERT_TRUE(R.ok()) << R.error();
+  EXPECT_EQ(R.cellCount(), 2u);
+  EXPECT_TRUE(R.allCompleted());
 
-  RemoteVerifier RV(urlFor(S));
-  RemoteReport R;
-  RemoteStatus St = RV.matrix(Req, R);
-  ASSERT_TRUE(St) << St.Error;
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.JsonNoTimings, L.json(false));
-  EXPECT_EQ(R.AllCompleted, L.allCompleted());
-  EXPECT_EQ(R.CellCount, L.cellCount());
-  EXPECT_EQ(R.ErrorCells, L.count(Status::Error));
-  EXPECT_EQ(R.CancelledCells, L.count(Status::Cancelled));
+  // The report codec carries timings exactly: a decoded report renders
+  // the encoded one's table and timed JSON byte for byte.
+  support::JsonValue Doc;
+  std::string Error;
+  ASSERT_TRUE(support::parseJson(api::encodeReport(L), Doc, Error)) << Error;
+  Report Back;
+  ASSERT_TRUE(api::decodeReport(Doc, Back, Error)) << Error;
+  EXPECT_EQ(Back.json(true), L.json(true));
+  EXPECT_EQ(Back.table(), L.table());
+  EXPECT_EQ(Back.jobs(), L.jobs());
+  EXPECT_EQ(Back.wallSeconds(), L.wallSeconds());
+}
+
+TEST_F(IdentityFixture, SweepRendersWeakestPassingOnTheClient) {
+  Request Req = Request::sweep().impls({"ms2"}).tests({"T0"});
+  Report R = expectRemoteMatchesLocal(S, Local, Req);
+  ASSERT_TRUE(R.ok()) << R.error();
+  EXPECT_GT(R.cellCount(), 1u);
+  EXPECT_TRUE(contains(R.json(false), "\"weakest_passing\""));
+  EXPECT_TRUE(contains(R.table(), "weakest passing model"));
+}
+
+TEST_F(IdentityFixture, UnknownImplIsAnErrorCellRemotely) {
+  Request Req =
+      Request::matrix().impls({"nosuch"}).tests({"T0"}).models({"sc"});
+  Report R = expectRemoteMatchesLocal(S, Local, Req);
+  ASSERT_TRUE(R.ok()) << R.error();
+  EXPECT_EQ(R.count(Status::Error), 1);
+  EXPECT_FALSE(R.allCompleted());
+}
+
+TEST_F(IdentityFixture, BadModelFailsTheRemoteRequestLikeALocalOne) {
+  Request Req =
+      Request::matrix().impls({"ms2"}).tests({"T0"}).models({"nosuch"});
+  Report R = expectRemoteMatchesLocal(S, Local, Req); // same error()
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.cellCount(), 0u);
+}
+
+TEST_F(IdentityFixture, ExpiredDeadlineCancelsEveryRemoteCell) {
+  Request Req = Request::matrix()
+                    .impls({"ms2"})
+                    .tests({"T0", "Tpc2"})
+                    .models({"sc", "tso"})
+                    .deadline(1e-9);
+  Report R = expectRemoteMatchesLocal(S, Local, Req);
+  ASSERT_TRUE(R.ok()) << R.error();
+  EXPECT_EQ(R.cellCount(), 4u);
+  EXPECT_EQ(R.count(Status::Cancelled), 4);
 }
 
 TEST_F(IdentityFixture, AnalysisMatchesLocalByteForByte) {
@@ -495,6 +574,42 @@ TEST(ServerQueue, FullQueueRejectsWith429AndDisconnectCancels) {
     return contains(B, "\"cancelled\": 1") && contains(B, "\"queued\": 0");
   }));
   EXPECT_GE(S.stats().Cancelled, 1u);
+}
+
+TEST(ServerQueue, HangUpWhileQueuedCancels) {
+  ServerConfig Cfg;
+  Cfg.Port = 0;
+  Cfg.Shards = 1;
+  CheckServer S(Cfg);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  // Occupy the single worker, then queue a check behind it.
+  Request Slow = Request::check();
+  Slow.RequestKind = Request::Kind::Explore;
+  Slow.seed(1).budget(5000);
+  RawConn Busy;
+  ASSERT_TRUE(Busy.connectTo(S.port()));
+  ASSERT_TRUE(Busy.sendRpc("checkfence.explore", Slow, 1));
+  ASSERT_TRUE(waitStatus(
+      S, [](const std::string &B) { return contains(B, "\"inFlight\": 1"); }));
+  RawConn Queued;
+  ASSERT_TRUE(Queued.connectTo(S.port()));
+  ASSERT_TRUE(Queued.sendRpc("checkfence.check",
+                             Request::check("ms2", "T0").model("sc"), 2));
+  ASSERT_TRUE(waitStatus(
+      S, [](const std::string &B) { return contains(B, "\"queued\": 1"); }));
+
+  // The queued check's client hangs up. Its connection thread notices
+  // within a poll interval or two (50 ms each), well before the worker
+  // is freed below, so the check runs with its token already cancelled.
+  Queued.close();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  Busy.close();
+  ASSERT_TRUE(waitStatus(S, [](const std::string &B) {
+    return contains(B, "\"cancelled\": 2") && contains(B, "\"queued\": 0") &&
+           contains(B, "\"inFlight\": 0");
+  }));
 }
 
 TEST(ServerQueue, IndependentRequestsRunInParallel) {

@@ -207,23 +207,22 @@ int emitExplore(const RemoteExplore &E, const std::string &JsonPath,
   return E.Divergences.empty() ? 0 : 1;
 }
 
-int emitMatrix(const RemoteReport &R, const std::string &JsonPath,
+int emitMatrix(const Report &R, const std::string &JsonPath,
                bool NoTimings, bool Quiet) {
-  if (!R.Ok) {
-    std::fprintf(stderr, "%s\n", R.Error.c_str());
+  if (!R.ok()) {
+    std::fprintf(stderr, "%s\n", R.error().c_str());
     return ExitUsage;
   }
   if (!Quiet)
-    std::printf("%s", R.Table.c_str());
-  if (!JsonPath.empty() &&
-      !writeReport(JsonPath, NoTimings ? R.JsonNoTimings : R.Json))
+    std::printf("%s", R.table().c_str());
+  if (!JsonPath.empty() && !writeReport(JsonPath, R.json(!NoTimings)))
     return ExitUsage;
-  if (R.AllCompleted)
+  if (R.allCompleted())
     return 0;
   // Cancelled-only incompleteness (a --deadline expiry) reports as
   // CANCELLED; any errored cell dominates.
-  return exitCodeFor(R.ErrorCells > 0 ? Status::Error
-                                      : Status::Cancelled);
+  return exitCodeFor(R.count(Status::Error) > 0 ? Status::Error
+                                                : Status::Cancelled);
 }
 
 int emitAnalysis(const RemoteAnalysis &A, const std::string &JsonPath,
@@ -504,23 +503,14 @@ int main(int argc, char **argv) {
   if (Matrix) {
     Req.RequestKind = Request::Kind::Matrix;
     Req.impls(MatrixImpls).tests(MatrixTests).models(MatrixModels);
-    RemoteReport RR;
+    Report R;
     if (RV) {
-      if (RemoteStatus S = RV->matrix(Req, RR); !S)
+      if (RemoteStatus S = RV->matrix(Req, R); !S)
         return remoteFail(S);
     } else {
-      Report R = Local().matrix(Req, nullptr, Token);
-      RR.Ok = R.ok();
-      RR.Error = R.error();
-      RR.Table = R.table();
-      RR.Json = R.json(true);
-      RR.JsonNoTimings = R.json(false);
-      RR.AllCompleted = R.allCompleted();
-      RR.CellCount = R.cellCount();
-      RR.ErrorCells = static_cast<int>(R.count(Status::Error));
-      RR.CancelledCells = static_cast<int>(R.count(Status::Cancelled));
+      R = Local().matrix(Req, nullptr, Token);
     }
-    return emitMatrix(RR, JsonPath, NoTimings, Quiet);
+    return emitMatrix(R, JsonPath, NoTimings, Quiet);
   }
 
   // Resolve what to run: a built-in impl, a file, or nothing (usage).
