@@ -119,7 +119,7 @@ int main(int argc, char **argv) {
   }
 
   // Timed loop A: the polynomial reads-from oracle.
-  std::vector<memmodel::ReadsFromResult> RfResults;
+  std::vector<memmodel::OracleResult> RfResults;
   RfResults.reserve(Cells.size());
   double T0 = now();
   for (const Cell &C : Cells) {
@@ -131,7 +131,7 @@ int main(int argc, char **argv) {
   const double RfSeconds = now() - T0;
 
   // Timed loop B: brute-force order enumeration.
-  std::vector<memmodel::AxiomaticResult> EnumResults;
+  std::vector<memmodel::OracleResult> EnumResults;
   EnumResults.reserve(Cells.size());
   T0 = now();
   for (const Cell &C : Cells) {

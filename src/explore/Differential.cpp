@@ -179,8 +179,7 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
       memmodel::ReadsFromOptions RO;
       RO.Model = M;
       RO.MaxAssignments = Opts.OracleMaxOrders;
-      memmodel::ReadsFromResult RF =
-          memmodel::checkReadsFrom(Enc.flat(), RO);
+      memmodel::OracleResult RF = memmodel::checkReadsFrom(Enc.flat(), RO);
       if (RF.Ok) {
         OracleObs = std::move(RF.Observations);
         // Differential reference: re-run the enumerator on a sampled
@@ -192,7 +191,7 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
           memmodel::AxiomaticOptions AO;
           AO.Model = M;
           AO.MaxOrders = Opts.OracleMaxOrders;
-          memmodel::AxiomaticResult Slow =
+          memmodel::OracleResult Slow =
               memmodel::enumerateAxiomatic(Enc.flat(), AO);
           if (Slow.Ok && Slow.Observations != OracleObs) {
             Out.Divergences.push_back(
@@ -209,7 +208,7 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
       memmodel::AxiomaticOptions AO;
       AO.Model = M;
       AO.MaxOrders = Opts.OracleMaxOrders;
-      memmodel::AxiomaticResult Oracle =
+      memmodel::OracleResult Oracle =
           memmodel::enumerateAxiomatic(Enc.flat(), AO);
       if (Oracle.Ok)
         OracleObs = std::move(Oracle.Observations);

@@ -5,411 +5,66 @@
 //===----------------------------------------------------------------------===//
 
 #include "memmodel/AxiomaticEnumerator.h"
-
-#include <algorithm>
-#include <cassert>
-#include <map>
+#include "memmodel/StaticExecution.h"
 
 using namespace checkfence;
 using namespace checkfence::memmodel;
-using namespace checkfence::trans;
-
-using lsl::Value;
 
 namespace {
 
-/// One enumeration run for a fixed assignment of the Choice values.
-class OrderEnumerator {
+/// Enumerates the axiom-consistent total orders of one static execution.
+class OrderSearch {
 public:
-  OrderEnumerator(const FlatProgram &P, const ModelParams &Traits,
-                  AxiomaticResult &Out, const AxiomaticOptions &Opts,
-                  std::vector<Value> &DefVals, std::vector<char> &DefKnown)
-      : P(P), Traits(Traits), Out(Out), Opts(Opts), DefVals(DefVals),
-        DefKnown(DefKnown) {}
+  OrderSearch(StaticExecution &X, std::set<RefObservation> &Observations,
+              uint64_t MaxOrders, uint64_t &Orders)
+      : X(X), Observations(Observations), MaxOrders(MaxOrders),
+        Orders(Orders), PosOf(X.accesses().size(), -1),
+        WriterOf(X.accesses().size(), -1),
+        ClusterSize(X.numClusters(), 0), ClusterPlaced(X.numClusters(), 0) {
+    for (const StaticExecution::Access &A : X.accesses())
+      if (A.Cluster >= 0)
+        ++ClusterSize[A.Cluster];
+  }
 
-  /// Prepares the executed-access universe and the static edge set.
-  /// Returns false (with Out.Error set) on unsupported input.
-  bool prepare();
-
-  /// Enumerates all axiom-consistent total orders.
-  void run() {
-    PosOf.assign(Accesses.size(), -1);
+  OracleSkip run() {
     extend(0);
+    return Skip;
   }
 
 private:
-  struct Access {
-    int Event = 0;   ///< index into P.Events
-    int Cluster = -1; ///< contiguity cluster (atomic block / invocation)
-    bool IsStore = false;
-    Value Addr;
-    uint64_t Preds = 0; ///< accesses that must come earlier (bitmask)
-  };
-
-  bool fail(OracleSkip Reason) {
-    Out.Reason = Reason;
-    Out.Error = oracleSkipMessage(Reason);
-    return false;
-  }
-
-  /// Statically evaluates \p Id; fails if the value depends on a load.
-  bool evalStatic(ValueId Id, Value &Out_);
-  /// Evaluates \p Id given the current total order; loads resolve through
-  /// the visibility rule. Fails on cyclic value dependencies.
-  bool evalDyn(ValueId Id, Value &Out_);
-  /// The value of the load at access index \p A under the current order.
-  bool loadValue(int A, Value &Out_);
-
-  void addEdge(int From, int To) {
-    if (From != To)
-      Accesses[To].Preds |= uint64_t(1) << From;
-  }
-
   void extend(size_t Depth);
-  void finalize();
+  void leaf();
 
-  const FlatProgram &P;
-  const ModelParams &Traits;
-  AxiomaticResult &Out;
-  const AxiomaticOptions &Opts;
-  std::vector<Value> &DefVals;   // shared choice/const memo (static part)
-  std::vector<char> &DefKnown;
+  StaticExecution &X;
+  std::set<RefObservation> &Observations;
+  uint64_t MaxOrders;
+  uint64_t &Orders; // leaves, across all choice assignments
+  OracleSkip Skip = OracleSkip::None;
 
-  std::vector<Access> Accesses;       // executed accesses only
-  std::vector<int> AccessOfEvent;     // event -> access index or -1
-  std::vector<int> ClusterSize;       // accesses per cluster id
-  std::vector<int> ClusterPlaced;     // placed so far (during search)
-
-  // Search state.
-  std::vector<int> PosOf; // access -> position in <M, or -1
+  std::vector<int> PosOf;    // access -> position in <M, or -1
+  std::vector<int> WriterOf; // load access -> writer access, -1 = init
+  std::vector<int> ClusterSize;   // accesses per cluster id
+  std::vector<int> ClusterPlaced; // placed so far
   uint64_t PlacedMask = 0;
   int OpenCluster = -1;
-
-  // Per-leaf evaluation state.
-  std::vector<Value> DynVals;
-  std::vector<char> DynState; // 0 = unknown, 1 = known, 2 = in progress
 };
 
-bool OrderEnumerator::evalStatic(ValueId Id, Value &Out_) {
-  if (Id < 0) {
-    Out_ = Value::undef();
-    return true;
-  }
-  if (DefKnown[Id]) {
-    Out_ = DefVals[Id];
-    return true;
-  }
-  const FlatDef &D = P.def(Id);
-  Value V;
-  switch (D.K) {
-  case FlatDef::Kind::Const:
-    V = D.Val;
-    break;
-  case FlatDef::Kind::Choice:
-    V = DefVals[Id]; // bound by the choice enumeration
-    break;
-  case FlatDef::Kind::LoadVal:
-    return false; // not static
-  case FlatDef::Kind::Op: {
-    std::vector<Value> Args;
-    Args.reserve(D.Operands.size());
-    for (ValueId O : D.Operands) {
-      Args.emplace_back();
-      if (!evalStatic(O, Args.back()))
-        return false;
-    }
-    V = lsl::evalPrimOp(D.Op, Args, D.Imm);
-    break;
-  }
-  }
-  DefVals[Id] = V;
-  DefKnown[Id] = 1;
-  Out_ = V;
-  return true;
-}
-
-bool OrderEnumerator::prepare() {
-  AccessOfEvent.assign(P.Events.size(), -1);
-
-  // Collect the executed accesses. Guards and addresses must be static.
-  for (size_t I = 0; I < P.Events.size(); ++I) {
-    const FlatEvent &E = P.Events[I];
-    Value G;
-    if (!evalStatic(E.Guard, G))
-      return fail(OracleSkip::GuardDependsOnLoad);
-    if (G.isUndef() || !G.isTruthy())
-      continue;
-    if (!E.isAccess())
-      continue;
-    Value Addr;
-    if (!evalStatic(E.Addr, Addr))
-      return fail(OracleSkip::AddressDependsOnLoad);
-    Access A;
-    A.Event = static_cast<int>(I);
-    A.IsStore = E.isStore();
-    A.Addr = Addr;
-    AccessOfEvent[I] = static_cast<int>(Accesses.size());
-    Accesses.push_back(A);
-  }
-  if (Accesses.size() > 62)
-    return fail(OracleSkip::TooManyAccesses);
-
-  // Within-bounds semantics: a statically-exceeded loop bound means the
-  // program was not fully unrolled - outside the supported fragment.
-  for (const FlatBoundMark &M : P.BoundMarks) {
-    Value G;
-    if (!evalStatic(M.Guard, G))
-      return fail(OracleSkip::BoundMarkDependsOnLoad);
-    if (!G.isUndef() && G.isTruthy())
-      return fail(OracleSkip::ExceedsLoopBounds);
-  }
-
-  int N = static_cast<int>(Accesses.size());
-
-  // Contiguity clusters: operation invocations under Serial, atomic-block
-  // instances otherwise.
-  int NumClusters = 0;
-  {
-    std::map<int, int> Renumber;
-    for (Access &A : Accesses) {
-      const FlatEvent &E = P.Events[A.Event];
-      int Raw = Traits.SerialOps ? E.OpInvId : E.AtomicId;
-      if (Raw < 0)
-        continue;
-      auto [It, New] = Renumber.emplace(Raw, NumClusters);
-      if (New)
-        ++NumClusters;
-      A.Cluster = It->second;
-    }
-  }
-  ClusterSize.assign(NumClusters, 0);
-  for (const Access &A : Accesses)
-    if (A.Cluster >= 0)
-      ++ClusterSize[A.Cluster];
-  ClusterPlaced.assign(NumClusters, 0);
-
-  // Static edges. (1) The init thread precedes everything, and runs
-  // sequentially. (The SAT encoding leaves different-address init stores
-  // mutually unordered under the relaxed models; since every init access
-  // precedes all others, their relative order cannot influence any load,
-  // so chaining them here only removes redundant permutations.)
-  if (P.ThreadZeroIsInit) {
-    int PrevInit = -1;
-    for (int A = 0; A < N; ++A) {
-      if (P.Events[Accesses[A].Event].Thread != 0)
-        continue;
-      if (PrevInit >= 0)
-        addEdge(PrevInit, A);
-      PrevInit = A;
-      for (int B = 0; B < N; ++B)
-        if (P.Events[Accesses[B].Event].Thread != 0)
-          addEdge(A, B);
-    }
-  }
-
-  // (2) Program order, per edge kind; (3) Relaxed axiom 1 (same-address
-  // edges ending in a store); (4) atomic-block interiors.
-  for (int A = 0; A < N; ++A) {
-    const FlatEvent &EA = P.Events[Accesses[A].Event];
-    for (int B = A + 1; B < N; ++B) {
-      const FlatEvent &EB = P.Events[Accesses[B].Event];
-      if (EA.Thread != EB.Thread)
-        continue;
-      bool InOrder = EA.IndexInThread < EB.IndexInThread;
-      int First = InOrder ? A : B, Second = InOrder ? B : A;
-      const FlatEvent &EF = P.Events[Accesses[First].Event];
-      const FlatEvent &ES = P.Events[Accesses[Second].Event];
-      if (Traits.ordersEdge(EF.isLoad(), ES.isLoad()))
-        addEdge(First, Second);
-      if (ES.isStore() && Accesses[First].Addr == Accesses[Second].Addr)
-        addEdge(First, Second);
-      if (EF.AtomicId >= 0 && EF.AtomicId == ES.AtomicId)
-        addEdge(First, Second);
-    }
-  }
-
-  // (5) Fences: executed X-Y fences order earlier X accesses before later
-  // Y accesses of the same thread.
-  for (size_t I = 0; I < P.Events.size(); ++I) {
-    const FlatEvent &EF = P.Events[I];
-    if (EF.K != FlatEvent::Kind::Fence)
-      continue;
-    Value G;
-    if (!evalStatic(EF.Guard, G))
-      return fail(OracleSkip::FenceGuardDependsOnLoad);
-    if (G.isUndef() || !G.isTruthy())
-      continue;
-    bool XIsLoad = EF.FenceK == lsl::FenceKind::LoadLoad ||
-                   EF.FenceK == lsl::FenceKind::LoadStore;
-    bool YIsLoad = EF.FenceK == lsl::FenceKind::LoadLoad ||
-                   EF.FenceK == lsl::FenceKind::StoreLoad;
-    for (int A = 0; A < N; ++A) {
-      const FlatEvent &EA = P.Events[Accesses[A].Event];
-      if (EA.Thread != EF.Thread || EA.IndexInThread > EF.IndexInThread ||
-          EA.isLoad() != XIsLoad)
-        continue;
-      for (int B = 0; B < N; ++B) {
-        const FlatEvent &EB = P.Events[Accesses[B].Event];
-        if (EB.Thread != EF.Thread || EB.IndexInThread < EF.IndexInThread ||
-            EB.isLoad() != YIsLoad)
-          continue;
-        addEdge(A, B);
-      }
-    }
-  }
-  return true;
-}
-
-bool OrderEnumerator::loadValue(int A, Value &Out_) {
-  const FlatEvent &EL = P.Events[Accesses[A].Event];
-  // The <M-maximal element of S(l): scan for the best candidate position.
-  int BestPos = -1, BestAccess = -1;
-  for (size_t B = 0; B < Accesses.size(); ++B) {
-    const Access &AS = Accesses[B];
-    if (!AS.IsStore || !(AS.Addr == Accesses[A].Addr))
-      continue;
-    const FlatEvent &ES = P.Events[AS.Event];
-    bool Visible = PosOf[B] < PosOf[A];
-    if (!Visible && Traits.StoreForwarding && ES.Thread == EL.Thread &&
-        ES.IndexInThread < EL.IndexInThread)
-      Visible = true; // store forwarding: s <p l suffices
-    if (!Visible)
-      continue;
-    if (PosOf[static_cast<int>(B)] > BestPos) {
-      BestPos = PosOf[static_cast<int>(B)];
-      BestAccess = static_cast<int>(B);
-    }
-  }
-  if (BestAccess < 0) {
-    Out_ = Value::undef(); // axiom 2: initial memory contents
-    return true;
-  }
-  return evalDyn(P.Events[Accesses[BestAccess].Event].Data, Out_);
-}
-
-bool OrderEnumerator::evalDyn(ValueId Id, Value &Out_) {
-  if (Id < 0) {
-    Out_ = Value::undef();
-    return true;
-  }
-  if (DefKnown[Id]) { // static part already memoized
-    Out_ = DefVals[Id];
-    return true;
-  }
-  if (DynState[Id] == 1) {
-    Out_ = DynVals[Id];
-    return true;
-  }
-  if (DynState[Id] == 2)
-    return false; // circular value dependency (thin-air shape)
-  DynState[Id] = 2;
-  const FlatDef &D = P.def(Id);
-  Value V;
-  bool Ok = true;
-  switch (D.K) {
-  case FlatDef::Kind::Const:
-    V = D.Val;
-    break;
-  case FlatDef::Kind::Choice:
-    V = DefVals[Id]; // bound by the choice enumeration
-    break;
-  case FlatDef::Kind::LoadVal: {
-    int A = D.EventIndex >= 0 ? AccessOfEvent[D.EventIndex] : -1;
-    if (A < 0 || PosOf[A] < 0)
-      V = Value::undef(); // skipped load (dead guard)
-    else
-      Ok = loadValue(A, V);
-    break;
-  }
-  case FlatDef::Kind::Op: {
-    std::vector<Value> Args;
-    Args.reserve(D.Operands.size());
-    for (ValueId O : D.Operands) {
-      Args.emplace_back();
-      if (!evalDyn(O, Args.back())) {
-        Ok = false;
-        break;
-      }
-    }
-    if (Ok)
-      V = lsl::evalPrimOp(D.Op, Args, D.Imm);
-    break;
-  }
-  }
-  if (!Ok) {
-    DynState[Id] = 0;
-    return false;
-  }
-  DynVals[Id] = V;
-  DynState[Id] = 1;
-  Out_ = V;
-  return true;
-}
-
-void OrderEnumerator::finalize() {
-  if (++Out.Orders > Opts.MaxOrders) {
-    fail(OracleSkip::BudgetExceeded);
+void OrderSearch::leaf() {
+  if (++Orders > MaxOrders) {
+    Skip = OracleSkip::BudgetExceeded;
     return;
   }
-  DynVals.assign(P.Defs.size(), Value::undef());
-  DynState.assign(P.Defs.size(), 0);
-
-  bool Error = false;
-  for (const FlatCheck &C : P.Checks) {
-    Value G;
-    if (!evalDyn(C.Guard, G)) {
-      fail(OracleSkip::CyclicValueDependency);
-      return;
-    }
-    if (G.isUndef() || !G.isTruthy())
-      continue;
-    Value Cond;
-    if (!evalDyn(C.Cond, Cond)) {
-      fail(OracleSkip::CyclicValueDependency);
-      return;
-    }
-    switch (C.K) {
-    case FlatCheck::Kind::Assume:
-      if (Cond.isUndef()) {
-        Error = true;
-        break;
-      }
-      if (!Cond.isTruthy())
-        return; // infeasible execution
-      break;
-    case FlatCheck::Kind::Assert:
-      if (Cond.isUndef() || !Cond.isTruthy())
-        Error = true;
-      break;
-    case FlatCheck::Kind::CheckAddr:
-      if (!Cond.isPtr())
-        Error = true;
-      break;
-    case FlatCheck::Kind::CheckBranch:
-    case FlatCheck::Kind::CheckDef:
-      if (Cond.isUndef())
-        Error = true;
-      break;
-    }
-  }
-
-  RefObservation Obs;
-  Obs.Error = Error;
-  for (const FlatObservation &O : P.Observations) {
-    Obs.Values.emplace_back();
-    if (!evalDyn(O.Val, Obs.Values.back())) {
-      fail(OracleSkip::CyclicValueDependency);
-      return;
-    }
-  }
-  Out.Observations.insert(std::move(Obs));
+  for (int L : X.loads())
+    WriterOf[L] = X.latestVisibleStore(L, PosOf);
+  Skip = X.evaluate(WriterOf, Observations);
 }
 
-void OrderEnumerator::extend(size_t Depth) {
-  if (!Out.Error.empty())
+void OrderSearch::extend(size_t Depth) {
+  if (Skip != OracleSkip::None)
     return;
+  const std::vector<StaticExecution::Access> &Accesses = X.accesses();
   if (Depth == Accesses.size()) {
-    finalize();
+    leaf();
     return;
   }
   for (size_t A = 0; A < Accesses.size(); ++A) {
@@ -443,60 +98,15 @@ void OrderEnumerator::extend(size_t Depth) {
   }
 }
 
-/// Enumerates the Choice assignments, then the orders for each.
-class ChoiceEnumerator {
-public:
-  ChoiceEnumerator(const FlatProgram &P, const AxiomaticOptions &Opts)
-      : P(P), Traits(Opts.Model), Opts(Opts) {
-    for (size_t I = 0; I < P.Defs.size(); ++I)
-      if (P.Defs[I].K == FlatDef::Kind::Choice)
-        Choices.push_back(static_cast<ValueId>(I));
-  }
-
-  AxiomaticResult run() {
-    recurse(0);
-    if (Out.Error.empty())
-      Out.Ok = true;
-    return std::move(Out);
-  }
-
-private:
-  void recurse(size_t Idx) {
-    if (!Out.Error.empty())
-      return;
-    if (Idx == Choices.size()) {
-      std::vector<Value> DefVals(P.Defs.size(), Value::undef());
-      std::vector<char> DefKnown(P.Defs.size(), 0);
-      for (ValueId C : Choices) {
-        DefVals[C] = Bound[C];
-        DefKnown[C] = 1;
-      }
-      OrderEnumerator E(P, Traits, Out, Opts, DefVals, DefKnown);
-      if (!E.prepare())
-        return;
-      E.run();
-      return;
-    }
-    ValueId Id = Choices[Idx];
-    for (const Value &Option : P.Defs[Id].Options) {
-      Bound[Id] = Option;
-      recurse(Idx + 1);
-    }
-  }
-
-  const FlatProgram &P;
-  ModelParams Traits;
-  AxiomaticOptions Opts;
-  std::vector<ValueId> Choices;
-  std::map<ValueId, Value> Bound;
-  AxiomaticResult Out;
-};
-
 } // namespace
 
-AxiomaticResult
-checkfence::memmodel::enumerateAxiomatic(const FlatProgram &P,
+OracleResult
+checkfence::memmodel::enumerateAxiomatic(const trans::FlatProgram &P,
                                          const AxiomaticOptions &Opts) {
-  ChoiceEnumerator E(P, Opts);
-  return E.run();
+  uint64_t Orders = 0;
+  return forEachChoice(
+      P, Opts.Model,
+      [&](StaticExecution &X, std::set<RefObservation> &Observations) {
+        return OrderSearch(X, Observations, Opts.MaxOrders, Orders).run();
+      });
 }

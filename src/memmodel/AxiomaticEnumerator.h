@@ -23,6 +23,8 @@
 /// addresses are known without executing loads (branch-free litmus tests;
 /// nondeterministic Choice values are enumerated). Programs outside this
 /// fragment are rejected with Ok = false rather than answered wrongly.
+/// The fragment, the static edges and the evaluation of each execution
+/// are StaticExecution's; this file holds only the order search.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,11 +33,7 @@
 
 #include "memmodel/MemoryModel.h"
 #include "memmodel/OracleSkip.h"
-#include "memmodel/ReferenceExecutor.h"
 #include "trans/FlatProgram.h"
-
-#include <set>
-#include <string>
 
 namespace checkfence {
 namespace memmodel {
@@ -46,25 +44,11 @@ struct AxiomaticOptions {
   uint64_t MaxOrders = 50'000'000;
 };
 
-struct AxiomaticResult {
-  bool Ok = false;
-  /// Why the enumerator declined (None when Ok). The structured form of
-  /// Error, for callers that account for skips by cause.
-  OracleSkip Reason = OracleSkip::None;
-  /// Non-empty when the program is outside the supported fragment (guard
-  /// or address depends on a load, cyclic value dependency, budget);
-  /// always oracleSkipMessage(Reason).
-  std::string Error;
-  std::set<RefObservation> Observations;
-  /// Valid total orders found (statistics / sanity checking).
-  uint64_t Orders = 0;
-};
-
 /// Enumerates all executions of \p P allowed by \p Opts.Model and returns
 /// their observations. \p P must be within-bounds straight-line code (the
 /// flattener output of a loop-free test).
-AxiomaticResult enumerateAxiomatic(const trans::FlatProgram &P,
-                                   const AxiomaticOptions &Opts);
+OracleResult enumerateAxiomatic(const trans::FlatProgram &P,
+                                const AxiomaticOptions &Opts);
 
 } // namespace memmodel
 } // namespace checkfence

@@ -1,22 +1,27 @@
-//===--- OracleSkip.h - typed oracle ineligibility reasons ------*- C++ -*-==//
+//===--- OracleSkip.h - oracle results and skip reasons ---------*- C++ -*-==//
 //
 // Part of the CheckFence reproduction (PLDI'07).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The structured reason an execution oracle (AxiomaticEnumerator,
-/// ReadsFromOracle) declined to decide a program. Callers used to infer
-/// "fragment skip" from the Ok bool plus string matching on Error; the
-/// enum lets skip accounting (explore reports, tests) branch on the cause
-/// while oracleSkipMessage() keeps the user-facing strings canonical —
-/// both oracles emit identical text for the same reason, so differential
-/// harnesses can compare skip records across oracles byte-for-byte.
+/// The result of an explicit-state oracle (AxiomaticEnumerator,
+/// ReadsFromOracle) and the structured reason it declined to decide a
+/// program. Both oracles run the same StaticExecution, so a program
+/// outside the supported fragment gets the same reason from either, and
+/// oracleSkipMessage() keeps the user-facing strings canonical:
+/// differential harnesses and explore reports compare skip records across
+/// oracles byte-for-byte.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHECKFENCE_MEMMODEL_ORACLESKIP_H
 #define CHECKFENCE_MEMMODEL_ORACLESKIP_H
+
+#include "memmodel/ReferenceExecutor.h"
+
+#include <set>
+#include <string>
 
 namespace checkfence {
 namespace memmodel {
@@ -57,6 +62,16 @@ inline const char *oracleSkipMessage(OracleSkip Reason) {
   }
   return "";
 }
+
+struct OracleResult {
+  bool Ok = false;
+  /// Why the oracle declined (None when Ok).
+  OracleSkip Reason = OracleSkip::None;
+  /// oracleSkipMessage(Reason): empty when Ok.
+  std::string Error;
+  /// The observations of every consistent execution (complete when Ok).
+  std::set<RefObservation> Observations;
+};
 
 } // namespace memmodel
 } // namespace checkfence

@@ -3,31 +3,16 @@
 // Part of the CheckFence reproduction (PLDI'07).
 //
 //===----------------------------------------------------------------------===//
-//
-// Semantics contract: this file must agree observation-for-observation
-// with AxiomaticEnumerator.cpp (the brute-force reference) on every input
-// both accept. The fragment checks, the static edge rules, and the
-// check/observation evaluation are deliberately kept in the enumerator's
-// order so that error strings and skip behavior match byte-for-byte; the
-// difference is purely the search: reads-from assignments with incremental
-// constraint-graph feasibility instead of all total orders.
-//
-//===----------------------------------------------------------------------===//
 
 #include "memmodel/ReadsFromOracle.h"
-
-#include <algorithm>
-#include <map>
+#include "memmodel/StaticExecution.h"
 
 using namespace checkfence;
 using namespace checkfence::memmodel;
-using namespace checkfence::trans;
-
-using lsl::Value;
 
 namespace {
 
-constexpr int MaxNodes = 62;
+constexpr int MaxNodes = StaticExecution::MaxAccesses;
 
 /// A definite ordering requirement between two supernodes.
 struct SuperEdge {
@@ -67,47 +52,22 @@ struct ReachGraph {
   }
 };
 
-/// One search run for a fixed assignment of the Choice values.
+/// The reads-from search over one static execution.
 class RfSearch {
 public:
-  RfSearch(const FlatProgram &P, const ModelParams &Traits,
-           ReadsFromResult &Out, const ReadsFromOptions &Opts,
-           std::vector<Value> &DefVals, std::vector<char> &DefKnown,
-           uint64_t &Explored)
-      : P(P), Traits(Traits), Out(Out), Opts(Opts), DefVals(DefVals),
-        DefKnown(DefKnown), Explored(Explored) {}
+  RfSearch(StaticExecution &X, std::set<RefObservation> &Observations,
+           uint64_t MaxAssignments, uint64_t &Explored);
 
-  /// Prepares the executed-access universe, the supernode contraction,
-  /// and the static edge set. Returns false with Out.Error/Reason set on
-  /// unsupported input; a statically inconsistent choice assignment
-  /// (zero executions) instead sets ChoiceDead and returns true.
-  bool prepare();
-
-  void run() {
-    if (ChoiceDead)
-      return;
-    RfOf.assign(Accesses.size(), -1);
-    std::vector<Disjunct> Pending;
-    searchLoads(0, Base, Pending);
+  OracleSkip run() {
+    if (!ChoiceDead) {
+      std::vector<Disjunct> Pending;
+      searchLoads(0, Base, Pending);
+    }
+    return Skip;
   }
 
 private:
-  struct Access {
-    int Event = 0; ///< index into P.Events
-    bool IsStore = false;
-    Value Addr;
-  };
-
   enum class EdgeClass { Implied, Infeasible, Lifted };
-
-  bool fail(OracleSkip Reason) {
-    Out.Reason = Reason;
-    Out.Error = oracleSkipMessage(Reason);
-    return false;
-  }
-
-  bool evalStatic(ValueId Id, Value &Out_);
-  bool evalDyn(ValueId Id, Value &Out_);
 
   /// Classifies the access-level requirement "A before B in <M": decided
   /// by rank inside a supernode, otherwise lifted to a supernode edge.
@@ -203,7 +163,7 @@ private:
       std::vector<Disjunct> P1 = Pending;
       if (G1.add(D.E1.From, D.E1.To) && resolveOpen(G1, std::move(P1)))
         return true;
-      if (!Out.Error.empty())
+      if (Skip != OracleSkip::None)
         return false;
     }
     if (!G.add(D.E2.From, D.E2.To))
@@ -211,35 +171,25 @@ private:
     return resolveOpen(std::move(G), std::move(Pending));
   }
 
-  /// True when store access \p S is forwardable to load access \p L:
-  /// visible by program order alone, at any position in <M. Mirrors the
-  /// enumerator's loadValue() forwarding test (the raw trait bit).
-  bool forwards(int S, int L) const {
-    const FlatEvent &ES = P.Events[Accesses[S].Event];
-    const FlatEvent &EL = P.Events[Accesses[L].Event];
-    return Traits.StoreForwarding && ES.Thread == EL.Thread &&
-           ES.IndexInThread < EL.IndexInThread;
-  }
-
   /// Constrains the order so that \p Writer (-1 = initial memory) is the
   /// visibility-maximal same-address store for load \p L.
   bool applyAssignment(int L, int Writer, ReachGraph &G,
                        std::vector<Disjunct> &Pending) const {
-    const std::vector<int> &Stores = SameAddrStores[L];
+    const std::vector<int> &Stores = X.accesses()[L].Stores;
     if (Writer < 0) {
       // Axiom 2 (initial memory): no same-address store may be visible.
       for (int S : Stores) {
-        if (forwards(S, L) || !requireEdge(G, L, S))
+        if (X.forwards(S, L) || !requireEdge(G, L, S))
           return false;
       }
       return true;
     }
-    if (!forwards(Writer, L) && !requireEdge(G, Writer, L))
+    if (!X.forwards(Writer, L) && !requireEdge(G, Writer, L))
       return false;
     for (int S : Stores) {
       if (S == Writer)
         continue;
-      if (forwards(S, L)) {
+      if (X.forwards(S, L)) {
         // Always visible: it must sit below the chosen writer.
         if (!requireEdge(G, S, Writer))
           return false;
@@ -252,9 +202,9 @@ private:
   }
 
   bool budget() {
-    if (++Explored > Opts.MaxAssignments) {
-      if (Out.Error.empty())
-        fail(OracleSkip::BudgetExceeded);
+    if (++Explored > MaxAssignments) {
+      if (Skip == OracleSkip::None)
+        Skip = OracleSkip::BudgetExceeded;
       return false;
     }
     return true;
@@ -263,243 +213,83 @@ private:
   void searchLoads(size_t Idx, const ReachGraph &G,
                    const std::vector<Disjunct> &Pending);
   void leaf(const ReachGraph &G, const std::vector<Disjunct> &Pending);
-  void evaluate();
 
-  const FlatProgram &P;
-  const ModelParams &Traits;
-  ReadsFromResult &Out;
-  const ReadsFromOptions &Opts;
-  std::vector<Value> &DefVals; // shared choice/const memo (static part)
-  std::vector<char> &DefKnown;
+  StaticExecution &X;
+  std::set<RefObservation> &Observations;
+  uint64_t MaxAssignments;
+  uint64_t &Explored; // leaves + branch nodes, across all choices
+  OracleSkip Skip = OracleSkip::None;
 
-  std::vector<Access> Accesses;   // executed accesses only
-  std::vector<int> AccessOfEvent; // event -> access index or -1
-  std::vector<int> SuperOf;       // access -> supernode
-  std::vector<int> RankOf;        // access -> rank inside its supernode
-  std::vector<int> Loads;         // executed load access indices
-  std::vector<std::vector<int>> SameAddrStores; // per access (loads used)
-  ReachGraph Base;                // closure of the static edges
-  bool ChoiceDead = false;        // static edges already cyclic
-
-  std::vector<int> RfOf;   // load access -> writer access, -1 = init
-  uint64_t &Explored;      // leaves + branch nodes, across all choices
-
-  // Per-leaf evaluation state.
-  std::vector<Value> DynVals;
-  std::vector<char> DynState; // 0 = unknown, 1 = known, 2 = in progress
+  std::vector<int> SuperOf; // access -> supernode
+  std::vector<int> RankOf;  // access -> rank inside its supernode
+  ReachGraph Base;          // closure of the static edges
+  bool ChoiceDead = false;  // static edges already cyclic
+  std::vector<int> RfOf;    // load access -> writer access, -1 = init
 };
 
-bool RfSearch::evalStatic(ValueId Id, Value &Out_) {
-  if (Id < 0) {
-    Out_ = Value::undef();
-    return true;
-  }
-  if (DefKnown[Id]) {
-    Out_ = DefVals[Id];
-    return true;
-  }
-  const FlatDef &D = P.def(Id);
-  Value V;
-  switch (D.K) {
-  case FlatDef::Kind::Const:
-    V = D.Val;
-    break;
-  case FlatDef::Kind::Choice:
-    V = DefVals[Id]; // bound by the choice enumeration
-    break;
-  case FlatDef::Kind::LoadVal:
-    return false; // not static
-  case FlatDef::Kind::Op: {
-    std::vector<Value> Args;
-    Args.reserve(D.Operands.size());
-    for (ValueId O : D.Operands) {
-      Args.emplace_back();
-      if (!evalStatic(O, Args.back()))
-        return false;
-    }
-    V = lsl::evalPrimOp(D.Op, Args, D.Imm);
-    break;
-  }
-  }
-  DefVals[Id] = V;
-  DefKnown[Id] = 1;
-  Out_ = V;
-  return true;
-}
-
-bool RfSearch::prepare() {
-  AccessOfEvent.assign(P.Events.size(), -1);
-
-  // Collect the executed accesses. Guards and addresses must be static.
-  for (size_t I = 0; I < P.Events.size(); ++I) {
-    const FlatEvent &E = P.Events[I];
-    Value G;
-    if (!evalStatic(E.Guard, G))
-      return fail(OracleSkip::GuardDependsOnLoad);
-    if (G.isUndef() || !G.isTruthy())
-      continue;
-    if (!E.isAccess())
-      continue;
-    Value Addr;
-    if (!evalStatic(E.Addr, Addr))
-      return fail(OracleSkip::AddressDependsOnLoad);
-    Access A;
-    A.Event = static_cast<int>(I);
-    A.IsStore = E.isStore();
-    A.Addr = Addr;
-    AccessOfEvent[I] = static_cast<int>(Accesses.size());
-    Accesses.push_back(A);
-  }
-  if (Accesses.size() > MaxNodes)
-    return fail(OracleSkip::TooManyAccesses);
-
-  // Within-bounds semantics: a statically-exceeded loop bound means the
-  // program was not fully unrolled - outside the supported fragment.
-  for (const FlatBoundMark &M : P.BoundMarks) {
-    Value G;
-    if (!evalStatic(M.Guard, G))
-      return fail(OracleSkip::BoundMarkDependsOnLoad);
-    if (!G.isUndef() && G.isTruthy())
-      return fail(OracleSkip::ExceedsLoopBounds);
-  }
-
+RfSearch::RfSearch(StaticExecution &X,
+                   std::set<RefObservation> &Observations,
+                   uint64_t MaxAssignments, uint64_t &Explored)
+    : X(X), Observations(Observations), MaxAssignments(MaxAssignments),
+      Explored(Explored) {
+  const std::vector<StaticExecution::Access> &Accesses = X.accesses();
   int N = static_cast<int>(Accesses.size());
 
-  // Supernode contraction. Contiguity clusters (operation invocations
-  // under Serial, atomic-block instances otherwise) occupy consecutive
-  // positions of <M, and their interior order is statically total (atomic
-  // interiors are chained by program order below; serial invocations are
-  // fully ordered because Serial implies full program order), so each
-  // cluster collapses to one node ranked by program order and the
-  // contiguity constraint holds by construction.
-  {
-    std::map<int, int> ClusterSuper;
-    std::map<int, int> ClusterRank;
-    SuperOf.assign(N, -1);
-    RankOf.assign(N, 0);
-    int NumSuper = 0;
-    for (int A = 0; A < N; ++A) {
-      const FlatEvent &E = P.Events[Accesses[A].Event];
-      int Raw = Traits.SerialOps ? E.OpInvId : E.AtomicId;
-      if (Raw < 0) {
-        SuperOf[A] = NumSuper++;
-        continue;
-      }
-      auto [It, New] = ClusterSuper.emplace(Raw, NumSuper);
-      if (New)
-        ++NumSuper;
-      SuperOf[A] = It->second;
-      RankOf[A] = ClusterRank[Raw]++;
-    }
-    Base.init(NumSuper);
-  }
-
-  auto addStatic = [&](int A, int B) {
-    if (A != B && !requireEdge(Base, A, B))
-      ChoiceDead = true; // no consistent order exists for this choice
-  };
-
-  // Static edges. (1) The init thread precedes everything, and runs
-  // sequentially (see AxiomaticEnumerator: chaining the init stores only
-  // removes redundant permutations).
-  if (P.ThreadZeroIsInit) {
-    int PrevInit = -1;
-    for (int A = 0; A < N; ++A) {
-      if (P.Events[Accesses[A].Event].Thread != 0)
-        continue;
-      if (PrevInit >= 0)
-        addStatic(PrevInit, A);
-      PrevInit = A;
-      for (int B = 0; B < N; ++B)
-        if (P.Events[Accesses[B].Event].Thread != 0)
-          addStatic(A, B);
-    }
-  }
-
-  // (2) Program order, per edge kind; (3) Relaxed axiom 1 (same-address
-  // edges ending in a store); (4) atomic-block interiors.
+  // Supernode contraction. A contiguity cluster occupies consecutive
+  // positions of <M, and its interior order is statically total (atomic
+  // interiors are chained by program order; serial invocations are fully
+  // ordered because Serial implies full program order), so each cluster
+  // collapses to one node ranked by program order and the contiguity
+  // constraint holds by construction.
+  SuperOf.assign(N, -1);
+  RankOf.assign(N, 0);
+  std::vector<int> ClusterSuper(X.numClusters(), -1);
+  int NumSuper = 0;
   for (int A = 0; A < N; ++A) {
-    const FlatEvent &EA = P.Events[Accesses[A].Event];
-    for (int B = A + 1; B < N; ++B) {
-      const FlatEvent &EB = P.Events[Accesses[B].Event];
-      if (EA.Thread != EB.Thread)
-        continue;
-      bool InOrder = EA.IndexInThread < EB.IndexInThread;
-      int First = InOrder ? A : B, Second = InOrder ? B : A;
-      const FlatEvent &EF = P.Events[Accesses[First].Event];
-      const FlatEvent &ES = P.Events[Accesses[Second].Event];
-      if (Traits.ordersEdge(EF.isLoad(), ES.isLoad()))
-        addStatic(First, Second);
-      if (ES.isStore() && Accesses[First].Addr == Accesses[Second].Addr)
-        addStatic(First, Second);
-      if (EF.AtomicId >= 0 && EF.AtomicId == ES.AtomicId)
-        addStatic(First, Second);
+    int Cluster = Accesses[A].Cluster;
+    if (Cluster < 0) {
+      SuperOf[A] = NumSuper++;
+      continue;
     }
+    if (ClusterSuper[Cluster] < 0)
+      ClusterSuper[Cluster] = NumSuper++;
+    SuperOf[A] = ClusterSuper[Cluster];
+    RankOf[A] = Accesses[A].Rank;
   }
+  Base.init(NumSuper);
 
-  // (5) Fences: executed X-Y fences order earlier X accesses before later
-  // Y accesses of the same thread.
-  for (size_t I = 0; I < P.Events.size(); ++I) {
-    const FlatEvent &EF = P.Events[I];
-    if (EF.K != FlatEvent::Kind::Fence)
-      continue;
-    Value G;
-    if (!evalStatic(EF.Guard, G))
-      return fail(OracleSkip::FenceGuardDependsOnLoad);
-    if (G.isUndef() || !G.isTruthy())
-      continue;
-    bool XIsLoad = EF.FenceK == lsl::FenceKind::LoadLoad ||
-                   EF.FenceK == lsl::FenceKind::LoadStore;
-    bool YIsLoad = EF.FenceK == lsl::FenceKind::LoadLoad ||
-                   EF.FenceK == lsl::FenceKind::StoreLoad;
-    for (int A = 0; A < N; ++A) {
-      const FlatEvent &EA = P.Events[Accesses[A].Event];
-      if (EA.Thread != EF.Thread || EA.IndexInThread > EF.IndexInThread ||
-          EA.isLoad() != XIsLoad)
-        continue;
-      for (int B = 0; B < N; ++B) {
-        const FlatEvent &EB = P.Events[Accesses[B].Event];
-        if (EB.Thread != EF.Thread || EB.IndexInThread < EF.IndexInThread ||
-            EB.isLoad() != YIsLoad)
-          continue;
-        addStatic(A, B);
+  // The static edges; a cycle among them leaves this choice assignment
+  // with no consistent order at all.
+  for (int B = 0; B < N && !ChoiceDead; ++B)
+    for (int A = 0; A < N; ++A)
+      if (((Accesses[B].Preds >> A) & 1) && !requireEdge(Base, A, B)) {
+        ChoiceDead = true;
+        break;
       }
-    }
-  }
-
-  // Reads-from candidates.
-  SameAddrStores.assign(N, {});
-  for (int A = 0; A < N; ++A) {
-    if (Accesses[A].IsStore)
-      continue;
-    Loads.push_back(A);
-    for (int B = 0; B < N; ++B)
-      if (Accesses[B].IsStore && Accesses[B].Addr == Accesses[A].Addr)
-        SameAddrStores[A].push_back(B);
-  }
-  return true;
+  RfOf.assign(N, -1);
 }
 
 void RfSearch::searchLoads(size_t Idx, const ReachGraph &G,
                            const std::vector<Disjunct> &Pending) {
-  if (!Out.Error.empty())
+  if (Skip != OracleSkip::None)
     return;
-  if (Idx == Loads.size()) {
+  if (Idx == X.loads().size()) {
     leaf(G, Pending);
     return;
   }
-  int L = Loads[Idx];
+  int L = X.loads()[Idx];
+  const std::vector<int> &Stores = X.accesses()[L].Stores;
   // Initial memory first, then the stores in access order; observation
   // sets are order-insensitive, but keep the walk deterministic.
-  for (int C = -1; C < static_cast<int>(SameAddrStores[L].size()); ++C) {
-    int Writer = C < 0 ? -1 : SameAddrStores[L][C];
+  for (int C = -1; C < static_cast<int>(Stores.size()); ++C) {
+    int Writer = C < 0 ? -1 : Stores[C];
     ReachGraph G2 = G;
     std::vector<Disjunct> P2 = Pending;
     if (!applyAssignment(L, Writer, G2, P2) || !saturate(G2, P2))
       continue; // this writer has no consistent completion
     RfOf[L] = Writer;
     searchLoads(Idx + 1, G2, P2);
-    if (!Out.Error.empty())
+    if (Skip != OracleSkip::None)
       return;
   }
 }
@@ -509,182 +299,19 @@ void RfSearch::leaf(const ReachGraph &G, const std::vector<Disjunct> &Pending) {
     return;
   if (!Pending.empty() && !resolveOpen(G, Pending))
     return; // open disjunctions have no consistent resolution (or budget)
-  ++Out.Assignments;
-  evaluate();
+  Skip = X.evaluate(RfOf, Observations);
 }
-
-bool RfSearch::evalDyn(ValueId Id, Value &Out_) {
-  if (Id < 0) {
-    Out_ = Value::undef();
-    return true;
-  }
-  if (DefKnown[Id]) { // static part already memoized
-    Out_ = DefVals[Id];
-    return true;
-  }
-  if (DynState[Id] == 1) {
-    Out_ = DynVals[Id];
-    return true;
-  }
-  if (DynState[Id] == 2)
-    return false; // circular value dependency (thin-air shape)
-  DynState[Id] = 2;
-  const FlatDef &D = P.def(Id);
-  Value V;
-  bool Ok = true;
-  switch (D.K) {
-  case FlatDef::Kind::Const:
-    V = D.Val;
-    break;
-  case FlatDef::Kind::Choice:
-    V = DefVals[Id]; // bound by the choice enumeration
-    break;
-  case FlatDef::Kind::LoadVal: {
-    int A = D.EventIndex >= 0 ? AccessOfEvent[D.EventIndex] : -1;
-    if (A < 0)
-      V = Value::undef(); // skipped load (dead guard)
-    else if (RfOf[A] < 0)
-      V = Value::undef(); // axiom 2: initial memory contents
-    else
-      Ok = evalDyn(P.Events[Accesses[RfOf[A]].Event].Data, V);
-    break;
-  }
-  case FlatDef::Kind::Op: {
-    std::vector<Value> Args;
-    Args.reserve(D.Operands.size());
-    for (ValueId O : D.Operands) {
-      Args.emplace_back();
-      if (!evalDyn(O, Args.back())) {
-        Ok = false;
-        break;
-      }
-    }
-    if (Ok)
-      V = lsl::evalPrimOp(D.Op, Args, D.Imm);
-    break;
-  }
-  }
-  if (!Ok) {
-    DynState[Id] = 0;
-    return false;
-  }
-  DynVals[Id] = V;
-  DynState[Id] = 1;
-  Out_ = V;
-  return true;
-}
-
-void RfSearch::evaluate() {
-  DynVals.assign(P.Defs.size(), Value::undef());
-  DynState.assign(P.Defs.size(), 0);
-
-  bool Error = false;
-  for (const FlatCheck &C : P.Checks) {
-    Value G;
-    if (!evalDyn(C.Guard, G)) {
-      fail(OracleSkip::CyclicValueDependency);
-      return;
-    }
-    if (G.isUndef() || !G.isTruthy())
-      continue;
-    Value Cond;
-    if (!evalDyn(C.Cond, Cond)) {
-      fail(OracleSkip::CyclicValueDependency);
-      return;
-    }
-    switch (C.K) {
-    case FlatCheck::Kind::Assume:
-      if (Cond.isUndef()) {
-        Error = true;
-        break;
-      }
-      if (!Cond.isTruthy())
-        return; // infeasible execution
-      break;
-    case FlatCheck::Kind::Assert:
-      if (Cond.isUndef() || !Cond.isTruthy())
-        Error = true;
-      break;
-    case FlatCheck::Kind::CheckAddr:
-      if (!Cond.isPtr())
-        Error = true;
-      break;
-    case FlatCheck::Kind::CheckBranch:
-    case FlatCheck::Kind::CheckDef:
-      if (Cond.isUndef())
-        Error = true;
-      break;
-    }
-  }
-
-  RefObservation Obs;
-  Obs.Error = Error;
-  for (const FlatObservation &O : P.Observations) {
-    Obs.Values.emplace_back();
-    if (!evalDyn(O.Val, Obs.Values.back())) {
-      fail(OracleSkip::CyclicValueDependency);
-      return;
-    }
-  }
-  Out.Observations.insert(std::move(Obs));
-}
-
-/// Enumerates the Choice assignments, then the reads-from assignments for
-/// each (mirrors the enumerator's ChoiceEnumerator).
-class RfChoiceEnumerator {
-public:
-  RfChoiceEnumerator(const FlatProgram &P, const ReadsFromOptions &Opts)
-      : P(P), Traits(Opts.Model), Opts(Opts) {
-    for (size_t I = 0; I < P.Defs.size(); ++I)
-      if (P.Defs[I].K == FlatDef::Kind::Choice)
-        Choices.push_back(static_cast<ValueId>(I));
-  }
-
-  ReadsFromResult run() {
-    recurse(0);
-    if (Out.Error.empty())
-      Out.Ok = true;
-    return std::move(Out);
-  }
-
-private:
-  void recurse(size_t Idx) {
-    if (!Out.Error.empty())
-      return;
-    if (Idx == Choices.size()) {
-      std::vector<Value> DefVals(P.Defs.size(), Value::undef());
-      std::vector<char> DefKnown(P.Defs.size(), 0);
-      for (ValueId C : Choices) {
-        DefVals[C] = Bound[C];
-        DefKnown[C] = 1;
-      }
-      RfSearch S(P, Traits, Out, Opts, DefVals, DefKnown, Explored);
-      if (!S.prepare())
-        return;
-      S.run();
-      return;
-    }
-    ValueId Id = Choices[Idx];
-    for (const Value &Option : P.Defs[Id].Options) {
-      Bound[Id] = Option;
-      recurse(Idx + 1);
-    }
-  }
-
-  const FlatProgram &P;
-  ModelParams Traits;
-  ReadsFromOptions Opts;
-  std::vector<ValueId> Choices;
-  std::map<ValueId, Value> Bound;
-  ReadsFromResult Out;
-  uint64_t Explored = 0;
-};
 
 } // namespace
 
-ReadsFromResult
-checkfence::memmodel::checkReadsFrom(const FlatProgram &P,
+OracleResult
+checkfence::memmodel::checkReadsFrom(const trans::FlatProgram &P,
                                      const ReadsFromOptions &Opts) {
-  RfChoiceEnumerator E(P, Opts);
-  return E.run();
+  uint64_t Explored = 0;
+  return forEachChoice(
+      P, Opts.Model,
+      [&](StaticExecution &X, std::set<RefObservation> &Observations) {
+        return RfSearch(X, Observations, Opts.MaxAssignments, Explored)
+            .run();
+      });
 }

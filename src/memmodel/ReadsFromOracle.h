@@ -34,8 +34,9 @@
 /// with readsFromEligible() (see MemoryModel.h), which additionally
 /// restricts to the sc/tso/pso-like points (load-load and load-store
 /// program order kept) where the saturation above stays effectively
-/// branch-free. Fragment restrictions and all error strings match the
-/// enumerator's, so skip accounting is oracle-agnostic.
+/// branch-free. Both oracles search the same StaticExecution, which
+/// decides the fragment, the skip reasons and each execution's checks and
+/// observations, so skip accounting is oracle-agnostic by construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,12 +45,9 @@
 
 #include "memmodel/MemoryModel.h"
 #include "memmodel/OracleSkip.h"
-#include "memmodel/ReferenceExecutor.h"
 #include "trans/FlatProgram.h"
 
 #include <cstdint>
-#include <set>
-#include <string>
 
 namespace checkfence {
 namespace memmodel {
@@ -61,23 +59,11 @@ struct ReadsFromOptions {
   uint64_t MaxAssignments = 5'000'000;
 };
 
-struct ReadsFromResult {
-  bool Ok = false;
-  /// Why the oracle declined (None when Ok).
-  OracleSkip Reason = OracleSkip::None;
-  /// Non-empty when the program is outside the supported fragment; the
-  /// text matches AxiomaticEnumerator's for the same Reason.
-  std::string Error;
-  std::set<RefObservation> Observations;
-  /// Consistent reads-from assignments found (statistics).
-  uint64_t Assignments = 0;
-};
-
 /// Computes the observation set of \p P under \p Opts.Model. Exact for
 /// multi-copy-atomic, non-serial models; callers should gate on
 /// readsFromEligible(). Same input fragment as enumerateAxiomatic.
-ReadsFromResult checkReadsFrom(const trans::FlatProgram &P,
-                               const ReadsFromOptions &Opts);
+OracleResult checkReadsFrom(const trans::FlatProgram &P,
+                            const ReadsFromOptions &Opts);
 
 } // namespace memmodel
 } // namespace checkfence

@@ -1,0 +1,382 @@
+//===--- StaticExecution.cpp - shared kernel of the oracles ----------------===//
+//
+// Part of the CheckFence reproduction (PLDI'07).
+//
+//===----------------------------------------------------------------------===//
+
+#include "memmodel/StaticExecution.h"
+
+using namespace checkfence;
+using namespace checkfence::memmodel;
+using namespace checkfence::trans;
+
+using lsl::Value;
+
+StaticExecution::StaticExecution(const FlatProgram &P,
+                                 const ModelParams &Model,
+                                 const std::vector<Value> &Bound)
+    : P(P), Model(Model), DefVals(P.Defs.size(), Value::undef()),
+      DefKnown(P.Defs.size(), 0) {
+  for (size_t I = 0; I < P.Defs.size(); ++I)
+    if (P.Defs[I].K == FlatDef::Kind::Choice) {
+      DefVals[I] = Bound[I];
+      DefKnown[I] = 1;
+    }
+  Skip = build();
+}
+
+bool StaticExecution::evalStatic(ValueId Id, Value &Out) {
+  if (Id < 0) {
+    Out = Value::undef();
+    return true;
+  }
+  if (DefKnown[Id]) {
+    Out = DefVals[Id];
+    return true;
+  }
+  const FlatDef &D = P.def(Id);
+  Value V;
+  switch (D.K) {
+  case FlatDef::Kind::Const:
+    V = D.Val;
+    break;
+  case FlatDef::Kind::Choice:
+    V = DefVals[Id]; // bound by the choice enumeration
+    break;
+  case FlatDef::Kind::LoadVal:
+    return false; // not static
+  case FlatDef::Kind::Op: {
+    std::vector<Value> Args;
+    Args.reserve(D.Operands.size());
+    for (ValueId O : D.Operands) {
+      Args.emplace_back();
+      if (!evalStatic(O, Args.back()))
+        return false;
+    }
+    V = lsl::evalPrimOp(D.Op, Args, D.Imm);
+    break;
+  }
+  }
+  DefVals[Id] = V;
+  DefKnown[Id] = 1;
+  Out = V;
+  return true;
+}
+
+OracleSkip StaticExecution::build() {
+  AccessOfEvent.assign(P.Events.size(), -1);
+
+  // Collect the executed accesses. Guards and addresses must be static.
+  for (size_t I = 0; I < P.Events.size(); ++I) {
+    const FlatEvent &E = P.Events[I];
+    Value G;
+    if (!evalStatic(E.Guard, G))
+      return OracleSkip::GuardDependsOnLoad;
+    if (G.isUndef() || !G.isTruthy())
+      continue;
+    if (!E.isAccess())
+      continue;
+    Value Addr;
+    if (!evalStatic(E.Addr, Addr))
+      return OracleSkip::AddressDependsOnLoad;
+    Access A;
+    A.Event = static_cast<int>(I);
+    A.IsStore = E.isStore();
+    A.Addr = Addr;
+    AccessOfEvent[I] = static_cast<int>(Accesses.size());
+    Accesses.push_back(A);
+  }
+  if (Accesses.size() > MaxAccesses)
+    return OracleSkip::TooManyAccesses;
+
+  // Within-bounds semantics: a statically-exceeded loop bound means the
+  // program was not fully unrolled - outside the supported fragment.
+  for (const FlatBoundMark &M : P.BoundMarks) {
+    Value G;
+    if (!evalStatic(M.Guard, G))
+      return OracleSkip::BoundMarkDependsOnLoad;
+    if (!G.isUndef() && G.isTruthy())
+      return OracleSkip::ExceedsLoopBounds;
+  }
+
+  int N = static_cast<int>(Accesses.size());
+
+  // Contiguity clusters: operation invocations under Serial, atomic-block
+  // instances otherwise. A cluster occupies consecutive positions of <M.
+  {
+    std::vector<int> ClusterOfRaw; // raw id -> cluster, -1 = not seen
+    std::vector<int> ClusterCount;
+    for (Access &A : Accesses) {
+      const FlatEvent &E = P.Events[A.Event];
+      int Raw = Model.SerialOps ? E.OpInvId : E.AtomicId;
+      if (Raw < 0)
+        continue;
+      if (Raw >= static_cast<int>(ClusterOfRaw.size()))
+        ClusterOfRaw.resize(Raw + 1, -1);
+      if (ClusterOfRaw[Raw] < 0) {
+        ClusterOfRaw[Raw] = NumClusters++;
+        ClusterCount.push_back(0);
+      }
+      A.Cluster = ClusterOfRaw[Raw];
+      A.Rank = ClusterCount[A.Cluster]++;
+    }
+  }
+
+  // Static edges. (1) The init thread precedes everything, and runs
+  // sequentially. (The SAT encoding leaves different-address init stores
+  // mutually unordered under the relaxed models; since every init access
+  // precedes all others, their relative order cannot influence any load,
+  // so chaining them here only removes redundant permutations.)
+  if (P.ThreadZeroIsInit) {
+    int PrevInit = -1;
+    for (int A = 0; A < N; ++A) {
+      if (P.Events[Accesses[A].Event].Thread != 0)
+        continue;
+      if (PrevInit >= 0)
+        addEdge(PrevInit, A);
+      PrevInit = A;
+      for (int B = 0; B < N; ++B)
+        if (P.Events[Accesses[B].Event].Thread != 0)
+          addEdge(A, B);
+    }
+  }
+
+  // (2) Program order, per edge kind; (3) Relaxed axiom 1 (same-address
+  // edges ending in a store); (4) atomic-block interiors.
+  for (int A = 0; A < N; ++A) {
+    const FlatEvent &EA = P.Events[Accesses[A].Event];
+    for (int B = A + 1; B < N; ++B) {
+      const FlatEvent &EB = P.Events[Accesses[B].Event];
+      if (EA.Thread != EB.Thread)
+        continue;
+      bool InOrder = EA.IndexInThread < EB.IndexInThread;
+      int First = InOrder ? A : B, Second = InOrder ? B : A;
+      const FlatEvent &EF = P.Events[Accesses[First].Event];
+      const FlatEvent &ES = P.Events[Accesses[Second].Event];
+      if (Model.ordersEdge(EF.isLoad(), ES.isLoad()))
+        addEdge(First, Second);
+      if (ES.isStore() && Accesses[First].Addr == Accesses[Second].Addr)
+        addEdge(First, Second);
+      if (EF.AtomicId >= 0 && EF.AtomicId == ES.AtomicId)
+        addEdge(First, Second);
+    }
+  }
+
+  // (5) Fences: executed X-Y fences order earlier X accesses before later
+  // Y accesses of the same thread.
+  for (const FlatEvent &EF : P.Events) {
+    if (EF.K != FlatEvent::Kind::Fence)
+      continue;
+    Value G;
+    if (!evalStatic(EF.Guard, G))
+      return OracleSkip::FenceGuardDependsOnLoad;
+    if (G.isUndef() || !G.isTruthy())
+      continue;
+    bool XIsLoad = EF.FenceK == lsl::FenceKind::LoadLoad ||
+                   EF.FenceK == lsl::FenceKind::LoadStore;
+    bool YIsLoad = EF.FenceK == lsl::FenceKind::LoadLoad ||
+                   EF.FenceK == lsl::FenceKind::StoreLoad;
+    for (int A = 0; A < N; ++A) {
+      const FlatEvent &EA = P.Events[Accesses[A].Event];
+      if (EA.Thread != EF.Thread || EA.IndexInThread > EF.IndexInThread ||
+          EA.isLoad() != XIsLoad)
+        continue;
+      for (int B = 0; B < N; ++B) {
+        const FlatEvent &EB = P.Events[Accesses[B].Event];
+        if (EB.Thread != EF.Thread || EB.IndexInThread < EF.IndexInThread ||
+            EB.isLoad() != YIsLoad)
+          continue;
+        addEdge(A, B);
+      }
+    }
+  }
+
+  // Reads-from candidates.
+  for (int A = 0; A < N; ++A) {
+    if (Accesses[A].IsStore)
+      continue;
+    Loads.push_back(A);
+    for (int B = 0; B < N; ++B)
+      if (Accesses[B].IsStore && Accesses[B].Addr == Accesses[A].Addr)
+        Accesses[A].Stores.push_back(B);
+  }
+  return OracleSkip::None;
+}
+
+bool StaticExecution::forwards(int S, int L) const {
+  const FlatEvent &ES = P.Events[Accesses[S].Event];
+  const FlatEvent &EL = P.Events[Accesses[L].Event];
+  return Model.StoreForwarding && ES.Thread == EL.Thread &&
+         ES.IndexInThread < EL.IndexInThread;
+}
+
+int StaticExecution::latestVisibleStore(int L,
+                                        const std::vector<int> &PosOf) const {
+  int BestPos = -1, Best = -1;
+  for (int S : Accesses[L].Stores) {
+    if ((PosOf[S] < PosOf[L] || forwards(S, L)) && PosOf[S] > BestPos) {
+      BestPos = PosOf[S];
+      Best = S;
+    }
+  }
+  return Best;
+}
+
+bool StaticExecution::evalDyn(ValueId Id, const std::vector<int> &WriterOf,
+                              Value &Out) {
+  if (Id < 0) {
+    Out = Value::undef();
+    return true;
+  }
+  if (DefKnown[Id]) { // static part already memoized
+    Out = DefVals[Id];
+    return true;
+  }
+  if (DynState[Id] == 1) {
+    Out = DynVals[Id];
+    return true;
+  }
+  if (DynState[Id] == 2)
+    return false; // circular value dependency (thin-air shape)
+  DynState[Id] = 2;
+  const FlatDef &D = P.def(Id);
+  Value V;
+  bool Ok = true;
+  switch (D.K) {
+  case FlatDef::Kind::Const:
+    V = D.Val;
+    break;
+  case FlatDef::Kind::Choice:
+    V = DefVals[Id]; // bound by the choice enumeration
+    break;
+  case FlatDef::Kind::LoadVal: {
+    int A = D.EventIndex >= 0 ? AccessOfEvent[D.EventIndex] : -1;
+    if (A < 0)
+      V = Value::undef(); // skipped load (dead guard)
+    else if (WriterOf[A] < 0)
+      V = Value::undef(); // axiom 2: initial memory contents
+    else
+      Ok = evalDyn(P.Events[Accesses[WriterOf[A]].Event].Data, WriterOf, V);
+    break;
+  }
+  case FlatDef::Kind::Op: {
+    std::vector<Value> Args;
+    Args.reserve(D.Operands.size());
+    for (ValueId O : D.Operands) {
+      Args.emplace_back();
+      if (!evalDyn(O, WriterOf, Args.back())) {
+        Ok = false;
+        break;
+      }
+    }
+    if (Ok)
+      V = lsl::evalPrimOp(D.Op, Args, D.Imm);
+    break;
+  }
+  }
+  if (!Ok) {
+    DynState[Id] = 0;
+    return false;
+  }
+  DynVals[Id] = V;
+  DynState[Id] = 1;
+  Out = V;
+  return true;
+}
+
+OracleSkip StaticExecution::evaluate(const std::vector<int> &WriterOf,
+                                     std::set<RefObservation> &Observations) {
+  DynVals.assign(P.Defs.size(), Value::undef());
+  DynState.assign(P.Defs.size(), 0);
+
+  bool Error = false;
+  for (const FlatCheck &C : P.Checks) {
+    Value G;
+    if (!evalDyn(C.Guard, WriterOf, G))
+      return OracleSkip::CyclicValueDependency;
+    if (G.isUndef() || !G.isTruthy())
+      continue;
+    Value Cond;
+    if (!evalDyn(C.Cond, WriterOf, Cond))
+      return OracleSkip::CyclicValueDependency;
+    switch (C.K) {
+    case FlatCheck::Kind::Assume:
+      if (Cond.isUndef()) {
+        Error = true;
+        break;
+      }
+      if (!Cond.isTruthy())
+        return OracleSkip::None; // infeasible execution
+      break;
+    case FlatCheck::Kind::Assert:
+      if (Cond.isUndef() || !Cond.isTruthy())
+        Error = true;
+      break;
+    case FlatCheck::Kind::CheckAddr:
+      if (!Cond.isPtr())
+        Error = true;
+      break;
+    case FlatCheck::Kind::CheckBranch:
+    case FlatCheck::Kind::CheckDef:
+      if (Cond.isUndef())
+        Error = true;
+      break;
+    }
+  }
+
+  RefObservation Obs;
+  Obs.Error = Error;
+  for (const FlatObservation &O : P.Observations) {
+    Obs.Values.emplace_back();
+    if (!evalDyn(O.Val, WriterOf, Obs.Values.back()))
+      return OracleSkip::CyclicValueDependency;
+  }
+  Observations.insert(std::move(Obs));
+  return OracleSkip::None;
+}
+
+namespace {
+
+/// Walks the Choice assignments depth-first, in definition order.
+struct ChoiceWalk {
+  const FlatProgram &P;
+  const ModelParams &Model;
+  const ExecutionSearch &Search;
+  std::set<RefObservation> &Observations;
+  std::vector<ValueId> Choices;
+  std::vector<Value> Bound;
+
+  OracleSkip recurse(size_t Idx) {
+    if (Idx == Choices.size()) {
+      StaticExecution X(P, Model, Bound);
+      if (X.skip() != OracleSkip::None)
+        return X.skip();
+      return Search(X, Observations);
+    }
+    ValueId Id = Choices[Idx];
+    for (const Value &Option : P.Defs[Id].Options) {
+      Bound[Id] = Option;
+      OracleSkip Skip = recurse(Idx + 1);
+      if (Skip != OracleSkip::None)
+        return Skip;
+    }
+    return OracleSkip::None;
+  }
+};
+
+} // namespace
+
+OracleResult checkfence::memmodel::forEachChoice(const FlatProgram &P,
+                                                 const ModelParams &Model,
+                                                 const ExecutionSearch &Search) {
+  OracleResult Out;
+  ChoiceWalk Walk{P, Model, Search, Out.Observations, {},
+                  std::vector<Value>(P.Defs.size(), Value::undef())};
+  for (size_t I = 0; I < P.Defs.size(); ++I)
+    if (P.Defs[I].K == FlatDef::Kind::Choice)
+      Walk.Choices.push_back(static_cast<ValueId>(I));
+  Out.Reason = Walk.recurse(0);
+  Out.Error = oracleSkipMessage(Out.Reason);
+  Out.Ok = Out.Reason == OracleSkip::None;
+  return Out;
+}

@@ -250,7 +250,7 @@ TEST(AnalysisDifferential, RobustImpliesScEqualObservations64Seeds) {
 
     memmodel::AxiomaticOptions ScOpts;
     ScOpts.Model = memmodel::ModelParams::sc();
-    memmodel::AxiomaticResult ScObs =
+    memmodel::OracleResult ScObs =
         memmodel::enumerateAxiomatic(C.Ctx->encoding().flat(), ScOpts);
 
     for (const memmodel::ModelParams &M : memmodel::latticeModels()) {
@@ -262,7 +262,7 @@ TEST(AnalysisDifferential, RobustImpliesScEqualObservations64Seeds) {
       ++Robust;
       memmodel::AxiomaticOptions MOpts;
       MOpts.Model = M;
-      memmodel::AxiomaticResult MObs =
+      memmodel::OracleResult MObs =
           memmodel::enumerateAxiomatic(C.Ctx->encoding().flat(), MOpts);
       if (!ScObs.Ok || !MObs.Ok)
         continue; // outside the enumerator fragment (or over budget)

@@ -18,7 +18,8 @@
 #include "frontend/Lowering.h"
 #include "harness/TestSpec.h"
 #include "memmodel/AxiomaticEnumerator.h"
-#include "memmodel/StoreBufferExecutor.h"
+
+#include "StoreBufferExecutor.h"
 
 #include "gtest/gtest.h"
 
@@ -102,7 +103,7 @@ int compareAllModels(const std::string &Source,
 
     memmodel::AxiomaticOptions AO;
     AO.Model = Model;
-    memmodel::AxiomaticResult Oracle =
+    memmodel::OracleResult Oracle =
         memmodel::enumerateAxiomatic(Enc.flat(), AO);
     if (!Oracle.Ok && Oracle.Error == "cyclic value dependency")
       continue; // thin-air shape: the enumerator cannot decide it

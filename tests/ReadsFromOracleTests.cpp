@@ -7,9 +7,10 @@
 // AxiomaticEnumerator's brute-force order enumeration (and under sc the
 // ReferenceExecutor's interleaving enumeration), across hand-written
 // litmus shapes and randomly generated programs. The two checkers share
-// no code beyond the FlatProgram representation and the model trait
-// table. Also covered: lattice monotonicity of the oracle's observation
-// sets, the typed skip reasons both oracles now report (and their
+// the StaticExecution kernel (fragment, static edges, evaluation of one
+// execution) and differ in their search: total orders against reads-from
+// maps. Also covered: lattice monotonicity of the oracle's observation
+// sets, the typed skip reasons both oracles report (and their
 // byte-identical messages), the FastOracle eligibility markers in the
 // model registry and the public catalog, and the explore runner's skip
 // accounting being independent of which oracle answered.
@@ -105,12 +106,10 @@ int compareOracles(const std::string &Source,
 
     memmodel::ReadsFromOptions RO;
     RO.Model = Model;
-    memmodel::ReadsFromResult RF =
-        memmodel::checkReadsFrom(Enc.flat(), RO);
+    memmodel::OracleResult RF = memmodel::checkReadsFrom(Enc.flat(), RO);
     memmodel::AxiomaticOptions AO;
     AO.Model = Model;
-    memmodel::AxiomaticResult Slow =
-        memmodel::enumerateAxiomatic(Enc.flat(), AO);
+    memmodel::OracleResult Slow = memmodel::enumerateAxiomatic(Enc.flat(), AO);
 
     // Fragment/skip agreement is part of the contract: the explore
     // report must not depend on which oracle ran.
@@ -528,9 +527,8 @@ TEST(OracleSkips, BothOraclesReportEveryReasonAlike) {
       RO.MaxAssignments = Row.Budget;
       AO.MaxOrders = Row.Budget;
     }
-    memmodel::ReadsFromResult RF = memmodel::checkReadsFrom(Enc.flat(), RO);
-    memmodel::AxiomaticResult Slow =
-        memmodel::enumerateAxiomatic(Enc.flat(), AO);
+    memmodel::OracleResult RF = memmodel::checkReadsFrom(Enc.flat(), RO);
+    memmodel::OracleResult Slow = memmodel::enumerateAxiomatic(Enc.flat(), AO);
 
     EXPECT_FALSE(RF.Ok);
     EXPECT_FALSE(Slow.Ok);

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "memmodel/StoreBufferExecutor.h"
+#include "StoreBufferExecutor.h"
 
 #include <map>
 #include <set>

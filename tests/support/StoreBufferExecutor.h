@@ -33,10 +33,13 @@
 /// Restrictions: atomic blocks are not supported (their interaction with
 /// buffering is model-dependent; litmus programs do not need them).
 ///
+/// Test support only: built into the uninstalled checkfence_testsupport
+/// library that the test executables link, not into checkfence_core.
+///
 //======---------------------------------------------------------------------===//
 
-#ifndef CHECKFENCE_MEMMODEL_STOREBUFFEREXECUTOR_H
-#define CHECKFENCE_MEMMODEL_STOREBUFFEREXECUTOR_H
+#ifndef CHECKFENCE_TESTS_STOREBUFFEREXECUTOR_H
+#define CHECKFENCE_TESTS_STOREBUFFEREXECUTOR_H
 
 #include "memmodel/MemoryModel.h"
 #include "memmodel/ReferenceExecutor.h"
@@ -68,4 +71,4 @@ StoreBufferResult enumerateStoreBuffer(const trans::FlatProgram &P,
 } // namespace memmodel
 } // namespace checkfence
 
-#endif // CHECKFENCE_MEMMODEL_STOREBUFFEREXECUTOR_H
+#endif // CHECKFENCE_TESTS_STOREBUFFEREXECUTOR_H
