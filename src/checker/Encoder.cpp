@@ -182,17 +182,16 @@ bool ProblemEncoding::addMismatch(const Observation &O,
   }
   if (Activation != sat::LitUndef)
     Clause.push_back(~Activation);
-  return Cnf->solver().addClause(Clause);
+  return Cnf->addClause(Clause);
 }
 
 bool ProblemEncoding::requireObservation(const Observation &O) {
   if (O.Values.size() != Flat.Observations.size())
     return false;
-  sat::Solver &S = Cnf->solver();
-  bool Ok = S.addClause(O.Error ? ErrorLit : ~ErrorLit);
+  bool Ok = Cnf->addClause(O.Error ? ErrorLit : ~ErrorLit);
   for (size_t I = 0; I < Flat.Observations.size(); ++I) {
     Lit Match = Values->eqConstLit(Flat.Observations[I].Val, O.Values[I]);
-    Ok = S.addClause(Match) && Ok;
+    Ok = Cnf->addClause(Match) && Ok;
   }
   return Ok;
 }

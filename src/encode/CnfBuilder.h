@@ -17,6 +17,7 @@
 
 #include "sat/Solver.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <tuple>
@@ -37,8 +38,6 @@ public:
     S.addClause(True);
   }
 
-  sat::Solver &solver() { return S; }
-
   Lit trueLit() const { return True; }
   Lit falseLit() const { return ~True; }
   Lit boolLit(bool B) const { return B ? True : ~True; }
@@ -49,11 +48,13 @@ public:
 
   Lit fresh() { return Lit::make(S.newVar()); }
 
-  /// Short clauses go to the solver as stack arrays; no vector is built.
-  void addClause(const std::vector<Lit> &C) { S.addClause(C); }
-  void addClause(Lit A) { S.addClause(A); }
-  void addClause(Lit A, Lit B) { S.addClause(A, B); }
-  void addClause(Lit A, Lit B, Lit C) { S.addClause(A, B, C); }
+  /// Adds a clause; false once the solver is known unsatisfiable. Short
+  /// clauses go to the solver as stack arrays; no vector is built.
+  bool addClause(const Lit *Ls, size_t N) { return S.addClause(Ls, N); }
+  bool addClause(const std::vector<Lit> &C) { return S.addClause(C); }
+  bool addClause(Lit A) { return S.addClause(A); }
+  bool addClause(Lit A, Lit B) { return S.addClause(A, B); }
+  bool addClause(Lit A, Lit B, Lit C) { return S.addClause(A, B, C); }
 
   /// y <-> a && b
   Lit andLit(Lit A, Lit B);

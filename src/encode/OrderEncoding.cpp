@@ -91,30 +91,32 @@ void MemoryOrder::buildPairwise(
     }
   }
 
-  // Transitivity: for each ordered triple (x, y, z):
-  //   x<y && y<z -> x<z. Skip clauses statically satisfied.
+  // Transitivity: x<y && y<z -> x<z. A triple's clause is also the clause
+  // of its rotations (see the header), so visit only triples whose first
+  // unit x is the smallest: (x, y, z) for every y != z above x covers both
+  // cyclic orientations of each unordered triple. Skip clauses statically
+  // satisfied.
   for (int X = 0; X < N; ++X)
-    for (int Y = 0; Y < N; ++Y) {
-      if (Y == X)
-        continue;
+    for (int Y = X + 1; Y < N; ++Y) {
       Lit XY = unitBefore(X, Y);
       if (B.isFalse(XY))
         continue;
-      for (int Z = 0; Z < N; ++Z) {
-        if (Z == X || Z == Y)
+      for (int Z = X + 1; Z < N; ++Z) {
+        if (Z == Y)
           continue;
         Lit YZ = unitBefore(Y, Z);
         Lit XZ = unitBefore(X, Z);
         if (B.isFalse(YZ) || B.isTrue(XZ))
           continue;
-        std::vector<Lit> Clause;
+        Lit Clause[3];
+        size_t Len = 0;
         if (!B.isTrue(XY))
-          Clause.push_back(~XY);
+          Clause[Len++] = ~XY;
         if (!B.isTrue(YZ))
-          Clause.push_back(~YZ);
+          Clause[Len++] = ~YZ;
         if (!B.isFalse(XZ))
-          Clause.push_back(XZ);
-        B.addClause(Clause);
+          Clause[Len++] = XZ;
+        B.addClause(Clause, Len);
       }
     }
 }

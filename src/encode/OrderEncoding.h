@@ -10,6 +10,13 @@
 /// does: one boolean Mxy per access pair, antisymmetry by literal sharing,
 /// transitivity by explicit clauses (quadratic variables, cubic clauses).
 ///
+/// Transitivity takes two clauses per unordered triple {x, y, z}: one per
+/// cyclic orientation, (x, y, z) and (x, z, y). Because before(j, i) is
+/// ~before(i, j), the clause of x<y && y<z -> x<z, that is
+/// ~Mxy | ~Myz | Mxz, is literally the clause of its rotations (y, z, x)
+/// and (z, x, y); emitting all six ordered triples would hand the solver
+/// each clause three times.
+///
 /// Orders can operate at \e access granularity or, for the Serial "memory
 /// model" (Sec. 2.3.2), at \e operation-invocation granularity: accesses of
 /// the same invocation are ordered by program order and invocations are

@@ -450,13 +450,14 @@ void MemoryModelEncoder::emitAtomicExclusivity() {
         Lit ZY = Order->before(Z, Y);
         if (Cnf.isFalse(XZ) || Cnf.isFalse(ZY))
           continue;
-        std::vector<Lit> Clause;
+        Lit Clause[2];
+        size_t Len = 0;
         if (!Cnf.isTrue(XZ))
-          Clause.push_back(~XZ);
+          Clause[Len++] = ~XZ;
         if (!Cnf.isTrue(ZY))
-          Clause.push_back(~ZY);
-        assert(!Clause.empty() && "contradictory atomic placement");
-        Cnf.addClause(Clause);
+          Clause[Len++] = ~ZY;
+        assert(Len > 0 && "contradictory atomic placement");
+        Cnf.addClause(Clause, Len);
       }
     }
   }

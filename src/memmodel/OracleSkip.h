@@ -27,15 +27,14 @@ namespace checkfence {
 namespace memmodel {
 
 enum class OracleSkip {
-  None,                    ///< oracle ran to completion (Ok may still be set)
-  GuardDependsOnLoad,      ///< an event guard is not statically evaluable
-  AddressDependsOnLoad,    ///< an access address is not statically evaluable
-  FenceGuardDependsOnLoad, ///< a fence guard is not statically evaluable
-  BoundMarkDependsOnLoad,  ///< a loop-bound guard is not statically evaluable
-  ExceedsLoopBounds,       ///< the unrolling statically overflows its bounds
-  TooManyAccesses,         ///< > 62 executed accesses (bitmask search limit)
-  BudgetExceeded,          ///< the order/assignment exploration budget ran out
-  CyclicValueDependency,   ///< a thin-air value cycle (undecidable here)
+  None,                   ///< oracle ran to completion (Ok may still be set)
+  GuardDependsOnLoad,     ///< an event guard is not statically evaluable
+  AddressDependsOnLoad,   ///< an access address is not statically evaluable
+  BoundMarkDependsOnLoad, ///< a loop-bound guard is not statically evaluable
+  ExceedsLoopBounds,      ///< the unrolling statically overflows its bounds
+  TooManyAccesses,        ///< > 62 executed accesses (bitmask search limit)
+  BudgetExceeded,         ///< the order/assignment exploration budget ran out
+  CyclicValueDependency,  ///< a thin-air value cycle (undecidable here)
 };
 
 /// The canonical user-facing message for \p Reason; empty for None.
@@ -47,8 +46,6 @@ inline const char *oracleSkipMessage(OracleSkip Reason) {
     return "guard depends on a load";
   case OracleSkip::AddressDependsOnLoad:
     return "address depends on a load";
-  case OracleSkip::FenceGuardDependsOnLoad:
-    return "fence guard depends on a load";
   case OracleSkip::BoundMarkDependsOnLoad:
     return "loop-bound mark depends on a load";
   case OracleSkip::ExceedsLoopBounds:

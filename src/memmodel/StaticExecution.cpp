@@ -66,7 +66,9 @@ bool StaticExecution::evalStatic(ValueId Id, Value &Out) {
 OracleSkip StaticExecution::build() {
   AccessOfEvent.assign(P.Events.size(), -1);
 
-  // Collect the executed accesses. Guards and addresses must be static.
+  // Collect the executed accesses and fences. Guards and addresses must be
+  // static.
+  std::vector<const FlatEvent *> Fences;
   for (size_t I = 0; I < P.Events.size(); ++I) {
     const FlatEvent &E = P.Events[I];
     Value G;
@@ -74,8 +76,10 @@ OracleSkip StaticExecution::build() {
       return OracleSkip::GuardDependsOnLoad;
     if (G.isUndef() || !G.isTruthy())
       continue;
-    if (!E.isAccess())
+    if (!E.isAccess()) {
+      Fences.push_back(&E);
       continue;
+    }
     Value Addr;
     if (!evalStatic(E.Addr, Addr))
       return OracleSkip::AddressDependsOnLoad;
@@ -164,14 +168,8 @@ OracleSkip StaticExecution::build() {
 
   // (5) Fences: executed X-Y fences order earlier X accesses before later
   // Y accesses of the same thread.
-  for (const FlatEvent &EF : P.Events) {
-    if (EF.K != FlatEvent::Kind::Fence)
-      continue;
-    Value G;
-    if (!evalStatic(EF.Guard, G))
-      return OracleSkip::FenceGuardDependsOnLoad;
-    if (G.isUndef() || !G.isTruthy())
-      continue;
+  for (const FlatEvent *F : Fences) {
+    const FlatEvent &EF = *F;
     bool XIsLoad = EF.FenceK == lsl::FenceKind::LoadLoad ||
                    EF.FenceK == lsl::FenceKind::LoadStore;
     bool YIsLoad = EF.FenceK == lsl::FenceKind::LoadLoad ||

@@ -9,7 +9,9 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <random>
+#include <set>
 
 using namespace checkfence;
 using namespace checkfence::encode;
@@ -239,7 +241,83 @@ TEST_P(OrderProperty, CyclicForcingIsUnsat) {
   EXPECT_TRUE(!Ok || S.solve() == SolveResult::Unsat);
 }
 
+/// 2 * C(N, 3): the two transitivity clauses of each unordered triple.
+size_t twoPerTriple(size_t N) { return N < 3 ? 0 : N * (N - 1) * (N - 2) / 3; }
+
+// A clause and its rotations are one clause, so each unordered triple of
+// free units yields exactly two: (x, y, z) and (x, z, y).
+TEST_P(OrderProperty, EmitsEachTransitivityClauseOnce) {
+  int N = GetParam();
+  {
+    Solver S;
+    CnfBuilder B(S);
+    MemoryOrder M(B, makeAccesses(N, 1), /*SerialOps=*/false, {});
+    EXPECT_EQ(S.numClauses(), twoPerTriple(N)) << "free accesses";
+  }
+  {
+    // Forcing 2 <M 1 <M 0 turns those three pairs into constants. Their
+    // own triple needs no clause. A triple of one forced pair and a free
+    // unit keeps one binary clause (the forced edge satisfies the other
+    // orientation); every other triple keeps its two.
+    Solver S;
+    CnfBuilder B(S);
+    MemoryOrder M(B, makeAccesses(N, 1), false, {{2, 1}, {1, 0}});
+    size_t Mixed = 3 * static_cast<size_t>(N - 3);
+    size_t Free = twoPerTriple(N) / 2 - 1 - Mixed;
+    EXPECT_EQ(S.numClauses(), 2 * Free + Mixed) << "forced chain";
+  }
+  {
+    // Serial granularity orders invocations as units: N invocations of
+    // two accesses each give the clauses of N free units.
+    Solver S;
+    CnfBuilder B(S);
+    std::vector<AccessInfo> Accs;
+    for (int G = 0; G < N; ++G)
+      for (int I = 0; I < 2; ++I)
+        Accs.push_back({G, I, G});
+    MemoryOrder M(B, Accs, /*SerialOps=*/true, {});
+    EXPECT_EQ(S.numClauses(), twoPerTriple(N)) << "serial invocations";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, OrderProperty, ::testing::Values(3, 5, 7));
+
+// Every model of the order literals is a total order, and every total
+// order is a model: blocking each model in turn finds exactly N! distinct
+// orders, so no orientation of a transitivity clause was lost.
+TEST(Order, ModelsAreExactlyTheTotalOrders) {
+  for (int N : {4, 5}) {
+    Solver S;
+    CnfBuilder B(S);
+    MemoryOrder M(B, makeAccesses(N, 1), /*SerialOps=*/false, {});
+    std::set<std::vector<int>> Orders;
+    int Models = 0;
+    while (S.solve() == SolveResult::Sat) {
+      ++Models;
+      // Rank of I = number of units before it; a total order makes the
+      // ranks a permutation.
+      std::vector<int> Rank(N, 0);
+      std::vector<Lit> Block;
+      for (int I = 0; I < N; ++I)
+        for (int J = I + 1; J < N; ++J) {
+          Lit L = M.before(I, J);
+          bool IFirst = S.modelValue(L) == LBool::True;
+          ++Rank[IFirst ? J : I];
+          Block.push_back(IFirst ? ~L : L);
+        }
+      std::vector<int> Sorted = Rank;
+      std::sort(Sorted.begin(), Sorted.end());
+      for (int I = 0; I < N; ++I)
+        ASSERT_EQ(Sorted[I], I) << "model is not a total order, N=" << N;
+      Orders.insert(Rank);
+      if (!S.addClause(Block))
+        break;
+    }
+    int Factorial = N == 4 ? 24 : 120;
+    EXPECT_EQ(Models, Factorial) << "N=" << N;
+    EXPECT_EQ(Orders.size(), static_cast<size_t>(Factorial)) << "N=" << N;
+  }
+}
 
 TEST(Order, SerialModeGroupsAtomic) {
   // Two groups of two accesses each: the groups order as units.

@@ -428,13 +428,13 @@ struct SkipRow {
   const char *Message;
 };
 
-/// One input per reachable skip reason, run through both oracles on the
-/// same model: equal typed reason, equal message, and that message is the
-/// canonical one. Two reasons need care:
-///  - FenceGuardDependsOnLoad is reachable by neither oracle. Both check
-///    the guard of every event, fences included, while collecting
-///    accesses, so a load-dependent fence guard already reports
-///    GuardDependsOnLoad (the row below pins that).
+/// One input per skip reason, run through both oracles on the same model:
+/// equal typed reason, equal message, and that message is the canonical
+/// one. Two rows need care:
+///  - A fence guard is an event guard: both oracles check the guard of
+///    every event, fences included, while collecting accesses, so a
+///    load-dependent fence guard reports GuardDependsOnLoad (the
+///    fence-guard row pins that).
 ///  - CyclicValueDependency needs a model without load-store program
 ///    order: under every readsFromEligible() point each load precedes its
 ///    dependent stores in <M, so no value cycle survives. The row uses
