@@ -336,9 +336,10 @@ public:
   /// Write a Chrome trace-event / Perfetto-compatible span timeline of
   /// this request to `Path` (loadable at https://ui.perfetto.dev). Works
   /// locally and through `RemoteVerifier`, where the server-side spans
-  /// (queue wait, shard dispatch, solve) are merged into the client's
-  /// timeline. Tracing is purely observational: verdicts and timing-free
-  /// JSON are byte-identical with it on or off. Empty = disabled.
+  /// (queue wait, `server/dispatch:<kind>`, solve) are merged into the
+  /// client's timeline. Tracing is purely observational: verdicts and
+  /// timing-free JSON are byte-identical with it on or off. Empty =
+  /// disabled.
   /// See docs/OBSERVABILITY.md.
   Request &traceFile(std::string Path) {
     TraceFile = std::move(Path);

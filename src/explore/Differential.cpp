@@ -34,9 +34,9 @@ constexpr uint64_t RefMaxSteps = 20'000'000;
 /// mine/include/probe rounds).
 constexpr int EngineMaxBoundIterations = 2;
 /// Also caps how far lazy unrolling can grow a generated test: every
-/// probe appends a re-unrolling, and unprimed retry loops that never
-/// converge would otherwise inflate the encoding by orders of magnitude
-/// before any budget fires.
+/// probe replaces the unrolling with a grown one, and unprimed retry
+/// loops that never converge would otherwise inflate the encoding by
+/// orders of magnitude before any budget fires.
 constexpr int EngineMaxProbes = 8;
 /// Conflict budget per engine solve: random unprimed tests can hit
 /// pathologically hard SAT instances (minutes on one scenario);

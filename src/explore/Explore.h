@@ -96,8 +96,9 @@ struct ExploreReport {
   std::string json(bool IncludeTimings = true) const;
 };
 
-/// Runs one explore session on \p V (scenario checks share its session
-/// pool). Invalid options come back as Ok = false.
+/// Runs one explore session on \p V (scenario checks go through its
+/// check path, one fresh session each). Invalid options come back as
+/// Ok = false.
 ExploreReport runExplore(Verifier &V, const ExploreOptions &Opts);
 
 } // namespace explore

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The one content-hashing path shared by every subsystem that keys work
-/// by "what program is this": the Verifier's result cache, the session
-/// pool, and the explore corpus. FNV-1a over the *lowered* program text
+/// by "what program is this": the Verifier's result cache and the
+/// explore corpus. FNV-1a over the *lowered* program text
 /// (lsl::printProgram), so any semantic change - a removed fence, a
 /// flipped define, a different test - changes the fingerprint while
 /// whitespace-only source differences do not. A fence-blind variant

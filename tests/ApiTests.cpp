@@ -134,21 +134,21 @@ TEST(ApiJson, SingleCheckMatchesOneCellMatrixReport) {
 TEST(ApiJson, MatrixReportThroughFacadeIsDeterministic) {
   Verifier V;
   Request Req = Request::matrix()
-                    .impls({"ms2"})
+                    .impls({"ms2", "msn"})
                     .tests({"T0", "Tpc2"})
                     .models({"sc", "tso"});
   Report R1 = V.matrix(Request(Req).jobs(1));
   Report R4 = V.matrix(Request(Req).jobs(4));
   ASSERT_TRUE(R1.ok());
   ASSERT_TRUE(R4.ok());
-  EXPECT_EQ(R1.cellCount(), 4u);
+  EXPECT_EQ(R1.cellCount(), 8u);
   EXPECT_EQ(R1.json(false), R4.json(false));
   EXPECT_NE(R1.json(false).find("\"schema_version\": 1"),
             std::string::npos);
   EXPECT_NE(R1.json(false).find("\"weakest_passing\""),
             std::string::npos);
   EXPECT_TRUE(R1.allCompleted());
-  EXPECT_EQ(R1.count(Status::Pass), 4);
+  EXPECT_EQ(R1.count(Status::Pass), 8);
 }
 
 TEST(ApiJson, SweepRunsTheFullLattice) {

@@ -7,7 +7,9 @@
 // 1-minimal fence placement on the relaxed models, refuse to "fix"
 // algorithmic bugs (snark) or sequential bugs (lazylist's missing
 // initialization), and adapt the fence kinds to the target model (PSO
-// needs no load-load fences, TSO needs none at all).
+// needs no load-load fences, TSO needs none at all). Steering by the
+// static critical-cycle analysis must save checker runs without changing
+// any placement.
 //
 //===----------------------------------------------------------------------===//
 
@@ -141,6 +143,37 @@ TEST(FenceSynth, MinimizedPlacementIsNecessary) {
         << "placement stays correct without "
         << placementStr(R.Fences[Drop]);
   }
+}
+
+TEST(FenceSynth, AnalysisSeedingKeepsPlacementsAndSavesChecks) {
+  // Steering each repair round by the static critical-cycle analysis
+  // (docs/ANALYSIS.md) only skips candidates no critical cycle runs
+  // through - minimization would remove them again - so the 1-minimal
+  // placement never changes. The search is deterministic, so the checker
+  // runs it saves are pinned exactly: 37 seeded vs 49 unseeded.
+  const std::pair<const char *, const char *> Work[] = {
+      {"msn", "T0"}, {"ms2", "T0"}, {"treiber", "U0"}};
+  int ChecksSeeded = 0, ChecksUnseeded = 0;
+  for (const auto &[Impl, Test] : Work)
+    for (memmodel::ModelParams Model : {RLX, PSO, TSO}) {
+      SCOPED_TRACE(std::string(Impl) + " " + Test + " " +
+                   memmodel::modelName(Model));
+      SynthOptions O = synthOptions(Model);
+      O.SeedFromAnalysis = true;
+      SynthResult Seeded =
+          synthesizeFences(impls::sourceFor(Impl), {testByName(Test)}, O);
+      O.SeedFromAnalysis = false;
+      SynthResult Plain =
+          synthesizeFences(impls::sourceFor(Impl), {testByName(Test)}, O);
+      ASSERT_TRUE(Seeded.Success) << describe(Seeded);
+      ASSERT_TRUE(Plain.Success) << describe(Plain);
+      EXPECT_EQ(Seeded.Fences, Plain.Fences)
+          << describe(Seeded) << describe(Plain);
+      ChecksSeeded += Seeded.ChecksRun;
+      ChecksUnseeded += Plain.ChecksRun;
+    }
+  EXPECT_EQ(ChecksSeeded, 37);
+  EXPECT_EQ(ChecksUnseeded, 49);
 }
 
 TEST(FenceSynth, ApplyPlacementsInsertsBeforeTheLine) {

@@ -6,14 +6,15 @@
 // point of the relaxation lattice its observation set must equal the
 // AxiomaticEnumerator's brute-force order enumeration (and under sc the
 // ReferenceExecutor's interleaving enumeration), across hand-written
-// litmus shapes and randomly generated programs. The two checkers share
-// the StaticExecution kernel (fragment, static edges, evaluation of one
-// execution) and differ in their search: total orders against reads-from
-// maps. Also covered: lattice monotonicity of the oracle's observation
-// sets, the typed skip reasons both oracles report (and their
-// byte-identical messages), the FastOracle eligibility markers in the
-// model registry and the public catalog, and the explore runner's skip
-// accounting being independent of which oracle answered.
+// litmus shapes, randomly generated programs and the explore generator's
+// own litmus stream. The two checkers share the StaticExecution kernel
+// (fragment, static edges, evaluation of one execution) and differ in
+// their search: total orders against reads-from maps. Also covered:
+// lattice monotonicity of the oracle's observation sets, the typed skip
+// reasons both oracles report (and their byte-identical messages), the
+// FastOracle eligibility markers in the model registry and the public
+// catalog, and the explore runner's skip accounting and report being
+// independent of which oracle answered.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 
 #include "checker/SpecMiner.h"
 #include "explore/Differential.h"
+#include "explore/Explore.h"
 #include "frontend/Lowering.h"
 #include "harness/TestSpec.h"
 #include "memmodel/AxiomaticEnumerator.h"
@@ -70,13 +72,15 @@ struct ThreadOps {
 };
 
 /// Compiles \p Source, builds one thread per \p Ops entry, and checks the
-/// reads-from oracle against the order enumerator on every eligible
-/// lattice point (and against the ReferenceExecutor under sc). Skips must
+/// reads-from oracle against the order enumerator on every point of
+/// \p Models (and against the ReferenceExecutor under sc). Skips must
 /// agree too - same typed reason, same message. Returns the number of
 /// points where observation sets were actually compared.
 int compareOracles(const std::string &Source,
                    const std::vector<ThreadOps> &Ops,
-                   const std::string &Label) {
+                   const std::string &Label,
+                   const std::vector<memmodel::ModelParams> &Models =
+                       eligibleModels()) {
   frontend::DiagEngine Diags;
   lsl::Program Prog;
   EXPECT_TRUE(frontend::compileC(Source, {}, Prog, Diags))
@@ -94,7 +98,7 @@ int compareOracles(const std::string &Source,
       CleanSets;
 
   int Compared = 0;
-  for (const memmodel::ModelParams &Model : eligibleModels()) {
+  for (const memmodel::ModelParams &Model : Models) {
     ProblemConfig Cfg;
     Cfg.Model = Model;
     SolveContext Ctx(Prog, Threads, {}, Cfg);
@@ -377,6 +381,29 @@ TEST_P(RandomRf, OracleMatchesEnumerator) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RandomRf, ::testing::Range(0u, 64u));
 
+TEST(ReadsFromOracle, ExploreLitmusStreamMatchesEnumerator) {
+  // The explore generator's own litmus stream (seed 1, no symbolic
+  // scenarios): its first 120 programs on the named fast-oracle points.
+  // None may skip, so all 360 cells compare, and every reads-from set
+  // must equal the enumerator's.
+  explore::GeneratorLimits Limits;
+  Limits.SymbolicPerMille = 0;
+  explore::Generator Gen(1, Limits);
+  const std::vector<memmodel::ModelParams> Models = {
+      memmodel::ModelParams::sc(), memmodel::ModelParams::tso(),
+      memmodel::ModelParams::pso()};
+  int Compared = 0;
+  for (int I = 0; I < 120; ++I) {
+    explore::Scenario S = Gen.at(I);
+    ASSERT_EQ(S.K, explore::Scenario::Kind::Litmus) << I;
+    std::vector<ThreadOps> Ops;
+    for (size_t T = 0; T < S.ThreadArgs.size(); ++T)
+      Ops.push_back({"t" + std::to_string(T) + "_op", S.ThreadArgs[T]});
+    Compared += compareOracles(S.Source, Ops, S.label(), Models);
+  }
+  EXPECT_EQ(Compared, 360);
+}
+
 //===----------------------------------------------------------------------===//
 // Typed skip reasons: both oracles classify identically and render the
 // exact same message - the explore skip strings depend on it.
@@ -637,6 +664,37 @@ TEST(ExploreOracle, FastModeMatchesEnumeratorMode) {
     EXPECT_EQ(A.Skips, B.Skips) << G.Source;
     EXPECT_EQ(A.Summary, B.Summary) << G.Source;
   }
+}
+
+TEST(ExploreOracle, PsoRunWithoutEnumeratorIsByteIdentical) {
+  // Retiring the enumerator entirely (no inline sampling) must not move
+  // one byte of the timing-free report. pso at a wider access budget is
+  // where order enumeration costs most: the weakest fast-oracle point,
+  // with no sc reference leg.
+  explore::ExploreOptions Opts;
+  Opts.Seed = 1;
+  Opts.Budget = 60;
+  Opts.Models = {memmodel::ModelParams::pso()};
+  Opts.Limits.SymbolicPerMille = 0;
+  Opts.Limits.AccessBudget = 12;
+  Opts.Limits.MaxThreads = 4;
+  Opts.Limits.MaxVars = 4;
+  explore::ExploreOptions Fast = Opts;
+  Fast.Diff.UseFastOracle = true;
+  Fast.Diff.EnumeratorSamplePeriod = 0;
+  explore::ExploreOptions Slow = Opts;
+  Slow.Diff.UseFastOracle = false;
+
+  Verifier VF, VS;
+  explore::ExploreReport F = explore::runExplore(VF, Fast);
+  explore::ExploreReport S = explore::runExplore(VS, Slow);
+  ASSERT_TRUE(F.Ok) << F.Error;
+  ASSERT_TRUE(S.Ok) << S.Error;
+  EXPECT_EQ(F.Run, 60);
+  EXPECT_EQ(F.divergenceCount(), 0);
+  EXPECT_EQ(S.divergenceCount(), 0);
+  EXPECT_EQ(F.json(/*IncludeTimings=*/false),
+            S.json(/*IncludeTimings=*/false));
 }
 
 } // namespace

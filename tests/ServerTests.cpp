@@ -522,6 +522,8 @@ TEST(ServerPolicy, WorkersShareOneResultCache) {
   ServerStats Stats = S.stats();
   EXPECT_GE(Stats.Cache.Hits, 1u);
   EXPECT_GE(Stats.Cache.Entries, 1u);
+  // Two sequential requests never meet a full queue.
+  EXPECT_EQ(Stats.Rejected, 0u);
 }
 
 //===----------------------------------------------------------------------===//
