@@ -258,13 +258,17 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
     if (M == memmodel::ModelParams::sc()) {
       memmodel::RefOptions RO;
       RO.MaxSteps = RefMaxSteps;
-      std::set<memmodel::RefObservation> Interleaved =
+      memmodel::OracleResult Interleaved =
           memmodel::enumerateExecutions(Enc.flat(), RO);
-      if (FromSat != Interleaved) {
+      if (!Interleaved.Ok) {
+        Out.Skips.push_back(Name + ": reference " + Interleaved.Error);
+        continue;
+      }
+      if (FromSat != Interleaved.Observations) {
         Out.Divergences.push_back(
             {"sat-vs-reference", Name,
              "sat: " + show(FromSat) +
-                 "| reference: " + show(Interleaved)});
+                 "| reference: " + show(Interleaved.Observations)});
         continue;
       }
     }
@@ -429,8 +433,12 @@ ScenarioOutcome DifferentialRunner::runSymbolic(const Scenario &S) const {
   memmodel::RefOptions RO;
   RO.InvocationGranularity = true;
   RO.MaxSteps = RefMaxSteps;
-  std::set<memmodel::RefObservation> RefSet =
-      memmodel::enumerateExecutions(Enc.flat(), RO);
+  memmodel::OracleResult Ref = memmodel::enumerateExecutions(Enc.flat(), RO);
+  if (!Ref.Ok) {
+    Out.Skips.push_back("serial: reference " + Ref.Error);
+    return Out;
+  }
+  const std::set<memmodel::RefObservation> &RefSet = Ref.Observations;
   const bool RefErr = hasError(RefSet);
   if (Mined.SequentialBug != RefErr) {
     Out.Divergences.push_back(

@@ -7,10 +7,17 @@
 #include "memmodel/AxiomaticEnumerator.h"
 #include "memmodel/StaticExecution.h"
 
+#include <string>
+#include <unordered_set>
+
 using namespace checkfence;
 using namespace checkfence::memmodel;
 
 namespace {
+
+/// Reads-from maps one static execution remembers having evaluated; a
+/// leaf past the cap evaluates its map again.
+constexpr size_t MaxEvaluatedMaps = size_t(1) << 14;
 
 /// Enumerates the axiom-consistent total orders of one static execution.
 class OrderSearch {
@@ -47,6 +54,10 @@ private:
   std::vector<int> ClusterPlaced; // placed so far
   uint64_t PlacedMask = 0;
   int OpenCluster = -1;
+  // Each load's writer + 1 in one byte (at most 62 accesses), per map
+  // evaluated so far; RfKey is the current leaf's.
+  std::unordered_set<std::string> Evaluated;
+  std::string RfKey;
 };
 
 void OrderSearch::leaf() {
@@ -54,9 +65,19 @@ void OrderSearch::leaf() {
     Skip = OracleSkip::BudgetExceeded;
     return;
   }
-  for (int L : X.loads())
+  RfKey.clear();
+  for (int L : X.loads()) {
     WriterOf[L] = X.latestVisibleStore(L, PosOf);
-  Skip = X.evaluate(WriterOf, Observations);
+    RfKey.push_back(static_cast<char>(WriterOf[L] + 1));
+  }
+  // Many orders share a reads-from map, and evaluate() depends on nothing
+  // else: a map seen before adds no observation. (A map whose evaluation
+  // was a skip has already ended the search.)
+  bool Seen = Evaluated.size() < MaxEvaluatedMaps
+                  ? !Evaluated.insert(RfKey).second
+                  : Evaluated.count(RfKey) != 0;
+  if (!Seen)
+    Skip = X.evaluate(WriterOf, Observations);
 }
 
 void OrderSearch::extend(size_t Depth) {

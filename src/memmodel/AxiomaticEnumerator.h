@@ -12,6 +12,7 @@
 /// atomic-block exclusivity, seriality), computes each load's value from
 /// the <M-maximal element of its visibility set S(l) (with store
 /// forwarding where the model allows it), and collects the observations.
+/// Orders that give every load the same writer share one evaluation.
 ///
 /// It exists purely for differential testing: on litmus-sized programs the
 /// observation set produced here must equal the one mined from the SAT

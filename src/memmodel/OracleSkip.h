@@ -6,25 +6,48 @@
 ///
 /// \file
 /// The result of an explicit-state oracle (AxiomaticEnumerator,
-/// ReadsFromOracle) and the structured reason it declined to decide a
-/// program. Both oracles run the same StaticExecution, so a program
-/// outside the supported fragment gets the same reason from either, and
-/// oracleSkipMessage() keeps the user-facing strings canonical:
-/// differential harnesses and explore reports compare skip records across
-/// oracles byte-for-byte.
+/// ReadsFromOracle, ReferenceExecutor) and the structured reason it
+/// declined to decide a program. The first two run the same
+/// StaticExecution, so a program outside the supported fragment gets the
+/// same reason from either, and oracleSkipMessage() keeps the user-facing
+/// strings canonical: differential harnesses and explore reports compare
+/// skip records across oracles byte-for-byte.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CHECKFENCE_MEMMODEL_ORACLESKIP_H
 #define CHECKFENCE_MEMMODEL_ORACLESKIP_H
 
-#include "memmodel/ReferenceExecutor.h"
+#include "lsl/Value.h"
 
 #include <set>
 #include <string>
+#include <vector>
 
 namespace checkfence {
 namespace memmodel {
+
+/// An observation: the error flag plus the observed values in program
+/// declaration order.
+struct RefObservation {
+  bool Error = false;
+  std::vector<lsl::Value> Values;
+
+  bool operator<(const RefObservation &O) const {
+    if (Error != O.Error)
+      return Error < O.Error;
+    if (Values.size() != O.Values.size())
+      return Values.size() < O.Values.size();
+    for (size_t I = 0; I < Values.size(); ++I) {
+      if (Values[I] != O.Values[I])
+        return Values[I] < O.Values[I];
+    }
+    return false;
+  }
+  bool operator==(const RefObservation &O) const {
+    return !(*this < O) && !(O < *this);
+  }
+};
 
 enum class OracleSkip {
   None,                   ///< oracle ran to completion (Ok may still be set)
@@ -33,7 +56,7 @@ enum class OracleSkip {
   BoundMarkDependsOnLoad, ///< a loop-bound guard is not statically evaluable
   ExceedsLoopBounds,      ///< the unrolling statically overflows its bounds
   TooManyAccesses,        ///< > 62 executed accesses (bitmask search limit)
-  BudgetExceeded,         ///< the order/assignment exploration budget ran out
+  BudgetExceeded,         ///< the order/assignment/step budget ran out
   CyclicValueDependency,  ///< a thin-air value cycle (undecidable here)
 };
 

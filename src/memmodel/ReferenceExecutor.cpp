@@ -20,7 +20,9 @@ namespace {
 class Enumerator {
 public:
   Enumerator(const FlatProgram &P, const RefOptions &Opts)
-      : P(P), Opts(Opts) {
+      : P(P), Opts(Opts), ThreadPos(P.NumThreads, 0),
+        DefVals(P.Defs.size(), Value::undef()), DefKnown(P.Defs.size(), 0),
+        OpArgs(P.Defs.size()) {
     ThreadEvents.resize(P.NumThreads);
     for (size_t I = 0; I < P.Events.size(); ++I)
       ThreadEvents[P.Events[I].Thread].push_back(static_cast<int>(I));
@@ -29,87 +31,119 @@ public:
         ChoiceDefs.push_back(static_cast<ValueId>(I));
   }
 
-  std::set<RefObservation> run() {
+  OracleResult run() {
     // Enumerate all assignments of the nondeterministic choices, then all
     // interleavings for each assignment.
-    State Init;
-    Init.DefVals.assign(P.Defs.size(), Value::undef());
-    Init.DefKnown.assign(P.Defs.size(), 0);
-    Init.ThreadPos.assign(P.NumThreads, 0);
-    enumerateChoices(Init, 0);
-    return std::move(Result);
+    enumerateChoices(0);
+    OracleResult Out;
+    Out.Reason = Skip;
+    Out.Error = oracleSkipMessage(Skip);
+    Out.Ok = Skip == OracleSkip::None;
+    Out.Observations = std::move(Observations);
+    return Out;
   }
 
 private:
-  struct State {
-    std::vector<size_t> ThreadPos;
-    std::map<Value, Value> Memory;
-    std::vector<Value> DefVals;
-    std::vector<char> DefKnown;
+  /// A store's change to memory, undone on backtrack.
+  struct StoreUndo {
+    std::map<Value, Value>::iterator Cell;
+    bool Inserted = false;
+    Value Old; // the cell's previous contents unless Inserted
   };
 
   const FlatProgram &P;
   const RefOptions &Opts;
   std::vector<std::vector<int>> ThreadEvents;
   std::vector<ValueId> ChoiceDefs;
-  std::set<RefObservation> Result;
+  std::set<RefObservation> Observations;
+  RefObservation LeafObs; // finalize() scratch
   uint64_t Steps = 0;
+  OracleSkip Skip = OracleSkip::None;
+  const Value Undef;
 
-  void enumerateChoices(State &S, size_t ChoiceIdx) {
+  // The state of the current interleaving prefix. Scheduling units run in
+  // place; dfs() undoes each one on backtrack through the two logs.
+  std::vector<size_t> ThreadPos;
+  std::map<Value, Value> Memory;
+  std::vector<Value> DefVals;
+  std::vector<char> DefKnown;
+  std::vector<ValueId> Defined; // defs made known, in order (choices aside)
+  std::vector<StoreUndo> Stores;
+  std::vector<std::vector<Value>> OpArgs; // operand scratch per Op def
+
+  void enumerateChoices(size_t ChoiceIdx) {
     if (ChoiceIdx == ChoiceDefs.size()) {
-      dfs(S);
+      dfs();
+      undo(0, 0); // memo of a leaf that no step led to (no events)
       return;
     }
     ValueId Id = ChoiceDefs[ChoiceIdx];
     for (const Value &Option : P.Defs[Id].Options) {
-      S.DefVals[Id] = Option;
-      S.DefKnown[Id] = 1;
-      enumerateChoices(S, ChoiceIdx + 1);
+      if (Skip != OracleSkip::None)
+        return;
+      DefVals[Id] = Option;
+      DefKnown[Id] = 1;
+      enumerateChoices(ChoiceIdx + 1);
     }
   }
 
-  Value eval(State &S, ValueId Id) {
+  /// Memoizes \p V as the value of \p Id in the current prefix.
+  const Value &define(ValueId Id, const Value &V) {
+    assert(!DefKnown[Id] && "a def is defined once per interleaving");
+    DefVals[Id] = V;
+    DefKnown[Id] = 1;
+    Defined.push_back(Id);
+    return DefVals[Id];
+  }
+
+  void undo(size_t DefMark, size_t StoreMark) {
+    for (; Defined.size() > DefMark; Defined.pop_back())
+      DefKnown[Defined.back()] = 0;
+    for (; Stores.size() > StoreMark; Stores.pop_back()) {
+      StoreUndo &U = Stores.back();
+      if (U.Inserted)
+        Memory.erase(U.Cell);
+      else
+        U.Cell->second = std::move(U.Old);
+    }
+  }
+
+  const Value &eval(ValueId Id) {
     if (Id < 0)
-      return Value::undef();
-    if (S.DefKnown[Id])
-      return S.DefVals[Id];
+      return Undef;
+    if (DefKnown[Id])
+      return DefVals[Id];
     const FlatDef &D = P.Defs[Id];
-    Value V;
     switch (D.K) {
     case FlatDef::Kind::Const:
-      V = D.Val;
-      break;
+      return define(Id, D.Val);
     case FlatDef::Kind::Choice:
-      V = Value::undef(); // bound upfront; unreachable
-      break;
+      return define(Id, Undef); // bound upfront; unreachable
     case FlatDef::Kind::LoadVal:
       // A load result read before the load executed: can only happen for
       // dead code whose guard is false; undefined is a safe answer.
-      V = Value::undef();
-      return V;
+      return Undef;
     case FlatDef::Kind::Op: {
-      std::vector<Value> Args;
-      Args.reserve(D.Operands.size());
-      for (ValueId O : D.Operands)
-        Args.push_back(eval(S, O));
-      V = lsl::evalPrimOp(D.Op, Args, D.Imm);
-      break;
+      // Defs form a DAG, so no operand evaluation reenters this scratch.
+      std::vector<Value> &Args = OpArgs[Id];
+      Args.resize(D.Operands.size());
+      for (size_t I = 0; I < D.Operands.size(); ++I)
+        Args[I] = eval(D.Operands[I]);
+      return define(Id, lsl::evalPrimOp(D.Op, Args, D.Imm));
     }
     }
-    S.DefVals[Id] = V;
-    S.DefKnown[Id] = 1;
-    return V;
+    return Undef;
   }
 
-  bool guardHolds(State &S, ValueId Guard) {
-    Value G = eval(S, Guard);
+  bool guardHolds(ValueId Guard) {
+    const Value &G = eval(Guard);
     return !G.isUndef() && G.isTruthy();
   }
 
   /// Executes the next scheduling unit of thread \p T in place.
-  void executeUnit(State &S, int T) {
+  void executeUnit(int T) {
     const std::vector<int> &Evs = ThreadEvents[T];
-    size_t &Pos = S.ThreadPos[T];
+    size_t &Pos = ThreadPos[T];
     assert(Pos < Evs.size());
     const FlatEvent &First = P.Events[Evs[Pos]];
 
@@ -131,25 +165,28 @@ private:
       FirstStep = false;
       ++Pos;
       ++Steps;
-      if (!guardHolds(S, E.Guard))
+      if (!guardHolds(E.Guard))
         continue;
       switch (E.K) {
       case FlatEvent::Kind::Load: {
-        Value Addr = eval(S, E.Addr);
-        Value Loaded = Value::undef();
+        const Value &Addr = eval(E.Addr);
+        const Value *Loaded = &Undef;
         if (Addr.isPtr()) {
-          auto It = S.Memory.find(Addr);
-          if (It != S.Memory.end())
-            Loaded = It->second;
+          auto It = Memory.find(Addr);
+          if (It != Memory.end())
+            Loaded = &It->second;
         }
-        S.DefVals[E.Data] = Loaded;
-        S.DefKnown[E.Data] = 1;
+        define(E.Data, *Loaded);
         break;
       }
       case FlatEvent::Kind::Store: {
-        Value Addr = eval(S, E.Addr);
-        if (Addr.isPtr())
-          S.Memory[Addr] = eval(S, E.Data);
+        const Value &Addr = eval(E.Addr);
+        if (!Addr.isPtr())
+          break;
+        const Value &Data = eval(E.Data);
+        auto [Cell, Inserted] = Memory.try_emplace(Addr);
+        Stores.push_back({Cell, Inserted, std::move(Cell->second)});
+        Cell->second = Data;
         break;
       }
       case FlatEvent::Kind::Fence:
@@ -158,44 +195,54 @@ private:
     }
   }
 
-  void dfs(State &S) {
-    if (Steps > Opts.MaxSteps)
+  /// Runs thread \p T one scheduling unit (its whole remainder when
+  /// \p ToEnd) further, searches on from there, and undoes the step.
+  void step(int T, bool ToEnd) {
+    size_t Pos = ThreadPos[T], DefMark = Defined.size(),
+           StoreMark = Stores.size();
+    do
+      executeUnit(T);
+    while (ToEnd && ThreadPos[T] < ThreadEvents[T].size());
+    dfs();
+    undo(DefMark, StoreMark);
+    ThreadPos[T] = Pos;
+  }
+
+  void dfs() {
+    if (Steps > Opts.MaxSteps) {
+      Skip = OracleSkip::BudgetExceeded;
       return;
+    }
 
     // The init thread runs to completion before anything else.
     if (P.ThreadZeroIsInit && P.NumThreads > 0 &&
-        S.ThreadPos[0] < ThreadEvents[0].size()) {
-      State S2 = S;
-      while (S2.ThreadPos[0] < ThreadEvents[0].size())
-        executeUnit(S2, 0);
-      dfs(S2);
+        ThreadPos[0] < ThreadEvents[0].size()) {
+      step(0, /*ToEnd=*/true);
       return;
     }
 
     bool Any = false;
     for (int T = 0; T < P.NumThreads; ++T) {
-      if (S.ThreadPos[T] >= ThreadEvents[T].size())
+      if (ThreadPos[T] >= ThreadEvents[T].size())
         continue;
       Any = true;
-      State S2 = S;
-      executeUnit(S2, T);
-      dfs(S2);
+      step(T, /*ToEnd=*/false);
     }
     if (!Any)
-      finalize(S);
+      finalize();
   }
 
-  void finalize(State &S) {
+  void finalize() {
     // Within-bounds semantics: drop executions that exceed a loop bound.
     for (const FlatBoundMark &M : P.BoundMarks)
-      if (guardHolds(S, M.Guard))
+      if (guardHolds(M.Guard))
         return;
 
     bool Error = false;
     for (const FlatCheck &C : P.Checks) {
-      if (!guardHolds(S, C.Guard))
+      if (!guardHolds(C.Guard))
         continue;
-      Value Cond = eval(S, C.Cond);
+      const Value &Cond = eval(C.Cond);
       switch (C.K) {
       case FlatCheck::Kind::Assume:
         if (Cond.isUndef()) {
@@ -221,18 +268,17 @@ private:
       }
     }
 
-    RefObservation Obs;
-    Obs.Error = Error;
-    for (const FlatObservation &O : P.Observations)
-      Obs.Values.push_back(eval(S, O.Val));
-    Result.insert(std::move(Obs));
+    LeafObs.Error = Error;
+    LeafObs.Values.resize(P.Observations.size());
+    for (size_t I = 0; I < P.Observations.size(); ++I)
+      LeafObs.Values[I] = eval(P.Observations[I].Val);
+    Observations.insert(LeafObs); // copies only a new observation
   }
 };
 
 } // namespace
 
-std::set<RefObservation> checkfence::memmodel::enumerateExecutions(
-    const FlatProgram &P, const RefOptions &Opts) {
-  Enumerator E(P, Opts);
-  return E.run();
+OracleResult checkfence::memmodel::enumerateExecutions(const FlatProgram &P,
+                                                       const RefOptions &Opts) {
+  return Enumerator(P, Opts).run();
 }

@@ -23,35 +23,11 @@
 #ifndef CHECKFENCE_MEMMODEL_REFERENCEEXECUTOR_H
 #define CHECKFENCE_MEMMODEL_REFERENCEEXECUTOR_H
 
+#include "memmodel/OracleSkip.h"
 #include "trans/FlatProgram.h"
-
-#include <set>
-#include <vector>
 
 namespace checkfence {
 namespace memmodel {
-
-/// An observation: the error flag plus the observed values in program
-/// declaration order.
-struct RefObservation {
-  bool Error = false;
-  std::vector<lsl::Value> Values;
-
-  bool operator<(const RefObservation &O) const {
-    if (Error != O.Error)
-      return Error < O.Error;
-    if (Values.size() != O.Values.size())
-      return Values.size() < O.Values.size();
-    for (size_t I = 0; I < Values.size(); ++I) {
-      if (Values[I] != O.Values[I])
-        return Values[I] < O.Values[I];
-    }
-    return false;
-  }
-  bool operator==(const RefObservation &O) const {
-    return !(*this < O) && !(O < *this);
-  }
-};
 
 struct RefOptions {
   bool InvocationGranularity = false; ///< serial semantics when true
@@ -61,9 +37,11 @@ struct RefOptions {
 /// Enumerates all within-bounds executions of \p P under sequential
 /// consistency (or seriality) and returns the set of observations.
 /// Executions violating an assume or exceeding a loop bound are dropped;
-/// assertion failures and undefined-value uses set the error flag.
-std::set<RefObservation> enumerateExecutions(const trans::FlatProgram &P,
-                                             const RefOptions &Opts);
+/// assertion failures and undefined-value uses set the error flag. A
+/// search that takes more than \p Opts.MaxSteps event steps stops and
+/// reports OracleSkip::BudgetExceeded (its observations are then partial).
+OracleResult enumerateExecutions(const trans::FlatProgram &P,
+                                 const RefOptions &Opts);
 
 } // namespace memmodel
 } // namespace checkfence

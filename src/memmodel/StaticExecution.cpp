@@ -16,7 +16,9 @@ StaticExecution::StaticExecution(const FlatProgram &P,
                                  const ModelParams &Model,
                                  const std::vector<Value> &Bound)
     : P(P), Model(Model), DefVals(P.Defs.size(), Value::undef()),
-      DefKnown(P.Defs.size(), 0) {
+      DefKnown(P.Defs.size(), 0), DynStamp(P.Defs.size(), 0),
+      DynVal(P.Defs.size(), nullptr), OpVals(P.Defs.size()),
+      OpArgs(P.Defs.size()) {
   for (size_t I = 0; I < P.Defs.size(); ++I)
     if (P.Defs[I].K == FlatDef::Kind::Choice) {
       DefVals[I] = Bound[I];
@@ -220,116 +222,108 @@ int StaticExecution::latestVisibleStore(int L,
   return Best;
 }
 
-bool StaticExecution::evalDyn(ValueId Id, const std::vector<int> &WriterOf,
-                              Value &Out) {
-  if (Id < 0) {
-    Out = Value::undef();
-    return true;
-  }
-  if (DefKnown[Id]) { // static part already memoized
-    Out = DefVals[Id];
-    return true;
-  }
-  if (DynState[Id] == 1) {
-    Out = DynVals[Id];
-    return true;
-  }
-  if (DynState[Id] == 2)
-    return false; // circular value dependency (thin-air shape)
-  DynState[Id] = 2;
+const Value *StaticExecution::evalDyn(ValueId Id,
+                                      const std::vector<int> &WriterOf) {
+  if (Id < 0)
+    return &Undef;
+  if (DefKnown[Id]) // static part already memoized
+    return &DefVals[Id];
+  if (DynStamp[Id] == KnownStamp())
+    return DynVal[Id];
+  if (DynStamp[Id] == BusyStamp())
+    return nullptr; // circular value dependency (thin-air shape)
+  DynStamp[Id] = BusyStamp();
   const FlatDef &D = P.def(Id);
-  Value V;
-  bool Ok = true;
+  const Value *V = &Undef;
   switch (D.K) {
   case FlatDef::Kind::Const:
-    V = D.Val;
+    V = &D.Val;
     break;
   case FlatDef::Kind::Choice:
-    V = DefVals[Id]; // bound by the choice enumeration
+    V = &DefVals[Id]; // bound by the choice enumeration
     break;
   case FlatDef::Kind::LoadVal: {
+    // A skipped load (dead guard) and one reading initial memory (axiom
+    // 2) are undefined.
     int A = D.EventIndex >= 0 ? AccessOfEvent[D.EventIndex] : -1;
-    if (A < 0)
-      V = Value::undef(); // skipped load (dead guard)
-    else if (WriterOf[A] < 0)
-      V = Value::undef(); // axiom 2: initial memory contents
-    else
-      Ok = evalDyn(P.Events[Accesses[WriterOf[A]].Event].Data, WriterOf, V);
+    if (A >= 0 && WriterOf[A] >= 0)
+      V = evalDyn(P.Events[Accesses[WriterOf[A]].Event].Data, WriterOf);
     break;
   }
   case FlatDef::Kind::Op: {
-    std::vector<Value> Args;
-    Args.reserve(D.Operands.size());
-    for (ValueId O : D.Operands) {
-      Args.emplace_back();
-      if (!evalDyn(O, WriterOf, Args.back())) {
-        Ok = false;
-        break;
-      }
+    // A def is evaluated at most once per leaf and never reenters itself,
+    // so its operand scratch is free here.
+    std::vector<Value> &Args = OpArgs[Id];
+    Args.resize(D.Operands.size());
+    for (size_t I = 0; V && I < D.Operands.size(); ++I) {
+      V = evalDyn(D.Operands[I], WriterOf);
+      if (V)
+        Args[I] = *V;
     }
-    if (Ok)
-      V = lsl::evalPrimOp(D.Op, Args, D.Imm);
+    if (V) {
+      OpVals[Id] = lsl::evalPrimOp(D.Op, Args, D.Imm);
+      V = &OpVals[Id];
+    }
     break;
   }
   }
-  if (!Ok) {
-    DynState[Id] = 0;
-    return false;
+  if (!V) {
+    DynStamp[Id] = 0;
+    return nullptr;
   }
-  DynVals[Id] = V;
-  DynState[Id] = 1;
-  Out = V;
-  return true;
+  DynVal[Id] = V;
+  DynStamp[Id] = KnownStamp();
+  return V;
 }
 
 OracleSkip StaticExecution::evaluate(const std::vector<int> &WriterOf,
                                      std::set<RefObservation> &Observations) {
-  DynVals.assign(P.Defs.size(), Value::undef());
-  DynState.assign(P.Defs.size(), 0);
+  Stamp += 2; // forget the previous leaf's values
 
   bool Error = false;
   for (const FlatCheck &C : P.Checks) {
-    Value G;
-    if (!evalDyn(C.Guard, WriterOf, G))
+    const Value *G = evalDyn(C.Guard, WriterOf);
+    if (!G)
       return OracleSkip::CyclicValueDependency;
-    if (G.isUndef() || !G.isTruthy())
+    if (G->isUndef() || !G->isTruthy())
       continue;
-    Value Cond;
-    if (!evalDyn(C.Cond, WriterOf, Cond))
+    const Value *Cond = evalDyn(C.Cond, WriterOf);
+    if (!Cond)
       return OracleSkip::CyclicValueDependency;
     switch (C.K) {
     case FlatCheck::Kind::Assume:
-      if (Cond.isUndef()) {
+      if (Cond->isUndef()) {
         Error = true;
         break;
       }
-      if (!Cond.isTruthy())
+      if (!Cond->isTruthy())
         return OracleSkip::None; // infeasible execution
       break;
     case FlatCheck::Kind::Assert:
-      if (Cond.isUndef() || !Cond.isTruthy())
+      if (Cond->isUndef() || !Cond->isTruthy())
         Error = true;
       break;
     case FlatCheck::Kind::CheckAddr:
-      if (!Cond.isPtr())
+      if (!Cond->isPtr())
         Error = true;
       break;
     case FlatCheck::Kind::CheckBranch:
     case FlatCheck::Kind::CheckDef:
-      if (Cond.isUndef())
+      if (Cond->isUndef())
         Error = true;
       break;
     }
   }
 
-  RefObservation Obs;
-  Obs.Error = Error;
-  for (const FlatObservation &O : P.Observations) {
-    Obs.Values.emplace_back();
-    if (!evalDyn(O.Val, WriterOf, Obs.Values.back()))
+  LeafObs.Error = Error;
+  LeafObs.Values.resize(P.Observations.size());
+  for (size_t I = 0; I < P.Observations.size(); ++I) {
+    const Value *V = evalDyn(P.Observations[I].Val, WriterOf);
+    if (!V)
       return OracleSkip::CyclicValueDependency;
+    LeafObs.Values[I] = *V;
   }
-  Observations.insert(std::move(Obs));
+  Observations.insert(LeafObs); // copies only a new observation
   return OracleSkip::None;
 }
 

@@ -93,10 +93,11 @@ private:
   OracleSkip build();
   /// Evaluates \p Id without loads; false if it depends on one.
   bool evalStatic(trans::ValueId Id, lsl::Value &Out);
-  /// Evaluates \p Id with loads read through \p WriterOf; false on a
-  /// cyclic value dependency.
-  bool evalDyn(trans::ValueId Id, const std::vector<int> &WriterOf,
-               lsl::Value &Out);
+  /// Evaluates \p Id with loads read through \p WriterOf; null on a
+  /// cyclic value dependency. The value stays put until the next
+  /// evaluate().
+  const lsl::Value *evalDyn(trans::ValueId Id,
+                            const std::vector<int> &WriterOf);
   void addEdge(int From, int To) {
     if (From != To)
       Accesses[To].Preds |= uint64_t(1) << From;
@@ -114,9 +115,19 @@ private:
   std::vector<int> Loads;
   int NumClusters = 0;
 
-  // Per-leaf evaluation state.
-  std::vector<lsl::Value> DynVals;
-  std::vector<char> DynState; // 0 = unknown, 1 = known, 2 = in progress
+  // Per-leaf evaluation state, sized once. A def's DynVal is this leaf's
+  // when its stamp is KnownStamp(); BusyStamp() marks a def being
+  // evaluated (to catch cycles). evaluate() advances Stamp instead of
+  // clearing the arrays.
+  uint64_t Stamp = 0;
+  uint64_t BusyStamp() const { return Stamp; }
+  uint64_t KnownStamp() const { return Stamp + 1; }
+  std::vector<uint64_t> DynStamp;
+  std::vector<const lsl::Value *> DynVal;
+  std::vector<lsl::Value> OpVals;              // results of Op defs
+  std::vector<std::vector<lsl::Value>> OpArgs; // operand scratch per Op def
+  const lsl::Value Undef;
+  RefObservation LeafObs;
 };
 
 /// A search over one static execution: adds the observations it finds and

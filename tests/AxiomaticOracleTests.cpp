@@ -19,6 +19,7 @@
 #include "harness/TestSpec.h"
 #include "memmodel/AxiomaticEnumerator.h"
 
+#include "ObservationPrint.h"
 #include "StoreBufferExecutor.h"
 
 #include "gtest/gtest.h"
@@ -54,17 +55,6 @@ std::set<memmodel::RefObservation> toRef(const ObservationSet &S) {
     Out.insert(std::move(R));
   }
   return Out;
-}
-
-std::string show(const std::set<memmodel::RefObservation> &S) {
-  std::ostringstream SS;
-  for (const memmodel::RefObservation &O : S) {
-    SS << (O.Error ? "E(" : " (");
-    for (size_t I = 0; I < O.Values.size(); ++I)
-      SS << (I ? "," : "") << O.Values[I].str();
-    SS << ") ";
-  }
-  return SS.str();
 }
 
 struct ThreadOps {

@@ -93,10 +93,11 @@ void crossValidateSpec(const std::string &Source, const std::string &Test) {
   // Explicit-state enumeration of the same flat program.
   memmodel::RefOptions RO;
   RO.InvocationGranularity = true;
-  auto RefSet = memmodel::enumerateExecutions(Enc.flat(), RO);
+  memmodel::OracleResult RefSet = memmodel::enumerateExecutions(Enc.flat(), RO);
+  ASSERT_TRUE(RefSet.Ok) << RefSet.Error;
 
   std::set<Observation> RefObs;
-  for (const memmodel::RefObservation &O : RefSet) {
+  for (const memmodel::RefObservation &O : RefSet.Observations) {
     Observation C;
     C.Error = O.Error;
     C.Values = O.Values;

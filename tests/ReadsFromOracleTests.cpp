@@ -29,6 +29,8 @@
 #include "memmodel/ReadsFromOracle.h"
 #include "memmodel/ReferenceExecutor.h"
 
+#include "ObservationPrint.h"
+
 #include "gtest/gtest.h"
 
 #include <random>
@@ -48,17 +50,6 @@ std::vector<memmodel::ModelParams> eligibleModels() {
     if (memmodel::readsFromEligible(M))
       Out.push_back(M);
   return Out;
-}
-
-std::string show(const std::set<memmodel::RefObservation> &S) {
-  std::ostringstream SS;
-  for (const memmodel::RefObservation &O : S) {
-    SS << (O.Error ? "E(" : " (");
-    for (size_t I = 0; I < O.Values.size(); ++I)
-      SS << (I ? "," : "") << O.Values[I].str();
-    SS << ") ";
-  }
-  return SS.str();
 }
 
 bool isSubset(const std::set<memmodel::RefObservation> &A,
@@ -136,12 +127,13 @@ int compareOracles(const std::string &Source,
         << Source;
 
     if (Model == memmodel::ModelParams::sc()) {
-      std::set<memmodel::RefObservation> Interleaved =
+      memmodel::OracleResult Interleaved =
           memmodel::enumerateExecutions(Enc.flat(), memmodel::RefOptions{});
-      EXPECT_EQ(RF.Observations, Interleaved)
+      EXPECT_TRUE(Interleaved.Ok) << Label << ": " << Interleaved.Error;
+      EXPECT_EQ(RF.Observations, Interleaved.Observations)
           << Label << " disagrees with the reference executor under sc"
           << "\n  reads-from: " << show(RF.Observations)
-          << "\n  reference:  " << show(Interleaved) << "\n"
+          << "\n  reference:  " << show(Interleaved.Observations) << "\n"
           << Source;
     }
 
@@ -565,6 +557,107 @@ TEST(OracleSkips, BothOraclesReportEveryReasonAlike) {
     EXPECT_EQ(Slow.Error, RF.Error);
     EXPECT_EQ(memmodel::oracleSkipMessage(Slow.Reason), Slow.Error);
   }
+}
+
+ProblemConfig scConfig() {
+  ProblemConfig Cfg;
+  Cfg.Model = memmodel::ModelParams::sc();
+  return Cfg;
+}
+
+/// Store buffering under sc, the two oracle budget tests' input.
+struct ScStoreBuffering {
+  CompiledLitmus L = compileLitmus(LITMUS_HEADER R"(
+int x; int y;
+void init_op(void) { x = 0; y = 0; }
+void t1_op(void) { x = 1; observe(y); }
+void t2_op(void) { y = 1; observe(x); }
+)",
+                                   {{"t1_op"}, {"t2_op"}});
+  SolveContext Ctx{L.Prog, L.Threads, {}, scConfig()};
+};
+
+/// The three sc outcomes of store buffering: (r1, r2) != (0, 0).
+const std::set<memmodel::RefObservation> &scStoreBufferingOutcomes() {
+  static const std::set<memmodel::RefObservation> Outcomes = [] {
+    std::set<memmodel::RefObservation> Out;
+    for (auto [R1, R2] : {std::pair{0, 1}, {1, 0}, {1, 1}})
+      Out.insert({false, {lsl::Value::integer(R1), lsl::Value::integer(R2)}});
+    return Out;
+  }();
+  return Outcomes;
+}
+
+TEST(OracleSkips, EnumeratorBudgetCountsEveryOrder) {
+  // The init stores come first, then the two 2-access sc chains
+  // interleave: C(4,2) = 6 total orders, which share 3 reads-from maps.
+  // The budget counts orders, not evaluated maps: 5 runs out, 6 answers.
+  ScStoreBuffering Sb;
+  ProblemEncoding &Enc = Sb.Ctx.encoding();
+  ASSERT_TRUE(Enc.ok()) << Enc.error();
+  memmodel::AxiomaticOptions AO;
+  AO.Model = memmodel::ModelParams::sc();
+
+  AO.MaxOrders = 5;
+  memmodel::OracleResult Short = memmodel::enumerateAxiomatic(Enc.flat(), AO);
+  EXPECT_FALSE(Short.Ok);
+  EXPECT_EQ(Short.Reason, memmodel::OracleSkip::BudgetExceeded);
+  EXPECT_EQ(Short.Error, "search budget exceeded");
+
+  AO.MaxOrders = 6;
+  memmodel::OracleResult Full = memmodel::enumerateAxiomatic(Enc.flat(), AO);
+  EXPECT_TRUE(Full.Ok) << Full.Error;
+  EXPECT_EQ(Full.Reason, memmodel::OracleSkip::None);
+  EXPECT_EQ(Full.Error, "");
+  EXPECT_EQ(Full.Observations, scStoreBufferingOutcomes());
+}
+
+TEST(OracleSkips, ReferenceExecutorReportsItsBudget) {
+  // Steps count executed events over the whole interleaving tree: 2 init
+  // stores, then the tree of the two 2-event threads, whose 2 + 4 + 6 + 6
+  // nodes of depth 1..4 are one event each. 20 steps decide it; one less
+  // truncates the last interleaving, which must be a skip, not a
+  // silently partial answer.
+  ScStoreBuffering Sb;
+  ProblemEncoding &Enc = Sb.Ctx.encoding();
+  ASSERT_TRUE(Enc.ok()) << Enc.error();
+  memmodel::RefOptions RO;
+
+  RO.MaxSteps = 19;
+  memmodel::OracleResult Short = memmodel::enumerateExecutions(Enc.flat(), RO);
+  EXPECT_FALSE(Short.Ok);
+  EXPECT_EQ(Short.Reason, memmodel::OracleSkip::BudgetExceeded);
+  EXPECT_EQ(Short.Error, "search budget exceeded");
+
+  RO.MaxSteps = 20;
+  memmodel::OracleResult Full = memmodel::enumerateExecutions(Enc.flat(), RO);
+  EXPECT_TRUE(Full.Ok) << Full.Error;
+  EXPECT_EQ(Full.Reason, memmodel::OracleSkip::None);
+  EXPECT_EQ(Full.Observations, scStoreBufferingOutcomes());
+}
+
+TEST(ReferenceExecutor, ForgetsEachChoiceAssignmentsValues) {
+  // No event runs, so the search reaches its one leaf without a step.
+  // The operation value the leaf memoizes (v + 1) belongs to one Choice
+  // assignment and must be forgotten before the next: the observations
+  // (v, v + 1) are (0,1) and (1,2), as the enumerator finds.
+  CompiledLitmus L = compileLitmus(LITMUS_HEADER R"(
+void init_op(void) { }
+void t0_op(int v) { observe(v + 1); }
+)",
+                                   {{"t0_op", 1}});
+  SolveContext Ctx(L.Prog, L.Threads, {}, scConfig());
+  ProblemEncoding &Enc = Ctx.encoding();
+  ASSERT_TRUE(Enc.ok()) << Enc.error();
+  memmodel::OracleResult Ref =
+      memmodel::enumerateExecutions(Enc.flat(), memmodel::RefOptions{});
+  memmodel::AxiomaticOptions AO;
+  AO.Model = memmodel::ModelParams::sc();
+  memmodel::OracleResult Slow = memmodel::enumerateAxiomatic(Enc.flat(), AO);
+  ASSERT_TRUE(Ref.Ok) << Ref.Error;
+  ASSERT_TRUE(Slow.Ok) << Slow.Error;
+  EXPECT_EQ(Ref.Observations.size(), 2u);
+  EXPECT_EQ(Ref.Observations, Slow.Observations);
 }
 
 //===----------------------------------------------------------------------===//
