@@ -8,13 +8,17 @@
 /// \file
 /// RemoteVerifier dispatches Requests to a running checkfenced daemon
 /// (checkfence/Server.h) over HTTP + JSON-RPC and reconstructs the
-/// results. Single checks come back as full checkfence::Result values
-/// and matrices and sweeps as the same Report a local run returns, a
-/// list of such Results: every field round-trips, so local rendering -
-/// json(), table(), exit codes - is byte-identical to an in-process run.
-/// Analysis and explore runs come back as the server-rendered report
-/// strings plus the scalar fields a client needs for exit codes and
-/// summaries.
+/// results as the types a local run returns: a single check as a full
+/// checkfence::Result, a matrix or sweep as a Report (a list of such
+/// Results), an explore run as an ExploreOutcome, a synthesis as a
+/// SynthOutcome and a weakest-model search as a WeakestOutcome. Every
+/// field round-trips, so local rendering - json(), table(), exit codes -
+/// is byte-identical to an in-process run. Analyses come back as the
+/// server-rendered table and JSON strings.
+///
+/// Corpus persistence during an explore run happens on the server's
+/// filesystem only when the server enables it; remote requests' corpus()
+/// directories are ignored (see docs/SERVER.md).
 ///
 /// Transport failures are reported out-of-band in RemoteStatus, never
 /// conflated with verification verdicts: a connection refused is not an
@@ -27,7 +31,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "checkfence/Request.h"
 #include "checkfence/Result.h"
@@ -55,26 +58,6 @@ struct RemoteAnalysis {
   std::string Json; ///< timing-free by construction (static analysis)
 };
 
-/// An explore report as served by the daemon. Corpus persistence happens
-/// on the server's filesystem only when the server enables it; remote
-/// requests' corpus() directories are ignored (see docs/SERVER.md).
-struct RemoteExplore {
-  bool Ok = false;
-  std::string Error;
-  bool Cancelled = false;
-  unsigned long long Seed = 0;
-  int Generated = 0;
-  int Deduplicated = 0;
-  int Run = 0;
-  int Skips = 0;
-  int Shrunk = 0;
-  double WallSeconds = 0;
-  std::string Json;
-  std::string JsonNoTimings;
-  std::vector<std::string> Warnings;
-  std::vector<ExploreDivergence> Divergences;
-};
-
 class RemoteVerifier {
 public:
   /// \p BaseUrl like "http://127.0.0.1:8417" (the scheme is optional;
@@ -91,12 +74,15 @@ public:
   /// Server reachability + version probe.
   RemoteStatus version(std::string &VersionOut, int &SchemaOut);
 
+  /// Each call posts \p Req to the method that serves its kind of
+  /// request; a Request whose kind belongs to another call is refused
+  /// by the daemon (matrix() takes matrix and sweep requests).
   RemoteStatus check(const Request &Req, Result &Out);
   /// A request-level problem (empty matrix, bad model axis) is a
   /// transport success whose \p Out is !ok(), as in a local run.
   RemoteStatus matrix(const Request &Req, Report &Out);
   RemoteStatus analyze(const Request &Req, RemoteAnalysis &Out);
-  RemoteStatus explore(const Request &Req, RemoteExplore &Out);
+  RemoteStatus explore(const Request &Req, ExploreOutcome &Out);
   RemoteStatus synthesize(const Request &Req, SynthOutcome &Out);
   RemoteStatus weakestModels(const Request &Req, WeakestOutcome &Out);
 

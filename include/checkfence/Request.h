@@ -271,15 +271,6 @@ public:
     Jobs = N;
     return *this;
   }
-  /// Explore: use the polynomial reads-from oracle where eligible
-  /// (default on) in place of the brute-force enumerator. Verdicts,
-  /// observation sets, and timing-free JSON are identical either way;
-  /// see docs/ORACLES.md. Checks ignore it: every inclusion query is
-  /// answered by SAT.
-  Request &fastOracle(bool Enable = true) {
-    UseFastOracle = Enable;
-    return *this;
-  }
 
   //===--------------------------------------------------------------===//
   // Explore options
@@ -378,7 +369,6 @@ public:
   std::optional<long long> ConflictBudget;
   bool Fresh = false;
   int Jobs = 0;
-  bool UseFastOracle = true;
 
   double DeadlineSeconds = 0;
   bool UseCache = true;

@@ -646,7 +646,6 @@ ExploreOutcome Verifier::explore(const Request &Req, EventSink *Sink,
   // One stop check for the driver, the differential runner and, through
   // the remaining deadline, each inner engine check.
   EO.Control = RunControl::make(Token, Req.DeadlineSeconds);
-  EO.Diff.UseFastOracle = Req.UseFastOracle;
   if (Req.SymbolicPerMille >= 0)
     EO.Limits.SymbolicPerMille = Req.SymbolicPerMille;
 

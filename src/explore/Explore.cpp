@@ -16,6 +16,7 @@
 
 using namespace checkfence;
 using namespace checkfence::explore;
+using support::JsonValue;
 
 namespace {
 
@@ -300,4 +301,67 @@ std::string ExploreReport::json(bool IncludeTimings) const {
   OS += "  ]\n";
   OS += "}\n";
   return OS;
+}
+
+bool checkfence::explore::decodeReport(const JsonValue &V,
+                                       ExploreReport &Out,
+                                       std::string &Error) {
+  Out = ExploreReport{};
+  if (!V.isObject() || V.at("kind").asString() != "explore") {
+    Error = "explore payload is not an explore report";
+    return false;
+  }
+  if (const JsonValue *E = V.find("error")) {
+    Out.Ok = false;
+    Out.Error = E->asString();
+    return true;
+  }
+  const JsonValue &Summary = V.at("summary");
+  const JsonValue &Scenarios = V.at("scenarios");
+  const JsonValue &Divergences = V.at("divergences");
+  if (!Summary.isObject() || !Scenarios.isArray() ||
+      !Divergences.isArray() ||
+      Summary.at("divergences").asInt() !=
+          static_cast<int>(Divergences.Items.size())) {
+    Error = "malformed explore report";
+    return false;
+  }
+  Out.Seed = V.at("seed").asU64();
+  Out.Budget = V.at("budget").asInt();
+  Out.Models = V.at("models").asStrings();
+  Out.Jobs = V.at("jobs").asInt(1);
+  Out.WallSeconds = V.at("wall_seconds").asDouble();
+  Out.Generated = Summary.at("generated").asInt();
+  Out.Deduplicated = Summary.at("deduplicated").asInt();
+  Out.Run = Summary.at("run").asInt();
+  Out.SkipEntries = Summary.at("skips").asInt();
+  Out.Shrunk = Summary.at("shrunk").asInt();
+  Out.Cancelled = Summary.at("cancelled").asBool();
+  Out.Warnings = V.at("warnings").asStrings();
+  for (const JsonValue &Item : Scenarios.Items) {
+    ScenarioRecord R;
+    R.Index = Item.at("index").asInt();
+    R.Label = Item.at("label").asString();
+    R.Kind = Item.at("kind").asString();
+    R.Result = Item.at("result").asString();
+    R.Summary = Item.at("summary").asString();
+    R.Skips = Item.at("skips").asStrings();
+    R.Seconds = Item.at("seconds").asDouble();
+    Out.Scenarios.push_back(std::move(R));
+  }
+  for (const JsonValue &Item : Divergences.Items) {
+    ExploreDivergence D;
+    D.Label = Item.at("label").asString();
+    D.Kind = Item.at("kind").asString();
+    D.Model = Item.at("model").asString();
+    D.Detail = Item.at("detail").asString();
+    D.Shrunk = Item.at("shrunk").asBool();
+    D.Threads = Item.at("threads").asInt();
+    D.Ops = Item.at("ops").asInt();
+    D.Notation = Item.at("notation").asString();
+    D.Source = Item.at("source").asString();
+    D.ReproPath = Item.at("repro").asString();
+    Out.Divergences.push_back(std::move(D));
+  }
+  return true;
 }

@@ -27,6 +27,7 @@
 #include "explore/Differential.h"
 #include "explore/Generator.h"
 #include "explore/Shrinker.h"
+#include "support/JsonParse.h"
 
 namespace checkfence {
 namespace explore {
@@ -95,6 +96,13 @@ struct ExploreReport {
   /// false the bytes are machine- and job-count-independent.
   std::string json(bool IncludeTimings = true) const;
 };
+
+/// Reads a json() rendering back into \p Out, which is replaced. The
+/// decoded report renders that json() byte for byte, and a json(true)
+/// input renders json(false) too. False + \p Error when \p V is not an
+/// explore report.
+bool decodeReport(const support::JsonValue &V, ExploreReport &Out,
+                  std::string &Error);
 
 /// Runs one explore session on \p V (scenario checks go through its
 /// check path, one fresh session each). Invalid options come back as

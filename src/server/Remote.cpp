@@ -7,6 +7,7 @@
 #include "checkfence/Remote.h"
 
 #include "api/ResultCodec.h"
+#include "explore/Explore.h"
 #include "obs/Trace.h"
 #include "server/Http.h"
 #include "server/Wire.h"
@@ -28,6 +29,14 @@ struct RemoteVerifier::Impl {
   std::string UrlError; ///< set when the base URL failed to parse
   std::string Priority = "normal";
   int NextId = 1;
+
+  /// Posts \p Req to the method that serves \p Served requests. On
+  /// success \p ResultOut points into \p Doc's "result" member.
+  RemoteStatus call(Request::Kind Served, const Request &Req,
+                    JsonValue &Doc, const JsonValue *&ResultOut) {
+    return call(requestKind(Served).Method, encodeRequest(Req), Doc,
+                ResultOut, Req.TraceFile);
+  }
 
   /// One JSON-RPC round trip. On success \p ResultOut points into
   /// \p Doc's "result" member. When \p TraceFile is non-empty (the
@@ -154,9 +163,7 @@ RemoteStatus RemoteVerifier::version(std::string &VersionOut,
 RemoteStatus RemoteVerifier::check(const Request &Req, Result &Out) {
   JsonValue Doc;
   const JsonValue *R = nullptr;
-  RemoteStatus S =
-      Self->call("checkfence.check", encodeRequest(Req), Doc, R,
-                 Req.TraceFile);
+  RemoteStatus S = Self->call(Request::Kind::Check, Req, Doc, R);
   if (!S)
     return S;
   std::string Error;
@@ -170,9 +177,7 @@ RemoteStatus RemoteVerifier::check(const Request &Req, Result &Out) {
 RemoteStatus RemoteVerifier::matrix(const Request &Req, Report &Out) {
   JsonValue Doc;
   const JsonValue *R = nullptr;
-  RemoteStatus S =
-      Self->call("checkfence.matrix", encodeRequest(Req), Doc, R,
-                 Req.TraceFile);
+  RemoteStatus S = Self->call(Request::Kind::Matrix, Req, Doc, R);
   if (!S)
     return S;
   std::string Error;
@@ -187,9 +192,7 @@ RemoteStatus RemoteVerifier::analyze(const Request &Req,
                                      RemoteAnalysis &Out) {
   JsonValue Doc;
   const JsonValue *R = nullptr;
-  RemoteStatus S =
-      Self->call("checkfence.analyze", encodeRequest(Req), Doc, R,
-                 Req.TraceFile);
+  RemoteStatus S = Self->call(Request::Kind::Analyze, Req, Doc, R);
   if (!S)
     return S;
   const JsonValue *Ok = R->find("ok");
@@ -204,47 +207,20 @@ RemoteStatus RemoteVerifier::analyze(const Request &Req,
 }
 
 RemoteStatus RemoteVerifier::explore(const Request &Req,
-                                     RemoteExplore &Out) {
+                                     ExploreOutcome &Out) {
   JsonValue Doc;
   const JsonValue *R = nullptr;
-  RemoteStatus S =
-      Self->call("checkfence.explore", encodeRequest(Req), Doc, R,
-                 Req.TraceFile);
+  RemoteStatus S = Self->call(Request::Kind::Explore, Req, Doc, R);
   if (!S)
     return S;
-  auto Str = [&](const char *K) {
-    const JsonValue *V = R->find(K);
-    return V ? V->asString() : std::string();
-  };
-  auto Int = [&](const char *K) {
-    const JsonValue *V = R->find(K);
-    return V ? V->asInt() : 0;
-  };
-  const JsonValue *Ok = R->find("ok");
-  Out.Ok = Ok && Ok->asBool();
-  Out.Error = Str("error");
-  if (const JsonValue *V = R->find("cancelled"))
-    Out.Cancelled = V->asBool();
-  if (const JsonValue *V = R->find("seed"))
-    Out.Seed = V->asU64();
-  Out.Generated = Int("generated");
-  Out.Deduplicated = Int("deduplicated");
-  Out.Run = Int("run");
-  Out.Skips = Int("skips");
-  Out.Shrunk = Int("shrunk");
-  if (const JsonValue *V = R->find("wallSeconds"))
-    Out.WallSeconds = V->asDouble();
-  Out.Json = Str("json");
-  Out.JsonNoTimings = Str("jsonNoTimings");
-  if (const JsonValue *W = R->find("warnings"); W && W->isArray())
-    for (const JsonValue &Item : W->Items)
-      Out.Warnings.push_back(Item.asString());
-  if (const JsonValue *D = R->find("divergences"); D && D->isArray())
-    for (const JsonValue &Item : D->Items) {
-      ExploreDivergence Div;
-      if (decodeDivergence(Item, Div))
-        Out.Divergences.push_back(std::move(Div));
-    }
+  auto Rep = std::make_shared<explore::ExploreReport>();
+  std::string Error;
+  if (!explore::decodeReport(*R, *Rep, Error)) {
+    S.Ok = false;
+    S.Error = Error;
+    return S;
+  }
+  Out = ExploreOutcome(std::move(Rep));
   return S;
 }
 
@@ -252,16 +228,13 @@ RemoteStatus RemoteVerifier::synthesize(const Request &Req,
                                         SynthOutcome &Out) {
   JsonValue Doc;
   const JsonValue *R = nullptr;
-  RemoteStatus S =
-      Self->call("checkfence.synthesize", encodeRequest(Req), Doc, R,
-                 Req.TraceFile);
+  RemoteStatus S = Self->call(Request::Kind::Synthesis, Req, Doc, R);
   if (!S)
     return S;
   std::string Error;
-  const JsonValue *Outcome = R->find("outcome");
-  if (!Outcome || !decodeSynthOutcome(*Outcome, Out, Error)) {
+  if (!decodeSynthOutcome(*R, Out, Error)) {
     S.Ok = false;
-    S.Error = Error.empty() ? "missing synthesis outcome" : Error;
+    S.Error = Error;
   }
   return S;
 }
@@ -270,9 +243,7 @@ RemoteStatus RemoteVerifier::weakestModels(const Request &Req,
                                            WeakestOutcome &Out) {
   JsonValue Doc;
   const JsonValue *R = nullptr;
-  RemoteStatus S =
-      Self->call("checkfence.weakestModel", encodeRequest(Req), Doc, R,
-                 Req.TraceFile);
+  RemoteStatus S = Self->call(Request::Kind::WeakestModel, Req, Doc, R);
   if (!S)
     return S;
   std::string Error;

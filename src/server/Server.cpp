@@ -69,7 +69,6 @@
 
 using namespace checkfence;
 using namespace checkfence::server;
-using support::JsonArray;
 using support::JsonObject;
 using support::JsonValue;
 
@@ -149,28 +148,6 @@ const char *priorityName(int Priority) {
   default:
     return "normal";
   }
-}
-
-const char *kindShortName(Request::Kind K) {
-  switch (K) {
-  case Request::Kind::Check:
-    return "check";
-  case Request::Kind::Matrix:
-    return "matrix";
-  case Request::Kind::Sweep:
-    return "sweep";
-  case Request::Kind::WeakestModel:
-    return "weakest";
-  case Request::Kind::Synthesis:
-    return "synth";
-  case Request::Kind::Litmus:
-    return "litmus";
-  case Request::Kind::Explore:
-    return "explore";
-  case Request::Kind::Analyze:
-    return "analyze";
-  }
-  return "?";
 }
 
 } // namespace
@@ -262,9 +239,8 @@ struct CheckServer::Impl {
         "priority", obs::latencyBuckets());
     // Pre-create the label values so every series renders (as zeros)
     // from the first scrape and the exposition shape is stable.
-    for (const char *Kind : {"check", "matrix", "sweep", "weakest",
-                             "synth", "litmus", "explore", "analyze"})
-      RequestSeconds->withLabel(Kind);
+    for (const RequestKindName &N : RequestKinds)
+      RequestSeconds->withLabel(N.Label);
     for (const char *P : {"high", "normal", "low"})
       QueueWaitSeconds->withLabel(P);
   }
@@ -368,7 +344,7 @@ struct CheckServer::Impl {
     // closes the dispatch span before the events are serialized below.
     obs::TraceContext TC(Tracer);
     obs::Span DispatchSpan("server", [&] {
-      return std::string("dispatch:") + kindShortName(Req.RequestKind);
+      return std::string("dispatch:") + requestKind(Req.RequestKind).Label;
     });
     switch (Req.RequestKind) {
     case Request::Kind::Check: {
@@ -404,43 +380,16 @@ struct CheckServer::Impl {
     }
     case Request::Kind::Explore: {
       ExploreOutcome E = V->explore(Req, &Sink, Token);
-      JsonObject O;
-      O.field("ok", E.ok());
-      O.field("error", E.error());
-      if (E.ok()) {
-        O.field("cancelled", E.cancelled());
-        O.field("seed", static_cast<unsigned long long>(E.seed()));
-        O.field("generated", E.generated());
-        O.field("deduplicated", E.deduplicated());
-        O.field("run", E.run());
-        O.field("skips", E.skips());
-        O.field("shrunk", E.shrunk());
-        O.exact("wallSeconds", E.wallSeconds());
-        O.field("json", E.json(true));
-        O.field("jsonNoTimings", E.json(false));
-        {
-          JsonArray W;
-          for (const std::string &S : E.warnings())
-            W.item(support::jsonQuote(S));
-          O.raw("warnings", W.str());
-        }
-        {
-          JsonArray D;
-          for (const ExploreDivergence &Div : E.divergences())
-            D.item(encodeDivergence(Div));
-          O.raw("divergences", D.str());
-        }
-        WasCancelled = E.cancelled();
-      } else {
+      WasCancelled = E.cancelled();
+      if (!E.ok())
         MErrors->add();
-      }
-      Payload = O.str();
+      Payload = E.json(true);
       break;
     }
     case Request::Kind::Synthesis: {
       SynthOutcome S = V->synthesize(Req, &Sink, Token);
       WasCancelled = S.Cancelled;
-      Payload = JsonObject().raw("outcome", encodeSynthOutcome(S)).str();
+      Payload = encodeSynthOutcome(S);
       break;
     }
     case Request::Kind::WeakestModel: {
@@ -503,14 +452,9 @@ struct CheckServer::Impl {
       return Resp;
     }
 
-    static const char *Known[] = {
-        "checkfence.check",    "checkfence.matrix",
-        "checkfence.explore",  "checkfence.analyze",
-        "checkfence.synthesize", "checkfence.weakestModel",
-        "checkfence.litmus"};
     bool Recognized = false;
-    for (const char *K : Known)
-      Recognized |= Method == K;
+    for (const RequestKindName &N : RequestKinds)
+      Recognized |= Method == N.Method;
     if (!Recognized) {
       Resp.StatusCode = 404;
       Resp.Body =
@@ -527,6 +471,16 @@ struct CheckServer::Impl {
       Resp.Body = rpcError(RpcInvalidParams,
                            DecodeError.empty() ? "missing params"
                                                : DecodeError,
+                           Id);
+      return Resp;
+    }
+    const RequestKindName &Kind = requestKind(Req.RequestKind);
+    if (Method != Kind.Method) {
+      Resp.StatusCode = 400;
+      Resp.Body = rpcError(RpcInvalidParams,
+                           "request kind '" + std::string(Kind.Wire) +
+                               "' is not served by method '" + Method +
+                               "' (use '" + Kind.Method + "')",
                            Id);
       return Resp;
     }
@@ -562,10 +516,9 @@ struct CheckServer::Impl {
       ReqTracer = std::make_shared<obs::Tracer>();
 
     CancelToken Token;
-    const char *Kind = kindShortName(Req.RequestKind);
     auto J = std::make_unique<Job>();
     J->Priority = Priority;
-    J->KindName = Kind;
+    J->KindName = Kind.Label;
     J->Tracer = ReqTracer;
     J->Run = [this, Req = std::move(Req), Id, Token, ReqTracer] {
       return runRequest(Req, Id, Token, ReqTracer.get());
@@ -578,7 +531,7 @@ struct CheckServer::Impl {
     if (!enqueue(std::move(J))) {
       MRejected->add();
       obs::logf(obs::LogLevel::Warn, "server",
-                "queue full, rejecting %s request (depth %d)", Kind,
+                "queue full, rejecting %s request (depth %d)", Kind.Label,
                 Cfg.QueueDepth);
       Resp.StatusCode = 429;
       Resp.Headers["Retry-After"] = "1";

@@ -17,28 +17,6 @@ using support::JsonValue;
 
 namespace {
 
-const char *kindName(Request::Kind K) {
-  switch (K) {
-  case Request::Kind::Check:
-    return "check";
-  case Request::Kind::Matrix:
-    return "matrix";
-  case Request::Kind::Sweep:
-    return "sweep";
-  case Request::Kind::WeakestModel:
-    return "weakestModel";
-  case Request::Kind::Synthesis:
-    return "synthesis";
-  case Request::Kind::Litmus:
-    return "litmus";
-  case Request::Kind::Explore:
-    return "explore";
-  case Request::Kind::Analyze:
-    return "analyze";
-  }
-  return "check";
-}
-
 std::string encodeFences(const std::vector<SynthFence> &Fences) {
   JsonArray A;
   for (const SynthFence &F : Fences)
@@ -55,9 +33,16 @@ std::vector<SynthFence> decodeFences(const JsonValue &Fences) {
 
 } // namespace
 
+const RequestKindName &checkfence::server::requestKind(Request::Kind K) {
+  for (const RequestKindName &N : RequestKinds)
+    if (N.Kind == K)
+      return N;
+  return RequestKinds[0];
+}
+
 std::string checkfence::server::encodeRequest(const Request &Req) {
   JsonObject O;
-  O.field("kind", kindName(Req.RequestKind));
+  O.field("kind", requestKind(Req.RequestKind).Wire);
   O.field("impl", Req.ImplName);
   O.field("source", Req.SourceText);
   O.field("label", Req.Label);
@@ -94,7 +79,6 @@ std::string checkfence::server::encodeRequest(const Request &Req) {
     O.field("conflictBudget", *Req.ConflictBudget);
   O.field("fresh", Req.Fresh);
   O.field("jobs", Req.Jobs);
-  O.field("fastOracle", Req.UseFastOracle);
   O.exact("deadlineSeconds", Req.DeadlineSeconds);
   O.field("useCache", Req.UseCache);
   O.field("traceFile", Req.TraceFile);
@@ -114,26 +98,15 @@ bool checkfence::server::decodeRequest(const JsonValue &V, Request &Out,
     return false;
   }
   std::string Kind = V.at("kind").asString();
-  if (Kind == "check")
-    Out.RequestKind = Request::Kind::Check;
-  else if (Kind == "matrix")
-    Out.RequestKind = Request::Kind::Matrix;
-  else if (Kind == "sweep")
-    Out.RequestKind = Request::Kind::Sweep;
-  else if (Kind == "weakestModel")
-    Out.RequestKind = Request::Kind::WeakestModel;
-  else if (Kind == "synthesis")
-    Out.RequestKind = Request::Kind::Synthesis;
-  else if (Kind == "litmus")
-    Out.RequestKind = Request::Kind::Litmus;
-  else if (Kind == "explore")
-    Out.RequestKind = Request::Kind::Explore;
-  else if (Kind == "analyze")
-    Out.RequestKind = Request::Kind::Analyze;
-  else {
+  const RequestKindName *Named = nullptr;
+  for (const RequestKindName &N : RequestKinds)
+    if (Kind == N.Wire)
+      Named = &N;
+  if (!Named) {
     Error = "unknown request kind '" + Kind + "'";
     return false;
   }
+  Out.RequestKind = Named->Kind;
   Out.ImplName = V.at("impl").asString();
   Out.SourceText = V.at("source").asString();
   Out.Label = V.at("label").asString();
@@ -162,7 +135,6 @@ bool checkfence::server::decodeRequest(const JsonValue &V, Request &Out,
     Out.ConflictBudget = F->asI64();
   Out.Fresh = V.at("fresh").asBool();
   Out.Jobs = V.at("jobs").asInt();
-  Out.UseFastOracle = V.at("fastOracle").asBool(true);
   Out.DeadlineSeconds = V.at("deadlineSeconds").asDouble();
   Out.UseCache = V.at("useCache").asBool(true);
   if (const JsonValue *F = V.find("traceFile"))
@@ -247,40 +219,6 @@ bool checkfence::server::decodeWeakestOutcome(const JsonValue &V,
   Out.ModelsChecked = V.at("modelsChecked").asInt();
   Out.CellsRun = V.at("cellsRun").asInt();
   Out.CellsInferred = V.at("cellsInferred").asInt();
-  return true;
-}
-
-std::string
-checkfence::server::encodeDivergence(const ExploreDivergence &D) {
-  JsonObject O;
-  O.field("label", D.Label);
-  O.field("kind", D.Kind);
-  O.field("model", D.Model);
-  O.field("detail", D.Detail);
-  O.field("shrunk", D.Shrunk);
-  O.field("threads", D.Threads);
-  O.field("ops", D.Ops);
-  O.field("notation", D.Notation);
-  O.field("source", D.Source);
-  O.field("reproPath", D.ReproPath);
-  return O.str();
-}
-
-bool checkfence::server::decodeDivergence(const JsonValue &V,
-                                          ExploreDivergence &Out) {
-  Out = ExploreDivergence{};
-  if (!V.isObject())
-    return false;
-  Out.Label = V.at("label").asString();
-  Out.Kind = V.at("kind").asString();
-  Out.Model = V.at("model").asString();
-  Out.Detail = V.at("detail").asString();
-  Out.Shrunk = V.at("shrunk").asBool();
-  Out.Threads = V.at("threads").asInt();
-  Out.Ops = V.at("ops").asInt();
-  Out.Notation = V.at("notation").asString();
-  Out.Source = V.at("source").asString();
-  Out.ReproPath = V.at("reproPath").asString();
   return true;
 }
 

@@ -11,8 +11,9 @@
 ///
 /// Requests serialize every public Request field. A single-check result
 /// travels as the one Result codec, api::encodeResult (api/ResultCodec.h),
-/// which the persisted result cache shares: the client re-renders it
-/// locally and is byte-identical to an in-process run. Doubles travel as
+/// which the persisted result cache shares, and an explore report as its
+/// own JSON (explore::decodeReport reads it back): the client re-renders
+/// either locally, byte-identical to an in-process run. Doubles travel as
 /// %.17g (JsonObject::exact) so they round-trip exactly. Every decoder
 /// resets its out-parameter first.
 ///
@@ -31,13 +32,41 @@
 namespace checkfence {
 namespace server {
 
+/// How one Request::Kind is named across the daemon protocol.
+struct RequestKindName {
+  Request::Kind Kind;
+  const char *Wire;   ///< the params' "kind" member
+  const char *Method; ///< the JSON-RPC method that serves it
+  /// Short label: the server's "dispatch:<label>" span and the
+  /// kind="<label>" value of its request-latency histogram.
+  const char *Label;
+};
+
+/// Every request kind, one row each (the order the latency histogram's
+/// series render in).
+inline constexpr RequestKindName RequestKinds[] = {
+    {Request::Kind::Check, "check", "checkfence.check", "check"},
+    {Request::Kind::Matrix, "matrix", "checkfence.matrix", "matrix"},
+    {Request::Kind::Sweep, "sweep", "checkfence.matrix", "sweep"},
+    {Request::Kind::WeakestModel, "weakestModel", "checkfence.weakestModel",
+     "weakest"},
+    {Request::Kind::Synthesis, "synthesis", "checkfence.synthesize",
+     "synth"},
+    {Request::Kind::Litmus, "litmus", "checkfence.litmus", "litmus"},
+    {Request::Kind::Explore, "explore", "checkfence.explore", "explore"},
+    {Request::Kind::Analyze, "analyze", "checkfence.analyze", "analyze"},
+};
+
+/// The row of \p K.
+const RequestKindName &requestKind(Request::Kind K);
+
 /// Request <-> params object.
 std::string encodeRequest(const Request &Req);
 bool decodeRequest(const support::JsonValue &V, Request &Out,
                    std::string &Error);
 
-/// SynthOutcome <-> object (full field round-trip; the rendered JSON
-/// report travels separately).
+/// SynthOutcome <-> object (full field round-trip; the client renders
+/// the JSON report from it).
 std::string encodeSynthOutcome(const SynthOutcome &S);
 bool decodeSynthOutcome(const support::JsonValue &V, SynthOutcome &Out,
                         std::string &Error);
@@ -46,10 +75,6 @@ bool decodeSynthOutcome(const support::JsonValue &V, SynthOutcome &Out,
 std::string encodeWeakestOutcome(const WeakestOutcome &W);
 bool decodeWeakestOutcome(const support::JsonValue &V, WeakestOutcome &Out,
                           std::string &Error);
-
-/// ExploreDivergence <-> object.
-std::string encodeDivergence(const ExploreDivergence &D);
-bool decodeDivergence(const support::JsonValue &V, ExploreDivergence &Out);
 
 /// JSON-RPC 2.0 envelopes.
 std::string rpcRequest(const std::string &Method,

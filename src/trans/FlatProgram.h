@@ -194,9 +194,6 @@ public:
     return N;
   }
   int numAccesses() const { return numLoads() + numStores(); }
-
-  /// Debug dump.
-  std::string str() const;
 };
 
 } // namespace trans

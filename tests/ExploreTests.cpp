@@ -5,8 +5,9 @@
 // Covers the explore pipeline end to end: deterministic generation, the
 // printer round-trip that persistence relies on, clean differential
 // runs over the default model axis, corpus dedup across runs, report
-// byte-identity across job counts, and - via the injection seam - the
-// shrinker and the persisted-repro re-check loop.
+// byte-identity across job counts and through the report's JSON decoder,
+// and - via the injection seam - the shrinker and the persisted-repro
+// re-check loop.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #include "impls/Impls.h"
 #include "lsl/Printer.h"
 #include "support/Fingerprint.h"
+#include "support/JsonParse.h"
 
 #include "checkfence/checkfence.h"
 
@@ -278,6 +280,78 @@ TEST(ExploreRun, CorpusDedupsAcrossRuns) {
   for (const ScenarioRecord &A : First.Scenarios)
     for (const ScenarioRecord &B : Second.Scenarios)
       EXPECT_NE(A.Label, B.Label);
+}
+
+TEST(ExploreRun, DecodedReportRendersTheSameBytes) {
+  // The daemon sends json(true); the client's decoded copy must render
+  // both forms as the original does, strings that need escaping too.
+  ExploreReport Rep;
+  Rep.Seed = 18446744073709551615ull;
+  Rep.Budget = 3;
+  Rep.Models = {"sc", "po:ll+ls,fwd"};
+  Rep.Jobs = 4;
+  Rep.Generated = 5;
+  Rep.Deduplicated = 2;
+  Rep.Run = 2;
+  Rep.SkipEntries = 1;
+  Rep.Shrunk = 1;
+  Rep.WallSeconds = 1.23456;
+  Rep.Warnings = {"repro for litmus-1 not persisted: \"disk\" full"};
+  ScenarioRecord Ok{0, "litmus-0", "litmus", "ok", "sc 2 | tso 3", {}, 0.25};
+  ScenarioRecord Div{1, "sym-1:ms2", "symbolic", "divergence",
+                     "sc PASS\ttso FAIL", {"tso: search budget exceeded"},
+                     0.0004};
+  Rep.Scenarios = {Ok, Div};
+  ExploreDivergence D;
+  D.Label = "sym-1:ms2";
+  D.Kind = "lattice-monotonicity";
+  D.Detail = "sc: {[0 1]}\nrelaxed: {}";
+  D.Shrunk = true;
+  D.Threads = 2;
+  D.Ops = 3;
+  D.Notation = "( e | d )";
+  D.Source = "int x;\nvoid t1_op(void) { x = 2; }\n";
+  D.ReproPath = "corpus/repro-0123.c";
+  Rep.Divergences = {D};
+
+  auto Decode = [](const std::string &Text, ExploreReport &Out) {
+    support::JsonValue Doc;
+    std::string Error;
+    if (!support::parseJson(Text, Doc, Error))
+      return ::testing::AssertionFailure() << "parse: " << Error;
+    if (!decodeReport(Doc, Out, Error))
+      return ::testing::AssertionFailure() << "decode: " << Error;
+    return ::testing::AssertionSuccess();
+  };
+  ExploreReport Back;
+  ASSERT_TRUE(Decode(Rep.json(true), Back));
+  EXPECT_EQ(Back.json(true), Rep.json(true));
+  EXPECT_EQ(Back.json(false), Rep.json(false));
+  EXPECT_EQ(Back.Seed, Rep.Seed);
+  ASSERT_EQ(Back.Divergences.size(), 1u);
+  EXPECT_EQ(Back.Divergences[0].Source, D.Source);
+  EXPECT_EQ(Back.Divergences[0].ReproPath, D.ReproPath);
+  ASSERT_TRUE(Decode(Rep.json(false), Back));
+  EXPECT_EQ(Back.json(false), Rep.json(false));
+
+  ExploreReport Failed;
+  Failed.Ok = false;
+  Failed.Error = "explore budget must be positive";
+  ASSERT_TRUE(Decode(Failed.json(), Back));
+  EXPECT_FALSE(Back.Ok);
+  EXPECT_EQ(Back.Error, Failed.Error);
+  EXPECT_EQ(Back.json(), Failed.json());
+
+  // A payload that is not a whole explore report is refused rather than
+  // read as an empty run.
+  std::string Miscounted = Rep.json(false);
+  Miscounted.replace(Miscounted.find("\"divergences\": 1"),
+                    std::string("\"divergences\": 1").size(),
+                    "\"divergences\": 2");
+  for (const std::string &Bad :
+       {std::string("[]"), std::string("{\"kind\": \"analysis\"}"),
+        std::string("{\"kind\": \"explore\"}"), Miscounted})
+    EXPECT_FALSE(Decode(Bad, Back)) << Bad;
 }
 
 //===----------------------------------------------------------------------===//

@@ -759,35 +759,70 @@ TEST(ExploreOracle, FastModeMatchesEnumeratorMode) {
   }
 }
 
-TEST(ExploreOracle, PsoRunWithoutEnumeratorIsByteIdentical) {
+/// One explore run compared across the two litmus oracles: the fast
+/// reads-from oracle (with the given enumerator sampling) against the
+/// order enumerator alone.
+struct OracleIdentityCase {
+  const char *Name;
+  int Budget;
+  std::vector<memmodel::ModelParams> Models;
+  explore::GeneratorLimits Limits;
+  /// EnumeratorSamplePeriod of the fast-oracle run.
+  int SamplePeriod;
+};
+
+std::vector<OracleIdentityCase> oracleIdentityCases() {
+  using memmodel::ModelParams;
+  std::vector<OracleIdentityCase> Cases;
   // Retiring the enumerator entirely (no inline sampling) must not move
   // one byte of the timing-free report. pso at a wider access budget is
   // where order enumeration costs most: the weakest fast-oracle point,
   // with no sc reference leg.
-  explore::ExploreOptions Opts;
-  Opts.Seed = 1;
-  Opts.Budget = 60;
-  Opts.Models = {memmodel::ModelParams::pso()};
-  Opts.Limits.SymbolicPerMille = 0;
-  Opts.Limits.AccessBudget = 12;
-  Opts.Limits.MaxThreads = 4;
-  Opts.Limits.MaxVars = 4;
-  explore::ExploreOptions Fast = Opts;
-  Fast.Diff.UseFastOracle = true;
-  Fast.Diff.EnumeratorSamplePeriod = 0;
-  explore::ExploreOptions Slow = Opts;
-  Slow.Diff.UseFastOracle = false;
+  OracleIdentityCase Wide{"pso-wide", 60, {ModelParams::pso()}, {}, 0};
+  Wide.Limits.AccessBudget = 12;
+  Wide.Limits.MaxThreads = 4;
+  Wide.Limits.MaxVars = 4;
+  Cases.push_back(Wide);
+  // The CI explore smoke's fast-oracle axis: 600 pure-litmus scenarios
+  // over every fast-oracle point plus relaxed (enumerator-only there),
+  // with the default inline sampling.
+  OracleIdentityCase Axis{"ci-axis",
+                          600,
+                          {ModelParams::sc(), ModelParams::tso(),
+                           ModelParams::pso(), ModelParams::relaxed()},
+                          {},
+                          explore::DiffOptions().EnumeratorSamplePeriod};
+  Cases.push_back(Axis);
+  for (OracleIdentityCase &C : Cases)
+    C.Limits.SymbolicPerMille = 0;
+  return Cases;
+}
 
-  Verifier VF, VS;
-  explore::ExploreReport F = explore::runExplore(VF, Fast);
-  explore::ExploreReport S = explore::runExplore(VS, Slow);
-  ASSERT_TRUE(F.Ok) << F.Error;
-  ASSERT_TRUE(S.Ok) << S.Error;
-  EXPECT_EQ(F.Run, 60);
-  EXPECT_EQ(F.divergenceCount(), 0);
-  EXPECT_EQ(S.divergenceCount(), 0);
-  EXPECT_EQ(F.json(/*IncludeTimings=*/false),
-            S.json(/*IncludeTimings=*/false));
+TEST(ExploreOracle, ReportIsByteIdenticalOnEitherOracle) {
+  for (const OracleIdentityCase &C : oracleIdentityCases()) {
+    SCOPED_TRACE(C.Name);
+    explore::ExploreOptions Opts;
+    Opts.Seed = 1;
+    Opts.Budget = C.Budget;
+    Opts.Models = C.Models;
+    Opts.Limits = C.Limits;
+    explore::ExploreOptions Fast = Opts;
+    Fast.Diff.UseFastOracle = true;
+    Fast.Diff.EnumeratorSamplePeriod = C.SamplePeriod;
+    explore::ExploreOptions Slow = Opts;
+    Slow.Diff.UseFastOracle = false;
+
+    Verifier VF, VS;
+    explore::ExploreReport F = explore::runExplore(VF, Fast);
+    explore::ExploreReport S = explore::runExplore(VS, Slow);
+    ASSERT_TRUE(F.Ok) << F.Error;
+    ASSERT_TRUE(S.Ok) << S.Error;
+    EXPECT_EQ(F.Run, C.Budget);
+    EXPECT_EQ(F.divergenceCount(), 0);
+    EXPECT_EQ(S.divergenceCount(), 0);
+    EXPECT_EQ(F.json(/*IncludeTimings=*/false),
+              S.json(/*IncludeTimings=*/false));
+  }
 }
 
 } // namespace

@@ -6,7 +6,8 @@
 // client (Remote.h) against an in-process daemon on an ephemeral port:
 // decoding of result payloads from older servers and into reused
 // out-parameters, remote-vs-local result identity for every request
-// kind, admission control (429 + Retry-After), independent requests
+// kind, refusal of a request kind posted to another kind's method,
+// admission control (429 + Retry-After), independent requests
 // running in parallel on the worker pool, per-request deadline
 // clamping, client disconnect cancellation (of running and of queued
 // requests), the /metrics and /status surfaces, survival of malformed
@@ -189,12 +190,14 @@ TEST(WireCompat, OldPrunerStatsDecodeAndAreNoLongerSent) {
 }
 
 TEST(WireCompat, RemovedRequestSettingsDecodeAndAreNoLongerSent) {
-  // An older client still sends the four synthesis settings and the
-  // explore oracle-sample period; a server ignores them like any unknown
-  // member, and this client sends none of them.
+  // An older client still sends the four synthesis settings, the
+  // explore oracle-sample period and the fast-oracle switch; a server
+  // ignores them like any unknown member, and this client sends none of
+  // them.
   Request Req = Request::synthesis("msn", "T0").model("relaxed");
-  const char *OldKeys[] = {"synthStrip", "synthMinLine", "synthMaxFences",
-                           "synthMinimize", "oracleSamplePeriod"};
+  const char *OldKeys[] = {"synthStrip",     "synthMinLine",
+                           "synthMaxFences", "synthMinimize",
+                           "oracleSamplePeriod", "fastOracle"};
   std::string Current = encodeRequest(Req);
   std::string Old = Current;
   for (const char *Key : OldKeys) {
@@ -435,23 +438,65 @@ TEST_F(IdentityFixture, AnalysisMatchesLocalByteForByte) {
   EXPECT_EQ(R.Json, L.json());
 }
 
+/// A remote explore outcome equals the local run of the same request in
+/// everything but its timings.
+void expectSameExplore(const ExploreOutcome &Remote,
+                       const ExploreOutcome &Local) {
+  ASSERT_EQ(Remote.ok(), Local.ok());
+  EXPECT_EQ(Remote.error(), Local.error());
+  EXPECT_EQ(Remote.json(false), Local.json(false));
+  EXPECT_EQ(Remote.cancelled(), Local.cancelled());
+  EXPECT_EQ(Remote.seed(), Local.seed());
+  EXPECT_EQ(Remote.generated(), Local.generated());
+  EXPECT_EQ(Remote.deduplicated(), Local.deduplicated());
+  EXPECT_EQ(Remote.run(), Local.run());
+  EXPECT_EQ(Remote.skips(), Local.skips());
+  EXPECT_EQ(Remote.shrunk(), Local.shrunk());
+  EXPECT_EQ(Remote.warnings(), Local.warnings());
+  std::vector<ExploreDivergence> RD = Remote.divergences(),
+                                 LD = Local.divergences();
+  ASSERT_EQ(RD.size(), LD.size());
+  for (size_t I = 0; I < RD.size(); ++I) {
+    SCOPED_TRACE(I);
+    EXPECT_EQ(RD[I].Label, LD[I].Label);
+    EXPECT_EQ(RD[I].Kind, LD[I].Kind);
+    EXPECT_EQ(RD[I].Model, LD[I].Model);
+    EXPECT_EQ(RD[I].Detail, LD[I].Detail);
+    EXPECT_EQ(RD[I].Shrunk, LD[I].Shrunk);
+    EXPECT_EQ(RD[I].Threads, LD[I].Threads);
+    EXPECT_EQ(RD[I].Ops, LD[I].Ops);
+    EXPECT_EQ(RD[I].Notation, LD[I].Notation);
+    EXPECT_EQ(RD[I].Source, LD[I].Source);
+    EXPECT_EQ(RD[I].ReproPath, LD[I].ReproPath);
+  }
+}
+
 TEST_F(IdentityFixture, ExploreMatchesLocal) {
-  Request Req = Request::check();
-  Req.RequestKind = Request::Kind::Explore;
-  Req.seed(7).budget(10);
+  Request Req = Request::explore().seed(7).budget(10);
   ExploreOutcome L = Local.explore(Req);
   ASSERT_TRUE(L.ok()) << L.error();
 
   RemoteVerifier RV(urlFor(S));
-  RemoteExplore R;
+  ExploreOutcome R;
   RemoteStatus St = RV.explore(Req, R);
   ASSERT_TRUE(St) << St.Error;
-  ASSERT_TRUE(R.Ok) << R.Error;
-  EXPECT_EQ(R.Seed, L.seed());
-  EXPECT_EQ(R.Generated, L.generated());
-  EXPECT_EQ(R.Run, L.run());
-  EXPECT_EQ(R.Divergences.size(), L.divergences().size());
-  EXPECT_EQ(R.JsonNoTimings, L.json(false));
+  ASSERT_TRUE(R.ok()) << R.error();
+  EXPECT_EQ(R.run(), 10);
+  expectSameExplore(R, L);
+}
+
+TEST_F(IdentityFixture, BadExploreModelFailsTheRemoteRequestLikeALocalOne) {
+  Request Req = Request::explore().budget(5).models({"sc", "nosuch"});
+  ExploreOutcome L = Local.explore(Req);
+  ASSERT_FALSE(L.ok());
+
+  RemoteVerifier RV(urlFor(S));
+  ExploreOutcome R;
+  RemoteStatus St = RV.explore(Req, R);
+  ASSERT_TRUE(St) << St.Error;
+  EXPECT_FALSE(R.ok());
+  EXPECT_FALSE(R.error().empty());
+  expectSameExplore(R, L);
 }
 
 TEST_F(IdentityFixture, SynthesisOutcomeRoundTrips) {
@@ -708,6 +753,53 @@ TEST(ServerObservability, ProtocolErrorsAreWellFormed) {
   H = httpRequest("127.0.0.1", Port, "GET", "/rpc", "", {});
   ASSERT_TRUE(H.Ok);
   EXPECT_EQ(H.StatusCode, 405);
+}
+
+TEST(ServerObservability, KindOfAnotherMethodIsInvalidParams) {
+  ServerConfig Cfg;
+  Cfg.Port = 0;
+  CheckServer S(Cfg);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  // The params' kind decides what runs, so a kind the method does not
+  // serve is refused instead of answered with another method's payload.
+  Request Analyze = Request::analyze("ms2", "T0");
+  HttpResult H = httpRequest(
+      "127.0.0.1", S.port(), "POST", "/rpc",
+      rpcRequest("checkfence.check", encodeRequest(Analyze), 1), {});
+  ASSERT_TRUE(H.Ok) << H.Error;
+  EXPECT_EQ(H.StatusCode, 400) << H.Body;
+  EXPECT_TRUE(contains(H.Body, "-32602")) << H.Body;
+  EXPECT_TRUE(contains(H.Body, "'analyze'")) << H.Body;
+  EXPECT_TRUE(contains(H.Body, "'checkfence.check'")) << H.Body;
+  EXPECT_FALSE(contains(H.Body, "\"result\"")) << H.Body;
+}
+
+TEST(ServerObservability, MatrixMethodServesSweeps) {
+  ServerConfig Cfg;
+  Cfg.Port = 0;
+  CheckServer S(Cfg);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  // An expired deadline cancels every cell; the report still has one
+  // per lattice point.
+  Request Sweep =
+      Request::sweep().impls({"ms2"}).tests({"T0"}).deadline(1e-9);
+  HttpResult H = httpRequest(
+      "127.0.0.1", S.port(), "POST", "/rpc",
+      rpcRequest("checkfence.matrix", encodeRequest(Sweep), 1), {});
+  ASSERT_TRUE(H.Ok) << H.Error;
+  ASSERT_EQ(H.StatusCode, 200) << H.Body;
+  support::JsonValue Doc;
+  ASSERT_TRUE(support::parseJson(H.Body, Doc, Error)) << Error;
+  ASSERT_NE(Doc.find("result"), nullptr) << H.Body;
+  Report R;
+  ASSERT_TRUE(api::decodeReport(*Doc.find("result"), R, Error)) << Error;
+  ASSERT_TRUE(R.ok()) << R.error();
+  EXPECT_GT(R.cellCount(), 1u);
+  EXPECT_EQ(R.count(Status::Cancelled), static_cast<int>(R.cellCount()));
 }
 
 TEST(ServerRobustness, MalformedLitmusLeavesTheDaemonServing) {

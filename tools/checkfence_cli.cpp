@@ -84,10 +84,6 @@ void usage() {
       "                       first), synth minimization, explore\n"
       "                       scenarios or analyze rows; each check\n"
       "                       runs on one solver\n"
-      "  --no-fast-oracle     explore: disable the polynomial reads-from\n"
-      "                       oracle and fall back to the brute-force\n"
-      "                       enumerator on all models. Results are\n"
-      "                       identical either way\n"
       "  --symbolic N         explore: symbolic catalog tests per 1000\n"
       "                       scenarios, the rest litmus (default 300;\n"
       "                       0 = pure litmus, the oracle fragment)\n"
@@ -169,28 +165,30 @@ void listCatalog() {
 
 //===----------------------------------------------------------------------===//
 // Emit functions - the single rendering path both dispatch modes feed.
-// Local runs populate the Remote* structs from the in-process outcomes;
-// remote runs decode them off the wire. Identical inputs here is what
+// Local runs hand over the in-process outcome; remote runs hand over the
+// same type, decoded off the wire (analyses: the daemon's rendered
+// strings, which RemoteAnalysis carries). Identical inputs here is what
 // makes `--remote` byte-identical to a local run.
 //===----------------------------------------------------------------------===//
 
-int emitExplore(const RemoteExplore &E, const std::string &JsonPath,
+int emitExplore(const ExploreOutcome &E, const std::string &JsonPath,
                 bool NoTimings, bool Quiet) {
-  if (!E.Ok) {
-    std::fprintf(stderr, "%s\n", E.Error.c_str());
+  if (!E.ok()) {
+    std::fprintf(stderr, "%s\n", E.error().c_str());
     return ExitUsage;
   }
-  if (!JsonPath.empty() &&
-      !writeReport(JsonPath, NoTimings ? E.JsonNoTimings : E.Json))
+  if (!JsonPath.empty() && !writeReport(JsonPath, E.json(!NoTimings)))
     return ExitUsage;
-  for (const std::string &W : E.Warnings)
+  for (const std::string &W : E.warnings())
     std::fprintf(stderr, "warning: %s\n", W.c_str());
+  const std::vector<ExploreDivergence> Divergences = E.divergences();
   if (!Quiet) {
     std::printf("explore: seed %llu, %d generated, %d deduplicated, "
                 "%d run, %d skips, %d divergences (%.1fs)\n",
-                E.Seed, E.Generated, E.Deduplicated, E.Run, E.Skips,
-                static_cast<int>(E.Divergences.size()), E.WallSeconds);
-    for (const ExploreDivergence &D : E.Divergences) {
+                E.seed(), E.generated(), E.deduplicated(), E.run(),
+                E.skips(), static_cast<int>(Divergences.size()),
+                E.wallSeconds());
+    for (const ExploreDivergence &D : Divergences) {
       std::string Where =
           D.ReproPath.empty() ? std::string() : " -> " + D.ReproPath;
       std::printf("DIVERGENCE %s [%s%s%s] %d threads, %d ops%s\n",
@@ -202,9 +200,9 @@ int emitExplore(const RemoteExplore &E, const std::string &JsonPath,
       std::printf("  %s\n", D.Detail.c_str());
     }
   }
-  if (E.Cancelled)
+  if (E.cancelled())
     return exitCodeFor(Status::Cancelled);
-  return E.Divergences.empty() ? 0 : 1;
+  return Divergences.empty() ? 0 : 1;
 }
 
 int emitMatrix(const Report &R, const std::string &JsonPath,
@@ -389,8 +387,6 @@ int main(int argc, char **argv) {
       MatrixModels = splitList(Next());
     } else if (A == "--jobs") {
       Req.jobs(std::atoi(Next().c_str()));
-    } else if (A == "--no-fast-oracle") {
-      Req.fastOracle(false);
     } else if (A == "--symbolic") {
       Req.symbolicShare(std::atoi(Next().c_str()));
     } else if (A == "--deadline") {
@@ -474,26 +470,12 @@ int main(int argc, char **argv) {
   if (Explore) {
     Req.RequestKind = Request::Kind::Explore;
     Req.models(MatrixModels);
-    RemoteExplore E;
+    ExploreOutcome E;
     if (RV) {
       if (RemoteStatus S = RV->explore(Req, E); !S)
         return remoteFail(S);
     } else {
-      ExploreOutcome O = Local().explore(Req, nullptr, Token);
-      E.Ok = O.ok();
-      E.Error = O.error();
-      E.Cancelled = O.cancelled();
-      E.Seed = O.seed();
-      E.Generated = O.generated();
-      E.Deduplicated = O.deduplicated();
-      E.Run = O.run();
-      E.Skips = O.skips();
-      E.Shrunk = O.shrunk();
-      E.WallSeconds = O.wallSeconds();
-      E.Json = O.json(true);
-      E.JsonNoTimings = O.json(false);
-      E.Warnings = O.warnings();
-      E.Divergences = O.divergences();
+      E = Local().explore(Req, nullptr, Token);
     }
     return emitExplore(E, JsonPath, NoTimings, Quiet);
   }
