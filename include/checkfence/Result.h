@@ -221,8 +221,8 @@ struct SynthOutcome {
 struct AnalysisModelRow {
   std::string Model;      ///< display name (e.g. "rmo")
   std::string Descriptor; ///< canonical descriptor ("po:ll,fwd")
-  /// The model is within the analysis fragment (multi-copy atomic,
-  /// access granularity); false for serial and nomca descriptors.
+  /// The model is within the analysis fragment (access granularity);
+  /// false for serial descriptors.
   bool Eligible = false;
   /// No delay pair lies on a critical cycle and no coherence hazard
   /// exists: the program with its current fences is sequentially

@@ -63,12 +63,8 @@ struct ModelDesc {
   std::string Name;       ///< "sc", "tso", ...
   std::string Descriptor; ///< canonical lattice descriptor ("po:...")
   std::string Note;       ///< one-line description
-  /// The polynomial reads-from oracle covers this point: explore uses it
-  /// as the primary litmus oracle (see docs/ORACLES.md). False =
-  /// brute-force oracles only.
-  bool FastOracle = false;
   /// The static critical-cycle robustness analysis covers this point
-  /// (multi-copy atomic, per-access granularity): `--analyze` produces a
+  /// (per-access granularity, i.e. not serial): `--analyze` produces a
   /// verdict for it and synthesis steering uses it (see
   /// docs/ANALYSIS.md).
   bool Analysis = false;

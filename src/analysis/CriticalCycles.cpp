@@ -24,7 +24,6 @@ DelaySet checkfence::analysis::delaySetFor(const memmodel::ModelParams &M) {
   D.StoreLoad = !M.OrderStoreLoad;
   D.StoreStore = !M.OrderStoreStore;
   D.Forwarding = M.effectiveForwarding();
-  D.MultiCopyAtomic = M.MultiCopyAtomic;
   return D;
 }
 
@@ -338,8 +337,8 @@ checkfence::analysis::analyzeRobustness(const FlatProgram &P,
                                         const AnalysisOptions &Opts) {
   RobustnessResult Res;
   if (!analysisEligible(M)) {
-    Res.Reason = "model is outside the analysis fragment (serial-"
-                 "granularity or non-multi-copy-atomic)";
+    Res.Reason = "model is outside the analysis fragment (serial "
+                 "granularity)";
     return Res;
   }
   Res.Eligible = true;

@@ -58,13 +58,11 @@
 namespace checkfence {
 namespace analysis {
 
-/// True when \p M is within the analysis' semantic reach: a single total
-/// memory order (multi-copy atomic) at plain access granularity. The
-/// Serial mining model orders whole operation invocations, which the
-/// event-level graph does not represent; non-MCA points have no single
-/// <M for the delay-set argument to talk about.
+/// True when \p M is within the analysis' semantic reach: plain access
+/// granularity. The Serial mining model orders whole operation
+/// invocations, which the event-level graph does not represent.
 constexpr bool analysisEligible(const memmodel::ModelParams &M) {
-  return M.MultiCopyAtomic && !M.SerialOps;
+  return !M.SerialOps;
 }
 
 /// The program-order edge kinds a lattice point may delay (the complement
@@ -76,8 +74,7 @@ struct DelaySet {
   bool LoadStore = false;
   bool StoreLoad = false;
   bool StoreStore = false;
-  bool Forwarding = false;      ///< effectiveForwarding() of the point
-  bool MultiCopyAtomic = true;
+  bool Forwarding = false; ///< effectiveForwarding() of the point
 
   int count() const {
     return (LoadLoad ? 1 : 0) + (LoadStore ? 1 : 0) + (StoreLoad ? 1 : 0) +

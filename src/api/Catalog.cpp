@@ -40,7 +40,7 @@ std::vector<TestDesc> checkfence::listTests() {
 std::vector<ModelDesc> checkfence::listModels() {
   std::vector<ModelDesc> Out;
   for (const memmodel::NamedModel &N : memmodel::namedModels())
-    Out.push_back({N.Name, N.Params.str(), N.Note, N.FastOracle,
+    Out.push_back({N.Name, N.Params.str(), N.Note,
                    analysis::analysisEligible(N.Params)});
   return Out;
 }

@@ -602,13 +602,8 @@ AnalysisOutcome Verifier::analyze(const Request &Req) {
     Row.Forwarding = D.Forwarding;
     Row.Eligible = analysis::analysisEligible(M);
     if (!Row.Eligible) {
-      Row.Reason = M.SerialOps
-                       ? "outside the analysis fragment: serial "
-                         "operation granularity has no per-access "
-                         "memory order"
-                       : "outside the analysis fragment: no single "
-                         "total memory order without multi-copy "
-                         "atomicity";
+      Row.Reason = "outside the analysis fragment: serial operation "
+                   "granularity has no per-access memory order";
       return;
     }
     analysis::RobustnessResult RR =

@@ -48,10 +48,7 @@ public:
     }
     MME = std::make_unique<memmodel::MemoryModelEncoder>(*VE, Flat, Ranges,
                                                          Model, EO);
-    if (!MME->encode()) {
-      Err = "memory model encoding failed";
-      return false;
-    }
+    MME->encode();
 
     // Side conditions: assumes are hard, asserts/type checks feed the
     // error flag, loop bounds are assumed within range.

@@ -52,13 +52,7 @@ ProblemEncoding::ProblemEncoding(CnfBuilder &CnfB, const lsl::Program &Prog,
   // 4. Memory model.
   Model = std::make_unique<memmodel::MemoryModelEncoder>(
       *Values, Flat, Ranges, Cfg.Model, EO);
-  if (!Model->encode()) {
-    fail("memory model encoding failed for '" +
-         memmodel::modelName(Cfg.Model) +
-         "' (non-multi-copy-atomic models are not supported by the SAT "
-         "encoder)");
-    return;
-  }
+  Model->encode();
 
   // 5. Side conditions, error flag, loop bounds.
   encodeChecksAndBounds(Cfg);

@@ -167,10 +167,11 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
       continue;
     }
 
-    // Primary oracle: the polynomial reads-from checker on eligible
-    // lattice points, the brute-force order enumerator elsewhere (or
-    // everywhere when the fast path is disabled). Both emit identical
-    // skip strings, so the report does not depend on which ran.
+    // Primary oracle: the polynomial reads-from checker on every
+    // non-serial lattice point, the brute-force order enumerator on
+    // serial ones (or everywhere when the fast path is disabled). Both
+    // emit identical skip strings, so the report does not depend on
+    // which ran.
     const bool Fast =
         Opts.UseFastOracle && memmodel::readsFromEligible(M);
     std::set<memmodel::RefObservation> OracleObs;

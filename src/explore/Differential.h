@@ -50,16 +50,14 @@ class Program;
 namespace explore {
 
 struct DiffOptions {
-  /// Lattice points every scenario fans out across. Must be non-empty
-  /// and multi-copy atomic (the encoder's supported half-lattice).
+  /// Lattice points every scenario fans out across. Must be non-empty.
   std::vector<memmodel::ModelParams> Models;
   /// Litmus oracle budget; scenarios over budget are skipped, not failed.
   uint64_t OracleMaxOrders = 20'000'000;
-  /// Use the polynomial ReadsFromOracle as the primary litmus oracle on
-  /// readsFromEligible() lattice points (sc/tso/pso and the po:
-  /// descriptors they cover); ineligible points stay on the
-  /// AxiomaticEnumerator. Off = enumerator everywhere (the pre-oracle
-  /// behaviour, kept for differential runs against the fast path).
+  /// Use the polynomial ReadsFromOracle as the litmus oracle on every
+  /// readsFromEligible() (non-serial) lattice point; serial points stay
+  /// on the AxiomaticEnumerator. Off = enumerator everywhere, kept as
+  /// the tests' seam for differential runs against the fast path.
   bool UseFastOracle = true;
   /// With the fast oracle on, additionally run the AxiomaticEnumerator
   /// as a differential reference on every Nth eligible litmus scenario

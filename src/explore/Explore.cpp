@@ -43,13 +43,8 @@ ExploreReport checkfence::explore::runExplore(Verifier &V,
   if (Models.empty())
     Models = {memmodel::ModelParams::sc(), memmodel::ModelParams::tso(),
               memmodel::ModelParams::relaxed()};
-  for (const memmodel::ModelParams &M : Models) {
-    if (!M.MultiCopyAtomic)
-      return errorReport(std::move(Rep),
-                         "explore cannot check non-multi-copy-atomic "
-                         "model '" + memmodel::modelName(M) + "'");
+  for (const memmodel::ModelParams &M : Models)
     Rep.Models.push_back(memmodel::modelName(M));
-  }
 
   Corpus Corp(Opts.CorpusDir);
   Corp.load();

@@ -24,21 +24,15 @@ using namespace checkfence::trans;
 const std::vector<NamedModel> &checkfence::memmodel::namedModels() {
   static const std::vector<NamedModel> Models = {
       {"serial", ModelParams::serial(),
-       "operation-granularity sequential order (specification mining)",
-       readsFromEligible(ModelParams::serial())},
-      {"sc", ModelParams::sc(), "sequential consistency",
-       readsFromEligible(ModelParams::sc())},
-      {"tso", ModelParams::tso(), "total store order (FIFO store buffer)",
-       readsFromEligible(ModelParams::tso())},
+       "operation-granularity sequential order (specification mining)"},
+      {"sc", ModelParams::sc(), "sequential consistency"},
+      {"tso", ModelParams::tso(), "total store order (FIFO store buffer)"},
       {"pso", ModelParams::pso(),
-       "partial store order (per-address store buffers)",
-       readsFromEligible(ModelParams::pso())},
+       "partial store order (per-address store buffers)"},
       {"rmo", ModelParams::rmo(),
-       "RMO-like: only load-load order preserved",
-       readsFromEligible(ModelParams::rmo())},
+       "RMO-like: only load-load order preserved"},
       {"relaxed", ModelParams::relaxed(),
-       "the paper's Relaxed model (no program order beyond axiom 1)",
-       readsFromEligible(ModelParams::relaxed())},
+       "the paper's Relaxed model (no program order beyond axiom 1)"},
   };
   return Models;
 }
@@ -65,8 +59,6 @@ std::string ModelParams::str() const {
     Out += Edges;
   if (StoreForwarding)
     Out += ",fwd";
-  if (!MultiCopyAtomic)
-    Out += ",nomca";
   if (SerialOps)
     Out += ",serial";
   return Out;
@@ -90,7 +82,7 @@ checkfence::memmodel::modelFromName(const std::string &Name) {
     if (S == N.Name)
       return N.Params;
 
-  // Descriptor grammar: po:<edges>[,fwd|,nofwd][,mca|,nomca][,serial]
+  // Descriptor grammar: po:<edges>[,fwd|,nofwd][,serial]
   // where <edges> is "all", "none", or a '+'-joined subset of ll/ls/sl/ss.
   if (S.rfind("po:", 0) != 0)
     return std::nullopt;
@@ -133,10 +125,6 @@ checkfence::memmodel::modelFromName(const std::string &Name) {
       P.StoreForwarding = true;
     } else if (Clause == "nofwd") {
       P.StoreForwarding = false;
-    } else if (Clause == "mca") {
-      P.MultiCopyAtomic = true;
-    } else if (Clause == "nomca") {
-      P.MultiCopyAtomic = false;
     } else if (Clause == "serial") {
       P.SerialOps = true;
     } else {
@@ -189,9 +177,6 @@ bool checkfence::memmodel::atLeastAsStrong(const ModelParams &A,
       (B.OrderLoadStore && !A.OrderLoadStore) ||
       (B.OrderStoreLoad && !A.OrderStoreLoad) ||
       (B.OrderStoreStore && !A.OrderStoreStore))
-    return false;
-  // Multi-copy-atomic behaviors are a subset of non-MCA behaviors.
-  if (!A.MultiCopyAtomic && B.MultiCopyAtomic)
     return false;
   // Forwarding changes which store a load must read, in both directions,
   // so differing effective-forwarding bits are incomparable - except when
@@ -547,13 +532,7 @@ void MemoryModelEncoder::emitValueAxioms() {
   }
 }
 
-bool MemoryModelEncoder::encode() {
-  // A single total <M is multi-copy atomic by construction; modeling
-  // non-MCA points needs per-thread view orders, which this encoder does
-  // not have yet.
-  if (!Params.MultiCopyAtomic)
-    return false;
-
+void MemoryModelEncoder::encode() {
   std::vector<AccessInfo> Infos;
   Infos.reserve(AccessEvent.size());
   for (int Ev : AccessEvent) {
@@ -574,7 +553,6 @@ bool MemoryModelEncoder::encode() {
   emitFenceAxioms();
   emitAtomicExclusivity();
   emitValueAxioms();
-  return true;
 }
 
 std::vector<int> MemoryModelEncoder::modelOrderedAccesses(

@@ -19,14 +19,11 @@
 ///    bypass of the Relaxed/TSO/PSO models. A no-op whenever store-load
 ///    program order is preserved (the store is then <M-before the load
 ///    anyway).
-///  * MultiCopyAtomic: stores become visible to all other threads at one
-///    point in <M. Every model the SAT encoder supports is multi-copy
-///    atomic (a single total <M *is* multi-copy atomicity); the bit exists
-///    so non-MCA lattice points can be described, parsed, and compared -
-///    the encoder rejects them with a clear error until per-thread view
-///    orders are implemented.
 ///  * SerialOps: order at operation-invocation granularity - the seriality
 ///    condition of Sec. 2.3.2 used to mine specifications.
+///
+/// Every point is multi-copy atomic: a store becomes visible to all other
+/// threads at one point of the single total <M, so there is no bit for it.
 ///
 /// Named points of the lattice (the registry, strongest first):
 ///
@@ -38,7 +35,7 @@
 ///   relaxed  po:none, fwd                   the paper's Relaxed (Sec. 2.3.2)
 ///
 /// Arbitrary points are written in the descriptor grammar parsed by
-/// modelFromName(): `po:<ll|ls|sl|ss joined by +|all|none>[,fwd][,nomca]
+/// modelFromName(): `po:<ll|ls|sl|ss joined by +|all|none>[,fwd]
 /// [,serial]`, e.g. "po:ll+ls,fwd" (which modelName() prints back as
 /// "pso"). See docs/MODELS.md for the full table and grammar.
 ///
@@ -74,10 +71,6 @@ struct ModelParams {
   bool OrderStoreStore = false;
   /// S(l) includes the thread's own program-order-earlier stores.
   bool StoreForwarding = false;
-  /// Stores become visible to all threads at a single point in <M.
-  /// Non-MCA points are descriptor-only: parse/print/compare work, the
-  /// SAT encoder rejects them (a total <M is inherently multi-copy).
-  bool MultiCopyAtomic = true;
   /// Invocation-granularity order (the Serial model).
   bool SerialOps = false;
 
@@ -112,7 +105,6 @@ struct ModelParams {
            A.OrderStoreLoad == B.OrderStoreLoad &&
            A.OrderStoreStore == B.OrderStoreStore &&
            A.StoreForwarding == B.StoreForwarding &&
-           A.MultiCopyAtomic == B.MultiCopyAtomic &&
            A.SerialOps == B.SerialOps;
   }
   friend bool operator!=(const ModelParams &A, const ModelParams &B) {
@@ -167,17 +159,13 @@ struct ModelParams {
   }
 };
 
-/// True when the polynomial reads-from oracle (ReadsFromOracle.h) is the
-/// preferred decision procedure for \p P: the multi-copy-atomic points
-/// that keep load-load and load-store program order - sc, tso, pso, and
-/// the po: descriptors they cover. On these points the oracle's
-/// constraint saturation stays effectively branch-free (per-thread load
-/// order plus same-address coherence decide the writer disjunctions), so
-/// reads-from enumeration beats order enumeration by orders of magnitude.
-/// Callers outside the set should stay on AxiomaticEnumerator.
+/// True when the polynomial reads-from oracle (ReadsFromOracle.h) decides
+/// \p P: every non-serial point. Serial points stay on the order
+/// enumerator: the oracle contracts each invocation to one node ordered
+/// by program order, which a degenerate serial descriptor such as
+/// "po:none,serial" does not keep.
 constexpr bool readsFromEligible(const ModelParams &P) {
-  return P.MultiCopyAtomic && !P.SerialOps && P.OrderLoadLoad &&
-         P.OrderLoadStore;
+  return !P.SerialOps;
 }
 
 /// A registry entry naming a lattice point.
@@ -185,9 +173,6 @@ struct NamedModel {
   std::string Name;
   ModelParams Params;
   std::string Note; ///< one-line description for --list / docs
-  /// readsFromEligible(Params), recorded so front ends can surface the
-  /// fast-oracle marker without re-deriving it.
-  bool FastOracle = false;
 };
 
 /// The named models, strongest first: serial, sc, tso, pso, rmo, relaxed.
@@ -232,9 +217,8 @@ public:
                      const trans::RangeInfo &R, const ModelParams &M,
                      const encode::EncodeOptions &EO);
 
-  /// Encodes everything; returns false on unsupported input (currently:
-  /// non-multi-copy-atomic models).
-  bool encode();
+  /// Encodes everything.
+  void encode();
 
   /// Execution literal of event \p EventIdx (truthiness of its guard).
   encode::Lit execLit(int EventIdx);

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A reads-from-based consistency oracle for the multi-copy-atomic points
-/// of the relaxation lattice. Where AxiomaticEnumerator enumerates every
+/// A reads-from-based consistency oracle for the non-serial points of the
+/// relaxation lattice. Where AxiomaticEnumerator enumerates every
 /// total order of the executed accesses (factorial in the access count),
 /// this oracle enumerates *reads-from assignments* — one writer (or the
 /// initial memory) per executed load — and decides each assignment's
@@ -23,20 +23,20 @@
 /// before s) plus one two-literal disjunction per same-address competitor
 /// ((s' before s) or (l before s')), and the oracle saturates these over
 /// a bitmask transitive closure, branching only on disjunctions that
-/// remain genuinely open (rare outside adversarial shapes — on the
-/// oracle-eligible lattice points program order decides almost all of
-/// them statically). Atomic blocks are contracted to supernodes; their
-/// interior order is already total via program order.
+/// remain genuinely open (where load-load and load-store program order
+/// are kept, program order decides almost all of them statically; the
+/// weaker points branch more but stay exact). Atomic blocks are
+/// contracted to supernodes; their interior order is already total via
+/// program order.
 ///
-/// Exactness requires multi-copy atomicity: a single global <M with the
-/// visibility rule "max earlier same-address store, own earlier stores
-/// forwarded" is precisely the enumerator's semantics. Callers gate usage
-/// with readsFromEligible() (see MemoryModel.h), which additionally
-/// restricts to the sc/tso/pso-like points (load-load and load-store
-/// program order kept) where the saturation above stays effectively
-/// branch-free. Both oracles search the same StaticExecution, which
-/// decides the fragment, the skip reasons and each execution's checks and
-/// observations, so skip accounting is oracle-agnostic by construction.
+/// Exactness rests on multi-copy atomicity, which every lattice point has:
+/// a single global <M with the visibility rule "max earlier same-address
+/// store, own earlier stores forwarded" is precisely the enumerator's
+/// semantics. Callers gate usage with readsFromEligible() (see
+/// MemoryModel.h), which excludes only the serial points. Both oracles
+/// search the same StaticExecution, which decides the fragment, the skip
+/// reasons and each execution's checks and observations, so skip
+/// accounting is oracle-agnostic by construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,8 +60,8 @@ struct ReadsFromOptions {
 };
 
 /// Computes the observation set of \p P under \p Opts.Model. Exact for
-/// multi-copy-atomic, non-serial models; callers should gate on
-/// readsFromEligible(). Same input fragment as enumerateAxiomatic.
+/// every non-serial model; callers should gate on readsFromEligible().
+/// Same input fragment as enumerateAxiomatic.
 OracleResult checkReadsFrom(const trans::FlatProgram &P,
                             const ReadsFromOptions &Opts);
 

@@ -10,9 +10,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "checkfence/checkfence.h"
+
 #include "engine/WeakestModelSearch.h"
 #include "harness/Catalog.h"
-#include "impls/Impls.h"
 
 #include <gtest/gtest.h>
 
@@ -31,18 +32,17 @@ using memmodel::strictlyStronger;
 
 namespace {
 
-/// All 2^7 descriptor combinations.
+/// All 2^6 descriptor combinations.
 std::vector<ModelParams> allCombos() {
   std::vector<ModelParams> Out;
-  for (int Bits = 0; Bits < 128; ++Bits) {
+  for (int Bits = 0; Bits < 64; ++Bits) {
     ModelParams P;
     P.OrderLoadLoad = Bits & 1;
     P.OrderLoadStore = Bits & 2;
     P.OrderStoreLoad = Bits & 4;
     P.OrderStoreStore = Bits & 8;
     P.StoreForwarding = Bits & 16;
-    P.MultiCopyAtomic = Bits & 32;
-    P.SerialOps = Bits & 64;
+    P.SerialOps = Bits & 32;
     Out.push_back(P);
   }
   return Out;
@@ -87,11 +87,6 @@ TEST(ModelParamsParser, DescriptorStringsAndCaseInsensitivity) {
   EXPECT_EQ(ModelParams::serial(), *modelFromName("po:all,serial"));
   EXPECT_EQ(ModelParams::relaxed(), *modelFromName("po:none,fwd"));
   EXPECT_EQ("pso", modelName(*modelFromName("po:ll+ls,fwd")));
-
-  ModelParams NoMca = ModelParams::relaxed();
-  NoMca.MultiCopyAtomic = false;
-  EXPECT_EQ(NoMca, *modelFromName("po:none,fwd,nomca"));
-  EXPECT_EQ("po:none,fwd,nomca", NoMca.str());
 }
 
 TEST(ModelParamsParser, RejectsMalformedStrings) {
@@ -106,6 +101,15 @@ TEST(ModelParamsParser, RejectsMalformedStrings) {
   EXPECT_FALSE(modelFromName("po:ll,fwd,bogus").has_value());
   EXPECT_FALSE(modelFromName("weak").has_value());
   EXPECT_FALSE(modelFromName("ll+ls,fwd").has_value());
+}
+
+TEST(ModelParamsParser, RejectsMultiCopyAtomicityClauses) {
+  // A single total <M is multi-copy atomic, so every point is; the
+  // grammar has no clause to say so or to ask for the opposite.
+  for (const char *Name : {"po:none,nomca", "po:all,mca"}) {
+    EXPECT_FALSE(modelFromName(Name).has_value()) << Name;
+    EXPECT_FALSE(validModelName(Name)) << Name;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -172,13 +176,6 @@ TEST(ModelLattice, ForwardingIsOtherwiseIncomparable) {
   EXPECT_FALSE(atLeastAsStrong(ModelParams::relaxed(), NoFwd));
 }
 
-TEST(ModelLattice, MultiCopyAtomicIsStronger) {
-  ModelParams NoMca = ModelParams::relaxed();
-  NoMca.MultiCopyAtomic = false;
-  EXPECT_TRUE(atLeastAsStrong(ModelParams::relaxed(), NoMca));
-  EXPECT_FALSE(atLeastAsStrong(NoMca, ModelParams::relaxed()));
-}
-
 TEST(ModelLattice, LatticeModelsAreDistinctAndSweepWorthy) {
   const std::vector<ModelParams> &L = latticeModels();
   ASSERT_GE(L.size(), 8u) << "the --models lattice sweep must cover >= 8 "
@@ -192,18 +189,6 @@ TEST(ModelLattice, LatticeModelsAreDistinctAndSweepWorthy) {
     for (size_t J = I + 1; J < L.size(); ++J)
       EXPECT_FALSE(strictlyStronger(L[J], L[I]))
           << modelName(L[J]) << " vs " << modelName(L[I]);
-}
-
-TEST(ModelLattice, NonMcaPointsAreRejectedByTheEncoder) {
-  ModelParams NoMca = ModelParams::relaxed();
-  NoMca.MultiCopyAtomic = false;
-  RunOptions Opts;
-  Opts.Check.Model = NoMca;
-  checker::CheckResult R =
-      runTest(impls::sourceFor("treiber"), testByName("U0"), Opts);
-  EXPECT_EQ(Status::Error, R.Status);
-  EXPECT_NE(std::string::npos, R.Message.find("multi-copy"))
-      << R.Message;
 }
 
 //===----------------------------------------------------------------------===//

@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -39,18 +40,28 @@ using namespace checkfence;
 // Allocation counter for the zero-cost-when-disabled test. Counting is
 // process-wide but the assertion only compares a delta on one thread
 // while no other test runs, so background noise is not an issue (gtest
-// runs tests sequentially within one binary).
+// runs tests sequentially within one binary). Both scalar `new`s are
+// replaced, so every scalar `delete` (all of them free()) pairs with a
+// malloc() whichever `new` allocated: std::stable_sort's temporary buffer
+// comes from the nothrow form.
 static std::atomic<size_t> GAllocCount{0};
 
-void *operator new(size_t N) {
+void *operator new(size_t N, const std::nothrow_t &) noexcept {
   GAllocCount.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(N ? N : 1))
+  return std::malloc(N ? N : 1);
+}
+
+void *operator new(size_t N) {
+  if (void *P = operator new(N, std::nothrow))
     return P;
   throw std::bad_alloc();
 }
 
 void operator delete(void *P) noexcept { std::free(P); }
 void operator delete(void *P, size_t) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 
 namespace {
 

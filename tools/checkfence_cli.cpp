@@ -155,12 +155,11 @@ void listCatalog() {
   for (const TestDesc &T : listTests())
     std::printf("  %-8s (%s)  %s\n", T.Name.c_str(), T.Kind.c_str(),
                 T.Notation.c_str());
-  std::printf("models (strongest first; * = fast reads-from oracle,\n"
-              "                         + = critical-cycle analysis):\n");
+  std::printf("models (strongest first; + = critical-cycle analysis):\n");
   for (const ModelDesc &M : listModels())
-    std::printf("  %-8s %-16s %s%s %s\n", M.Name.c_str(),
-                M.Descriptor.c_str(), M.FastOracle ? "*" : " ",
-                M.Analysis ? "+" : " ", M.Note.c_str());
+    std::printf("  %-8s %-16s %s %s\n", M.Name.c_str(),
+                M.Descriptor.c_str(), M.Analysis ? "+" : " ",
+                M.Note.c_str());
 }
 
 //===----------------------------------------------------------------------===//
