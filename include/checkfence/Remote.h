@@ -67,10 +67,6 @@ public:
   RemoteVerifier(const RemoteVerifier &) = delete;
   RemoteVerifier &operator=(const RemoteVerifier &) = delete;
 
-  /// Request priority class for the daemon's admission queue:
-  /// "high", "normal" (default), or "low".
-  void setPriority(std::string Priority);
-
   /// Server reachability + version probe.
   RemoteStatus version(std::string &VersionOut, int &SchemaOut);
 

@@ -7,10 +7,10 @@
 ///
 /// \file
 /// CheckServer is the embeddable core of the `checkfenced` daemon: an
-/// HTTP/1.1 + JSON-RPC 2.0 front over the Verifier API. Requests land in
-/// one bounded priority queue; a pool of worker threads pops them and
-/// runs each on the daemon's one Verifier, whose result cache is the
-/// only state requests share.
+/// HTTP/1.1 + JSON-RPC 2.0 front over the Verifier API. One I/O thread
+/// owns every socket; requests land in one bounded FIFO queue; a pool
+/// of worker threads pops them and runs each on the daemon's one
+/// Verifier, whose result cache is the only state requests share.
 /// `/metrics` exposes the live counters in Prometheus text format,
 /// `/status` as JSON.
 ///
@@ -41,8 +41,8 @@ struct ServerConfig {
   /// authentication, so exposing it wider is an explicit decision.
   std::string BindAddress = "127.0.0.1";
   /// Worker threads. Each worker runs one request at a time, taking the
-  /// highest-priority queued request next, so this is also the maximum
-  /// number of in-flight requests. All workers share one Verifier.
+  /// oldest queued request next, so this is also the maximum number of
+  /// in-flight requests. All workers share one Verifier.
   int Shards = 2;
   /// Worker threads each request may fan out to (VerifierConfig::Jobs).
   /// Requests cannot raise this: a remote jobs() value is replaced by
@@ -83,7 +83,7 @@ struct ServerStats {
   PoolStats Pool;      ///< always zero (see PoolStats)
 };
 
-/// The daemon core. start() spawns the listener, watcher, and worker
+/// The daemon core. start() spawns the I/O thread and the worker
 /// threads and returns; requestStop() begins a graceful drain
 /// (stop accepting, finish queued + in-flight work); waitStopped()
 /// blocks until the drain completes and persists the cache.

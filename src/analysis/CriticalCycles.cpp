@@ -44,23 +44,6 @@ bool alwaysExecuted(const RangeInfo &R, ValueId G) {
   return true;
 }
 
-/// Sorted candidate-cell intersection (same test the encoder's alias
-/// pruning uses).
-bool cellsIntersect(const RangeInfo &R, int EventA, int EventB) {
-  const std::vector<int> &A = R.EventCells[EventA];
-  const std::vector<int> &B = R.EventCells[EventB];
-  size_t I = 0, J = 0;
-  while (I < A.size() && J < B.size()) {
-    if (A[I] == B[J])
-      return true;
-    if (A[I] < B[J])
-      ++I;
-    else
-      ++J;
-  }
-  return false;
-}
-
 /// Must-alias: both address sets are the same singleton pointer (the
 /// statically decided case of Relaxed axiom 1).
 bool mustAlias(const RangeInfo &R, const FlatEvent &A, const FlatEvent &B) {
@@ -217,7 +200,7 @@ CycleGraph buildCycleGraph(const FlatProgram &P, const RangeInfo &R,
         continue;
       if (!EU.isStore() && !EV.isStore())
         continue;
-      if (!cellsIntersect(R, G.Nodes[U], G.Nodes[V]))
+      if (!R.cellsIntersect(G.Nodes[U], G.Nodes[V]))
         continue;
       G.Adj[U].push_back({static_cast<int>(V), true});
       G.Adj[V].push_back({static_cast<int>(U), true});
@@ -376,7 +359,7 @@ checkfence::analysis::analyzeRobustness(const FlatProgram &P,
         // store of its own thread and read stale or uninitialized
         // memory — a per-location hazard needing no inter-thread cycle.
         bool Hazard = !M.StoreForwarding && EA.isStore() && EB.isLoad() &&
-                      cellsIntersect(R, TG.Events[I], TG.Events[J]);
+                      R.cellsIntersect(TG.Events[I], TG.Events[J]);
         if (Hazard)
           ++Res.CoherenceHazards;
 

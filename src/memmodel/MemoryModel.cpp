@@ -237,22 +237,6 @@ Lit MemoryModelEncoder::execLit(int EventIdx) {
   return VE.guardLit(P.Events[EventIdx].Guard);
 }
 
-bool MemoryModelEncoder::cellsIntersect(int EventA, int EventB) const {
-  const std::vector<int> &A = R.EventCells[EventA];
-  const std::vector<int> &B = R.EventCells[EventB];
-  // Candidate lists are small and sorted (built from ordered sets).
-  size_t I = 0, J = 0;
-  while (I < A.size() && J < B.size()) {
-    if (A[I] == B[J])
-      return true;
-    if (A[I] < B[J])
-      ++I;
-    else
-      ++J;
-  }
-  return false;
-}
-
 Lit MemoryModelEncoder::addrEqLit(int AccessA, int AccessB) {
   if (AccessA > AccessB)
     std::swap(AccessA, AccessB);
@@ -364,7 +348,7 @@ void MemoryModelEncoder::emitConditionalOrderAxioms() {
       if (Params.ordersEdge(EA.isLoad(), /*LaterIsLoad=*/false))
         continue; // already forced unconditionally by the model
       if (EOpts.AliasPruning &&
-          !cellsIntersect(AccessEvent[A], AccessEvent[B]))
+          !R.cellsIntersect(AccessEvent[A], AccessEvent[B]))
         continue;
       Lit Before = Order->before(A, B);
       if (Cnf.isTrue(Before))
@@ -467,7 +451,7 @@ void MemoryModelEncoder::emitValueAxioms() {
     std::vector<int> Cands;
     for (int S : Stores) {
       if (EOpts.AliasPruning &&
-          !cellsIntersect(AccessEvent[S], AccessEvent[L]))
+          !R.cellsIntersect(AccessEvent[S], AccessEvent[L]))
         continue;
       Cands.push_back(S);
     }

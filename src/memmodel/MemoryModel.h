@@ -237,7 +237,6 @@ public:
 
 private:
   encode::Lit addrEqLit(int AccessA, int AccessB);
-  bool cellsIntersect(int EventA, int EventB) const;
   void collectForcedPairs(std::vector<std::pair<int, int>> &Forced);
   void emitConditionalOrderAxioms();
   void emitFenceAxioms();

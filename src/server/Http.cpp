@@ -12,10 +12,8 @@
 #include <cstdlib>
 #include <cstring>
 
-#include <arpa/inet.h>
 #include <netdb.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -23,6 +21,10 @@ using namespace checkfence;
 using namespace checkfence::server;
 
 namespace {
+
+/// A header block past this is refused. Nothing this protocol sends
+/// comes near it, and it bounds the scan for the blank line.
+constexpr size_t MaxHeaderBytes = 64u << 10;
 
 /// Bodies beyond this are refused: requests are JSON-RPC envelopes
 /// (source texts included), responses are rendered reports - 64 MiB is
@@ -41,22 +43,6 @@ std::string trimmed(const std::string &S) {
     return std::string();
   size_t E = S.find_last_not_of(" \t\r");
   return S.substr(B, E - B + 1);
-}
-
-/// Appends data from \p Fd to \p Buf until \p Done says the buffer is
-/// complete. False on EOF/error before completion.
-template <typename DoneFn>
-bool readUntil(int Fd, std::string &Buf, DoneFn Done) {
-  char Chunk[16384];
-  while (!Done(Buf)) {
-    ssize_t N = ::recv(Fd, Chunk, sizeof Chunk, 0);
-    if (N <= 0)
-      return false;
-    Buf.append(Chunk, static_cast<size_t>(N));
-    if (Buf.size() > MaxBodyBytes)
-      return false;
-  }
-  return true;
 }
 
 /// Parses "NAME: value" header lines from [\p Begin, \p End) of \p Raw.
@@ -80,13 +66,7 @@ void parseHeaderLines(const std::string &Raw, size_t Begin, size_t End,
 bool sendAll(int Fd, const std::string &Data) {
   size_t Sent = 0;
   while (Sent < Data.size()) {
-    ssize_t N = ::send(Fd, Data.data() + Sent, Data.size() - Sent,
-#ifdef MSG_NOSIGNAL
-                       MSG_NOSIGNAL
-#else
-                       0
-#endif
-    );
+    ssize_t N = sendNoSignal(Fd, Data.data() + Sent, Data.size() - Sent);
     if (N <= 0)
       return false;
     Sent += static_cast<size_t>(N);
@@ -115,64 +95,68 @@ const char *reasonPhrase(int Code) {
   }
 }
 
-/// Reads headers + a Content-Length body from \p Fd. Shared by the
-/// server (request) and client (response) paths; \p StartLine receives
-/// the first line verbatim.
-bool readFramed(int Fd, std::string &StartLine,
-                std::map<std::string, std::string> &Headers,
-                std::string &Body, std::string &Error) {
-  std::string Buf;
-  if (!readUntil(Fd, Buf, [](const std::string &B) {
-        return B.find("\r\n\r\n") != std::string::npos;
-      })) {
-    Error = "connection closed before headers completed";
-    return false;
+/// Reads one framed message from \p Fd (blocking).
+bool readFramed(int Fd, HttpFramer &F, std::string &Error) {
+  char Chunk[16384];
+  HttpFramer::Status S = HttpFramer::Status::NeedMore;
+  while (S == HttpFramer::Status::NeedMore) {
+    ssize_t N = ::recv(Fd, Chunk, sizeof Chunk, 0);
+    if (N <= 0) {
+      Error = "connection closed before the response was complete";
+      return false;
+    }
+    S = F.feed(Chunk, static_cast<size_t>(N));
   }
-  size_t HeaderEnd = Buf.find("\r\n\r\n");
-  size_t FirstEol = Buf.find("\r\n");
-  StartLine = Buf.substr(0, FirstEol);
-  parseHeaderLines(Buf, FirstEol + 2, HeaderEnd, Headers);
-
-  size_t Length = 0;
-  auto It = Headers.find("content-length");
-  if (It != Headers.end())
-    Length = std::strtoull(It->second.c_str(), nullptr, 10);
-  if (Length > MaxBodyBytes) {
-    Error = "body too large";
-    return false;
-  }
-  size_t BodyStart = HeaderEnd + 4;
-  if (!readUntil(Fd, Buf, [&](const std::string &B) {
-        return B.size() >= BodyStart + Length;
-      })) {
-    Error = "connection closed mid-body";
-    return false;
-  }
-  Body = Buf.substr(BodyStart, Length);
-  return true;
+  Error = F.Error;
+  return S == HttpFramer::Status::Complete;
 }
 
 } // namespace
 
-bool checkfence::server::readHttpRequest(int Fd, HttpRequest &Out,
-                                         std::string &Error) {
-  std::string StartLine;
-  if (!readFramed(Fd, StartLine, Out.Headers, Out.Body, Error))
-    return false;
-  size_t Sp1 = StartLine.find(' ');
-  size_t Sp2 = Sp1 == std::string::npos ? std::string::npos
-                                        : StartLine.find(' ', Sp1 + 1);
-  if (Sp2 == std::string::npos) {
-    Error = "malformed request line";
-    return false;
+HttpFramer::Status HttpFramer::feed(const char *Data, size_t Size) {
+  size_t Scanned = Buf.size();
+  Buf.append(Data, Size);
+  if (HeaderEnd == std::string::npos) {
+    // Resume the search where the last chunk ended, less a partial
+    // terminator, so a header block streamed in small pieces is scanned
+    // once.
+    HeaderEnd = Buf.find("\r\n\r\n", Scanned < 3 ? 0 : Scanned - 3);
+    if (HeaderEnd == std::string::npos ? Buf.size() > MaxHeaderBytes
+                                       : HeaderEnd > MaxHeaderBytes) {
+      Error = "header block too large";
+      return Status::Malformed;
+    }
+    if (HeaderEnd == std::string::npos)
+      return Status::NeedMore;
+    size_t FirstEol = Buf.find("\r\n");
+    StartLine = Buf.substr(0, FirstEol);
+    parseHeaderLines(Buf, FirstEol + 2, HeaderEnd, Headers);
+    if (auto It = Headers.find("content-length"); It != Headers.end())
+      Length = std::strtoull(It->second.c_str(), nullptr, 10);
+    if (Length > MaxBodyBytes) {
+      Error = "body too large";
+      return Status::Malformed;
+    }
   }
-  Out.Method = StartLine.substr(0, Sp1);
-  Out.Path = StartLine.substr(Sp1 + 1, Sp2 - Sp1 - 1);
-  return true;
+  size_t BodyStart = HeaderEnd + 4;
+  if (Buf.size() < BodyStart + Length)
+    return Status::NeedMore;
+  Buf.erase(0, BodyStart);
+  Buf.resize(Length);
+  Body = std::move(Buf);
+  return Status::Complete;
 }
 
-bool checkfence::server::writeHttpResponse(int Fd,
-                                           const HttpResponse &R) {
+ssize_t checkfence::server::sendNoSignal(int Fd, const char *Data,
+                                        size_t Size) {
+#ifdef MSG_NOSIGNAL
+  return ::send(Fd, Data, Size, MSG_NOSIGNAL);
+#else
+  return ::send(Fd, Data, Size, 0);
+#endif
+}
+
+std::string checkfence::server::renderHttpResponse(const HttpResponse &R) {
   std::string Out = formatString("HTTP/1.1 %d %s\r\n", R.StatusCode,
                                  reasonPhrase(R.StatusCode));
   Out += "Content-Type: " + R.ContentType + "\r\n";
@@ -181,7 +165,7 @@ bool checkfence::server::writeHttpResponse(int Fd,
     Out += Name + ": " + Value + "\r\n";
   Out += "Connection: close\r\n\r\n";
   Out += R.Body;
-  return sendAll(Fd, Out);
+  return Out;
 }
 
 bool checkfence::server::parseServerUrl(const std::string &Url,
@@ -262,19 +246,20 @@ HttpResult checkfence::server::httpRequest(
     return R;
   }
 
-  std::string StartLine;
-  if (!readFramed(Fd, StartLine, R.Headers, R.Body, R.Error)) {
-    ::close(Fd);
-    return R;
-  }
+  HttpFramer F;
+  bool Read = readFramed(Fd, F, R.Error);
   ::close(Fd);
+  if (!Read)
+    return R;
+  R.Headers = std::move(F.Headers);
+  R.Body = std::move(F.Body);
   // "HTTP/1.1 200 OK"
-  size_t Sp = StartLine.find(' ');
+  size_t Sp = F.StartLine.find(' ');
   if (Sp == std::string::npos) {
     R.Error = "malformed status line";
     return R;
   }
-  R.StatusCode = std::atoi(StartLine.c_str() + Sp + 1);
+  R.StatusCode = std::atoi(F.StartLine.c_str() + Sp + 1);
   if (R.StatusCode <= 0) {
     R.Error = "malformed status line";
     return R;

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The dependency-free HTTP/1.1 slice the checkfenced daemon and the
-/// remote client share: blocking POSIX-socket I/O, request/response
-/// framing by Content-Length, `Connection: close` semantics (one request
-/// per connection - verification requests are long-lived, so connection
-/// reuse buys nothing and keeping the framing trivial buys a lot).
+/// remote client share: incremental framing by Content-Length, and
+/// `Connection: close` semantics (one request per connection -
+/// verification requests are long-lived, so connection reuse buys
+/// nothing and keeping the framing trivial buys a lot).
 ///
 /// Deliberately not a general HTTP implementation: no chunked encoding,
 /// no keep-alive, no TLS, header names case-folded to lowercase on read.
@@ -22,6 +22,8 @@
 #include <map>
 #include <string>
 
+#include <sys/types.h>
+
 namespace checkfence {
 namespace server {
 
@@ -29,17 +31,32 @@ namespace server {
 /// an explicit port resolve to). Kept in sync with ServerConfig::Port.
 inline constexpr int ServerDefaultPort = 8417;
 
-/// Seconds checkfenced waits for the next bytes of a request on an
-/// accepted connection before dropping it, so a client that connects and
-/// sends nothing can neither pin a connection thread nor stall a drain.
+/// Seconds a checkfenced client may stall while it sends its request or
+/// reads its response before the daemon drops it, so a silent client can
+/// neither hold a connection nor stall a drain.
 inline constexpr int ServerReadTimeoutSeconds = 5;
 
-/// One parsed request. Header names are lowercased.
-struct HttpRequest {
-  std::string Method;
-  std::string Path;
-  std::map<std::string, std::string> Headers;
+/// Frames one HTTP message - a start line, header lines and a
+/// Content-Length body - from bytes as they arrive. The header block is
+/// capped at 64 KiB and the body at 64 MiB.
+class HttpFramer {
+public:
+  enum class Status { NeedMore, Complete, Malformed };
+
+  /// Appends \p Size bytes. Complete fills StartLine, Headers and Body
+  /// (bytes past the body are dropped); Malformed sets Error. Feed no
+  /// more after either.
+  Status feed(const char *Data, size_t Size);
+
+  std::string StartLine;
+  std::map<std::string, std::string> Headers; ///< lowercased names
   std::string Body;
+  std::string Error; ///< why the message is Malformed
+
+private:
+  std::string Buf;
+  size_t HeaderEnd = std::string::npos; ///< offset of "\r\n\r\n"
+  size_t Length = 0;                    ///< Content-Length
 };
 
 /// One response to send. Extra headers are emitted verbatim.
@@ -50,12 +67,12 @@ struct HttpResponse {
   std::string Body;
 };
 
-/// Reads one request from \p Fd (blocking). False + \p Error on EOF,
-/// malformed framing, or a body larger than the (generous) cap.
-bool readHttpRequest(int Fd, HttpRequest &Out, std::string &Error);
+/// \p R on the wire, with Content-Length and `Connection: close`.
+std::string renderHttpResponse(const HttpResponse &R);
 
-/// Writes \p R to \p Fd with Content-Length and `Connection: close`.
-bool writeHttpResponse(int Fd, const HttpResponse &R);
+/// One send() on \p Fd that never raises SIGPIPE when the peer has gone
+/// away; returns what send() returns.
+ssize_t sendNoSignal(int Fd, const char *Data, size_t Size);
 
 /// Result of a client-side call. Ok means a well-formed response
 /// arrived - inspect StatusCode for the HTTP-level outcome.

@@ -27,7 +27,6 @@ struct RemoteVerifier::Impl {
   std::string Host;
   int Port = 0;
   std::string UrlError; ///< set when the base URL failed to parse
-  std::string Priority = "normal";
   int NextId = 1;
 
   /// Posts \p Req to the method that serves \p Served requests. On
@@ -68,8 +67,6 @@ struct RemoteVerifier::Impl {
     }
     int Id = NextId++;
     std::map<std::string, std::string> Headers;
-    if (Priority != "normal")
-      Headers["X-Checkfence-Priority"] = Priority;
     if (T)
       Headers["X-Checkfence-Trace"] = "1";
     uint64_t SentNs = T ? T->nowNs() : 0;
@@ -141,10 +138,6 @@ RemoteVerifier::RemoteVerifier(std::string BaseUrl)
 }
 
 RemoteVerifier::~RemoteVerifier() = default;
-
-void RemoteVerifier::setPriority(std::string Priority) {
-  Self->Priority = std::move(Priority);
-}
 
 RemoteStatus RemoteVerifier::version(std::string &VersionOut,
                                      int &SchemaOut) {

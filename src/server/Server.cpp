@@ -4,28 +4,23 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Thread architecture:
+// Thread architecture (Shards + 1 threads, however many clients):
 //
-//   listener ---- accepts, spawns one connection thread per socket
-//   connection -- parses HTTP + JSON-RPC, enqueues a Job on the queue,
-//                 waits on the job's future while polling its own socket
-//                 (a client that hangs up cancels the job's CancelToken),
-//                 writes the response
-//   worker (xN) - pops Jobs from the one queue by priority and runs them
-//                 on the one Verifier (one request at a time per worker;
-//                 intra-request parallelism comes from JobsPerShard)
+//   I/O thread --- one poll() loop owns the listening socket and every
+//                  client socket. It accepts, frames each request as its
+//                  bytes arrive, decodes JSON-RPC and either answers at
+//                  once (version, 4xx, 429, 503, /metrics, /status) or
+//                  admits a Job to the queue; it cancels the Job of a
+//                  client that hangs up and writes responses without
+//                  blocking. The nearest client deadline
+//                  (ServerReadTimeoutSeconds) is the poll timeout.
+//   worker (xN) -- pops Jobs from the one FIFO queue, runs each on the one
+//                  Verifier, stores the reply on the Job and writes a
+//                  byte to the wake pipe.
 //
-// Only a socket's own connection thread ever touches it, so a socket is
-// never polled after it is closed.
-//
-// Admission control happens on the connection thread: when the queued
-// count reaches QueueDepth the request is answered 429 + Retry-After
-// without ever reaching the queue. Accepted sockets carry a receive
-// timeout (ServerReadTimeoutSeconds), so a client that connects and
-// never sends a request is dropped instead of holding its connection
-// thread. A graceful drain stops the listener, lets the queue empty
-// (every queued job has a connection thread waiting on it), joins
-// everything, and persists the cache.
+// A graceful drain closes the listening socket and serves the connected
+// clients to the end; then the workers empty the queue (jobs whose
+// clients hung up still run, cancelled), and the cache is persisted.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,24 +38,24 @@
 #include "support/Json.h"
 #include "support/JsonParse.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <functional>
-#include <future>
-#include <list>
 #include <mutex>
+#include <sstream>
 #include <thread>
 #include <vector>
 
+#include <cerrno>
 #include <cstring>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #if defined(__GLIBC__)
@@ -91,63 +86,51 @@ public:
   obs::Counter *Scenarios = nullptr;
 };
 
-/// How often a connection thread waiting for its job's response checks
-/// whether the client has hung up.
-constexpr std::chrono::milliseconds HangUpPollInterval{50};
+using Clock = std::chrono::steady_clock;
 
-/// True when the peer of \p Fd has closed or reset the connection. The
-/// protocol is one request per connection, so a readable socket whose
-/// request was already read means EOF; the peek tells it from stray
-/// bytes.
-bool peerHungUp(int Fd) {
-  struct pollfd P;
-  P.fd = Fd;
-  P.events = POLLIN;
-  P.revents = 0;
-  if (::poll(&P, 1, 0) <= 0)
-    return false;
-  if (P.revents & (POLLERR | POLLHUP | POLLNVAL))
-    return true;
-  char C;
-  return (P.revents & POLLIN) &&
-         ::recv(Fd, &C, 1, MSG_PEEK | MSG_DONTWAIT) == 0;
-}
-
-/// One queued request: the closure runs on a worker and renders
-/// the JSON-RPC response body; the connection thread waits on Done.
+/// One admitted request. The I/O thread holds it while its client
+/// waits; the worker that runs it stores the reply and sets Done.
 struct Job {
-  int Priority = 1; // 0 high, 1 normal, 2 low
-  std::function<std::string()> Run;
-  std::promise<std::string> Done;
-  /// Short request-kind name ("check", "matrix", ...) for the latency
-  /// histogram label and the slow-request log.
-  const char *KindName = "?";
+  Request Req;
+  int Id = 0; ///< the JSON-RPC id
+  /// Cancelled when the client hangs up before its reply is sent.
+  CancelToken Token;
   /// Admission time, for the queue-wait histogram.
-  std::chrono::steady_clock::time_point EnqueuedAt;
+  Clock::time_point EnqueuedAt;
   /// Per-request tracer (X-Checkfence-Trace round-trip); null for the
   /// common untraced case.
   std::shared_ptr<obs::Tracer> Tracer;
   /// Enqueue instant in the tracer's clock, for the queue_wait span.
   uint64_t EnqueueNs = 0;
+  /// The JSON-RPC response body, written by the worker before Done.
+  std::string Reply;
+  std::atomic<bool> Done{false};
 };
 
-int priorityFromName(const std::string &Name) {
-  if (Name == "high")
-    return 0;
-  if (Name == "low")
-    return 2;
-  return 1;
+Clock::time_point idleDeadline() {
+  return Clock::now() + std::chrono::seconds(ServerReadTimeoutSeconds);
 }
 
-const char *priorityName(int Priority) {
-  switch (Priority) {
-  case 0:
-    return "high";
-  case 2:
-    return "low";
-  default:
-    return "normal";
-  }
+/// One accepted connection; only the I/O thread touches it.
+struct Client {
+  int Fd = -1; ///< -1 once closed
+  HttpFramer In;
+  /// The admitted request while it is queued or running.
+  std::shared_ptr<Job> J;
+  /// The response; once set, the loop only writes.
+  std::string Out;
+  size_t Sent = 0;
+  /// Dropped at this instant; max() while J is set.
+  Clock::time_point Deadline = idleDeadline();
+};
+
+bool setNonBlocking(int Fd) {
+  int Flags = ::fcntl(Fd, F_GETFL, 0);
+  return Flags >= 0 && ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) == 0;
+}
+
+bool wouldBlock() {
+  return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
 }
 
 } // namespace
@@ -163,27 +146,28 @@ struct CheckServer::Impl {
   std::unique_ptr<Verifier> V;
   MetricsSink Sink;
 
-  int ListenFd = -1;
+  int ListenFd = -1; ///< closed by the I/O thread when the drain begins
   int BoundPort = 0;
-  std::thread Listener;
+  int Wake[2] = {-1, -1}; ///< the pipe that wakes the I/O thread's poll()
+  std::vector<Client> Clients;
 
   std::atomic<bool> Started{false};
   std::atomic<bool> Stopping{false};
   std::atomic<bool> Drained{false};
 
-  // The work queue: one deque per priority class (0 high, 1 normal,
-  // 2 low), all guarded by QueueMu.
+  // The work queue, first in first out, guarded by QueueMu.
   std::mutex QueueMu;
   std::condition_variable QueueCv;
-  std::deque<std::unique_ptr<Job>> Queues[3];
-  /// Set only after every connection thread has exited: a worker must
-  /// never quit while a connection could still enqueue, or that job
-  /// (and its waiting connection) would hang forever.
+  std::deque<std::shared_ptr<Job>> Queue;
+  /// Set only after the I/O thread has exited: a worker must never quit
+  /// while a client could still be admitted, or that job (and its
+  /// waiting client) would hang forever.
   bool WorkersExit = false;
   // Written under QueueMu, read lock-free by snapshot().
   std::atomic<size_t> Queued{0}, InFlight{0};
   /// The worker pool: Cfg.Shards threads popping the queue.
   std::vector<std::thread> Workers;
+  std::thread Io;
 
   // Metrics registry (one per server instance so parallel in-process
   // servers - the test suites boot several - stay isolated). The
@@ -235,39 +219,37 @@ struct CheckServer::Impl {
         obs::latencyBuckets());
     QueueWaitSeconds = &Reg.histogramFamily(
         "checkfence_queue_wait_seconds",
-        "time from admission to worker pickup, by priority class",
-        "priority", obs::latencyBuckets());
+        "time from admission to worker pickup, by request kind", "kind",
+        obs::latencyBuckets());
     // Pre-create the label values so every series renders (as zeros)
     // from the first scrape and the exposition shape is stable.
-    for (const RequestKindName &N : RequestKinds)
+    for (const RequestKindName &N : RequestKinds) {
       RequestSeconds->withLabel(N.Label);
-    for (const char *P : {"high", "normal", "low"})
-      QueueWaitSeconds->withLabel(P);
+      QueueWaitSeconds->withLabel(N.Label);
+    }
   }
 
-  // Connection threads, reaped opportunistically by the listener.
-  struct Conn {
-    std::thread T;
-    std::atomic<bool> Finished{false};
-  };
-  std::mutex ConnMu;
-  std::list<std::unique_ptr<Conn>> Conns;
-  std::atomic<size_t> ActiveConns{0};
-
-  ~Impl() = default;
+  ~Impl() {
+    for (int Fd : Wake)
+      if (Fd >= 0)
+        ::close(Fd);
+  }
 
   //===------------------------------------------------------------===//
   // The work queue
   //===------------------------------------------------------------===//
 
+  /// Wakes the I/O thread's poll(). A full pipe holds a wake-up already.
+  void wake() { [[maybe_unused]] ssize_t N = ::write(Wake[1], "", 1); }
+
   /// False when the queue is full (admission rejection).
-  bool enqueue(std::unique_ptr<Job> J) {
+  bool enqueue(std::shared_ptr<Job> J) {
     {
       std::lock_guard<std::mutex> Lock(QueueMu);
       if (Queued.load() >= static_cast<size_t>(Cfg.QueueDepth))
         return false;
       Queued.fetch_add(1);
-      Queues[J->Priority].push_back(std::move(J));
+      Queue.push_back(std::move(J));
     }
     QueueCv.notify_one();
     return true;
@@ -275,50 +257,44 @@ struct CheckServer::Impl {
 
   void workerLoop() {
     while (true) {
-      std::unique_ptr<Job> J;
+      std::shared_ptr<Job> J;
       {
         std::unique_lock<std::mutex> Lock(QueueMu);
-        QueueCv.wait(Lock, [&] { return WorkersExit || Queued.load() > 0; });
-        for (auto &Q : Queues)
-          if (!Q.empty()) {
-            J = std::move(Q.front());
-            Q.pop_front();
-            break;
-          }
-        if (!J)
+        QueueCv.wait(Lock, [&] { return WorkersExit || !Queue.empty(); });
+        if (Queue.empty())
           return; // drained: queue empty and no more arrivals
+        J = std::move(Queue.front());
+        Queue.pop_front();
         Queued.fetch_sub(1);
         InFlight.fetch_add(1);
       }
-      double Waited = std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - J->EnqueuedAt)
-                          .count();
-      QueueWaitSeconds->withLabel(priorityName(J->Priority))
-          .observe(Waited);
+      const char *Kind = requestKind(J->Req.RequestKind).Label;
+      double Waited =
+          std::chrono::duration<double>(Clock::now() - J->EnqueuedAt)
+              .count();
+      QueueWaitSeconds->withLabel(Kind).observe(Waited);
       if (J->Tracer)
         J->Tracer->record("server", "queue_wait", J->EnqueueNs,
                           J->Tracer->nowNs());
-      std::chrono::steady_clock::time_point RunStart =
-          std::chrono::steady_clock::now();
-      std::string Payload = J->Run();
-      double RunSeconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - RunStart)
-                              .count();
-      // Observe and log before fulfilling the promise: a client that
+      Clock::time_point RunStart = Clock::now();
+      J->Reply = runRequest(J->Req, J->Id, J->Token, J->Tracer.get());
+      double RunSeconds =
+          std::chrono::duration<double>(Clock::now() - RunStart).count();
+      // Observe and log before the reply is released: a client that
       // has received its response is guaranteed to see this request in
       // a subsequent /metrics scrape.
-      RequestSeconds->withLabel(J->KindName).observe(RunSeconds);
+      RequestSeconds->withLabel(Kind).observe(RunSeconds);
       obs::logf(obs::LogLevel::Info, "server",
-                "%s finished in %.3fs (waited %.3fs, %s priority)",
-                J->KindName, RunSeconds, Waited,
-                priorityName(J->Priority));
+                "%s finished in %.3fs (waited %.3fs)", Kind, RunSeconds,
+                Waited);
       if (Cfg.SlowRequestSeconds > 0 &&
           RunSeconds > Cfg.SlowRequestSeconds)
         obs::logf(obs::LogLevel::Warn, "server",
                   "slow request: %s took %.3fs (threshold %.3fs)",
-                  J->KindName, RunSeconds, Cfg.SlowRequestSeconds);
+                  Kind, RunSeconds, Cfg.SlowRequestSeconds);
       InFlight.fetch_sub(1);
-      J->Done.set_value(std::move(Payload));
+      J->Done.store(true);
+      wake();
 #if defined(__GLIBC__)
       // Any worker may run any request, so without this every worker's
       // malloc arena would keep the peak of the largest check it ever
@@ -422,11 +398,11 @@ struct CheckServer::Impl {
   }
 
   //===------------------------------------------------------------===//
-  // HTTP routing (runs on a connection thread)
+  // JSON-RPC decoding and admission (runs on the I/O thread)
   //===------------------------------------------------------------===//
 
-  HttpResponse handleRpc(const HttpRequest &Http, int Fd) {
-    HttpResponse Resp;
+  /// The admitted job, or null with \p Resp set to the answer.
+  std::shared_ptr<Job> handleRpc(const HttpFramer &Http, HttpResponse &Resp) {
     JsonValue Root;
     std::string ParseError;
     if (!support::parseJson(Http.Body, Root, ParseError) ||
@@ -436,7 +412,7 @@ struct CheckServer::Impl {
                                               ? "body is not an object"
                                               : ParseError,
                            0);
-      return Resp;
+      return nullptr;
     }
     const JsonValue *IdV = Root.find("id");
     int Id = IdV ? IdV->asInt() : 0;
@@ -449,7 +425,7 @@ struct CheckServer::Impl {
       O.field("schema", JsonSchemaVersion);
       Resp.Body = rpcResult(O.str(), Id);
       MServed->add();
-      return Resp;
+      return nullptr;
     }
 
     bool Recognized = false;
@@ -460,7 +436,7 @@ struct CheckServer::Impl {
       Resp.Body =
           rpcError(RpcMethodNotFound, "unknown method '" + Method + "'",
                    Id);
-      return Resp;
+      return nullptr;
     }
 
     const JsonValue *Params = Root.find("params");
@@ -472,7 +448,7 @@ struct CheckServer::Impl {
                            DecodeError.empty() ? "missing params"
                                                : DecodeError,
                            Id);
-      return Resp;
+      return nullptr;
     }
     const RequestKindName &Kind = requestKind(Req.RequestKind);
     if (Method != Kind.Method) {
@@ -482,7 +458,7 @@ struct CheckServer::Impl {
                                "' is not served by method '" + Method +
                                "' (use '" + Kind.Method + "')",
                            Id);
-      return Resp;
+      return nullptr;
     }
 
     // Server policy overrides. Thread allowance belongs to the daemon
@@ -500,35 +476,22 @@ struct CheckServer::Impl {
     if (Stopping.load()) {
       Resp.StatusCode = 503;
       Resp.Body = rpcError(RpcShuttingDown, "server is draining", Id);
-      return Resp;
+      return nullptr;
     }
 
-    int Priority = 1;
-    if (auto It = Http.Headers.find("x-checkfence-priority");
-        It != Http.Headers.end())
-      Priority = priorityFromName(It->second);
-
+    auto J = std::make_shared<Job>();
+    J->Req = std::move(Req);
+    J->Id = Id;
+    J->EnqueuedAt = Clock::now();
     // An X-Checkfence-Trace header opts this request into server-side
     // span collection: the spans ride back to the client inside the
     // result envelope and are merged into its local timeline.
-    std::shared_ptr<obs::Tracer> ReqTracer;
-    if (Http.Headers.count("x-checkfence-trace"))
-      ReqTracer = std::make_shared<obs::Tracer>();
+    if (Http.Headers.count("x-checkfence-trace")) {
+      J->Tracer = std::make_shared<obs::Tracer>();
+      J->EnqueueNs = J->Tracer->nowNs();
+    }
 
-    CancelToken Token;
-    auto J = std::make_unique<Job>();
-    J->Priority = Priority;
-    J->KindName = Kind.Label;
-    J->Tracer = ReqTracer;
-    J->Run = [this, Req = std::move(Req), Id, Token, ReqTracer] {
-      return runRequest(Req, Id, Token, ReqTracer.get());
-    };
-    std::future<std::string> Done = J->Done.get_future();
-    J->EnqueuedAt = std::chrono::steady_clock::now();
-    if (ReqTracer)
-      J->EnqueueNs = ReqTracer->nowNs();
-
-    if (!enqueue(std::move(J))) {
+    if (!enqueue(J)) {
       MRejected->add();
       obs::logf(obs::LogLevel::Warn, "server",
                 "queue full, rejecting %s request (depth %d)", Kind.Label,
@@ -536,20 +499,14 @@ struct CheckServer::Impl {
       Resp.StatusCode = 429;
       Resp.Headers["Retry-After"] = "1";
       Resp.Body = rpcError(RpcQueueFull, "request queue is full", Id);
-      return Resp;
+      return nullptr;
     }
 
     // From here the job WILL run (drain finishes queued work). While it
-    // is queued or running, a client that hangs up cancels it, so an
-    // abandoned request stops consuming a worker at its next phase
-    // boundary.
-    while (Done.wait_for(HangUpPollInterval) != std::future_status::ready)
-      if (peerHungUp(Fd)) {
-        Token.cancel();
-        break;
-      }
-    Resp.Body = Done.get();
-    return Resp;
+    // is queued or running, a client that hangs up cancels it (see
+    // readFrom), so an abandoned request stops consuming a worker at
+    // its next phase boundary.
+    return J;
   }
 
   /// Mirror the values that live outside the registry - the queue
@@ -633,76 +590,156 @@ struct CheckServer::Impl {
     return S;
   }
 
-  void serveConnection(int Fd) {
-    HttpRequest Http;
-    std::string Error;
-    if (readHttpRequest(Fd, Http, Error)) {
-      HttpResponse Resp;
-      if (Http.Method == "POST" && Http.Path == "/rpc") {
-        Resp = handleRpc(Http, Fd);
-      } else if (Http.Method == "GET" && Http.Path == "/metrics") {
-        Resp.ContentType = "text/plain; version=0.0.4";
-        Resp.Body = metricsText();
-      } else if (Http.Method == "GET" && Http.Path == "/status") {
-        Resp.Body = statusJson();
-      } else if (Http.Path == "/rpc" || Http.Path == "/metrics" ||
-                 Http.Path == "/status" ||
-                 (Http.Method != "GET" && Http.Method != "POST")) {
-        // A known endpoint with the wrong verb (or an unknown verb
-        // anywhere) is 405, not 404.
-        Resp.StatusCode = 405;
-        Resp.ContentType = "text/plain";
-        Resp.Body = "method not allowed\n";
-      } else {
-        Resp.StatusCode = 404;
-        Resp.ContentType = "text/plain";
-        Resp.Body = "not found (try /rpc, /metrics, /status)\n";
+  //===------------------------------------------------------------===//
+  // The I/O thread
+  //===------------------------------------------------------------===//
+
+  void ioLoop() {
+    std::vector<struct pollfd> Fds;
+    while (true) {
+      if (Stopping.load() && ListenFd >= 0) {
+        ::close(ListenFd);
+        ListenFd = -1;
       }
-      writeHttpResponse(Fd, Resp);
+      Clock::time_point Now = Clock::now(), Next = Clock::time_point::max();
+      for (Client &C : Clients)
+        if (C.J && C.J->Done.load()) {
+          HttpResponse Resp;
+          Resp.Body = std::move(C.J->Reply);
+          C.J.reset();
+          respond(C, Resp);
+        } else if (C.Deadline <= Now) {
+          closeClient(C);
+        }
+      Clients.erase(std::remove_if(Clients.begin(), Clients.end(),
+                                   [](const Client &C) { return C.Fd < 0; }),
+                    Clients.end());
+      if (Stopping.load() && Clients.empty())
+        return;
+
+      // poll() skips the negative ListenFd of a draining server.
+      Fds.assign({{Wake[0], POLLIN, 0}, {ListenFd, POLLIN, 0}});
+      for (const Client &C : Clients) {
+        Fds.push_back({C.Fd, short(C.Out.empty() ? POLLIN : POLLOUT), 0});
+        Next = std::min(Next, C.Deadline);
+      }
+      auto Wait = std::chrono::ceil<std::chrono::milliseconds>(Next - Now);
+      int TimeoutMs = Next == Clock::time_point::max() ? -1 : int(Wait.count());
+      if (::poll(Fds.data(), Fds.size(), TimeoutMs) < 0)
+        continue; // EINTR
+      char Drain[64];
+      if (Fds[0].revents)
+        while (::read(Wake[0], Drain, sizeof Drain) > 0) {
+        }
+      for (size_t I = 2; I < Fds.size(); ++I) {
+        Client &C = Clients[I - 2];
+        if (Fds[I].revents && C.Out.empty())
+          readFrom(C);
+        else if (Fds[I].revents)
+          flush(C);
+      }
+      if (Fds[1].revents)
+        acceptClients();
     }
-    ::shutdown(Fd, SHUT_RDWR);
-    ::close(Fd);
   }
 
-  void listenerLoop() {
-    while (!Stopping.load()) {
-      struct pollfd P;
-      P.fd = ListenFd;
-      P.events = POLLIN;
-      P.revents = 0;
-      if (::poll(&P, 1, 100) <= 0)
-        continue;
-      int Fd = ::accept(ListenFd, nullptr, nullptr);
-      if (Fd < 0)
-        continue;
-      struct timeval Timeout;
-      Timeout.tv_sec = ServerReadTimeoutSeconds;
-      Timeout.tv_usec = 0;
-      ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof Timeout);
+  void acceptClients() {
+    for (int Fd; (Fd = ::accept(ListenFd, nullptr, nullptr)) >= 0;) {
       MAccepted->add();
-      reapConnections();
-      auto C = std::make_unique<Conn>();
-      Conn *Raw = C.get();
-      ActiveConns.fetch_add(1);
-      Raw->T = std::thread([this, Fd, Raw] {
-        serveConnection(Fd);
-        Raw->Finished.store(true);
-        ActiveConns.fetch_sub(1);
-      });
-      std::lock_guard<std::mutex> Lock(ConnMu);
-      Conns.push_back(std::move(C));
+      Clients.emplace_back();
+      Clients.back().Fd = Fd;
+      if (!setNonBlocking(Fd))
+        closeClient(Clients.back());
     }
   }
 
-  void reapConnections() {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    for (auto It = Conns.begin(); It != Conns.end();)
-      if ((*It)->Finished.load()) {
-        (*It)->T.join();
-        It = Conns.erase(It);
-      } else {
-        ++It;
+  void closeClient(Client &C) {
+    ::close(C.Fd);
+    C.Fd = -1;
+  }
+
+  /// One read from a client. A hang-up cancels its job; bytes after a
+  /// complete request are dropped.
+  void readFrom(Client &C) {
+    char Chunk[65536];
+    ssize_t N = ::recv(C.Fd, Chunk, sizeof Chunk, 0);
+    if (N < 0 && wouldBlock())
+      return;
+    if (N <= 0) {
+      if (C.J)
+        C.J->Token.cancel();
+      closeClient(C);
+      return;
+    }
+    if (C.J)
+      return;
+    C.Deadline = idleDeadline();
+    HttpFramer::Status S = C.In.feed(Chunk, static_cast<size_t>(N));
+    if (S == HttpFramer::Status::Malformed)
+      closeClient(C);
+    else if (S == HttpFramer::Status::Complete)
+      route(C);
+  }
+
+  /// Answers the request \p C has framed, or admits its job.
+  void route(Client &C) {
+    HttpFramer Http = std::move(C.In);
+    std::istringstream RequestLine(Http.StartLine);
+    std::string Method, Path;
+    if (!(RequestLine >> Method >> Path)) {
+      closeClient(C);
+      return;
+    }
+    HttpResponse Resp;
+    if (Method == "POST" && Path == "/rpc") {
+      C.J = handleRpc(Http, Resp);
+      if (C.J) {
+        C.Deadline = Clock::time_point::max();
+        return;
       }
+    } else if (Method == "GET" && Path == "/metrics") {
+      Resp.ContentType = "text/plain; version=0.0.4";
+      Resp.Body = metricsText();
+    } else if (Method == "GET" && Path == "/status") {
+      Resp.Body = statusJson();
+    } else if (Path == "/rpc" || Path == "/metrics" || Path == "/status" ||
+               (Method != "GET" && Method != "POST")) {
+      // A known endpoint with the wrong verb (or an unknown verb
+      // anywhere) is 405, not 404.
+      Resp.StatusCode = 405;
+      Resp.ContentType = "text/plain";
+      Resp.Body = "method not allowed\n";
+    } else {
+      Resp.StatusCode = 404;
+      Resp.ContentType = "text/plain";
+      Resp.Body = "not found (try /rpc, /metrics, /status)\n";
+    }
+    respond(C, Resp);
+  }
+
+  void respond(Client &C, const HttpResponse &Resp) {
+    C.Out = renderHttpResponse(Resp);
+    C.Deadline = idleDeadline();
+    flush(C);
+  }
+
+  /// Writes what the socket takes now; closes the connection once the
+  /// whole response is out, or on an error.
+  void flush(Client &C) {
+    while (C.Sent < C.Out.size()) {
+      ssize_t N = sendNoSignal(C.Fd, C.Out.data() + C.Sent,
+                               C.Out.size() - C.Sent);
+      if (N < 0 && wouldBlock())
+        return;
+      if (N <= 0) {
+        closeClient(C);
+        return;
+      }
+      C.Sent += static_cast<size_t>(N);
+      C.Deadline = idleDeadline();
+    }
+    ::shutdown(C.Fd, SHUT_RDWR);
+    closeClient(C);
   }
 };
 
@@ -776,10 +813,17 @@ bool CheckServer::start(std::string &Error) {
   ::getsockname(Self->ListenFd,
                 reinterpret_cast<struct sockaddr *>(&Addr), &Len);
   Self->BoundPort = ntohs(Addr.sin_port);
+  if (!setNonBlocking(Self->ListenFd) || ::pipe(Self->Wake) != 0 ||
+      !setNonBlocking(Self->Wake[0]) || !setNonBlocking(Self->Wake[1])) {
+    Error = "cannot set up the I/O loop";
+    ::close(Self->ListenFd);
+    Self->ListenFd = -1;
+    return false;
+  }
 
   for (int I = 0; I < Self->Cfg.Shards; ++I)
     Self->Workers.emplace_back([this] { Self->workerLoop(); });
-  Self->Listener = std::thread([this] { Self->listenerLoop(); });
+  Self->Io = std::thread([this] { Self->ioLoop(); });
   Self->Started.store(true);
   obs::logf(obs::LogLevel::Info, "server",
             "listening on %s:%d (%d workers, %d jobs/request, queue depth %d)",
@@ -790,7 +834,10 @@ bool CheckServer::start(std::string &Error) {
 
 int CheckServer::port() const { return Self->BoundPort; }
 
-void CheckServer::requestStop() { Self->Stopping.store(true); }
+void CheckServer::requestStop() {
+  Self->Stopping.store(true);
+  Self->wake();
+}
 
 bool CheckServer::stopRequested() const { return Self->Stopping.load(); }
 
@@ -801,22 +848,11 @@ void CheckServer::waitStopped() {
   obs::logf(obs::LogLevel::Info, "server",
             "draining: %zu queued, %zu in flight",
             Self->Queued.load(), Self->InFlight.load());
-  if (Self->Listener.joinable())
-    Self->Listener.join();
-  // Every live connection either already holds a queued/running job
-  // (the workers will finish it) or is about to get a 503; wait for
-  // them all to write their responses and exit before letting the
-  // workers quit.
-  while (Self->ActiveConns.load() > 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  Self->reapConnections();
-  {
-    std::lock_guard<std::mutex> Lock(Self->ConnMu);
-    for (auto &C : Self->Conns)
-      if (C->T.joinable())
-        C->T.join();
-    Self->Conns.clear();
-  }
+  Self->wake();
+  // The I/O thread exits once every connected client has its response
+  // or has gone; then no job can be admitted, and the workers may quit
+  // as soon as the queue is empty.
+  Self->Io.join();
   {
     std::lock_guard<std::mutex> Lock(Self->QueueMu);
     Self->WorkersExit = true;
@@ -824,10 +860,6 @@ void CheckServer::waitStopped() {
   Self->QueueCv.notify_all();
   for (std::thread &W : Self->Workers)
     W.join();
-  if (Self->ListenFd >= 0) {
-    ::close(Self->ListenFd);
-    Self->ListenFd = -1;
-  }
   if (!Self->Cfg.CachePath.empty() &&
       !Self->V->saveCache(Self->Cfg.CachePath))
     obs::logf(obs::LogLevel::Warn, "server",

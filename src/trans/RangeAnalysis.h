@@ -115,6 +115,25 @@ public:
     return It == CellIndexMap.end() ? -1 : It->second;
   }
 
+  /// True when events \p EventA and \p EventB share a candidate cell,
+  /// i.e. they may alias. Alias pruning in the encoder and the critical
+  /// cycle analysis both use this test, in their inner loops.
+  bool cellsIntersect(int EventA, int EventB) const {
+    const std::vector<int> &A = EventCells[EventA];
+    const std::vector<int> &B = EventCells[EventB];
+    // Candidate lists are small and sorted (built from ordered sets).
+    size_t I = 0, J = 0;
+    while (I < A.size() && J < B.size()) {
+      if (A[I] == B[J])
+        return true;
+      if (A[I] < B[J])
+        ++I;
+      else
+        ++J;
+    }
+    return false;
+  }
+
   /// Number of bits needed to count to N-1 (at least 1).
   static int bitsFor(uint64_t MaxValue);
 

@@ -533,9 +533,9 @@ TEST(ObsServer, RemoteTraceRoundTripAndLatencyHistograms) {
   EXPECT_NE(
       M.Body.find("checkfence_request_seconds_count{kind=\"check\"} 1"),
       std::string::npos);
-  EXPECT_NE(M.Body.find(
-                "checkfence_queue_wait_seconds_count{priority=\"normal\"} 1"),
-            std::string::npos);
+  EXPECT_NE(
+      M.Body.find("checkfence_queue_wait_seconds_count{kind=\"check\"} 1"),
+      std::string::npos);
   EXPECT_NE(M.Body.find("checkfence_request_seconds_bucket{kind=\"check\","
                         "le=\"+Inf\"} 1"),
             std::string::npos);
@@ -560,6 +560,10 @@ TEST(ObsServer, RemoteTraceRoundTripAndLatencyHistograms) {
   EXPECT_EQ(Count->asU64(), 1ull);
   EXPECT_NE(Check->find("p50"), nullptr);
   EXPECT_NE(Check->find("p99"), nullptr);
+  const support::JsonValue *QW = Doc.find("queueWaitSeconds");
+  ASSERT_NE(QW, nullptr);
+  ASSERT_NE(QW->find("check"), nullptr);
+  EXPECT_EQ(QW->find("check")->find("count")->asU64(), 1ull);
 
   Server.requestStop();
   Server.waitStopped();

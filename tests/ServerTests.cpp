@@ -11,8 +11,9 @@
 // running in parallel on the worker pool, per-request deadline
 // clamping, client disconnect cancellation (of running and of queued
 // requests), the /metrics and /status surfaces, survival of malformed
-// requests, graceful drain (also with an idle client connected), and
-// cross-restart cache persistence.
+// requests, the one I/O thread serving every socket (idle, stalled and
+// chattering clients, an endless header block), graceful drain (also
+// with an idle client connected), and cross-restart cache persistence.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,17 +27,23 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 using namespace checkfence;
 using namespace checkfence::server;
@@ -67,10 +74,28 @@ struct RawConn {
 
   bool sendRpc(const std::string &Method, const Request &Req, int Id) {
     std::string Body = rpcRequest(Method, encodeRequest(Req), Id);
-    std::string Msg = "POST /rpc HTTP/1.1\r\nHost: x\r\nContent-Length: " +
-                      std::to_string(Body.size()) + "\r\n\r\n" + Body;
-    return ::send(Fd, Msg.data(), Msg.size(), 0) ==
-           static_cast<ssize_t>(Msg.size());
+    return sendRaw("POST /rpc HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+                   std::to_string(Body.size()) + "\r\n\r\n" + Body);
+  }
+
+  /// False also when the server has closed the connection.
+  bool sendRaw(const std::string &Bytes) {
+    return sendNoSignal(Fd, Bytes.data(), Bytes.size()) ==
+           static_cast<ssize_t>(Bytes.size());
+  }
+
+  /// Everything the server sends until it closes, waiting at most
+  /// \p Seconds for each read. \p Closed says whether it did close.
+  std::string readAll(int Seconds, bool &Closed) {
+    struct timeval Timeout = {Seconds, 0};
+    ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof Timeout);
+    std::string Out;
+    char Buf[4096];
+    ssize_t N;
+    while ((N = ::recv(Fd, Buf, sizeof Buf, 0)) > 0)
+      Out.append(Buf, static_cast<size_t>(N));
+    Closed = N == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+    return Out;
   }
 
   void close() {
@@ -97,6 +122,33 @@ bool waitStatus(const CheckServer &S, Pred P) {
 
 bool contains(const std::string &Haystack, const std::string &Needle) {
   return Haystack.find(Needle) != std::string::npos;
+}
+
+/// CPU seconds (user + system) of each of this process's threads, by id.
+std::map<std::string, double> threadCpuSeconds() {
+  std::map<std::string, double> Out;
+  DIR *D = ::opendir("/proc/self/task");
+  if (!D)
+    return Out;
+  while (struct dirent *E = ::readdir(D)) {
+    std::string Tid = E->d_name;
+    if (Tid == "." || Tid == "..")
+      continue;
+    std::ifstream In("/proc/self/task/" + Tid + "/stat");
+    std::string Stat((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+    // Fields after the parenthesised name: state is the first, utime
+    // and stime the 12th and 13th.
+    std::istringstream Fields(Stat.substr(Stat.rfind(')') + 1));
+    std::string Field;
+    double Ticks = 0;
+    for (int I = 1; I <= 13 && Fields >> Field; ++I)
+      if (I >= 12)
+        Ticks += std::stod(Field);
+    Out[Tid] = Ticks / static_cast<double>(::sysconf(_SC_CLK_TCK));
+  }
+  ::closedir(D);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -647,9 +699,9 @@ TEST(ServerQueue, HangUpWhileQueuedCancels) {
   ASSERT_TRUE(waitStatus(
       S, [](const std::string &B) { return contains(B, "\"queued\": 1"); }));
 
-  // The queued check's client hangs up. Its connection thread notices
-  // within a poll interval or two (50 ms each), well before the worker
-  // is freed below, so the check runs with its token already cancelled.
+  // The queued check's client hangs up. The I/O thread sees the hang-up
+  // at once and cancels the check's token, well before the worker is
+  // freed below, so the check runs with its token already cancelled.
   Queued.close();
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   Busy.close();
@@ -844,6 +896,139 @@ void t2_op(void) { y = 1; observe(x); }
       Post(Request(Litmus).expect({0, 0}).model("sc"), 2, R));
   EXPECT_TRUE(R.find("ok")->asBool()) << R.find("error")->asString();
   EXPECT_FALSE(R.find("reachable")->asBool());
+}
+
+//===----------------------------------------------------------------------===//
+// One I/O thread serves every socket
+//===----------------------------------------------------------------------===//
+
+TEST(ServerLoop, IdleConnectionsAddNoThreads) {
+  ServerConfig Cfg;
+  Cfg.Port = 0;
+  CheckServer S(Cfg);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  size_t Before = threadCpuSeconds().size();
+  unsigned long long Accepted = S.stats().Accepted;
+
+  RawConn Idle[16];
+  for (RawConn &C : Idle)
+    ASSERT_TRUE(C.connectTo(S.port()));
+  for (int I = 0; I < 250 && S.stats().Accepted < Accepted + 16; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_EQ(S.stats().Accepted, Accepted + 16);
+  EXPECT_EQ(threadCpuSeconds().size(), Before);
+}
+
+TEST(ServerLoop, StalledBodyDoesNotDelayOtherClients) {
+  ServerConfig Cfg;
+  Cfg.Port = 0;
+  CheckServer S(Cfg);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  // Headers and half the promised body, then silence.
+  RawConn Stalled;
+  ASSERT_TRUE(Stalled.connectTo(S.port()));
+  ASSERT_TRUE(Stalled.sendRaw("POST /rpc HTTP/1.1\r\nHost: x\r\n"
+                              "Content-Length: 200\r\n\r\n" +
+                              std::string(100, ' ')));
+  for (int I = 0; I < 250 && S.stats().Accepted == 0; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  // Answered long before the stalled client's idle deadline. The
+  // priority header of older clients is ignored.
+  auto Start = std::chrono::steady_clock::now();
+  HttpResult H = httpRequest("127.0.0.1", S.port(), "POST", "/rpc",
+                             rpcRequest("checkfence.version", "{}", 1),
+                             {{"X-Checkfence-Priority", "high"}});
+  double Seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - Start)
+                       .count();
+  ASSERT_TRUE(H.Ok) << H.Error;
+  EXPECT_EQ(H.StatusCode, 200);
+  EXPECT_TRUE(contains(H.Body, versionString())) << H.Body;
+  EXPECT_LT(Seconds, 1.0);
+}
+
+TEST(ServerLoop, BytesAfterTheRequestNeitherCancelNorSpin) {
+  ServerConfig Cfg;
+  Cfg.Port = 0;
+  Cfg.Shards = 1;
+  std::map<std::string, double> Before = threadCpuSeconds();
+  CheckServer S(Cfg);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  // The worker and the I/O thread.
+  std::vector<std::string> Server;
+  for (const auto &[Tid, Cpu] : threadCpuSeconds())
+    if (!Before.count(Tid))
+      Server.push_back(Tid);
+  ASSERT_EQ(Server.size(), 2u);
+
+  // Occupy the worker, queue a check behind it, and keep talking.
+  Request Slow = Request::check();
+  Slow.RequestKind = Request::Kind::Explore;
+  Slow.seed(1).budget(5000);
+  RawConn Busy;
+  ASSERT_TRUE(Busy.connectTo(S.port()));
+  ASSERT_TRUE(Busy.sendRpc("checkfence.explore", Slow, 1));
+  ASSERT_TRUE(waitStatus(
+      S, [](const std::string &B) { return contains(B, "\"inFlight\": 1"); }));
+  RawConn Chatty;
+  ASSERT_TRUE(Chatty.connectTo(S.port()));
+  ASSERT_TRUE(Chatty.sendRpc("checkfence.check",
+                             Request::check("ms2", "T0").model("sc"), 2));
+  ASSERT_TRUE(waitStatus(
+      S, [](const std::string &B) { return contains(B, "\"queued\": 1"); }));
+  ASSERT_TRUE(Chatty.sendRaw("stray bytes after the request\r\n"));
+
+  // While the worker runs the explore, the I/O thread - whichever of
+  // the two server threads burned less CPU - stays asleep.
+  std::map<std::string, double> From = threadCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  std::map<std::string, double> To = threadCpuSeconds();
+  EXPECT_LT(std::min(To[Server[0]] - From[Server[0]],
+                     To[Server[1]] - From[Server[1]]),
+            0.25);
+
+  // Freeing the worker runs the check to its verdict, uncancelled.
+  Busy.close();
+  bool Closed = false;
+  std::string Response = Chatty.readAll(30, Closed);
+  EXPECT_TRUE(Closed);
+  EXPECT_TRUE(contains(Response, "HTTP/1.1 200")) << Response;
+  EXPECT_TRUE(contains(Response, "\"PASS\"")) << Response;
+  EXPECT_EQ(S.stats().Cancelled, 1u);
+}
+
+TEST(ServerRobustness, EndlessHeaderBlockIsClosedPastTheCap) {
+  ServerConfig Cfg;
+  Cfg.Port = 0;
+  CheckServer S(Cfg);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  // 128 KiB of header lines and no blank line. The server may close
+  // before all of it is sent.
+  RawConn Endless;
+  ASSERT_TRUE(Endless.connectTo(S.port()));
+  std::string Lines = "POST /rpc HTTP/1.1\r\n";
+  while (Lines.size() < (128u << 10))
+    Lines += "X-Pad: " + std::string(57, 'a') + "\r\n";
+  Endless.sendRaw(Lines);
+
+  // Another client is served meanwhile.
+  RemoteVerifier RV(urlFor(S));
+  std::string Version;
+  int Schema = 0;
+  RemoteStatus St = RV.version(Version, Schema);
+  ASSERT_TRUE(St) << St.Error;
+
+  // Closed at the 64 KiB cap, not at the idle deadline.
+  bool Closed = false;
+  Endless.readAll(2, Closed);
+  EXPECT_TRUE(Closed);
 }
 
 //===----------------------------------------------------------------------===//

@@ -95,8 +95,6 @@ void usage() {
       "                       output and exit codes match a local run.\n"
       "                       --jobs, --corpus, and --cache describe the\n"
       "                       daemon's resources and are decided by it\n"
-      "  --priority P         remote admission priority: high | normal |\n"
-      "                       low (default normal)\n"
       "  --trace PATH         write a Chrome trace-event JSON timeline\n"
       "                       of this run (load in ui.perfetto.dev; see\n"
       "                       docs/OBSERVABILITY.md). With --remote the\n"
@@ -317,7 +315,7 @@ int main(int argc, char **argv) {
   Request Req = Request::check();
   bool PrintSpec = false, Quiet = false, Synth = false, Matrix = false;
   bool Explore = false, Analyze = false, NoTimings = false;
-  std::string JsonPath, CachePath, RemoteUrl, Priority = "normal";
+  std::string JsonPath, CachePath, RemoteUrl;
   std::vector<std::string> MatrixImpls, MatrixTests, MatrixModels;
 
   std::vector<std::string> Positional;
@@ -396,8 +394,6 @@ int main(int argc, char **argv) {
       Req.noCache();
     } else if (A == "--remote") {
       RemoteUrl = Next();
-    } else if (A == "--priority") {
-      Priority = Next();
     } else if (A == "--trace") {
       Req.traceFile(Next());
     } else if (A == "--json") {
@@ -431,21 +427,13 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "unknown model '%s'\n", M.c_str());
       return ExitUsage;
     }
-  if (Priority != "high" && Priority != "normal" && Priority != "low") {
-    std::fprintf(stderr, "bad --priority '%s' (high | normal | low)\n",
-                 Priority.c_str());
-    return ExitUsage;
-  }
 
   // Dispatch target: a daemon (--remote) or an in-process Verifier,
   // constructed lazily so remote runs never touch the local cache file.
   std::unique_ptr<RemoteVerifier> RV;
   std::unique_ptr<Verifier> V;
-  if (!RemoteUrl.empty()) {
+  if (!RemoteUrl.empty())
     RV = std::make_unique<RemoteVerifier>(RemoteUrl);
-    if (Priority != "normal")
-      RV->setPriority(Priority);
-  }
   auto Local = [&]() -> Verifier & {
     if (!V) {
       VerifierConfig Config;

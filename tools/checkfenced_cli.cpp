@@ -40,7 +40,7 @@ void usage() {
       "  --bind ADDR              bind address (default 127.0.0.1)\n"
       "  --shards N               worker threads = max in-flight requests\n"
       "                           (default 2); all workers take requests\n"
-      "                           from one priority queue and share one\n"
+      "                           from one FIFO queue and share one\n"
       "                           Verifier and its result cache\n"
       "  --jobs N                 threads each request may fan out to\n"
       "                           (default 1)\n"
