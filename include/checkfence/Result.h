@@ -67,6 +67,8 @@ struct ResultStats {
   /// unrolling is solved on its own solver.
   int SatVars = 0;
   unsigned long long SatClauses = 0;
+  /// CNF building of the final inclusion instance; flattening and range
+  /// analysis are not in it (the trace's `trans/unroll` span).
   double EncodeSeconds = 0;
   double SolveSeconds = 0;
   double MiningSeconds = 0;

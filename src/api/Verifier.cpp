@@ -11,7 +11,7 @@
 #include "api/Cache.h"
 #include "api/RunControl.h"
 #include "checker/SolveContext.h"
-#include "trans/Flattener.h"
+#include "checker/Unrolling.h"
 #include "engine/MatrixRunner.h"
 #include "engine/SpecStore.h"
 #include "engine/WeakestModelSearch.h"
@@ -565,17 +565,14 @@ AnalysisOutcome Verifier::analyze(const Request &Req) {
   // with it the enforced-order closure) varies per row. Larger unrolling
   // bounds only replicate loop bodies, which adds instances of the same
   // static pairs, so the verdict is bound-independent.
-  trans::FlatProgram Flat;
-  trans::LoopBounds Bounds = checker::CheckOptions{}.InitialBounds;
   const harness::CompiledTest &C = Case.Compiled;
-  trans::Flattener F(C.Impl, Flat, Bounds); // Flattener keeps a ref
-  for (size_t T = 0; T < C.Threads.size(); ++T)
-    if (!F.flattenThread(C.Threads[T], static_cast<int>(T))) {
-      Out.Error = "flattening failed: " + F.error();
-      return Out;
-    }
-  trans::RangeInfo Ranges = trans::analyzeRanges(Flat);
-  for (const trans::FlatEvent &E : Flat.Events) {
+  std::shared_ptr<const checker::Unrolling> U = checker::unroll(
+      C.Impl, C.Threads, checker::CheckOptions{}.InitialBounds);
+  if (!U->ok()) {
+    Out.Error = U->Error;
+    return Out;
+  }
+  for (const trans::FlatEvent &E : U->Flat.Events) {
     Out.Loads += E.isLoad();
     Out.Stores += E.isStore();
     Out.Fences += !E.isAccess();
@@ -607,7 +604,7 @@ AnalysisOutcome Verifier::analyze(const Request &Req) {
       return;
     }
     analysis::RobustnessResult RR =
-        analysis::analyzeRobustness(Flat, Ranges, M, AO);
+        analysis::analyzeRobustness(U->Flat, U->Ranges, M, AO);
     Row.Robust = RR.Robust;
     Row.Reason = RR.Reason;
     Row.DelayedPairs = RR.DelayedPairs;

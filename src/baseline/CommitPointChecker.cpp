@@ -6,6 +6,7 @@
 
 #include "baseline/CommitPointChecker.h"
 
+#include "checker/Unrolling.h"
 #include "frontend/Lowering.h"
 #include "support/Timing.h"
 
@@ -22,8 +23,7 @@ namespace {
 /// values and memory model, then assumes/asserts/bounds.
 class SubEncoding {
 public:
-  FlatProgram Flat;
-  RangeInfo Ranges;
+  std::shared_ptr<const checker::Unrolling> U;
   std::unique_ptr<ValueEncoder> VE;
   std::unique_ptr<memmodel::MemoryModelEncoder> MME;
   Lit ErrorLit;
@@ -32,21 +32,19 @@ public:
              const std::vector<std::string> &Threads,
              const LoopBounds &Bounds, memmodel::ModelParams Model,
              std::string &Err) {
-    Flattener F(Prog, Flat, Bounds);
-    for (size_t T = 0; T < Threads.size(); ++T) {
-      if (!F.flattenThread(Threads[T], static_cast<int>(T))) {
-        Err = "flattening failed: " + F.error();
-        return false;
-      }
+    U = checker::unroll(Prog, Threads, Bounds);
+    if (!U->ok()) {
+      Err = U->Error;
+      return false;
     }
-    Ranges = analyzeRanges(Flat);
+    const FlatProgram &Flat = U->Flat;
     EncodeOptions EO;
-    VE = std::make_unique<ValueEncoder>(Cnf, Flat, Ranges, EO);
+    VE = std::make_unique<ValueEncoder>(Cnf, Flat, U->Ranges, EO);
     if (!VE->encodeAll()) {
       Err = "value encoding failed: " + VE->error();
       return false;
     }
-    MME = std::make_unique<memmodel::MemoryModelEncoder>(*VE, Flat, Ranges,
+    MME = std::make_unique<memmodel::MemoryModelEncoder>(*VE, Flat, U->Ranges,
                                                          Model, EO);
     MME->encode();
 
@@ -83,6 +81,7 @@ public:
 
   /// First access index of invocation \p Inv, or -1.
   int firstAccessOf(int Inv) const {
+    const FlatProgram &Flat = U->Flat;
     for (size_t E = 0; E < Flat.Events.size(); ++E)
       if (Flat.Events[E].isAccess() && Flat.Events[E].OpInvId == Inv)
         return MME->accessOfEvent(static_cast<int>(E));
@@ -112,12 +111,12 @@ CommitPointResult checkfence::baseline::checkCommitPoints(
                  memmodel::ModelParams::serial(), Result.Error))
     return Result;
 
-  if (Impl.Flat.CommitMarks.empty()) {
+  if (Impl.U->Flat.CommitMarks.empty()) {
     Result.Error = "implementation has no commit() annotations (compile "
                    "with the COMMIT_POINTS define)";
     return Result;
   }
-  if (Impl.Flat.Observations.size() != Ref.Flat.Observations.size()) {
+  if (Impl.U->Flat.Observations.size() != Ref.U->Flat.Observations.size()) {
     Result.Error = "observation layouts differ between implementation and "
                    "reference";
     return Result;
@@ -128,7 +127,7 @@ CommitPointResult checkfence::baseline::checkCommitPoints(
   std::map<int, std::vector<std::pair<Lit, int>>> Marks; // inv -> (sel, acc)
   {
     std::map<int, std::vector<const FlatCommitMark *>> ByInv;
-    for (const FlatCommitMark &M : Impl.Flat.CommitMarks)
+    for (const FlatCommitMark &M : Impl.U->Flat.CommitMarks)
       ByInv[M.OpInvId].push_back(&M);
     for (auto &[Inv, Ms] : ByInv) {
       for (size_t I = 0; I < Ms.size(); ++I) {
@@ -170,10 +169,10 @@ CommitPointResult checkfence::baseline::checkCommitPoints(
 
   // Same arguments; search for differing results (or an impl error).
   std::vector<Lit> Mismatch{Impl.ErrorLit};
-  for (size_t S = 0; S < Impl.Flat.Observations.size(); ++S) {
-    const EncValue &IV = Impl.VE->value(Impl.Flat.Observations[S].Val);
-    const EncValue &RV = Ref.VE->value(Ref.Flat.Observations[S].Val);
-    bool IsArg = Impl.Flat.Observations[S].Label.find(".arg") !=
+  for (size_t S = 0; S < Impl.U->Flat.Observations.size(); ++S) {
+    const EncValue &IV = Impl.VE->value(Impl.U->Flat.Observations[S].Val);
+    const EncValue &RV = Ref.VE->value(Ref.U->Flat.Observations[S].Val);
+    bool IsArg = Impl.U->Flat.Observations[S].Label.find(".arg") !=
                  std::string::npos;
     Lit Eq = Impl.VE->eqLit(IV, RV);
     if (IsArg)
@@ -206,7 +205,7 @@ CommitPointResult checkfence::baseline::checkCommitPoints(
     Result.Pass = false;
     checker::Observation O;
     O.Error = Solver.modelValue(Impl.ErrorLit) == sat::LBool::True;
-    for (const FlatObservation &Slot : Impl.Flat.Observations)
+    for (const FlatObservation &Slot : Impl.U->Flat.Observations)
       O.Values.push_back(Impl.VE->decode(Solver, Slot.Val));
     Result.CexObservation = O;
     return Result;

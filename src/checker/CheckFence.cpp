@@ -57,6 +57,21 @@ CheckResult checkfence::checker::runCheck(
   std::optional<SolveContext> MineCtx;
   std::optional<SolveContext> CheckCtx;
 
+  // The implementation's unrolling at its current bounds. Mining and
+  // checking encode it alike whenever they encode the same program: in
+  // every round that mines the implementation, and again when the round
+  // after a bound growth mines at the grown bounds.
+  std::shared_ptr<const Unrolling> ImplUnrolling;
+  auto EncodeImpl = [&](std::optional<SolveContext> &Ctx,
+                        const ProblemConfig &Cfg) {
+    Ctx.reset(); // the old instance goes before the new one is built
+    if (!ImplUnrolling || ImplUnrolling->Bounds != Bounds) {
+      ImplUnrolling.reset();
+      ImplUnrolling = unroll(ImplProg, ThreadProcs, Bounds);
+    }
+    Ctx.emplace(ImplUnrolling, Cfg);
+  };
+
   // Mining result cache: (bounds of the mined program) -> spec already in
   // Result.Spec. Valid while the mined program's bounds are unchanged.
   bool HaveSpec = false;
@@ -113,7 +128,10 @@ CheckResult checkfence::checker::runCheck(
         Timer MineTimer;
         if (!MineCtx || MineCtx->encoding().bounds() != MineBounds) {
           obs::Span EncodeSpan("engine", "encode:mine");
-          MineCtx.emplace(MineProg, ThreadProcs, MineBounds, MineCfg);
+          if (SpecProg)
+            MineCtx.emplace(*SpecProg, ThreadProcs, MineBounds, MineCfg);
+          else
+            EncodeImpl(MineCtx, MineCfg);
         }
         MiningOutcome Mined =
             mineSpecification(*MineCtx, Opts.MaxObservations);
@@ -149,7 +167,7 @@ CheckResult checkfence::checker::runCheck(
     // encoding of the previous round when the bounds stabilized there).
     if (!CheckCtx || CheckCtx->encoding().bounds() != Bounds) {
       obs::Span EncodeSpan("engine", "encode");
-      CheckCtx.emplace(ImplProg, ThreadProcs, Bounds, CheckCfg);
+      EncodeImpl(CheckCtx, CheckCfg);
     }
     ProblemEncoding *CheckEnc = &CheckCtx->encoding();
     {
@@ -213,7 +231,7 @@ CheckResult checkfence::checker::runCheck(
         return finish(Result, Total, Status::Error,
                       "bound probe satisfiable but no mark decoded");
       Grown = true;
-      CheckCtx.emplace(ImplProg, ThreadProcs, Bounds, CheckCfg);
+      EncodeImpl(CheckCtx, CheckCfg);
       CheckEnc = &CheckCtx->encoding();
     }
     if (ProbesLeft < 0) {

@@ -14,47 +14,36 @@ using namespace checkfence::checker;
 using namespace checkfence::encode;
 using namespace checkfence::trans;
 
-ProblemEncoding::ProblemEncoding(CnfBuilder &CnfB, const lsl::Program &Prog,
-                                 const std::vector<std::string> &ThreadProcs,
-                                 const LoopBounds &LoopBoundsIn,
+ProblemEncoding::ProblemEncoding(CnfBuilder &CnfB,
+                                 std::shared_ptr<const Unrolling> Unrolled,
                                  const ProblemConfig &Cfg)
-    : Cnf(&CnfB), Bounds(LoopBoundsIn) {
-  Timer EncodeTimer;
-
-  // 1. Flatten every thread (thread 0 is the init sequence).
-  Flattener F(Prog, Flat, Bounds);
-  for (size_t T = 0; T < ThreadProcs.size(); ++T) {
-    if (!F.flattenThread(ThreadProcs[T], static_cast<int>(T))) {
-      fail("flattening failed: " + F.error());
-      return;
-    }
+    : Cnf(&CnfB), U(std::move(Unrolled)), Flat(U->Flat) {
+  if (!U->ok()) {
+    fail(U->Error);
+    return;
   }
+  Timer EncodeTimer;
   Stats.UnrolledInstrs = Flat.UnrolledInstrCount;
   Stats.Loads = Flat.numLoads();
   Stats.Stores = Flat.numStores();
 
-  // 2. Range analysis (always computed: the encoding needs the pointer
-  //    universe; the Cfg.RangeAnalysis switch controls whether its results
-  //    are exploited).
-  Ranges = analyzeRanges(Flat);
-
-  // 3. Thread-local encoding.
+  // 1. Thread-local encoding.
   EncodeOptions EO;
   EO.FixConstants = Cfg.RangeAnalysis;
   EO.MinimalWidths = Cfg.RangeAnalysis;
   EO.AliasPruning = Cfg.RangeAnalysis;
-  Values = std::make_unique<ValueEncoder>(*Cnf, Flat, Ranges, EO);
+  Values = std::make_unique<ValueEncoder>(*Cnf, Flat, U->Ranges, EO);
   if (!Values->encodeAll()) {
     fail("value encoding failed: " + Values->error());
     return;
   }
 
-  // 4. Memory model.
+  // 2. Memory model.
   Model = std::make_unique<memmodel::MemoryModelEncoder>(
-      *Values, Flat, Ranges, Cfg.Model, EO);
+      *Values, Flat, U->Ranges, Cfg.Model, EO);
   Model->encode();
 
-  // 5. Side conditions, error flag, loop bounds.
+  // 3. Side conditions, error flag, loop bounds.
   encodeChecksAndBounds(Cfg);
 
   Stats.EncodeSeconds = EncodeTimer.seconds();

@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Assembles the full formula Phi(T,I,Y) (Sec. 3.2.1) for one test program:
-/// flatten the thread procedures, run the range analysis, encode the
+/// Assembles the full formula Phi(T,I,Y) (Sec. 3.2.1) for one test program
+/// on a shared Unrolling (checker/Unrolling.h: the flattened threads and
+/// their range analysis, which no memory model changes): encode the
 /// thread-local dataflow (Delta_k), the memory model (Theta), the side
 /// conditions (assumes as hard constraints, asserts and runtime-type checks
 /// as the error flag), the loop-bound marks, and the observation vector.
@@ -26,9 +27,9 @@
 
 #include "checker/Observation.h"
 #include "checker/Trace.h"
+#include "checker/Unrolling.h"
 #include "encode/ValueEncoding.h"
 #include "memmodel/MemoryModel.h"
-#include "trans/Flattener.h"
 
 #include <memory>
 #include <optional>
@@ -54,7 +55,7 @@ struct EncodeStats {
   int UnrolledInstrs = 0;
   int Loads = 0;
   int Stores = 0;
-  double EncodeSeconds = 0;
+  double EncodeSeconds = 0; ///< CNF building only; unroll() is not in it
   int SatVars = 0;
   uint64_t SatClauses = 0;
   size_t SolverMemBytes = 0;
@@ -63,14 +64,15 @@ struct EncodeStats {
   uint64_t LearntClauses = 0; ///< learnt clauses live after the last solve
 };
 
-/// The decode-map half of a SolveContext: flat program, range info,
+/// The decode-map half of a SolveContext: the shared unrolling,
 /// value/model encoders, the error flag, and the activation literals. All
 /// clauses go through the CnfBuilder handed to the constructor.
 class ProblemEncoding {
 public:
-  ProblemEncoding(encode::CnfBuilder &Cnf, const lsl::Program &Prog,
-                  const std::vector<std::string> &ThreadProcs,
-                  const trans::LoopBounds &Bounds, const ProblemConfig &Cfg);
+  /// Encodes \p U (non-null) under \p Cfg; a failed unrolling leaves the
+  /// encoding !ok() with the unrolling's error.
+  ProblemEncoding(encode::CnfBuilder &Cnf, std::shared_ptr<const Unrolling> U,
+                  const ProblemConfig &Cfg);
 
   bool ok() const { return ErrorMsg.empty(); }
   const std::string &error() const { return ErrorMsg; }
@@ -110,8 +112,8 @@ public:
   /// exceeded in the current model.
   std::vector<std::string> exceededLoops(const sat::Solver &S) const;
 
-  const trans::FlatProgram &flat() const { return Flat; }
-  const trans::LoopBounds &bounds() const { return Bounds; }
+  const trans::FlatProgram &flat() const { return U->Flat; }
+  const trans::LoopBounds &bounds() const { return U->Bounds; }
   const EncodeStats &stats() const { return Stats; }
   EncodeStats &stats() { return Stats; }
   std::vector<std::string> observationLabels() const;
@@ -124,9 +126,8 @@ private:
   }
 
   encode::CnfBuilder *Cnf = nullptr;
-  trans::FlatProgram Flat;
-  trans::LoopBounds Bounds;
-  trans::RangeInfo Ranges;
+  std::shared_ptr<const Unrolling> U; ///< before the encoders that read it
+  const trans::FlatProgram &Flat;
   std::unique_ptr<encode::ValueEncoder> Values;
   std::unique_ptr<memmodel::MemoryModelEncoder> Model;
 

@@ -11,12 +11,9 @@
 using namespace checkfence;
 using namespace checkfence::checker;
 
-SolveContext::SolveContext(const lsl::Program &Prog,
-                           const std::vector<std::string> &ThreadProcs,
-                           const trans::LoopBounds &Bounds,
+SolveContext::SolveContext(std::shared_ptr<const Unrolling> U,
                            const ProblemConfig &Cfg)
-    : Solver(Cfg.ProofLog), Cnf(Solver),
-      Enc(Cnf, Prog, ThreadProcs, Bounds, Cfg),
+    : Solver(Cfg.ProofLog), Cnf(Solver), Enc(Cnf, std::move(U), Cfg),
       PhaseBudget(Cfg.ConflictBudget) {
   beginPhase();
   // The solver holds this encoding alone: its size is the instance's.

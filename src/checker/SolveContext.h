@@ -17,6 +17,11 @@
 /// re-solves. One-shot callers, including the reference pipeline
 /// (runCheckFresh), build a fresh context per query.
 ///
+/// A context encodes a shared, immutable Unrolling (checker/Unrolling.h):
+/// contexts of different models over one program at one bound vector -
+/// the mining and checking contexts of a bound round, the lattice points
+/// of an explore scenario - flatten and range-analyze it once.
+///
 /// When lazy unrolling (Sec. 3.3) grows a loop bound, the session builds
 /// a fresh context for the new unrolling and drops the old one. The
 /// re-encoding uses fresh variables, so nothing learnt on the old
@@ -37,6 +42,7 @@
 
 #include "checker/Encoder.h"
 
+#include <memory>
 #include <vector>
 
 namespace checkfence {
@@ -44,12 +50,16 @@ namespace checker {
 
 class SolveContext {
 public:
-  /// Encodes the problem into this context's fresh solver (logging a proof
-  /// from the first clause when ProblemConfig::ProofLog is set) and arms
-  /// the first phase's conflict budget.
+  /// Encodes \p U into this context's fresh solver (logging a proof from
+  /// the first clause when ProblemConfig::ProofLog is set) and arms the
+  /// first phase's conflict budget.
+  SolveContext(std::shared_ptr<const Unrolling> U, const ProblemConfig &Cfg);
+
+  /// Encodes unroll(Prog, ThreadProcs, Bounds).
   SolveContext(const lsl::Program &Prog,
                const std::vector<std::string> &ThreadProcs,
-               const trans::LoopBounds &Bounds, const ProblemConfig &Cfg);
+               const trans::LoopBounds &Bounds, const ProblemConfig &Cfg)
+      : SolveContext(unroll(Prog, ThreadProcs, Bounds), Cfg) {}
 
   SolveContext(const SolveContext &) = delete;
   SolveContext &operator=(const SolveContext &) = delete;

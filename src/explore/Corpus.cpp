@@ -60,8 +60,9 @@ const std::string *loweredImplText(const std::string &Impl,
 
 } // namespace
 
-std::string checkfence::explore::scenarioFingerprint(const Scenario &S,
-                                                     std::string &Error) {
+std::string checkfence::explore::scenarioFingerprint(
+    const Scenario &S, std::string &Error,
+    std::optional<lsl::Program> *Lowered) {
   if (S.K == Scenario::Kind::Litmus) {
     frontend::DiagEngine Diags;
     lsl::Program Prog;
@@ -69,7 +70,10 @@ std::string checkfence::explore::scenarioFingerprint(const Scenario &S,
       Error = "frontend error:\n" + Diags.str();
       return std::string();
     }
-    return support::loweredProgramFingerprint(Prog, {});
+    std::string Fp = support::loweredProgramFingerprint(Prog, {});
+    if (Lowered)
+      Lowered->emplace(std::move(Prog));
+    return Fp;
   }
   const impls::ImplInfo *Info = impls::findImpl(S.Impl);
   if (!Info) {

@@ -53,8 +53,12 @@ struct Repro {
 };
 
 /// Fingerprint of the scenario's lowered program(s) - the corpus dedup
-/// key. Empty + \p Error on frontend failures.
-std::string scenarioFingerprint(const Scenario &S, std::string &Error);
+/// key. Empty + \p Error on frontend failures. A litmus scenario's
+/// lowered program is moved into \p Lowered when it is non-null, so the
+/// differential runner need not compile the source again.
+std::string scenarioFingerprint(const Scenario &S, std::string &Error,
+                                std::optional<lsl::Program> *Lowered =
+                                    nullptr);
 
 /// Builds the repro record for a (typically shrunk) divergent scenario.
 /// Litmus sources are re-rendered through lsl::printCSource from the

@@ -13,7 +13,9 @@
 #include "memmodel/AxiomaticEnumerator.h"
 #include "memmodel/ReadsFromOracle.h"
 #include "memmodel/ReferenceExecutor.h"
+#include "obs/Trace.h"
 #include "support/Format.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <map>
@@ -103,9 +105,11 @@ litmusOps(const lsl::Program &Prog) {
 
 } // namespace
 
-ScenarioOutcome DifferentialRunner::run(const Scenario &S) const {
+ScenarioOutcome
+DifferentialRunner::run(const Scenario &S,
+                        std::optional<lsl::Program> Lowered) const {
   if (S.K == Scenario::Kind::Litmus)
-    return runLitmus(S);
+    return runLitmus(S, std::move(Lowered));
   return runSymbolic(S);
 }
 
@@ -113,17 +117,22 @@ ScenarioOutcome DifferentialRunner::run(const Scenario &S) const {
 // Litmus scenarios: mined observation sets vs. the brute-force oracles.
 //===----------------------------------------------------------------------===//
 
-ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
+ScenarioOutcome
+DifferentialRunner::runLitmus(const Scenario &S,
+                              std::optional<lsl::Program> Lowered) const {
   ScenarioOutcome Out;
 
-  frontend::DiagEngine Diags;
-  lsl::Program Prog;
-  if (!frontend::compileC(S.Source, {}, Prog, Diags)) {
-    Out.Divergences.push_back(
-        {"frontend-error", "", "generated source failed to compile:\n" +
-                                   Diags.str()});
-    return Out;
+  if (!Lowered) {
+    frontend::DiagEngine Diags;
+    Lowered.emplace();
+    if (!frontend::compileC(S.Source, {}, *Lowered, Diags)) {
+      Out.Divergences.push_back(
+          {"frontend-error", "", "generated source failed to compile:\n" +
+                                     Diags.str()});
+      return Out;
+    }
   }
+  lsl::Program &Prog = *Lowered;
   if (Opts.Inject) {
     std::string Detail = Opts.Inject(Prog);
     if (!Detail.empty())
@@ -144,6 +153,10 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
         {harness::OpSpec{Proc, NumArgs, false, false}});
   std::vector<std::string> Threads =
       harness::buildTestThreads(Prog, Spec);
+  // Only the memory-model axioms differ between the lattice points.
+  std::shared_ptr<const checker::Unrolling> Unrolled =
+      checker::unroll(Prog, Threads, {});
+  const trans::FlatProgram &Flat = Unrolled->Flat;
 
   // Per-model observation sets that compared cleanly, for the lattice
   // nesting check afterwards.
@@ -157,11 +170,18 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
       return Out;
     }
     const std::string Name = memmodel::modelName(M);
+    obs::Span ModelSpan("explore", "model");
+    if (ModelSpan.active())
+      ModelSpan.args(support::JsonObject().field("model", Name).str());
 
     checker::ProblemConfig Cfg;
     Cfg.Model = M;
-    checker::SolveContext Ctx(Prog, Threads, {}, Cfg);
-    const checker::ProblemEncoding &Enc = Ctx.encoding();
+    std::optional<checker::SolveContext> Ctx;
+    {
+      obs::Span EncodeSpan("engine", "encode");
+      Ctx.emplace(Unrolled, Cfg);
+    }
+    const checker::ProblemEncoding &Enc = Ctx->encoding();
     if (!Enc.ok()) {
       Out.Divergences.push_back({"engine-error", Name, Enc.error()});
       continue;
@@ -180,7 +200,11 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
       memmodel::ReadsFromOptions RO;
       RO.Model = M;
       RO.MaxAssignments = Opts.OracleMaxOrders;
-      memmodel::OracleResult RF = memmodel::checkReadsFrom(Enc.flat(), RO);
+      memmodel::OracleResult RF;
+      {
+        obs::Span OracleSpan("memmodel", "reads_from");
+        RF = memmodel::checkReadsFrom(Flat, RO);
+      }
       if (RF.Ok) {
         OracleObs = std::move(RF.Observations);
         // Differential reference: re-run the enumerator on a sampled
@@ -192,8 +216,9 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
           memmodel::AxiomaticOptions AO;
           AO.Model = M;
           AO.MaxOrders = Opts.OracleMaxOrders;
+          obs::Span SampleSpan("memmodel", "enumerate");
           memmodel::OracleResult Slow =
-              memmodel::enumerateAxiomatic(Enc.flat(), AO);
+              memmodel::enumerateAxiomatic(Flat, AO);
           if (Slow.Ok && Slow.Observations != OracleObs) {
             Out.Divergences.push_back(
                 {"oracle-vs-enumerator", Name,
@@ -209,8 +234,11 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
       memmodel::AxiomaticOptions AO;
       AO.Model = M;
       AO.MaxOrders = Opts.OracleMaxOrders;
-      memmodel::OracleResult Oracle =
-          memmodel::enumerateAxiomatic(Enc.flat(), AO);
+      memmodel::OracleResult Oracle;
+      {
+        obs::Span OracleSpan("memmodel", "enumerate");
+        Oracle = memmodel::enumerateAxiomatic(Flat, AO);
+      }
       if (Oracle.Ok)
         OracleObs = std::move(Oracle.Observations);
       else
@@ -223,7 +251,11 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
       continue;
     }
 
-    checker::MiningOutcome Mined = checker::mineSpecification(Ctx);
+    checker::MiningOutcome Mined;
+    {
+      obs::Span MineSpan("engine", "mine");
+      Mined = checker::mineSpecification(*Ctx);
+    }
     if (!Mined.Ok && !Mined.SequentialBug) {
       Out.Divergences.push_back({"engine-error", Name, Mined.Error});
       continue;
@@ -259,8 +291,9 @@ ScenarioOutcome DifferentialRunner::runLitmus(const Scenario &S) const {
     if (M == memmodel::ModelParams::sc()) {
       memmodel::RefOptions RO;
       RO.MaxSteps = RefMaxSteps;
+      obs::Span ReferenceSpan("memmodel", "reference");
       memmodel::OracleResult Interleaved =
-          memmodel::enumerateExecutions(Enc.flat(), RO);
+          memmodel::enumerateExecutions(Flat, RO);
       if (!Interleaved.Ok) {
         Out.Skips.push_back(Name + ": reference " + Interleaved.Error);
         continue;

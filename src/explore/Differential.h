@@ -15,7 +15,8 @@
 ///    beyond FlatProgram), and under sc additionally the
 ///    ReferenceExecutor's interleaving enumeration. Observation sets
 ///    must also nest along the lattice order (stronger subset-of
-///    weaker).
+///    weaker). The scenario is compiled and unrolled once: every model
+///    point's SAT encoding and every oracle read one checker::Unrolling.
 ///  * \b Symbolic scenarios: the full checker verdict per model point,
 ///    one uncached Verifier::check (a fresh session) each, so a re-check
 ///    while shrinking reproduces the original run; verdicts must be
@@ -37,16 +38,15 @@
 #include "checkfence/Events.h"
 #include "checkfence/Verifier.h"
 #include "explore/Generator.h"
+#include "lsl/Program.h"
 #include "memmodel/MemoryModel.h"
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace checkfence {
-namespace lsl {
-class Program;
-}
 namespace explore {
 
 struct DiffOptions {
@@ -105,10 +105,15 @@ class DifferentialRunner {
 public:
   DifferentialRunner(Verifier &V, DiffOptions Opts);
 
-  ScenarioOutcome run(const Scenario &S) const;
+  /// Runs \p S. \p Lowered, when set, is the litmus scenario's source
+  /// already compiled (scenarioFingerprint hands it back); otherwise the
+  /// runner compiles the source itself.
+  ScenarioOutcome run(const Scenario &S,
+                      std::optional<lsl::Program> Lowered = std::nullopt) const;
 
 private:
-  ScenarioOutcome runLitmus(const Scenario &S) const;
+  ScenarioOutcome runLitmus(const Scenario &S,
+                            std::optional<lsl::Program> Lowered) const;
   ScenarioOutcome runSymbolic(const Scenario &S) const;
 
   Verifier &V;

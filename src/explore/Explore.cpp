@@ -20,6 +20,13 @@ using support::JsonValue;
 
 namespace {
 
+/// Selected scenarios whose lowered program the selection phase keeps
+/// for the differential runner. A lowered litmus program takes about
+/// 25 KB of heap (its ~300-byte source far less), so later scenarios
+/// compile their source again in the runner and memory stays bounded at
+/// any budget.
+constexpr size_t MaxLoweredKept = 128;
+
 ExploreReport errorReport(ExploreReport Rep, std::string Message) {
   Rep.Ok = false;
   Rep.Error = std::move(Message);
@@ -57,6 +64,9 @@ ExploreReport checkfence::explore::runExplore(Verifier &V,
 
   std::vector<Scenario> Selected;
   std::vector<std::string> Fingerprints;
+  // The first selected litmus scenarios' lowered programs, compiled
+  // once for the fingerprint and handed to the differential runner.
+  std::vector<std::optional<lsl::Program>> Lowered;
   // In-run dedup is tracked separately from the corpus: a fingerprint
   // becomes corpus-seen only once its scenario actually ran, so a
   // cancelled run cannot permanently exclude never-checked scenarios
@@ -73,7 +83,9 @@ ExploreReport checkfence::explore::runExplore(Verifier &V,
     Scenario S = Gen.at(Index);
     ++Rep.Generated;
     std::string Err;
-    std::string Fp = scenarioFingerprint(S, Err);
+    std::optional<lsl::Program> Prog;
+    std::string Fp = scenarioFingerprint(
+        S, Err, Selected.size() < MaxLoweredKept ? &Prog : nullptr);
     if (Fp.empty()) {
       // A generator bug: keep the scenario so the differential runner
       // reports the frontend error as a divergence.
@@ -85,6 +97,7 @@ ExploreReport checkfence::explore::runExplore(Verifier &V,
     }
     Selected.push_back(std::move(S));
     Fingerprints.push_back(Fp);
+    Lowered.push_back(std::move(Prog));
   }
 
   //===------------------------------------------------------------===//
@@ -109,7 +122,7 @@ ExploreReport checkfence::explore::runExplore(Verifier &V,
         obs::Span ScenarioSpan(
             "explore", [&] { return "scenario:" + Selected[I].label(); });
         Timer T;
-        Outcomes[I] = Runner.run(Selected[I]);
+        Outcomes[I] = Runner.run(Selected[I], std::move(Lowered[I]));
         Seconds[I] = T.seconds();
         if (Opts.Sink) {
           for (const Divergence &D : Outcomes[I].Divergences)

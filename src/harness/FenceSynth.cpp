@@ -7,14 +7,13 @@
 #include "harness/FenceSynth.h"
 
 #include "analysis/CriticalCycles.h"
+#include "checker/Unrolling.h"
 #include "engine/MatrixRunner.h"
 #include "frontend/Lowering.h"
 #include "impls/Impls.h"
 #include "obs/Trace.h"
 #include "support/Format.h"
 #include "support/Timing.h"
-#include "trans/Flattener.h"
-#include "trans/RangeAnalysis.h"
 
 #include <algorithm>
 #include <atomic>
@@ -235,16 +234,14 @@ checkfence::harness::synthesizeFences(const std::string &ImplSource,
       return Cuts;
     applyFencePlacements(Impl, Placed);
     std::vector<std::string> Threads = buildTestThreads(Impl, Test);
-    trans::FlatProgram Flat;
-    trans::Flattener F(Impl, Flat, Opts.Check.InitialBounds);
-    for (size_t T = 0; T < Threads.size(); ++T)
-      if (!F.flattenThread(Threads[T], static_cast<int>(T)))
-        return Cuts;
-    trans::RangeInfo Ranges = trans::analyzeRanges(Flat);
+    std::shared_ptr<const checker::Unrolling> U =
+        checker::unroll(Impl, Threads, Opts.Check.InitialBounds);
+    if (!U->ok())
+      return Cuts;
     analysis::AnalysisOptions AO;
     AO.MinLine = MinLine;
     analysis::RobustnessResult RR =
-        analysis::analyzeRobustness(Flat, Ranges, Opts.Check.Model, AO);
+        analysis::analyzeRobustness(U->Flat, U->Ranges, Opts.Check.Model, AO);
     for (const analysis::SuggestedCut &C : RR.Cuts) {
       FencePlacement P;
       P.Line = C.Line;

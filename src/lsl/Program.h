@@ -54,6 +54,14 @@ struct Proc {
 /// value of global G is [BaseOf(G)].
 class Program {
 public:
+  Program() = default;
+  /// Move-only: statements point into the arena, and a moved deque keeps
+  /// its elements where they are.
+  Program(Program &&) = default;
+  Program &operator=(Program &&) = default;
+  Program(const Program &) = delete;
+  Program &operator=(const Program &) = delete;
+
   /// Allocates a statement in the arena.
   Stmt *create(StmtKind K) {
     Arena.emplace_back();

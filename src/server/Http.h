@@ -48,6 +48,9 @@ public:
   /// more after either.
   Status feed(const char *Data, size_t Size);
 
+  /// No byte has been fed yet.
+  bool empty() const { return Buf.empty(); }
+
   std::string StartLine;
   std::map<std::string, std::string> Headers; ///< lowercased names
   std::string Body;

@@ -18,9 +18,10 @@
 //                  Verifier, stores the reply on the Job and writes a
 //                  byte to the wake pipe.
 //
-// A graceful drain closes the listening socket and serves the connected
-// clients to the end; then the workers empty the queue (jobs whose
-// clients hung up still run, cancelled), and the cache is persisted.
+// A graceful drain closes the listening socket, closes each client that
+// has sent no byte yet and serves the other connected clients to the
+// end; then the workers empty the queue (jobs whose clients hung up
+// still run, cancelled), and the cache is persisted.
 //
 //===----------------------------------------------------------------------===//
 
@@ -597,11 +598,19 @@ struct CheckServer::Impl {
   void ioLoop() {
     std::vector<struct pollfd> Fds;
     while (true) {
+      Clock::time_point Now = Clock::now(), Next = Clock::time_point::max();
       if (Stopping.load() && ListenFd >= 0) {
         ::close(ListenFd);
         ListenFd = -1;
+        // A client that has sent nothing by now has no request for the
+        // drain to finish: read what has arrived, then drop the silent.
+        for (Client &C : Clients)
+          if (!C.J && C.Out.empty() && C.In.empty()) {
+            readFrom(C);
+            if (C.Fd >= 0 && !C.J && C.Out.empty() && C.In.empty())
+              C.Deadline = Now;
+          }
       }
-      Clock::time_point Now = Clock::now(), Next = Clock::time_point::max();
       for (Client &C : Clients)
         if (C.J && C.J->Done.load()) {
           HttpResponse Resp;

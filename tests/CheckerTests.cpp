@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "checker/Unrolling.h"
+#include "explore/Generator.h"
 #include "frontend/Lowering.h"
 #include "harness/Catalog.h"
 #include "impls/Impls.h"
@@ -106,6 +108,84 @@ void crossValidateSpec(const std::string &Source, const std::string &Test) {
   EXPECT_EQ(Mined.Spec, RefObs)
       << "mined " << Mined.Spec.size() << " vs enumerated "
       << RefObs.size();
+}
+
+//===----------------------------------------------------------------------===//
+// One shared unrolling under every lattice point.
+//===----------------------------------------------------------------------===//
+
+/// At every lattice point, a context built on one shared Unrolling is the
+/// same SAT instance as one that unrolls the program itself, and mines
+/// the same observation set.
+void expectSharedUnrollingEncodesAlike(
+    const lsl::Program &Prog, const std::vector<std::string> &Threads) {
+  std::shared_ptr<const Unrolling> Shared = unroll(Prog, Threads, {});
+  ASSERT_TRUE(Shared->ok()) << Shared->Error;
+  for (const memmodel::ModelParams &M : memmodel::latticeModels()) {
+    SCOPED_TRACE(memmodel::modelName(M));
+    ProblemConfig Cfg;
+    Cfg.Model = M;
+    SolveContext Own(Prog, Threads, {}, Cfg);
+    SolveContext OnShared(Shared, Cfg);
+    ASSERT_TRUE(Own.encoding().ok()) << Own.encoding().error();
+    ASSERT_TRUE(OnShared.encoding().ok()) << OnShared.encoding().error();
+    EXPECT_EQ(&OnShared.encoding().flat(), &Shared->Flat);
+    const EncodeStats &A = Own.encoding().stats();
+    const EncodeStats &B = OnShared.encoding().stats();
+    EXPECT_EQ(A.SatVars, B.SatVars);
+    EXPECT_EQ(A.SatClauses, B.SatClauses);
+    EXPECT_EQ(A.UnrolledInstrs, B.UnrolledInstrs);
+    MiningOutcome MinedOwn = mineSpecification(Own);
+    MiningOutcome MinedShared = mineSpecification(OnShared);
+    EXPECT_EQ(MinedOwn.Ok, MinedShared.Ok);
+    EXPECT_EQ(MinedOwn.SequentialBug, MinedShared.SequentialBug);
+    EXPECT_EQ(MinedOwn.Spec, MinedShared.Spec);
+  }
+  // The contexts are gone; nothing else kept the unrolling.
+  EXPECT_EQ(Shared.use_count(), 1);
+}
+
+TEST(SharedUnrolling, Ms2T0EncodesAlikeAtEveryLatticePoint) {
+  frontend::DiagEngine Diags;
+  lsl::Program Prog;
+  ASSERT_TRUE(frontend::compileC(impls::sourceFor("ms2"), {}, Prog, Diags))
+      << Diags.str();
+  std::vector<std::string> Threads =
+      buildTestThreads(Prog, testByName("T0"));
+  expectSharedUnrollingEncodesAlike(Prog, Threads);
+}
+
+TEST(SharedUnrolling, ExploreLitmusEncodesAlikeAtEveryLatticePoint) {
+  explore::GeneratorLimits Limits;
+  Limits.SymbolicPerMille = 0;
+  explore::Scenario S = explore::Generator(1, Limits).at(0);
+  ASSERT_EQ(S.K, explore::Scenario::Kind::Litmus);
+  frontend::DiagEngine Diags;
+  lsl::Program Prog;
+  ASSERT_TRUE(frontend::compileC(S.Source, {}, Prog, Diags)) << Diags.str();
+  TestSpec Spec;
+  Spec.Name = "explore";
+  for (size_t T = 0; T < S.ThreadArgs.size(); ++T)
+    Spec.Threads.push_back(
+        {OpSpec{"t" + std::to_string(T) + "_op", S.ThreadArgs[T], false,
+                false}});
+  expectSharedUnrollingEncodesAlike(Prog, buildTestThreads(Prog, Spec));
+}
+
+TEST(SharedUnrolling, UnknownThreadProcedureIsAnEncodingError) {
+  frontend::DiagEngine Diags;
+  lsl::Program Prog;
+  ASSERT_TRUE(frontend::compileC(impls::sourceFor("ms2"), {}, Prog, Diags))
+      << Diags.str();
+  const std::string Expected =
+      "flattening failed: unknown thread procedure 'no_such_thread'";
+  std::shared_ptr<const Unrolling> U = unroll(Prog, {"no_such_thread"}, {});
+  EXPECT_FALSE(U->ok());
+  EXPECT_EQ(U->Error, Expected);
+  SolveContext Ctx(Prog, {"no_such_thread"}, {}, ProblemConfig{});
+  EXPECT_FALSE(Ctx.encoding().ok());
+  EXPECT_EQ(Ctx.encoding().error(), Expected);
+  EXPECT_EQ(Ctx.encoding().stats().UnrolledInstrs, 0);
 }
 
 TEST(CrossValidation, RefQueueT0) {

@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <new>
 #include <sstream>
 #include <string>
@@ -276,6 +277,58 @@ TEST(TracePipeline, SpanNamesAreDeterministicAcrossRuns) {
   EXPECT_TRUE(Has("engine/mine"));
   EXPECT_TRUE(Has("engine/encode"));
   EXPECT_TRUE(Has("engine/include"));
+}
+
+/// How many spans of each "category/name" \p Run records.
+template <typename Fn> std::map<std::string, int> tracedSpanCounts(Fn Run) {
+  obs::Tracer T;
+  {
+    obs::TraceContext Ctx(&T);
+    Run();
+  }
+  std::map<std::string, int> Counts;
+  for (const obs::TraceEvent &Ev : T.events())
+    ++Counts[Ev.Cat + "/" + Ev.Name];
+  return Counts;
+}
+
+TEST(TracePipeline, ExploreScenarioUnrollsOnceForEveryModel) {
+  Verifier V;
+  std::map<std::string, int> N = tracedSpanCounts([&] {
+    ExploreOutcome O = V.explore(Request::explore()
+                                     .seed(1)
+                                     .budget(1)
+                                     .symbolicShare(0)
+                                     .models({"sc", "tso", "pso", "relaxed"})
+                                     .jobs(1));
+    EXPECT_TRUE(O.ok()) << O.error();
+    EXPECT_EQ(O.run(), 1);
+    EXPECT_EQ(O.skips(), 0);
+    EXPECT_TRUE(O.divergences().empty());
+  });
+  // One unrolling; each model encodes, runs its oracle and mines on it.
+  EXPECT_EQ(N["trans/unroll"], 1);
+  EXPECT_EQ(N["explore/model"], 4);
+  EXPECT_EQ(N["engine/encode"], 4);
+  EXPECT_EQ(N["engine/mine"], 4);
+  EXPECT_EQ(N["memmodel/reads_from"], 4);
+  EXPECT_EQ(N["memmodel/enumerate"], 4); // scenario 0 is in the sample
+  EXPECT_EQ(N["memmodel/reference"], 1); // sc only
+}
+
+TEST(TracePipeline, CheckUnrollsOncePerBoundVector) {
+  Verifier V;
+  std::map<std::string, int> N = tracedSpanCounts([&] {
+    Result R = V.check(Request::check("msn", "T0").model("relaxed").noCache());
+    EXPECT_EQ(R.Verdict, Status::Pass);
+  });
+  // Each bound vector is the initial one or one a satisfiable probe grew;
+  // every round ends with the one probe that finds nothing to grow.
+  const int BoundVectors = 1 + N["engine/probe"] - N["engine/round"];
+  EXPECT_GE(BoundVectors, 2);
+  // Mining and checking share the unrolling of each bound vector.
+  EXPECT_EQ(N["trans/unroll"], BoundVectors);
+  EXPECT_GT(N["engine/encode"] + N["engine/encode:mine"], BoundVectors);
 }
 
 TEST(TracePipeline, TimingFreeReportIdenticalWithTracingOnOrOff) {

@@ -1118,15 +1118,47 @@ TEST(ServerDrain, IdleConnectionDoesNotBlockDrain) {
     S.waitStopped();
     Stopped.set_value();
   });
-  bool InTime =
-      Done.wait_for(std::chrono::seconds(ServerReadTimeoutSeconds + 5)) ==
-      std::future_status::ready;
+  // The drain closes the silent client at once; it does not wait out the
+  // client's idle deadline (ServerReadTimeoutSeconds).
+  bool InTime = Done.wait_for(std::chrono::seconds(1)) ==
+                std::future_status::ready;
   // A drain still waiting on the idle client would hang the test: hang
   // up so it finishes, and fail instead.
   if (!InTime)
     Idle.close();
   Drain.join();
   EXPECT_TRUE(InTime) << "drain waited on a connection that sent nothing";
+}
+
+TEST(ServerDrain, PartialRequestIsStillAnsweredDuringDrain) {
+  ServerConfig Cfg;
+  Cfg.Port = 0;
+  CheckServer S(Cfg);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+
+  // A client that has sent half its request when the drain begins.
+  std::string Body = rpcRequest("checkfence.version", "{}", 1);
+  std::string Head = "POST /rpc HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+                     std::to_string(Body.size()) + "\r\n\r\n";
+  RawConn Partial;
+  ASSERT_TRUE(Partial.connectTo(S.port()));
+  ASSERT_TRUE(Partial.sendRaw(Head));
+  for (int I = 0; I < 250 && S.stats().Accepted == 0; ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_EQ(S.stats().Accepted, 1u);
+
+  S.requestStop();
+  std::thread Drain([&] { S.waitStopped(); });
+  // The drain keeps the connection: the rest of the request still gets
+  // an answer.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(Partial.sendRaw(Body));
+  bool Closed = false;
+  std::string Reply = Partial.readAll(5, Closed);
+  Drain.join();
+  EXPECT_TRUE(contains(Reply, "HTTP/1.1 200")) << Reply;
+  EXPECT_TRUE(Closed);
 }
 
 TEST(ServerDrain, StoppedServerRefusesNewConnections) {
